@@ -8,12 +8,14 @@ lives on its own chain.  Alice wants the car, Cindy only takes BTC.
 """
 
 from topocbt import (
+    Chain,
     FailurePlan,
     TopoCbtEngine,
     ac2s_execute,
     ac3wn_execute,
     car_trading,
 )
+from topocbt.baselines import WITNESS_CHAIN_ID
 
 
 def show_balances(fed, label):
@@ -43,7 +45,8 @@ def main():
     show_balances(fed, "after")
 
     scen, fed, txn = fresh()
-    out, witness = ac3wn_execute(fed, txn)
+    witness = Chain(WITNESS_CHAIN_ID)
+    out = ac3wn_execute(fed, txn, witness=witness)
     print(f"\nwitness 2PC: {out.status} "
           f"(decision chain holds {len(witness.all_refs()) - 1} records)")
     show_balances(fed, "after")
@@ -75,7 +78,7 @@ def main():
     print("Coordinator dies after the prepare phase")
     print("=" * 64)
     scen, fed, txn = fresh()
-    out, _ = ac3wn_execute(fed, txn, FailurePlan(witness_crash=True))
+    out = ac3wn_execute(fed, txn, FailurePlan(witness_crash=True))
     print(f"\nwitness 2PC: {out.status}, locks still held: {len(fed.locks)}")
     print("  participants voted yes and now wait for a decision that")
     print("  will never arrive: the protocol blocks")

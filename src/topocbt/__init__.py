@@ -23,17 +23,14 @@ from .chain import (
     LockGrant,
 )
 from .engine import (
-    ComplexityStats,
     FailurePlan,
+    Outcome,
     RecoveryReport,
     SimulatedCrash,
     Status,
     TopoCbtEngine,
-    TxnOutcome,
-    count_complexity,
-    topocbt_execute,
 )
-from .baselines import BaselineOutcome, SimClock, SwapState, SwapStep, ac2s_execute, ac3wn_execute
+from .baselines import SimClock, SwapState, SwapStep, ac2s_execute, ac3wn_execute
 from .harness import (
     ComparisonTable,
     RunReport,

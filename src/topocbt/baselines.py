@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chain import AssetUpdate, Chain, Conflict, Federation
-from .engine import FailurePlan, NO_FAILURES, Status, UPDATE_FAILURE, CRASH_BEFORE_COMMIT
+from .engine import FailurePlan, NO_FAILURES, Outcome, Status, UPDATE_FAILURE, CRASH_BEFORE_COMMIT, pair_count
 from .topology import CrossChainTransaction, expand_refs
 
 log = logging.getLogger(__name__)
@@ -64,16 +64,6 @@ class SimClock:
 
 
 @dataclass(frozen=True)
-class BaselineOutcome:
-    status: Status
-    worse_off_parties: tuple[str, ...]
-    messages: int
-    applied_updates: int
-    primitive_ops: int
-    space_bytes: int
-
-
-@dataclass(frozen=True)
 class Decision:
     """2PC decision record carried on the witness chain."""
 
@@ -86,10 +76,6 @@ class Decision:
 
 
 WITNESS_CHAIN_ID = 999
-
-
-def _pair_count(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 def _swap_legs(txn: CrossChainTransaction) -> Optional[list[tuple[AssetUpdate, AssetUpdate]]]:
@@ -125,7 +111,7 @@ def ac2s_execute(
     plan: FailurePlan = NO_FAILURES,
     clock: Optional[SimClock] = None,
     timelock: int = DEFAULT_TIMELOCK,
-) -> BaselineOutcome:
+) -> Outcome:
     """Run the deal as a sequence of independent timelocked swaps.
 
     Each sub-transaction must itself be a two-party exchange, or the
@@ -171,7 +157,7 @@ def ac2s_execute(
         for leg_no, leg in enumerate(legs, start=1):
             # with no coordinator, every leg re-verifies the whole
             # deal's blocks pairwise before it settles
-            meter_ops += _pair_count(n_blocks)
+            meter_ops += pair_count(n_blocks)
             step = SwapStep(leg.owner_from, leg.owner_to, leg.asset, leg.amount,
                             deadline=offered_at + timelock)
             messages += 2  # offer + claim
@@ -199,7 +185,7 @@ def ac2s_execute(
         status = Status.ABORTED
     else:
         status = Status.PARTIAL_COMMIT
-    return BaselineOutcome(status, tuple(sorted(worse_off)), messages, applied, meter_ops, 0)
+    return Outcome(status, applied, messages, meter_ops, 0, tuple(sorted(worse_off)))
 
 
 def ac3wn_execute(
@@ -209,15 +195,17 @@ def ac3wn_execute(
     clock: Optional[SimClock] = None,
     timelock: int = DEFAULT_TIMELOCK,
     witness: Optional[Chain] = None,
-) -> tuple[BaselineOutcome, Chain]:
+) -> Outcome:
     """Two-phase commit with the decision sequence on a witness chain.
 
-    Returns the outcome together with the witness chain so callers can
-    audit that updates only ever follow a recorded GlobalCommit.
+    A caller that audits that updates only ever follow a recorded
+    GlobalCommit hands in the witness chain, e.g.
+    ``Chain(WITNESS_CHAIN_ID)``; otherwise a private one is used.
     """
     txn.validate(federation)
     clock = clock or SimClock()
-    witness = witness or Chain(WITNESS_CHAIN_ID, replicas=1, assets=())
+    if witness is None:
+        witness = Chain(WITNESS_CHAIN_ID)
 
     refs = expand_refs(federation, txn)
     messages = 0
@@ -225,10 +213,7 @@ def ac3wn_execute(
     grant = federation.lock_blocks(refs, txn.id)
     messages += len(refs)
     if isinstance(grant, Conflict):
-        return (
-            BaselineOutcome(Status.ABORTED, (), messages, 0, meter_ops, 0),
-            witness,
-        )
+        return Outcome(Status.ABORTED, 0, messages, meter_ops, 0)
 
     # phase 1: one prepare round-trip per participating chain, one
     # witness block per sub-transaction
@@ -243,15 +228,7 @@ def ac3wn_execute(
         if vote_abort:
             votes_ok = False
     if votes_ok:
-        working = federation.balances()
-        for sub in txn.sub_transactions:
-            for upd in sub.updates:
-                key = (upd.owner_from, upd.asset)
-                if working.get(key, 0) < upd.amount:
-                    votes_ok = False
-                    break
-                working[key] = working[key] - upd.amount
-                working[(upd.owner_to, upd.asset)] = working.get((upd.owner_to, upd.asset), 0) + upd.amount
+        votes_ok = federation.can_fund(u for sub in txn.sub_transactions for u in sub.updates)
 
     # coordinator crash window: prepare done, decision not yet durable
     crashed = plan.witness_crash or any(k == CRASH_BEFORE_COMMIT for _, k in plan.face_failures)
@@ -259,8 +236,7 @@ def ac3wn_execute(
         horizon = clock.advance(BLOCKING_HORIZON_FACTOR * timelock)
         held = [ref for ref, holder in federation.locks.items() if holder == txn.id]
         log.info("txn %s: no decision by tick %s, %d locks still held", txn.id, horizon, len(held))
-        space = _witness_space(witness)
-        return BaselineOutcome(Status.BLOCKED, (), messages, 0, meter_ops, space), witness
+        return Outcome(Status.BLOCKED, 0, messages, meter_ops, _witness_space(witness))
 
     if not votes_ok:
         witness.append_block(0, (Decision("GlobalAbort", txn.id),))
@@ -268,24 +244,21 @@ def ac3wn_execute(
         messages += len(chain_ids)
         federation.release_blocks(refs, txn.id)
         meter_ops += len(refs)
-        return BaselineOutcome(Status.ABORTED, (), messages, 0, meter_ops, _witness_space(witness)), witness
+        return Outcome(Status.ABORTED, 0, messages, meter_ops, _witness_space(witness))
 
     witness.append_block(0, (Decision("GlobalCommit", txn.id),))
     meter_ops += 1
     messages += len(chain_ids)
     applied = 0
     for sub in txn.sub_transactions:
-        grouped: dict[int, list[AssetUpdate]] = {}
-        for upd in sub.updates:
-            grouped.setdefault(federation.chain_for_asset(upd.asset).id, []).append(upd)
-        for cid in sorted(grouped):
+        for cid, updates in federation.updates_by_chain(sub.updates):
             chain = federation.chain(cid)
-            chain.append_block(chain.canonical_branch(), tuple(grouped[cid]))
-            meter_ops += 1 + len(grouped[cid])
-            applied += len(grouped[cid])
+            chain.append_block(chain.canonical_branch(), updates)
+            meter_ops += 1 + len(updates)
+            applied += len(updates)
     federation.release_blocks(refs, txn.id)
     meter_ops += len(refs)
-    return BaselineOutcome(Status.COMMITTED, (), messages, applied, meter_ops, _witness_space(witness)), witness
+    return Outcome(Status.COMMITTED, applied, messages, meter_ops, _witness_space(witness))
 
 
 def _witness_space(witness: Chain) -> int:

@@ -279,7 +279,6 @@ class Federation:
         self.chains: dict[int, Chain] = {}
         self.locks: dict[BlockRef, int] = {}
         self.initial_balances: dict[tuple[str, str], int] = dict(initial_balances or {})
-        self.epoch = 0
 
     def add_chain(self, chain: Chain) -> Chain:
         if chain.id in self.chains:
@@ -322,14 +321,6 @@ class Federation:
             self.locks[ref] = txn_id
         return LockGrant(refs=tuple(ordered))
 
-    def try_lock_one(self, ref: BlockRef, txn_id: int):
-        """Single-block acquisition step, used by interleaved schedulers."""
-        holder = self.locks.get(ref)
-        if holder is not None and holder != txn_id:
-            return Conflict(ref=ref, holder=holder)
-        self.locks[ref] = txn_id
-        return LockGrant(refs=(ref,))
-
     def release_blocks(self, refs: Iterable[BlockRef], txn_id: int) -> None:
         ordered = sorted(set(refs))
         for ref in ordered:
@@ -361,6 +352,25 @@ class Federation:
                     totals[key_from] = totals.get(key_from, 0) - record.amount
                     totals[key_to] = totals.get(key_to, 0) + record.amount
         return totals
+
+    def updates_by_chain(self, updates: Iterable[AssetUpdate]) -> list[tuple[int, tuple[AssetUpdate, ...]]]:
+        """Updates grouped by the chain managing their asset, chain ids ascending."""
+        grouped: dict[int, list[AssetUpdate]] = {}
+        for upd in updates:
+            grouped.setdefault(self.chain_for_asset(upd.asset).id, []).append(upd)
+        return [(cid, tuple(grouped[cid])) for cid in sorted(grouped)]
+
+    def can_fund(self, updates: Iterable[AssetUpdate]) -> bool:
+        """Whether the updates, applied in order to current balances, never overdraw."""
+        working = self.balances()
+        for upd in updates:
+            key = (upd.owner_from, upd.asset)
+            if working.get(key, 0) < upd.amount:
+                return False
+            working[key] = working.get(key, 0) - upd.amount
+            to_key = (upd.owner_to, upd.asset)
+            working[to_key] = working.get(to_key, 0) + upd.amount
+        return True
 
     def balance(self, party: str, asset: str) -> int:
         return self.balances().get((party, asset), 0)

@@ -16,10 +16,10 @@ from pathlib import Path
 from .chain import ChainError
 from .engine import TopoCbtEngine
 from .harness import compare_protocols, complexity_fit, fit_ops, measure_grid, run_scenario, betti_report
-from .scenario import ScenarioError, load_scenario
+from .scenario import PROTOCOLS, ScenarioError, load_scenario
 from .simplicial import read_complex
 from .topology import write_tagged
-from .wal import WalFormatError, WriteAheadLog
+from .wal import WalFormatError, WalKind, WriteAheadLog
 
 
 def _setup_logging() -> None:
@@ -116,8 +116,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     # rebuild the crashed state: every logged undo whose block landed
     # before the crash is re-applied (the log is assumed complete up to
     # the crash point), then recovery compensates it all
-    from .wal import WalKind
-
     for rec in wal.records:
         if rec.kind is not WalKind.UNDO:
             continue
@@ -142,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one scenario")
     p_run.add_argument("--scenario", required=True, help="file path or built-in name (car-trading)")
-    p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--protocol", choices=["topocbt", "ac2s", "ac3wn"],
+    p_run.add_argument("--seed", type=int, default=1,
+                       help="label copied into the report; runs do not depend on it")
+    p_run.add_argument("--protocol", choices=PROTOCOLS,
                        help="override the protocol declared per transaction")
     p_run.add_argument("--out", help="write the CSV report here instead of stdout")
     p_run.add_argument("--wal", help="also write the binary write-ahead log here")
@@ -158,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run scenarios under all protocols")
     p_cmp.add_argument("--scenario-dir", required=True)
-    p_cmp.add_argument("--seeds", default="1")
+    p_cmp.add_argument("--seeds", default="1",
+                       help="comma-separated report labels; each repeats the same runs")
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=_cmd_compare)
 

@@ -54,6 +54,23 @@ class Status(enum.Enum):
         return self.value
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """What one run of one transaction reports, whichever protocol ran it."""
+
+    status: Status
+    applied_updates: int
+    messages: int
+    primitive_ops: int
+    space_bytes: int  # durable bytes left behind once the txn is terminal
+    worse_off_parties: tuple[str, ...] = ()  # only pairwise swaps strand anyone
+
+
+def pair_count(n: int) -> int:
+    """Vertex pairs among n blocks: the metered cost of one pairwise pass."""
+    return n * (n - 1) // 2
+
+
 class SimulatedCrash(RuntimeError):
     """Raised when a failure plan kills the process mid-transaction."""
 
@@ -90,13 +107,6 @@ class FailurePlan:
 NO_FAILURES = FailurePlan()
 
 
-@dataclass(frozen=True)
-class TxnOutcome:
-    status: Status
-    applied_updates: int
-    messages: int
-    primitive_ops: int
-    space_bytes: int  # durable bytes left behind once the txn is terminal
 
 
 @dataclass(frozen=True)
@@ -108,23 +118,6 @@ class RecoveryReport:
 
     def is_noop(self) -> bool:
         return not self.rolled_back and not self.recompleted and self.locks_cleared == 0
-
-
-@dataclass(frozen=True)
-class ComplexityStats:
-    n: int
-    m: int
-    primitive_ops: int
-    bound_coefficient: float
-
-
-def count_complexity(outcome: TxnOutcome, n: int, m: int) -> ComplexityStats:
-    """Relate a measured op count to the n*n + n*m cost model."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    denom = n * n + n * m
-    return ComplexityStats(n=n, m=m, primitive_ops=outcome.primitive_ops,
-                           bound_coefficient=outcome.primitive_ops / denom)
 
 
 class _Meter:
@@ -206,30 +199,9 @@ class TopoCbtEngine:
             compensated += 1
         return compensated
 
-    @staticmethod
-    def _pair_cost(vertex_count: int) -> int:
-        return vertex_count * (vertex_count - 1) // 2
-
-    def _updates_by_chain(self, sub) -> list[tuple[int, tuple[AssetUpdate, ...]]]:
-        grouped: dict[int, list[AssetUpdate]] = {}
-        for upd in sub.updates:
-            grouped.setdefault(self.federation.chain_for_asset(upd.asset).id, []).append(upd)
-        return [(cid, tuple(grouped[cid])) for cid in sorted(grouped)]
-
-    def _can_fund(self, updates: tuple[AssetUpdate, ...]) -> bool:
-        working = self.federation.balances()
-        for upd in updates:
-            key = (upd.owner_from, upd.asset)
-            if working.get(key, 0) < upd.amount:
-                return False
-            working[key] = working.get(key, 0) - upd.amount
-            to_key = (upd.owner_to, upd.asset)
-            working[to_key] = working.get(to_key, 0) + upd.amount
-        return True
-
     # -- the protocol ----------------------------------------------------
 
-    def execute(self, txn: CrossChainTransaction, plan: FailurePlan = NO_FAILURES) -> TxnOutcome:
+    def execute(self, txn: CrossChainTransaction, plan: FailurePlan = NO_FAILURES) -> Outcome:
         """Run one transaction to a terminal outcome.
 
         Raises SimulatedCrash when the plan kills the run; the log and
@@ -244,17 +216,17 @@ class TopoCbtEngine:
         meter.messages += len(refs)
         if isinstance(grant, Conflict):
             log.info("txn %s: lock conflict on %s held by %s", txn.id, grant.ref, grant.holder)
-            return TxnOutcome(Status.ABORTED, 0, meter.messages, meter.ops, 0)
+            return Outcome(Status.ABORTED, 0, meter.messages, meter.ops, 0)
 
         sigma = transaction_simplex(self.federation, txn, self.mode)
-        meter.ops += self._pair_cost(len(sigma.vertices))
+        meter.ops += pair_count(len(sigma.vertices))
 
         undo_records: list[WalRecord] = []
         applied = 0
         failed = False
         for index, sub in enumerate(txn.sub_transactions, start=1):
             injected = plan.face_failure(index)
-            per_chain = self._updates_by_chain(sub)
+            per_chain = self.federation.updates_by_chain(sub.updates)
 
             for chain_id, updates in per_chain:
                 rec = self._write_record(meter, plan, txn.id, WalKind.UNDO,
@@ -263,7 +235,7 @@ class TopoCbtEngine:
             if injected == CRASH_AFTER_UNDO:
                 raise SimulatedCrash(f"after undo records of face {index}")
 
-            if injected == UPDATE_FAILURE or not self._can_fund(sub.updates):
+            if injected == UPDATE_FAILURE or not self.federation.can_fund(sub.updates):
                 failed = True
                 break
 
@@ -276,18 +248,18 @@ class TopoCbtEngine:
         if failed:
             self._write_record(meter, plan, txn.id, WalKind.ABORT)
             self._rollback(meter, undo_records)
-            meter.ops += self._pair_cost(len(sigma.vertices))
+            meter.ops += pair_count(len(sigma.vertices))
             self.federation.release_blocks(refs, txn.id)
             meter.ops += len(refs)
             meter.messages += len(refs)
-            return TxnOutcome(Status.ABORTED, 0, meter.messages, meter.ops, 0)
+            return Outcome(Status.ABORTED, 0, meter.messages, meter.ops, 0)
 
         commit = self._write_record(meter, plan, txn.id, WalKind.COMMIT)
-        meter.ops += self._pair_cost(len(sigma.vertices))
+        meter.ops += pair_count(len(sigma.vertices))
         self.federation.release_blocks(refs, txn.id)
         meter.ops += len(refs)
         meter.messages += len(refs)
-        return TxnOutcome(Status.COMMITTED, applied, meter.messages, meter.ops,
+        return Outcome(Status.COMMITTED, applied, meter.messages, meter.ops,
                           len(commit.to_bytes()))
 
     # -- restart path ------------------------------------------------------
@@ -329,17 +301,3 @@ class TopoCbtEngine:
         self.federation.locks.clear()
         return RecoveryReport(tuple(rolled_back), tuple(recompleted), tuple(committed), cleared)
 
-
-def topocbt_execute(
-    federation: Federation,
-    txn: CrossChainTransaction,
-    plan: FailurePlan = NO_FAILURES,
-    wal: Optional[WriteAheadLog] = None,
-    mode: TopologyMode = TopologyMode.ABSTRACT,
-) -> TxnOutcome:
-    """One-shot execution against a federation.
-
-    Hand in a log you keep around if you want to recover after an
-    injected crash; see :class:`TopoCbtEngine` for the stateful form.
-    """
-    return TopoCbtEngine(federation, wal, mode).execute(txn, plan)

@@ -1,9 +1,10 @@
 """Deterministic scenario runner, independent atomicity audit, reports.
 
-A run is a pure function of (scenario bytes, seed): transactions
-execute in id order against a freshly built federation, crashes go
-through recovery, and the report serializes to CSV with a trailing
-state-digest line.  Nothing time-dependent enters the output.
+A run is a pure function of the scenario bytes: transactions execute
+in id order against a freshly built federation, crashes go through
+recovery, and the report serializes to CSV with a trailing
+state-digest line.  The seed is only a label copied into the report;
+no run reads it.  Nothing time-dependent enters the output.
 
 The atomicity verdict never trusts a protocol's own status: an auditor
 diffs the balance sheet against the two digests a correct transaction
@@ -14,15 +15,17 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .baselines import SimClock, ac2s_execute, ac3wn_execute
-from .engine import SimulatedCrash, Status, TopoCbtEngine
-from .scenario import Scenario, grid_scenario
+from .chain import Federation
+from .engine import FailurePlan, Outcome, SimulatedCrash, Status, TopoCbtEngine
+from .scenario import PROTOCOLS, Scenario, grid_scenario
 from .topology import CrossChainTransaction, build_federation_complex
-from .wal import WriteAheadLog
+from .wal import WalKind, WriteAheadLog
 
 log = logging.getLogger(__name__)
 
@@ -119,15 +122,96 @@ class RunReport:
         """Checks whose failure makes the run exit nonzero.
 
         The pairwise-swap baseline is allowed to violate atomicity;
-        the main engine is not.
+        the main engine is not, and its status must agree with the
+        auditor: Committed with all, Aborted with none.  A commit that
+        applied no update leaves the sheet untouched and reads none.
+        (So does one whose updates cancel out; it is flagged, since a
+        row cannot tell it from a commit that never landed.)
         """
         problems = []
         for row in self.rows:
-            if row.protocol == "topocbt" and not row.atomicity_ok:
+            if row.protocol != "topocbt":
+                continue
+            if not row.atomicity_ok:
                 problems.append(f"txn {row.txn_id}: atomicity violated under topocbt")
-            if row.protocol == "topocbt" and row.status not in (Status.COMMITTED, Status.ABORTED):
+            if row.status not in (Status.COMMITTED, Status.ABORTED):
                 problems.append(f"txn {row.txn_id}: non-terminal status {row.status}")
+            elif row.atomicity_ok and row.audit != (
+                AUDIT_ALL if row.status is Status.COMMITTED and row.applied_updates else AUDIT_NONE
+            ):
+                problems.append(f"txn {row.txn_id}: status {row.status} but audit {row.audit}")
         return problems
+
+
+def _execute(engine: TopoCbtEngine, clock: SimClock, protocol: str,
+             txn: CrossChainTransaction, plan: FailurePlan) -> tuple[Outcome, bool]:
+    """Run one transaction under one protocol; also says whether it crashed.
+
+    A crashed main-engine run goes through recovery, and its status is
+    whatever recovery left in the log: a crash after the durable commit
+    record is a commit.  A blocked witness 2PC run has its locks cleared
+    so the next event stays well-defined.
+    """
+    federation = engine.federation
+    if protocol == "topocbt":
+        try:
+            return engine.execute(txn, plan), False
+        except SimulatedCrash as crash:
+            log.info("txn %s crashed (%s); running recovery", txn.id, crash.point)
+            engine.recover()
+            # no terminal record: the crash came before the txn logged anything
+            terminal = engine.wal.terminal_for(txn.id)
+            if terminal is not None and terminal.kind is WalKind.COMMIT:
+                return Outcome(Status.COMMITTED, txn.total_updates(), 0, 0, 0), True
+            return Outcome(Status.ABORTED, 0, 0, 0, 0), True
+    if protocol == "ac2s":
+        return ac2s_execute(federation, txn, plan, clock), False
+    if protocol == "ac3wn":
+        outcome = ac3wn_execute(federation, txn, plan, clock)
+        if outcome.status is Status.BLOCKED:
+            federation.release_all(txn.id)
+        return outcome, False
+    raise ValueError(f"unknown protocol {protocol!r}")
+
+
+def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed: int = 0,
+            protocol_override: Optional[str] = None, compute_betti: bool = False) -> Iterator[TxnRow]:
+    """Every scenario event in id order, one row each: the one event loop.
+
+    The event's fork resolution (every ``epoch`` events) runs when the
+    generator is resumed, after the row's audit and betti_post, so a
+    caller that stops after k rows holds the federation row k reported.
+    """
+    engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
+    clock = SimClock()
+    transactions = scenario.transactions()
+    pending = list(transactions)
+
+    def betti() -> tuple[int, ...]:
+        if not compute_betti:
+            return ()
+        return build_federation_complex(
+            federation, pending, mode=scenario.mode, window=scenario.window
+        ).betti_numbers()
+
+    for event, txn in enumerate(transactions, start=1):
+        protocol = protocol_override or scenario.protocol_for(txn.id)
+        plan = scenario.plan_for(txn.id)
+        pre_balances = federation.balances()
+        betti_pre = betti()
+        outcome, recovered = _execute(engine, clock, protocol, txn, plan)
+        pending = [t for t in pending if t.id != txn.id]
+        audit = audit_atomicity(pre_balances, txn, federation.balances())
+        yield TxnRow(
+            scenario=scenario.name, seed=seed, protocol=protocol, txn_id=txn.id,
+            status=outcome.status, applied_updates=outcome.applied_updates,
+            messages=outcome.messages, primitive_ops=outcome.primitive_ops,
+            space_bytes=outcome.space_bytes, worse_off=outcome.worse_off_parties,
+            audit=audit, betti_pre=betti_pre, betti_post=betti(), recovered=recovered,
+        )
+        if scenario.epoch > 0 and event % scenario.epoch == 0:
+            for cid in federation.chain_ids():
+                federation.chain(cid).resolve_forks()
 
 
 def run_scenario(
@@ -136,106 +220,29 @@ def run_scenario(
     protocol_override: Optional[str] = None,
     compute_betti: bool = True,
 ) -> RunReport:
-    """Execute every transaction of the scenario in id order."""
+    """Execute every transaction of the scenario in id order.
+
+    ``seed`` only labels the report; the run is the same for every seed.
+    """
     federation = scenario.build_federation()
-    transactions = scenario.transactions()
     wal = WriteAheadLog()
-    engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
-    clock = SimClock()
-
-    rows: list[TxnRow] = []
-    pending = list(transactions)
-    for event, txn in enumerate(transactions, start=1):
-        protocol = protocol_override or scenario.protocol_for(txn.id)
-        plan = scenario.plan_for(txn.id)
-        pre_balances = federation.balances()
-
-        betti_pre: tuple[int, ...] = ()
-        if compute_betti:
-            betti_pre = build_federation_complex(
-                federation, pending, mode=scenario.mode, window=scenario.window
-            ).betti_numbers()
-
-        recovered = False
-        worse_off: tuple[str, ...] = ()
-        space = 0
-        if protocol == "topocbt":
-            try:
-                outcome = engine.execute(txn, plan)
-                status, applied = outcome.status, outcome.applied_updates
-                messages, ops, space = outcome.messages, outcome.primitive_ops, outcome.space_bytes
-            except SimulatedCrash as crash:
-                log.info("txn %s crashed (%s); running recovery", txn.id, crash.point)
-                engine.recover()
-                recovered = True
-                status, applied, messages, ops = Status.ABORTED, 0, 0, 0
-        elif protocol == "ac2s":
-            outcome = ac2s_execute(federation, txn, plan, clock)
-            status, applied = outcome.status, outcome.applied_updates
-            messages, ops, space = outcome.messages, outcome.primitive_ops, outcome.space_bytes
-            worse_off = outcome.worse_off_parties
-        elif protocol == "ac3wn":
-            outcome, witness = ac3wn_execute(federation, txn, plan, clock)
-            status, applied = outcome.status, outcome.applied_updates
-            messages, ops, space = outcome.messages, outcome.primitive_ops, outcome.space_bytes
-            if status is Status.BLOCKED:
-                # a blocked participant set cannot proceed; clear for the
-                # next event so the report stays well-defined
-                federation.release_all(txn.id)
-        else:
-            raise ValueError(f"unknown protocol {protocol!r}")
-
-        pending = [t for t in pending if t.id != txn.id]
-        audit = audit_atomicity(pre_balances, txn, federation.balances())
-
-        betti_post: tuple[int, ...] = ()
-        if compute_betti:
-            betti_post = build_federation_complex(
-                federation, pending, mode=scenario.mode, window=scenario.window
-            ).betti_numbers()
-
-        rows.append(
-            TxnRow(
-                scenario=scenario.name, seed=seed, protocol=protocol, txn_id=txn.id,
-                status=status, applied_updates=applied, messages=messages,
-                primitive_ops=ops, space_bytes=space, worse_off=worse_off,
-                audit=audit, betti_pre=betti_pre, betti_post=betti_post,
-                recovered=recovered,
-            )
-        )
-
-        if scenario.epoch > 0 and event % scenario.epoch == 0:
-            for cid in federation.chain_ids():
-                federation.chain(cid).resolve_forks()
-
+    rows = list(_replay(scenario, federation, wal, seed, protocol_override, compute_betti))
     return RunReport(scenario.name, seed, rows, federation.state_digest(), wal)
 
 
 def betti_report(scenario: Scenario, at_event: int):
     """Betti vector and tagged complex after ``at_event`` transactions ran.
 
-    Event 0 is the initial federation with every declared transaction
-    still in flight.
+    This is the complex ``run_scenario`` reports as event ``at_event``'s
+    betti_post (before that event's fork resolution).  Event 0 is the
+    initial federation with every declared transaction still in flight.
     """
     transactions = scenario.transactions()
     if at_event < 0 or at_event > len(transactions):
         raise ValueError(f"event index {at_event} out of range 0..{len(transactions)}")
     federation = scenario.build_federation()
-    wal = WriteAheadLog()
-    engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
-    clock = SimClock()
-    for txn in transactions[:at_event]:
-        protocol = scenario.protocol_for(txn.id)
-        plan = scenario.plan_for(txn.id)
-        if protocol == "topocbt":
-            try:
-                engine.execute(txn, plan)
-            except SimulatedCrash:
-                engine.recover()
-        elif protocol == "ac2s":
-            ac2s_execute(federation, txn, plan, clock)
-        else:
-            ac3wn_execute(federation, txn, plan, clock)
+    for _ in islice(_replay(scenario, federation, WriteAheadLog()), at_event):
+        pass
     pending = transactions[at_event:]
     tagged = build_federation_complex(federation, pending, mode=scenario.mode, window=scenario.window)
     return tagged.betti_numbers(), tagged
@@ -280,9 +287,12 @@ class ComparisonTable:
 def compare_protocols(
     scenarios: Iterable[Scenario],
     seeds: Iterable[int],
-    protocols: tuple[str, ...] = ("topocbt", "ac2s", "ac3wn"),
+    protocols: tuple[str, ...] = PROTOCOLS,
 ) -> ComparisonTable:
-    """Run every scenario under every protocol and collect the rows."""
+    """Run every scenario under every protocol and collect the rows.
+
+    Seeds are labels: each one repeats the same runs under its own label.
+    """
     rows: list[TxnRow] = []
     for scenario in scenarios:
         for seed in seeds:

@@ -6,7 +6,7 @@ Sections start with a ``[header]`` line and hold ``key = value`` pairs.
 and ``#`` comments are ignored.  Block positions are written
 ``chain:height`` or ``chain:height:branch``.
 
-A scenario file plus a seed fully determines a run; the built-in
+A scenario file alone fully determines a run; the built-in
 ``car-trading`` scenario is shipped as a fixed text constant so it
 replays byte-identically too.
 """
@@ -103,7 +103,6 @@ class Scenario:
             for party, asset, amount in spec.balances:
                 key = (party, asset)
                 federation.initial_balances[key] = federation.initial_balances.get(key, 0) + amount
-        federation.epoch = self.epoch
         return federation
 
     def transactions(self) -> list[CrossChainTransaction]:

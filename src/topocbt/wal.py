@@ -26,7 +26,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .chain import AssetUpdate, BlockRef
+from .chain import AssetUpdate, BlockRef, _pack_str
 
 
 class WalKind(enum.IntEnum):
@@ -39,14 +39,11 @@ class WalFormatError(Exception):
     pass
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack(">H", len(raw)) + raw
-
-
 def _unpack_str(buf: bytes, off: int) -> tuple[str, int]:
     (n,) = struct.unpack_from(">H", buf, off)
     off += 2
+    if off + n > len(buf):
+        raise ValueError("string runs past the end of the snapshot")
     return buf[off : off + n].decode("utf-8"), off + n
 
 
@@ -71,6 +68,8 @@ def _unpack_updates(buf: bytes) -> tuple[AssetUpdate, ...]:
         (amount,) = struct.unpack_from(">Q", buf, off)
         off += 8
         updates.append(AssetUpdate(owner_from, owner_to, asset, amount))
+    if off != len(buf):
+        raise ValueError(f"{len(buf) - off} bytes after the last update")
     return tuple(updates)
 
 
@@ -104,11 +103,19 @@ def record_from_bytes(body: bytes, index: int) -> WalRecord:
         raise WalFormatError(f"record {index}: unknown kind {kind_raw}") from None
     if kind is not WalKind.UNDO:
         return WalRecord(sequence, txn_id, kind)
+    if len(body) < 33:
+        raise WalFormatError(f"record {index}: truncated undo header")
     chain, height, branch, snap_len = struct.unpack_from(">IIII", body, 17)
     snapshot = body[33 : 33 + snap_len]
     if len(snapshot) != snap_len:
         raise WalFormatError(f"record {index}: truncated snapshot")
-    return WalRecord(sequence, txn_id, kind, BlockRef(chain, height, branch), _unpack_updates(snapshot))
+    try:
+        updates = _unpack_updates(snapshot)
+    except struct.error:
+        raise WalFormatError(f"record {index}: truncated snapshot") from None
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise WalFormatError(f"record {index}: bad snapshot: {exc}") from None
+    return WalRecord(sequence, txn_id, kind, BlockRef(chain, height, branch), updates)
 
 
 class WriteAheadLog:
@@ -134,9 +141,6 @@ class WriteAheadLog:
         rec = WalRecord(self.next_sequence(), txn_id, kind, block_ref, updates)
         self.records.append(rec)
         return rec
-
-    def records_for(self, txn_id: int) -> list[WalRecord]:
-        return [r for r in self.records if r.txn_id == txn_id]
 
     def terminal_for(self, txn_id: int) -> Optional[WalRecord]:
         for rec in self.records:

@@ -5,10 +5,11 @@ from topocbt.baselines import (
     SimClock,
     SwapState,
     SwapStep,
+    WITNESS_CHAIN_ID,
     ac2s_execute,
     ac3wn_execute,
 )
-from topocbt.chain import AssetUpdate, BlockRef
+from topocbt.chain import AssetUpdate, BlockRef, Chain
 from topocbt.engine import FailurePlan, Status, UPDATE_FAILURE, CRASH_BEFORE_COMMIT
 from topocbt.scenario import car_trading, grid_scenario
 from topocbt.topology import CrossChainTransaction, SubTransaction
@@ -114,7 +115,8 @@ def test_three_party_face_not_decomposable():
 
 def test_clean_run_commits_with_decision_on_witness():
     fed, txn = car_setup()
-    out, witness = ac3wn_execute(fed, txn)
+    witness = Chain(WITNESS_CHAIN_ID)
+    out = ac3wn_execute(fed, txn, witness=witness)
     assert out.status is Status.COMMITTED
     kinds = [rec.kind for ref in witness.all_refs() for rec in witness.block(ref).payload]
     assert kinds == ["Prepared", "Prepared", "Prepared", "GlobalCommit"]
@@ -124,13 +126,15 @@ def test_clean_run_commits_with_decision_on_witness():
 
 def test_witness_chain_is_hash_verifiable():
     fed, txn = car_setup()
-    _, witness = ac3wn_execute(fed, txn)
+    witness = Chain(WITNESS_CHAIN_ID)
+    ac3wn_execute(fed, txn, witness=witness)
     assert witness.verify_hash_chain()
 
 
 def test_witness_crash_blocks_with_locks_held():
     fed, txn = car_setup()
-    out, witness = ac3wn_execute(fed, txn, FailurePlan(witness_crash=True))
+    witness = Chain(WITNESS_CHAIN_ID)
+    out = ac3wn_execute(fed, txn, FailurePlan(witness_crash=True), witness=witness)
     assert out.status is Status.BLOCKED
     assert len(fed.locks) == 3  # participants still waiting on a decision
     kinds = [rec.kind for ref in witness.all_refs() for rec in witness.block(ref).payload]
@@ -140,14 +144,15 @@ def test_witness_crash_blocks_with_locks_held():
 
 def test_coordinator_crash_plan_also_blocks():
     fed, txn = car_setup()
-    out, _ = ac3wn_execute(fed, txn, FailurePlan(face_failures=((2, CRASH_BEFORE_COMMIT),)))
+    out = ac3wn_execute(fed, txn, FailurePlan(face_failures=((2, CRASH_BEFORE_COMMIT),)))
     assert out.status is Status.BLOCKED
 
 
 def test_vote_abort_records_global_abort():
     fed, txn = car_setup()
     pre = fed.state_digest()
-    out, witness = ac3wn_execute(fed, txn, FailurePlan(vote_abort_face=2))
+    witness = Chain(WITNESS_CHAIN_ID)
+    out = ac3wn_execute(fed, txn, FailurePlan(vote_abort_face=2), witness=witness)
     assert out.status is Status.ABORTED
     assert out.applied_updates == 0
     assert fed.state_digest() == pre
@@ -161,7 +166,8 @@ def test_updates_only_after_global_commit():
     for plan in (FailurePlan(), FailurePlan(vote_abort_face=1), FailurePlan(witness_crash=True)):
         fed, txn = car_setup()
         pre = fed.state_digest()
-        out, witness = ac3wn_execute(fed, txn, plan)
+        witness = Chain(WITNESS_CHAIN_ID)
+        ac3wn_execute(fed, txn, plan, witness=witness)
         kinds = {rec.kind for ref in witness.all_refs() for rec in witness.block(ref).payload}
         if fed.state_digest() != pre:
             assert "GlobalCommit" in kinds
@@ -175,7 +181,7 @@ def test_witness_space_grows_with_faces():
     for m in (1, 2, 3, 4):
         scen = grid_scenario(3, m, protocol="ac2s")
         fed = scen.build_federation()
-        out, _ = ac3wn_execute(fed, scen.transactions()[0])
+        out = ac3wn_execute(fed, scen.transactions()[0])
         spaces.append(out.space_bytes)
     assert spaces == sorted(spaces)
     assert spaces[0] < spaces[-1]

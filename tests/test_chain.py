@@ -228,7 +228,7 @@ def test_stepped_acquisition_never_creates_waits_for_cycle(federation):
                 break
             txn = active[rng.below(len(active))]
             ref = wants[txn][progress[txn]]
-            got = fed.try_lock_one(ref, txn)
+            got = fed.lock_blocks([ref], txn)
             if isinstance(got, Conflict):
                 waits_for[txn] = got.holder
             else:

@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,13 @@ def test_recover_subcommand_round_trip(tmp_path, capsys):
     # run's log already carries recovery's abort record, so the demo
     # re-completes that rollback rather than starting a fresh one
     assert "rollback completed: [1]" in out
+
+
+def test_recover_malformed_wal_is_one_error_line(tmp_path, capsys):
+    body = struct.pack(">QQB", 1, 1, 0) + b"\x00" * 4  # undo header cut short
+    wal_file = tmp_path / "bad.wal"
+    wal_file.write_bytes(struct.pack(">I", len(body)) + body)
+    code = main(["recover", "--wal", str(wal_file), "--scenario", "car-trading"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: record 0: truncated undo header"]

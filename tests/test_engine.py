@@ -9,7 +9,6 @@ from topocbt.engine import (
     SimulatedCrash,
     Status,
     TopoCbtEngine,
-    count_complexity,
 )
 from topocbt.harness import AUDIT_PARTIAL, audit_atomicity
 from topocbt.scenario import car_trading, random_scenario
@@ -261,24 +260,6 @@ def test_ops_scale_with_parties_not_exponentially():
         ops[n] = out.primitive_ops
     assert ops[4] < 4 * ops[2] + 20
     assert ops[6] < 9 * ops[2] + 30
-
-
-def test_one_shot_execute_wrapper():
-    from topocbt.engine import topocbt_execute
-
-    scen = car_trading()
-    fed = scen.build_federation()
-    out = topocbt_execute(fed, scen.transactions()[0])
-    assert out.status is Status.COMMITTED
-    assert fed.balance("alice", "CAR") == 1
-
-
-def test_count_complexity_reports_coefficient():
-    fed, txn, engine = car_setup()
-    out = engine.execute(txn)
-    stats = count_complexity(out, n=3, m=3)
-    assert stats.primitive_ops == out.primitive_ops
-    assert stats.bound_coefficient == pytest.approx(out.primitive_ops / 18)
 
 
 def test_zero_faces_ops_independent_of_m():

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from topocbt.harness import (
     run_scenario,
 )
 from topocbt.scenario import (
+    CAR_TRADING_TEXT,
     FailureSpec,
     car_trading,
     grid_scenario,
@@ -92,6 +94,37 @@ def test_crashed_run_reports_aborted_after_recovery():
     assert row.audit == AUDIT_NONE
 
 
+def test_crash_after_commit_record_reports_committed():
+    scen = car_trading()
+    # three undo records, then the durable commit record
+    scen.failures.append(FailureSpec(txn=1, kind="crash_after_record", record=4))
+    report = run_scenario(scen, 1)
+    row = report.rows[0]
+    assert row.recovered
+    assert row.status is Status.COMMITTED
+    assert row.applied_updates == 3
+    assert row.audit == AUDIT_ALL
+    assert report.invariant_failures() == []
+
+
+def test_crash_before_any_log_record_reports_aborted():
+    scen = car_trading()
+    txn = scen.txns[0]
+    # a face without updates writes no undo record before its crash point
+    txn.subs = (dataclasses.replace(txn.subs[0], updates=()),) + txn.subs[1:]
+    scen.failures.append(FailureSpec(txn=1, kind="crash_after_undo", face=1))
+    row = run_scenario(scen, 1).rows[0]
+    assert row.recovered
+    assert row.status is Status.ABORTED
+    assert row.audit == AUDIT_NONE
+
+
+def test_status_disagreeing_with_auditor_is_an_invariant_failure():
+    report = run_scenario(car_trading(), 1)
+    report.rows[0] = dataclasses.replace(report.rows[0], status=Status.ABORTED)
+    assert report.invariant_failures() == ["txn 1: status Aborted but audit all"]
+
+
 def test_empty_scenario_runs_clean():
     report = run_scenario(parse_scenario("[scenario]\nname = empty\n"), 1)
     assert report.rows == []
@@ -166,6 +199,76 @@ def test_betti_report_fresh_three_chains_no_txns():
     betti, _ = betti_report(parse_scenario(text), 0)
     assert betti[0] == 3
     assert all(b == 0 for b in betti[1:])
+
+
+EPOCH_FORK_TEXT = """\
+[scenario]
+name = epoch-fork
+epoch = 1
+
+[chain]
+id = 1
+length = 3
+assets = X
+fork = 2 1
+balance = a X 5
+
+[chain]
+id = 2
+length = 3
+assets = Y
+balance = b Y 5
+
+[txn]
+id = 1
+parties = a b
+blocks = 1:3 2:3
+sub = 1:3 ; a b X 1
+
+[txn]
+id = 2
+parties = a b
+blocks = 1:3 2:3
+sub = 2:3 ; b a Y 1
+"""
+
+# a witness 2PC run blocks on the car-trading blocks, then a main-engine
+# deal needs the same blocks
+BLOCKED_THEN_DEAL_TEXT = CAR_TRADING_TEXT.replace("protocol = topocbt", "protocol = ac3wn") + """
+[txn]
+id = 2
+parties = alice bob cindy
+blocks = 1:2 2:2 3:2
+sub = 1:2 ; alice bob ETH 1
+
+[failure]
+txn = 1
+kind = witness_crash
+"""
+
+
+@pytest.mark.parametrize(
+    "scen",
+    [parse_scenario(EPOCH_FORK_TEXT), parse_scenario(BLOCKED_THEN_DEAL_TEXT), car_trading()]
+    + [random_scenario(seed) for seed in range(40)],
+    ids=lambda scen: scen.name,
+)
+def test_betti_report_agrees_with_run(scen):
+    report = run_scenario(scen, 1)
+    assert betti_report(scen, 0)[0] == report.rows[0].betti_pre
+    for k, row in enumerate(report.rows, start=1):
+        assert betti_report(scen, k)[0] == row.betti_post
+
+
+def test_betti_report_releases_blocked_2pc_locks():
+    scen = parse_scenario(BLOCKED_THEN_DEAL_TEXT)
+    report = run_scenario(scen, 1)
+    assert [row.status for row in report.rows] == [Status.BLOCKED, Status.COMMITTED]
+    # the blocked run leaves no trace, so the deal lands as if alone
+    deal_only = parse_scenario(BLOCKED_THEN_DEAL_TEXT)
+    deal_only.txns = deal_only.txns[1:]
+    deal_only.failures = []
+    assert betti_report(scen, 2)[1].complex == betti_report(deal_only, 1)[1].complex
 
 
 def test_betti_report_index_out_of_range():

@@ -72,6 +72,40 @@ def test_unknown_kind_rejected():
         WriteAheadLog.from_bytes(bytes(raw))
 
 
+def undo_record(snapshot: bytes, sequence: int = 1) -> bytes:
+    body = struct.pack(">QQB", sequence, 1, int(WalKind.UNDO))
+    body += struct.pack(">IIII", 1, 3, 0, len(snapshot)) + snapshot
+    return struct.pack(">I", len(body)) + body
+
+
+def update_bytes(frm: bytes, to: bytes, asset: bytes, amount: int) -> bytes:
+    return b"".join(struct.pack(">H", len(s)) + s for s in (frm, to, asset)) + struct.pack(">Q", amount)
+
+
+def test_truncated_undo_header_rejected():
+    body = struct.pack(">QQB", 1, 1, int(WalKind.UNDO)) + b"\x00" * 4
+    with pytest.raises(WalFormatError, match="record 0: truncated undo header"):
+        WriteAheadLog.from_bytes(struct.pack(">I", len(body)) + body)
+
+
+@pytest.mark.parametrize(
+    "snapshot, message",
+    [
+        (b"", "truncated snapshot"),
+        (struct.pack(">H", 2) + update_bytes(b"a", b"b", b"X", 1), "truncated snapshot"),
+        (struct.pack(">H", 1) + struct.pack(">H", 9) + b"ab", "runs past the end"),
+        (struct.pack(">H", 1) + update_bytes(b"\xff", b"b", b"X", 1), "utf-8"),
+        (struct.pack(">H", 1) + update_bytes(b"a", b"b", b"X", 0), "amount must be positive"),
+        (struct.pack(">H", 0) + b"\x00", "1 bytes after the last update"),
+    ],
+    ids=["empty", "count-past-end", "string-past-end", "bad-utf8", "zero-amount", "trailing-bytes"],
+)
+def test_malformed_snapshot_names_its_record(snapshot, message):
+    data = undo_record(struct.pack(">H", 0), sequence=1) + undo_record(snapshot, sequence=2)
+    with pytest.raises(WalFormatError, match=f"record 1: .*{message}"):
+        WriteAheadLog.from_bytes(data)
+
+
 def test_constructor_checks_sequences():
     with pytest.raises(WalFormatError):
         WriteAheadLog([WalRecord(2, 1, WalKind.COMMIT), WalRecord(1, 1, WalKind.ABORT)])
