@@ -2,9 +2,12 @@
 
 Sections start with a ``[header]`` line and hold ``key = value`` pairs.
 ``[chain]``, ``[txn]``, and ``[failure]`` sections repeat; ``fork``,
-``balance``, and ``sub`` keys repeat within their section.  Blank lines
+``balance``, and ``sub`` keys repeat within their section; any other
+key appears at most once, and only in its own section.  Blank lines
 and ``#`` comments are ignored.  Block positions are written
-``chain:height`` or ``chain:height:branch``.
+``chain:height`` or ``chain:height:branch``.  Input that could not
+run as written (a number its binary field cannot hold, a duplicate txn
+id, a failure that can never fire) is rejected with its line and field.
 
 A scenario file alone fully determines a run; the built-in
 ``car-trading`` scenario is shipped as a fixed text constant so it
@@ -67,16 +70,33 @@ class FailureSpec:
     append: Optional[int] = None
 
 
-FAILURE_KINDS = FACE_FAILURE_KINDS + (
-    "walk_away",
-    "timeout",
-    "witness_crash",
-    "vote_abort",
-    "crash_after_record",
-    "crash_after_append",
-)
+# Each failure kind and the one key that says where it strikes (None: no key).
+FAILURE_KEYS: dict[str, Optional[str]] = {kind: "face" for kind in FACE_FAILURE_KINDS} | {
+    "walk_away": "party",
+    "timeout": "swap",
+    "witness_crash": None,
+    "vote_abort": "face",
+    "crash_after_record": "record",
+    "crash_after_append": "append",
+}
+FAILURE_KINDS = tuple(FAILURE_KEYS)
 
 PROTOCOLS = ("topocbt", "ac2s", "ac3wn")
+
+SECTION_KEYS = {
+    "scenario": frozenset({"name", "mode", "epoch", "window"}),
+    "chain": frozenset({"id", "replicas", "length", "assets", "fork", "balance"}),
+    "txn": frozenset({"id", "protocol", "parties", "blocks", "sub"}),
+    "failure": frozenset({"txn", "kind", "face", "party", "swap", "record", "append"}),
+}
+REPEATED_KEYS = frozenset({"fork", "balance", "sub"})
+
+# Number ranges, inclusive, set by the binary formats the numbers end up in.
+U32 = (0, 2**32 - 1)           # chain ids, heights, branches: '>I' in block hashes and the WAL
+TXN_ID = (0, 2**64 - 1)        # '>Q' in the WAL
+AMOUNT = (1, 2**63 - 1)        # '>Q' in blocks and the WAL, and a balance change in the digest
+BALANCE = (-(2**63), 2**63 - 1)  # '>q' in the state digest
+POINT = (1, None)              # 1-based face, swap, record and append counts
 
 
 @dataclass
@@ -162,18 +182,24 @@ class Scenario:
 # -- parsing -------------------------------------------------------------
 
 
-def _parse_int(token: str, line: int, fld: str) -> int:
+def _parse_int(token: str, line: int, fld: str, bounds: Optional[tuple[int, Optional[int]]] = None) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ScenarioError(f"expected integer, got {token!r}", line, fld) from None
+    if bounds is not None:
+        lo, hi = bounds
+        if value < lo or (hi is not None and value > hi):
+            expected = f"at least {lo}" if hi is None else f"{lo}..{hi}"
+            raise ScenarioError(f"expected {expected}, got {value}", line, fld)
+    return value
 
 
 def _parse_ref(token: str, line: int, fld: str) -> BlockRef:
     parts = token.split(":")
     if len(parts) not in (2, 3):
         raise ScenarioError(f"block position must be chain:height[:branch], got {token!r}", line, fld)
-    nums = [_parse_int(p, line, fld) for p in parts]
+    nums = [_parse_int(p, line, fld, U32) for p in parts]
     return BlockRef(nums[0], nums[1], nums[2] if len(nums) == 3 else 0)
 
 
@@ -187,22 +213,43 @@ def _parse_sub(value: str, line: int) -> SubTransaction:
         toks = clause.split()
         if len(toks) != 4:
             raise ScenarioError(f"update must be 'from to asset amount', got {clause.strip()!r}", line, "sub")
-        updates.append(AssetUpdate(toks[0], toks[1], toks[2], _parse_int(toks[3], line, "sub")))
+        updates.append(AssetUpdate(toks[0], toks[1], toks[2], _parse_int(toks[3], line, "sub", AMOUNT)))
     if not blocks:
         raise ScenarioError("sub needs at least one block", line, "sub")
     return SubTransaction(blocks=blocks, updates=tuple(updates))
+
+
+def _check_failure(spec: FailureSpec, lines: dict[str, int], txns: dict[int, TxnSpec]) -> None:
+    """Reject a failure that can never fire; ``lines`` maps each key (and
+    the section header, under "") to its line."""
+    txn = txns.get(spec.txn)
+    if txn is None:
+        raise ScenarioError(f"no txn {spec.txn} is declared", lines["txn"], "txn")
+    wanted = FAILURE_KEYS[spec.kind]
+    for key in ("face", "party", "swap", "record", "append"):
+        if key == wanted and getattr(spec, key) is None:
+            raise ScenarioError(f"failure kind {spec.kind} needs a {key}", lines[""], key)
+        if key != wanted and getattr(spec, key) is not None:
+            raise ScenarioError(f"failure kind {spec.kind} takes no {key}", lines[key], key)
+    if spec.face is not None and spec.face > len(txn.subs):
+        raise ScenarioError(f"txn {txn.id} has {len(txn.subs)} face(s), no face {spec.face}", lines["face"], "face")
+    if spec.party is not None and spec.party not in txn.parties:
+        raise ScenarioError(f"{spec.party!r} is not a party of txn {txn.id}", lines["party"], "party")
 
 
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     section: Optional[str] = None
     current: dict = {}
-    section_line = 0
+    lines: dict[str, int] = {}  # key -> line of its first occurrence; "" -> the section header
+    txns: dict[int, TxnSpec] = {}
+    failure_lines: list[dict[str, int]] = []
 
     def flush() -> None:
-        nonlocal current
+        nonlocal current, lines
         if section is None:
             return
+        section_line = lines[""]
         if section == "scenario":
             scenario.name = current.get("name", scenario.name)
             mode = current.get("mode", "abstract")
@@ -229,18 +276,20 @@ def parse_scenario(text: str) -> Scenario:
         elif section == "txn":
             if "id" not in current:
                 raise ScenarioError("txn needs an id", section_line, "id")
+            tid = current["id"]
+            if tid in txns:
+                raise ScenarioError(f"txn id {tid} is already declared", lines["id"], "id")
             protocol = current.get("protocol", "topocbt")
             if protocol not in PROTOCOLS:
                 raise ScenarioError(f"unknown protocol {protocol!r}", section_line, "protocol")
-            scenario.txns.append(
-                TxnSpec(
-                    id=current["id"],
-                    protocol=protocol,
-                    parties=tuple(current.get("parties", ())),
-                    blocks=tuple(current.get("blocks", ())),
-                    subs=tuple(current.get("sub", ())),
-                )
+            txns[tid] = TxnSpec(
+                id=tid,
+                protocol=protocol,
+                parties=tuple(current.get("parties", ())),
+                blocks=tuple(current.get("blocks", ())),
+                subs=tuple(current.get("sub", ())),
             )
+            scenario.txns.append(txns[tid])
         elif section == "failure":
             if "txn" not in current:
                 raise ScenarioError("failure needs a txn", section_line, "txn")
@@ -258,7 +307,8 @@ def parse_scenario(text: str) -> Scenario:
                     append=current.get("append"),
                 )
             )
-        current = {}
+            failure_lines.append(lines)
+        current, lines = {}, {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -267,8 +317,8 @@ def parse_scenario(text: str) -> Scenario:
         if line.startswith("[") and line.endswith("]"):
             flush()
             section = line[1:-1].strip().lower()
-            section_line = lineno
-            if section not in ("scenario", "chain", "txn", "failure"):
+            lines[""] = lineno
+            if section not in SECTION_KEYS:
                 raise ScenarioError(f"unknown section [{section}]", lineno, None)
             continue
         if section is None:
@@ -278,8 +328,19 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
+        if key not in SECTION_KEYS[section]:
+            raise ScenarioError(f"key {key!r} is not valid in [{section}]", lineno, key)
+        first = lines.setdefault(key, lineno)
+        if first != lineno and key not in REPEATED_KEYS:
+            raise ScenarioError(f"{key} is already set at line {first}", lineno, key)
 
-        if key in ("id", "replicas", "length", "epoch", "window", "txn", "face", "swap", "record", "append"):
+        if key == "id":
+            current[key] = _parse_int(value, lineno, key, U32 if section == "chain" else TXN_ID)
+        elif key == "length":
+            current[key] = _parse_int(value, lineno, key, U32)
+        elif key in ("face", "swap", "record", "append"):
+            current[key] = _parse_int(value, lineno, key, POINT)
+        elif key in ("replicas", "epoch", "window", "txn"):
             current[key] = _parse_int(value, lineno, key)
         elif key in ("name", "mode", "protocol", "kind", "party"):
             current[key] = value
@@ -294,18 +355,20 @@ def parse_scenario(text: str) -> Scenario:
             if len(toks) != 2:
                 raise ScenarioError("fork needs 'height branches'", lineno, "fork")
             current.setdefault("fork", []).append(
-                (_parse_int(toks[0], lineno, "fork"), _parse_int(toks[1], lineno, "fork"))
+                (_parse_int(toks[0], lineno, "fork", U32), _parse_int(toks[1], lineno, "fork", U32))
             )
         elif key == "balance":
             toks = value.split()
             if len(toks) != 3:
                 raise ScenarioError("balance needs 'party asset amount'", lineno, "balance")
-            current.setdefault("balance", []).append((toks[0], toks[1], _parse_int(toks[2], lineno, "balance")))
-        elif key == "sub":
-            current.setdefault("sub", []).append(_parse_sub(value, lineno))
+            current.setdefault("balance", []).append(
+                (toks[0], toks[1], _parse_int(toks[2], lineno, "balance", BALANCE))
+            )
         else:
-            raise ScenarioError(f"unknown key {key!r}", lineno, key)
+            current.setdefault("sub", []).append(_parse_sub(value, lineno))
     flush()
+    for spec, at in zip(scenario.failures, failure_lines):
+        _check_failure(spec, at, txns)
     return scenario
 
 

@@ -251,9 +251,13 @@ class SimplicialComplex:
 # closure, so write -> read round-trips the member set.
 
 
+def text_order(complex_: SimplicialComplex) -> list[Simplex]:
+    """Members in file line order: by size, then lexicographically."""
+    return sorted(complex_.members(), key=lambda s: (len(s.vertices), s.vertices))
+
+
 def complex_to_text(complex_: SimplicialComplex) -> str:
-    lines = [str(s) for s in sorted(complex_.members(), key=lambda s: (len(s.vertices), s.vertices))]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(str(s) + "\n" for s in text_order(complex_))
 
 
 def complex_from_text(text: str) -> SimplicialComplex:

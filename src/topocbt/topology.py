@@ -4,8 +4,9 @@ Every live block contributes one vertex (or one per replica in
 replicated mode).  Chain adjacency, fork stitching, and replica groups
 produce the structural simplices; each in-flight transaction adds one
 top simplex spanning all of its blocks, fork duplicates included.
-Structural simplices are tagged so tearing a transaction down can
-never delete chain structure.
+A tagged complex is the closure of the structural simplices plus the
+closure of each transaction's top; tearing a transaction down rebuilds
+it from the other tops, so chain structure can never be deleted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .chain import AssetUpdate, BlockRef, ChainError, Federation
-from .simplicial import Simplex, SimplicialComplex
+from .simplicial import Simplex, SimplicialComplex, complex_to_text, text_order
 
 log = logging.getLogger(__name__)
 
@@ -116,11 +117,20 @@ class TaggedComplex:
     """A built complex plus provenance tags and the block-vertex table."""
 
     complex: SimplicialComplex
-    structural: frozenset[Simplex]
+    structural: frozenset[Simplex]  # closed under faces
     txn_tops: dict[int, Simplex]
     vertex_of: dict[VertexKey, int]
-    key_of: dict[int, VertexKey]
-    mode: TopologyMode = TopologyMode.ABSTRACT
+
+    @classmethod
+    def of(
+        cls, structural: frozenset[Simplex], txn_tops: dict[int, Simplex], vertex_of: dict[VertexKey, int]
+    ) -> "TaggedComplex":
+        """The complex is the structural closure plus the closure of each
+        transaction top; every other constructor ends here."""
+        members = set(structural)
+        for top in txn_tops.values():
+            members.update(top.closure())
+        return cls(SimplicialComplex(members), structural, dict(sorted(txn_tops.items())), vertex_of)
 
     def tag_of(self, simplex: Simplex) -> str:
         if simplex in self.structural:
@@ -169,7 +179,6 @@ def build_federation_complex(
             keys.extend(_vertices_for(federation, ref, mode))
     keys.sort()
     vertex_of = {key: i for i, key in enumerate(keys)}
-    key_of = {i: key for key, i in vertex_of.items()}
 
     structural: list[Simplex] = [Simplex((i,)) for i in range(len(keys))]
 
@@ -229,16 +238,7 @@ def build_federation_complex(
     structural_closure: set[Simplex] = set()
     for s in structural:
         structural_closure.update(s.closure())
-
-    complex_ = SimplicialComplex.from_simplices(list(structural_closure) + list(txn_tops.values()))
-    return TaggedComplex(
-        complex=complex_,
-        structural=frozenset(structural_closure),
-        txn_tops=dict(sorted(txn_tops.items())),
-        vertex_of=vertex_of,
-        key_of=key_of,
-        mode=mode,
-    )
+    return TaggedComplex.of(frozenset(structural_closure), txn_tops, vertex_of)
 
 
 def transaction_simplex(
@@ -251,41 +251,22 @@ def transaction_simplex(
 
 
 def teardown_transaction(tagged: TaggedComplex, txn_id: int) -> TaggedComplex:
-    """Remove a transaction's simplex and its induced faces.
+    """Rebuild the complex without a transaction's simplex.
 
-    Structural simplices and faces shared with other live transactions
-    survive.  Unknown ids are a no-op (logged).
+    Faces of that simplex that are structural or lie in another live
+    transaction's simplex survive.  Unknown ids are a no-op (logged).
     """
-    top = tagged.txn_tops.get(txn_id)
-    if top is None:
+    if txn_id not in tagged.txn_tops:
         log.info("teardown: transaction %s has no simplex in this build", txn_id)
         return tagged
-    others = [s for tid, s in tagged.txn_tops.items() if tid != txn_id]
-    doomed = {
-        f
-        for f in top.closure()
-        if f.dimension >= 1
-        and f not in tagged.structural
-        and not any(f.is_face_of(o) for o in others)
-    }
-    remaining = SimplicialComplex(tagged.complex.members() - doomed)
-    tops = {tid: s for tid, s in tagged.txn_tops.items() if tid != txn_id}
-    return TaggedComplex(
-        complex=remaining,
-        structural=tagged.structural,
-        txn_tops=tops,
-        vertex_of=tagged.vertex_of,
-        key_of=tagged.key_of,
-        mode=tagged.mode,
-    )
+    others = {tid: s for tid, s in tagged.txn_tops.items() if tid != txn_id}
+    return TaggedComplex.of(tagged.structural, others, tagged.vertex_of)
 
 
 def tagged_to_text(tagged: TaggedComplex) -> tuple[str, str]:
     """Render (complex file, tag sidecar) with matching line order."""
-    ordered = sorted(tagged.complex.members(), key=lambda s: (len(s.vertices), s.vertices))
-    body = "".join(str(s) + "\n" for s in ordered)
-    tags = "".join(tagged.tag_of(s) + "\n" for s in ordered)
-    return body, tags
+    tags = "".join(tagged.tag_of(s) + "\n" for s in text_order(tagged.complex))
+    return complex_to_text(tagged.complex), tags
 
 
 def write_tagged(tagged: TaggedComplex, complex_path, tags_path) -> None:

@@ -44,6 +44,18 @@ def test_betti_subcommand(capsys, tmp_path):
     assert out.exists() and Path(str(out) + ".tags").exists()
 
 
+@pytest.mark.parametrize("scenario, golden, betti", [
+    ("car-trading", "car_trading_at0.complex", "betti: 1 0 0"),
+    (str(DATA / "forked_replicated_two_deals.scenario"), "forked_replicated_at0.complex", "betti: 1 8 0 0 0"),
+])
+def test_betti_out_matches_golden(tmp_path, capsys, scenario, golden, betti):
+    out = tmp_path / "built.complex"
+    assert main(["betti", "--scenario", scenario, "--at", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == betti
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+    assert Path(str(out) + ".tags").read_bytes() == (DATA / (golden + ".tags")).read_bytes()
+
+
 def test_betti_from_complex_file(tmp_path, capsys):
     path = tmp_path / "ring.complex"
     path.write_text("0 1\n1 2\n0 2\n")
@@ -112,3 +124,12 @@ def test_recover_malformed_wal_is_one_error_line(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: record 0: truncated undo header"]
+
+
+def test_out_of_range_number_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "huge.scenario"
+    path.write_text(CAR_TRADING_TEXT.replace("alice ETH 10", "a X 99999999999999999999"))
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: line 12: field balance: ")

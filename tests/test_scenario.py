@@ -138,3 +138,70 @@ def test_mode_parsing():
     assert scen.mode is TopologyMode.REPLICATED
     with pytest.raises(ScenarioError, match="unknown mode"):
         parse_scenario("[scenario]\nmode = holographic\n")
+
+
+def _edited(old, new):
+    assert old in CAR_TRADING_TEXT
+    return CAR_TRADING_TEXT.replace(old, new, 1)
+
+
+def _appended(section):
+    # CAR_TRADING_TEXT has 33 lines, so the section header is line 34
+    return CAR_TRADING_TEXT + section
+
+
+# (scenario text, line, field) of input the parser must reject
+REJECTED = {
+    "key of another section in [txn]": (_edited("protocol = topocbt\n", "protocol = topocbt\nbalance = b Y 10\n"), 29, "balance"),
+    "key of another section in [chain]": (_appended("[chain]\nid = 4\nparties = a b\n"), 36, "parties"),
+    "key of another section in [scenario]": (_edited("mode = abstract\n", "mode = abstract\nrecord = 1\n"), 7, "record"),
+    "repeated single-valued key": (_appended("[chain]\nid = 4\nlength = 1\nlength = 2\n"), 37, "length"),
+    "duplicate txn id": (_appended("[txn]\nid = 1\nprotocol = ac2s\n"), 35, "id"),
+    "crash_after_record without record": (_appended("[failure]\ntxn = 1\nkind = crash_after_record\n"), 34, "record"),
+    "vote_abort without face": (_appended("[failure]\ntxn = 1\nkind = vote_abort\n"), 34, "face"),
+    "timeout with the key of another kind": (_appended("[failure]\ntxn = 1\nkind = timeout\nrecord = 1\n"), 34, "swap"),
+    "witness_crash with a face": (_appended("[failure]\ntxn = 1\nkind = witness_crash\nface = 1\n"), 37, "face"),
+    "record = 0": (_appended("[failure]\ntxn = 1\nkind = crash_after_record\nrecord = 0\n"), 37, "record"),
+    "face beyond the declared subs": (_appended("[failure]\ntxn = 1\nkind = update_failure\nface = 9\n"), 37, "face"),
+    "undeclared party": (_appended("[failure]\ntxn = 1\nkind = walk_away\nparty = mallory\n"), 37, "party"),
+    "undeclared txn": (_appended("[failure]\ntxn = 2\nkind = witness_crash\n"), 35, "txn"),
+    "balance beyond >q": (_edited("alice ETH 10\n", "a X 99999999999999999999\n"), 12, "balance"),
+    "balance below >q": (_edited("alice ETH 10\n", f"a X {-2**63 - 1}\n"), 12, "balance"),
+    "amount beyond >q": (_edited("alice bob ETH 10\n", f"alice bob ETH {2**63}\n"), 31, "sub"),
+    "zero amount": (_edited("alice bob ETH 10\n", "alice bob ETH 0\n"), 31, "sub"),
+    "txn id beyond >Q": (_edited("[txn]\nid = 1\n", f"[txn]\nid = {2**64}\n"), 27, "id"),
+    "negative txn id": (_edited("[txn]\nid = 1\n", "[txn]\nid = -1\n"), 27, "id"),
+    "chain id beyond >I": (_edited("[chain]\nid = 1\n", f"[chain]\nid = {2**32}\n"), 9, "id"),
+    "length beyond >I": (_edited("length = 2\nassets = ETH", f"length = {2**32}\nassets = ETH"), 10, "length"),
+    "negative fork height": (_appended("[chain]\nid = 4\nfork = -1 1\n"), 36, "fork"),
+    "chain beyond >I in blocks": (_edited("blocks = 1:2 2:2 3:2", f"blocks = 1:2 2:2 {2**32}:2"), 30, "blocks"),
+    "negative branch in a sub": (_edited("sub = 2:2 ;", "sub = 2:2:-1 ;"), 32, "sub"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_input_names_line_and_field(case):
+    text, line, fld = REJECTED[case]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.field) == (line, fld)
+    assert str(info.value).startswith(f"line {line}: field {fld}: ")
+
+
+def test_numbers_at_the_range_edges_parse():
+    text = (
+        CAR_TRADING_TEXT.replace("[txn]\nid = 1\n", f"[txn]\nid = {2**64 - 1}\n")
+        .replace("alice ETH 10\n", f"alice ETH {2**63 - 1}\nbalance = bob ETH {-2**63}\n")
+        .replace("alice bob ETH 10\n", f"alice bob ETH {2**63 - 1}\n")
+    )
+    scen = parse_scenario(text + f"[failure]\ntxn = {2**64 - 1}\nkind = crash_after_append\nappend = 1\n")
+    assert scen.txns[0].id == 2**64 - 1
+    assert scen.chains[0].balances == (("alice", "ETH", 2**63 - 1), ("bob", "ETH", -(2**63)))
+    assert scen.txns[0].subs[0].updates[0].amount == 2**63 - 1
+    assert scen.plan_for(2**64 - 1).crash_after_append == 1
+
+
+def test_failure_may_precede_its_txn():
+    failure = "[failure]\ntxn = 1\nkind = walk_away\nparty = cindy\n\n"
+    scen = parse_scenario(_edited("[txn]\n", failure + "[txn]\n"))
+    assert scen.plan_for(1).walk_away == "cindy"

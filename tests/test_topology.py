@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topocbt.chain import BlockRef, Chain, ChainError, Federation
 from topocbt.rng import SplitMix64
@@ -224,13 +225,44 @@ def test_teardown_removes_deal_faces_only():
     assert after.txn_tops[1] in after.complex
 
 
-def test_teardown_all_matches_bare_build():
-    fed, t1, t2 = three_chain_two_txn()
-    tagged = build_federation_complex(fed, [t1, t2])
-    stripped = teardown_transaction(teardown_transaction(tagged, 1), 2)
-    bare = build_federation_complex(fed, [])
-    assert stripped.complex == bare.complex
-    assert stripped.betti_numbers() == (3, 0)
+def random_federation_and_txns(seed):
+    """Forked, optionally replicated chains and up to four deals, some
+    of them sharing blocks."""
+    rng = SplitMix64(seed)
+    fed = Federation()
+    lengths = {}
+    for cid in range(1, rng.randrange(2, 4) + 1):
+        ch = Chain(cid, replicas=rng.randrange(1, 3))
+        lengths[cid] = rng.randrange(1, 3)
+        for _ in range(lengths[cid]):
+            ch.append_block(0, ())
+        for _ in range(rng.below(3)):
+            label = ch.spawn_fork(rng.randrange(1, lengths[cid]))
+            ch.append_block(label, ())
+        fed.add_chain(ch)
+    txns = []
+    for tid in range(1, rng.randrange(1, 4) + 1):
+        chains = sorted(lengths)
+        rng.shuffle(chains)
+        refs = [(cid, rng.randrange(1, lengths[cid]), 0) for cid in sorted(chains[: rng.randrange(1, len(chains))])]
+        txns.append(txn(tid, refs))
+    return fed, txns
+
+
+@given(st.integers(0, 2**50), st.sampled_from(list(TopologyMode)))
+@settings(max_examples=60, deadline=None)
+def test_teardown_all_matches_bare_build(seed, mode):
+    # tearing deals down one by one, in any order, is building without them
+    fed, txns = random_federation_and_txns(seed)
+    tagged = build_federation_complex(fed, txns, mode=mode)
+    order = [t.id for t in txns]
+    SplitMix64(seed + 1).shuffle(order)
+    for i, tid in enumerate(order):
+        tagged = teardown_transaction(tagged, tid)
+        rebuilt = build_federation_complex(fed, [t for t in txns if t.id not in order[: i + 1]], mode=mode)
+        assert tagged.complex == rebuilt.complex
+        assert tagged_to_text(tagged) == tagged_to_text(rebuilt)
+    assert tagged.txn_tops == {}
 
 
 def test_teardown_drops_loop_once_both_deals_gone():
