@@ -110,7 +110,6 @@ def ac2s_execute(
     txn: CrossChainTransaction,
     plan: FailurePlan = NO_FAILURES,
     clock: Optional[SimClock] = None,
-    timelock: int = DEFAULT_TIMELOCK,
 ) -> Outcome:
     """Run the deal as a sequence of independent timelocked swaps.
 
@@ -159,13 +158,13 @@ def ac2s_execute(
             # deal's blocks pairwise before it settles
             meter_ops += pair_count(n_blocks)
             step = SwapStep(leg.owner_from, leg.owner_to, leg.asset, leg.amount,
-                            deadline=offered_at + timelock)
+                            deadline=offered_at + DEFAULT_TIMELOCK)
             messages += 2  # offer + claim
             late = leg_no == len(legs) and (
                 plan.timeout_swap == number
                 or plan.face_failure(face_index) == UPDATE_FAILURE
             )
-            claim_tick = clock.advance(timelock + 1 if late else 1)
+            claim_tick = clock.advance(DEFAULT_TIMELOCK + 1 if late else 1)
             if not step.claim(claim_tick):
                 expired = True
                 worse_off.update(l.owner_from for l in legs[: leg_no - 1])
@@ -193,7 +192,6 @@ def ac3wn_execute(
     txn: CrossChainTransaction,
     plan: FailurePlan = NO_FAILURES,
     clock: Optional[SimClock] = None,
-    timelock: int = DEFAULT_TIMELOCK,
     witness: Optional[Chain] = None,
 ) -> Outcome:
     """Two-phase commit with the decision sequence on a witness chain.
@@ -233,7 +231,7 @@ def ac3wn_execute(
     # coordinator crash window: prepare done, decision not yet durable
     crashed = plan.witness_crash or any(k == CRASH_BEFORE_COMMIT for _, k in plan.face_failures)
     if crashed:
-        horizon = clock.advance(BLOCKING_HORIZON_FACTOR * timelock)
+        horizon = clock.advance(BLOCKING_HORIZON_FACTOR * DEFAULT_TIMELOCK)
         held = [ref for ref, holder in federation.locks.items() if holder == txn.id]
         log.info("txn %s: no decision by tick %s, %d locks still held", txn.id, horizon, len(held))
         return Outcome(Status.BLOCKED, 0, messages, meter_ops, _witness_space(witness))

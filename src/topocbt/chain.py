@@ -379,12 +379,15 @@ class Federation:
         """Hex digest of the effective balances, the atomicity audit anchor.
 
         Zero balances are skipped: applying and compensating an update
-        leaves the digest exactly where it started.
+        leaves the digest exactly where it started.  Balances that are
+        each in range can still sum past the signed 64-bit field.
         """
         h = hashlib.sha256()
         for (party, asset), amount in sorted(self.balances().items()):
             if amount == 0:
                 continue
+            if not -(2**63) <= amount < 2**63:
+                raise ChainError(f"balance of {party} in {asset} is {amount}, beyond the digest's 64-bit field")
             h.update(_pack_str(party))
             h.update(_pack_str(asset))
             h.update(struct.pack(">q", amount))

@@ -115,13 +115,17 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     federation = scenario.build_federation()
     # rebuild the crashed state: every logged undo whose block landed
     # before the crash is re-applied (the log is assumed complete up to
-    # the crash point), then recovery compensates it all
-    for rec in wal.records:
+    # the crash point), then recovery compensates it all; a block that
+    # lands anywhere but its logged slot means the log is not this
+    # scenario's, and recovery would roll back the wrong blocks
+    for i, rec in enumerate(wal.records):
         if rec.kind is not WalKind.UNDO:
             continue
         chain = federation.chain(rec.block_ref.chain)
         if not chain.has_block(rec.block_ref):
-            chain.append_block(rec.block_ref.branch, rec.updates)
+            landed = chain.append_block(rec.block_ref.branch, rec.updates)
+            if landed != rec.block_ref:
+                return _fail(f"record {i}: logged block {rec.block_ref} lands at {landed}")
     print(f"digest before recovery: {federation.state_digest()}")
     engine = TopoCbtEngine(federation, wal)
     report = engine.recover()

@@ -343,14 +343,13 @@ def measure_grid(
     protocol: str,
     ns: Iterable[int] = range(2, 7),
     ms: Iterable[int] = range(1, 5),
-    seed: int = 1,
 ) -> list[tuple[int, int, int]]:
     """Failure-free op counts over the (n, m) grid."""
     points = []
     for n in ns:
         for m in ms:
             scenario = grid_scenario(n, m, protocol=protocol)
-            report = run_scenario(scenario, seed, compute_betti=False)
+            report = run_scenario(scenario, 1, compute_betti=False)
             row = report.rows[0]
             if row.status is not Status.COMMITTED:
                 raise RuntimeError(f"grid point n={n} m={m} did not commit: {row.status}")

@@ -6,8 +6,9 @@ Sections start with a ``[header]`` line and hold ``key = value`` pairs.
 key appears at most once, and only in its own section.  Blank lines
 and ``#`` comments are ignored.  Block positions are written
 ``chain:height`` or ``chain:height:branch``.  Input that could not
-run as written (a number its binary field cannot hold, a duplicate txn
-id, a failure that can never fire) is rejected with its line and field.
+run as written (a number its binary field cannot hold, a duplicate chain
+or txn id, a fork with no block below it, a failure that can never
+fire) is rejected with its line and field.
 
 A scenario file alone fully determines a run; the built-in
 ``car-trading`` scenario is shipped as a fixed text constant so it
@@ -92,11 +93,13 @@ SECTION_KEYS = {
 REPEATED_KEYS = frozenset({"fork", "balance", "sub"})
 
 # Number ranges, inclusive, set by the binary formats the numbers end up in.
-U32 = (0, 2**32 - 1)           # chain ids, heights, branches: '>I' in block hashes and the WAL
+U32 = (0, 2**32 - 1)           # heights, branches: '>I' in block hashes and the WAL
+CHAIN_ID = (1, 2**32 - 1)      # chain ids: '>I' too, and chains are numbered from 1
 TXN_ID = (0, 2**64 - 1)        # '>Q' in the WAL
 AMOUNT = (1, 2**63 - 1)        # '>Q' in blocks and the WAL, and a balance change in the digest
 BALANCE = (-(2**63), 2**63 - 1)  # '>q' in the state digest
-POINT = (1, None)              # 1-based face, swap, record and append counts
+POINT = (1, None)              # replicas, and 1-based face, swap, record and append counts
+NATURAL = (0, None)            # epoch and window, where 0 means never and whole chains
 
 
 @dataclass
@@ -237,12 +240,30 @@ def _check_failure(spec: FailureSpec, lines: dict[str, int], txns: dict[int, Txn
         raise ScenarioError(f"{spec.party!r} is not a party of txn {txn.id}", lines["party"], "party")
 
 
+def _check_forks(forks: list[tuple[int, int, int]], length: int) -> tuple[tuple[int, int], ...]:
+    """Reject a fork with no block below it; each entry carries its line.
+
+    A branch's first block sits at the fork height, so a fork may start
+    from 1 up to one above the highest block declared before it: the
+    trunk tip at ``length``, or the block of an earlier fork.
+    """
+    highest = length
+    for height, branches, line in forks:
+        if not 1 <= height <= highest + 1:
+            raise ScenarioError(f"expected 1..{highest + 1}, one above the highest block so far, got {height}",
+                                line, "fork")
+        if branches:
+            highest = max(highest, height)
+    return tuple((height, branches) for height, branches, _ in forks)
+
+
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     section: Optional[str] = None
     current: dict = {}
     lines: dict[str, int] = {}  # key -> line of its first occurrence; "" -> the section header
     txns: dict[int, TxnSpec] = {}
+    chain_ids: set[int] = set()
     failure_lines: list[dict[str, int]] = []
 
     def flush() -> None:
@@ -263,13 +284,18 @@ def parse_scenario(text: str) -> Scenario:
         elif section == "chain":
             if "id" not in current:
                 raise ScenarioError("chain needs an id", section_line, "id")
+            cid = current["id"]
+            if cid in chain_ids:
+                raise ScenarioError(f"chain id {cid} is already declared", lines["id"], "id")
+            chain_ids.add(cid)
+            length = current.get("length", 1)
             scenario.chains.append(
                 ChainSpec(
-                    id=current["id"],
+                    id=cid,
                     replicas=current.get("replicas", 1),
-                    length=current.get("length", 1),
+                    length=length,
                     assets=tuple(current.get("assets", ())),
-                    forks=tuple(current.get("fork", ())),
+                    forks=_check_forks(current.get("fork", ()), length),
                     balances=tuple(current.get("balance", ())),
                 )
             )
@@ -335,12 +361,14 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"{key} is already set at line {first}", lineno, key)
 
         if key == "id":
-            current[key] = _parse_int(value, lineno, key, U32 if section == "chain" else TXN_ID)
+            current[key] = _parse_int(value, lineno, key, CHAIN_ID if section == "chain" else TXN_ID)
         elif key == "length":
             current[key] = _parse_int(value, lineno, key, U32)
-        elif key in ("face", "swap", "record", "append"):
+        elif key in ("replicas", "face", "swap", "record", "append"):
             current[key] = _parse_int(value, lineno, key, POINT)
-        elif key in ("replicas", "epoch", "window", "txn"):
+        elif key in ("epoch", "window"):
+            current[key] = _parse_int(value, lineno, key, NATURAL)
+        elif key == "txn":
             current[key] = _parse_int(value, lineno, key)
         elif key in ("name", "mode", "protocol", "kind", "party"):
             current[key] = value
@@ -355,7 +383,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(toks) != 2:
                 raise ScenarioError("fork needs 'height branches'", lineno, "fork")
             current.setdefault("fork", []).append(
-                (_parse_int(toks[0], lineno, "fork", U32), _parse_int(toks[1], lineno, "fork", U32))
+                (_parse_int(toks[0], lineno, "fork", U32), _parse_int(toks[1], lineno, "fork", U32), lineno)
             )
         elif key == "balance":
             toks = value.split()
@@ -483,7 +511,7 @@ def grid_scenario(n: int, m: int, protocol: str = "topocbt") -> Scenario:
     return Scenario(name=f"grid-n{n}-m{m}", chains=chains, txns=[txn])
 
 
-def random_scenario(seed: int, protocol: str = "topocbt", with_failures: bool = True) -> Scenario:
+def random_scenario(seed: int, protocol: str = "topocbt") -> Scenario:
     """Small randomized federation + one transaction + one failure plan.
 
     Fully determined by the seed (SplitMix64 throughout).
@@ -533,18 +561,17 @@ def random_scenario(seed: int, protocol: str = "topocbt", with_failures: bool = 
     txn = TxnSpec(id=1, protocol=protocol, parties=parties, blocks=blocks, subs=tuple(subs))
 
     failures: list[FailureSpec] = []
-    if with_failures:
-        roll = rng.below(6)
-        if roll == 1:
-            failures.append(FailureSpec(txn=1, kind="update_failure", face=rng.randrange(1, n_faces)))
-        elif roll == 2:
-            failures.append(FailureSpec(txn=1, kind="crash_after_undo", face=rng.randrange(1, n_faces)))
-        elif roll == 3:
-            failures.append(FailureSpec(txn=1, kind="crash_before_commit", face=rng.randrange(1, n_faces)))
-        elif roll == 4:
-            failures.append(FailureSpec(txn=1, kind="crash_after_record", record=rng.randrange(1, 2 * n_faces)))
-        elif roll == 5:
-            failures.append(FailureSpec(txn=1, kind="crash_after_append", append=rng.randrange(1, 2 * n_faces)))
+    roll = rng.below(6)
+    if roll == 1:
+        failures.append(FailureSpec(txn=1, kind="update_failure", face=rng.randrange(1, n_faces)))
+    elif roll == 2:
+        failures.append(FailureSpec(txn=1, kind="crash_after_undo", face=rng.randrange(1, n_faces)))
+    elif roll == 3:
+        failures.append(FailureSpec(txn=1, kind="crash_before_commit", face=rng.randrange(1, n_faces)))
+    elif roll == 4:
+        failures.append(FailureSpec(txn=1, kind="crash_after_record", record=rng.randrange(1, 2 * n_faces)))
+    elif roll == 5:
+        failures.append(FailureSpec(txn=1, kind="crash_after_append", append=rng.randrange(1, 2 * n_faces)))
 
     return Scenario(
         name=f"random-{seed}",

@@ -4,16 +4,17 @@ Every live block contributes one vertex (or one per replica in
 replicated mode).  Chain adjacency, fork stitching, and replica groups
 produce the structural simplices; each in-flight transaction adds one
 top simplex spanning all of its blocks, fork duplicates included.
-A tagged complex is the closure of the structural simplices plus the
-closure of each transaction's top; tearing a transaction down rebuilds
-it from the other tops, so chain structure can never be deleted.
+A tagged complex keeps only these generators; its face closure is
+built on first read.  Tearing a transaction down drops its top and
+keeps the rest, so chain structure can never be deleted.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .chain import AssetUpdate, BlockRef, ChainError, Federation
@@ -112,33 +113,19 @@ def _vertices_for(federation: Federation, ref: BlockRef, mode: TopologyMode) -> 
     return [(ref.chain, ref.height, ref.branch, 0)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaggedComplex:
-    """A built complex plus provenance tags and the block-vertex table."""
+    """The generating simplices of a federation complex: structural
+    generators, one top per in-flight transaction (sorted by id), and
+    the block-vertex table.  The face closure is built on first read."""
 
-    complex: SimplicialComplex
-    structural: frozenset[Simplex]  # closed under faces
+    structural: frozenset[Simplex]  # generators, not closed under faces
     txn_tops: dict[int, Simplex]
     vertex_of: dict[VertexKey, int]
 
-    @classmethod
-    def of(
-        cls, structural: frozenset[Simplex], txn_tops: dict[int, Simplex], vertex_of: dict[VertexKey, int]
-    ) -> "TaggedComplex":
-        """The complex is the structural closure plus the closure of each
-        transaction top; every other constructor ends here."""
-        members = set(structural)
-        for top in txn_tops.values():
-            members.update(top.closure())
-        return cls(SimplicialComplex(members), structural, dict(sorted(txn_tops.items())), vertex_of)
-
-    def tag_of(self, simplex: Simplex) -> str:
-        if simplex in self.structural:
-            return "structural"
-        for txn_id in sorted(self.txn_tops):
-            if simplex.is_face_of(self.txn_tops[txn_id]):
-                return f"txn:{txn_id}"
-        return "structural"
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        return SimplicialComplex.from_simplices(self.structural | frozenset(self.txn_tops.values()))
 
     def betti_numbers(self) -> tuple[int, ...]:
         return self.complex.betti_numbers()
@@ -235,10 +222,7 @@ def build_federation_complex(
                 verts.append(vertex_of[key])
         txn_tops[txn.id] = Simplex(tuple(sorted(verts)))
 
-    structural_closure: set[Simplex] = set()
-    for s in structural:
-        structural_closure.update(s.closure())
-    return TaggedComplex.of(frozenset(structural_closure), txn_tops, vertex_of)
+    return TaggedComplex(frozenset(structural), dict(sorted(txn_tops.items())), vertex_of)
 
 
 def transaction_simplex(
@@ -260,12 +244,23 @@ def teardown_transaction(tagged: TaggedComplex, txn_id: int) -> TaggedComplex:
         log.info("teardown: transaction %s has no simplex in this build", txn_id)
         return tagged
     others = {tid: s for tid, s in tagged.txn_tops.items() if tid != txn_id}
-    return TaggedComplex.of(tagged.structural, others, tagged.vertex_of)
+    return replace(tagged, txn_tops=others)
 
 
 def tagged_to_text(tagged: TaggedComplex) -> tuple[str, str]:
-    """Render (complex file, tag sidecar) with matching line order."""
-    tags = "".join(tagged.tag_of(s) + "\n" for s in text_order(tagged.complex))
+    """Render (complex file, tag sidecar) with matching line order.
+
+    A face is tagged structural if it lies in the structural closure,
+    else with the lowest id among the transaction tops that contain it.
+    """
+    structural = SimplicialComplex.from_simplices(tagged.structural)
+
+    def tag(s: Simplex) -> str:
+        if s in structural:
+            return "structural"
+        return next(f"txn:{tid}" for tid, top in tagged.txn_tops.items() if s.is_face_of(top))
+
+    tags = "".join(tag(s) + "\n" for s in text_order(tagged.complex))
     return complex_to_text(tagged.complex), tags
 
 

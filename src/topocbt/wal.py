@@ -155,9 +155,8 @@ class WriteAheadLog:
     def from_bytes(cls, data: bytes) -> "WriteAheadLog":
         records: list[WalRecord] = []
         off = 0
-        index = 0
-        last_seq = 0
         while off < len(data):
+            index = len(records)
             if off + 4 > len(data):
                 raise WalFormatError(f"record {index}: truncated length prefix")
             (length,) = struct.unpack_from(">I", data, off)
@@ -166,14 +165,7 @@ class WriteAheadLog:
             if len(body) != length:
                 raise WalFormatError(f"record {index}: truncated body")
             off += length
-            rec = record_from_bytes(body, index)
-            if rec.sequence <= last_seq:
-                raise WalFormatError(
-                    f"record {index}: sequence {rec.sequence} out of order after {last_seq}"
-                )
-            last_seq = rec.sequence
-            records.append(rec)
-            index += 1
+            records.append(record_from_bytes(body, index))
         return cls(records)
 
     def write(self, path) -> None:

@@ -126,6 +126,31 @@ def test_recover_malformed_wal_is_one_error_line(tmp_path, capsys):
     assert err == ["error: record 0: truncated undo header"]
 
 
+def test_recover_rejects_a_log_that_does_not_replay(tmp_path, capsys):
+    crashed = tmp_path / "crash.scenario"
+    crashed.write_text(CAR_TRADING_TEXT + "\n[failure]\ntxn = 1\nkind = crash_after_append\nappend = 2\n")
+    wal_file = tmp_path / "crash.wal"
+    assert main(["run", "--scenario", str(crashed), "--wal", str(wal_file), "--out", str(tmp_path / "r.csv")]) == 0
+    # chain 1 one block shorter: the logged 1:3:0 would be re-appended at 1:2:0
+    shorter = tmp_path / "shorter.scenario"
+    shorter.write_text(CAR_TRADING_TEXT.replace("length = 2\nassets = ETH", "length = 1\nassets = ETH"))
+    capsys.readouterr()
+    assert main(["recover", "--wal", str(wal_file), "--scenario", str(shorter)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: record 0: logged block 1:3:0 lands at 1:2:0"]
+    assert "digest" not in captured.out
+
+
+def test_balance_beyond_the_digest_is_one_error_line(tmp_path, capsys):
+    # each balance fits the digest's '>q'; alice's CAR after the deal does not
+    path = tmp_path / "rich.scenario"
+    path.write_text(CAR_TRADING_TEXT.replace("cindy CAR 1\n", f"cindy CAR 1\nbalance = alice CAR {2**63 - 1}\n"))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: balance of alice in CAR is {2**63}, beyond the digest's 64-bit field"
+    ]
+
+
 def test_out_of_range_number_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "huge.scenario"
     path.write_text(CAR_TRADING_TEXT.replace("alice ETH 10", "a X 99999999999999999999"))

@@ -176,6 +176,14 @@ REJECTED = {
     "negative fork height": (_appended("[chain]\nid = 4\nfork = -1 1\n"), 36, "fork"),
     "chain beyond >I in blocks": (_edited("blocks = 1:2 2:2 3:2", f"blocks = 1:2 2:2 {2**32}:2"), 30, "blocks"),
     "negative branch in a sub": (_edited("sub = 2:2 ;", "sub = 2:2:-1 ;"), 32, "sub"),
+    "chain id 0": (_edited("[chain]\nid = 1\n", "[chain]\nid = 0\n"), 9, "id"),
+    "duplicate chain id": (_appended("[chain]\nid = 3\n"), 35, "id"),
+    "replicas = 0": (_appended("[chain]\nid = 4\nreplicas = 0\n"), 36, "replicas"),
+    "fork at genesis": (_appended("[chain]\nid = 4\nfork = 0 1\n"), 36, "fork"),
+    "fork with no block below it": (_edited("length = 2\nassets = ETH", "length = 2\nfork = 9 1\nassets = ETH"), 11, "fork"),
+    "fork above an empty fork": (_appended("[chain]\nid = 4\nfork = 2 0\nfork = 3 1\n"), 37, "fork"),
+    "negative epoch": (_edited("mode = abstract\n", "mode = abstract\nepoch = -2\n"), 7, "epoch"),
+    "negative window": (_edited("mode = abstract\n", "mode = abstract\nwindow = -3\n"), 7, "window"),
 }
 
 
@@ -199,6 +207,14 @@ def test_numbers_at_the_range_edges_parse():
     assert scen.chains[0].balances == (("alice", "ETH", 2**63 - 1), ("bob", "ETH", -(2**63)))
     assert scen.txns[0].subs[0].updates[0].amount == 2**63 - 1
     assert scen.plan_for(2**64 - 1).crash_after_append == 1
+
+
+def test_fork_may_start_one_above_an_earlier_fork():
+    # length 1 (the default) ends at height 1; the branch at 2 holds a block at 2
+    scen = parse_scenario(_appended("[chain]\nid = 4\nfork = 2 1\nfork = 3 2\n"))
+    assert scen.chains[3].forks == ((2, 1), (3, 2))
+    chain = scen.build_federation().chain(4)
+    assert len(chain.live_block_at(3)) == 2
 
 
 def test_failure_may_precede_its_txn():

@@ -198,6 +198,19 @@ def test_dimension_formula_matches_construction(seed, mode):
     assert s.dimension == expected_transaction_dimension(fed, t, mode)
 
 
+def test_building_a_wide_deal_enumerates_no_faces(monkeypatch):
+    """A 19-simplex has 2^20 - 1 faces; the build keeps generators only."""
+    def no_closure(self):
+        raise AssertionError("face closure enumerated")
+
+    fed = federation_of([2] * 20)
+    deal = txn(1, [(cid, 2, 0) for cid in range(1, 21)])
+    top = Simplex(tuple(3 * k + 2 for k in range(20)))  # heights 0..2 per chain
+    monkeypatch.setattr(Simplex, "closure", no_closure)
+    assert transaction_simplex(fed, deal) == top
+    assert build_federation_complex(fed, [deal]).txn_tops == {1: top}
+
+
 # -- tags and teardown ---------------------------------------------------------------
 
 def test_structural_tags_cover_chain_parts():
