@@ -113,25 +113,26 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     scenario, _ = load_scenario(args.scenario)
     wal = WriteAheadLog.read(args.wal)
     federation = scenario.build_federation()
-    # rebuild the crashed state: every logged undo whose block landed
-    # before the crash is re-applied (the log is assumed complete up to
-    # the crash point), then recovery compensates it all; a block that
-    # lands anywhere but its logged slot means the log is not this
-    # scenario's, and recovery would roll back the wrong blocks
+    # rebuild the crashed state (the log is assumed complete up to the
+    # crash point): re-apply every logged undo block but an aborted txn's,
+    # which its compensation already cancelled.  A block that lands
+    # anywhere but its logged slot, or a slot already filled, means the
+    # log is not this scenario's: recovery would undo the wrong blocks
+    aborted = {rec.txn_id for rec in wal.records if rec.kind is WalKind.ABORT}
     for i, rec in enumerate(wal.records):
-        if rec.kind is not WalKind.UNDO:
+        if rec.kind is not WalKind.UNDO or rec.txn_id in aborted:
             continue
         chain = federation.chain(rec.block_ref.chain)
-        if not chain.has_block(rec.block_ref):
-            landed = chain.append_block(rec.block_ref.branch, rec.updates)
-            if landed != rec.block_ref:
-                return _fail(f"record {i}: logged block {rec.block_ref} lands at {landed}")
+        if chain.has_block(rec.block_ref):
+            return _fail(f"record {i}: slot {rec.block_ref} already holds a block")
+        landed = chain.append_block(rec.block_ref.branch, rec.updates)
+        if landed != rec.block_ref:
+            return _fail(f"record {i}: logged block {rec.block_ref} lands at {landed}")
     print(f"digest before recovery: {federation.state_digest()}")
     engine = TopoCbtEngine(federation, wal)
     report = engine.recover()
     print(f"digest after recovery:  {federation.state_digest()}")
     print(f"rolled back: {list(report.rolled_back)}; "
-          f"rollback completed: {list(report.recompleted)}; "
           f"committed untouched: {list(report.committed_untouched)}; "
           f"locks cleared: {report.locks_cleared}")
     return 0

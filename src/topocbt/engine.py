@@ -3,10 +3,12 @@
 One transaction runs as: lock every involved block (fork copies
 included), construct the spanning simplex, then per declared
 sub-transaction write undo records and append the update blocks.  Any
-failure triggers a durable abort record, reverse-order compensation
-through the undo log, simplex teardown, and lock release; success ends
-with a durable commit record and the same cleanup.  The outcome is
-always terminal: committed or aborted, never pending.
+failure triggers reverse-order compensation through the undo log, then
+a durable abort record, simplex teardown, and lock release; success
+ends with a durable commit record and the same cleanup.  A terminal
+record (commit or abort) therefore means nothing is left to do, and
+recovery has one path: roll back each transaction that has none.  The
+outcome is always terminal: committed or aborted, never pending.
 
 Updates are never erased: both application and rollback append blocks,
 and the balance digest is what makes compensation exact.
@@ -107,17 +109,14 @@ class FailurePlan:
 NO_FAILURES = FailurePlan()
 
 
-
-
 @dataclass(frozen=True)
 class RecoveryReport:
     rolled_back: tuple[int, ...]       # no terminal record: rolled back + abort appended
-    recompleted: tuple[int, ...]       # aborted but with compensation still missing
     committed_untouched: tuple[int, ...]
     locks_cleared: int
 
     def is_noop(self) -> bool:
-        return not self.rolled_back and not self.recompleted and self.locks_cleared == 0
+        return not self.rolled_back and self.locks_cleared == 0
 
 
 class _Meter:
@@ -167,7 +166,7 @@ class TopoCbtEngine:
         branch = chain.canonical_branch()
         return BlockRef(chain_id, chain.branches[branch].tip + 1, branch)
 
-    def _rollback(self, meter: _Meter, undo_records: list[WalRecord]) -> int:
+    def _rollback(self, meter: _Meter, undo_records: list[WalRecord]) -> None:
         """Append compensation blocks for logged updates, newest first.
 
         Reverse order keeps every compensation funded.  An absent block
@@ -177,7 +176,6 @@ class TopoCbtEngine:
         restartable.  Plan hooks never fire here: the named crash
         points all sit in the forward phase.
         """
-        compensated = 0
         for rec in reversed(undo_records):
             assert rec.block_ref is not None
             chain = self.federation.chain(rec.block_ref.chain)
@@ -196,8 +194,6 @@ class TopoCbtEngine:
             chain.append_block(branch, payload)
             meter.ops += 1 + len(inverse)
             meter.messages += 1
-            compensated += 1
-        return compensated
 
     # -- the protocol ----------------------------------------------------
 
@@ -246,8 +242,8 @@ class TopoCbtEngine:
                 raise SimulatedCrash(f"after face {index} applied")
 
         if failed:
-            self._write_record(meter, plan, txn.id, WalKind.ABORT)
             self._rollback(meter, undo_records)
+            self._write_record(meter, plan, txn.id, WalKind.ABORT)
             meter.ops += pair_count(len(sigma.vertices))
             self.federation.release_blocks(refs, txn.id)
             meter.ops += len(refs)
@@ -267,12 +263,11 @@ class TopoCbtEngine:
     def recover(self) -> RecoveryReport:
         """Bring every logged transaction to a clean terminal state.
 
-        Committed transactions are untouched.  Transactions with no
-        terminal record are rolled back and get an abort record.
-        Aborted transactions are re-checked: the protocol makes the
-        abort record durable before compensating, so a crash inside
-        that window leaves reversals for recovery to finish (the
-        compensation markers make re-running them a no-op).  The
+        A terminal record means nothing is left to do: a commit is
+        untouched, and an abort is only written once its compensation
+        is done.  Each transaction with no terminal record is rolled
+        back and gets an abort record; the compensation markers make
+        a rollback that a crash cut short safe to run again.  The
         volatile lock table does not survive a restart and is always
         cleared.  Running recover twice changes nothing.
         """
@@ -282,22 +277,16 @@ class TopoCbtEngine:
             by_txn.setdefault(rec.txn_id, []).append(rec)
 
         rolled_back: list[int] = []
-        recompleted: list[int] = []
         committed: list[int] = []
         for txn_id in sorted(by_txn):
             records = by_txn[txn_id]
-            undos = [r for r in records if r.kind is WalKind.UNDO]
             if any(r.kind is WalKind.COMMIT for r in records):
                 committed.append(txn_id)
-            elif any(r.kind is WalKind.ABORT for r in records):
-                if self._rollback(meter, undos):
-                    recompleted.append(txn_id)
-            else:
-                self._rollback(meter, undos)
+            elif not any(r.kind is WalKind.ABORT for r in records):
+                self._rollback(meter, [r for r in records if r.kind is WalKind.UNDO])
                 self.wal.append(txn_id, WalKind.ABORT)
                 rolled_back.append(txn_id)
 
         cleared = len(self.federation.locks)
         self.federation.locks.clear()
-        return RecoveryReport(tuple(rolled_back), tuple(recompleted), tuple(committed), cleared)
-
+        return RecoveryReport(tuple(rolled_back), tuple(committed), cleared)

@@ -93,6 +93,12 @@ class WalRecord:
         return struct.pack(">I", len(body)) + body
 
 
+def _check_end(body: bytes, end: int, index: int) -> None:
+    """A record body holds exactly one record: nothing may follow it."""
+    if len(body) > end:
+        raise WalFormatError(f"record {index}: {len(body) - end} bytes after the record")
+
+
 def record_from_bytes(body: bytes, index: int) -> WalRecord:
     if len(body) < 17:
         raise WalFormatError(f"record {index}: truncated header")
@@ -102,6 +108,7 @@ def record_from_bytes(body: bytes, index: int) -> WalRecord:
     except ValueError:
         raise WalFormatError(f"record {index}: unknown kind {kind_raw}") from None
     if kind is not WalKind.UNDO:
+        _check_end(body, 17, index)
         return WalRecord(sequence, txn_id, kind)
     if len(body) < 33:
         raise WalFormatError(f"record {index}: truncated undo header")
@@ -109,6 +116,7 @@ def record_from_bytes(body: bytes, index: int) -> WalRecord:
     snapshot = body[33 : 33 + snap_len]
     if len(snapshot) != snap_len:
         raise WalFormatError(f"record {index}: truncated snapshot")
+    _check_end(body, 33 + snap_len, index)
     try:
         updates = _unpack_updates(snapshot)
     except struct.error:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from topocbt.cli import main
-from topocbt.scenario import CAR_TRADING_TEXT
+from topocbt.scenario import CAR_TRADING_TEXT, car_trading
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,7 +47,7 @@ def test_betti_subcommand(capsys, tmp_path):
 @pytest.mark.parametrize("scenario, golden, betti", [
     ("car-trading", "car_trading_at0.complex", "betti: 1 0 0"),
     (str(DATA / "forked_replicated_two_deals.scenario"), "forked_replicated_at0.complex", "betti: 1 8 0 0 0"),
-])
+], ids=["car-trading", "forked-replicated"])
 def test_betti_out_matches_golden(tmp_path, capsys, scenario, golden, betti):
     out = tmp_path / "built.complex"
     assert main(["betti", "--scenario", scenario, "--at", "0", "--out", str(out)]) == 0
@@ -100,6 +100,14 @@ def test_fit_rejects_bad_grid(capsys):
     assert main(["fit", "--grid", "2,1"]) != 0
 
 
+def recover_output(capsys) -> list[str]:
+    """The two digest lines `recover` printed, without their labels."""
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("digest before recovery:")
+    assert lines[1].startswith("digest after recovery:")
+    return [line.split(":", 1)[1].strip() for line in lines[:2]]
+
+
 def test_recover_subcommand_round_trip(tmp_path, capsys):
     scenario_file = tmp_path / "crash.scenario"
     scenario_file.write_text(CAR_TRADING_TEXT + "\n[failure]\ntxn = 1\nkind = crash_after_undo\nface = 3\n")
@@ -109,11 +117,19 @@ def test_recover_subcommand_round_trip(tmp_path, capsys):
     assert code == 0
     code = main(["recover", "--wal", str(wal_file), "--scenario", str(scenario_file)])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "digest before recovery" in out
-    # run's log already carries recovery's abort record, so the demo
-    # re-completes that rollback rather than starting a fresh one
-    assert "rollback completed: [1]" in out
+    # the run's recovery rolled txn 1 back and logged its abort, so none
+    # of its blocks is rebuilt
+    pre = car_trading().build_federation().state_digest()
+    assert recover_output(capsys) == [pre, pre]
+
+
+def test_recover_reused_slot_matches_the_run(tmp_path, capsys):
+    scenario_file = str(DATA / "reused_slot.scenario")
+    wal_file = tmp_path / "run.wal"
+    assert main(["run", "--scenario", scenario_file, "--wal", str(wal_file)]) == 0
+    final = capsys.readouterr().out.splitlines()[-1].removeprefix("# digest: ")
+    assert main(["recover", "--wal", str(wal_file), "--scenario", scenario_file]) == 0
+    assert recover_output(capsys)[1] == final
 
 
 def test_recover_malformed_wal_is_one_error_line(tmp_path, capsys):
@@ -126,18 +142,33 @@ def test_recover_malformed_wal_is_one_error_line(tmp_path, capsys):
     assert err == ["error: record 0: truncated undo header"]
 
 
+def committed_car_trading_log(tmp_path) -> str:
+    wal_file = tmp_path / "run.wal"
+    assert main(["run", "--scenario", "car-trading", "--wal", str(wal_file), "--out", str(tmp_path / "r.csv")]) == 0
+    return str(wal_file)
+
+
 def test_recover_rejects_a_log_that_does_not_replay(tmp_path, capsys):
-    crashed = tmp_path / "crash.scenario"
-    crashed.write_text(CAR_TRADING_TEXT + "\n[failure]\ntxn = 1\nkind = crash_after_append\nappend = 2\n")
-    wal_file = tmp_path / "crash.wal"
-    assert main(["run", "--scenario", str(crashed), "--wal", str(wal_file), "--out", str(tmp_path / "r.csv")]) == 0
+    wal_file = committed_car_trading_log(tmp_path)
     # chain 1 one block shorter: the logged 1:3:0 would be re-appended at 1:2:0
     shorter = tmp_path / "shorter.scenario"
     shorter.write_text(CAR_TRADING_TEXT.replace("length = 2\nassets = ETH", "length = 1\nassets = ETH"))
     capsys.readouterr()
-    assert main(["recover", "--wal", str(wal_file), "--scenario", str(shorter)]) == 2
+    assert main(["recover", "--wal", wal_file, "--scenario", str(shorter)]) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["error: record 0: logged block 1:3:0 lands at 1:2:0"]
+    assert "digest" not in captured.out
+
+
+def test_recover_rejects_a_log_whose_slot_is_taken(tmp_path, capsys):
+    wal_file = committed_car_trading_log(tmp_path)
+    # chain 2 one block longer: the logged 2:3:0 is already there
+    longer = tmp_path / "longer.scenario"
+    longer.write_text(CAR_TRADING_TEXT.replace("length = 2\nassets = BTC", "length = 3\nassets = BTC"))
+    capsys.readouterr()
+    assert main(["recover", "--wal", wal_file, "--scenario", str(longer)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: record 1: slot 2:3:0 already holds a block"]
     assert "digest" not in captured.out
 
 

@@ -153,9 +153,9 @@ def test_crash_after_commit_record_preserves_commit():
     assert fed.locks == {}
 
 
-def test_crash_after_abort_record_is_recompleted():
+def test_crash_after_abort_record_leaves_nothing_to_recover():
     # force an unfundable face, then crash right after the abort record:
-    # recovery must finish the interrupted rollback
+    # compensation precedes that record, so the pre-state is already back
     scen = car_trading()
     fed = scen.build_federation()
     fed.initial_balances[("cindy", "CAR")] = 0
@@ -165,8 +165,9 @@ def test_crash_after_abort_record_is_recompleted():
     with pytest.raises(SimulatedCrash):
         engine.execute(txn, FailurePlan(crash_after_record=4))
     assert engine.wal.terminal_for(1).kind is WalKind.ABORT
+    assert fed.state_digest() == pre
     report = engine.recover()
-    assert report.recompleted == (1,)
+    assert report.rolled_back == ()
     assert fed.state_digest() == pre
 
 

@@ -119,6 +119,15 @@ def test_crash_before_any_log_record_reports_aborted():
     assert row.audit == AUDIT_NONE
 
 
+def test_recovery_leaves_a_committed_block_in_an_aborted_slot_alone():
+    report = run_scenario(load_scenario(str(DATA / "reused_slot.scenario"))[0], 1)
+    assert [(row.status, row.audit) for row in report.rows] == [
+        (Status.ABORTED, AUDIT_NONE), (Status.COMMITTED, AUDIT_ALL), (Status.ABORTED, AUDIT_NONE),
+    ]
+    assert report.rows[2].recovered
+    assert report.invariant_failures() == []
+
+
 def test_status_disagreeing_with_auditor_is_an_invariant_failure():
     report = run_scenario(car_trading(), 1)
     report.rows[0] = dataclasses.replace(report.rows[0], status=Status.ABORTED)

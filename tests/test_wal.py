@@ -106,6 +106,22 @@ def test_malformed_snapshot_names_its_record(snapshot, message):
         WriteAheadLog.from_bytes(data)
 
 
+@pytest.mark.parametrize(
+    "record, extra",
+    [
+        (WalRecord(2, 1, WalKind.ABORT).to_bytes(), b"\x00"),
+        (WalRecord(2, 1, WalKind.COMMIT).to_bytes(), b"\x01\x02"),
+        (undo_record(struct.pack(">H", 0), sequence=2), b"\x00\x00\x00"),
+    ],
+    ids=["abort", "commit", "undo-after-snapshot"],
+)
+def test_bytes_after_the_record_rejected(record, extra):
+    body = record[4:] + extra
+    data = WalRecord(1, 1, WalKind.COMMIT).to_bytes() + struct.pack(">I", len(body)) + body
+    with pytest.raises(WalFormatError, match=f"^record 1: {len(extra)} bytes after the record$"):
+        WriteAheadLog.from_bytes(data)
+
+
 def test_constructor_checks_sequences():
     with pytest.raises(WalFormatError):
         WriteAheadLog([WalRecord(2, 1, WalKind.COMMIT), WalRecord(1, 1, WalKind.ABORT)])
@@ -128,3 +144,39 @@ def test_round_trip_random_logs(entries):
         wal.append(1, WalKind.UNDO, BlockRef(chain, height, branch),
                    (AssetUpdate(frm, to, asset, amount),))
     assert WriteAheadLog.from_bytes(wal.to_bytes()).records == wal.records
+
+
+updates = st.tuples(names, names, names, st.integers(1, 2**64 - 1)).map(lambda t: AssetUpdate(*t))
+records = st.one_of(
+    st.tuples(st.just(WalKind.UNDO), st.builds(BlockRef, st.integers(1, 9), st.integers(0, 50),
+                                               st.integers(0, 3)),
+              st.lists(updates, max_size=3).map(tuple)),
+    st.tuples(st.sampled_from([WalKind.ABORT, WalKind.COMMIT]), st.none(), st.just(())),
+)
+# (record, offset into its body, bytes removed there, bytes put there);
+# the record index and the offset wrap around
+mutations = st.tuples(st.integers(0, 7), st.integers(0, 200), st.integers(0, 3), st.binary(max_size=3))
+
+
+@given(st.lists(records, min_size=1, max_size=6), st.lists(mutations, min_size=1, max_size=4),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_mutated_log_is_rejected_or_round_trips(entries, edits, fix_lengths):
+    wal = WriteAheadLog()
+    for kind, ref, ups in entries:
+        wal.append(1, kind, ref, ups)
+    bodies = [bytearray(rec.to_bytes()[4:]) for rec in wal.records]
+    prefixes = [len(body) for body in bodies]
+    for which, offset, removed, inserted in edits:
+        body = bodies[which % len(bodies)]
+        at = offset % (len(body) + 1)
+        body[at : at + removed] = inserted
+    data = b"".join(
+        struct.pack(">I", len(body) if fix_lengths else prefix) + bytes(body)
+        for body, prefix in zip(bodies, prefixes)
+    )
+    try:
+        loaded = WriteAheadLog.from_bytes(data)
+    except WalFormatError:
+        return
+    assert loaded.to_bytes() == data
