@@ -6,6 +6,16 @@ A chain may carry several live branches at once; the longest-branch
 rule retires all but one.  Dead branches keep their blocks for audit
 but never enter new topology builds.
 
+Each chain keeps its live state instead of deriving it on every read:
+the live-ref set (the ancestor closure of the live branch tips), a
+height -> live refs index, the refs undone by live ``Compensation``
+blocks, and the net (party, asset) change of its live ``AssetUpdate``
+records.  ``append_block`` adds the new block to all four (its parent
+is always live already); ``resolve_forks`` rebuilds them with one
+ancestor walk when it retires a branch; ``spawn_fork`` leaves them
+alone, since an empty branch adds no block.  A payload is read once,
+when its block is appended.
+
 Locks are held per logical block (one store per chain regardless of
 replica count) in a federation-level table, acquired all-or-nothing in
 the canonical (chain, height, branch) order.
@@ -15,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -136,6 +147,12 @@ class Chain:
         genesis = Block.seal(BlockRef(chain_id, 0, 0), None, GENESIS_PARENT, ())
         self._blocks[genesis.ref] = genesis
         self.branches[0].tip = 0
+        # live state, kept current by _index and _rebuild_live
+        self._live: set[BlockRef] = set()
+        self._live_at: dict[int, list[BlockRef]] = {}  # height -> refs, by branch
+        self._compensated: set[BlockRef] = set()
+        self._ledger: dict[tuple[str, str], int] = {}
+        self._rebuild_live()
 
     # -- queries ---------------------------------------------------------
 
@@ -166,36 +183,60 @@ class Chain:
         best = max(self.branches[b].tip for b in live)
         return min(b for b in live if self.branches[b].tip == best)
 
-    def live_refs(self) -> set[BlockRef]:
+    def live_refs(self) -> frozenset[BlockRef]:
         """Ancestor closure of every live branch tip.
 
         Shared trunk prefixes stay live even when their own branch lost
         a resolution; blocks only reachable from dead tips drop out.
         """
-        live: set[BlockRef] = set()
-        for label in self.live_branch_labels():
-            info = self.branches[label]
-            if info.tip < 0:
-                continue
-            ref: Optional[BlockRef] = BlockRef(self.id, info.tip, label)
-            while ref is not None and ref not in live:
-                block = self._blocks[ref]
-                live.add(ref)
-                ref = block.parent_ref
-        return live
+        return frozenset(self._live)
+
+    def is_live(self, ref: BlockRef) -> bool:
+        return ref in self._live
 
     def live_block_at(self, height: int) -> list[BlockRef]:
         """Live blocks at a height, canonical order."""
-        return sorted(r for r in self.live_refs() if r.height == height)
+        return list(self._live_at.get(height, ()))
 
-    def compensated_refs(self) -> set[BlockRef]:
+    def compensated_refs(self) -> frozenset[BlockRef]:
         """Blocks already reversed by a live compensation block."""
-        out: set[BlockRef] = set()
-        for ref in self.live_refs():
-            for record in self._blocks[ref].payload:
-                if isinstance(record, Compensation):
-                    out.add(record.undone)
-        return out
+        return frozenset(self._compensated)
+
+    def ledger(self) -> dict[tuple[str, str], int]:
+        """Net (party, asset) change carried by live asset updates."""
+        return dict(self._ledger)
+
+    # -- maintained live state ---------------------------------------------
+
+    def _index(self, ref: BlockRef) -> None:
+        """Add one block to the live set, the height index, the
+        compensation set and the ledger."""
+        self._live.add(ref)
+        insort(self._live_at.setdefault(ref.height, []), ref)
+        ledger = self._ledger
+        for record in self._blocks[ref].payload:
+            if isinstance(record, AssetUpdate):
+                key_from = (record.owner_from, record.asset)
+                key_to = (record.owner_to, record.asset)
+                ledger[key_from] = ledger.get(key_from, 0) - record.amount
+                ledger[key_to] = ledger.get(key_to, 0) + record.amount
+            elif isinstance(record, Compensation):
+                self._compensated.add(record.undone)
+
+    def _rebuild_live(self) -> None:
+        """Recompute the live state: the ancestor closure of the live
+        branch tips, indexed in canonical order."""
+        closure: set[BlockRef] = set()
+        for label in self.live_branch_labels():
+            info = self.branches[label]
+            ref: Optional[BlockRef] = BlockRef(self.id, info.tip, label) if info.tip >= 0 else None
+            while ref is not None and ref not in closure:
+                closure.add(ref)
+                ref = self._blocks[ref].parent_ref
+        for state in (self._live, self._live_at, self._compensated, self._ledger):
+            state.clear()
+        for ref in sorted(closure):
+            self._index(ref)
 
     # -- mutation ----------------------------------------------------------
 
@@ -217,6 +258,9 @@ class Chain:
         block = Block.seal(ref, parent_ref, self._blocks[parent_ref].hash, payload)
         self._blocks[ref] = block
         info.tip = height
+        # the parent is live: a live branch's tip is, a fork's parent was
+        # when it spawned, and a resolution leaves no empty branch live
+        self._index(ref)
         return ref
 
     def spawn_fork(self, at_height: int) -> int:
@@ -233,9 +277,13 @@ class Chain:
     def resolve_forks(self) -> int:
         """Keep the longest live branch (ties go to the lowest label)."""
         survivor = self.canonical_branch()
+        retired = False
         for label, info in self.branches.items():
             if label != survivor and info.live:
                 info.live = False
+                retired = True
+        if retired:
+            self._rebuild_live()
         return survivor
 
     # -- integrity ---------------------------------------------------------
@@ -302,7 +350,7 @@ class Federation:
         raise ChainError(f"no chain manages asset {asset!r}")
 
     def is_live(self, ref: BlockRef) -> bool:
-        return ref.chain in self.chains and ref in self.chains[ref.chain].live_refs()
+        return ref.chain in self.chains and self.chains[ref.chain].is_live(ref)
 
     # -- locks -------------------------------------------------------------
 
@@ -339,18 +387,12 @@ class Federation:
     # -- balances ------------------------------------------------------------
 
     def balances(self) -> dict[tuple[str, str], int]:
-        """Effective (party, asset) balances from live blocks, in append order."""
+        """Effective (party, asset) balances: the initial sheet plus every
+        chain's ledger of live updates, chain ids ascending."""
         totals = dict(self.initial_balances)
         for cid in self.chain_ids():
-            chain = self.chains[cid]
-            for ref in sorted(chain.live_refs()):
-                for record in chain.block(ref).payload:
-                    if not isinstance(record, AssetUpdate):
-                        continue
-                    key_from = (record.owner_from, record.asset)
-                    key_to = (record.owner_to, record.asset)
-                    totals[key_from] = totals.get(key_from, 0) - record.amount
-                    totals[key_to] = totals.get(key_to, 0) + record.amount
+            for key, delta in self.chains[cid].ledger().items():
+                totals[key] = totals.get(key, 0) + delta
         return totals
 
     def updates_by_chain(self, updates: Iterable[AssetUpdate]) -> list[tuple[int, tuple[AssetUpdate, ...]]]:

@@ -111,6 +111,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     scenario, _ = load_scenario(args.scenario)
+    # the baselines log nothing, so no log can stand for a run that used them
+    for txn in scenario.transactions():
+        protocol = scenario.protocol_for(txn.id)
+        if protocol != "topocbt":
+            return _fail(f"txn {txn.id} runs under {protocol}, which writes no log record; "
+                         "recover needs every transaction under topocbt")
     wal = WriteAheadLog.read(args.wal)
     federation = scenario.build_federation()
     # rebuild the crashed state (the log is assumed complete up to the

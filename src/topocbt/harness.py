@@ -181,6 +181,9 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     The event's fork resolution (every ``epoch`` events) runs when the
     generator is resumed, after the row's audit and betti_post, so a
     caller that stops after k rows holds the federation row k reported.
+    An event's betti_pre is the previous event's betti_post unless fork
+    resolution ran in between: the federation and the pending set are
+    the same ones.
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
     clock = SimClock()
@@ -194,24 +197,27 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
             federation, pending, mode=scenario.mode, window=scenario.window
         ).betti_numbers()
 
+    betti_post: Optional[tuple[int, ...]] = None
     for event, txn in enumerate(transactions, start=1):
         protocol = protocol_override or scenario.protocol_for(txn.id)
         plan = scenario.plan_for(txn.id)
         pre_balances = federation.balances()
-        betti_pre = betti()
+        betti_pre = betti() if betti_post is None else betti_post
         outcome, recovered = _execute(engine, clock, protocol, txn, plan)
         pending = [t for t in pending if t.id != txn.id]
         audit = audit_atomicity(pre_balances, txn, federation.balances())
+        betti_post = betti()
         yield TxnRow(
             scenario=scenario.name, seed=seed, protocol=protocol, txn_id=txn.id,
             status=outcome.status, applied_updates=outcome.applied_updates,
             messages=outcome.messages, primitive_ops=outcome.primitive_ops,
             space_bytes=outcome.space_bytes, worse_off=outcome.worse_off_parties,
-            audit=audit, betti_pre=betti_pre, betti_post=betti(), recovered=recovered,
+            audit=audit, betti_pre=betti_pre, betti_post=betti_post, recovered=recovered,
         )
         if scenario.epoch > 0 and event % scenario.epoch == 0:
             for cid in federation.chain_ids():
                 federation.chain(cid).resolve_forks()
+            betti_post = None
 
 
 def run_scenario(

@@ -1,0 +1,197 @@
+"""The state each chain maintains on append, judged by a from-scratch rescan.
+
+The oracle below is the ancestor walk the chain used to run on every
+read: the closure of the live branch tips, and the live blocks' payloads
+summed in canonical order.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from topocbt.chain import AssetUpdate, BlockRef, Chain, Compensation, Federation
+from topocbt.harness import _replay
+from topocbt.scenario import car_trading, parse_scenario, random_scenario
+from topocbt.wal import WriteAheadLog
+
+
+# -- oracle ------------------------------------------------------------------------
+
+def rescan_live(chain: Chain) -> set[BlockRef]:
+    live: set[BlockRef] = set()
+    for label in chain.live_branch_labels():
+        info = chain.branches[label]
+        if info.tip < 0:
+            continue
+        ref = BlockRef(chain.id, info.tip, label)
+        while ref is not None and ref not in live:
+            live.add(ref)
+            ref = chain.block(ref).parent_ref
+    return live
+
+
+def rescan_compensated(chain: Chain) -> set[BlockRef]:
+    return {
+        record.undone
+        for ref in rescan_live(chain)
+        for record in chain.block(ref).payload
+        if isinstance(record, Compensation)
+    }
+
+
+def rescan_ledger(chain: Chain, totals=None) -> dict:
+    totals = {} if totals is None else totals
+    for ref in sorted(rescan_live(chain)):
+        for record in chain.block(ref).payload:
+            if isinstance(record, AssetUpdate):
+                key_from = (record.owner_from, record.asset)
+                key_to = (record.owner_to, record.asset)
+                totals[key_from] = totals.get(key_from, 0) - record.amount
+                totals[key_to] = totals.get(key_to, 0) + record.amount
+    return totals
+
+
+def rescan_balances(federation: Federation) -> dict:
+    totals = dict(federation.initial_balances)
+    for cid in federation.chain_ids():
+        rescan_ledger(federation.chain(cid), totals)
+    return totals
+
+
+def assert_chain_matches_rescan(chain: Chain) -> None:
+    live = rescan_live(chain)
+    assert chain.live_refs() == live
+    for height in range(max(r.height for r in chain.all_refs()) + 2):
+        assert chain.live_block_at(height) == sorted(r for r in live if r.height == height)
+    assert chain.compensated_refs() == rescan_compensated(chain)
+    assert chain.ledger() == rescan_ledger(chain)
+    for ref in chain.all_refs():
+        assert chain.is_live(ref) == (ref in live)
+
+
+def assert_federation_matches_rescan(federation: Federation) -> None:
+    for cid in federation.chain_ids():
+        assert_chain_matches_rescan(federation.chain(cid))
+    expected = rescan_balances(federation)
+    assert federation.balances() == expected
+    # a chainless federation's digest is the digest of its initial sheet
+    assert federation.state_digest() == Federation(expected).state_digest()
+
+
+# -- random chain histories --------------------------------------------------------
+
+PARTIES = ("p0", "p1", "p2")
+
+
+def draw_update(data) -> AssetUpdate:
+    frm, to = data.draw(st.permutations(PARTIES))[:2]
+    return AssetUpdate(frm, to, data.draw(st.sampled_from("XY")), data.draw(st.integers(1, 5)))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_maintained_state_equals_rescan_after_every_step(data):
+    chain = Chain(1, assets=("X", "Y"))
+    assert_chain_matches_rescan(chain)
+    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        step = data.draw(st.sampled_from(["append", "append", "compensate", "fork", "resolve"]))
+        if step in ("append", "compensate"):
+            branch = data.draw(st.sampled_from(chain.live_branch_labels()))
+            payload = tuple(draw_update(data) for _ in range(data.draw(st.integers(0, 2))))
+            if step == "compensate":
+                undone = data.draw(st.sampled_from(chain.all_refs()))
+                payload = (Compensation(undone, data.draw(st.integers(1, 9))),) + payload
+            chain.append_block(branch, payload)
+        elif step == "fork":
+            heights = sorted({r.height for r in chain.live_refs()})
+            chain.spawn_fork(data.draw(st.sampled_from(heights)) + 1)
+        else:
+            chain.resolve_forks()
+        assert_chain_matches_rescan(chain)
+
+
+def test_returned_state_cannot_corrupt_the_chain():
+    chain = Chain(1, assets=("X",))
+    ref = chain.append_block(0, (AssetUpdate("a", "b", "X", 2),))
+    chain.append_block(0, (Compensation(ref, 1), AssetUpdate("b", "a", "X", 2)))
+    chain.live_block_at(1).clear()
+    chain.ledger().clear()
+    assert isinstance(chain.live_refs(), frozenset)
+    assert isinstance(chain.compensated_refs(), frozenset)
+    assert chain.live_block_at(1) == [ref]
+    assert chain.ledger() == {("a", "X"): 0, ("b", "X"): 0}
+    assert_chain_matches_rescan(chain)
+
+
+# -- whole runs ----------------------------------------------------------------------
+
+# two forked chains resolved every second event, with deals that
+# commit, abort on funding, and crash into recovery
+FORKED_EPOCH_TEXT = """\
+[scenario]
+name = forked-epoch
+epoch = 2
+
+[chain]
+id = 1
+length = 4
+assets = X
+fork = 2 1
+fork = 3 2
+balance = a X 5
+
+[chain]
+id = 2
+length = 3
+assets = Y
+fork = 2 1
+balance = b Y 5
+
+[txn]
+id = 1
+parties = a b
+blocks = 1:4 2:3
+sub = 1:4 ; a b X 2
+sub = 2:3 ; b a Y 1
+
+[txn]
+id = 2
+parties = a b
+blocks = 1:4 2:3
+sub = 1:4 ; a b X 9
+
+[txn]
+id = 3
+parties = a b
+blocks = 1:4 2:3
+sub = 2:3 ; b a Y 2
+sub = 1:4 ; a b X 1
+
+[txn]
+id = 4
+parties = a b
+blocks = 1:4 2:3
+sub = 1:4 ; b a X 1
+
+[txn]
+id = 5
+parties = a b
+blocks = 1:4 2:3
+sub = 2:3 ; a b Y 1
+
+[failure]
+txn = 3
+kind = crash_before_commit
+face = 2
+"""
+
+
+def test_balances_and_digest_equal_rescan_after_every_event():
+    scenarios = [car_trading(), parse_scenario(FORKED_EPOCH_TEXT)]
+    scenarios += [random_scenario(seed) for seed in range(200)]
+    forked = 0
+    for scenario in scenarios:
+        federation = scenario.build_federation()
+        assert_federation_matches_rescan(federation)
+        for _ in _replay(scenario, federation, WriteAheadLog()):
+            assert_federation_matches_rescan(federation)
+        forked += any(len(federation.chain(cid).branches) > 1 for cid in federation.chain_ids())
+    assert forked > 10

@@ -172,6 +172,29 @@ def test_recover_rejects_a_log_whose_slot_is_taken(tmp_path, capsys):
     assert "digest" not in captured.out
 
 
+def test_recover_refuses_a_mixed_protocol_scenario(tmp_path, capsys):
+    # the car deal runs as pairwise swaps, which log nothing; a later
+    # main-engine deal does log, so the log alone looks rebuildable
+    mixed = tmp_path / "mixed.scenario"
+    mixed.write_text(CAR_TRADING_TEXT.replace("protocol = topocbt", "protocol = ac2s") + """
+[txn]
+id = 2
+parties = alice bob
+blocks = 1:2 2:2
+sub = 1:2 ; bob alice ETH 1
+""")
+    wal_file = tmp_path / "run.wal"
+    assert main(["run", "--scenario", str(mixed), "--wal", str(wal_file), "--out", str(tmp_path / "r.csv")]) == 0
+    assert wal_file.stat().st_size > 0
+    capsys.readouterr()
+    assert main(["recover", "--wal", str(wal_file), "--scenario", str(mixed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: txn 1 runs under ac2s, which writes no log record; recover needs every transaction under topocbt"
+    ]
+    assert "digest" not in captured.out
+
+
 def test_balance_beyond_the_digest_is_one_error_line(tmp_path, capsys):
     # each balance fits the digest's '>q'; alice's CAR after the deal does not
     path = tmp_path / "rich.scenario"

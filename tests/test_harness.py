@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from topocbt.harness import (
     AUDIT_ALL,
     AUDIT_NONE,
     AUDIT_PARTIAL,
+    _replay,
     audit_atomicity,
     betti_report,
     compare_protocols,
@@ -25,6 +27,8 @@ from topocbt.scenario import (
     parse_scenario,
     random_scenario,
 )
+from topocbt.topology import build_federation_complex
+from topocbt.wal import WriteAheadLog
 
 DATA = Path(__file__).parent / "data"
 
@@ -267,6 +271,20 @@ def test_betti_report_agrees_with_run(scen):
     assert betti_report(scen, 0)[0] == report.rows[0].betti_pre
     for k, row in enumerate(report.rows, start=1):
         assert betti_report(scen, k)[0] == row.betti_post
+        assert fresh_betti_pre(scen, k) == row.betti_pre
+
+
+def fresh_betti_pre(scen, k):
+    """Betti vector of a fresh build of the federation event k starts
+    from: k - 1 events, then that event's fork resolution if it is due."""
+    federation = scen.build_federation()
+    for _ in islice(_replay(scen, federation, WriteAheadLog()), k - 1):
+        pass
+    if k > 1 and scen.epoch > 0 and (k - 1) % scen.epoch == 0:
+        for cid in federation.chain_ids():
+            federation.chain(cid).resolve_forks()
+    pending = scen.transactions()[k - 1:]
+    return build_federation_complex(federation, pending, mode=scen.mode, window=scen.window).betti_numbers()
 
 
 def test_betti_report_releases_blocked_2pc_locks():
