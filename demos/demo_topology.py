@@ -29,10 +29,11 @@ def banner(title):
 
 def main():
     banner("1. A complex by hand: solid tetrahedron + triangle + bridge")
-    c = SimplicialComplex.empty()
-    c = c.insert_simplex(Simplex((0, 1, 2, 3)))   # solid tetrahedron
-    c = c.insert_simplex(Simplex((4, 5, 6)))      # filled triangle
-    c = c.insert_simplex(Simplex((3, 4)))         # bridge edge
+    c = SimplicialComplex.from_simplices([
+        Simplex((0, 1, 2, 3)),   # solid tetrahedron
+        Simplex((4, 5, 6)),      # filled triangle
+        Simplex((3, 4)),         # bridge edge
+    ])
     print(f"{len(c)} simplices, dimension {c.dimension}")
     print("betti:", c.betti_numbers(), " euler:", c.euler_characteristic())
     print("one connected component and no holes in any dimension")

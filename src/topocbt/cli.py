@@ -8,6 +8,7 @@ stderr.  TOPOCBT_LOG sets the logging level (debug/info/warning).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -15,11 +16,11 @@ from pathlib import Path
 
 from .chain import ChainError
 from .engine import TopoCbtEngine
-from .harness import compare_protocols, complexity_fit, fit_ops, measure_grid, run_scenario, betti_report
+from .harness import _replay, betti_report, compare_protocols, complexity_fit, fit_ops, measure_grid, run_scenario
 from .scenario import PROTOCOLS, ScenarioError, load_scenario
 from .simplicial import read_complex
 from .topology import write_tagged
-from .wal import WalFormatError, WalKind, WriteAheadLog
+from .wal import WalFormatError, WalKind, WalRecord, WriteAheadLog
 
 
 def _setup_logging() -> None:
@@ -109,31 +110,55 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0 if verdict.passed and better else 1
 
 
+class _LogEnd(Exception):
+    """The rerun asked for a record past the end of the given log."""
+
+
+def _show(value) -> str:
+    if isinstance(value, WalKind):
+        return value.name.lower()
+    if isinstance(value, tuple):
+        return "[" + "; ".join(f"{u.owner_from} {u.owner_to} {u.asset} {u.amount}" for u in value) + "]"
+    return str(value)
+
+
+class _CheckedLog(WriteAheadLog):
+    """The log a rerun writes, held record by record to a given log.
+
+    A record that differs from the given one at its index is an error;
+    a record past the given log's end stops the rerun there.
+    """
+
+    def __init__(self, given: list[WalRecord]) -> None:
+        super().__init__()
+        self.given = given
+
+    def append(self, txn_id, kind, block_ref=None, updates=()) -> WalRecord:
+        index = len(self.records)
+        if index == len(self.given):
+            raise _LogEnd
+        rec = super().append(txn_id, kind, block_ref, updates)
+        logged = self.given[index]
+        for field in ("sequence", "txn_id", "kind", "block_ref", "updates"):
+            if getattr(logged, field) != getattr(rec, field):
+                raise WalFormatError(f"record {index}: logged {field} {_show(getattr(logged, field))}, "
+                                     f"the run writes {_show(getattr(rec, field))}")
+        return rec
+
+
 def _cmd_recover(args: argparse.Namespace) -> int:
     scenario, _ = load_scenario(args.scenario)
-    # the baselines log nothing, so no log can stand for a run that used them
-    for txn in scenario.transactions():
-        protocol = scenario.protocol_for(txn.id)
-        if protocol != "topocbt":
-            return _fail(f"txn {txn.id} runs under {protocol}, which writes no log record; "
-                         "recover needs every transaction under topocbt")
     wal = WriteAheadLog.read(args.wal)
+    # a log of N records stands for the declared run stopped just before
+    # it would write record N+1: rerun it that far (redo by repeating
+    # history), then roll back what had not finished
     federation = scenario.build_federation()
-    # rebuild the crashed state (the log is assumed complete up to the
-    # crash point): re-apply every logged undo block but an aborted txn's,
-    # which its compensation already cancelled.  A block that lands
-    # anywhere but its logged slot, or a slot already filled, means the
-    # log is not this scenario's: recovery would undo the wrong blocks
-    aborted = {rec.txn_id for rec in wal.records if rec.kind is WalKind.ABORT}
-    for i, rec in enumerate(wal.records):
-        if rec.kind is not WalKind.UNDO or rec.txn_id in aborted:
-            continue
-        chain = federation.chain(rec.block_ref.chain)
-        if chain.has_block(rec.block_ref):
-            return _fail(f"record {i}: slot {rec.block_ref} already holds a block")
-        landed = chain.append_block(rec.block_ref.branch, rec.updates)
-        if landed != rec.block_ref:
-            return _fail(f"record {i}: logged block {rec.block_ref} lands at {landed}")
+    written = _CheckedLog(wal.records)
+    with contextlib.suppress(_LogEnd):
+        for _ in _replay(scenario, federation, written):
+            pass
+    if len(written.records) < len(wal.records):
+        return _fail(f"record {len(written.records)}: the run writes only {len(written.records)} records")
     print(f"digest before recovery: {federation.state_digest()}")
     engine = TopoCbtEngine(federation, wal)
     report = engine.recover()

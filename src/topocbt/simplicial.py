@@ -9,7 +9,6 @@ are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -17,8 +16,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .gf2 import gf2_rank
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, order=True)
@@ -91,9 +88,8 @@ class SimplicialComplex:
     """An immutable set of simplices.
 
     The plain constructor stores exactly the simplices given, which may
-    violate face closure; use :meth:`from_simplices` (or
-    :meth:`insert_simplex`) to build closed complexes, and
-    :meth:`is_valid` to check closure.
+    violate face closure; :meth:`from_simplices` builds the closed
+    complex of its generators, and :meth:`is_valid` checks closure.
     """
 
     __slots__ = ("_members",)
@@ -108,10 +104,6 @@ class SimplicialComplex:
         for s in simplices:
             members.update(s.closure())
         return cls(members)
-
-    @classmethod
-    def empty(cls) -> "SimplicialComplex":
-        return cls()
 
     # -- membership ----------------------------------------------------
 
@@ -158,44 +150,6 @@ class SimplicialComplex:
         for s in self._members:
             counts[s.dimension] += 1
         return counts
-
-    # -- editing (copy-on-write) ---------------------------------------
-
-    def insert_simplex(self, s: Simplex) -> "SimplicialComplex":
-        """Return a complex that also contains s and all its faces.
-
-        Idempotent; existing members are untouched.
-        """
-        closure = set(s.closure())
-        if closure <= self._members:
-            return self
-        return SimplicialComplex(self._members | closure)
-
-    def remove_simplex(self, s: Simplex, retain_faces: bool = True) -> "SimplicialComplex":
-        """Return a complex without s and without every coface of s.
-
-        Closure is preserved.  With ``retain_faces=False`` the proper
-        faces of s that no remaining member contains are dropped too.
-        Removing a non-member is a no-op (logged).
-        """
-        if s not in self._members:
-            log.info("remove_simplex: %s is not a member, nothing removed", s)
-            return self
-        survivors = {m for m in self._members if not s.is_face_of(m)}
-        if not retain_faces:
-            anchors = survivors - set(s.closure())
-            orphans = {
-                f for f in s.faces()
-                if f in survivors and not any(f.is_face_of(m) for m in anchors)
-            }
-            survivors -= orphans
-        return SimplicialComplex(survivors)
-
-    def relabeled(self, mapping: dict[int, int]) -> "SimplicialComplex":
-        """Apply a vertex-id bijection; the result is combinatorially identical."""
-        return SimplicialComplex(
-            Simplex(tuple(sorted(mapping[v] for v in s.vertices))) for s in self._members
-        )
 
     # -- topology ------------------------------------------------------
 

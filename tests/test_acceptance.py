@@ -50,10 +50,7 @@ def _ok(n, text):
 
 
 def linked_pair_complex():
-    c = SimplicialComplex.empty()
-    c = c.insert_simplex(Simplex((0, 1, 2, 3)))
-    c = c.insert_simplex(Simplex((4, 5, 6)))
-    return c.insert_simplex(Simplex((3, 4)))
+    return SimplicialComplex.from_simplices([Simplex((0, 1, 2, 3)), Simplex((4, 5, 6)), Simplex((3, 4))])
 
 
 def three_chain_two_txn_build():

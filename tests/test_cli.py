@@ -1,10 +1,12 @@
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from topocbt.cli import main
 from topocbt.scenario import CAR_TRADING_TEXT, car_trading
+from topocbt.wal import WalKind, WriteAheadLog
 
 DATA = Path(__file__).parent / "data"
 
@@ -150,31 +152,60 @@ def committed_car_trading_log(tmp_path) -> str:
 
 def test_recover_rejects_a_log_that_does_not_replay(tmp_path, capsys):
     wal_file = committed_car_trading_log(tmp_path)
-    # chain 1 one block shorter: the logged 1:3:0 would be re-appended at 1:2:0
+    # chain 1 one block shorter: the deal names block 1:2, which the
+    # rerun of this scenario cannot lock, so it never reaches record 0
     shorter = tmp_path / "shorter.scenario"
     shorter.write_text(CAR_TRADING_TEXT.replace("length = 2\nassets = ETH", "length = 1\nassets = ETH"))
     capsys.readouterr()
     assert main(["recover", "--wal", wal_file, "--scenario", str(shorter)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: record 0: logged block 1:3:0 lands at 1:2:0"]
+    assert captured.err.splitlines() == ["error: txn 1: block 1:2:0 is missing or on a dead branch"]
     assert "digest" not in captured.out
 
 
 def test_recover_rejects_a_log_whose_slot_is_taken(tmp_path, capsys):
     wal_file = committed_car_trading_log(tmp_path)
-    # chain 2 one block longer: the logged 2:3:0 is already there
+    # chain 2 one block longer: the logged 2:3:0 is already there, so the
+    # rerun plans its block one slot higher
     longer = tmp_path / "longer.scenario"
     longer.write_text(CAR_TRADING_TEXT.replace("length = 2\nassets = BTC", "length = 3\nassets = BTC"))
     capsys.readouterr()
     assert main(["recover", "--wal", wal_file, "--scenario", str(longer)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["error: record 1: slot 2:3:0 already holds a block"]
+    assert captured.err.splitlines() == ["error: record 1: logged block_ref 2:3:0, the run writes 2:4:0"]
     assert "digest" not in captured.out
 
 
-def test_recover_refuses_a_mixed_protocol_scenario(tmp_path, capsys):
-    # the car deal runs as pairwise swaps, which log nothing; a later
-    # main-engine deal does log, so the log alone looks rebuildable
+def test_recover_rejects_a_log_with_a_changed_amount(tmp_path, capsys):
+    wal_file = committed_car_trading_log(tmp_path)
+    wal = WriteAheadLog.read(wal_file)
+    rec = wal.records[1]
+    wal.records[1] = replace(rec, updates=(replace(rec.updates[0], amount=2),))
+    wal.write(wal_file)
+    capsys.readouterr()
+    assert main(["recover", "--wal", wal_file, "--scenario", "car-trading"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: record 1: logged updates [bob cindy BTC 2], the run writes [bob cindy BTC 1]"
+    ]
+    assert "digest" not in captured.out
+
+
+def test_recover_rejects_a_log_longer_than_the_run(tmp_path, capsys):
+    wal_file = committed_car_trading_log(tmp_path)
+    wal = WriteAheadLog.read(wal_file)
+    wal.append(2, WalKind.COMMIT)
+    wal.write(wal_file)
+    capsys.readouterr()
+    assert main(["recover", "--wal", wal_file, "--scenario", "car-trading"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: record 4: the run writes only 4 records"]
+    assert "digest" not in captured.out
+
+
+def test_recover_rebuilds_a_mixed_protocol_run(tmp_path, capsys):
+    # the car deal runs as pairwise swaps, which log nothing; the rerun
+    # makes their transfers again, so the digests match the run's
     mixed = tmp_path / "mixed.scenario"
     mixed.write_text(CAR_TRADING_TEXT.replace("protocol = topocbt", "protocol = ac2s") + """
 [txn]
@@ -184,15 +215,11 @@ blocks = 1:2 2:2
 sub = 1:2 ; bob alice ETH 1
 """)
     wal_file = tmp_path / "run.wal"
-    assert main(["run", "--scenario", str(mixed), "--wal", str(wal_file), "--out", str(tmp_path / "r.csv")]) == 0
+    assert main(["run", "--scenario", str(mixed), "--wal", str(wal_file)]) == 0
+    final = capsys.readouterr().out.splitlines()[-1].removeprefix("# digest: ")
     assert wal_file.stat().st_size > 0
-    capsys.readouterr()
-    assert main(["recover", "--wal", str(wal_file), "--scenario", str(mixed)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        "error: txn 1 runs under ac2s, which writes no log record; recover needs every transaction under topocbt"
-    ]
-    assert "digest" not in captured.out
+    assert main(["recover", "--wal", str(wal_file), "--scenario", str(mixed)]) == 0
+    assert recover_output(capsys) == [final, final]
 
 
 def test_balance_beyond_the_digest_is_one_error_line(tmp_path, capsys):
