@@ -102,6 +102,14 @@ def test_betti_circle_and_sphere():
     assert sphere.betti_numbers() == (1, 0, 1)
 
 
+def test_remove_top_cell_leaves_hollow_triangle():
+    top = Simplex((0, 1, 2))
+    c = SimplicialComplex.from_simplices(s for s in closed((0, 1, 2)) if s != top)
+    assert top not in c
+    assert len(c) == 6
+    assert c.betti_numbers() == (1, 1)
+
+
 def test_betti_counts_components():
     c = closed((0, 1), (2, 3), (5,))
     assert c.betti_numbers()[0] == 3
