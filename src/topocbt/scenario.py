@@ -186,7 +186,11 @@ class Scenario:
 
 
 def _parse_int(token: str, line: int, fld: str, bounds: Optional[tuple[int, Optional[int]]] = None) -> int:
+    """A base-10 integer in ASCII, '-?[0-9]+': int() alone would also take
+    '+', '_', surrounding spaces and the digits of other scripts."""
     try:
+        if not (token.isascii() and token.lstrip("-").isdigit()):
+            raise ValueError(token)
         value = int(token)
     except ValueError:
         raise ScenarioError(f"expected integer, got {token!r}", line, fld) from None

@@ -2,20 +2,28 @@
 
 A simplex is a strictly ascending tuple of vertex ids; a complex is a
 set of simplices that should be closed under taking non-empty faces.
-Homology ranks (Betti numbers) are computed over GF(2) from boundary
-matrices with canonical lexicographic row/column ordering, so results
-are bit-for-bit reproducible.
+Betti numbers over GF(2) come from plain vertex tuples grouped by
+dimension (:func:`betti_from_cells`): rank d1 is the vertex count less
+the union-find component count, and rank dk for k >= 2 comes from a
+column reduction whose columns are Python ints used as bitsets, with
+clearing.  Ranks do not depend on any ordering, so results are
+bit-for-bit reproducible.  The dense numpy boundary matrices
+(:meth:`SimplicialComplex.boundary_matrix` with ``gf2_rank``) stay as
+the tests' independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .gf2 import gf2_rank
+from .unionfind import UnionFind
+
+Cell = tuple[int, ...]
 
 
 @dataclass(frozen=True, order=True)
@@ -165,7 +173,8 @@ class SimplicialComplex:
         """The GF(2) boundary map for dimension k, 1 <= k <= dimension.
 
         Rows are the (k-1)-simplices and columns the k-simplices, both
-        in lexicographic order.
+        in lexicographic order.  This dense path is the tests' oracle;
+        :meth:`betti_numbers` does not use it.
         """
         if k < 1 or k > self.dimension:
             raise ValueError(f"k={k} out of range 1..{self.dimension}")
@@ -179,30 +188,114 @@ class SimplicialComplex:
         return BoundaryMatrix(k=k, rows=tuple(rows), cols=tuple(cols), data=data)
 
     def betti_numbers(self) -> tuple[int, ...]:
-        """Betti numbers (b_0 .. b_dim) over GF(2).
+        """Betti numbers (b_0 .. b_dim) over GF(2); () for the empty complex.
 
-        b_k = (#k-simplices) - rank(d_k) - rank(d_{k+1}); b_0 counts
-        connected components.  Empty complex gives ().
+        The members are already closed, so they are only grouped by size.
         """
-        dim = self.dimension
-        if dim < 0:
-            return ()
-        counts = self.simplex_counts()
-        ranks = [0] * (dim + 2)
-        for k in range(1, dim + 1):
-            ranks[k] = self.boundary_matrix(k).rank()
-        return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
+        cells: list[list[Cell]] = []
+        for s in self._members:
+            size = len(s.vertices)
+            while len(cells) < size:
+                cells.append([])
+            cells[size - 1].append(s.vertices)
+        return betti_from_cells(cells)
 
     def euler_characteristic(self) -> int:
         """Alternating sum of simplex counts by dimension."""
         return sum((-1) ** k * n for k, n in enumerate(self.simplex_counts()))
 
 
+# -- Betti numbers from vertex tuples ------------------------------------
+
+
+def close_by_dimension(generators: Iterable[Cell]) -> list[set[Cell]]:
+    """The face closure of ascending vertex tuples: cells[k] holds the k-cells."""
+    cells: list[set[Cell]] = []
+    for g in generators:
+        while len(cells) < len(g):
+            cells.append(set())
+        for size in range(1, len(g) + 1):
+            cells[size - 1].update(combinations(g, size))
+    return cells
+
+
+def betti_from_cells(cells: Sequence[Iterable[Cell]]) -> tuple[int, ...]:
+    """Betti numbers over GF(2) of a closed complex given as cells[k] = its
+    k-cells (ascending vertex tuples); () when there are none.
+
+    b_k = n_k - rank(d_k) - rank(d_{k+1}).  Rank d1 is the vertex count
+    less the union-find component count.  Rank dk for k >= 2 is the
+    number of pivots of a column reduction run from the top dimension
+    down, with clearing (Chen & Kerber, "Persistent homology computation
+    with a twist", 2011): a reduced column of d(k+1) is a boundary, so
+    d(k) maps it to zero; its pivot is its first k-cell, whose column in
+    d(k) is therefore a sum of later columns and is skipped.
+    """
+    ordered = [sorted(c) for c in cells]
+    dim = len(ordered) - 1
+    if dim < 0:
+        return ()
+    counts = [len(c) for c in ordered]
+    ranks = [0] * (dim + 2)
+    cleared: set[int] = set()
+    for k in range(dim, 1, -1):
+        ranks[k], cleared = _reduced_rank(ordered[k], ordered[k - 1], cleared)
+    if dim >= 1:
+        uf = UnionFind()
+        for (v,) in ordered[0]:
+            uf.find(v)
+        for a, b in ordered[1]:
+            uf.union(a, b)
+        ranks[1] = counts[0] - uf.component_count()
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
+
+
+def _reduced_rank(cols: list[Cell], rows: list[Cell], cleared: set[int]) -> tuple[int, set[int]]:
+    """GF(2) rank of the boundary map from ``cols`` to ``rows`` (both
+    sorted), skipping the column indices in ``cleared``, and the set of
+    pivot row indices.
+
+    A column is an int whose bit i is set when rows[i] is a facet of its
+    cell; a reduced column's pivot is its lowest set bit.  Since rows
+    are sorted, a cell's lowest facet is the cell less its last vertex,
+    so a column whose pivot is new is stored as its cell and turned into
+    bits only when a later column must be reduced by it.
+    """
+    index = {cell: i for i, cell in enumerate(rows)}
+
+    def bits(cell: Cell) -> int:
+        col = 0
+        for face in combinations(cell, len(cell) - 1):
+            col |= 1 << index[face]
+        return col
+
+    pivots: dict[int, Cell | int] = {}
+    for j, cell in enumerate(cols):
+        if j in cleared:
+            continue
+        low = index[cell[:-1]]
+        if low not in pivots:
+            pivots[low] = cell
+            continue
+        col = bits(cell)
+        while col:
+            low = (col & -col).bit_length() - 1
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                break
+            if isinstance(other, tuple):
+                other = pivots[low] = bits(other)
+            col ^= other
+    return len(pivots), set(pivots)
+
+
 # -- text format -------------------------------------------------------
 #
-# One simplex per line: ascending base-10 vertex ids separated by single
-# spaces.  Lines starting with '#' are comments.  Reading applies face
-# closure, so write -> read round-trips the member set.
+# One simplex per line: ascending base-10 vertex ids (ASCII digits only)
+# separated by single spaces.  Lines starting with '#' are comments.
+# Reading applies face closure, so write -> read round-trips the member
+# set.
 
 
 def text_order(complex_: SimplicialComplex) -> list[Simplex]:
@@ -217,12 +310,17 @@ def complex_to_text(complex_: SimplicialComplex) -> str:
 def complex_from_text(text: str) -> SimplicialComplex:
     simplices = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         try:
-            vertices = tuple(int(tok) for tok in line.split())
-            simplices.append(Simplex(vertices))
+            if not raw.isascii():
+                raise ValueError("the complex format is ASCII text")
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            for tok in tokens:
+                if not tok.isdigit():
+                    raise ValueError(f"vertex ids are base-10 digits, got {tok!r}")
+            simplices.append(Simplex(tuple(int(tok) for tok in tokens)))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return SimplicialComplex.from_simplices(simplices)
@@ -234,5 +332,7 @@ def write_complex(complex_: SimplicialComplex, path) -> None:
 
 
 def read_complex(path) -> SimplicialComplex:
-    with open(path, "r", encoding="ascii") as fh:
+    # undecodable bytes become lone surrogates, which the reader rejects
+    # with their line number
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return complex_from_text(fh.read())

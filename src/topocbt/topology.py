@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .chain import AssetUpdate, BlockRef, ChainError, Federation
-from .simplicial import Simplex, SimplicialComplex, complex_to_text, text_order
+from .simplicial import Simplex, SimplicialComplex, betti_from_cells, close_by_dimension, complex_to_text, text_order
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ def expand_refs(federation: Federation, txn: CrossChainTransaction) -> list[Bloc
         if ref not in live_here:
             raise ChainError(f"txn {txn.id}: block {ref} is missing or on a dead branch")
         out.update(live_here)
-    return sorted(out)
+    return sorted(out, key=lambda r: (r.chain, r.height, r.branch))
 
 
 def expected_transaction_dimension(
@@ -128,7 +128,11 @@ class TaggedComplex:
         return SimplicialComplex.from_simplices(self.structural | frozenset(self.txn_tops.values()))
 
     def betti_numbers(self) -> tuple[int, ...]:
-        return self.complex.betti_numbers()
+        """Betti numbers of the closure, built from vertex tuples; the
+        cached ``complex`` is neither read nor built."""
+        generators = [s.vertices for s in self.structural]
+        generators.extend(s.vertices for s in self.txn_tops.values())
+        return betti_from_cells(close_by_dimension(generators))
 
 
 def build_federation_complex(
@@ -153,7 +157,7 @@ def build_federation_complex(
 
     included: dict[int, list[BlockRef]] = {}
     for cid in federation.chain_ids():
-        refs = sorted(federation.chain(cid).live_refs())
+        refs = sorted(federation.chain(cid).live_refs(), key=lambda r: (r.height, r.branch))
         if window is not None and cid in ref_heights:
             lo = min(ref_heights[cid]) - window
             hi = max(ref_heights[cid]) + window

@@ -1,12 +1,17 @@
+import io
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topocbt.cli import main
 from topocbt.scenario import CAR_TRADING_TEXT, car_trading
+from topocbt.simplicial import complex_from_text
 from topocbt.wal import WalKind, WriteAheadLog
+from test_simplicial import dense_betti
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,6 +69,79 @@ def test_betti_from_complex_file(tmp_path, capsys):
     code = main(["betti", "--complex", str(path)])
     assert code == 0
     assert "betti: 1 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("data, line, token", [
+    (b"2 1_0\n", 1, "'1_0'"),
+    (b"0 1\n+3\n", 2, "'+3'"),
+    (b"0\n-1\n", 2, "'-1'"),
+    ("# comment\n0 \u0663\n".encode("utf-8"), 2, None),  # an Arabic-Indic three
+    (b"0 1\n1 2 \xd9\n", 2, None),
+], ids=["underscore", "plus-sign", "minus-sign", "arabic-indic-digit", "non-ascii-byte"])
+def test_complex_file_takes_only_ascii_decimal_ids(tmp_path, capsys, data, line, token):
+    path = tmp_path / "odd.complex"
+    path.write_bytes(data)
+    assert main(["betti", "--complex", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: line {line}: ")
+    assert token is None or token in err
+
+
+def well_formed(data: bytes) -> bool:
+    """Every line is blank, a comment, or ascending ASCII decimal ids."""
+    if not data.isascii():
+        return False
+    for line in data.decode("ascii").splitlines():
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if not all(tok.isdigit() for tok in tokens):
+            return False
+        ids = [int(tok) for tok in tokens]
+        if ids != sorted(set(ids)):
+            return False
+    return True
+
+
+WHITESPACE = set(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")
+TOKENS = st.one_of(
+    st.integers(0, 12).map(lambda v: str(v).encode()),
+    st.sampled_from([b"#", b"+1", b"-1", b"1_0", b"007", b"0x1", "\u0663".encode("utf-8"), b"\xff", b"\x00"]),
+    st.binary(min_size=1, max_size=3).filter(lambda b: not WHITESPACE & set(b)),
+)
+LINES = st.one_of(
+    st.sets(st.integers(0, 12), min_size=1, max_size=8).map(lambda vs: " ".join(map(str, sorted(vs))).encode()),
+    st.lists(TOKENS, max_size=8).map(b" ".join),
+    st.sampled_from([b"", b"# a comment", b"  \t", b"\r"]),
+)
+
+
+@given(st.lists(LINES, max_size=6).map(b"\n".join))
+@settings(max_examples=150, deadline=None)
+def test_betti_complex_fuzz_is_a_betti_line_or_one_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.complex"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["betti", "--complex", str(path)])
+    if well_formed(data):
+        betti = dense_betti(complex_from_text(data.decode("ascii")))
+        assert (code, out.getvalue(), err.getvalue()) == (0, "betti: " + " ".join(map(str, betti)) + "\n", "")
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: line ")
+        assert len(err.getvalue().splitlines()) == 1
+
+
+def test_scenario_with_a_non_ascii_digit_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "digits.scenario"
+    path.write_bytes(CAR_TRADING_TEXT.replace("length = 2\n", "length = \u0662\n", 1).encode("utf-8"))
+    assert main(["run", "--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: line 10: field length: expected integer, got '\u0662'"]
 
 
 def test_betti_out_of_range_event(capsys):

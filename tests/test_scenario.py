@@ -184,6 +184,13 @@ REJECTED = {
     "fork above an empty fork": (_appended("[chain]\nid = 4\nfork = 2 0\nfork = 3 1\n"), 37, "fork"),
     "negative epoch": (_edited("mode = abstract\n", "mode = abstract\nepoch = -2\n"), 7, "epoch"),
     "negative window": (_edited("mode = abstract\n", "mode = abstract\nwindow = -3\n"), 7, "window"),
+    "plus sign on a txn id": (_edited("[txn]\nid = 1\n", "[txn]\nid = +1\n"), 27, "id"),
+    "underscore in a length": (_edited("length = 2\nassets = ETH", "length = 1_0\nassets = ETH"), 10, "length"),
+    "Arabic-Indic digit in a balance": (_edited("alice ETH 10\n", "alice ETH \u0663\n"), 12, "balance"),
+    "full-width digit in a block position": (_edited("blocks = 1:2 2:2 3:2", "blocks = 1:2 2:\uff12 3:2"), 30, "blocks"),
+    "plus sign on an amount": (_edited("alice bob ETH 10\n", "alice bob ETH +10\n"), 31, "sub"),
+    "space inside a number": (_edited("[txn]\nid = 1\n", "[txn]\nid = 1 0\n"), 27, "id"),
+    "two minus signs": (_edited("alice ETH 10\n", "alice ETH --10\n"), 12, "balance"),
 }
 
 

@@ -7,6 +7,8 @@ from topocbt.rng import SplitMix64
 from topocbt.simplicial import (
     Simplex,
     SimplicialComplex,
+    betti_from_cells,
+    close_by_dimension,
     complex_from_text,
     complex_to_text,
     read_complex,
@@ -17,6 +19,13 @@ from topocbt.unionfind import UnionFind
 
 def closed(*vertex_tuples):
     return SimplicialComplex.from_simplices([Simplex(t) for t in vertex_tuples])
+
+
+def dense_betti(c: SimplicialComplex) -> tuple[int, ...]:
+    """The oracle: b_k from the dense boundary matrices' GF(2) ranks."""
+    counts = c.simplex_counts()
+    ranks = [0] + [c.boundary_matrix(k).rank() for k in range(1, c.dimension + 1)] + [0]
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(c.dimension + 1))
 
 
 # -- simplex basics ---------------------------------------------------------
@@ -110,6 +119,33 @@ def test_remove_top_cell_leaves_hollow_triangle():
     assert c.betti_numbers() == (1, 1)
 
 
+# minimal triangulations whose homology needs higher ranks and clearing
+TORUS = [(i % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [(i % 7, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+PROJECTIVE_PLANE = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                    (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+
+
+@pytest.mark.parametrize("tops, betti", [
+    (TORUS, (1, 2, 1)),
+    (PROJECTIVE_PLANE, (1, 1, 1)),  # over GF(2) the projective plane has b1 = b2 = 1
+    ([(0, 1, 2, 3, 4, 5)], (1, 0, 0, 0, 0, 0)),
+    ([(0, 1, 2, 3, 4), (3, 4, 5, 6, 7), (0, 7)], (1, 1, 0, 0, 0)),
+], ids=["torus", "projective-plane", "5-simplex", "two-4-simplices-in-a-ring"])
+def test_bitset_betti_on_known_spaces(tops, betti):
+    generators = [tuple(sorted(t)) for t in tops]
+    c = SimplicialComplex.from_simplices(Simplex(g) for g in generators)
+    assert dense_betti(c) == betti
+    assert c.betti_numbers() == betti
+    assert betti_from_cells(close_by_dimension(generators)) == betti
+
+
+def test_close_by_dimension_groups_the_closure():
+    cells = close_by_dimension([(0, 1, 2), (2, 3), (1, 2)])
+    assert cells == [{(0,), (1,), (2,), (3,)}, {(0, 1), (0, 2), (1, 2), (2, 3)}, {(0, 1, 2)}]
+    assert close_by_dimension([]) == []
+    assert betti_from_cells([]) == ()
+
+
 def test_betti_counts_components():
     c = closed((0, 1), (2, 3), (5,))
     assert c.betti_numbers()[0] == 3
@@ -161,6 +197,22 @@ def test_boundary_of_boundary_vanishes(seed):
     for k in range(1, c.dimension):
         prod = gf2_matmul(c.boundary_matrix(k).data, c.boundary_matrix(k + 1).data)
         assert not prod.any()
+
+
+generators_on_12_vertices = st.lists(
+    st.sets(st.integers(0, 11), min_size=1, max_size=6).map(lambda vs: tuple(sorted(vs))),
+    min_size=1, max_size=10,
+)
+
+
+@given(generators_on_12_vertices)
+@settings(max_examples=150, deadline=None)
+def test_bitset_betti_equals_dense_ranks(generators):
+    c = SimplicialComplex.from_simplices(Simplex(g) for g in generators)
+    betti = betti_from_cells(close_by_dimension(generators))
+    assert betti == c.betti_numbers() == dense_betti(c)
+    assert betti[0] == components_by_unionfind(c)
+    assert sum((-1) ** k * b for k, b in enumerate(betti)) == euler_by_count(c)
 
 
 @given(st.integers(0, 2**50), st.integers(0, 2**50))

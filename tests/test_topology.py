@@ -1,8 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topocbt import gf2, simplicial
 from topocbt.chain import BlockRef, Chain, ChainError, Federation
+from topocbt.harness import betti_report
 from topocbt.rng import SplitMix64
+from topocbt.scenario import car_trading, grid_scenario, load_scenario, random_scenario
 from topocbt.simplicial import Simplex
 from topocbt.topology import (
     CrossChainTransaction,
@@ -16,6 +22,7 @@ from topocbt.topology import (
     teardown_transaction,
     transaction_simplex,
 )
+from test_simplicial import dense_betti
 
 
 def federation_of(lengths, replicas=None):
@@ -209,6 +216,42 @@ def test_building_a_wide_deal_enumerates_no_faces(monkeypatch):
     monkeypatch.setattr(Simplex, "closure", no_closure)
     assert transaction_simplex(fed, deal) == top
     assert build_federation_complex(fed, [deal]).txn_tops == {1: top}
+
+
+# -- Betti numbers against the dense oracle ---------------------------------------------
+
+def betti_corpus():
+    forked = Path(__file__).parent / "data" / "forked_replicated_two_deals.scenario"
+    yield pytest.param(car_trading(), id="car-trading")
+    yield pytest.param(load_scenario(str(forked))[0], id="forked-replicated")
+    for n in range(2, 7):
+        for m in range(1, 5):
+            for mode in TopologyMode:
+                yield pytest.param(replace(grid_scenario(n, m), mode=mode), id=f"grid-{n}-{m}-{mode.value}")
+    for seed in range(200):
+        yield pytest.param(random_scenario(seed), id=f"random-{seed}")
+
+
+@pytest.mark.parametrize("scenario", betti_corpus())
+def test_betti_report_equals_dense_oracle(scenario):
+    n = len(scenario.transactions())
+    for k in sorted({0, 1, n // 2, n}):
+        betti, tagged = betti_report(scenario, k)
+        assert betti == dense_betti(tagged.complex), k
+
+
+def test_tagged_betti_builds_no_closure_and_no_dense_matrix(monkeypatch):
+    fed, deal = double_fork_pair()
+    tagged = build_federation_complex(fed, [deal])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense path or Simplex closure used")
+
+    monkeypatch.setattr(gf2, "gf2_rank", forbidden)
+    monkeypatch.setattr(simplicial, "gf2_rank", forbidden)
+    monkeypatch.setattr(Simplex, "closure", forbidden)
+    assert tagged.betti_numbers() == (1, 4, 0, 0)
+    assert "complex" not in tagged.__dict__
 
 
 # -- tags and teardown ---------------------------------------------------------------
