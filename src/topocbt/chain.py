@@ -27,7 +27,7 @@ import hashlib
 import struct
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 GENESIS_PARENT = b"\x00" * 32
 
@@ -197,6 +197,18 @@ class Chain:
     def live_block_at(self, height: int) -> list[BlockRef]:
         """Live blocks at a height, canonical order."""
         return list(self._live_at.get(height, ()))
+
+    def live_rows(self, lo: int = 0, hi: Optional[int] = None) -> Iterator[tuple[int, tuple[BlockRef, ...]]]:
+        """(height, live blocks there in canonical order) for each live
+        height from ``lo`` to ``hi`` (default: the tallest tip), ascending.
+
+        Live heights run without a gap from genesis up: a live block's
+        parent sits one height below it and is live too.
+        """
+        at = self._live_at
+        top = len(at) - 1 if hi is None else min(hi, len(at) - 1)
+        for height in range(max(lo, 0), top + 1):
+            yield height, tuple(at[height])
 
     def compensated_refs(self) -> frozenset[BlockRef]:
         """Blocks already reversed by a live compensation block."""

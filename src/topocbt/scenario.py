@@ -340,7 +340,7 @@ def parse_scenario(text: str) -> Scenario:
             failure_lines.append(lines)
         current, lines = {}, {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

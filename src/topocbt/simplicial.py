@@ -309,7 +309,7 @@ def complex_to_text(complex_: SimplicialComplex) -> str:
 
 def complex_from_text(text: str) -> SimplicialComplex:
     simplices = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         try:
             if not raw.isascii():
                 raise ValueError("the complex format is ASCII text")

@@ -1,12 +1,15 @@
 """Builds the simplicial complex of a federation and its transactions.
 
 Every live block contributes one vertex (or one per replica in
-replicated mode).  Chain adjacency, fork stitching, and replica groups
-produce the structural simplices; each in-flight transaction adds one
-top simplex spanning all of its blocks, fork duplicates included.
-A tagged complex keeps only these generators; its face closure is
-built on first read.  Tearing a transaction down drops its top and
-keeps the rest, so chain structure can never be deleted.
+replicated mode), numbered by one walk up each chain's live heights.
+Chain adjacency, fork stitching, and replica groups produce the other
+structural cells, kept as plain ascending vertex tuples; each in-flight
+transaction adds one top simplex spanning all of its blocks, fork
+duplicates included.  A tagged complex keeps only these generators; a
+top is the only ``Simplex`` a build makes, and the structural simplices
+and the face closure are built on first read.  Tearing a transaction
+down drops its top and keeps the rest, so chain structure can never be
+deleted.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .chain import AssetUpdate, BlockRef, ChainError, Federation
-from .simplicial import Simplex, SimplicialComplex, betti_from_cells, close_by_dimension, complex_to_text, text_order
+from .simplicial import Cell, Simplex, SimplicialComplex, betti_from_cells, close_by_dimension, complex_to_text, text_order
 
 log = logging.getLogger(__name__)
 
@@ -106,31 +109,33 @@ def expected_transaction_dimension(
     return total - 1
 
 
-def _vertices_for(federation: Federation, ref: BlockRef, mode: TopologyMode) -> list[VertexKey]:
-    if mode is TopologyMode.REPLICATED and ref.branch == 0:
-        m = federation.chain(ref.chain).replicas
-        return [(ref.chain, ref.height, ref.branch, r) for r in range(m)]
-    return [(ref.chain, ref.height, ref.branch, 0)]
-
-
 @dataclass(frozen=True)
 class TaggedComplex:
-    """The generating simplices of a federation complex: structural
-    generators, one top per in-flight transaction (sorted by id), and
-    the block-vertex table.  The face closure is built on first read."""
+    """The generators of a federation complex: the vertices 0..n-1 that
+    ``vertex_of`` numbers, the other structural ``cells`` (chain and fork
+    edges, replica groups) as ascending vertex tuples, and one top per
+    in-flight transaction, sorted by id.  ``structural`` and the face
+    closure are built on first read; Betti numbers need neither."""
 
-    structural: frozenset[Simplex]  # generators, not closed under faces
+    cells: frozenset[Cell]
     txn_tops: dict[int, Simplex]
     vertex_of: dict[VertexKey, int]
+
+    @cached_property
+    def structural(self) -> frozenset[Simplex]:
+        """The structural generators, vertices included, as simplices."""
+        vertices = frozenset(Simplex((v,)) for v in range(len(self.vertex_of)))
+        return vertices | frozenset(map(Simplex, self.cells))
 
     @cached_property
     def complex(self) -> SimplicialComplex:
         return SimplicialComplex.from_simplices(self.structural | frozenset(self.txn_tops.values()))
 
     def betti_numbers(self) -> tuple[int, ...]:
-        """Betti numbers of the closure, built from vertex tuples; the
-        cached ``complex`` is neither read nor built."""
-        generators = [s.vertices for s in self.structural]
+        """Betti numbers of the closure, built from vertex tuples; neither
+        ``structural`` nor ``complex`` is read or built."""
+        generators = [(v,) for v in range(len(self.vertex_of))]
+        generators.extend(self.cells)
         generators.extend(s.vertices for s in self.txn_tops.values())
         return betti_from_cells(close_by_dimension(generators))
 
@@ -146,87 +151,70 @@ def build_federation_complex(
 
     ``window`` restricts each chain that a transaction references to
     blocks within that height radius of the referenced heights; None
-    keeps whole chains.
+    keeps whole chains.  Each chain is walked once, up its live heights
+    and along each height in branch order, which numbers the vertices
+    in ascending ``VertexKey`` order.
     """
     transactions = list(transactions)
 
-    ref_heights: dict[int, list[int]] = {}
-    for txn in transactions:
-        for ref in txn.blocks:
-            ref_heights.setdefault(ref.chain, []).append(ref.height)
+    spans: dict[int, tuple[int, int]] = {}  # chain -> the heights built, if windowed
+    if window is not None:
+        for txn in transactions:
+            for ref in txn.blocks:
+                lo, hi = spans.get(ref.chain, (ref.height - window, ref.height + window))
+                spans[ref.chain] = (min(lo, ref.height - window), max(hi, ref.height + window))
 
-    included: dict[int, list[BlockRef]] = {}
-    for cid in federation.chain_ids():
-        refs = sorted(federation.chain(cid).live_refs(), key=lambda r: (r.height, r.branch))
-        if window is not None and cid in ref_heights:
-            lo = min(ref_heights[cid]) - window
-            hi = max(ref_heights[cid]) + window
-            refs = [r for r in refs if lo <= r.height <= hi]
-        included[cid] = refs
-
-    keys: list[VertexKey] = []
-    for cid in federation.chain_ids():
-        for ref in included[cid]:
-            keys.extend(_vertices_for(federation, ref, mode))
-    keys.sort()
-    vertex_of = {key: i for i, key in enumerate(keys)}
-
-    structural: list[Simplex] = [Simplex((i,)) for i in range(len(keys))]
-
-    def edge(a: VertexKey, b: VertexKey) -> None:
-        structural.append(Simplex.of(vertex_of[a], vertex_of[b]))
-
+    replicated = mode is TopologyMode.REPLICATED
+    vertex_of: dict[VertexKey, int] = {}
+    cells: set[Cell] = set()
+    v = 0  # the next vertex id
     for cid in federation.chain_ids():
         chain = federation.chain(cid)
-        in_window = set(included[cid])
-
-        # parent links (covers fork spawn: the parent joins both children)
-        for ref in included[cid]:
-            block = chain.block(ref)
-            parent = block.parent_ref
-            if parent is None or parent not in in_window:
-                continue
-            if mode is TopologyMode.REPLICATED and ref.branch == 0 and parent.branch == 0:
-                for r in range(chain.replicas):
-                    edge((parent.chain, parent.height, parent.branch, r), (cid, ref.height, ref.branch, r))
-            else:
-                edge((parent.chain, parent.height, parent.branch, 0), (cid, ref.height, ref.branch, 0))
-
-        # stitch a branch tip to the successor block that continues the chain
+        trunk_copies = chain.replicas if replicated else 1
+        tips: dict[int, list[int]] = {}  # height -> live branches whose tip is there
         for label in chain.live_branch_labels():
-            info = chain.branches[label]
-            if info.tip < 0:
-                continue
-            tip = BlockRef(cid, info.tip, label)
-            if tip not in in_window:
-                continue
-            for succ in chain.live_block_at(info.tip + 1):
-                if succ in in_window and chain.block(succ).parent_ref != tip:
-                    edge((cid, tip.height, tip.branch, 0), (cid, succ.height, succ.branch, 0))
-
-        # replica groups: all copies at one height form a single simplex
-        if mode is TopologyMode.REPLICATED:
-            by_height: dict[int, list[BlockRef]] = {}
-            for ref in included[cid]:
-                by_height.setdefault(ref.height, []).append(ref)
-            for height, refs in sorted(by_height.items()):
-                group: list[int] = []
-                for ref in refs:
-                    group.extend(vertex_of[k] for k in _vertices_for(federation, ref, mode))
-                if len(group) >= 2:
-                    structural.append(Simplex(tuple(sorted(group))))
+            tips.setdefault(chain.branches[label].tip, []).append(label)
+        below: dict[int, int] = {}  # branch -> first vertex id, one height down
+        for height, refs in chain.live_rows(*spans.get(cid, (0, None))):
+            start = v
+            here: dict[int, int] = {}
+            stitched = tips.get(height - 1, ())
+            for ref in refs:
+                branch = ref.branch
+                here[branch] = v
+                copies = trunk_copies if branch == 0 else 1
+                for r in range(copies):
+                    vertex_of[(cid, height, branch, r)] = v + r
+                if below:  # else the lowest height built: no parent in the window
+                    # the parent link (covers fork spawn: the parent joins
+                    # both children); a trunk block's parent is on the
+                    # trunk, so their copies link replica by replica
+                    parent_branch = chain.block(ref).parent_ref.branch
+                    p = below[parent_branch]
+                    for r in range(copies):
+                        cells.add((p + r, v + r))
+                    # stitch each live branch tip below to the blocks it did not parent
+                    for label in stitched:
+                        if label != parent_branch:
+                            cells.add((below[label], v))
+                v += copies
+            # replica groups: all copies at one height form a single cell
+            if v - start >= 2 and replicated:
+                cells.add(tuple(range(start, v)))
+            below = here
 
     txn_tops: dict[int, Simplex] = {}
     for txn in transactions:
         verts: list[int] = []
-        for ref in expand_refs(federation, txn):
-            for key in _vertices_for(federation, ref, mode):
-                if key not in vertex_of:
-                    raise ChainError(f"txn {txn.id}: block {ref} outside the built window")
-                verts.append(vertex_of[key])
-        txn_tops[txn.id] = Simplex(tuple(sorted(verts)))
+        for ref in expand_refs(federation, txn):  # canonical order: ids ascend
+            first = vertex_of.get((ref.chain, ref.height, ref.branch, 0))
+            if first is None:
+                raise ChainError(f"txn {txn.id}: block {ref} outside the built window")
+            copies = federation.chain(ref.chain).replicas if replicated and ref.branch == 0 else 1
+            verts.extend(range(first, first + copies))
+        txn_tops[txn.id] = Simplex(tuple(verts))
 
-    return TaggedComplex(frozenset(structural), dict(sorted(txn_tops.items())), vertex_of)
+    return TaggedComplex(frozenset(cells), dict(sorted(txn_tops.items())), vertex_of)
 
 
 def transaction_simplex(

@@ -61,6 +61,12 @@ def assert_chain_matches_rescan(chain: Chain) -> None:
     assert chain.live_refs() == live
     for height in range(max(r.height for r in chain.all_refs()) + 2):
         assert chain.live_block_at(height) == sorted(r for r in live if r.height == height)
+    heights = sorted({r.height for r in live})
+    assert heights == list(range(len(heights)))  # no gap from genesis up
+    rows = [(h, tuple(sorted(r for r in live if r.height == h))) for h in heights]
+    assert list(chain.live_rows()) == rows
+    assert list(chain.live_rows(-1, 2)) == rows[:3]
+    assert list(chain.live_rows(2)) == rows[2:]
     assert chain.compensated_refs() == rescan_compensated(chain)
     assert chain.ledger() == rescan_ledger(chain)
     for ref in chain.all_refs():
@@ -86,12 +92,10 @@ def draw_update(data) -> AssetUpdate:
     return AssetUpdate(frm, to, data.draw(st.sampled_from("XY")), data.draw(st.integers(1, 5)))
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_maintained_state_equals_rescan_after_every_step(data):
-    chain = Chain(1, assets=("X", "Y"))
-    assert_chain_matches_rescan(chain)
-    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+def random_history(data, chain: Chain, max_steps: int = 25):
+    """Grow ``chain`` by a drawn run of append, compensate, spawn_fork
+    and resolve_forks steps, yielding after each step."""
+    for _ in range(data.draw(st.integers(1, max_steps), label="steps")):
         step = data.draw(st.sampled_from(["append", "append", "compensate", "fork", "resolve"]))
         if step in ("append", "compensate"):
             branch = data.draw(st.sampled_from(chain.live_branch_labels()))
@@ -105,6 +109,15 @@ def test_maintained_state_equals_rescan_after_every_step(data):
             chain.spawn_fork(data.draw(st.sampled_from(heights)) + 1)
         else:
             chain.resolve_forks()
+        yield
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_maintained_state_equals_rescan_after_every_step(data):
+    chain = Chain(1, assets=("X", "Y"))
+    assert_chain_matches_rescan(chain)
+    for _ in random_history(data, chain):
         assert_chain_matches_rescan(chain)
 
 

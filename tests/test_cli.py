@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topocbt.cli import main
-from topocbt.scenario import CAR_TRADING_TEXT, car_trading
+from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading
 from topocbt.simplicial import complex_from_text
 from topocbt.wal import WalKind, WriteAheadLog
 from test_simplicial import dense_betti
@@ -317,3 +318,72 @@ def test_out_of_range_number_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: line 12: field balance: ")
+
+
+# -- scenario fuzzing through `topocbt run` ----------------------------------------
+
+SCENARIO_TEXTS = [CAR_TRADING_TEXT] + [p.read_text() for p in sorted(DATA.glob("*.scenario"))]
+# "\n" ends a line; str.splitlines() would break at all the others too
+BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+PIECES = st.sampled_from(BREAKS + [" ", "\t", "=", "#", "[", "]", ":", ";", ",", "x", "-", "\u00e9"])
+# small numbers only: a long chain or many replicas is a slow run, not a bad one
+VALUES = st.sampled_from([
+    "", "0", "1", "2", "3", "-1", "x", "a b", "X", "1:1 2:1", "1:2 ; a b X 1", "2:2:1",
+    "abstract", "replicated", "topocbt", "ac2s", "ac3wn", "crash_after_record", "walk_away", str(2**64),
+])
+HEADERS = [f"[{section}]" for section in SECTION_KEYS] + ["[planet]", "[chain"]
+KEYS = sorted(set().union(*SECTION_KEYS.values())) + ["colour"]
+
+
+@st.composite
+def mutated_scenario_text(draw):
+    lines = draw(st.sampled_from(SCENARIO_TEXTS)).split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        op = draw(st.sampled_from(["insert", "delete", "drop", "copy", "swap", "value"]))
+        if op == "insert":
+            at = draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + draw(PIECES) + line[at:]
+        elif op == "delete" and line:
+            at = draw(st.integers(0, len(line) - 1))
+            lines[i] = line[:at] + line[at + 1:]
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], line
+        elif op == "value" and "=" in line:
+            lines[i] = line.partition("=")[0] + "= " + draw(VALUES)
+    return "\n".join(lines)
+
+
+RANDOM_SCENARIO_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(HEADERS),
+        st.builds("{} = {}".format, st.sampled_from(KEYS), VALUES),
+        PIECES,
+    ),
+    max_size=16,
+).map("\n".join)
+
+
+@given(st.one_of(mutated_scenario_text(), RANDOM_SCENARIO_TEXT))
+@settings(max_examples=200, deadline=None)
+def test_run_fuzz_is_a_report_or_one_error_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.scenario"
+    path.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", "--scenario", str(path)])
+    if code == 0:
+        assert out.getvalue().startswith("scenario,") and "error:" not in err.getvalue()
+        return
+    assert (code, out.getvalue()) == (2, "")
+    # one line: the message may echo any character but "\n"
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert err.getvalue().endswith("\n")
+    for number in re.findall(r"\bline (\d+)", err.getvalue()):
+        assert int(number) <= text.count("\n") + 1

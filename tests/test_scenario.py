@@ -12,6 +12,7 @@ from topocbt.scenario import (
     random_scenario,
 )
 from topocbt.topology import TopologyMode
+from test_simplicial import NOT_NEWLINES
 
 
 def test_builtin_car_trading_shape():
@@ -92,6 +93,14 @@ def test_parse_errors_carry_line_and_field():
         parse_scenario("[failure]\ntxn = 1\nkind = gremlins\n")
     with pytest.raises(ScenarioError, match="chain:height"):
         parse_scenario("[txn]\nid = 1\nblocks = 1-2\n")
+
+
+@pytest.mark.parametrize("sep", NOT_NEWLINES, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_line_numbers_count_newlines_only(sep):
+    # one line: a header followed by junk, so it is no header at all
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(f"[scenario]{sep}name = x\n")
+    assert info.value.line == 1
 
 
 def test_comments_and_blank_lines_ignored():

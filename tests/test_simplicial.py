@@ -249,6 +249,16 @@ def test_text_rejects_bad_lines():
         complex_from_text("0 1\n2 2\n")
 
 
+# str.splitlines() also breaks at these; the formats break lines at "\n" only
+NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@pytest.mark.parametrize("sep", NOT_NEWLINES, ids=lambda sep: f"U+{ord(sep):04X}")
+def test_text_line_numbers_count_newlines_only(sep):
+    with pytest.raises(ValueError, match=r"^line 1: "):
+        complex_from_text(f"0 1{sep}2 2\n")
+
+
 def test_text_output_is_sorted_and_stable():
     c = closed((2, 7), (0, 1))
     text = complex_to_text(c)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from topocbt import gf2, simplicial
 from topocbt.chain import BlockRef, Chain, ChainError, Federation
-from topocbt.harness import betti_report
+from topocbt.harness import _replay, betti_report
 from topocbt.rng import SplitMix64
 from topocbt.scenario import car_trading, grid_scenario, load_scenario, random_scenario
-from topocbt.simplicial import Simplex
+from topocbt.simplicial import Simplex, SimplicialComplex, betti_from_cells, close_by_dimension
 from topocbt.topology import (
     CrossChainTransaction,
     SubTransaction,
@@ -22,6 +23,8 @@ from topocbt.topology import (
     teardown_transaction,
     transaction_simplex,
 )
+from topocbt.wal import WriteAheadLog
+from test_chain_state import random_history
 from test_simplicial import dense_betti
 
 
@@ -216,6 +219,178 @@ def test_building_a_wide_deal_enumerates_no_faces(monkeypatch):
     monkeypatch.setattr(Simplex, "closure", no_closure)
     assert transaction_simplex(fed, deal) == top
     assert build_federation_complex(fed, [deal]).txn_tops == {1: top}
+
+
+# -- the build against a generator-by-generator reference ----------------------------
+
+def reference_build(federation, transactions=(), mode=TopologyMode.ABSTRACT, window=None):
+    """(structural, txn_tops, vertex_of) made one validated Simplex per
+    generator: live refs sorted per chain, vertex keys sorted globally,
+    window membership tested as a set of refs."""
+    transactions = list(transactions)
+
+    def copies(ref):
+        if mode is TopologyMode.REPLICATED and ref.branch == 0:
+            return [(ref.chain, ref.height, ref.branch, r) for r in range(federation.chain(ref.chain).replicas)]
+        return [(ref.chain, ref.height, ref.branch, 0)]
+
+    ref_heights = {}
+    for t in transactions:
+        for ref in t.blocks:
+            ref_heights.setdefault(ref.chain, []).append(ref.height)
+    included = {}
+    for cid in federation.chain_ids():
+        refs = sorted(federation.chain(cid).live_refs())
+        if window is not None and cid in ref_heights:
+            lo, hi = min(ref_heights[cid]) - window, max(ref_heights[cid]) + window
+            refs = [r for r in refs if lo <= r.height <= hi]
+        included[cid] = refs
+    keys = sorted(key for cid in federation.chain_ids() for ref in included[cid] for key in copies(ref))
+    vertex_of = {key: i for i, key in enumerate(keys)}
+    structural = [Simplex((i,)) for i in range(len(keys))]
+
+    def edge(a, b):
+        structural.append(Simplex.of(vertex_of[a], vertex_of[b]))
+
+    for cid in federation.chain_ids():
+        chain = federation.chain(cid)
+        in_window = set(included[cid])
+        for ref in included[cid]:
+            parent = chain.block(ref).parent_ref
+            if parent is None or parent not in in_window:
+                continue
+            if mode is TopologyMode.REPLICATED and ref.branch == 0 and parent.branch == 0:
+                for r in range(chain.replicas):
+                    edge((cid, parent.height, parent.branch, r), (cid, ref.height, ref.branch, r))
+            else:
+                edge((cid, parent.height, parent.branch, 0), (cid, ref.height, ref.branch, 0))
+        for label in chain.live_branch_labels():
+            info = chain.branches[label]
+            tip = BlockRef(cid, info.tip, label)
+            if info.tip < 0 or tip not in in_window:
+                continue
+            for succ in chain.live_block_at(info.tip + 1):
+                if succ in in_window and chain.block(succ).parent_ref != tip:
+                    edge((cid, tip.height, label, 0), (cid, succ.height, succ.branch, 0))
+        if mode is TopologyMode.REPLICATED:
+            for height in sorted({r.height for r in included[cid]}):
+                group = sorted(vertex_of[k] for r in included[cid] if r.height == height for k in copies(r))
+                if len(group) >= 2:
+                    structural.append(Simplex(tuple(group)))
+
+    txn_tops = {}
+    for t in transactions:
+        verts = []
+        for ref in expand_refs(federation, t):
+            for key in copies(ref):
+                if key not in vertex_of:
+                    raise ChainError(f"txn {t.id}: block {ref} outside the built window")
+                verts.append(vertex_of[key])
+        txn_tops[t.id] = Simplex(tuple(sorted(verts)))
+    return frozenset(structural), dict(sorted(txn_tops.items())), vertex_of
+
+
+def assert_build_matches_reference(federation, transactions, mode, window):
+    try:
+        expected = reference_build(federation, transactions, mode, window)
+    except ChainError as exc:
+        with pytest.raises(ChainError, match=f"^{exc}$"):
+            build_federation_complex(federation, transactions, mode, window)
+        return
+    tagged = build_federation_complex(federation, transactions, mode, window)
+    assert (tagged.structural, tagged.txn_tops, tagged.vertex_of) == expected
+    assert list(tagged.txn_tops) == list(expected[1])
+    structural, tops, _ = expected
+    generators = [s.vertices for s in structural] + [s.vertices for s in tops.values()]
+    assert tagged.betti_numbers() == betti_from_cells(close_by_dimension(generators))
+
+
+def test_fork_off_a_surviving_fork_matches_reference():
+    # branch 1 wins at height 2, so a later fork hangs off branch 1, not the trunk
+    chain = Chain(1, replicas=2)
+    for _ in range(3):
+        chain.append_block(0, ())
+    first = chain.spawn_fork(2)
+    for _ in range(3):
+        chain.append_block(first, ())
+    assert chain.resolve_forks() == first
+    second = chain.spawn_fork(3)
+    chain.append_block(second, ())
+    assert chain.block(BlockRef(1, 3, second)).parent_ref == BlockRef(1, 2, first)
+    fed = Federation()
+    fed.add_chain(chain)
+    fed.add_chain(Chain(2))
+    deal = txn(1, [(1, 3, first), (2, 0, 0)])
+    for mode in TopologyMode:
+        for window in (None, 0, 1):
+            assert_build_matches_reference(fed, [deal], mode, window)
+
+
+def build_corpus():
+    for n in range(2, 7):
+        for m in range(1, 5):
+            yield pytest.param(grid_scenario(n, m), id=f"grid-{n}-{m}")
+    for seed in range(200):
+        yield pytest.param(random_scenario(seed), id=f"random-{seed}")
+
+
+@pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("scenario", build_corpus())
+def test_build_equals_reference_build(scenario, mode):
+    # at events 0, 1, n/2 and n, with every window
+    scenario = replace(scenario, mode=mode)
+    transactions = scenario.transactions()
+    n = len(transactions)
+    federation = scenario.build_federation()
+    rows = _replay(scenario, federation, WriteAheadLog())
+    done = 0
+    for k in sorted({0, 1, n // 2, n}):
+        for _ in islice(rows, k - done):
+            pass
+        done = k
+        for window in (None, 0, 1, 3):
+            assert_build_matches_reference(federation, transactions[k:], mode, window)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_build_equals_reference_build_on_random_histories(data):
+    fed = Federation()
+    for cid in range(1, data.draw(st.integers(1, 3), label="chains") + 1):
+        chain = fed.add_chain(Chain(cid, replicas=data.draw(st.integers(1, 3)), assets=("X", "Y")))
+        for _ in random_history(data, chain, max_steps=12):
+            pass
+    txns = []
+    for tid in range(1, data.draw(st.integers(0, 3), label="txns") + 1):
+        # any block, dead ones included: both builds must refuse those alike
+        cids = data.draw(st.lists(st.sampled_from(fed.chain_ids()), min_size=1, unique=True))
+        refs = [data.draw(st.sampled_from(fed.chain(cid).all_refs())) for cid in sorted(cids)]
+        txns.append(CrossChainTransaction(tid, ("a", "b"), tuple(refs), ()))
+    mode = data.draw(st.sampled_from(list(TopologyMode)))
+    window = data.draw(st.sampled_from([None, 0, 1, 3]))
+    assert_build_matches_reference(fed, txns, mode, window)
+
+
+def test_one_simplex_per_transaction_top(monkeypatch):
+    made = []
+    post_init = Simplex.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Simplex, "__post_init__", counted)
+    fed = federation_of([200, 200, 200])
+    deal = txn(1, [(1, 200, 0), (2, 150, 0), (3, 7, 0)], parties=("a", "b", "c"))
+    assert transaction_simplex(fed, deal).dimension == 2
+    assert len(made) == 1
+    made.clear()
+    txns = [deal, txn(2, [(1, 3, 0), (3, 3, 0)]), txn(3, [(2, 9, 0), (3, 9, 0)])]
+    tagged = build_federation_complex(fed, txns)
+    assert tagged.betti_numbers() == (1, 2, 0)
+    assert len(made) == len(txns)
+    assert "structural" not in tagged.__dict__
+    assert "complex" not in tagged.__dict__
 
 
 # -- Betti numbers against the dense oracle ---------------------------------------------
