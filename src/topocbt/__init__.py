@@ -51,7 +51,6 @@ from .simplicial import (
     complex_from_text,
     complex_to_text,
     read_complex,
-    write_complex,
 )
 from .topology import (
     CrossChainTransaction,

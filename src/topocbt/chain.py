@@ -168,12 +168,6 @@ class Chain:
     def all_refs(self) -> list[BlockRef]:
         return sorted(self._blocks)
 
-    def tip_ref(self, branch: int) -> BlockRef:
-        info = self.branches[branch]
-        if info.tip < 0:
-            raise ChainError(f"branch {branch} has no blocks yet")
-        return BlockRef(self.id, info.tip, branch)
-
     def live_branch_labels(self) -> list[int]:
         return sorted(b for b, info in self.branches.items() if info.live)
 

@@ -1,60 +1,54 @@
-"""Dense linear algebra over GF(2).
+"""Dense linear algebra over GF(2): the tests' independent oracle.
 
-Row reduction and rank on numpy uint8 matrices using XOR row
-operations.  Pivoting is deterministic: columns are scanned left to
-right and the first nonzero row at or below the current pivot row is
-chosen, so identical inputs always reduce identically.
+A matrix is a sequence of rows of 0/1 ints.  Row reduction XORs whole
+rows.  Pivoting is deterministic: columns are scanned left to right
+and the first nonzero row at or below the current pivot row is chosen,
+so identical inputs always reduce identically.  This is the plain dense
+algorithm on purpose, independent of the column bitsets with clearing
+that :func:`topocbt.simplicial.betti_from_cells` uses.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
+
+Matrix = Sequence[Sequence[int]]
 
 
-def gf2_row_echelon(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduce a binary matrix to row-echelon form over GF(2).
-
-    Args:
-        matrix: binary matrix (m x n), values in {0, 1}.
-
-    Returns:
-        (echelon, pivot_cols) where pivot_cols lists the pivot column
-        indices; its length is the GF(2) rank.
-    """
-    reduced = (np.asarray(matrix, dtype=np.uint8) & 1).copy()
-    if reduced.ndim != 2:
-        raise ValueError("expected a 2-dimensional matrix")
-    n_rows, n_cols = reduced.shape
+def gf2_row_echelon(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Reduce a binary matrix (rows of equal length) to row-echelon form
+    over GF(2); returns (echelon, pivot_cols), the pivot column indices,
+    whose length is the GF(2) rank."""
+    reduced = [[x & 1 for x in row] for row in matrix]
+    n_rows = len(reduced)
+    n_cols = len(reduced[0]) if reduced else 0
+    if any(len(row) != n_cols for row in reduced):
+        raise ValueError("every row needs the same length")
 
     pivot_cols: list[int] = []
     pivot_row = 0
     for col in range(n_cols):
         if pivot_row >= n_rows:
             break
-        hits = np.nonzero(reduced[pivot_row:, col])[0]
-        if hits.size == 0:
+        found = next((i for i in range(pivot_row, n_rows) if reduced[i][col]), None)
+        if found is None:
             continue
-        found = pivot_row + int(hits[0])
-        if found != pivot_row:
-            reduced[[pivot_row, found]] = reduced[[found, pivot_row]]
-        below = np.nonzero(reduced[pivot_row + 1 :, col])[0] + pivot_row + 1
-        reduced[below] ^= reduced[pivot_row]
+        reduced[pivot_row], reduced[found] = reduced[found], reduced[pivot_row]
+        pivot = reduced[pivot_row]
+        for i in range(pivot_row + 1, n_rows):
+            if reduced[i][col]:
+                reduced[i] = [a ^ b for a, b in zip(reduced[i], pivot)]
         pivot_cols.append(col)
         pivot_row += 1
     return reduced, pivot_cols
 
 
-def gf2_rank(matrix: np.ndarray) -> int:
+def gf2_rank(matrix: Matrix) -> int:
     """GF(2) rank of a dense binary matrix. Empty matrices have rank 0."""
-    arr = np.asarray(matrix, dtype=np.uint8)
-    if arr.size == 0:
-        return 0
-    _, pivot_cols = gf2_row_echelon(arr)
-    return len(pivot_cols)
+    return len(gf2_row_echelon(matrix)[1])
 
 
-def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def gf2_matmul(a: Matrix, b: Matrix) -> list[list[int]]:
     """Matrix product over GF(2)."""
-    a = np.asarray(a, dtype=np.uint8) & 1
-    b = np.asarray(b, dtype=np.uint8) & 1
-    return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
+    cols = list(zip(*b))
+    return [[sum(x & y for x, y in zip(row, col)) & 1 for col in cols] for row in a]

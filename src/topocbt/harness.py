@@ -14,11 +14,11 @@ may produce (everything applied, or nothing).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Optional
-
-import numpy as np
 
 from .baselines import SimClock, ac2s_execute, ac3wn_execute
 from .chain import Federation
@@ -319,29 +319,43 @@ class FitResult:
 
     @property
     def nonnegative(self) -> bool:
-        return all(c >= -1e-9 for c in self.coefficients)
+        return all(c >= 0 for c in self.coefficients)
 
 
 def fit_ops(points: list[tuple[int, int, int]], basis: str) -> FitResult:
-    """Least-squares fit of measured op counts.
+    """Least-squares fit of measured op counts, solved exactly.
 
     basis "n2_nm_1" fits a*n^2 + b*n*m + c; basis "mn2_1" fits
-    a*m*n^2 + c.
+    a*m*n^2 + c.  The normal equations X^T X beta = X^T y are solved by
+    Gauss-Jordan elimination over Fractions, so the coefficients and
+    the residual are exact until the final float conversion.
     """
     if len(points) < 6:
         raise ValueError(f"need at least 6 grid points, got {len(points)}")
-    y = np.array([ops for _, _, ops in points], dtype=float)
     if basis == "n2_nm_1":
         names = ("n^2", "n*m", "1")
-        design = np.array([[n * n, n * m, 1.0] for n, m, _ in points])
+        design = [(n * n, n * m, 1) for n, m, _ in points]
     elif basis == "mn2_1":
         names = ("m*n^2", "1")
-        design = np.array([[m * n * n, 1.0] for n, m, _ in points])
+        design = [(m * n * n, 1) for n, m, _ in points]
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    coeffs, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    residual = design @ coeffs - y
-    ratio = float(np.linalg.norm(residual) / np.linalg.norm(y))
+    y = [ops for _, _, ops in points]
+    k = len(names)
+    # [X^T X | X^T y] is the first k rows of [X | y]^T [X | y]
+    augmented = [(*x, t) for x, t in zip(design, y)]
+    rows = [[Fraction(sum(r[i] * r[j] for r in augmented)) for j in range(k + 1)] for i in range(k)]
+    for col in range(k):
+        # X^T X is positive semidefinite: a zero pivot means dependent columns
+        if not rows[col][col]:
+            raise ValueError(f"the grid points cannot separate the basis {' + '.join(names)}")
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(k):
+            if i != col and (f := rows[i][col]):
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    coeffs = [row[k] for row in rows]
+    residual = sum((sum(c * v for c, v in zip(coeffs, x)) - t) ** 2 for x, t in zip(design, y))
+    ratio = math.sqrt(residual / sum(t * t for t in y))
     return FitResult(basis=names, coefficients=tuple(float(c) for c in coeffs), residual_ratio=ratio)
 
 

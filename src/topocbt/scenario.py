@@ -458,7 +458,12 @@ def load_scenario(source: str) -> tuple[Scenario, bytes]:
     if not path.exists():
         raise ScenarioError(f"no scenario file {source!r} and no built-in of that name")
     raw = path.read_bytes()
-    return parse_scenario(raw.decode("utf-8")), raw
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", line) from None
+    return parse_scenario(text), raw
 
 
 # -- programmatic generators ------------------------------------------------

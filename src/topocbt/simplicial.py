@@ -7,9 +7,9 @@ dimension (:func:`betti_from_cells`): rank d1 is the vertex count less
 the union-find component count, and rank dk for k >= 2 comes from a
 column reduction whose columns are Python ints used as bitsets, with
 clearing.  Ranks do not depend on any ordering, so results are
-bit-for-bit reproducible.  The dense numpy boundary matrices
-(:meth:`SimplicialComplex.boundary_matrix` with ``gf2_rank``) stay as
-the tests' independent oracle.
+bit-for-bit reproducible.  The dense boundary matrices, tuples of 0/1
+rows (:meth:`SimplicialComplex.boundary_matrix` with ``gf2_rank``),
+stay as the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .gf2 import gf2_rank
 from .unionfind import UnionFind
@@ -86,7 +84,7 @@ class BoundaryMatrix:
     k: int
     rows: tuple[Simplex, ...]
     cols: tuple[Simplex, ...]
-    data: np.ndarray
+    data: tuple[tuple[int, ...], ...]  # one row per (k-1)-simplex
 
     def rank(self) -> int:
         return gf2_rank(self.data)
@@ -181,11 +179,11 @@ class SimplicialComplex:
         rows = self.simplices_of_dim(k - 1)
         cols = self.simplices_of_dim(k)
         row_index = {s: i for i, s in enumerate(rows)}
-        data = np.zeros((len(rows), len(cols)), dtype=np.uint8)
+        data = [[0] * len(cols) for _ in rows]
         for j, s in enumerate(cols):
             for face in s.boundary():
-                data[row_index[face], j] = 1
-        return BoundaryMatrix(k=k, rows=tuple(rows), cols=tuple(cols), data=data)
+                data[row_index[face]][j] = 1
+        return BoundaryMatrix(k=k, rows=tuple(rows), cols=tuple(cols), data=tuple(map(tuple, data)))
 
     def betti_numbers(self) -> tuple[int, ...]:
         """Betti numbers (b_0 .. b_dim) over GF(2); () for the empty complex.
@@ -294,8 +292,8 @@ def _reduced_rank(cols: list[Cell], rows: list[Cell], cleared: set[int]) -> tupl
 #
 # One simplex per line: ascending base-10 vertex ids (ASCII digits only)
 # separated by single spaces.  Lines starting with '#' are comments.
-# Reading applies face closure, so write -> read round-trips the member
-# set.
+# Reading applies face closure, so complex_to_text -> complex_from_text
+# round-trips the member set.
 
 
 def text_order(complex_: SimplicialComplex) -> list[Simplex]:
@@ -324,11 +322,6 @@ def complex_from_text(text: str) -> SimplicialComplex:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     return SimplicialComplex.from_simplices(simplices)
-
-
-def write_complex(complex_: SimplicialComplex, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(complex_to_text(complex_))
 
 
 def read_complex(path) -> SimplicialComplex:

@@ -1,3 +1,4 @@
+import functools
 import io
 import re
 import struct
@@ -9,12 +10,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topocbt.cli import main
-from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading
+from topocbt.harness import run_scenario
+from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading, load_scenario
 from topocbt.simplicial import complex_from_text
 from topocbt.wal import WalKind, WriteAheadLog
 from test_simplicial import dense_betti
 
 DATA = Path(__file__).parent / "data"
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code: int, out: str, err: str) -> None:
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_run_builtin_to_file(tmp_path, capsys):
@@ -124,16 +138,13 @@ LINES = st.one_of(
 def test_betti_complex_fuzz_is_a_betti_line_or_one_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "fuzz.complex"
     path.write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["betti", "--complex", str(path)])
+    code, out, err = run_main(["betti", "--complex", str(path)])
     if well_formed(data):
         betti = dense_betti(complex_from_text(data.decode("ascii")))
-        assert (code, out.getvalue(), err.getvalue()) == (0, "betti: " + " ".join(map(str, betti)) + "\n", "")
+        assert (code, out, err) == (0, "betti: " + " ".join(map(str, betti)) + "\n", "")
     else:
-        assert (code, out.getvalue()) == (2, "")
-        assert err.getvalue().startswith("error: line ")
-        assert len(err.getvalue().splitlines()) == 1
+        assert_one_error_line(code, out, err)
+        assert err.startswith("error: line ") and len(err.splitlines()) == 1
 
 
 def test_scenario_with_a_non_ascii_digit_is_one_error_line(tmp_path, capsys):
@@ -143,6 +154,15 @@ def test_scenario_with_a_non_ascii_digit_is_one_error_line(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == ["error: line 10: field length: expected integer, got '\u0662'"]
+
+
+def test_non_utf8_scenario_names_the_line_of_the_bad_byte(tmp_path, capsys):
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes(b"[scenario]\nname = x\xff\n")
+    assert main(["run", "--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: line 2: not UTF-8 text: invalid start byte at byte 19"]
 
 
 def test_betti_out_of_range_event(capsys):
@@ -174,6 +194,15 @@ def test_fit_default_grid(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "fits better" in out
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["fit"], "fit_grid_6_4.txt"),
+    (["fit", "--grid", "10,6"], "fit_grid_10_6.txt"),
+], ids=["default-grid", "grid-10-6"])
+def test_fit_prints_the_golden_lines(capsys, argv, golden):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
 
 def test_fit_rejects_bad_grid(capsys):
@@ -375,15 +404,73 @@ RANDOM_SCENARIO_TEXT = st.lists(
 def test_run_fuzz_is_a_report_or_one_error_line(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "fuzz.scenario"
     path.write_bytes(text.encode("utf-8"))
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["run", "--scenario", str(path)])
+    code, out, err = run_main(["run", "--scenario", str(path)])
     if code == 0:
-        assert out.getvalue().startswith("scenario,") and "error:" not in err.getvalue()
+        assert out.startswith("scenario,") and "error:" not in err
         return
-    assert (code, out.getvalue()) == (2, "")
     # one line: the message may echo any character but "\n"
-    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    assert err.getvalue().endswith("\n")
-    for number in re.findall(r"\bline (\d+)", err.getvalue()):
+    assert_one_error_line(code, out, err)
+    for number in re.findall(r"\bline (\d+)", err):
         assert int(number) <= text.count("\n") + 1
+
+
+# -- fuzzing `topocbt recover` and `topocbt betti --scenario` -----------------------
+
+SHIPPED = ["car-trading"] + [str(p) for p in sorted(DATA.glob("*.scenario"))]
+
+
+@functools.cache
+def shipped_log_frames(index: int) -> tuple[bytes, ...]:
+    """The records a shipped scenario's run logs, each as its framed bytes."""
+    report = run_scenario(load_scenario(SHIPPED[index])[0], 1, compute_betti=False)
+    return tuple(rec.to_bytes() for rec in report.wal.records)
+
+
+@st.composite
+def mutated_shipped_log(draw):
+    """A shipped scenario and a mutated copy of its own log: records
+    spliced in from any shipped log, then the bytes truncated or a bit
+    flipped."""
+    index = draw(st.integers(0, len(SHIPPED) - 1))
+    frames = list(shipped_log_frames(index))
+    for _ in range(draw(st.integers(0, 2))):
+        donor = shipped_log_frames(draw(st.integers(0, len(SHIPPED) - 1)))
+        a = draw(st.integers(0, len(donor)))
+        b = draw(st.integers(a, len(donor)))
+        c = draw(st.integers(0, len(frames)))
+        d = draw(st.integers(c, len(frames)))
+        frames[c:d] = donor[a:b]
+    data = bytearray(b"".join(frames))
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            del data[draw(st.integers(0, len(data))):]
+        elif data:
+            data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return SHIPPED[index], bytes(data)
+
+
+@given(mutated_shipped_log())
+@settings(max_examples=150, deadline=None)
+def test_recover_fuzz_is_two_digests_or_one_error_line(tmp_path_factory, case):
+    scenario, data = case
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.wal"
+    path.write_bytes(data)
+    code, out, err = run_main(["recover", "--wal", str(path), "--scenario", scenario])
+    if code == 0:
+        assert out.startswith("digest before recovery: ") and err == ""
+    else:
+        assert_one_error_line(code, out, err)
+
+
+@given(st.one_of(mutated_scenario_text(), RANDOM_SCENARIO_TEXT),
+       st.one_of(st.integers(-1, 5), st.integers()))
+@settings(max_examples=150, deadline=None)
+def test_betti_scenario_fuzz_is_a_betti_line_or_one_error_line(tmp_path_factory, text, at):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.scenario"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = run_main(["betti", "--scenario", str(path), "--at", str(at)])
+    if code == 0:
+        # an empty complex prints "betti: " and no numbers, as --complex does
+        assert re.fullmatch(r"betti: (\d+( \d+)*)?\n", out) and err == ""
+    else:
+        assert_one_error_line(code, out, err)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from itertools import islice
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from topocbt.harness import (
     AUDIT_ALL,
     AUDIT_NONE,
     AUDIT_PARTIAL,
+    FitResult,
     _replay,
     audit_atomicity,
     betti_report,
@@ -362,6 +364,25 @@ def test_identical_final_balances_across_protocols_failure_free():
 def test_fit_requires_enough_points():
     with pytest.raises(ValueError, match="at least 6"):
         fit_ops([(2, 1, 10)] * 5, "n2_nm_1")
+
+
+@pytest.mark.parametrize("points, basis, names", [
+    ([(3, 2, 40)] * 6, "n2_nm_1", "n^2 + n*m + 1"),
+    ([(3, 2, 40)] * 6, "mn2_1", "m*n^2 + 1"),
+    # on the diagonal m = n the n*m column equals the n^2 column
+    ([(n, n, 4 * n * n + 1) for n in range(2, 8)], "n2_nm_1", "n^2 + n*m + 1"),
+], ids=["one-point", "one-point-two-terms", "diagonal"])
+def test_fit_rejects_points_that_cannot_separate_the_basis(points, basis, names):
+    with pytest.raises(ValueError, match=re.escape(f"cannot separate the basis {names}")):
+        fit_ops(points, basis)
+
+
+def test_fit_is_exact_on_points_of_the_model():
+    points = [(n, m, 2 * n * n + 3 * n * m + 5) for n in range(2, 5) for m in range(1, 3)]
+    assert fit_ops(points, "n2_nm_1") == FitResult(("n^2", "n*m", "1"), (2.0, 3.0, 5.0), 0.0)
+    # a coefficient that is exactly 0 is nonnegative
+    squares = fit_ops([(n, m, n * n) for n, m, _ in points], "n2_nm_1")
+    assert squares.coefficients == (1.0, 0.0, 0.0) and squares.nonnegative
 
 
 def test_main_engine_fit_passes():

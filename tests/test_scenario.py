@@ -23,7 +23,7 @@ def test_builtin_car_trading_shape():
     assert len(scen.txns[0].subs) == 3
     fed = scen.build_federation()
     assert fed.balance("alice", "ETH") == 10
-    assert fed.chain(1).tip_ref(0) == BlockRef(1, 2, 0)
+    assert fed.chain(1).branches[0].tip == 2
 
 
 def test_load_builtin_by_name():

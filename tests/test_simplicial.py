@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +11,6 @@ from topocbt.simplicial import (
     complex_from_text,
     complex_to_text,
     read_complex,
-    write_complex,
 )
 from topocbt.unionfind import UnionFind
 
@@ -62,15 +60,15 @@ def test_validity_detects_missing_faces():
 def test_boundary_matrix_hollow_triangle():
     c = closed((0, 1), (1, 2), (0, 2))
     b1 = c.boundary_matrix(1)
-    assert b1.data.shape == (3, 3)
-    assert all(col.sum() == 2 for col in b1.data.T)
+    assert (len(b1.data), len(b1.data[0])) == (3, 3)
+    assert all(sum(col) == 2 for col in zip(*b1.data))
 
 
 def test_boundary_matrix_of_solid_tetrahedron_top():
     c = closed((0, 1, 2, 3))
     b3 = c.boundary_matrix(3)
-    assert b3.data.shape == (4, 1)
-    assert b3.data.sum() == 4
+    assert (len(b3.data), len(b3.data[0])) == (4, 1)
+    assert sum(map(sum, b3.data)) == 4
 
 
 def test_boundary_matrix_k_out_of_range():
@@ -196,7 +194,7 @@ def test_boundary_of_boundary_vanishes(seed):
     c = random_complex(SplitMix64(seed + 1000))
     for k in range(1, c.dimension):
         prod = gf2_matmul(c.boundary_matrix(k).data, c.boundary_matrix(k + 1).data)
-        assert not prod.any()
+        assert not any(map(any, prod))
 
 
 generators_on_12_vertices = st.lists(
@@ -234,7 +232,7 @@ def test_betti_invariant_under_relabeling(seed, perm_seed):
 def test_text_round_trip(tmp_path):
     c = closed((0, 1, 2, 3), (4, 5, 6), (3, 4))
     path = tmp_path / "complex.txt"
-    write_complex(c, path)
+    path.write_text(complex_to_text(c))
     assert read_complex(path).members() == c.members()
 
 
