@@ -30,7 +30,7 @@ from .engine import (
     Status,
     TopoCbtEngine,
 )
-from .baselines import SimClock, SwapState, SwapStep, ac2s_execute, ac3wn_execute
+from .baselines import SimClock, ac2s_execute, ac3wn_execute
 from .harness import (
     ComparisonTable,
     RunReport,

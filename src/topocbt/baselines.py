@@ -13,7 +13,6 @@ locks with no decision to act on: the run blocks.
 
 from __future__ import annotations
 
-import enum
 import logging
 import struct
 from dataclasses import dataclass
@@ -27,31 +26,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TIMELOCK = 10        # simulation ticks granted to claim a swap leg
 BLOCKING_HORIZON_FACTOR = 10  # locks held past factor * timelock => blocked
-
-
-class SwapState(enum.Enum):
-    OFFERED = "Offered"
-    CLAIMED = "Claimed"
-    EXPIRED = "Expired"
-
-
-@dataclass
-class SwapStep:
-    from_party: str
-    to_party: str
-    asset: str
-    amount: int
-    deadline: int
-    state: SwapState = SwapState.OFFERED
-
-    def claim(self, now: int) -> bool:
-        if self.state is SwapState.EXPIRED:
-            return False
-        if now > self.deadline:
-            self.state = SwapState.EXPIRED
-            return False
-        self.state = SwapState.CLAIMED
-        return True
 
 
 class SimClock:
@@ -157,15 +131,13 @@ def ac2s_execute(
             # with no coordinator, every leg re-verifies the whole
             # deal's blocks pairwise before it settles
             meter_ops += pair_count(n_blocks)
-            step = SwapStep(leg.owner_from, leg.owner_to, leg.asset, leg.amount,
-                            deadline=offered_at + DEFAULT_TIMELOCK)
             messages += 2  # offer + claim
             late = leg_no == len(legs) and (
                 plan.timeout_swap == number
                 or plan.face_failure(face_index) == UPDATE_FAILURE
             )
             claim_tick = clock.advance(DEFAULT_TIMELOCK + 1 if late else 1)
-            if not step.claim(claim_tick):
+            if claim_tick > offered_at + DEFAULT_TIMELOCK:
                 expired = True
                 worse_off.update(l.owner_from for l in legs[: leg_no - 1])
                 break

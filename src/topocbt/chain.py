@@ -311,9 +311,6 @@ class Chain:
                     bad.append(ref)
         return bad
 
-    def verify_hash_chain(self) -> bool:
-        return not self.hash_violations()
-
 
 @dataclass(frozen=True)
 class LockGrant:

@@ -243,20 +243,14 @@ class TopoCbtEngine:
 
         if failed:
             self._rollback(meter, undo_records)
-            self._write_record(meter, plan, txn.id, WalKind.ABORT)
-            meter.ops += pair_count(len(sigma.vertices))
-            self.federation.release_blocks(refs, txn.id)
-            meter.ops += len(refs)
-            meter.messages += len(refs)
-            return Outcome(Status.ABORTED, 0, meter.messages, meter.ops, 0)
-
-        commit = self._write_record(meter, plan, txn.id, WalKind.COMMIT)
+        terminal = self._write_record(meter, plan, txn.id, WalKind.ABORT if failed else WalKind.COMMIT)
         meter.ops += pair_count(len(sigma.vertices))
         self.federation.release_blocks(refs, txn.id)
         meter.ops += len(refs)
         meter.messages += len(refs)
-        return Outcome(Status.COMMITTED, applied, meter.messages, meter.ops,
-                          len(commit.to_bytes()))
+        if failed:
+            return Outcome(Status.ABORTED, 0, meter.messages, meter.ops, 0)
+        return Outcome(Status.COMMITTED, applied, meter.messages, meter.ops, len(terminal.to_bytes()))
 
     # -- restart path ------------------------------------------------------
 

@@ -10,6 +10,13 @@ run as written (a number its binary field cannot hold, a duplicate chain
 or txn id, a fork with no block below it, a failure that can never
 fire) is rejected with its line and field.
 
+A parsed :class:`Scenario` holds the chains to build, each transaction
+as the :class:`CrossChainTransaction` it runs (in declaration order)
+with its protocol by id, and each failure as its txn, its kind and the
+value of the one key that locates it.  ``FAILURE_KEYS`` maps a kind to
+that key and to the :class:`FailurePlan` field it sets, so a txn's plan
+is its failures folded into an empty plan.
+
 A scenario file alone fully determines a run; the built-in
 ``car-trading`` scenario is shipped as a fixed text constant so it
 replays byte-identically too.
@@ -17,12 +24,12 @@ replays byte-identically too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from .chain import AssetUpdate, BlockRef, Chain, Federation
-from .engine import FACE_FAILURE_KINDS, FailurePlan
+from .engine import FACE_FAILURE_KINDS, NO_FAILURES, FailurePlan
 from .rng import SplitMix64
 from .topology import CrossChainTransaction, SubTransaction, TopologyMode
 
@@ -52,35 +59,27 @@ class ChainSpec:
 
 
 @dataclass
-class TxnSpec:
-    id: int
-    protocol: str = "topocbt"
-    parties: tuple[str, ...] = ()
-    blocks: tuple[BlockRef, ...] = ()
-    subs: tuple[SubTransaction, ...] = ()
-
-
-@dataclass
 class FailureSpec:
     txn: int
     kind: str
-    face: Optional[int] = None
-    party: Optional[str] = None
-    swap: Optional[int] = None
-    record: Optional[int] = None
-    append: Optional[int] = None
+    at: Optional[int | str] = None  # the value of the kind's key; None for a kind with no key
 
 
-# Each failure kind and the one key that says where it strikes (None: no key).
-FAILURE_KEYS: dict[str, Optional[str]] = {kind: "face" for kind in FACE_FAILURE_KINDS} | {
-    "walk_away": "party",
-    "timeout": "swap",
-    "witness_crash": None,
-    "vote_abort": "face",
-    "crash_after_record": "record",
-    "crash_after_append": "append",
+# Each failure kind, the one key that says where it strikes (None: no
+# key), and the FailurePlan field it sets: face failures add a
+# (face, kind) pair, a kind with no key sets True, any other sets its key's value.
+FAILURE_KEYS: dict[str, tuple[Optional[str], str]] = {
+    kind: ("face", "face_failures") for kind in FACE_FAILURE_KINDS
+} | {
+    "walk_away": ("party", "walk_away"),
+    "timeout": ("swap", "timeout_swap"),
+    "witness_crash": (None, "witness_crash"),
+    "vote_abort": ("face", "vote_abort_face"),
+    "crash_after_record": ("record", "crash_after_record"),
+    "crash_after_append": ("append", "crash_after_append"),
 }
 FAILURE_KINDS = tuple(FAILURE_KEYS)
+LOCATING_KEYS = tuple(dict.fromkeys(key for key, _ in FAILURE_KEYS.values() if key))
 
 PROTOCOLS = ("topocbt", "ac2s", "ac3wn")
 
@@ -88,7 +87,7 @@ SECTION_KEYS = {
     "scenario": frozenset({"name", "mode", "epoch", "window"}),
     "chain": frozenset({"id", "replicas", "length", "assets", "fork", "balance"}),
     "txn": frozenset({"id", "protocol", "parties", "blocks", "sub"}),
-    "failure": frozenset({"txn", "kind", "face", "party", "swap", "record", "append"}),
+    "failure": frozenset({"txn", "kind", *LOCATING_KEYS}),
 }
 REPEATED_KEYS = frozenset({"fork", "balance", "sub"})
 
@@ -109,7 +108,8 @@ class Scenario:
     epoch: int = 0           # resolve forks every N transaction events; 0 = never
     window: Optional[int] = None
     chains: list[ChainSpec] = field(default_factory=list)
-    txns: list[TxnSpec] = field(default_factory=list)
+    txns: list[CrossChainTransaction] = field(default_factory=list)  # declaration order
+    protocols: dict[int, str] = field(default_factory=dict)          # txn id -> protocol
     failures: list[FailureSpec] = field(default_factory=list)
 
     def build_federation(self) -> Federation:
@@ -129,57 +129,25 @@ class Scenario:
         return federation
 
     def transactions(self) -> list[CrossChainTransaction]:
-        out = []
-        for spec in sorted(self.txns, key=lambda t: t.id):
-            out.append(
-                CrossChainTransaction(
-                    id=spec.id, parties=spec.parties, blocks=spec.blocks, sub_transactions=spec.subs
-                )
-            )
-        return out
+        return sorted(self.txns, key=lambda t: t.id)
 
     def protocol_for(self, txn_id: int) -> str:
-        for spec in self.txns:
-            if spec.id == txn_id:
-                return spec.protocol
-        raise ScenarioError(f"unknown txn {txn_id}")
+        if txn_id not in self.protocols:
+            raise ScenarioError(f"unknown txn {txn_id}")
+        return self.protocols[txn_id]
 
     def plan_for(self, txn_id: int) -> FailurePlan:
-        face_failures: list[tuple[int, str]] = []
-        crash_after_record = None
-        crash_after_append = None
-        witness_crash = False
-        vote_abort_face = None
-        walk_away = None
-        timeout_swap = None
+        plan = NO_FAILURES
         for f in self.failures:
-            if f.txn != txn_id:
-                continue
-            if f.kind in FACE_FAILURE_KINDS:
-                if f.face is None:
-                    raise ScenarioError(f"failure kind {f.kind} needs a face", fld="face")
-                face_failures.append((f.face, f.kind))
-            elif f.kind == "walk_away":
-                walk_away = f.party
-            elif f.kind == "timeout":
-                timeout_swap = f.swap
-            elif f.kind == "witness_crash":
-                witness_crash = True
-            elif f.kind == "vote_abort":
-                vote_abort_face = f.face
-            elif f.kind == "crash_after_record":
-                crash_after_record = f.record
-            elif f.kind == "crash_after_append":
-                crash_after_append = f.append
-        return FailurePlan(
-            face_failures=tuple(face_failures),
-            crash_after_record=crash_after_record,
-            crash_after_append=crash_after_append,
-            witness_crash=witness_crash,
-            vote_abort_face=vote_abort_face,
-            walk_away=walk_away,
-            timeout_swap=timeout_swap,
-        )
+            if f.txn == txn_id:
+                key, attr = FAILURE_KEYS[f.kind]
+                if key is not None and f.at is None:
+                    raise ScenarioError(f"failure kind {f.kind} needs a {key}", fld=key)
+                value = True if key is None else f.at
+                if attr == "face_failures":
+                    value = plan.face_failures + ((f.at, f.kind),)
+                plan = replace(plan, **{attr: value})
+        return plan
 
 
 # -- parsing -------------------------------------------------------------
@@ -226,22 +194,24 @@ def _parse_sub(value: str, line: int) -> SubTransaction:
     return SubTransaction(blocks=blocks, updates=tuple(updates))
 
 
-def _check_failure(spec: FailureSpec, lines: dict[str, int], txns: dict[int, TxnSpec]) -> None:
-    """Reject a failure that can never fire; ``lines`` maps each key (and
-    the section header, under "") to its line."""
-    txn = txns.get(spec.txn)
+def _check_failure(current: dict, lines: dict[str, int], txns: dict[int, CrossChainTransaction]) -> None:
+    """Reject a failure that can never fire; ``current`` is its parsed
+    section and ``lines`` maps each key (and the header, under "") to its line."""
+    txn = txns.get(current["txn"])
     if txn is None:
-        raise ScenarioError(f"no txn {spec.txn} is declared", lines["txn"], "txn")
-    wanted = FAILURE_KEYS[spec.kind]
-    for key in ("face", "party", "swap", "record", "append"):
-        if key == wanted and getattr(spec, key) is None:
-            raise ScenarioError(f"failure kind {spec.kind} needs a {key}", lines[""], key)
-        if key != wanted and getattr(spec, key) is not None:
-            raise ScenarioError(f"failure kind {spec.kind} takes no {key}", lines[key], key)
-    if spec.face is not None and spec.face > len(txn.subs):
-        raise ScenarioError(f"txn {txn.id} has {len(txn.subs)} face(s), no face {spec.face}", lines["face"], "face")
-    if spec.party is not None and spec.party not in txn.parties:
-        raise ScenarioError(f"{spec.party!r} is not a party of txn {txn.id}", lines["party"], "party")
+        raise ScenarioError(f"no txn {current['txn']} is declared", lines["txn"], "txn")
+    kind = current["kind"]
+    wanted = FAILURE_KEYS[kind][0]
+    for key in LOCATING_KEYS:
+        if key == wanted and key not in current:
+            raise ScenarioError(f"failure kind {kind} needs a {key}", lines[""], key)
+        if key != wanted and key in current:
+            raise ScenarioError(f"failure kind {kind} takes no {key}", lines[key], key)
+    faces = len(txn.sub_transactions)
+    if "face" in current and current["face"] > faces:
+        raise ScenarioError(f"txn {txn.id} has {faces} face(s), no face {current['face']}", lines["face"], "face")
+    if "party" in current and current["party"] not in txn.parties:
+        raise ScenarioError(f"{current['party']!r} is not a party of txn {txn.id}", lines["party"], "party")
 
 
 def _check_forks(forks: list[tuple[int, int, int]], length: int) -> tuple[tuple[int, int], ...]:
@@ -266,9 +236,8 @@ def parse_scenario(text: str) -> Scenario:
     section: Optional[str] = None
     current: dict = {}
     lines: dict[str, int] = {}  # key -> line of its first occurrence; "" -> the section header
-    txns: dict[int, TxnSpec] = {}
     chain_ids: set[int] = set()
-    failure_lines: list[dict[str, int]] = []
+    failure_sections: list[tuple[dict, dict[str, int]]] = []
 
     def flush() -> None:
         nonlocal current, lines
@@ -307,37 +276,29 @@ def parse_scenario(text: str) -> Scenario:
             if "id" not in current:
                 raise ScenarioError("txn needs an id", section_line, "id")
             tid = current["id"]
-            if tid in txns:
+            if tid in scenario.protocols:
                 raise ScenarioError(f"txn id {tid} is already declared", lines["id"], "id")
             protocol = current.get("protocol", "topocbt")
             if protocol not in PROTOCOLS:
                 raise ScenarioError(f"unknown protocol {protocol!r}", section_line, "protocol")
-            txns[tid] = TxnSpec(
-                id=tid,
-                protocol=protocol,
-                parties=tuple(current.get("parties", ())),
-                blocks=tuple(current.get("blocks", ())),
-                subs=tuple(current.get("sub", ())),
+            scenario.protocols[tid] = protocol
+            scenario.txns.append(
+                CrossChainTransaction(
+                    id=tid,
+                    parties=current.get("parties", ()),
+                    blocks=current.get("blocks", ()),
+                    sub_transactions=tuple(current.get("sub", ())),
+                )
             )
-            scenario.txns.append(txns[tid])
         elif section == "failure":
             if "txn" not in current:
                 raise ScenarioError("failure needs a txn", section_line, "txn")
             kind = current.get("kind")
             if kind not in FAILURE_KINDS:
                 raise ScenarioError(f"unknown failure kind {kind!r}", section_line, "kind")
-            scenario.failures.append(
-                FailureSpec(
-                    txn=current["txn"],
-                    kind=kind,
-                    face=current.get("face"),
-                    party=current.get("party"),
-                    swap=current.get("swap"),
-                    record=current.get("record"),
-                    append=current.get("append"),
-                )
-            )
-            failure_lines.append(lines)
+            key = FAILURE_KEYS[kind][0]
+            scenario.failures.append(FailureSpec(current["txn"], kind, current.get(key) if key else None))
+            failure_sections.append((current, lines))
         current, lines = {}, {}
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -399,8 +360,9 @@ def parse_scenario(text: str) -> Scenario:
         else:
             current.setdefault("sub", []).append(_parse_sub(value, lineno))
     flush()
-    for spec, at in zip(scenario.failures, failure_lines):
-        _check_failure(spec, at, txns)
+    txns = {txn.id: txn for txn in scenario.txns}
+    for current, lines in failure_sections:
+        _check_failure(current, lines, txns)
     return scenario
 
 
@@ -516,8 +478,8 @@ def grid_scenario(n: int, m: int, protocol: str = "topocbt") -> Scenario:
                     ),
                 )
             )
-    txn = TxnSpec(id=1, protocol=protocol, parties=parties, blocks=blocks, subs=tuple(subs))
-    return Scenario(name=f"grid-n{n}-m{m}", chains=chains, txns=[txn])
+    txn = CrossChainTransaction(id=1, parties=parties, blocks=blocks, sub_transactions=tuple(subs))
+    return Scenario(name=f"grid-n{n}-m{m}", chains=chains, txns=[txn], protocols={1: protocol})
 
 
 def random_scenario(seed: int, protocol: str = "topocbt") -> Scenario:
@@ -567,24 +529,18 @@ def random_scenario(seed: int, protocol: str = "topocbt") -> Scenario:
             updates.append(AssetUpdate(f"p{cid}", to, f"A{cid}", amount))
         subs.append(SubTransaction(blocks=tuple(BlockRef(c, chains[c - 1].length, 0) for c in face_chains),
                                    updates=tuple(updates)))
-    txn = TxnSpec(id=1, protocol=protocol, parties=parties, blocks=blocks, subs=tuple(subs))
+    txn = CrossChainTransaction(id=1, parties=parties, blocks=blocks, sub_transactions=tuple(subs))
 
     failures: list[FailureSpec] = []
-    roll = rng.below(6)
-    if roll == 1:
-        failures.append(FailureSpec(txn=1, kind="update_failure", face=rng.randrange(1, n_faces)))
-    elif roll == 2:
-        failures.append(FailureSpec(txn=1, kind="crash_after_undo", face=rng.randrange(1, n_faces)))
-    elif roll == 3:
-        failures.append(FailureSpec(txn=1, kind="crash_before_commit", face=rng.randrange(1, n_faces)))
-    elif roll == 4:
-        failures.append(FailureSpec(txn=1, kind="crash_after_record", record=rng.randrange(1, 2 * n_faces)))
-    elif roll == 5:
-        failures.append(FailureSpec(txn=1, kind="crash_after_append", append=rng.randrange(1, 2 * n_faces)))
+    kind = (None, *FACE_FAILURE_KINDS, "crash_after_record", "crash_after_append")[rng.below(6)]
+    if kind is not None:
+        top = n_faces if kind in FACE_FAILURE_KINDS else 2 * n_faces
+        failures.append(FailureSpec(1, kind, rng.randrange(1, top)))
 
     return Scenario(
         name=f"random-{seed}",
         chains=chains,
         txns=[txn],
+        protocols={1: protocol},
         failures=failures,
     )

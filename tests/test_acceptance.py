@@ -150,17 +150,17 @@ def _failure_suite():
     clean = car_trading()
     walk = car_trading()
     walk.name = "walkaway"
-    walk.failures.append(FailureSpec(txn=1, kind="walk_away", party="cindy"))
+    walk.failures.append(FailureSpec(txn=1, kind="walk_away", at="cindy"))
     late = car_trading()
     late.name = "late-claim"
-    late.failures.append(FailureSpec(txn=1, kind="timeout", swap=2))
+    late.failures.append(FailureSpec(txn=1, kind="timeout", at=2))
     crash = car_trading()
     crash.name = "coordinator-crash"
     crash.failures.append(FailureSpec(txn=1, kind="witness_crash"))
-    crash.failures.append(FailureSpec(txn=1, kind="crash_before_commit", face=3))
+    crash.failures.append(FailureSpec(txn=1, kind="crash_before_commit", at=3))
     flaky = car_trading()
     flaky.name = "flaky-update"
-    flaky.failures.append(FailureSpec(txn=1, kind="update_failure", face=3))
+    flaky.failures.append(FailureSpec(txn=1, kind="update_failure", at=3))
     return [clean, walk, late, crash, flaky]
 
 

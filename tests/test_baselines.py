@@ -3,8 +3,6 @@ import pytest
 from topocbt.baselines import (
     Decision,
     SimClock,
-    SwapState,
-    SwapStep,
     WITNESS_CHAIN_ID,
     ac2s_execute,
     ac3wn_execute,
@@ -23,22 +21,6 @@ def car_setup():
 
 def holdings(fed, party):
     return {asset: v for (p, asset), v in fed.balances().items() if p == party and v}
-
-
-# -- swap steps ------------------------------------------------------------------
-
-def test_swap_step_claim_before_deadline():
-    step = SwapStep("a", "b", "X", 1, deadline=10)
-    assert step.claim(now=10)
-    assert step.state is SwapState.CLAIMED
-
-
-def test_swap_step_expires_after_deadline():
-    step = SwapStep("a", "b", "X", 1, deadline=10)
-    assert not step.claim(now=11)
-    assert step.state is SwapState.EXPIRED
-    # expired is final
-    assert not step.claim(now=5)
 
 
 # -- pairwise-swap protocol ---------------------------------------------------------
@@ -104,6 +86,19 @@ def test_pairwise_faces_run_as_independent_swaps():
     assert out.applied_updates == 4  # two swaps, two legs each
 
 
+@pytest.mark.parametrize("legs, status, applied, worse_off", [
+    (10, Status.COMMITTED, 10, ()),
+    (11, Status.PARTIAL_COMMIT, 10, ("p1",)),
+], ids=["10-legs", "11-legs"])
+def test_swap_legs_settle_until_the_timelock_runs_out(legs, status, applied, worse_off):
+    # each leg's claim takes one tick; the timelock grants ten
+    fed = grid_scenario(2, 0, protocol="ac2s").build_federation()
+    blocks = (BlockRef(1, 1, 0), BlockRef(2, 1, 0))
+    face = SubTransaction(blocks=blocks, updates=(AssetUpdate("p1", "p2", "A1", 1),) * legs)
+    out = ac2s_execute(fed, CrossChainTransaction(1, ("p1", "p2"), blocks, (face,)))
+    assert (out.status, out.applied_updates, out.worse_off_parties) == (status, applied, worse_off)
+
+
 def test_three_party_face_not_decomposable():
     scen = grid_scenario(3, 1)  # main-engine grid faces touch all chains
     fed = scen.build_federation()
@@ -128,7 +123,7 @@ def test_witness_chain_is_hash_verifiable():
     fed, txn = car_setup()
     witness = Chain(WITNESS_CHAIN_ID)
     ac3wn_execute(fed, txn, witness=witness)
-    assert witness.verify_hash_chain()
+    assert witness.hash_violations() == []
 
 
 def test_witness_crash_blocks_with_locks_held():

@@ -120,8 +120,8 @@ def test_resolve_never_shortens_survivor():
 # -- tamper evidence -------------------------------------------------------------
 
 def test_verify_clean_chain():
-    assert make_chain(4).verify_hash_chain()
-    assert Chain(1).verify_hash_chain()  # genesis only
+    assert make_chain(4).hash_violations() == []
+    assert Chain(1).hash_violations() == []  # genesis only
 
 
 def test_tampered_payload_detected_at_block():
@@ -130,15 +130,14 @@ def test_tampered_payload_detected_at_block():
     block = ch.block(victim)
     forged = (AssetUpdate("m", "a", "X", 5),)
     object.__setattr__(block, "payload", forged)
-    assert not ch.verify_hash_chain()
-    assert ch.hash_violations()[0] == victim
+    assert ch.hash_violations() == [victim]
 
 
 def test_tampered_parent_hash_detected():
     ch = make_chain(3)
     block = ch.block(BlockRef(1, 1, 0))
     object.__setattr__(block, "parent_hash", b"\x01" * 32)
-    assert not ch.verify_hash_chain()
+    assert ch.hash_violations() == [BlockRef(1, 1, 0)]
 
 
 @given(st.integers(0, 2**40))
@@ -155,7 +154,7 @@ def test_any_single_field_flip_is_detected(seed):
         object.__setattr__(block, "payload", block.payload + (AssetUpdate("x", "y", "Z", 1),))
     else:
         object.__setattr__(block, "parent_hash", b"\x01" * 32)
-    assert not ch.verify_hash_chain()
+    assert ch.hash_violations() == [victim_ref]
 
 
 # -- locks ------------------------------------------------------------------------

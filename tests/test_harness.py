@@ -92,7 +92,7 @@ def test_auditor_may_disagree_with_baseline_but_not_main_engine():
 
 def test_crashed_run_reports_aborted_after_recovery():
     scen = car_trading()
-    scen.failures.append(FailureSpec(txn=1, kind="crash_after_undo", face=2))
+    scen.failures.append(FailureSpec(txn=1, kind="crash_after_undo", at=2))
     report = run_scenario(scen, 3)
     row = report.rows[0]
     assert row.status is Status.ABORTED
@@ -103,7 +103,7 @@ def test_crashed_run_reports_aborted_after_recovery():
 def test_crash_after_commit_record_reports_committed():
     scen = car_trading()
     # three undo records, then the durable commit record
-    scen.failures.append(FailureSpec(txn=1, kind="crash_after_record", record=4))
+    scen.failures.append(FailureSpec(txn=1, kind="crash_after_record", at=4))
     report = run_scenario(scen, 1)
     row = report.rows[0]
     assert row.recovered
@@ -117,8 +117,9 @@ def test_crash_before_any_log_record_reports_aborted():
     scen = car_trading()
     txn = scen.txns[0]
     # a face without updates writes no undo record before its crash point
-    txn.subs = (dataclasses.replace(txn.subs[0], updates=()),) + txn.subs[1:]
-    scen.failures.append(FailureSpec(txn=1, kind="crash_after_undo", face=1))
+    subs = (dataclasses.replace(txn.sub_transactions[0], updates=()),) + txn.sub_transactions[1:]
+    scen.txns[0] = dataclasses.replace(txn, sub_transactions=subs)
+    scen.failures.append(FailureSpec(txn=1, kind="crash_after_undo", at=1))
     row = run_scenario(scen, 1).rows[0]
     assert row.recovered
     assert row.status is Status.ABORTED
@@ -314,10 +315,10 @@ def failure_suite():
     crash = car_trading()
     crash.name = "car-trading-crash"
     crash.failures.append(FailureSpec(txn=1, kind="witness_crash"))
-    crash.failures.append(FailureSpec(txn=1, kind="crash_before_commit", face=3))
+    crash.failures.append(FailureSpec(txn=1, kind="crash_before_commit", at=3))
     late = car_trading()
     late.name = "car-trading-late"
-    late.failures.append(FailureSpec(txn=1, kind="timeout", swap=2))
+    late.failures.append(FailureSpec(txn=1, kind="timeout", at=2))
     return [clean, walk, crash, late]
 
 

@@ -4,6 +4,8 @@ from topocbt.chain import BlockRef
 from topocbt.engine import FailurePlan
 from topocbt.scenario import (
     CAR_TRADING_TEXT,
+    FAILURE_KINDS,
+    FailureSpec,
     ScenarioError,
     car_trading,
     grid_scenario,
@@ -20,7 +22,7 @@ def test_builtin_car_trading_shape():
     assert scen.name == "car-trading"
     assert [c.id for c in scen.chains] == [1, 2, 3]
     assert len(scen.txns) == 1
-    assert len(scen.txns[0].subs) == 3
+    assert len(scen.txns[0].sub_transactions) == 3
     fed = scen.build_federation()
     assert fed.balance("alice", "ETH") == 10
     assert fed.chain(1).branches[0].tip == 2
@@ -73,7 +75,7 @@ face = 1
     scen = parse_scenario(text)
     assert scen.epoch == 2 and scen.window == 1
     assert scen.chains[0].forks == ((2, 1),)
-    assert scen.txns[0].subs[0].updates[1].asset == "Y"
+    assert scen.txns[0].sub_transactions[0].updates[1].asset == "Y"
     plan = scen.plan_for(1)
     assert plan.face_failures == ((1, "crash_after_undo"),)
     fed = scen.build_federation()
@@ -112,13 +114,53 @@ def test_plan_for_txn_without_failures_is_empty():
     assert car_trading().plan_for(1) == FailurePlan()
 
 
+# Each failure kind, the key line that locates it, and the plan it parses to.
+PLANNED = {
+    "update_failure": ("face = 2", FailurePlan(face_failures=((2, "update_failure"),))),
+    "crash_after_undo": ("face = 2", FailurePlan(face_failures=((2, "crash_after_undo"),))),
+    "crash_before_commit": ("face = 2", FailurePlan(face_failures=((2, "crash_before_commit"),))),
+    "walk_away": ("party = cindy", FailurePlan(walk_away="cindy")),
+    "timeout": ("swap = 2", FailurePlan(timeout_swap=2)),
+    "witness_crash": ("", FailurePlan(witness_crash=True)),
+    "vote_abort": ("face = 2", FailurePlan(vote_abort_face=2)),
+    "crash_after_record": ("record = 3", FailurePlan(crash_after_record=3)),
+    "crash_after_append": ("append = 2", FailurePlan(crash_after_append=2)),
+}
+
+
+@pytest.mark.parametrize("kind", FAILURE_KINDS)
+def test_each_failure_kind_parses_to_its_plan(kind):
+    key, plan = PLANNED[kind]
+    scen = parse_scenario(CAR_TRADING_TEXT + f"\n[failure]\ntxn = 1\nkind = {kind}\n{key}\n")
+    assert scen.plan_for(1) == plan
+
+
+def test_plan_for_rejects_a_built_failure_without_its_key():
+    scen = car_trading()
+    scen.failures.append(FailureSpec(txn=1, kind="crash_after_undo"))
+    with pytest.raises(ScenarioError, match="needs a face"):
+        scen.plan_for(1)
+
+
+def test_failures_on_one_txn_merge_into_one_plan():
+    scen = parse_scenario(
+        CAR_TRADING_TEXT
+        + "\n[failure]\ntxn = 1\nkind = witness_crash\n"
+        + "\n[failure]\ntxn = 1\nkind = crash_before_commit\nface = 3\n"
+        + "\n[failure]\ntxn = 1\nkind = update_failure\nface = 1\n"
+    )
+    assert scen.plan_for(1) == FailurePlan(
+        face_failures=((3, "crash_before_commit"), (1, "update_failure")), witness_crash=True
+    )
+
+
 def test_grid_scenario_counts():
     scen = grid_scenario(4, 3)
     assert len(scen.chains) == 4
-    assert len(scen.txns[0].subs) == 3
-    assert all(len(s.updates) == 4 for s in scen.txns[0].subs)
+    assert len(scen.txns[0].sub_transactions) == 3
+    assert all(len(s.updates) == 4 for s in scen.txns[0].sub_transactions)
     swap = grid_scenario(4, 3, protocol="ac2s")
-    assert all(len(s.updates) == 2 for s in swap.txns[0].subs)
+    assert all(len(s.updates) == 2 for s in swap.txns[0].sub_transactions)
 
 
 def test_grid_rejects_tiny_n():
@@ -221,7 +263,7 @@ def test_numbers_at_the_range_edges_parse():
     scen = parse_scenario(text + f"[failure]\ntxn = {2**64 - 1}\nkind = crash_after_append\nappend = 1\n")
     assert scen.txns[0].id == 2**64 - 1
     assert scen.chains[0].balances == (("alice", "ETH", 2**63 - 1), ("bob", "ETH", -(2**63)))
-    assert scen.txns[0].subs[0].updates[0].amount == 2**63 - 1
+    assert scen.txns[0].sub_transactions[0].updates[0].amount == 2**63 - 1
     assert scen.plan_for(2**64 - 1).crash_after_append == 1
 
 

@@ -1,10 +1,12 @@
-"""The package runs on the standard library alone, and the fit it
-prints is the one the goldens under tests/data hold."""
+"""The package runs on the standard library alone, and each demo prints
+the text its golden under tests/data holds."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,5 +33,7 @@ def test_package_loads_only_standard_library_modules():
     assert run_python("-c", PROBE) == "\n"
 
 
-def test_complexity_demo_prints_the_golden_text():
-    assert run_python("demos/demo_complexity.py").encode() == (ROOT / "tests/data/demo_complexity.txt").read_bytes()
+@pytest.mark.parametrize("demo", ["car_trading", "complexity", "crash_recovery", "topology"])
+def test_demo_prints_the_golden_text(demo):
+    golden = (ROOT / f"tests/data/demo_{demo}.txt").read_bytes()
+    assert run_python(f"demos/demo_{demo}.py").encode() == golden
