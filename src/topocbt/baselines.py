@@ -112,14 +112,12 @@ def ac2s_execute(
     messages = 0
     applied = 0
     applied_swaps = 0
-    skipped = 0
     worse_off: set[str] = set()
 
     walk_away = plan.walk_away
     for number, (legs, face_index) in enumerate(swaps, start=1):
         participants = {u.owner_from for u in legs} | {u.owner_to for u in legs}
         if walk_away is not None and walk_away in participants:
-            skipped += len(swaps) - number + 1
             if applied_swaps and initiator is not None:
                 # stuck with whatever the last completed swap handed over
                 worse_off.add(initiator)
@@ -146,7 +144,6 @@ def ac2s_execute(
             meter_ops += 1 + 1
             applied += 1
         if expired:
-            skipped += len(swaps) - number
             break
         applied_swaps += 1
 

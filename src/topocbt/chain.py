@@ -14,7 +14,10 @@ records.  ``append_block`` adds the new block to all four (its parent
 is always live already); ``resolve_forks`` rebuilds them with one
 ancestor walk when it retires a branch; ``spawn_fork`` leaves them
 alone, since an empty branch adds no block.  A payload is read once,
-when its block is appended.
+when its block is appended.  The engine opens each forward update
+block with a ``Forward`` marker naming its transaction, and each
+rollback block with a ``Compensation`` marker naming the block it
+reverses.
 
 Locks are held per logical block (one store per chain regardless of
 replica count) in a federation-level table, acquired all-or-nothing in
@@ -73,6 +76,18 @@ class AssetUpdate:
             + _pack_str(self.asset)
             + struct.pack(">Q", self.amount)
         )
+
+
+@dataclass(frozen=True)
+class Forward:
+    """Marker that opens a forward update block: names its transaction,
+    so rollback can tell its own block from an equal update that another
+    transaction wrote into the same planned slot."""
+
+    txn_id: int
+
+    def to_bytes(self) -> bytes:
+        return b"F" + struct.pack(">Q", self.txn_id)
 
 
 @dataclass(frozen=True)

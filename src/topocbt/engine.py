@@ -11,7 +11,9 @@ recovery has one path: roll back each transaction that has none.  The
 outcome is always terminal: committed or aborted, never pending.
 
 Updates are never erased: both application and rollback append blocks,
-and the balance digest is what makes compensation exact.
+and the balance digest is what makes compensation exact.  A forward
+update block opens with a ``Forward`` marker naming its transaction, so
+rollback reverses only the crashed transaction's own blocks.
 
 Primitive-operation metering (used by the complexity fit):
     1 per block locked or released
@@ -27,7 +29,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-from .chain import AssetUpdate, BlockRef, Compensation, Conflict, Federation
+from .chain import AssetUpdate, BlockRef, Compensation, Conflict, Federation, Forward
 from .topology import (
     CrossChainTransaction,
     TopologyMode,
@@ -50,7 +52,6 @@ class Status(enum.Enum):
     ABORTED = "Aborted"
     PARTIAL_COMMIT = "PartialCommit"
     BLOCKED = "Blocked"
-    PENDING = "Pending"
 
     def __str__(self) -> str:
         return self.value
@@ -150,10 +151,10 @@ class TopoCbtEngine:
             raise SimulatedCrash(f"after record {meter.records}")
         return rec
 
-    def _append_updates(self, meter: _Meter, plan: FailurePlan, chain_id: int,
+    def _append_updates(self, meter: _Meter, plan: FailurePlan, txn_id: int, chain_id: int,
                         updates: tuple[AssetUpdate, ...]) -> BlockRef:
         chain = self.federation.chain(chain_id)
-        ref = chain.append_block(chain.canonical_branch(), updates)
+        ref = chain.append_block(chain.canonical_branch(), (Forward(txn_id),) + updates)
         meter.ops += 1 + len(updates)
         meter.messages += 1
         meter.appends += 1
@@ -169,10 +170,10 @@ class TopoCbtEngine:
     def _rollback(self, meter: _Meter, undo_records: list[WalRecord]) -> None:
         """Append compensation blocks for logged updates, newest first.
 
-        Reverse order keeps every compensation funded.  An absent block
-        means the crash landed before that append; a compensation
-        marker means an earlier rollback already reversed it.  Either
-        way the record is skipped, which makes rollback idempotent and
+        Reverse order keeps every compensation funded.  A record is
+        skipped if its block is absent (the crash came first), is not
+        this transaction's own (it lacks the ``Forward`` marker), or is
+        already compensated, which makes rollback idempotent and
         restartable.  Plan hooks never fire here: the named crash
         points all sit in the forward phase.
         """
@@ -181,10 +182,7 @@ class TopoCbtEngine:
             chain = self.federation.chain(rec.block_ref.chain)
             if not chain.has_block(rec.block_ref):
                 continue
-            if tuple(chain.block(rec.block_ref).payload) != tuple(rec.updates):
-                # the planned slot was taken by something else (e.g. a
-                # later compensation block); the forward append itself
-                # never happened
+            if chain.block(rec.block_ref).payload[:1] != (Forward(rec.txn_id),):
                 continue
             if rec.block_ref in chain.compensated_refs():
                 continue
@@ -236,7 +234,7 @@ class TopoCbtEngine:
                 break
 
             for chain_id, updates in per_chain:
-                self._append_updates(meter, plan, chain_id, updates)
+                self._append_updates(meter, plan, txn.id, chain_id, updates)
                 applied += len(updates)
             if injected == CRASH_BEFORE_COMMIT:
                 raise SimulatedCrash(f"after face {index} applied")

@@ -1,11 +1,14 @@
 """Abstract simplicial complexes over integer vertices.
 
-A simplex is a strictly ascending tuple of vertex ids; a complex is a
-set of simplices that should be closed under taking non-empty faces.
-Betti numbers over GF(2) come from plain vertex tuples grouped by
-dimension (:func:`betti_from_cells`): rank d1 is the vertex count less
-the union-find component count, and rank dk for k >= 2 comes from a
-column reduction whose columns are Python ints used as bitsets, with
+A simplex is a strictly ascending tuple of vertex ids.  A complex
+stores its cells grouped by dimension, ``cells[k]`` being the frozenset
+of its k-cells as ascending tuples (the sorted vertex sequences of
+Boissonnat & Maria's simplex tree); :func:`close_by_dimension` is the
+one face-closure routine, and ``Simplex`` values are made only where a
+caller asks for members.  Betti numbers over GF(2) come from those
+cells (:func:`betti_from_cells`): rank d1 is the vertex count less the
+union-find component count, and rank dk for k >= 2 comes from a column
+reduction whose columns are Python ints used as bitsets, with
 clearing.  Ranks do not depend on any ordering, so results are
 bit-for-bit reproducible.  The dense boundary matrices, tuples of 0/1
 rows (:meth:`SimplicialComplex.boundary_matrix` with ``gf2_rank``),
@@ -52,29 +55,12 @@ class Simplex:
     def dimension(self) -> int:
         return len(self.vertices) - 1
 
-    def faces(self) -> Iterator["Simplex"]:
-        """All proper non-empty faces."""
-        for size in range(1, len(self.vertices)):
-            for combo in combinations(self.vertices, size):
-                yield Simplex(combo)
-
-    def closure(self) -> Iterator["Simplex"]:
-        """The simplex together with all its proper faces."""
-        yield self
-        yield from self.faces()
-
     def boundary(self) -> Iterator["Simplex"]:
         """Codimension-1 faces (the GF(2) boundary support)."""
         if len(self.vertices) == 1:
             return
         for combo in combinations(self.vertices, len(self.vertices) - 1):
             yield Simplex(combo)
-
-    def is_face_of(self, other: "Simplex") -> bool:
-        return set(self.vertices) <= set(other.vertices)
-
-    def __str__(self) -> str:
-        return " ".join(str(v) for v in self.vertices)
 
 
 @dataclass(frozen=True)
@@ -91,81 +77,88 @@ class BoundaryMatrix:
 
 
 class SimplicialComplex:
-    """An immutable set of simplices.
+    """An immutable set of simplices, held as ``cells[k]``: the k-cells.
 
     The plain constructor stores exactly the simplices given, which may
-    violate face closure; :meth:`from_simplices` builds the closed
-    complex of its generators, and :meth:`is_valid` checks closure.
+    violate face closure; :meth:`closure_of` and :meth:`from_simplices`
+    build the closed complex of their generators, and :meth:`is_valid`
+    checks closure.
     """
 
-    __slots__ = ("_members",)
+    __slots__ = ("cells",)
 
     def __init__(self, simplices: Iterable[Simplex] = ()) -> None:
-        self._members = frozenset(simplices)
+        given = {s.vertices for s in simplices}
+        sizes = range(1, max(map(len, given), default=0) + 1)
+        self.cells = tuple(frozenset(c for c in given if len(c) == size) for size in sizes)
+
+    @classmethod
+    def closure_of(cls, generators: Iterable[Cell]) -> "SimplicialComplex":
+        """The face closure of ascending vertex tuples."""
+        complex_ = cls.__new__(cls)
+        complex_.cells = tuple(map(frozenset, close_by_dimension(generators)))
+        return complex_
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
         """Build the face closure of the given simplices."""
-        members: set[Simplex] = set()
-        for s in simplices:
-            members.update(s.closure())
-        return cls(members)
+        return cls.closure_of(s.vertices for s in simplices)
 
     # -- membership ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._members)
+        return sum(map(len, self.cells))
 
     def __iter__(self) -> Iterator[Simplex]:
-        return iter(self._members)
+        return (Simplex(cell) for level in self.cells for cell in level)
 
     def __contains__(self, s: Simplex) -> bool:
-        return s in self._members
+        k = len(s.vertices) - 1
+        return k < len(self.cells) and s.vertices in self.cells[k]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._members == other._members
+        return self.cells == other.cells
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self.cells)
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex({len(self._members)} simplices, dim {self.dimension})"
+        return f"SimplicialComplex({len(self)} simplices, dim {self.dimension})"
 
     def members(self) -> frozenset[Simplex]:
-        return self._members
+        return frozenset(self)
 
     @property
     def dimension(self) -> int:
         """Highest simplex dimension present; -1 for the empty complex."""
-        if not self._members:
-            return -1
-        return max(s.dimension for s in self._members)
+        return len(self.cells) - 1
 
     def vertices(self) -> list[int]:
-        return sorted({v for s in self._members for v in s.vertices})
+        return sorted({v for level in self.cells for cell in level for v in cell})
 
     def simplices_of_dim(self, k: int) -> list[Simplex]:
         """k-simplices in canonical (lexicographic) order."""
-        return sorted(s for s in self._members if s.dimension == k)
+        if not 0 <= k < len(self.cells):
+            return []
+        return [Simplex(cell) for cell in sorted(self.cells[k])]
 
     def simplex_counts(self) -> list[int]:
         """Number of k-simplices for k = 0..dimension."""
-        counts = [0] * (self.dimension + 1)
-        for s in self._members:
-            counts[s.dimension] += 1
-        return counts
+        return [len(level) for level in self.cells]
 
     # -- topology ------------------------------------------------------
 
     def is_valid(self) -> bool:
-        """True iff every non-empty subset of every member is a member."""
-        for s in self._members:
-            for f in s.faces():
-                if f not in self._members:
-                    return False
-        return True
+        """True iff every facet of every member is a member, which makes
+        every non-empty subset one."""
+        return all(
+            face in self.cells[k - 1]
+            for k in range(1, len(self.cells))
+            for cell in self.cells[k]
+            for face in combinations(cell, k)
+        )
 
     def boundary_matrix(self, k: int) -> BoundaryMatrix:
         """The GF(2) boundary map for dimension k, 1 <= k <= dimension.
@@ -186,17 +179,8 @@ class SimplicialComplex:
         return BoundaryMatrix(k=k, rows=tuple(rows), cols=tuple(cols), data=tuple(map(tuple, data)))
 
     def betti_numbers(self) -> tuple[int, ...]:
-        """Betti numbers (b_0 .. b_dim) over GF(2); () for the empty complex.
-
-        The members are already closed, so they are only grouped by size.
-        """
-        cells: list[list[Cell]] = []
-        for s in self._members:
-            size = len(s.vertices)
-            while len(cells) < size:
-                cells.append([])
-            cells[size - 1].append(s.vertices)
-        return betti_from_cells(cells)
+        """Betti numbers (b_0 .. b_dim) over GF(2); () for the empty complex."""
+        return betti_from_cells(self.cells)
 
     def euler_characteristic(self) -> int:
         """Alternating sum of simplex counts by dimension."""
@@ -296,13 +280,13 @@ def _reduced_rank(cols: list[Cell], rows: list[Cell], cleared: set[int]) -> tupl
 # round-trips the member set.
 
 
-def text_order(complex_: SimplicialComplex) -> list[Simplex]:
-    """Members in file line order: by size, then lexicographically."""
-    return sorted(complex_.members(), key=lambda s: (len(s.vertices), s.vertices))
+def text_order(complex_: SimplicialComplex) -> list[Cell]:
+    """Cells in file line order: by size, then lexicographically."""
+    return [cell for level in complex_.cells for cell in sorted(level)]
 
 
 def complex_to_text(complex_: SimplicialComplex) -> str:
-    return "".join(str(s) + "\n" for s in text_order(complex_))
+    return "".join(" ".join(map(str, cell)) + "\n" for cell in text_order(complex_))
 
 
 def complex_from_text(text: str) -> SimplicialComplex:

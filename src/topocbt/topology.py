@@ -6,10 +6,10 @@ Chain adjacency, fork stitching, and replica groups produce the other
 structural cells, kept as plain ascending vertex tuples; each in-flight
 transaction adds one top simplex spanning all of its blocks, fork
 duplicates included.  A tagged complex keeps only these generators; a
-top is the only ``Simplex`` a build makes, and the structural simplices
-and the face closure are built on first read.  Tearing a transaction
-down drops its top and keeps the rest, so chain structure can never be
-deleted.
+top is the only ``Simplex`` a build makes, and the face closure is
+built, as vertex tuples, only where members or text are read.  Tearing
+a transaction down drops its top and keeps the rest, so chain structure
+can never be deleted.
 """
 
 from __future__ import annotations
@@ -114,30 +114,29 @@ class TaggedComplex:
     """The generators of a federation complex: the vertices 0..n-1 that
     ``vertex_of`` numbers, the other structural ``cells`` (chain and fork
     edges, replica groups) as ascending vertex tuples, and one top per
-    in-flight transaction, sorted by id.  ``structural`` and the face
-    closure are built on first read; Betti numbers need neither."""
+    in-flight transaction, sorted by id.  The face closure ``complex`` is
+    built on first read; Betti numbers do not need it."""
 
     cells: frozenset[Cell]
     txn_tops: dict[int, Simplex]
     vertex_of: dict[VertexKey, int]
 
-    @cached_property
-    def structural(self) -> frozenset[Simplex]:
-        """The structural generators, vertices included, as simplices."""
-        vertices = frozenset(Simplex((v,)) for v in range(len(self.vertex_of)))
-        return vertices | frozenset(map(Simplex, self.cells))
+    def structural(self) -> list[Cell]:
+        """The structural generators, vertices first, as vertex tuples."""
+        return [(v,) for v in range(len(self.vertex_of))] + list(self.cells)
+
+    def _generators(self) -> list[Cell]:
+        """The structural generators, then the transaction tops."""
+        return self.structural() + [top.vertices for top in self.txn_tops.values()]
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        return SimplicialComplex.from_simplices(self.structural | frozenset(self.txn_tops.values()))
+        return SimplicialComplex.closure_of(self._generators())
 
     def betti_numbers(self) -> tuple[int, ...]:
-        """Betti numbers of the closure, built from vertex tuples; neither
-        ``structural`` nor ``complex`` is read or built."""
-        generators = [(v,) for v in range(len(self.vertex_of))]
-        generators.extend(self.cells)
-        generators.extend(s.vertices for s in self.txn_tops.values())
-        return betti_from_cells(close_by_dimension(generators))
+        """Betti numbers of the closure of the generators; ``complex`` is
+        neither read nor built."""
+        return betti_from_cells(close_by_dimension(self._generators()))
 
 
 def build_federation_complex(
@@ -245,14 +244,15 @@ def tagged_to_text(tagged: TaggedComplex) -> tuple[str, str]:
     A face is tagged structural if it lies in the structural closure,
     else with the lowest id among the transaction tops that contain it.
     """
-    structural = SimplicialComplex.from_simplices(tagged.structural)
+    structural = set().union(*close_by_dimension(tagged.structural()))
+    tops = [(tid, set(top.vertices)) for tid, top in tagged.txn_tops.items()]
 
-    def tag(s: Simplex) -> str:
-        if s in structural:
+    def tag(cell: Cell) -> str:
+        if cell in structural:
             return "structural"
-        return next(f"txn:{tid}" for tid, top in tagged.txn_tops.items() if s.is_face_of(top))
+        return next(f"txn:{tid}" for tid, top in tops if top.issuperset(cell))
 
-    tags = "".join(tag(s) + "\n" for s in text_order(tagged.complex))
+    tags = "".join(tag(cell) + "\n" for cell in text_order(tagged.complex))
     return complex_to_text(tagged.complex), tags
 
 

@@ -75,7 +75,7 @@ def test_never_blocks():
         fed, txn = car_setup()
         out = ac2s_execute(fed, txn, plan)
         assert out.status is not Status.BLOCKED
-        assert out.status is not Status.PENDING
+        assert out.status in (Status.COMMITTED, Status.ABORTED, Status.PARTIAL_COMMIT, Status.BLOCKED)
 
 
 def test_pairwise_faces_run_as_independent_swaps():

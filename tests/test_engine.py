@@ -12,6 +12,7 @@ from topocbt.engine import (
 )
 from topocbt.harness import AUDIT_PARTIAL, audit_atomicity
 from topocbt.scenario import car_trading, random_scenario
+from topocbt.topology import CrossChainTransaction, SubTransaction
 from topocbt.wal import WalKind
 
 
@@ -49,8 +50,6 @@ def test_asset_totals_conserved_either_way():
 
 def test_empty_txn_commits_vacuously():
     fed, txn, engine = car_setup()
-    from topocbt.topology import CrossChainTransaction
-
     empty = CrossChainTransaction(2, ("a", "b"), txn.blocks, ())
     out = engine.execute(empty)
     assert out.status is Status.COMMITTED
@@ -107,8 +106,6 @@ def test_lock_conflict_aborts_without_updates():
 
 
 def test_malformed_txn_rejected_before_any_lock():
-    from topocbt.topology import CrossChainTransaction, SubTransaction
-
     fed, txn, engine = car_setup()
     bad = CrossChainTransaction(
         3, ("a", "b"), (BlockRef(1, 2, 0),),
@@ -169,6 +166,30 @@ def test_crash_after_abort_record_leaves_nothing_to_recover():
     report = engine.recover()
     assert report.rolled_back == ()
     assert fed.state_digest() == pre
+
+
+def test_recovery_reverses_only_the_crashed_transactions_blocks():
+    # txn 1 logs its undo record for slot 1:2:0 and crashes; before
+    # recovery runs, txn 2 commits the same update into that same slot
+    fed = Federation({("a", "X"): 10})
+    fed.add_chain(Chain(1, assets=("X",))).append_block(0, ())
+    update = AssetUpdate("a", "b", "X", 1)
+
+    def deal(tid):
+        face = SubTransaction((BlockRef(1, 1),), (update,))
+        return CrossChainTransaction(tid, ("a", "b"), (BlockRef(1, 1),), (face,))
+
+    engine = TopoCbtEngine(fed)
+    with pytest.raises(SimulatedCrash):
+        engine.execute(deal(1), FailurePlan(crash_after_record=1))
+    assert engine.wal.records[0].block_ref == BlockRef(1, 2)
+    fed.locks.clear()
+    assert engine.execute(deal(2)).status is Status.COMMITTED
+    assert engine.wal.records[1].block_ref == BlockRef(1, 2)
+    report = engine.recover()
+    assert report.rolled_back == (1,)
+    assert fed.balance("a", "X") == 9
+    assert fed.chain(1).compensated_refs() == frozenset()
 
 
 def test_recover_twice_is_noop():

@@ -42,7 +42,8 @@ def test_simplex_rejects_duplicates_and_disorder():
 def test_simplex_dimension_and_faces():
     s = Simplex((0, 1, 2))
     assert s.dimension == 2
-    assert sorted(f.vertices for f in s.faces()) == [
+    faces = SimplicialComplex.from_simplices([s]).members() - {s}
+    assert sorted(f.vertices for f in faces) == [
         (0,), (0, 1), (0, 2), (1,), (1, 2), (2,)
     ]
     assert sorted(f.vertices for f in s.boundary()) == [(0, 1), (0, 2), (1, 2)]
@@ -225,6 +226,40 @@ def test_betti_invariant_under_relabeling(seed, perm_seed):
     relabeled = SimplicialComplex(Simplex.of(*(mapping[v] for v in s.vertices)) for s in c)
     assert relabeled.is_valid()
     assert relabeled.betti_numbers() == c.betti_numbers()
+
+
+# -- the cell store against all-subsets brute force -----------------------------
+
+def subsets(cell):
+    """Every non-empty subset of an ascending tuple, by bitmask."""
+    return {tuple(v for i, v in enumerate(cell) if mask >> i & 1) for mask in range(1, 1 << len(cell))}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_closure_of_equals_all_subsets(data):
+    generators = data.draw(generators_on_12_vertices, label="generators")
+    for g in list(generators):  # nested (a face of a generator) or repeated (the whole generator)
+        if data.draw(st.booleans()):
+            generators.append(data.draw(st.sampled_from(sorted(subsets(g)))))
+    expected = set().union(*map(subsets, generators))
+    c = SimplicialComplex.closure_of(generators)
+    assert {s.vertices for s in c.members()} == {s.vertices for s in c} == expected
+    top = max(map(len, expected))
+    assert c.simplex_counts() == [sum(len(f) == size for f in expected) for size in range(1, top + 1)]
+    assert len(c) == len(expected)
+    assert c.dimension == top - 1
+    probes = data.draw(st.lists(st.sets(st.integers(0, 12), min_size=1, max_size=7), max_size=10))
+    for cell in expected | {tuple(sorted(p)) for p in probes}:
+        assert (Simplex(cell) in c) == (cell in expected)
+    assert c.is_valid()
+    assert complex_from_text(complex_to_text(c)) == c
+
+    removed = data.draw(st.sets(st.sampled_from(sorted(expected))), label="removed")
+    kept = expected - removed
+    plain = SimplicialComplex(map(Simplex, kept))
+    assert plain.members() == frozenset(map(Simplex, kept))
+    assert plain.is_valid() == all(subsets(cell) <= kept for cell in kept)
 
 
 # -- text format ---------------------------------------------------------------

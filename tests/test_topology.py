@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topocbt import gf2, simplicial
-from topocbt.chain import BlockRef, Chain, ChainError, Federation
+from topocbt import gf2, simplicial, topology
+from topocbt.chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
 from topocbt.harness import _replay, betti_report
 from topocbt.rng import SplitMix64
-from topocbt.scenario import car_trading, grid_scenario, load_scenario, random_scenario
+from topocbt.scenario import ChainSpec, Scenario, car_trading, grid_scenario, load_scenario, random_scenario
 from topocbt.simplicial import Simplex, SimplicialComplex, betti_from_cells, close_by_dimension
 from topocbt.topology import (
     CrossChainTransaction,
@@ -210,13 +210,14 @@ def test_dimension_formula_matches_construction(seed, mode):
 
 def test_building_a_wide_deal_enumerates_no_faces(monkeypatch):
     """A 19-simplex has 2^20 - 1 faces; the build keeps generators only."""
-    def no_closure(self):
+    def no_closure(generators):
         raise AssertionError("face closure enumerated")
 
     fed = federation_of([2] * 20)
     deal = txn(1, [(cid, 2, 0) for cid in range(1, 21)])
     top = Simplex(tuple(3 * k + 2 for k in range(20)))  # heights 0..2 per chain
-    monkeypatch.setattr(Simplex, "closure", no_closure)
+    monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
+    monkeypatch.setattr(topology, "close_by_dimension", no_closure)
     assert transaction_simplex(fed, deal) == top
     assert build_federation_complex(fed, [deal]).txn_tops == {1: top}
 
@@ -298,7 +299,7 @@ def assert_build_matches_reference(federation, transactions, mode, window):
             build_federation_complex(federation, transactions, mode, window)
         return
     tagged = build_federation_complex(federation, transactions, mode, window)
-    assert (tagged.structural, tagged.txn_tops, tagged.vertex_of) == expected
+    assert (frozenset(map(Simplex, tagged.structural())), tagged.txn_tops, tagged.vertex_of) == expected
     assert list(tagged.txn_tops) == list(expected[1])
     structural, tops, _ = expected
     generators = [s.vertices for s in structural] + [s.vertices for s in tops.values()]
@@ -326,12 +327,82 @@ def test_fork_off_a_surviving_fork_matches_reference():
             assert_build_matches_reference(fed, [deal], mode, window)
 
 
+def deep_scenario(seed: int) -> Scenario:
+    """Forked chains, deals below the tips and on surviving forks, and
+    fork resolution every ``epoch`` events; fully determined by the seed.
+
+    A chain of length L may get a losing fork at a height up to L, a
+    fork at L + 1 that outgrows the trunk, and a fork of that fork at
+    L + 2, whose parent is the first fork's block, not a trunk block.
+    Deals name trunk heights 1..L and the outgrowing forks' blocks,
+    which stay live through every resolution.
+    """
+    rng = SplitMix64(seed)
+    chains, named = [], {}
+    for cid in range(1, rng.randrange(2, 4) + 1):
+        length = rng.randrange(3, 9)
+        forks = []
+        named[cid] = [BlockRef(cid, height) for height in range(1, length + 1)]
+        if rng.below(2):
+            forks.append((rng.randrange(1, length + 1), 1))
+        if rng.below(3):
+            forks.append((length + 1, 1))
+            named[cid].append(BlockRef(cid, length + 1, len(forks)))
+            if rng.below(2):
+                forks.append((length + 2, 1))
+                named[cid].append(BlockRef(cid, length + 2, len(forks)))
+        chains.append(ChainSpec(id=cid, replicas=rng.randrange(1, 3), length=length, assets=(f"A{cid}",),
+                                forks=tuple(forks), balances=((f"p{cid}", f"A{cid}", rng.randrange(10, 20)),)))
+    txns = []
+    for tid in range(1, rng.randrange(2, 5) + 1):
+        pool = sorted(named)
+        rng.shuffle(pool)
+        cids = sorted(pool[: rng.randrange(2, len(pool) + 1)])
+        ref_of = {cid: named[cid][rng.below(len(named[cid]))] for cid in cids}
+        parties = tuple(f"p{cid}" for cid in cids)
+        faces = []
+        for _ in range(rng.randrange(1, 3)):
+            face_pool = list(cids)
+            rng.shuffle(face_pool)
+            face_cids = sorted(face_pool[: rng.randrange(1, len(cids) + 1)])
+            # now and then more than the party holds: an abort and its compensation blocks
+            updates = tuple(AssetUpdate(f"p{c}", parties[(cids.index(c) + 1) % len(cids)], f"A{c}",
+                                        rng.randrange(1, 30) if rng.below(6) == 0 else rng.randrange(1, 4))
+                            for c in face_cids)
+            faces.append(SubTransaction(tuple(ref_of[c] for c in face_cids), updates))
+        txns.append(CrossChainTransaction(tid, parties, tuple(ref_of[c] for c in cids), tuple(faces)))
+    return Scenario(name=f"deep-{seed}", epoch=rng.randrange(1, 3), chains=chains, txns=txns,
+                    protocols={t.id: "topocbt" for t in txns})
+
+
+DEEP_SEEDS = 24
+
+
+def test_deep_scenarios_reach_below_the_tip_and_past_a_resolution():
+    below_tip = fork_of_fork = on_fork_after_resolution = 0
+    for seed in range(DEEP_SEEDS):
+        scenario = deep_scenario(seed)
+        federation = scenario.build_federation()
+        for _ in _replay(scenario, federation, WriteAheadLog()):
+            pass
+        for event, t in enumerate(scenario.transactions(), start=1):
+            for ref in t.blocks:
+                chain = federation.chain(ref.chain)
+                below_tip += ref.height + 3 < chain.branches[chain.canonical_branch()].tip
+                fork_of_fork += chain.block(ref).parent_ref.branch > 0
+                on_fork_after_resolution += ref.branch > 0 and event > scenario.epoch
+    assert min(below_tip, fork_of_fork, on_fork_after_resolution) > 10, (below_tip, fork_of_fork,
+                                                                          on_fork_after_resolution)
+
+
 def build_corpus():
     for n in range(2, 7):
         for m in range(1, 5):
             yield pytest.param(grid_scenario(n, m), id=f"grid-{n}-{m}")
     for seed in range(200):
         yield pytest.param(random_scenario(seed), id=f"random-{seed}")
+    for seed in range(DEEP_SEEDS):
+        yield pytest.param(deep_scenario(seed), id=f"deep-{seed}")
 
 
 @pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
@@ -389,7 +460,6 @@ def test_one_simplex_per_transaction_top(monkeypatch):
     tagged = build_federation_complex(fed, txns)
     assert tagged.betti_numbers() == (1, 2, 0)
     assert len(made) == len(txns)
-    assert "structural" not in tagged.__dict__
     assert "complex" not in tagged.__dict__
 
 
@@ -420,11 +490,11 @@ def test_tagged_betti_builds_no_closure_and_no_dense_matrix(monkeypatch):
     tagged = build_federation_complex(fed, [deal])
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense path or Simplex closure used")
+        raise AssertionError("dense path used or a Simplex made")
 
     monkeypatch.setattr(gf2, "gf2_rank", forbidden)
     monkeypatch.setattr(simplicial, "gf2_rank", forbidden)
-    monkeypatch.setattr(Simplex, "closure", forbidden)
+    monkeypatch.setattr(Simplex, "__post_init__", forbidden)
     assert tagged.betti_numbers() == (1, 4, 0, 0)
     assert "complex" not in tagged.__dict__
 
@@ -451,7 +521,7 @@ def test_teardown_removes_deal_faces_only():
     after = teardown_transaction(tagged, 2)
     assert 2 not in after.txn_tops
     assert after.complex.is_valid()
-    assert tagged.structural <= after.complex.members()
+    assert set(map(Simplex, tagged.structural())) <= after.complex.members()
     # the 2-party deal is still there
     assert after.txn_tops[1] in after.complex
 
