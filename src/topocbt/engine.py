@@ -151,10 +151,10 @@ class TopoCbtEngine:
             raise SimulatedCrash(f"after record {meter.records}")
         return rec
 
-    def _append_updates(self, meter: _Meter, plan: FailurePlan, txn_id: int, chain_id: int,
+    def _append_updates(self, meter: _Meter, plan: FailurePlan, marker: Forward, chain_id: int,
                         updates: tuple[AssetUpdate, ...]) -> BlockRef:
         chain = self.federation.chain(chain_id)
-        ref = chain.append_block(chain.canonical_branch(), (Forward(txn_id),) + updates)
+        ref = chain.append_block(chain.canonical_branch(), (marker,) + updates)
         meter.ops += 1 + len(updates)
         meter.messages += 1
         meter.appends += 1
@@ -215,6 +215,7 @@ class TopoCbtEngine:
         sigma = transaction_simplex(self.federation, txn, self.mode)
         meter.ops += pair_count(len(sigma.vertices))
 
+        marker = Forward(txn.id)
         undo_records: list[WalRecord] = []
         applied = 0
         failed = False
@@ -234,7 +235,7 @@ class TopoCbtEngine:
                 break
 
             for chain_id, updates in per_chain:
-                self._append_updates(meter, plan, txn.id, chain_id, updates)
+                self._append_updates(meter, plan, marker, chain_id, updates)
                 applied += len(updates)
             if injected == CRASH_BEFORE_COMMIT:
                 raise SimulatedCrash(f"after face {index} applied")

@@ -123,11 +123,15 @@ class TaggedComplex:
 
     def structural(self) -> list[Cell]:
         """The structural generators, vertices first, as vertex tuples."""
-        return [(v,) for v in range(len(self.vertex_of))] + list(self.cells)
+        generators = [(v,) for v in range(len(self.vertex_of))]
+        generators.extend(self.cells)
+        return generators
 
     def _generators(self) -> list[Cell]:
         """The structural generators, then the transaction tops."""
-        return self.structural() + [top.vertices for top in self.txn_tops.values()]
+        generators = self.structural()
+        generators.extend(top.vertices for top in self.txn_tops.values())
+        return generators
 
     @cached_property
     def complex(self) -> SimplicialComplex:
