@@ -10,14 +10,20 @@ Each chain keeps its live state instead of deriving it on every read:
 the live-ref set (the ancestor closure of the live branch tips), a
 height -> live refs index, the refs undone by live ``Compensation``
 blocks, and the net (party, asset) change of its live ``AssetUpdate``
-records.  ``append_block`` adds the new block to all four (its parent
-is always live already); ``resolve_forks`` rebuilds them with one
-ancestor walk when it retires a branch; ``spawn_fork`` leaves them
-alone, since an empty branch adds no block.  A payload is read once,
-when its block is appended.  The engine opens each forward update
-block with a ``Forward`` marker naming its transaction, and each
-rollback block with a ``Compensation`` marker naming the block it
-reverses.
+records.  ``append_blocks`` seals a run of blocks on one branch in one
+loop, each hash fixed as its block is sealed, and adds the run to all
+four at once (its parent is always live already); ``append_block`` is a
+run of one, and a scenario's declared trunk is one run.
+``resolve_forks`` rebuilds them with one ancestor walk when it retires
+a branch; ``spawn_fork`` leaves them alone, since an empty branch adds
+no block.  A payload is read once, when its block is appended.  The
+engine opens each forward update block with a ``Forward`` marker naming
+its transaction, and each rollback block with a ``Compensation`` marker
+naming the block it reverses.
+
+A ``BlockRef`` is a plain tuple: it keys every block store, live set,
+height index and the lock table, and hashes, compares and sorts as
+``(chain, height, branch)``.
 
 Locks are held per logical block (one store per chain regardless of
 replica count) in a federation-level table, acquired all-or-nothing in
@@ -29,8 +35,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 GENESIS_PARENT = b"\x00" * 32
 
@@ -40,9 +46,12 @@ def _pack_str(s: str) -> bytes:
     return struct.pack(">H", len(raw)) + raw
 
 
-@dataclass(frozen=True, order=True)
-class BlockRef:
-    """Position of a block: chain index, height (0 = genesis), branch label."""
+class BlockRef(NamedTuple):
+    """Position of a block: chain index, height (0 = genesis), branch label.
+
+    A plain tuple: it hashes, compares and sorts as ``(chain, height,
+    branch)`` does, and equals that tuple.
+    """
 
     chain: int
     height: int
@@ -229,20 +238,25 @@ class Chain:
 
     # -- maintained live state ---------------------------------------------
 
-    def _index(self, ref: BlockRef) -> None:
-        """Add one block to the live set, the height index, the
-        compensation set and the ledger."""
-        self._live.add(ref)
-        insort(self._live_at.setdefault(ref.height, []), ref)
-        ledger = self._ledger
-        for record in self._blocks[ref].payload:
-            if isinstance(record, AssetUpdate):
-                key_from = (record.owner_from, record.asset)
-                key_to = (record.owner_to, record.asset)
-                ledger[key_from] = ledger.get(key_from, 0) - record.amount
-                ledger[key_to] = ledger.get(key_to, 0) + record.amount
-            elif isinstance(record, Compensation):
-                self._compensated.add(record.undone)
+    def _index(self, refs: Iterable[BlockRef]) -> None:
+        """Add blocks, in canonical order, to the live set, the height
+        index, the compensation set and the ledger."""
+        live, at, ledger, blocks = self._live, self._live_at, self._ledger, self._blocks
+        for ref in refs:
+            live.add(ref)
+            row = at.get(ref.height)
+            if row is None:
+                at[ref.height] = [ref]
+            else:
+                insort(row, ref)
+            for record in blocks[ref].payload:
+                if isinstance(record, AssetUpdate):
+                    key_from = (record.owner_from, record.asset)
+                    key_to = (record.owner_to, record.asset)
+                    ledger[key_from] = ledger.get(key_from, 0) - record.amount
+                    ledger[key_to] = ledger.get(key_to, 0) + record.amount
+                elif isinstance(record, Compensation):
+                    self._compensated.add(record.undone)
 
     def _rebuild_live(self) -> None:
         """Recompute the live state: the ancestor closure of the live
@@ -256,12 +270,16 @@ class Chain:
                 ref = self._blocks[ref].parent_ref
         for state in (self._live, self._live_at, self._compensated, self._ledger):
             state.clear()
-        for ref in sorted(closure):
-            self._index(ref)
+        self._index(sorted(closure))
 
     # -- mutation ----------------------------------------------------------
 
     def append_block(self, branch: int, payload: Iterable = ()) -> BlockRef:
+        return self.append_blocks(branch, (payload,))[0]
+
+    def append_blocks(self, branch: int, payloads: Iterable[Iterable]) -> list[BlockRef]:
+        """Seal one block per payload on top of ``branch``, each on the
+        one before, then index the run at once.  Each hash is fixed here."""
         if branch not in self.branches:
             raise ChainError(f"unknown branch {branch} on chain {self.id}")
         info = self.branches[branch]
@@ -273,16 +291,23 @@ class Chain:
         else:
             parent_ref = BlockRef(self.id, info.tip, branch)
             height = info.tip + 1
-        if parent_ref is None or parent_ref not in self._blocks:
+        blocks = self._blocks
+        if parent_ref is None or parent_ref not in blocks:
             raise ChainError(f"missing parent at height {height - 1} on chain {self.id}")
-        ref = BlockRef(self.id, height, branch)
-        block = Block.seal(ref, parent_ref, self._blocks[parent_ref].hash, payload)
-        self._blocks[ref] = block
-        info.tip = height
+        parent_hash = blocks[parent_ref].hash
+        refs = []
+        for payload in payloads:
+            ref = BlockRef(self.id, height, branch)
+            block = Block.seal(ref, parent_ref, parent_hash, payload)
+            blocks[ref] = block
+            refs.append(ref)
+            parent_ref, parent_hash, height = ref, block.hash, height + 1
+        if refs:
+            info.tip = height - 1
         # the parent is live: a live branch's tip is, a fork's parent was
         # when it spawned, and a resolution leaves no empty branch live
-        self._index(ref)
-        return ref
+        self._index(refs)
+        return refs
 
     def spawn_fork(self, at_height: int) -> int:
         """Open a new branch whose first block will sit at ``at_height``."""

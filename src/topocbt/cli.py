@@ -114,11 +114,11 @@ class _LogEnd(Exception):
     """The rerun asked for a record past the end of the given log."""
 
 
-def _show(value) -> str:
+def _show(field: str, value) -> str:
+    if field == "updates":
+        return "[" + "; ".join(f"{u.owner_from} {u.owner_to} {u.asset} {u.amount}" for u in value) + "]"
     if isinstance(value, WalKind):
         return value.name.lower()
-    if isinstance(value, tuple):
-        return "[" + "; ".join(f"{u.owner_from} {u.owner_to} {u.asset} {u.amount}" for u in value) + "]"
     return str(value)
 
 
@@ -141,8 +141,8 @@ class _CheckedLog(WriteAheadLog):
         logged = self.given[index]
         for field in ("sequence", "txn_id", "kind", "block_ref", "updates"):
             if getattr(logged, field) != getattr(rec, field):
-                raise WalFormatError(f"record {index}: logged {field} {_show(getattr(logged, field))}, "
-                                     f"the run writes {_show(getattr(rec, field))}")
+                raise WalFormatError(f"record {index}: logged {field} {_show(field, getattr(logged, field))}, "
+                                     f"the run writes {_show(field, getattr(rec, field))}")
         return rec
 
 

@@ -8,7 +8,8 @@ and ``#`` comments are ignored.  Block positions are written
 ``chain:height`` or ``chain:height:branch``.  Input that could not
 run as written (a number its binary field cannot hold, a duplicate chain
 or txn id, a fork with no block below it, a failure that can never
-fire) is rejected with its line and field.
+fire, more blocks or replicas than the work budget allows) is rejected
+with its line and field.
 
 A parsed :class:`Scenario` holds the chains to build, each transaction
 as the :class:`CrossChainTransaction` it runs (in declaration order)
@@ -25,6 +26,7 @@ replays byte-identically too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -97,8 +99,23 @@ CHAIN_ID = (1, 2**32 - 1)      # chain ids: '>I' too, and chains are numbered fr
 TXN_ID = (0, 2**64 - 1)        # '>Q' in the WAL
 AMOUNT = (1, 2**63 - 1)        # '>Q' in blocks and the WAL, and a balance change in the digest
 BALANCE = (-(2**63), 2**63 - 1)  # '>q' in the state digest
-POINT = (1, None)              # replicas, and 1-based face, swap, record and append counts
+POINT = (1, None)              # 1-based face, swap, record and append counts
 NATURAL = (0, None)            # epoch and window, where 0 means never and whole chains
+
+# The work budget.  A run holds its scenario's whole declared history in
+# memory, so each bound keeps one structure of a run within MEMORY_BUDGET
+# bytes.  Sizes were measured with tracemalloc on CPython 3.11 and rounded
+# up to a power of two:
+# - a declared block costs BLOCK_BYTES: its sealed block (~490 B) and its
+#   vertex and edges in one complex build (~390 B);
+# - in replicated mode the copies of a block form one simplex whose face
+#   closure, which Betti numbers and complex text enumerate, holds
+#   2**replicas - 1 cells of up to CELL_BYTES each.
+MEMORY_BUDGET = 2**30
+BLOCK_BYTES = 1024
+CELL_BYTES = 256
+MAX_BLOCKS = MEMORY_BUDGET // BLOCK_BYTES  # trunks and forks of all chains together
+REPLICAS = (1, (MEMORY_BUDGET // CELL_BYTES).bit_length() - 1)
 
 
 @dataclass
@@ -116,12 +133,10 @@ class Scenario:
         federation = Federation()
         for spec in sorted(self.chains, key=lambda c: c.id):
             chain = Chain(spec.id, replicas=spec.replicas, assets=spec.assets)
-            for _ in range(spec.length):
-                chain.append_block(0, ())
+            chain.append_blocks(0, repeat((), spec.length))
             for height, branches in spec.forks:
                 for _ in range(branches):
-                    label = chain.spawn_fork(height)
-                    chain.append_block(label, ())
+                    chain.append_blocks(chain.spawn_fork(height), ((),))
             federation.add_chain(chain)
             for party, asset, amount in spec.balances:
                 key = (party, asset)
@@ -237,7 +252,15 @@ def parse_scenario(text: str) -> Scenario:
     current: dict = {}
     lines: dict[str, int] = {}  # key -> line of its first occurrence; "" -> the section header
     chain_ids: set[int] = set()
+    declared_blocks = 0
     failure_sections: list[tuple[dict, dict[str, int]]] = []
+
+    def count_blocks(count: int, line: int, fld: str) -> None:
+        nonlocal declared_blocks
+        declared_blocks += count
+        if declared_blocks > MAX_BLOCKS:
+            raise ScenarioError(f"{declared_blocks} blocks declared so far, more than the budget of {MAX_BLOCKS}",
+                                line, fld)
 
     def flush() -> None:
         nonlocal current, lines
@@ -262,6 +285,9 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"chain id {cid} is already declared", lines["id"], "id")
             chain_ids.add(cid)
             length = current.get("length", 1)
+            count_blocks(length, lines.get("length", section_line), "length")
+            for _, branches, line in current.get("fork", ()):
+                count_blocks(branches, line, "fork")
             scenario.chains.append(
                 ChainSpec(
                     id=cid,
@@ -329,7 +355,9 @@ def parse_scenario(text: str) -> Scenario:
             current[key] = _parse_int(value, lineno, key, CHAIN_ID if section == "chain" else TXN_ID)
         elif key == "length":
             current[key] = _parse_int(value, lineno, key, U32)
-        elif key in ("replicas", "face", "swap", "record", "append"):
+        elif key == "replicas":
+            current[key] = _parse_int(value, lineno, key, REPLICAS)
+        elif key in ("face", "swap", "record", "append"):
             current[key] = _parse_int(value, lineno, key, POINT)
         elif key in ("epoch", "window"):
             current[key] = _parse_int(value, lineno, key, NATURAL)

@@ -86,7 +86,7 @@ def expand_refs(federation: Federation, txn: CrossChainTransaction) -> list[Bloc
         if ref not in live_here:
             raise ChainError(f"txn {txn.id}: block {ref} is missing or on a dead branch")
         out.update(live_here)
-    return sorted(out, key=lambda r: (r.chain, r.height, r.branch))
+    return sorted(out)
 
 
 def expected_transaction_dimension(
@@ -174,9 +174,10 @@ def build_federation_complex(
     for cid in federation.chain_ids():
         chain = federation.chain(cid)
         trunk_copies = chain.replicas if replicated else 1
+        branches = chain.branches
         tips: dict[int, list[int]] = {}  # height -> live branches whose tip is there
         for label in chain.live_branch_labels():
-            tips.setdefault(chain.branches[label].tip, []).append(label)
+            tips.setdefault(branches[label].tip, []).append(label)
         below: dict[int, int] = {}  # branch -> first vertex id, one height down
         for height, refs in chain.live_rows(*spans.get(cid, (0, None))):
             start = v
@@ -191,8 +192,11 @@ def build_federation_complex(
                 if below:  # else the lowest height built: no parent in the window
                     # the parent link (covers fork spawn: the parent joins
                     # both children); a trunk block's parent is on the
-                    # trunk, so their copies link replica by replica
-                    parent_branch = chain.block(ref).parent_ref.branch
+                    # trunk, so their copies link replica by replica.  A
+                    # branch's first block hangs off its fork parent, every
+                    # later one off the block below on its own branch
+                    info = branches[branch]
+                    parent_branch = info.parent.branch if height == info.spawn_height else branch
                     p = below[parent_branch]
                     for r in range(copies):
                         cells.add((p + r, v + r))

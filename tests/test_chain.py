@@ -14,6 +14,7 @@ from topocbt.chain import (
 )
 from topocbt.rng import SplitMix64
 from topocbt.unionfind import UnionFind
+from topocbt.wal import WalKind, WriteAheadLog
 
 
 def make_chain(length=3, chain_id=1):
@@ -51,6 +52,56 @@ def test_append_to_dead_branch_fails():
 def test_append_to_unknown_branch_fails():
     with pytest.raises(ChainError, match="unknown branch"):
         Chain(1).append_block(7, ())
+
+
+def test_append_blocks_seals_a_run_on_the_branch():
+    ch = Chain(1)
+    refs = ch.append_blocks(0, [(), (AssetUpdate("a", "b", "X", 2),), ()])
+    assert refs == [BlockRef(1, 1, 0), BlockRef(1, 2, 0), BlockRef(1, 3, 0)]
+    for ref in refs:
+        assert ch.block(ref).parent_hash == ch.block(ch.block(ref).parent_ref).hash
+    assert ch.branches[0].tip == 3
+    assert ch.ledger() == {("a", "X"): -2, ("b", "X"): 2}
+    assert ch.append_blocks(0, []) == [] and ch.branches[0].tip == 3
+
+
+# -- block refs ------------------------------------------------------------------
+
+REF_FIELDS = st.tuples(st.integers(1, 5), st.integers(0, 5), st.integers(0, 3))
+
+
+@given(st.lists(REF_FIELDS, max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_refs_sort_as_chain_height_branch(fields):
+    refs = [BlockRef(*f) for f in fields]
+    assert sorted(refs) == sorted(refs, key=lambda r: (r.chain, r.height, r.branch))
+    assert [tuple(r) for r in sorted(refs)] == sorted(fields)
+
+
+def test_ref_text_is_unchanged():
+    ref = BlockRef(3, 14, 2)
+    assert str(ref) == "3:14:2"
+    assert repr(ref) == "BlockRef(chain=3, height=14, branch=2)"
+    assert str(BlockRef(1, 7)) == "1:7:0"
+
+
+def test_equal_refs_built_apart_are_one_key():
+    a, b, c = BlockRef(1, 2, 0), BlockRef(1, 2), BlockRef(chain=1, height=2, branch=0)
+    assert a == b == c == (1, 2, 0)
+    assert len({a, b, c}) == 1
+    assert {a: "x"}[b] == "x"
+    assert BlockRef(1, 2, 1) != a and BlockRef(2, 1, 0) != a
+
+
+def test_wal_round_trip_returns_equal_refs():
+    wal = WriteAheadLog()
+    refs = [BlockRef(1, 3, 0), BlockRef(2, 2, 1), BlockRef(2**32 - 1, 2**32 - 1, 2**32 - 1)]
+    for ref in refs:
+        wal.append(1, WalKind.UNDO, ref, (AssetUpdate("a", "b", "X", 1),))
+    loaded = WriteAheadLog.from_bytes(wal.to_bytes())
+    assert [rec.block_ref for rec in loaded.records] == refs
+    assert all(type(rec.block_ref) is BlockRef for rec in loaded.records)
+    assert {rec.block_ref for rec in loaded.records} == set(refs)
 
 
 # -- forks ---------------------------------------------------------------------
@@ -138,6 +189,17 @@ def test_tampered_parent_hash_detected():
     block = ch.block(BlockRef(1, 1, 0))
     object.__setattr__(block, "parent_hash", b"\x01" * 32)
     assert ch.hash_violations() == [BlockRef(1, 1, 0)]
+
+
+def test_tampered_block_of_a_one_pass_run_is_detected():
+    ch = Chain(1)
+    ch.append_blocks(0, [()] * 5)
+    assert ch.hash_violations() == []
+    victim = BlockRef(1, 3, 0)
+    object.__setattr__(ch.block(victim), "payload", (AssetUpdate("m", "a", "X", 5),))
+    assert ch.hash_violations() == [victim]
+    object.__setattr__(ch.block(BlockRef(1, 5, 0)), "parent_hash", b"\x01" * 32)
+    assert ch.hash_violations() == [victim, BlockRef(1, 5, 0)]
 
 
 @given(st.integers(0, 2**40))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from topocbt.chain import AssetUpdate, BlockRef, Chain, Compensation, Federation
 from topocbt.harness import _replay
-from topocbt.scenario import car_trading, parse_scenario, random_scenario
+from topocbt.scenario import ChainSpec, Scenario, car_trading, parse_scenario, random_scenario
 from topocbt.wal import WriteAheadLog
 
 
@@ -119,6 +119,62 @@ def test_maintained_state_equals_rescan_after_every_step(data):
     assert_chain_matches_rescan(chain)
     for _ in random_history(data, chain):
         assert_chain_matches_rescan(chain)
+
+
+def assert_same_chain(built: Chain, expected: Chain) -> None:
+    """Every block, hash included, every branch and the maintained state agree."""
+    assert built.all_refs() == expected.all_refs()
+    assert [built.block(r) for r in built.all_refs()] == [expected.block(r) for r in expected.all_refs()]
+    assert built.branches == expected.branches
+    assert list(built.live_rows()) == list(expected.live_rows())
+    assert built.ledger() == expected.ledger()
+    assert built.compensated_refs() == expected.compensated_refs()
+    assert built.hash_violations() == [] == expected.hash_violations()
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_run_sealed_in_one_pass_equals_one_sealed_block_by_block(data):
+    one_pass, by_block = Chain(1, assets=("X", "Y")), Chain(1, assets=("X", "Y"))
+    for _ in range(data.draw(st.integers(1, 6), label="runs")):
+        step = data.draw(st.sampled_from(["trunk", "fork", "fork", "resolve"]))
+        if step == "resolve":
+            one_pass.resolve_forks()
+            by_block.resolve_forks()
+            continue
+        if step == "fork":
+            height = data.draw(st.sampled_from(sorted({r.height for r in one_pass.live_refs()}))) + 1
+            assert one_pass.spawn_fork(height) == by_block.spawn_fork(height)
+        branch = data.draw(st.sampled_from(one_pass.live_branch_labels()))
+        payloads = []
+        for _ in range(data.draw(st.integers(0, 12), label="run length")):
+            payload = tuple(draw_update(data) for _ in range(data.draw(st.integers(0, 2))))
+            if data.draw(st.integers(0, 4)) == 0:
+                undone = data.draw(st.sampled_from(by_block.all_refs()))
+                payload = (Compensation(undone, data.draw(st.integers(1, 9))),) + payload
+            payloads.append(payload)
+        refs = one_pass.append_blocks(branch, payloads)
+        assert refs == [by_block.append_block(branch, payload) for payload in payloads]
+        assert_same_chain(one_pass, by_block)
+    assert_chain_matches_rescan(one_pass)
+
+
+@given(st.integers(0, 60), st.lists(st.tuples(st.integers(1, 70), st.integers(0, 3)), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_declared_history_equals_the_chain_built_block_by_block(length, forks):
+    expected = Chain(1, replicas=2, assets=("X",))
+    for _ in range(length):
+        expected.append_block(0, ())
+    declared = []
+    for height, branches in forks:
+        height = 1 + height % len(list(expected.live_rows()))  # a fork needs a block below it
+        declared.append((height, branches))
+        for _ in range(branches):
+            expected.append_block(expected.spawn_fork(height), ())
+    spec = ChainSpec(id=1, replicas=2, length=length, assets=("X",), forks=tuple(declared))
+    built = Scenario(chains=[spec]).build_federation().chain(1)
+    assert_same_chain(built, expected)
+    assert_chain_matches_rescan(built)
 
 
 def test_returned_state_cannot_corrupt_the_chain():

@@ -474,3 +474,23 @@ def test_betti_scenario_fuzz_is_a_betti_line_or_one_error_line(tmp_path_factory,
         assert re.fullmatch(r"betti: (\d+( \d+)*)?\n", out) and err == ""
     else:
         assert_one_error_line(code, out, err)
+
+
+SEEDS = st.one_of(
+    st.lists(st.integers(-1, 3).map(str), min_size=1, max_size=2).map(",".join),
+    st.sampled_from(["", "x", "1,,2", " 2", "1.5"]),
+)
+
+
+@given(st.lists(mutated_scenario_text(), min_size=1, max_size=2), SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_compare_fuzz_is_a_table_or_one_error_line(tmp_path_factory, texts, seeds):
+    directory = tmp_path_factory.mktemp("fuzz")
+    for i, text in enumerate(texts):
+        (directory / f"s{i}.scenario").write_bytes(text.encode("utf-8"))
+    code, out, err = run_main(["compare", "--scenario-dir", str(directory), f"--seeds={seeds}"])
+    if code == 0:
+        assert out.startswith("protocol,scenario,seed,")
+        assert all(line.startswith("# ") for line in err.splitlines())
+    else:
+        assert_one_error_line(code, out, err)

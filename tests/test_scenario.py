@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topocbt.chain import BlockRef
 from topocbt.engine import FailurePlan
 from topocbt.scenario import (
     CAR_TRADING_TEXT,
     FAILURE_KINDS,
+    MAX_BLOCKS,
+    REPLICAS,
     FailureSpec,
     ScenarioError,
     car_trading,
@@ -14,6 +17,7 @@ from topocbt.scenario import (
     random_scenario,
 )
 from topocbt.topology import TopologyMode
+from test_cli import assert_one_error_line, run_main
 from test_simplicial import NOT_NEWLINES
 
 
@@ -265,6 +269,71 @@ def test_numbers_at_the_range_edges_parse():
     assert scen.chains[0].balances == (("alice", "ETH", 2**63 - 1), ("bob", "ETH", -(2**63)))
     assert scen.txns[0].sub_transactions[0].updates[0].amount == 2**63 - 1
     assert scen.plan_for(2**64 - 1).crash_after_append == 1
+
+
+# -- the work budget: checked at parse level only, no case starts a run ----------
+
+def budget_text(chains) -> tuple[str, list[tuple[int, str]]]:
+    """Scenario text for chains given as (replicas, length, fork branch
+    counts), every fork at height 1, and the (line, field) of each block
+    count in declaration order."""
+    lines, where = [], []
+    for cid, (replicas, length, forks) in enumerate(chains, start=1):
+        lines += ["[chain]", f"id = {cid}", f"replicas = {replicas}", f"length = {length}"]
+        where.append((len(lines), "length"))
+        for branches in forks:
+            lines.append(f"fork = 1 {branches}")
+            where.append((len(lines), "fork"))
+    return "\n".join(lines) + "\n", where
+
+
+def assert_refused_by_run(tmp_path, text, line, fld):
+    path = tmp_path / "over.scenario"
+    path.write_text(text)
+    code, out, err = run_main(["run", "--scenario", str(path)])
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: line {line}: field {fld}: ")
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_declared_blocks_at_the_budget_parse_and_one_more_is_refused(tmp_path_factory, forks, data):
+    # split the budget at drawn cut points over every length and fork
+    items = sum(1 + n for n in forks)
+    cuts = sorted(data.draw(st.lists(st.integers(0, MAX_BLOCKS), min_size=items - 1, max_size=items - 1)))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [MAX_BLOCKS])]
+
+    def chains(counts):
+        it = iter(counts)
+        return [(1, next(it), [next(it) for _ in range(n)]) for n in forks]
+
+    text, where = budget_text(chains(counts))
+    scen = parse_scenario(text)
+    assert sum(c.length + sum(b for _, b in c.forks) for c in scen.chains) == MAX_BLOCKS
+
+    counts[data.draw(st.integers(0, len(counts) - 1))] += 1
+    text, where = budget_text(chains(counts))
+    # the count that crosses the budget is the last nonzero one
+    line, fld = where[max(i for i, c in enumerate(counts) if c)]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.field) == (line, fld)
+    assert_refused_by_run(tmp_path_factory.mktemp("budget"), text, line, fld)
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=20, deadline=None)
+def test_replicas_at_the_budget_parse_and_one_more_is_refused(tmp_path_factory, n_chains, data):
+    top = REPLICAS[1]
+    over = data.draw(st.integers(1, n_chains))
+    scen = parse_scenario(budget_text([(top, 1, [])] * n_chains)[0])
+    assert [c.replicas for c in scen.chains] == [top] * n_chains
+    text, _ = budget_text([(top + (cid == over), 1, []) for cid in range(1, n_chains + 1)])
+    line = 4 * over - 1  # the replicas line of chain `over`
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.field) == (line, "replicas")
+    assert_refused_by_run(tmp_path_factory.mktemp("budget"), text, line, "replicas")
 
 
 def test_fork_may_start_one_above_an_earlier_fork():
