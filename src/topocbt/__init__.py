@@ -20,7 +20,6 @@ from .chain import (
     ChainError,
     Conflict,
     Federation,
-    LockGrant,
 )
 from .engine import (
     FailurePlan,
@@ -30,7 +29,7 @@ from .engine import (
     Status,
     TopoCbtEngine,
 )
-from .baselines import SimClock, ac2s_execute, ac3wn_execute
+from .baselines import ac2s_execute, ac3wn_execute
 from .harness import (
     ComparisonTable,
     RunReport,

@@ -3,12 +3,14 @@
 AC2S decomposes a deal into timelocked pairwise swaps.  Every swap is
 atomic on its own, but there is no global rollback: once a party walks
 away or misses a deadline, earlier transfers stand and somebody ends
-up worse off (a partial commit).
+up worse off (a partial commit).  A timelock runs from its own swap's
+offer, so each swap counts its own ticks from zero.
 
 AC3WN runs two-phase commit with an extra witness blockchain as the
 coordinator's decision record.  It is globally atomic, but a
 coordinator crash after the prepare phase leaves participants holding
-locks with no decision to act on: the run blocks.
+locks with no decision to act on: the run blocks.  The blocking
+horizon is a number of ticks after prepare.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .chain import AssetUpdate, Chain, Conflict, Federation
+from .chain import AssetUpdate, Chain, Federation
 from .engine import FailurePlan, NO_FAILURES, Outcome, Status, UPDATE_FAILURE, CRASH_BEFORE_COMMIT, pair_count
 from .topology import CrossChainTransaction, expand_refs
 
@@ -26,15 +28,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TIMELOCK = 10        # simulation ticks granted to claim a swap leg
 BLOCKING_HORIZON_FACTOR = 10  # locks held past factor * timelock => blocked
-
-
-class SimClock:
-    def __init__(self) -> None:
-        self.now = 0
-
-    def advance(self, ticks: int = 1) -> int:
-        self.now += ticks
-        return self.now
 
 
 @dataclass(frozen=True)
@@ -83,7 +76,6 @@ def ac2s_execute(
     federation: Federation,
     txn: CrossChainTransaction,
     plan: FailurePlan = NO_FAILURES,
-    clock: Optional[SimClock] = None,
 ) -> Outcome:
     """Run the deal as a sequence of independent timelocked swaps.
 
@@ -92,7 +84,6 @@ def ac2s_execute(
     through the initiator.  Anything else is not decomposable.
     """
     txn.validate(federation)
-    clock = clock or SimClock()
     n_blocks = len(expand_refs(federation, txn))
 
     swaps: list[tuple[tuple[AssetUpdate, ...], int]] = []  # (legs, source face index)
@@ -123,7 +114,7 @@ def ac2s_execute(
                 worse_off.add(initiator)
             break
 
-        offered_at = clock.now
+        ticks = 0  # since this swap was offered
         expired = False
         for leg_no, leg in enumerate(legs, start=1):
             # with no coordinator, every leg re-verifies the whole
@@ -134,13 +125,12 @@ def ac2s_execute(
                 plan.timeout_swap == number
                 or plan.face_failure(face_index) == UPDATE_FAILURE
             )
-            claim_tick = clock.advance(DEFAULT_TIMELOCK + 1 if late else 1)
-            if claim_tick > offered_at + DEFAULT_TIMELOCK:
+            ticks += DEFAULT_TIMELOCK + 1 if late else 1
+            if ticks > DEFAULT_TIMELOCK:
                 expired = True
                 worse_off.update(l.owner_from for l in legs[: leg_no - 1])
                 break
-            chain = federation.chain_for_asset(leg.asset)
-            chain.append_block(chain.canonical_branch(), (leg,))
+            federation.chain_for_asset(leg.asset).append((leg,))
             meter_ops += 1 + 1
             applied += 1
         if expired:
@@ -160,7 +150,6 @@ def ac3wn_execute(
     federation: Federation,
     txn: CrossChainTransaction,
     plan: FailurePlan = NO_FAILURES,
-    clock: Optional[SimClock] = None,
     witness: Optional[Chain] = None,
 ) -> Outcome:
     """Two-phase commit with the decision sequence on a witness chain.
@@ -170,16 +159,15 @@ def ac3wn_execute(
     ``Chain(WITNESS_CHAIN_ID)``; otherwise a private one is used.
     """
     txn.validate(federation)
-    clock = clock or SimClock()
     if witness is None:
         witness = Chain(WITNESS_CHAIN_ID)
 
     refs = expand_refs(federation, txn)
     messages = 0
     meter_ops = len(refs)
-    grant = federation.lock_blocks(refs, txn.id)
+    conflict = federation.lock_blocks(refs, txn.id)
     messages += len(refs)
-    if isinstance(grant, Conflict):
+    if conflict is not None:
         return Outcome(Status.ABORTED, 0, messages, meter_ops, 0)
 
     # phase 1: one prepare round-trip per participating chain, one
@@ -189,7 +177,7 @@ def ac3wn_execute(
     messages += 2 * len(chain_ids)
     meter_ops += 2 * len(chain_ids)
     for index, sub in enumerate(txn.sub_transactions, start=1):
-        witness.append_block(0, (Decision("Prepared", txn.id),))
+        witness.append((Decision("Prepared", txn.id),))
         meter_ops += 1
         vote_abort = plan.vote_abort_face == index or plan.face_failure(index) == UPDATE_FAILURE
         if vote_abort:
@@ -200,27 +188,26 @@ def ac3wn_execute(
     # coordinator crash window: prepare done, decision not yet durable
     crashed = plan.witness_crash or any(k == CRASH_BEFORE_COMMIT for _, k in plan.face_failures)
     if crashed:
-        horizon = clock.advance(BLOCKING_HORIZON_FACTOR * DEFAULT_TIMELOCK)
         held = [ref for ref, holder in federation.locks.items() if holder == txn.id]
-        log.info("txn %s: no decision by tick %s, %d locks still held", txn.id, horizon, len(held))
+        log.info("txn %s: no decision %d ticks after prepare, %d locks still held",
+                 txn.id, BLOCKING_HORIZON_FACTOR * DEFAULT_TIMELOCK, len(held))
         return Outcome(Status.BLOCKED, 0, messages, meter_ops, _witness_space(witness))
 
     if not votes_ok:
-        witness.append_block(0, (Decision("GlobalAbort", txn.id),))
+        witness.append((Decision("GlobalAbort", txn.id),))
         meter_ops += 1
         messages += len(chain_ids)
         federation.release_blocks(refs, txn.id)
         meter_ops += len(refs)
         return Outcome(Status.ABORTED, 0, messages, meter_ops, _witness_space(witness))
 
-    witness.append_block(0, (Decision("GlobalCommit", txn.id),))
+    witness.append((Decision("GlobalCommit", txn.id),))
     meter_ops += 1
     messages += len(chain_ids)
     applied = 0
     for sub in txn.sub_transactions:
         for cid, updates in federation.updates_by_chain(sub.updates):
-            chain = federation.chain(cid)
-            chain.append_block(chain.canonical_branch(), updates)
+            federation.chain(cid).append(updates)
             meter_ops += 1 + len(updates)
             applied += len(updates)
     federation.release_blocks(refs, txn.id)

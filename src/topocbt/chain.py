@@ -13,7 +13,8 @@ blocks, and the net (party, asset) change of its live ``AssetUpdate``
 records.  ``append_blocks`` seals a run of blocks on one branch in one
 loop, each hash fixed as its block is sealed, and adds the run to all
 four at once (its parent is always live already); ``append_block`` is a
-run of one, and a scenario's declared trunk is one run.
+run of one, and a scenario's declared trunk is one run.  ``append``
+seals one block on the canonical branch, in the slot ``next_ref`` names.
 ``resolve_forks`` rebuilds them with one ancestor walk when it retires
 a branch; ``spawn_fork`` leaves them alone, since an empty branch adds
 no block.  A payload is read once, when its block is appended.  The
@@ -27,7 +28,7 @@ height index and the lock table, and hashes, compares and sorts as
 
 Locks are held per logical block (one store per chain regardless of
 replica count) in a federation-level table, acquired all-or-nothing in
-the canonical (chain, height, branch) order.
+the canonical (chain, height, branch) order; a refusal is a ``Conflict``.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ class Chain:
         self._live_at: dict[int, list[BlockRef]] = {}  # height -> refs, by branch
         self._compensated: set[BlockRef] = set()
         self._ledger: dict[tuple[str, str], int] = {}
-        self._rebuild_live()
+        self._index((genesis.ref,))
 
     # -- queries ---------------------------------------------------------
 
@@ -200,6 +201,11 @@ class Chain:
         live = self.live_branch_labels()
         best = max(self.branches[b].tip for b in live)
         return min(b for b in live if self.branches[b].tip == best)
+
+    def next_ref(self) -> BlockRef:
+        """The ref the next ``append`` fills."""
+        branch = self.canonical_branch()
+        return BlockRef(self.id, self._slot(branch)[1], branch)
 
     def live_refs(self) -> frozenset[BlockRef]:
         """Ancestor closure of every live branch tip.
@@ -274,6 +280,17 @@ class Chain:
 
     # -- mutation ----------------------------------------------------------
 
+    def _slot(self, branch: int) -> tuple[Optional[BlockRef], int]:
+        """Parent and height of the next block on ``branch``."""
+        info = self.branches[branch]
+        if info.tip < 0:
+            return info.parent, info.spawn_height
+        return BlockRef(self.id, info.tip, branch), info.tip + 1
+
+    def append(self, payload: Iterable = ()) -> BlockRef:
+        """Seal one block on the canonical branch."""
+        return self.append_block(self.canonical_branch(), payload)
+
     def append_block(self, branch: int, payload: Iterable = ()) -> BlockRef:
         return self.append_blocks(branch, (payload,))[0]
 
@@ -285,12 +302,7 @@ class Chain:
         info = self.branches[branch]
         if not info.live:
             raise ChainError(f"branch {branch} on chain {self.id} is dead")
-        if info.tip < 0:
-            parent_ref = info.parent
-            height = info.spawn_height
-        else:
-            parent_ref = BlockRef(self.id, info.tip, branch)
-            height = info.tip + 1
+        parent_ref, height = self._slot(branch)
         blocks = self._blocks
         if parent_ref is None or parent_ref not in blocks:
             raise ChainError(f"missing parent at height {height - 1} on chain {self.id}")
@@ -353,11 +365,6 @@ class Chain:
 
 
 @dataclass(frozen=True)
-class LockGrant:
-    refs: tuple[BlockRef, ...]
-
-
-@dataclass(frozen=True)
 class Conflict:
     ref: BlockRef
     holder: int
@@ -397,8 +404,8 @@ class Federation:
 
     # -- locks -------------------------------------------------------------
 
-    def lock_blocks(self, refs: Iterable[BlockRef], txn_id: int):
-        """Lock every ref for txn_id, or lock nothing and report the conflict.
+    def lock_blocks(self, refs: Iterable[BlockRef], txn_id: int) -> Optional[Conflict]:
+        """Lock every ref for txn_id and return None, or lock none and return the conflict.
 
         Acquisition always walks the canonical (chain, height, branch)
         order so no two acquisition sequences can cross.
@@ -410,7 +417,7 @@ class Federation:
                 return Conflict(ref=ref, holder=holder)
         for ref in ordered:
             self.locks[ref] = txn_id
-        return LockGrant(refs=tuple(ordered))
+        return None
 
     def release_blocks(self, refs: Iterable[BlockRef], txn_id: int) -> None:
         ordered = sorted(set(refs))

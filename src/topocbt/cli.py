@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: run, betti, compare, fit, recover.  Invalid input exits
-nonzero after printing one machine-parsable ``error: ...`` line on
-stderr.  TOPOCBT_LOG sets the logging level (debug/info/warning).
+Subcommands: run, betti, compare, fit, recover.  Invalid input, a
+usage error included, exits nonzero after printing one machine-parsable
+``error: ...`` line on stderr.  TOPOCBT_LOG sets the logging level
+(debug/info/warning).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .chain import ChainError
 from .engine import TopoCbtEngine
@@ -30,7 +32,8 @@ def _setup_logging() -> None:
 
 
 def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    # one line, even where the message quotes an argument with a newline in it
+    print(f"error: {message}".replace("\n", "\\n"), file=sys.stderr)
     return 2
 
 
@@ -169,9 +172,15 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Hands a usage error to ``main`` instead of printing usage and exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="topocbt",
-                                     description="cross-chain transaction simulator")
+    parser = _Parser(prog="topocbt", description="cross-chain transaction simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one scenario")
@@ -211,11 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ScenarioError, ChainError, WalFormatError, ValueError, OSError) as exc:
+    except (argparse.ArgumentError, ScenarioError, ChainError, WalFormatError, ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

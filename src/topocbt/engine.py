@@ -11,7 +11,9 @@ recovery has one path: roll back each transaction that has none.  The
 outcome is always terminal: committed or aborted, never pending.
 
 Updates are never erased: both application and rollback append blocks,
-and the balance digest is what makes compensation exact.  A forward
+and the balance digest is what makes compensation exact.  Every block
+goes where its chain's ``append`` puts it, and an undo record names the
+slot that ``Chain.next_ref`` reports before the append.  A forward
 update block opens with a ``Forward`` marker naming its transaction, so
 rollback reverses only the crashed transaction's own blocks.
 
@@ -29,7 +31,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-from .chain import AssetUpdate, BlockRef, Compensation, Conflict, Federation, Forward
+from .chain import AssetUpdate, BlockRef, Compensation, Federation, Forward
 from .topology import (
     CrossChainTransaction,
     TopologyMode,
@@ -152,20 +154,13 @@ class TopoCbtEngine:
         return rec
 
     def _append_updates(self, meter: _Meter, plan: FailurePlan, marker: Forward, chain_id: int,
-                        updates: tuple[AssetUpdate, ...]) -> BlockRef:
-        chain = self.federation.chain(chain_id)
-        ref = chain.append_block(chain.canonical_branch(), (marker,) + updates)
+                        updates: tuple[AssetUpdate, ...]) -> None:
+        self.federation.chain(chain_id).append((marker,) + updates)
         meter.ops += 1 + len(updates)
         meter.messages += 1
         meter.appends += 1
         if plan.crash_after_append is not None and meter.appends == plan.crash_after_append:
             raise SimulatedCrash(f"after append {meter.appends}")
-        return ref
-
-    def _planned_ref(self, chain_id: int) -> BlockRef:
-        chain = self.federation.chain(chain_id)
-        branch = chain.canonical_branch()
-        return BlockRef(chain_id, chain.branches[branch].tip + 1, branch)
 
     def _rollback(self, meter: _Meter, undo_records: list[WalRecord]) -> None:
         """Append compensation blocks for logged updates, newest first.
@@ -187,9 +182,7 @@ class TopoCbtEngine:
             if rec.block_ref in chain.compensated_refs():
                 continue
             inverse = tuple(u.inverse() for u in reversed(rec.updates))
-            payload = (Compensation(rec.block_ref, rec.txn_id),) + inverse
-            branch = chain.canonical_branch()
-            chain.append_block(branch, payload)
+            chain.append((Compensation(rec.block_ref, rec.txn_id),) + inverse)
             meter.ops += 1 + len(inverse)
             meter.messages += 1
 
@@ -205,11 +198,11 @@ class TopoCbtEngine:
         meter = _Meter()
 
         refs = expand_refs(self.federation, txn)
-        grant = self.federation.lock_blocks(refs, txn.id)
+        conflict = self.federation.lock_blocks(refs, txn.id)
         meter.ops += len(refs)
         meter.messages += len(refs)
-        if isinstance(grant, Conflict):
-            log.info("txn %s: lock conflict on %s held by %s", txn.id, grant.ref, grant.holder)
+        if conflict is not None:
+            log.info("txn %s: lock conflict on %s held by %s", txn.id, conflict.ref, conflict.holder)
             return Outcome(Status.ABORTED, 0, meter.messages, meter.ops, 0)
 
         sigma = transaction_simplex(self.federation, txn, self.mode)
@@ -225,7 +218,7 @@ class TopoCbtEngine:
 
             for chain_id, updates in per_chain:
                 rec = self._write_record(meter, plan, txn.id, WalKind.UNDO,
-                                         self._planned_ref(chain_id), updates)
+                                         self.federation.chain(chain_id).next_ref(), updates)
                 undo_records.append(rec)
             if injected == CRASH_AFTER_UNDO:
                 raise SimulatedCrash(f"after undo records of face {index}")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from .baselines import SimClock, ac2s_execute, ac3wn_execute
+from .baselines import ac2s_execute, ac3wn_execute
 from .chain import Federation
 from .engine import FailurePlan, Outcome, SimulatedCrash, Status, TopoCbtEngine
 from .scenario import PROTOCOLS, Scenario, grid_scenario
@@ -143,8 +143,8 @@ class RunReport:
         return problems
 
 
-def _execute(engine: TopoCbtEngine, clock: SimClock, protocol: str,
-             txn: CrossChainTransaction, plan: FailurePlan) -> tuple[Outcome, bool]:
+def _execute(engine: TopoCbtEngine, protocol: str, txn: CrossChainTransaction,
+             plan: FailurePlan) -> tuple[Outcome, bool]:
     """Run one transaction under one protocol; also says whether it crashed.
 
     A crashed main-engine run goes through recovery, and its status is
@@ -165,9 +165,9 @@ def _execute(engine: TopoCbtEngine, clock: SimClock, protocol: str,
                 return Outcome(Status.COMMITTED, txn.total_updates(), 0, 0, 0), True
             return Outcome(Status.ABORTED, 0, 0, 0, 0), True
     if protocol == "ac2s":
-        return ac2s_execute(federation, txn, plan, clock), False
+        return ac2s_execute(federation, txn, plan), False
     if protocol == "ac3wn":
-        outcome = ac3wn_execute(federation, txn, plan, clock)
+        outcome = ac3wn_execute(federation, txn, plan)
         if outcome.status is Status.BLOCKED:
             federation.release_all(txn.id)
         return outcome, False
@@ -186,7 +186,6 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     the same ones.
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
-    clock = SimClock()
     transactions = scenario.transactions()
     pending = list(transactions)
 
@@ -203,7 +202,7 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
         plan = scenario.plan_for(txn.id)
         pre_balances = federation.balances()
         betti_pre = betti() if betti_post is None else betti_post
-        outcome, recovered = _execute(engine, clock, protocol, txn, plan)
+        outcome, recovered = _execute(engine, protocol, txn, plan)
         pending = [t for t in pending if t.id != txn.id]
         audit = audit_atomicity(pre_balances, txn, federation.balances())
         betti_post = betti()

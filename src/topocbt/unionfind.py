@@ -29,8 +29,5 @@ class UnionFind:
         self._parent[rb] = ra
         self._size[ra] += self._size[rb]
 
-    def connected(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
-
     def component_count(self) -> int:
         return sum(1 for x, p in self._parent.items() if x == p)

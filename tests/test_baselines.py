@@ -2,7 +2,6 @@ import pytest
 
 from topocbt.baselines import (
     Decision,
-    SimClock,
     WITNESS_CHAIN_ID,
     ac2s_execute,
     ac3wn_execute,

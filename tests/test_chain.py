@@ -10,7 +10,6 @@ from topocbt.chain import (
     Compensation,
     Conflict,
     Federation,
-    LockGrant,
 )
 from topocbt.rng import SplitMix64
 from topocbt.unionfind import UnionFind
@@ -231,8 +230,7 @@ def federation():
 
 def test_lock_grant_and_release(federation):
     refs = [BlockRef(1, 1, 0), BlockRef(2, 2, 0)]
-    grant = federation.lock_blocks(refs, txn_id=7)
-    assert isinstance(grant, LockGrant)
+    assert federation.lock_blocks(refs, txn_id=7) is None
     assert federation.locks == {refs[0]: 7, refs[1]: 7}
     federation.release_blocks(refs, 7)
     assert federation.locks == {}
@@ -247,13 +245,13 @@ def test_lock_conflict_grants_nothing(federation):
 
 
 def test_lock_empty_set_is_vacuous_grant(federation):
-    assert isinstance(federation.lock_blocks([], txn_id=3), LockGrant)
+    assert federation.lock_blocks([], txn_id=3) is None
 
 
 def test_relock_by_same_txn_ok(federation):
     ref = BlockRef(1, 1, 0)
     federation.lock_blocks([ref], 5)
-    assert isinstance(federation.lock_blocks([ref], 5), LockGrant)
+    assert federation.lock_blocks([ref], 5) is None
 
 
 def test_release_wrong_holder_is_error(federation):

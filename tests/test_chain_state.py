@@ -7,10 +7,10 @@ summed in canonical order.
 
 from hypothesis import given, settings, strategies as st
 
-from topocbt.chain import AssetUpdate, BlockRef, Chain, Compensation, Federation
+from topocbt.chain import AssetUpdate, BlockRef, Chain, Compensation, Federation, Forward
 from topocbt.harness import _replay
 from topocbt.scenario import ChainSpec, Scenario, car_trading, parse_scenario, random_scenario
-from topocbt.wal import WriteAheadLog
+from topocbt.wal import WalKind, WriteAheadLog
 
 
 # -- oracle ------------------------------------------------------------------------
@@ -119,6 +119,49 @@ def test_maintained_state_equals_rescan_after_every_step(data):
     assert_chain_matches_rescan(chain)
     for _ in random_history(data, chain):
         assert_chain_matches_rescan(chain)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_next_ref_is_the_slot_the_next_append_fills(data):
+    chain = Chain(1, assets=("X", "Y"))
+    for _ in random_history(data, chain):
+        if data.draw(st.booleans(), label="append on the canonical branch"):
+            expected = chain.next_ref()
+            assert chain.append((draw_update(data),)) == expected
+
+
+def test_every_forward_block_sits_in_the_slot_its_undo_record_names():
+    """An undo record names the slot ``Chain.next_ref`` reported before
+    the append.  A slot the run left without that forward block (the
+    face failed or crashed before its append) is empty, or holds a
+    compensation block of the same transaction's rollback."""
+    forward_slots = 0
+    for seed in range(200):
+        scenario = random_scenario(seed)
+        federation = scenario.build_federation()
+        wal = WriteAheadLog()
+        for _ in _replay(scenario, federation, wal):
+            pass
+        undo = [rec for rec in wal.records if rec.kind is WalKind.UNDO]
+        for rec in undo:
+            chain = federation.chain(rec.block_ref.chain)
+            if not chain.has_block(rec.block_ref):
+                continue
+            head, *updates = chain.block(rec.block_ref).payload
+            if head == Forward(rec.txn_id):
+                assert tuple(updates) == rec.updates
+                forward_slots += 1
+            else:
+                assert isinstance(head, Compensation) and head.txn_id == rec.txn_id
+        logged = {(rec.block_ref, rec.txn_id) for rec in undo}
+        for cid in federation.chain_ids():
+            chain = federation.chain(cid)
+            for ref in chain.all_refs():
+                payload = chain.block(ref).payload
+                if payload and isinstance(payload[0], Forward):
+                    assert (ref, payload[0].txn_id) in logged
+    assert forward_slots > 100
 
 
 def assert_same_chain(built: Chain, expected: Chain) -> None:

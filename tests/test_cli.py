@@ -55,6 +55,25 @@ def test_run_missing_scenario_exits_nonzero(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--scenario-dir", str(DATA), "--seeds", "-1,0"],
+    ["run", "--scenario", "car-trading", "--seed", "x"],
+    ["run", "--seed", "1"],
+    ["bogus"],
+    ["run", "--scenario", "car-trading", "x\ny"],
+    ["compare", "--scenario-dir", "no\nsuch"],
+])
+def test_bad_command_line_is_one_error_line(argv):
+    assert_one_error_line(*run_main(argv))
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: topocbt run")
+
+
 def test_betti_subcommand(capsys, tmp_path):
     code = main(["betti", "--scenario", "car-trading", "--at", "0"])
     assert code == 0
@@ -482,13 +501,14 @@ SEEDS = st.one_of(
 )
 
 
-@given(st.lists(mutated_scenario_text(), min_size=1, max_size=2), SEEDS)
+@given(st.lists(mutated_scenario_text(), min_size=1, max_size=2), SEEDS, st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_compare_fuzz_is_a_table_or_one_error_line(tmp_path_factory, texts, seeds):
+def test_compare_fuzz_is_a_table_or_one_error_line(tmp_path_factory, texts, seeds, one_token):
     directory = tmp_path_factory.mktemp("fuzz")
     for i, text in enumerate(texts):
         (directory / f"s{i}.scenario").write_bytes(text.encode("utf-8"))
-    code, out, err = run_main(["compare", "--scenario-dir", str(directory), f"--seeds={seeds}"])
+    seed_args = [f"--seeds={seeds}"] if one_token else ["--seeds", seeds]
+    code, out, err = run_main(["compare", "--scenario-dir", str(directory), *seed_args])
     if code == 0:
         assert out.startswith("protocol,scenario,seed,")
         assert all(line.startswith("# ") for line in err.splitlines())
