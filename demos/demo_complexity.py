@@ -6,6 +6,7 @@ n is the number of blocks a deal touches, m its sub-transaction count.
 """
 
 from topocbt import complexity_fit, fit_ops, measure_grid
+from topocbt.harness import FIT_TOLERANCE
 
 
 def show_grid(points):
@@ -25,7 +26,7 @@ def main():
     a, b, c = verdict.main_fit.coefficients
     print(f"\n  least squares: ops = {a:.2f}*n^2 + {b:.2f}*n*m + {c:.2f}")
     print(f"  residual ratio {verdict.main_fit.residual_ratio:.4f} "
-          f"(tolerance 0.15) -> {'PASS' if verdict.passed else 'FAIL'}")
+          f"(tolerance {FIT_TOLERANCE}) -> {'PASS' if verdict.passed else 'FAIL'}")
     print(f"  at m=1 the quadratic term dominates: {verdict.n2_dominates_at_m1}")
     print("  locking and teardown touch every block pair once, and each")
     print("  sub-transaction costs a linear pass: quadratic plus cross term")

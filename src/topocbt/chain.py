@@ -7,23 +7,24 @@ rule retires all but one.  Dead branches keep their blocks for audit
 but never enter new topology builds.
 
 Each chain keeps its live state instead of deriving it on every read:
-the live-ref set (the ancestor closure of the live branch tips), a
-height -> live refs index, the refs undone by live ``Compensation``
-blocks, and the net (party, asset) change of its live ``AssetUpdate``
-records.  ``append_blocks`` seals a run of blocks on one branch in one
-loop, each hash fixed as its block is sealed, and adds the run to all
-four at once (its parent is always live already); ``append_block`` is a
-run of one, and a scenario's declared trunk is one run.  ``append``
-seals one block on the canonical branch, in the slot ``next_ref`` names.
-``resolve_forks`` rebuilds them with one ancestor walk when it retires
-a branch; ``spawn_fork`` leaves them alone, since an empty branch adds
-no block.  A payload is read once, when its block is appended.  The
-engine opens each forward update block with a ``Forward`` marker naming
-its transaction, and each rollback block with a ``Compensation`` marker
-naming the block it reverses.
+a height -> live refs index over the ancestor closure of the live
+branch tips (the only record of which blocks are live), the refs undone
+by live ``Compensation`` blocks, and the net (party, asset) change of
+its live ``AssetUpdate`` records.  ``append_blocks`` seals a run of
+blocks on one branch in one loop, each hash fixed as its block is
+sealed, and adds the run to all three at once (its parent is always
+live already); ``append_block`` is a run of one, and a scenario's
+declared trunk is one run.  ``append`` seals one block on the canonical
+branch, in the slot ``next_ref`` names.  ``resolve_forks`` rebuilds
+them with one ancestor walk when it retires a branch; ``spawn_fork``
+leaves them alone, since an empty branch adds no block.  A payload is
+read once, when its block is appended.  The engine opens each forward
+update block with a ``Forward`` marker naming its transaction, and each
+rollback block with a ``Compensation`` marker naming the block it
+reverses.
 
-A ``BlockRef`` is a plain tuple: it keys every block store, live set,
-height index and the lock table, and hashes, compares and sorts as
+A ``BlockRef`` is a plain tuple: it keys every block store, height
+index and the lock table, and hashes, compares and sorts as
 ``(chain, height, branch)``.
 
 Locks are held per logical block (one store per chain regardless of
@@ -74,6 +75,8 @@ class AssetUpdate:
     def __post_init__(self) -> None:
         if self.amount <= 0:
             raise ValueError("update amount must be positive")
+        if self.amount > 2**64 - 1:
+            raise ValueError(f"update amount {self.amount} does not fit its 64-bit field")
 
     def inverse(self) -> "AssetUpdate":
         return AssetUpdate(self.owner_to, self.owner_from, self.asset, self.amount)
@@ -145,7 +148,6 @@ class Block:
 
 @dataclass
 class BranchInfo:
-    label: int
     spawn_height: int
     parent: Optional[BlockRef]  # fork parent on the trunk; None for branch 0
     live: bool = True
@@ -162,18 +164,19 @@ class Chain:
     def __init__(self, chain_id: int, replicas: int = 1, assets: Iterable[str] = ()) -> None:
         if chain_id < 1:
             raise ChainError("chain ids start at 1")
+        if chain_id > 2**32 - 1:
+            raise ChainError(f"chain id {chain_id} does not fit its 32-bit field")
         if replicas < 1:
             raise ChainError("a chain needs at least one replica")
         self.id = chain_id
         self.replicas = replicas
         self.assets = tuple(assets)
         self._blocks: dict[BlockRef, Block] = {}
-        self.branches: dict[int, BranchInfo] = {0: BranchInfo(label=0, spawn_height=0, parent=None)}
+        self.branches: dict[int, BranchInfo] = {0: BranchInfo(spawn_height=0, parent=None)}
         genesis = Block.seal(BlockRef(chain_id, 0, 0), None, GENESIS_PARENT, ())
         self._blocks[genesis.ref] = genesis
         self.branches[0].tip = 0
         # live state, kept current by _index and _rebuild_live
-        self._live: set[BlockRef] = set()
         self._live_at: dict[int, list[BlockRef]] = {}  # height -> refs, by branch
         self._compensated: set[BlockRef] = set()
         self._ledger: dict[tuple[str, str], int] = {}
@@ -213,10 +216,10 @@ class Chain:
         Shared trunk prefixes stay live even when their own branch lost
         a resolution; blocks only reachable from dead tips drop out.
         """
-        return frozenset(self._live)
+        return frozenset(ref for row in self._live_at.values() for ref in row)
 
     def is_live(self, ref: BlockRef) -> bool:
-        return ref in self._live
+        return ref in self._live_at.get(ref.height, ())
 
     def live_block_at(self, height: int) -> list[BlockRef]:
         """Live blocks at a height, canonical order."""
@@ -245,11 +248,10 @@ class Chain:
     # -- maintained live state ---------------------------------------------
 
     def _index(self, refs: Iterable[BlockRef]) -> None:
-        """Add blocks, in canonical order, to the live set, the height
-        index, the compensation set and the ledger."""
-        live, at, ledger, blocks = self._live, self._live_at, self._ledger, self._blocks
+        """Add blocks, in canonical order, to the height index, the
+        compensation set and the ledger."""
+        at, ledger, blocks = self._live_at, self._ledger, self._blocks
         for ref in refs:
-            live.add(ref)
             row = at.get(ref.height)
             if row is None:
                 at[ref.height] = [ref]
@@ -274,7 +276,7 @@ class Chain:
             while ref is not None and ref not in closure:
                 closure.add(ref)
                 ref = self._blocks[ref].parent_ref
-        for state in (self._live, self._live_at, self._compensated, self._ledger):
+        for state in (self._live_at, self._compensated, self._ledger):
             state.clear()
         self._index(sorted(closure))
 
@@ -329,7 +331,7 @@ class Chain:
         if not parents:
             raise ChainError(f"no live block at height {at_height - 1} to fork from")
         label = max(self.branches) + 1
-        self.branches[label] = BranchInfo(label=label, spawn_height=at_height, parent=parents[0])
+        self.branches[label] = BranchInfo(spawn_height=at_height, parent=parents[0])
         return label
 
     def resolve_forks(self) -> int:
@@ -398,9 +400,6 @@ class Federation:
             if asset in self.chains[cid].assets:
                 return self.chains[cid]
         raise ChainError(f"no chain manages asset {asset!r}")
-
-    def is_live(self, ref: BlockRef) -> bool:
-        return ref.chain in self.chains and self.chains[ref.chain].is_live(ref)
 
     # -- locks -------------------------------------------------------------
 

@@ -44,6 +44,9 @@ COMPARE_CSV_COLUMNS = (
     "space_bytes", "worse_off",
 )
 
+# complexity_fit passes when the main fit's residual ratio is below this
+FIT_TOLERANCE = 0.15
+
 
 def _normalize(balances: dict) -> dict:
     return {k: v for k, v in balances.items() if v != 0}
@@ -261,17 +264,12 @@ class ComparisonTable:
     rows: list[TxnRow]
 
     def to_csv(self) -> str:
+        """The run CSV's cells of each row, picked out by column name."""
+        picks = [RUN_CSV_COLUMNS.index(name) for name in COMPARE_CSV_COLUMNS]
         lines = [",".join(COMPARE_CSV_COLUMNS)]
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        row.protocol, row.scenario, str(row.seed), str(row.status),
-                        str(row.messages), str(row.primitive_ops), str(row.space_bytes),
-                        ";".join(row.worse_off),
-                    ]
-                )
-            )
+            cells = row.csv_cells()
+            lines.append(",".join(cells[i] for i in picks))
         return "\n".join(lines) + "\n"
 
     def count(self, protocol: str, status: Status) -> int:
@@ -383,8 +381,9 @@ class FitVerdict:
     n2_dominates_at_m1: bool
 
 
-def complexity_fit(points: list[tuple[int, int, int]], tolerance: float = 0.15) -> FitVerdict:
-    """PASS when the quadratic-plus-cross-term model explains the counts.
+def complexity_fit(points: list[tuple[int, int, int]]) -> FitVerdict:
+    """PASS when the quadratic-plus-cross-term model explains the counts
+    to within ``FIT_TOLERANCE``.
 
     Also checks that with a single sub-transaction the quadratic term
     carries the cost (the cross term degenerates).
@@ -395,6 +394,6 @@ def complexity_fit(points: list[tuple[int, int, int]], tolerance: float = 0.15) 
     dominates = a * n_max * n_max > b * n_max
     return FitVerdict(
         main_fit=fit,
-        passed=fit.residual_ratio < tolerance and fit.nonnegative,
+        passed=fit.residual_ratio < FIT_TOLERANCE and fit.nonnegative,
         n2_dominates_at_m1=dominates,
     )

@@ -1,7 +1,8 @@
 """Builds the simplicial complex of a federation and its transactions.
 
-Every live block contributes one vertex (or one per replica in
-replicated mode), numbered by one walk up each chain's live heights.
+Every live block contributes one vertex, or in replicated mode one per
+replica if it is a trunk block (``_copies``, the only such rule),
+numbered by one walk up each chain's live heights.
 Chain adjacency, fork stitching, and replica groups produce the other
 structural cells, kept as plain ascending vertex tuples; each in-flight
 transaction adds one top simplex spanning all of its blocks, fork
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .chain import AssetUpdate, BlockRef, ChainError, Federation
+from .chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
 from .simplicial import Cell, Simplex, SimplicialComplex, betti_from_cells, close_by_dimension, complex_to_text, text_order
 
 log = logging.getLogger(__name__)
@@ -50,6 +51,8 @@ class CrossChainTransaction:
     sub_transactions: tuple[SubTransaction, ...] = ()
 
     def validate(self, federation: Federation) -> None:
+        """Check the deal's shape; whether its blocks are live is
+        ``expand_refs``'s check."""
         if len(self.parties) < 2:
             raise ValueError(f"txn {self.id}: needs at least two parties")
         if not self.blocks:
@@ -68,9 +71,6 @@ class CrossChainTransaction:
                     raise ValueError(
                         f"txn {self.id}: face {i} moves {upd.asset} but has no block on chain {chain.id}"
                     )
-        for ref in self.blocks:
-            if not federation.is_live(ref):
-                raise ChainError(f"txn {self.id}: block {ref} is missing or on a dead branch")
 
     def total_updates(self) -> int:
         return sum(len(sub.updates) for sub in self.sub_transactions)
@@ -78,35 +78,35 @@ class CrossChainTransaction:
 
 def expand_refs(federation: Federation, txn: CrossChainTransaction) -> list[BlockRef]:
     """The full lock/vertex set: declared blocks plus every live fork
-    sibling at the same heights, canonical order."""
+    sibling at the same heights, canonical order.  The one check that
+    each declared block exists and is live."""
     out: set[BlockRef] = set()
     for ref in txn.blocks:
-        chain = federation.chain(ref.chain)
-        live_here = chain.live_block_at(ref.height)
+        chain = federation.chains.get(ref.chain)
+        live_here = chain.live_block_at(ref.height) if chain is not None else ()
         if ref not in live_here:
             raise ChainError(f"txn {txn.id}: block {ref} is missing or on a dead branch")
         out.update(live_here)
     return sorted(out)
 
 
+def _copies(chain: Chain, branch: int, mode: TopologyMode) -> int:
+    """Vertices a live block of ``chain`` on ``branch`` gives: in
+    replicated mode a trunk block gives one per replica; every other
+    block gives one."""
+    return chain.replicas if branch == 0 and mode is TopologyMode.REPLICATED else 1
+
+
 def expected_transaction_dimension(
     federation: Federation, txn: CrossChainTransaction, mode: TopologyMode = TopologyMode.ABSTRACT
 ) -> int:
-    """Predicted simplex dimension: sum over chains of (replicas + extra
-    live branches at the referenced height), minus one.
+    """Predicted simplex dimension: the replicas of each trunk block (in
+    replicated mode) plus one per other live block that ``expand_refs``
+    spans, minus one.
 
     The sum counts vertices; a simplex on v vertices has dimension v-1.
     """
-    total = 0
-    for ref in txn.blocks:
-        chain = federation.chain(ref.chain)
-        live_here = chain.live_block_at(ref.height)
-        if not live_here:
-            raise ChainError(f"txn {txn.id}: no live block at {ref}")
-        extra_branches = len(live_here) - 1
-        replicas = chain.replicas if mode is TopologyMode.REPLICATED else 1
-        total += replicas + extra_branches
-    return total - 1
+    return sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in expand_refs(federation, txn)) - 1
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ def build_federation_complex(
     v = 0  # the next vertex id
     for cid in federation.chain_ids():
         chain = federation.chain(cid)
-        trunk_copies = chain.replicas if replicated else 1
         branches = chain.branches
+        copies_of = {label: _copies(chain, label, mode) for label in branches}
         tips: dict[int, list[int]] = {}  # height -> live branches whose tip is there
         for label in chain.live_branch_labels():
             tips.setdefault(branches[label].tip, []).append(label)
@@ -186,7 +186,7 @@ def build_federation_complex(
             for ref in refs:
                 branch = ref.branch
                 here[branch] = v
-                copies = trunk_copies if branch == 0 else 1
+                copies = copies_of[branch]
                 for r in range(copies):
                     vertex_of[(cid, height, branch, r)] = v + r
                 if below:  # else the lowest height built: no parent in the window
@@ -217,8 +217,7 @@ def build_federation_complex(
             first = vertex_of.get((ref.chain, ref.height, ref.branch, 0))
             if first is None:
                 raise ChainError(f"txn {txn.id}: block {ref} outside the built window")
-            copies = federation.chain(ref.chain).replicas if replicated and ref.branch == 0 else 1
-            verts.extend(range(first, first + copies))
+            verts.extend(range(first, first + _copies(federation.chain(ref.chain), ref.branch, mode)))
         txn_tops[txn.id] = Simplex(tuple(verts))
 
     return TaggedComplex(frozenset(cells), dict(sorted(txn_tops.items())), vertex_of)

@@ -17,6 +17,7 @@ from topocbt.chain import BlockRef, Chain, Federation
 from topocbt.engine import FailurePlan, SimulatedCrash, Status, TopoCbtEngine
 from topocbt.harness import (
     AUDIT_PARTIAL,
+    FIT_TOLERANCE,
     audit_atomicity,
     compare_protocols,
     complexity_fit,
@@ -41,6 +42,7 @@ from topocbt.topology import (
     transaction_simplex,
 )
 from topocbt.unionfind import UnionFind
+from test_topology import DRIFT_CASES, assert_dimension_matches_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -211,7 +213,8 @@ def test_criterion_5_car_trading_goldens():
 def test_criterion_6_complexity_fit():
     points = measure_grid("topocbt")
     assert len(points) == 20
-    verdict = complexity_fit(points, tolerance=0.15)
+    assert FIT_TOLERANCE == 0.15  # the criterion's stated tolerance
+    verdict = complexity_fit(points)
     assert verdict.main_fit.residual_ratio < 0.15
     assert verdict.main_fit.nonnegative
     assert verdict.passed
@@ -277,11 +280,15 @@ def test_criterion_8_dimension_consistency():
         txn = CrossChainTransaction(1, ("a", "b"), tuple(refs), ())
         built = transaction_simplex(fed, txn, mode)
         assert built.dimension == expected_transaction_dimension(fed, txn, mode), f"case {case}"
+        assert_dimension_matches_oracle(fed, txn, mode)
+    for make in DRIFT_CASES.values():
+        for mode in TopologyMode:
+            assert_dimension_matches_oracle(*make(), mode)
 
     fed, deal = double_fork_build()
     assert transaction_simplex(fed, deal).dimension == 3
-    _ok(8, "200 random federations: constructed dimension equals sum(replicas+forks)-1; "
-           "two-fork pair deal is 3-dimensional")
+    _ok(8, f"200 random federations and {len(DRIFT_CASES)} drift cases: constructed dimension equals "
+           "the trunk replicas plus one per other live block, minus 1; two-fork pair deal is 3-dimensional")
 
 
 def test_criterion_9_determinism():

@@ -103,6 +103,27 @@ def test_wal_round_trip_returns_equal_refs():
     assert {rec.block_ref for rec in loaded.records} == set(refs)
 
 
+def test_chain_id_fits_the_hash_field():
+    # a block hash packs the chain id as '>I'
+    chain = Chain(2**32 - 1)
+    assert chain.append_block(0, ()) == BlockRef(2**32 - 1, 1, 0)
+    with pytest.raises(ChainError, match=f"^chain id {2**32} does not fit its 32-bit field$"):
+        Chain(2**32)
+
+
+def test_update_amount_fits_the_block_and_log_field():
+    # blocks and the WAL pack an amount as '>Q'
+    top = AssetUpdate("a", "b", "X", 2**64 - 1)
+    chain = Chain(1)
+    ref = chain.append_block(0, (top,))
+    assert chain.ledger() == {("a", "X"): -(2**64 - 1), ("b", "X"): 2**64 - 1}
+    wal = WriteAheadLog()
+    wal.append(1, WalKind.UNDO, ref, (top,))
+    assert WriteAheadLog.from_bytes(wal.to_bytes()).records == wal.records
+    with pytest.raises(ValueError, match=f"^update amount {2**64} does not fit its 64-bit field$"):
+        AssetUpdate("a", "b", "X", 2**64)
+
+
 # -- forks ---------------------------------------------------------------------
 
 def test_spawn_fork_creates_sibling_at_height():

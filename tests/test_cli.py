@@ -204,6 +204,34 @@ def test_compare_directory(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 3  # two seeds, three protocols
 
 
+UNDECLARED_CHAIN_DEAL = """\
+[scenario]
+name = undeclared-chain
+
+[chain]
+id = 1
+length = 2
+assets = ETH
+balance = alice ETH 10
+
+[txn]
+id = 1
+parties = alice bob
+blocks = 1:2 9:1
+sub = 1:2 ; alice bob ETH 10
+"""
+
+
+def test_run_and_compare_refuse_a_deal_on_an_undeclared_chain_alike(tmp_path):
+    # run builds the Betti complex before the engine sees the deal; both reach expand_refs's check
+    scenario = tmp_path / "deal.scenario"
+    scenario.write_text(UNDECLARED_CHAIN_DEAL)
+    run = run_main(["run", "--scenario", str(scenario)])
+    compare = run_main(["compare", "--scenario-dir", str(tmp_path), "--seeds", "1"])
+    assert_one_error_line(*run)
+    assert run == compare == (2, "", "error: txn 1: block 9:1:0 is missing or on a dead branch\n")
+
+
 def test_compare_empty_directory(tmp_path, capsys):
     assert main(["compare", "--scenario-dir", str(tmp_path)]) != 0
 

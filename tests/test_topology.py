@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topocbt import gf2, simplicial, topology
+from topocbt.baselines import ac2s_execute, ac3wn_execute
 from topocbt.chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
+from topocbt.engine import TopoCbtEngine
 from topocbt.harness import _replay, betti_report
 from topocbt.rng import SplitMix64
 from topocbt.scenario import ChainSpec, Scenario, car_trading, grid_scenario, load_scenario, random_scenario
@@ -24,7 +27,7 @@ from topocbt.topology import (
     transaction_simplex,
 )
 from topocbt.wal import WriteAheadLog
-from test_chain_state import random_history
+from test_chain_state import random_history, rescan_live
 from test_simplicial import dense_betti
 
 
@@ -200,12 +203,104 @@ def random_federation_and_txn(seed):
     return fed, txn(1, refs, parties=parties)
 
 
+def fork_above_the_trunk_tip():
+    """A 3-replica chain whose deal block is a fork block one height
+    above the trunk's tip: one vertex, not one per replica."""
+    chain = Chain(1, replicas=3)
+    chain.append_blocks(0, [(), ()])
+    fork = chain.spawn_fork(3)
+    chain.append_block(fork, ())
+    fed = Federation()
+    fed.add_chain(chain)
+    fed.add_chain(Chain(2))
+    return fed, txn(1, [(1, 3, fork), (2, 0, 0)])
+
+
+def trunk_lost_a_resolution():
+    """A 2-replica chain whose fork outgrew the trunk: the deal block is
+    on the surviving fork, so it has one vertex."""
+    chain = Chain(1, replicas=2)
+    chain.append_blocks(0, [(), ()])
+    fork = chain.spawn_fork(2)
+    chain.append_blocks(fork, [(), ()])
+    assert chain.resolve_forks() == fork
+    fed = Federation()
+    fed.add_chain(chain)
+    fed.add_chain(Chain(2))
+    return fed, txn(1, [(1, 3, fork), (2, 0, 0)])
+
+
+def declared_on_a_retired_branch():
+    """The deal names a fork block whose branch lost a resolution."""
+    fed, _ = double_fork_pair()
+    fed.chain(1).resolve_forks()
+    return fed, txn(1, [(1, 2, 1), (2, 2, 0)])
+
+
+# deals whose vertex count needs the trunk-only replica rule or the
+# liveness check: "replicas + fork siblings" per declared block is wrong here
+DRIFT_CASES = {
+    "fork-above-the-trunk-tip": fork_above_the_trunk_tip,
+    "trunk-lost-a-resolution": trunk_lost_a_resolution,
+    "declared-on-a-retired-branch": declared_on_a_retired_branch,
+}
+
+
+def oracle_vertex_count(federation, t, mode) -> int:
+    """The vertices of t's top, counted from scratch: every block live
+    (by the ancestor rescan) at a declared block's height, a trunk block
+    ``replicas`` times in replicated mode and any other block once.  A
+    declared block that is not live raises the build's ``ChainError``."""
+    spanned = set()
+    for ref in t.blocks:
+        live = rescan_live(federation.chain(ref.chain)) if ref.chain in federation.chains else set()
+        if ref not in live:
+            raise ChainError(f"txn {t.id}: block {ref} is missing or on a dead branch")
+        spanned.update(r for r in live if r.height == ref.height)
+    replicated = mode is TopologyMode.REPLICATED
+    return sum(federation.chain(r.chain).replicas if replicated and r.branch == 0 else 1 for r in spanned)
+
+
+def assert_dimension_matches_oracle(federation, t, mode) -> None:
+    """The built top, the formula and the oracle count agree, or all
+    three refuse the deal with one message."""
+    try:
+        vertices = oracle_vertex_count(federation, t, mode)
+    except ChainError as exc:
+        for predict in (transaction_simplex, expected_transaction_dimension):
+            with pytest.raises(ChainError, match=f"^{re.escape(str(exc))}$"):
+                predict(federation, t, mode)
+        return
+    built = transaction_simplex(federation, t, mode)
+    assert built.dimension == expected_transaction_dimension(federation, t, mode)
+    assert built.dimension == vertices - 1
+
+
 @pytest.mark.parametrize("mode", [TopologyMode.ABSTRACT, TopologyMode.REPLICATED])
-@pytest.mark.parametrize("seed", range(25))
-def test_dimension_formula_matches_construction(seed, mode):
-    fed, t = random_federation_and_txn(seed)
-    s = transaction_simplex(fed, t, mode)
-    assert s.dimension == expected_transaction_dimension(fed, t, mode)
+@pytest.mark.parametrize("case", [*range(25), *DRIFT_CASES])
+def test_dimension_formula_matches_construction(case, mode):
+    fed, t = DRIFT_CASES[case]() if isinstance(case, str) else random_federation_and_txn(case)
+    assert_dimension_matches_oracle(fed, t, mode)
+
+
+DEAD_REF_RUNS = {
+    "topocbt": lambda fed, t: TopoCbtEngine(fed).execute(t),
+    "ac2s": ac2s_execute,
+    "ac3wn": ac3wn_execute,
+    "formula": expected_transaction_dimension,
+}
+
+
+@pytest.mark.parametrize("run", DEAD_REF_RUNS.values(), ids=DEAD_REF_RUNS.keys())
+@pytest.mark.parametrize("dead, message", [
+    ((1, 2, 1), "txn 1: block 1:2:1 is missing or on a dead branch"),
+    ((9, 2, 0), "txn 1: block 9:2:0 is missing or on a dead branch"),
+], ids=["retired-branch", "undeclared-chain"])
+def test_every_protocol_refuses_a_dead_declared_block_with_one_message(run, dead, message):
+    fed, _ = declared_on_a_retired_branch()
+    with pytest.raises(ChainError, match=f"^{re.escape(message)}$"):
+        run(fed, txn(1, [dead, (2, 2, 0)]))
+    assert fed.locks == {}
 
 
 def test_building_a_wide_deal_enumerates_no_faces(monkeypatch):
