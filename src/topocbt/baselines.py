@@ -1,10 +1,10 @@
 """Reference protocols the main engine is measured against.
 
-AC2S decomposes a deal into timelocked pairwise swaps.  Every swap is
-atomic on its own, but there is no global rollback: once a party walks
-away or misses a deadline, earlier transfers stand and somebody ends
-up worse off (a partial commit).  A timelock runs from its own swap's
-offer, so each swap counts its own ticks from zero.
+AC2S splits a deal into timelocked local swaps, one per pair of parties
+trading within a face.  Every swap is atomic on its own, but there is
+no global rollback: once a party walks away or misses a deadline,
+earlier swaps stand and somebody ends up worse off (a partial commit).
+A timelock runs from its own swap's offer, so each counts from zero.
 
 AC3WN runs two-phase commit with an extra witness blockchain as the
 coordinator's decision record.  It is globally atomic, but a
@@ -79,9 +79,10 @@ def ac2s_execute(
 ) -> Outcome:
     """Run the deal as a sequence of independent timelocked swaps.
 
-    Each sub-transaction must itself be a two-party exchange, or the
-    whole face list must be a single-transfer cycle that can be chained
-    through the initiator.  Anything else is not decomposable.
+    A face list that is a single-transfer cycle is chained through the
+    initiator.  Otherwise each face's updates split by unordered party
+    pair, in order of first appearance, one swap per pair (a transfer
+    to oneself is a pair of its own).
     """
     txn.validate(federation)
     n_blocks = len(expand_refs(federation, txn))
@@ -94,10 +95,10 @@ def ac2s_execute(
         swaps = [((give, take), i + 2) for i, (give, take) in enumerate(cycle)]
     else:
         for index, sub in enumerate(txn.sub_transactions, start=1):
-            parties = {u.owner_from for u in sub.updates} | {u.owner_to for u in sub.updates}
-            if len(parties) > 2:
-                raise ValueError(f"txn {txn.id}: face {index} spans {len(parties)} parties, not a pairwise swap")
-            swaps.append((tuple(sub.updates), index))
+            pairs: dict[frozenset[str], list[AssetUpdate]] = {}
+            for u in sub.updates:
+                pairs.setdefault(frozenset((u.owner_from, u.owner_to)), []).append(u)
+            swaps.extend((tuple(legs), index) for legs in pairs.values())
 
     meter_ops = 0
     messages = 0

@@ -190,8 +190,9 @@ class Chain:
         except KeyError:
             raise ChainError(f"no block {ref} on chain {self.id}") from None
 
-    def has_block(self, ref: BlockRef) -> bool:
-        return ref in self._blocks
+    def holds_forward(self, ref: BlockRef, txn_id: int) -> bool:
+        """Whether the block at ``ref`` is a forward update block of ``txn_id``."""
+        return ref in self._blocks and self._blocks[ref].payload[:1] == (Forward(txn_id),)
 
     def all_refs(self) -> list[BlockRef]:
         return sorted(self._blocks)
@@ -217,9 +218,6 @@ class Chain:
         a resolution; blocks only reachable from dead tips drop out.
         """
         return frozenset(ref for row in self._live_at.values() for ref in row)
-
-    def is_live(self, ref: BlockRef) -> bool:
-        return ref in self._live_at.get(ref.height, ())
 
     def live_block_at(self, height: int) -> list[BlockRef]:
         """Live blocks at a height, canonical order."""
@@ -483,9 +481,3 @@ class Federation:
             h.update(_pack_str(asset))
             h.update(struct.pack(">q", amount))
         return h.hexdigest()
-
-    def asset_totals(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for (_, asset), amount in self.balances().items():
-            totals[asset] = totals.get(asset, 0) + amount
-        return totals

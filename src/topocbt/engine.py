@@ -175,11 +175,7 @@ class TopoCbtEngine:
         for rec in reversed(undo_records):
             assert rec.block_ref is not None
             chain = self.federation.chain(rec.block_ref.chain)
-            if not chain.has_block(rec.block_ref):
-                continue
-            if chain.block(rec.block_ref).payload[:1] != (Forward(rec.txn_id),):
-                continue
-            if rec.block_ref in chain.compensated_refs():
+            if not chain.holds_forward(rec.block_ref, rec.txn_id) or rec.block_ref in chain.compensated_refs():
                 continue
             inverse = tuple(u.inverse() for u in reversed(rec.updates))
             chain.append((Compensation(rec.block_ref, rec.txn_id),) + inverse)

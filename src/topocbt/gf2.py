@@ -47,8 +47,3 @@ def gf2_rank(matrix: Matrix) -> int:
     """GF(2) rank of a dense binary matrix. Empty matrices have rank 0."""
     return len(gf2_row_echelon(matrix)[1])
 
-
-def gf2_matmul(a: Matrix, b: Matrix) -> list[list[int]]:
-    """Matrix product over GF(2)."""
-    cols = list(zip(*b))
-    return [[sum(x & y for x, y in zip(row, col)) & 1 for col in cols] for row in a]

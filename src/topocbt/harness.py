@@ -6,6 +6,13 @@ recovery, and the report serializes to CSV with a trailing
 state-digest line.  The seed is only a label copied into the report;
 no run reads it.  Nothing time-dependent enters the output.
 
+Every protocol runs through one table, ``PROTOCOL_RUNNERS``.  A runner
+takes the event loop's engine (its federation, log and topology mode),
+the transaction and its failure plan, and returns the outcome and
+whether the run crashed.  Its protocol's after-step (recovery after a
+crash, releasing a blocked run's locks) lives in it, so no loop looks
+at a protocol's name.
+
 The atomicity verdict never trusts a protocol's own status: an auditor
 diffs the balance sheet against the two digests a correct transaction
 may produce (everything applied, or nothing).
@@ -15,15 +22,16 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .baselines import ac2s_execute, ac3wn_execute
 from .chain import Federation
 from .engine import FailurePlan, Outcome, SimulatedCrash, Status, TopoCbtEngine
-from .scenario import PROTOCOLS, Scenario, grid_scenario
+from .scenario import Scenario, grid_scenario
 from .topology import CrossChainTransaction, build_federation_complex
 from .wal import WalKind, WriteAheadLog
 
@@ -91,6 +99,8 @@ class TxnRow:
     betti_pre: tuple[int, ...]
     betti_post: tuple[int, ...]
     recovered: bool = False
+    # counted only where the audit cannot judge a commit (see invariant_failures)
+    forward_blocks: int = 0
 
     @property
     def atomicity_ok(self) -> bool:
@@ -128,8 +138,9 @@ class RunReport:
         the main engine is not, and its status must agree with the
         auditor: Committed with all, Aborted with none.  A commit that
         applied no update leaves the sheet untouched and reads none.
-        (So does one whose updates cancel out; it is flagged, since a
-        row cannot tell it from a commit that never landed.)
+        So does one whose updates cancel out, which the sheet cannot
+        tell from a commit that never landed: such a row is judged by
+        the log, and needs its commit record and its forward blocks.
         """
         problems = []
         for row in self.rows:
@@ -141,40 +152,53 @@ class RunReport:
                 problems.append(f"txn {row.txn_id}: non-terminal status {row.status}")
             elif row.atomicity_ok and row.audit != (
                 AUDIT_ALL if row.status is Status.COMMITTED and row.applied_updates else AUDIT_NONE
-            ):
+            ) and not (row.audit == AUDIT_NONE and self._commit_landed(row)):
                 problems.append(f"txn {row.txn_id}: status {row.status} but audit {row.audit}")
         return problems
 
+    def _commit_landed(self, row: TxnRow) -> bool:
+        """The log holds the row's commit record, and the chains held its
+        forward block at every slot its undo records name."""
+        kinds = [rec.kind for rec in self.wal.records if rec.txn_id == row.txn_id]
+        return WalKind.COMMIT in kinds and 0 < kinds.count(WalKind.UNDO) == row.forward_blocks
 
-def _execute(engine: TopoCbtEngine, protocol: str, txn: CrossChainTransaction,
-             plan: FailurePlan) -> tuple[Outcome, bool]:
-    """Run one transaction under one protocol; also says whether it crashed.
 
-    A crashed main-engine run goes through recovery, and its status is
-    whatever recovery left in the log: a crash after the durable commit
-    record is a commit.  A blocked witness 2PC run has its locks cleared
-    so the next event stays well-defined.
-    """
-    federation = engine.federation
-    if protocol == "topocbt":
-        try:
-            return engine.execute(txn, plan), False
-        except SimulatedCrash as crash:
-            log.info("txn %s crashed (%s); running recovery", txn.id, crash.point)
-            engine.recover()
-            # no terminal record: the crash came before the txn logged anything
-            terminal = engine.wal.terminal_for(txn.id)
-            if terminal is not None and terminal.kind is WalKind.COMMIT:
-                return Outcome(Status.COMMITTED, txn.total_updates(), 0, 0, 0), True
-            return Outcome(Status.ABORTED, 0, 0, 0, 0), True
-    if protocol == "ac2s":
-        return ac2s_execute(federation, txn, plan), False
-    if protocol == "ac3wn":
-        outcome = ac3wn_execute(federation, txn, plan)
-        if outcome.status is Status.BLOCKED:
-            federation.release_all(txn.id)
-        return outcome, False
-    raise ValueError(f"unknown protocol {protocol!r}")
+def _forward_blocks(federation: Federation, wal: WriteAheadLog, txn_id: int) -> int:
+    """How many slots the txn's undo records name hold its forward block."""
+    return sum(federation.chain(rec.block_ref.chain).holds_forward(rec.block_ref, txn_id)
+               for rec in wal.records if rec.txn_id == txn_id and rec.kind is WalKind.UNDO)
+
+
+def _run_topocbt(engine: TopoCbtEngine, txn: CrossChainTransaction, plan: FailurePlan) -> tuple[Outcome, bool]:
+    """A crashed run goes through recovery, and its status is what recovery
+    left in the log: a crash after the durable commit record is a commit."""
+    try:
+        return engine.execute(txn, plan), False
+    except SimulatedCrash as crash:
+        log.info("txn %s crashed (%s); running recovery", txn.id, crash.point)
+        engine.recover()
+        # no terminal record: the crash came before the txn logged anything
+        terminal = engine.wal.terminal_for(txn.id)
+        if terminal is not None and terminal.kind is WalKind.COMMIT:
+            return Outcome(Status.COMMITTED, txn.total_updates(), 0, 0, 0), True
+        return Outcome(Status.ABORTED, 0, 0, 0, 0), True
+
+
+def _run_ac3wn(engine: TopoCbtEngine, txn: CrossChainTransaction, plan: FailurePlan) -> tuple[Outcome, bool]:
+    """A blocked run has its locks cleared so the next event stays well-defined."""
+    outcome = ac3wn_execute(engine.federation, txn, plan)
+    if outcome.status is Status.BLOCKED:
+        engine.federation.release_all(txn.id)
+    return outcome, False
+
+
+# Each protocol's runner, keyed by the names in scenario.PROTOCOLS, in
+# order: (engine, txn, plan) -> (outcome, whether the run crashed).
+PROTOCOL_RUNNERS = {
+    "topocbt": _run_topocbt,
+    "ac2s": lambda engine, txn, plan: (ac2s_execute(engine.federation, txn, plan), False),
+    "ac3wn": _run_ac3wn,
+}
 
 
 def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed: int = 0,
@@ -201,13 +225,14 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
 
     betti_post: Optional[tuple[int, ...]] = None
     for event, txn in enumerate(transactions, start=1):
-        protocol = protocol_override or scenario.protocol_for(txn.id)
+        protocol = protocol_override or scenario.protocols[txn.id]
         plan = scenario.plan_for(txn.id)
         pre_balances = federation.balances()
         betti_pre = betti() if betti_post is None else betti_post
-        outcome, recovered = _execute(engine, protocol, txn, plan)
+        outcome, recovered = PROTOCOL_RUNNERS[protocol](engine, txn, plan)
         pending = [t for t in pending if t.id != txn.id]
         audit = audit_atomicity(pre_balances, txn, federation.balances())
+        undecided = outcome.status is Status.COMMITTED and outcome.applied_updates and audit == AUDIT_NONE
         betti_post = betti()
         yield TxnRow(
             scenario=scenario.name, seed=seed, protocol=protocol, txn_id=txn.id,
@@ -215,6 +240,7 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
             messages=outcome.messages, primitive_ops=outcome.primitive_ops,
             space_bytes=outcome.space_bytes, worse_off=outcome.worse_off_parties,
             audit=audit, betti_pre=betti_pre, betti_post=betti_post, recovered=recovered,
+            forward_blocks=_forward_blocks(federation, engine.wal, txn.id) if undecided else 0,
         )
         if scenario.epoch > 0 and event % scenario.epoch == 0:
             for cid in federation.chain_ids():
@@ -273,25 +299,17 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
     def count(self, protocol: str, status: Status) -> int:
-        return sum(1 for r in self.rows if r.protocol == protocol and r.status is status)
+        return Counter((r.protocol, r.status) for r in self.rows)[protocol, status]
 
     def pattern(self) -> dict[str, dict[str, bool]]:
         """The qualitative capability grid: per protocol, whether any run
         partially committed and whether any run blocked."""
-        out: dict[str, dict[str, bool]] = {}
-        for protocol in sorted({r.protocol for r in self.rows}):
-            out[protocol] = {
-                "partial_commit": self.count(protocol, Status.PARTIAL_COMMIT) > 0,
-                "blocked": self.count(protocol, Status.BLOCKED) > 0,
-            }
-        return out
+        return {protocol: {"partial_commit": self.count(protocol, Status.PARTIAL_COMMIT) > 0,
+                           "blocked": self.count(protocol, Status.BLOCKED) > 0}
+                for protocol in sorted({r.protocol for r in self.rows})}
 
 
-def compare_protocols(
-    scenarios: Iterable[Scenario],
-    seeds: Iterable[int],
-    protocols: tuple[str, ...] = PROTOCOLS,
-) -> ComparisonTable:
+def compare_protocols(scenarios: Iterable[Scenario], seeds: Sequence[int]) -> ComparisonTable:
     """Run every scenario under every protocol and collect the rows.
 
     Seeds are labels: each one repeats the same runs under its own label.
@@ -299,7 +317,7 @@ def compare_protocols(
     rows: list[TxnRow] = []
     for scenario in scenarios:
         for seed in seeds:
-            for protocol in protocols:
+            for protocol in PROTOCOL_RUNNERS:
                 report = run_scenario(scenario, seed, protocol_override=protocol, compute_betti=False)
                 rows.extend(report.rows)
     return ComparisonTable(rows)

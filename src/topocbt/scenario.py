@@ -146,11 +146,6 @@ class Scenario:
     def transactions(self) -> list[CrossChainTransaction]:
         return sorted(self.txns, key=lambda t: t.id)
 
-    def protocol_for(self, txn_id: int) -> str:
-        if txn_id not in self.protocols:
-            raise ScenarioError(f"unknown txn {txn_id}")
-        return self.protocols[txn_id]
-
     def plan_for(self, txn_id: int) -> FailurePlan:
         plan = NO_FAILURES
         for f in self.failures:
@@ -510,7 +505,7 @@ def grid_scenario(n: int, m: int, protocol: str = "topocbt") -> Scenario:
     return Scenario(name=f"grid-n{n}-m{m}", chains=chains, txns=[txn], protocols={1: protocol})
 
 
-def random_scenario(seed: int, protocol: str = "topocbt") -> Scenario:
+def random_scenario(seed: int) -> Scenario:
     """Small randomized federation + one transaction + one failure plan.
 
     Fully determined by the seed (SplitMix64 throughout).
@@ -569,6 +564,6 @@ def random_scenario(seed: int, protocol: str = "topocbt") -> Scenario:
         name=f"random-{seed}",
         chains=chains,
         txns=[txn],
-        protocols={1: protocol},
+        protocols={1: "topocbt"},
         failures=failures,
     )

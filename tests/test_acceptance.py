@@ -42,6 +42,7 @@ from topocbt.topology import (
     transaction_simplex,
 )
 from topocbt.unionfind import UnionFind
+from oracles import asset_totals
 from test_topology import DRIFT_CASES, assert_dimension_matches_oracle
 
 DATA = Path(__file__).parent / "data"
@@ -194,7 +195,7 @@ def test_criterion_5_car_trading_goldens():
     assert balances[("alice", "CAR")] == 1 and balances[("alice", "ETH")] == 0
     assert balances[("bob", "ETH")] == 10 and balances[("bob", "BTC")] == 0
     assert balances[("cindy", "BTC")] == 1 and balances[("cindy", "CAR")] == 0
-    assert fed.asset_totals() == {"ETH": 10, "BTC": 1, "CAR": 1}
+    assert asset_totals(fed) == {"ETH": 10, "BTC": 1, "CAR": 1}
 
     walk = parse_scenario((DATA / "car_trading_walkaway.scenario").read_text())
     report2 = run_scenario(walk, 1, protocol_override="ac2s")

@@ -8,7 +8,7 @@ from topocbt.baselines import (
 )
 from topocbt.chain import AssetUpdate, BlockRef, Chain
 from topocbt.engine import FailurePlan, Status, UPDATE_FAILURE, CRASH_BEFORE_COMMIT
-from topocbt.scenario import car_trading, grid_scenario
+from topocbt.scenario import car_trading, grid_scenario, parse_scenario
 from topocbt.topology import CrossChainTransaction, SubTransaction
 
 
@@ -99,11 +99,50 @@ def test_swap_legs_settle_until_the_timelock_runs_out(legs, status, applied, wor
     assert (out.status, out.applied_updates, out.worse_off_parties) == (status, applied, worse_off)
 
 
-def test_three_party_face_not_decomposable():
-    scen = grid_scenario(3, 1)  # main-engine grid faces touch all chains
+THREE_PARTY_FACE_TEXT = """\
+[chain]
+id = 1
+length = 1
+assets = ETH
+balance = alice ETH 5
+balance = carol ETH 5
+
+[chain]
+id = 2
+length = 1
+assets = BTC
+balance = bob BTC 5
+
+[txn]
+id = 1
+parties = alice bob carol
+blocks = 1:1 2:1
+sub = 1:1 2:1 ; alice bob ETH 1, bob carol BTC 1, bob alice BTC 2, carol bob ETH 3
+"""
+
+
+def legs_on(fed, cid):
+    chain = fed.chain(cid)
+    return [chain.block(ref).payload for ref in chain.all_refs() if chain.block(ref).payload]
+
+
+@pytest.mark.parametrize("plan, status, applied, worse_off", [
+    (FailurePlan(), Status.COMMITTED, 4, ()),
+    (FailurePlan(timeout_swap=2), Status.PARTIAL_COMMIT, 3, ("bob",)),
+    (FailurePlan(walk_away="carol"), Status.PARTIAL_COMMIT, 2, ()),
+], ids=["clean", "second-pair-late", "second-pair-walks-away"])
+def test_a_wider_face_splits_into_one_swap_per_party_pair(plan, status, applied, worse_off):
+    scen = parse_scenario(THREE_PARTY_FACE_TEXT)
     fed = scen.build_federation()
-    with pytest.raises(ValueError, match="not a pairwise swap"):
-        ac2s_execute(fed, scen.transactions()[0])
+    out = ac2s_execute(fed, scen.transactions()[0], plan)
+    assert (out.status, out.applied_updates, out.worse_off_parties) == (status, applied, worse_off)
+    # swap 1 is alice-bob (legs 1 and 3), swap 2 bob-carol (legs 2 and 4);
+    # each leg is one block on its asset's chain, settled in that order
+    eth = [(AssetUpdate("alice", "bob", "ETH", 1),), (AssetUpdate("carol", "bob", "ETH", 3),)]
+    btc = [(AssetUpdate("bob", "alice", "BTC", 2),), (AssetUpdate("bob", "carol", "BTC", 1),)]
+    settled = [eth[0], btc[0], btc[1], eth[1]][:applied]
+    assert legs_on(fed, 1) == [leg for leg in eth if leg in settled]
+    assert legs_on(fed, 2) == [leg for leg in btc if leg in settled]
 
 
 # -- witness-chain two-phase commit ----------------------------------------------------

@@ -14,6 +14,7 @@ from topocbt.chain import (
 from topocbt.rng import SplitMix64
 from topocbt.unionfind import UnionFind
 from topocbt.wal import WalKind, WriteAheadLog
+from oracles import asset_totals
 
 
 def make_chain(length=3, chain_id=1):
@@ -350,7 +351,7 @@ def test_asset_conservation_under_random_transfers():
         frm = f"p{rng.below(2)}"
         to = f"p{rng.below(4)}"
         ch.append_block(0, (AssetUpdate(frm, to, "X", rng.randrange(1, 5)),))
-    assert fed.asset_totals()["X"] == 100
+    assert asset_totals(fed)["X"] == 100
 
 
 def test_state_digest_ignores_compensated_noise():

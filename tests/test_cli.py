@@ -14,6 +14,7 @@ from topocbt.harness import run_scenario
 from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading, load_scenario
 from topocbt.simplicial import complex_from_text
 from topocbt.wal import WalKind, WriteAheadLog
+from test_harness import CANCELLING_DEAL_TEXT
 from test_simplicial import dense_betti
 
 DATA = Path(__file__).parent / "data"
@@ -53,6 +54,15 @@ def test_run_missing_scenario_exits_nonzero(capsys):
     code = main(["run", "--scenario", "ghost.scenario"])
     assert code != 0
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_run_accepts_a_commit_whose_updates_cancel_out(tmp_path):
+    scenario = tmp_path / "cancel.scenario"
+    scenario.write_text(CANCELLING_DEAL_TEXT)
+    code, out, err = run_main(["run", "--scenario", str(scenario)])
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split(",")
+    assert (row[4], row[5], row[10], row[11]) == ("Committed", "2", "none", "ok")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,9 @@ every k up to the number of records it writes when nothing is injected.
 Every other transaction runs as declared.  After each cut, recovery
 must leave the pure balance audit at none or all, the status must agree
 with the terminal record, and a second ``recover()`` must change
-nothing: not the balances, the log or the lock table.
+nothing: not the balances, the log or the lock table.  The log as it
+stood at the crash, before recovery's abort record, also goes through
+``topocbt recover``, which must print the digest ``recover()`` left.
 """
 
 from dataclasses import replace
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from topocbt import cli
 from topocbt.engine import Status, TopoCbtEngine
 from topocbt.harness import AUDIT_ALL, AUDIT_NONE, _replay, apply_updates_pure
 from topocbt.scenario import FailureSpec, car_trading, grid_scenario, load_scenario, random_scenario
@@ -33,7 +36,25 @@ def run_through(scenario, txn_id):
     raise AssertionError(f"txn {txn_id} never ran")
 
 
-def sweep(scenario) -> tuple[int, int]:
+@pytest.fixture
+def recover_cli(tmp_path, capsys, monkeypatch):
+    """``topocbt recover`` in-process on a scenario and a log's records;
+    returns the digest it prints after recovery."""
+    wal_file = tmp_path / "cut.wal"
+
+    def run(scenario, records) -> str:
+        monkeypatch.setattr(cli, "load_scenario", lambda source: (scenario, b""))
+        WriteAheadLog(records).write(wal_file)
+        capsys.readouterr()
+        code = cli.main(["recover", "--wal", str(wal_file), "--scenario", scenario.name])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return captured.out.splitlines()[1].removeprefix("digest after recovery:").strip()
+
+    return run
+
+
+def sweep(scenario, recover_cli) -> tuple[int, int]:
     """Cut each transaction at each crash point and check the outcome;
     returns (injections, runs the injection crashed)."""
     injections = crashed = 0
@@ -55,6 +76,9 @@ def sweep(scenario) -> tuple[int, int]:
                 assert row.status is (Status.COMMITTED if committed else Status.ABORTED), where
                 assert row.audit == (AUDIT_ALL if committed and moves else AUDIT_NONE), where
                 digest, log_bytes = federation.state_digest(), wal.to_bytes()
+                # recovery wrote an abort record last, unless the crash came after the commit record
+                at_crash = wal.records[:-1] if row.recovered and not committed else wal.records
+                assert recover_cli(cut, at_crash) == digest, where
                 again = TopoCbtEngine(federation, wal, mode=scenario.mode).recover()
                 assert again.is_noop(), where
                 assert (federation.state_digest(), wal.to_bytes()) == (digest, log_bytes), where
@@ -63,32 +87,32 @@ def sweep(scenario) -> tuple[int, int]:
     return injections, crashed
 
 
-def test_car_trading_every_crash_point():
+def test_car_trading_every_crash_point(recover_cli):
     # one undo record per face plus the commit, and one append per face
-    assert sweep(car_trading()) == (8, 7)
+    assert sweep(car_trading(), recover_cli) == (8, 7)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.scenario")))
-def test_data_scenario_every_crash_point(name):
+def test_data_scenario_every_crash_point(name, recover_cli):
     scenario, _ = load_scenario(str(DATA / name))
-    injections, crashed = sweep(scenario)
+    injections, crashed = sweep(scenario, recover_cli)
     assert injections > 0 and crashed > 0
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_grid_scenarios_every_crash_point(n):
+def test_grid_scenarios_every_crash_point(n, recover_cli):
     for m in range(1, 5):
         # one undo per chain per face, then the commit; only the last
         # append point lies past the run's n * m appends
         records = n * m + 1
-        assert sweep(grid_scenario(n, m)) == (2 * records, 2 * records - 1), (n, m)
+        assert sweep(grid_scenario(n, m), recover_cli) == (2 * records, 2 * records - 1), (n, m)
 
 
-def test_random_scenarios_every_crash_point():
-    injections, crashed = map(sum, zip(*(sweep(random_scenario(seed)) for seed in range(200))))
+def test_random_scenarios_every_crash_point(recover_cli):
+    injections, crashed = map(sum, zip(*(sweep(random_scenario(seed), recover_cli) for seed in range(200))))
     assert injections > 1000 and crashed > injections // 2
 
 
-def test_deep_scenarios_every_crash_point():
-    injections, crashed = map(sum, zip(*(sweep(deep_scenario(seed)) for seed in range(DEEP_SEEDS))))
+def test_deep_scenarios_every_crash_point(recover_cli):
+    injections, crashed = map(sum, zip(*(sweep(deep_scenario(seed), recover_cli) for seed in range(DEEP_SEEDS))))
     assert injections > 100 and crashed > injections // 2

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from topocbt.engine import FailurePlan, Status
+from topocbt.engine import NO_FAILURES, FailurePlan, Status, TopoCbtEngine
 from topocbt.harness import (
     AUDIT_ALL,
     AUDIT_NONE,
     AUDIT_PARTIAL,
+    PROTOCOL_RUNNERS,
     FitResult,
     _replay,
     audit_atomicity,
@@ -22,6 +23,7 @@ from topocbt.harness import (
 )
 from topocbt.scenario import (
     CAR_TRADING_TEXT,
+    PROTOCOLS,
     FailureSpec,
     car_trading,
     grid_scenario,
@@ -30,7 +32,7 @@ from topocbt.scenario import (
     random_scenario,
 )
 from topocbt.topology import build_federation_complex
-from topocbt.wal import WriteAheadLog
+from topocbt.wal import WalKind, WriteAheadLog
 
 DATA = Path(__file__).parent / "data"
 
@@ -139,6 +141,41 @@ def test_status_disagreeing_with_auditor_is_an_invariant_failure():
     report = run_scenario(car_trading(), 1)
     report.rows[0] = dataclasses.replace(report.rows[0], status=Status.ABORTED)
     assert report.invariant_failures() == ["txn 1: status Aborted but audit all"]
+
+
+CANCELLING_DEAL_TEXT = """\
+[chain]
+id = 1
+length = 1
+assets = ETH
+balance = alice ETH 5
+
+[chain]
+id = 2
+length = 1
+assets = BTC
+
+[txn]
+id = 1
+parties = alice bob
+blocks = 1:1 2:1
+sub = 1:1 ; alice bob ETH 5
+sub = 1:1 ; bob alice ETH 5
+"""
+
+
+def test_a_commit_whose_updates_cancel_out_is_judged_by_the_log():
+    report = run_scenario(parse_scenario(CANCELLING_DEAL_TEXT), 1)
+    row = report.rows[0]
+    assert (row.status, row.applied_updates, row.audit, row.forward_blocks) == (
+        Status.COMMITTED, 2, AUDIT_NONE, 2)
+    assert report.invariant_failures() == []
+    # the same report, doctored so the commit never landed: no commit record, or no forward blocks
+    assert report.wal.records[-1].kind is WalKind.COMMIT
+    no_commit = dataclasses.replace(report, wal=WriteAheadLog(report.wal.records[:-1]))
+    no_blocks = dataclasses.replace(report, rows=[dataclasses.replace(row, forward_blocks=0)])
+    for doctored in (no_commit, no_blocks):
+        assert doctored.invariant_failures() == ["txn 1: status Committed but audit none"]
 
 
 def test_empty_scenario_runs_clean():
@@ -343,21 +380,16 @@ def test_comparison_csv_columns():
 
 def test_identical_final_balances_across_protocols_failure_free():
     digests = set()
-    for protocol in ("topocbt", "ac2s", "ac3wn"):
+    for run in PROTOCOL_RUNNERS.values():
         scen = car_trading()
         fed = scen.build_federation()
-        from topocbt.engine import TopoCbtEngine
-        from topocbt.baselines import ac2s_execute, ac3wn_execute
-
-        txn = scen.transactions()[0]
-        if protocol == "topocbt":
-            TopoCbtEngine(fed).execute(txn)
-        elif protocol == "ac2s":
-            ac2s_execute(fed, txn)
-        else:
-            ac3wn_execute(fed, txn)
+        run(TopoCbtEngine(fed), scen.transactions()[0], NO_FAILURES)
         digests.add(fed.state_digest())
     assert len(digests) == 1
+
+
+def test_the_protocol_table_runs_exactly_the_declarable_protocols():
+    assert tuple(PROTOCOL_RUNNERS) == PROTOCOLS
 
 
 # -- complexity fit --------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topocbt.gf2 import gf2_matmul
 from topocbt.rng import SplitMix64
 from topocbt.simplicial import (
     Simplex,
@@ -13,6 +12,7 @@ from topocbt.simplicial import (
     read_complex,
 )
 from topocbt.unionfind import UnionFind
+from oracles import gf2_matmul
 
 
 def closed(*vertex_tuples):

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topocbt import gf2, simplicial, topology
-from topocbt.baselines import ac2s_execute, ac3wn_execute
 from topocbt.chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
-from topocbt.engine import TopoCbtEngine
-from topocbt.harness import _replay, betti_report
+from topocbt.engine import NO_FAILURES, TopoCbtEngine
+from topocbt.harness import PROTOCOL_RUNNERS, _replay, betti_report
 from topocbt.rng import SplitMix64
 from topocbt.scenario import ChainSpec, Scenario, car_trading, grid_scenario, load_scenario, random_scenario
 from topocbt.simplicial import Simplex, SimplicialComplex, betti_from_cells, close_by_dimension
@@ -283,10 +282,11 @@ def test_dimension_formula_matches_construction(case, mode):
     assert_dimension_matches_oracle(fed, t, mode)
 
 
-DEAD_REF_RUNS = {
-    "topocbt": lambda fed, t: TopoCbtEngine(fed).execute(t),
-    "ac2s": ac2s_execute,
-    "ac3wn": ac3wn_execute,
+def on_fresh_engine(run):
+    return lambda fed, t: run(TopoCbtEngine(fed), t, NO_FAILURES)
+
+
+DEAD_REF_RUNS = {name: on_fresh_engine(run) for name, run in PROTOCOL_RUNNERS.items()} | {
     "formula": expected_transaction_dimension,
 }
 
