@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .chain import AssetUpdate, Chain, Federation
+from .chain import AssetUpdate, Chain, Federation, _pack_str
 from .engine import FailurePlan, NO_FAILURES, Outcome, Status, UPDATE_FAILURE, CRASH_BEFORE_COMMIT, pair_count
 from .topology import CrossChainTransaction, expand_refs
 
@@ -38,8 +38,7 @@ class Decision:
     txn_id: int
 
     def to_bytes(self) -> bytes:
-        raw = self.kind.encode("ascii")
-        return b"D" + struct.pack(">H", len(raw)) + raw + struct.pack(">Q", self.txn_id)
+        return b"D" + _pack_str(self.kind) + struct.pack(">Q", self.txn_id)
 
 
 WITNESS_CHAIN_ID = 999

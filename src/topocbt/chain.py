@@ -45,7 +45,10 @@ GENESIS_PARENT = b"\x00" * 32
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    return struct.pack(">H", len(raw)) + raw
+    try:
+        return struct.pack(">H", len(raw)) + raw
+    except struct.error:
+        raise ValueError(f"a name of {len(raw)} UTF-8 bytes does not fit its 16-bit length field") from None
 
 
 class BlockRef(NamedTuple):
@@ -201,10 +204,9 @@ class Chain:
         return sorted(b for b, info in self.branches.items() if info.live)
 
     def canonical_branch(self) -> int:
-        """The branch the longest-branch rule would pick right now."""
-        live = self.live_branch_labels()
-        best = max(self.branches[b].tip for b in live)
-        return min(b for b in live if self.branches[b].tip == best)
+        """The branch the longest-branch rule would pick right now: the
+        live branch with the highest tip, the lowest label among those."""
+        return min((-info.tip, b) for b, info in self.branches.items() if info.live)[1]
 
     def next_ref(self) -> BlockRef:
         """The ref the next ``append`` fills."""

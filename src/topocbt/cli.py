@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import os
 import sys
@@ -179,7 +180,10 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps
+    no state between calls."""
     parser = _Parser(prog="topocbt", description="cross-chain transaction simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 

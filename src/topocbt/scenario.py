@@ -6,7 +6,8 @@ Sections start with a ``[header]`` line and hold ``key = value`` pairs.
 key appears at most once, and only in its own section.  Blank lines
 and ``#`` comments are ignored.  Block positions are written
 ``chain:height`` or ``chain:height:branch``.  Input that could not
-run as written (a number its binary field cannot hold, a duplicate chain
+run as written (a number, name or update list its binary field cannot
+hold, a scenario name that would split its CSV cell, a duplicate chain
 or txn id, a fork with no block below it, a failure that can never
 fire, more blocks or replicas than the work budget allows) is rejected
 with its line and field.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .chain import AssetUpdate, BlockRef, Chain, Federation
 from .engine import FACE_FAILURE_KINDS, NO_FAILURES, FailurePlan
@@ -101,6 +102,8 @@ AMOUNT = (1, 2**63 - 1)        # '>Q' in blocks and the WAL, and a balance chang
 BALANCE = (-(2**63), 2**63 - 1)  # '>q' in the state digest
 POINT = (1, None)              # 1-based face, swap, record and append counts
 NATURAL = (0, None)            # epoch and window, where 0 means never and whole chains
+NAME_BYTES = 2**16 - 1         # UTF-8 bytes of a party or asset name: '>H'-prefixed in blocks, the WAL and the digest
+SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one WAL undo record's '>H' count
 
 # The work budget.  A run holds its scenario's whole declared history in
 # memory, so each bound keeps one structure of a run within MEMORY_BUDGET
@@ -180,6 +183,17 @@ def _parse_int(token: str, line: int, fld: str, bounds: Optional[tuple[int, Opti
     return value
 
 
+def _check_names(value: str, names: Iterable[str], line: int, fld: str) -> None:
+    """Refuse a party or asset name, read from ``value``, longer than the
+    16-bit length every binary format packs it behind.  A UTF-8 character
+    takes at most 4 bytes, so a shorter value holds no such name."""
+    if len(value) > NAME_BYTES // 4:
+        for name in names:
+            size = len(name.encode("utf-8"))
+            if size > NAME_BYTES:
+                raise ScenarioError(f"a name takes at most {NAME_BYTES} UTF-8 bytes, got {size}", line, fld)
+
+
 def _parse_ref(token: str, line: int, fld: str) -> BlockRef:
     parts = token.split(":")
     if len(parts) not in (2, 3):
@@ -193,12 +207,16 @@ def _parse_sub(value: str, line: int) -> SubTransaction:
         raise ScenarioError("sub needs 'blocks ; updates'", line, "sub")
     blocks_part, updates_part = value.split(";", 1)
     blocks = tuple(_parse_ref(tok, line, "sub") for tok in blocks_part.split())
+    clauses = updates_part.split(",")
+    if len(clauses) > SUB_UPDATES:
+        raise ScenarioError(f"a sub takes at most {SUB_UPDATES} updates, got {len(clauses)}", line, "sub")
     updates = []
-    for clause in updates_part.split(","):
+    for clause in clauses:
         toks = clause.split()
         if len(toks) != 4:
             raise ScenarioError(f"update must be 'from to asset amount', got {clause.strip()!r}", line, "sub")
         updates.append(AssetUpdate(toks[0], toks[1], toks[2], _parse_int(toks[3], line, "sub", AMOUNT)))
+    _check_names(updates_part, (name for u in updates for name in (u.owner_from, u.owner_to, u.asset)), line, "sub")
     if not blocks:
         raise ScenarioError("sub needs at least one block", line, "sub")
     return SubTransaction(blocks=blocks, updates=tuple(updates))
@@ -358,12 +376,18 @@ def parse_scenario(text: str) -> Scenario:
             current[key] = _parse_int(value, lineno, key, NATURAL)
         elif key == "txn":
             current[key] = _parse_int(value, lineno, key)
-        elif key in ("name", "mode", "protocol", "kind", "party"):
+        elif key == "name":
+            if "," in value:
+                raise ScenarioError(f"the scenario name is one CSV cell and takes no ',', got {value!r}", lineno, key)
             current[key] = value
-        elif key == "assets":
-            current["assets"] = tuple(value.split())
-        elif key == "parties":
-            current["parties"] = tuple(value.split())
+        elif key in ("mode", "protocol", "kind"):
+            current[key] = value
+        elif key == "party":
+            _check_names(value, (value,), lineno, key)
+            current[key] = value
+        elif key in ("assets", "parties"):
+            current[key] = tuple(value.split())
+            _check_names(value, current[key], lineno, key)
         elif key == "blocks":
             current["blocks"] = tuple(_parse_ref(tok, lineno, "blocks") for tok in value.split())
         elif key == "fork":
@@ -377,6 +401,7 @@ def parse_scenario(text: str) -> Scenario:
             toks = value.split()
             if len(toks) != 3:
                 raise ScenarioError("balance needs 'party asset amount'", lineno, "balance")
+            _check_names(value, toks[:2], lineno, key)
             current.setdefault("balance", []).append(
                 (toks[0], toks[1], _parse_int(toks[2], lineno, "balance", BALANCE))
             )

@@ -1,10 +1,12 @@
 """Abstract simplicial complexes over integer vertices.
 
-A simplex is a strictly ascending tuple of vertex ids.  A complex
-stores its cells grouped by dimension, ``cells[k]`` being the frozenset
-of its k-cells as ascending tuples (the sorted vertex sequences of
-Boissonnat & Maria's simplex tree); :func:`close_by_dimension` is the
-one face-closure routine, and ``Simplex`` values are made only where a
+A simplex is a strictly ascending tuple of vertex ids.  A complex is
+closed under faces by construction: its one constructor checks each
+generator by the ``Simplex`` rule and stores the face closure from
+:func:`close_by_dimension`, the one face-closure routine.  It holds its
+cells grouped by dimension, ``cells[k]`` being the frozenset of its
+k-cells as ascending tuples (the sorted vertex sequences of Boissonnat
+& Maria's simplex tree).  A face becomes a ``Simplex`` only where a
 caller asks for members.  Betti numbers over GF(2) come from those
 cells (:func:`betti_from_cells`): rank d1 is the vertex count less the
 union-find component count, and rank dk for k >= 2 comes from a column
@@ -77,32 +79,23 @@ class BoundaryMatrix:
 
 
 class SimplicialComplex:
-    """An immutable set of simplices, held as ``cells[k]``: the k-cells.
+    """An immutable complex, closed under faces by construction, held as
+    ``cells[k]``: its k-cells.
 
-    The plain constructor stores exactly the simplices given, which may
-    violate face closure; :meth:`closure_of` and :meth:`from_simplices`
-    build the closed complex of their generators, and :meth:`is_valid`
-    checks closure.
+    The constructor takes generators as ascending vertex tuples, checks
+    each by :class:`Simplex`'s rule and stores their face closure.
     """
 
     __slots__ = ("cells",)
 
-    def __init__(self, simplices: Iterable[Simplex] = ()) -> None:
-        given = {s.vertices for s in simplices}
-        sizes = range(1, max(map(len, given), default=0) + 1)
-        self.cells = tuple(frozenset(c for c in given if len(c) == size) for size in sizes)
-
-    @classmethod
-    def closure_of(cls, generators: Iterable[Cell]) -> "SimplicialComplex":
-        """The face closure of ascending vertex tuples."""
-        complex_ = cls.__new__(cls)
-        complex_.cells = tuple(map(frozenset, close_by_dimension(generators)))
-        return complex_
+    def __init__(self, cells: Iterable[Sequence[int]] = ()) -> None:
+        generators = [Simplex(cell).vertices for cell in cells]
+        self.cells = tuple(map(frozenset, close_by_dimension(generators)))
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
-        """Build the face closure of the given simplices."""
-        return cls.closure_of(s.vertices for s in simplices)
+        """The face closure of the given simplices."""
+        return cls(s.vertices for s in simplices)
 
     # -- membership ----------------------------------------------------
 
@@ -150,16 +143,6 @@ class SimplicialComplex:
 
     # -- topology ------------------------------------------------------
 
-    def is_valid(self) -> bool:
-        """True iff every facet of every member is a member, which makes
-        every non-empty subset one."""
-        return all(
-            face in self.cells[k - 1]
-            for k in range(1, len(self.cells))
-            for cell in self.cells[k]
-            for face in combinations(cell, k)
-        )
-
     def boundary_matrix(self, k: int) -> BoundaryMatrix:
         """The GF(2) boundary map for dimension k, 1 <= k <= dimension.
 
@@ -203,7 +186,9 @@ def close_by_dimension(generators: Iterable[Cell]) -> list[set[Cell]]:
 
 def betti_from_cells(cells: Sequence[Iterable[Cell]]) -> tuple[int, ...]:
     """Betti numbers over GF(2) of a closed complex given as cells[k] = its
-    k-cells (ascending vertex tuples); () when there are none.
+    k-cells (ascending vertex tuples); () when there are none.  Every
+    caller hands in a closure: ``SimplicialComplex.cells`` or the output
+    of :func:`close_by_dimension`.
 
     b_k = n_k - rank(d_k) - rank(d_{k+1}).  Rank d1 is the vertex count
     less the union-find component count.  Rank dk for k >= 2 is the
@@ -290,7 +275,7 @@ def complex_to_text(complex_: SimplicialComplex) -> str:
 
 
 def complex_from_text(text: str) -> SimplicialComplex:
-    simplices = []
+    cells = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         try:
             if not raw.isascii():
@@ -302,10 +287,10 @@ def complex_from_text(text: str) -> SimplicialComplex:
             for tok in tokens:
                 if not tok.isdigit():
                     raise ValueError(f"vertex ids are base-10 digits, got {tok!r}")
-            simplices.append(Simplex(tuple(int(tok) for tok in tokens)))
+            cells.append(Simplex(tuple(int(tok) for tok in tokens)).vertices)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    return SimplicialComplex.from_simplices(simplices)
+    return SimplicialComplex(cells)
 
 
 def read_complex(path) -> SimplicialComplex:

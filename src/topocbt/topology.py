@@ -135,7 +135,7 @@ class TaggedComplex:
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        return SimplicialComplex.closure_of(self._generators())
+        return SimplicialComplex(self._generators())
 
     def betti_numbers(self) -> tuple[int, ...]:
         """Betti numbers of the closure of the generators; ``complex`` is

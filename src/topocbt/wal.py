@@ -48,7 +48,10 @@ def _unpack_str(buf: bytes, off: int) -> tuple[str, int]:
 
 
 def _pack_updates(updates: tuple[AssetUpdate, ...]) -> bytes:
-    out = [struct.pack(">H", len(updates))]
+    try:
+        out = [struct.pack(">H", len(updates))]
+    except struct.error:
+        raise ValueError(f"{len(updates)} updates do not fit an undo record's 16-bit count") from None
     for u in updates:
         out.append(_pack_str(u.owner_from))
         out.append(_pack_str(u.owner_to))

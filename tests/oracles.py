@@ -10,6 +10,21 @@ def gf2_matmul(a: Matrix, b: Matrix) -> list[list[int]]:
     return [[sum(x & y for x, y in zip(row, col)) & 1 for col in cols] for row in a]
 
 
+def subsets(cell: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Every non-empty subset of an ascending tuple, by bitmask."""
+    return {tuple(v for i, v in enumerate(cell) if mask >> i & 1) for mask in range(1, 1 << len(cell))}
+
+
+def all_subsets_closure(generators) -> set[tuple[int, ...]]:
+    """The face closure of ascending vertex tuples: every non-empty subset of each."""
+    return set().union(*map(subsets, generators))
+
+
+def cells_of(complex_) -> set[tuple[int, ...]]:
+    """A complex's cells, every dimension, as vertex tuples."""
+    return {cell for level in complex_.cells for cell in level}
+
+
 def asset_totals(federation: Federation) -> dict[str, int]:
     """Each asset's effective balances summed over every party."""
     totals: dict[str, int] = {}

@@ -228,3 +228,5 @@ def test_decision_record_serialization():
     raw = d.to_bytes()
     assert raw.startswith(b"D")
     assert raw.endswith((42).to_bytes(8, "big"))
+    # the kind is '>H'-prefixed, as every name in a block is
+    assert raw == b"D\x00\x0cGlobalCommit" + (42).to_bytes(8, "big")

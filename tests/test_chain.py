@@ -125,6 +125,16 @@ def test_update_amount_fits_the_block_and_log_field():
         AssetUpdate("a", "b", "X", 2**64)
 
 
+def test_names_fit_their_16_bit_length_field():
+    # blocks, the WAL and the state digest pack a name behind a '>H' length
+    longest = "\u00e9" * (2**15 - 1) + "x"  # 65,535 UTF-8 bytes
+    chain = Chain(1)
+    ref = chain.append_block(0, (AssetUpdate(longest, "b", "X", 1),))
+    assert chain.block(ref).payload[0].owner_from == longest
+    with pytest.raises(ValueError, match="^a name of 65536 UTF-8 bytes does not fit its 16-bit length field$"):
+        chain.append_block(0, (AssetUpdate("a", "b", "\u00e9" * 2**15, 1),))
+
+
 # -- forks ---------------------------------------------------------------------
 
 def test_spawn_fork_creates_sibling_at_height():

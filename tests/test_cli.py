@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topocbt.cli import main
+from topocbt.cli import build_parser, main
 from topocbt.harness import run_scenario
 from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading, load_scenario
 from topocbt.simplicial import complex_from_text
@@ -75,6 +75,15 @@ def test_run_accepts_a_commit_whose_updates_cancel_out(tmp_path):
 ])
 def test_bad_command_line_is_one_error_line(argv):
     assert_one_error_line(*run_main(argv))
+
+
+def test_one_parser_serves_every_call():
+    # the parser is built once per process and keeps nothing between calls
+    assert build_parser() is build_parser()
+    assert_one_error_line(*run_main(["run", "--seed", "1"]))
+    code, out, err = run_main(["run", "--scenario", "car-trading"])
+    assert (code, err) == (0, "") and out.startswith("scenario,")
+    assert_one_error_line(*run_main(["run", "--scenario", "car-trading", "--seed", "x"]))
 
 
 def test_help_still_prints_usage(capsys):

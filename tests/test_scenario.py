@@ -7,7 +7,9 @@ from topocbt.scenario import (
     CAR_TRADING_TEXT,
     FAILURE_KINDS,
     MAX_BLOCKS,
+    NAME_BYTES,
     REPLICAS,
+    SUB_UPDATES,
     FailureSpec,
     ScenarioError,
     car_trading,
@@ -205,8 +207,19 @@ def _appended(section):
     return CAR_TRADING_TEXT + section
 
 
+# two UTF-8 bytes a character, so a name's bound is counted in bytes
+LONG_NAME = "\u00e9" * (NAME_BYTES // 2 + 1)
+TOO_MANY_UPDATES = ", ".join(["alice bob ETH 1"] * (SUB_UPDATES + 1))
+
 # (scenario text, line, field) of input the parser must reject
 REJECTED = {
+    "name past >H in parties": (_edited("parties = alice bob cindy", f"parties = alice bob {LONG_NAME}"), 29, "parties"),
+    "name past >H in assets": (_edited("assets = ETH", f"assets = ETH {LONG_NAME}"), 11, "assets"),
+    "name past >H in a balance": (_edited("balance = alice ETH", f"balance = {LONG_NAME} ETH"), 12, "balance"),
+    "name past >H in a sub": (_edited("alice bob ETH 10\n", f"alice bob {LONG_NAME} 10\n"), 31, "sub"),
+    "name past >H in a failure": (_appended(f"[failure]\ntxn = 1\nkind = walk_away\nparty = {LONG_NAME}\n"), 37, "party"),
+    "updates past >H in a sub": (_edited("sub = 1:2 ; alice bob ETH 10", f"sub = 1:2 ; {TOO_MANY_UPDATES}"), 31, "sub"),
+    "comma in the scenario name": (_edited("name = car-trading", "name = car,trading"), 5, "name"),
     "key of another section in [txn]": (_edited("protocol = topocbt\n", "protocol = topocbt\nbalance = b Y 10\n"), 29, "balance"),
     "key of another section in [chain]": (_appended("[chain]\nid = 4\nparties = a b\n"), 36, "parties"),
     "key of another section in [scenario]": (_edited("mode = abstract\n", "mode = abstract\nrecord = 1\n"), 7, "record"),
@@ -271,6 +284,23 @@ def test_numbers_at_the_range_edges_parse():
     assert scen.plan_for(2**64 - 1).crash_after_append == 1
 
 
+@pytest.mark.parametrize("case", ["name past >H in parties", "updates past >H in a sub", "comma in the scenario name"])
+def test_run_refuses_what_its_outputs_cannot_hold_with_one_error_line(tmp_path, case):
+    text, line, fld = REJECTED[case]
+    assert_refused_by_run(tmp_path, text, line, fld, "--wal", str(tmp_path / "run.wal"))
+
+
+def test_names_and_update_lists_at_their_bounds_parse():
+    longest = "\u00e9" * (NAME_BYTES // 2) + "x"
+    assert len(longest.encode("utf-8")) == NAME_BYTES
+    text = CAR_TRADING_TEXT.replace("alice", longest).replace(
+        "sub = 1:2 ;", "sub = 1:2 ; " + "bob cindy ETH 1, " * (SUB_UPDATES - 1))
+    scen = parse_scenario(text + f"[failure]\ntxn = 1\nkind = walk_away\nparty = {longest}\n")
+    assert scen.txns[0].parties[0] == longest
+    assert len(scen.txns[0].sub_transactions[0].updates) == SUB_UPDATES
+    assert scen.plan_for(1).walk_away == longest
+
+
 # -- the work budget: checked at parse level only, no case starts a run ----------
 
 def budget_text(chains) -> tuple[str, list[tuple[int, str]]]:
@@ -287,10 +317,10 @@ def budget_text(chains) -> tuple[str, list[tuple[int, str]]]:
     return "\n".join(lines) + "\n", where
 
 
-def assert_refused_by_run(tmp_path, text, line, fld):
+def assert_refused_by_run(tmp_path, text, line, fld, *options):
     path = tmp_path / "over.scenario"
     path.write_text(text)
-    code, out, err = run_main(["run", "--scenario", str(path)])
+    code, out, err = run_main(["run", "--scenario", str(path), *options])
     assert_one_error_line(code, out, err)
     assert err.startswith(f"error: line {line}: field {fld}: ")
 

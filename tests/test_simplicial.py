@@ -12,7 +12,7 @@ from topocbt.simplicial import (
     read_complex,
 )
 from topocbt.unionfind import UnionFind
-from oracles import gf2_matmul
+from oracles import all_subsets_closure, cells_of, gf2_matmul, subsets
 
 
 def closed(*vertex_tuples):
@@ -49,11 +49,21 @@ def test_simplex_dimension_and_faces():
     assert sorted(f.vertices for f in s.boundary()) == [(0, 1), (0, 2), (1, 2)]
 
 
-# -- validity ----------------------------------------------------------------
+# -- closure by construction ---------------------------------------------------
 
-def test_validity_detects_missing_faces():
-    assert SimplicialComplex([Simplex((0,)), Simplex((1,)), Simplex((0, 1))]).is_valid()
-    assert not SimplicialComplex([Simplex((0, 1))]).is_valid()
+def test_the_constructor_closes_its_generators():
+    assert SimplicialComplex([(0, 1)]) == SimplicialComplex([(0,), (1,), (0, 1)])
+    assert SimplicialComplex([(0, 1)]).betti_numbers() == (1, 0)
+    assert SimplicialComplex([[0, 1, 2]]).betti_numbers() == (1, 0, 0)
+    assert SimplicialComplex.from_simplices([Simplex((0, 1, 2))]).betti_numbers() == (1, 0, 0)
+    with pytest.raises(ValueError):
+        SimplicialComplex([(1, 0)])
+
+
+@pytest.mark.parametrize("cell", [(1, 0), (2, 2), (), (-1,), (0, "1")], ids=repr)
+def test_the_constructor_checks_each_generator_by_the_simplex_rule(cell):
+    with pytest.raises(ValueError):
+        SimplicialComplex([(0, 1, 2), cell])
 
 
 # -- boundary matrices --------------------------------------------------------
@@ -223,28 +233,25 @@ def test_betti_invariant_under_relabeling(seed, perm_seed):
     SplitMix64(perm_seed).shuffle(shuffled)
     # scatter ids into a sparse range as well
     mapping = {v: 3 * w + 17 for v, w in zip(vertices, shuffled)}
-    relabeled = SimplicialComplex(Simplex.of(*(mapping[v] for v in s.vertices)) for s in c)
-    assert relabeled.is_valid()
+    cells = {tuple(sorted(mapping[v] for v in s.vertices)) for s in c}
+    relabeled = SimplicialComplex(cells)
+    assert cells_of(relabeled) == all_subsets_closure(cells) == cells
     assert relabeled.betti_numbers() == c.betti_numbers()
 
 
 # -- the cell store against all-subsets brute force -----------------------------
 
-def subsets(cell):
-    """Every non-empty subset of an ascending tuple, by bitmask."""
-    return {tuple(v for i, v in enumerate(cell) if mask >> i & 1) for mask in range(1, 1 << len(cell))}
-
-
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_closure_of_equals_all_subsets(data):
+def test_constructor_equals_all_subsets(data):
     generators = data.draw(generators_on_12_vertices, label="generators")
     for g in list(generators):  # nested (a face of a generator) or repeated (the whole generator)
         if data.draw(st.booleans()):
             generators.append(data.draw(st.sampled_from(sorted(subsets(g)))))
-    expected = set().union(*map(subsets, generators))
-    c = SimplicialComplex.closure_of(generators)
-    assert {s.vertices for s in c.members()} == {s.vertices for s in c} == expected
+    expected = all_subsets_closure(generators)
+    c = SimplicialComplex(generators)
+    assert c == SimplicialComplex.from_simplices(map(Simplex, generators))
+    assert {s.vertices for s in c.members()} == {s.vertices for s in c} == cells_of(c) == expected
     top = max(map(len, expected))
     assert c.simplex_counts() == [sum(len(f) == size for f in expected) for size in range(1, top + 1)]
     assert len(c) == len(expected)
@@ -252,14 +259,12 @@ def test_closure_of_equals_all_subsets(data):
     probes = data.draw(st.lists(st.sets(st.integers(0, 12), min_size=1, max_size=7), max_size=10))
     for cell in expected | {tuple(sorted(p)) for p in probes}:
         assert (Simplex(cell) in c) == (cell in expected)
-    assert c.is_valid()
     assert complex_from_text(complex_to_text(c)) == c
 
+    # any subset of the cells, closed or not, generates its own closure
     removed = data.draw(st.sets(st.sampled_from(sorted(expected))), label="removed")
     kept = expected - removed
-    plain = SimplicialComplex(map(Simplex, kept))
-    assert plain.members() == frozenset(map(Simplex, kept))
-    assert plain.is_valid() == all(subsets(cell) <= kept for cell in kept)
+    assert cells_of(SimplicialComplex(kept)) == all_subsets_closure(kept)
 
 
 # -- text format ---------------------------------------------------------------
@@ -274,7 +279,7 @@ def test_text_round_trip(tmp_path):
 def test_text_reading_applies_closure():
     c = complex_from_text("# a bare triangle line\n0 1 2\n")
     assert len(c) == 7
-    assert c.is_valid()
+    assert cells_of(c) == subsets((0, 1, 2))
 
 
 def test_text_rejects_bad_lines():

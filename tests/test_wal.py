@@ -180,3 +180,14 @@ def test_mutated_log_is_rejected_or_round_trips(entries, edits, fix_lengths):
     except WalFormatError:
         return
     assert loaded.to_bytes() == data
+
+
+def test_update_count_fits_the_undo_record_field():
+    # an undo snapshot counts its updates as '>H'
+    update = AssetUpdate("a", "b", "X", 1)
+    wal = WriteAheadLog()
+    wal.append(1, WalKind.UNDO, BlockRef(1, 1), (update,) * (2**16 - 1))
+    assert len(WriteAheadLog.from_bytes(wal.to_bytes()).records[0].updates) == 2**16 - 1
+    wal.append(1, WalKind.UNDO, BlockRef(1, 2), (update,) * 2**16)
+    with pytest.raises(ValueError, match="^65536 updates do not fit an undo record's 16-bit count$"):
+        wal.to_bytes()
