@@ -1,10 +1,20 @@
 """Hash-linked blockchains with forks, plus the federation that holds them.
 
 Blocks are append-only value objects sealed with a sha256 digest over a
-canonical byte serialization (fixed field order, big-endian integers).
-A chain may carry several live branches at once; the longest-branch
-rule retires all but one.  Dead branches keep their blocks for audit
-but never enter new topology builds.
+canonical byte serialization (fixed field order, big-endian integers);
+``compute_block_hash`` is the one hashing rule.  A chain may carry
+several live branches at once; the longest-branch rule retires all but
+one.  Dead branches keep their blocks for audit but never enter new
+topology builds.
+
+A chain is built with its declared trunk: genesis and ``length`` empty
+blocks above it on branch 0, held as that length alone.  A declared
+block is derived when something asks for it: its parent is one height
+below on branch 0 and its hash depends only on the chain id and its
+height, so the chain keeps just the hashes it has derived so far, in a
+list that grows on demand.  ``block`` stores the declared block it hands
+out, so ``hash_violations`` checks it like any appended block; a
+declared block never handed out has nothing to tamper with.
 
 Each chain keeps its live state instead of deriving it on every read:
 a height -> live refs index over the ancestor closure of the live
@@ -13,15 +23,14 @@ by live ``Compensation`` blocks, and the net (party, asset) change of
 its live ``AssetUpdate`` records.  ``append_blocks`` seals a run of
 blocks on one branch in one loop, each hash fixed as its block is
 sealed, and adds the run to all three at once (its parent is always
-live already); ``append_block`` is a run of one, and a scenario's
-declared trunk is one run.  ``append`` seals one block on the canonical
-branch, in the slot ``next_ref`` names.  ``resolve_forks`` rebuilds
-them with one ancestor walk when it retires a branch; ``spawn_fork``
-leaves them alone, since an empty branch adds no block.  A payload is
-read once, when its block is appended.  The engine opens each forward
-update block with a ``Forward`` marker naming its transaction, and each
-rollback block with a ``Compensation`` marker naming the block it
-reverses.
+live already); ``append_block`` is a run of one.  ``append`` seals one
+block on the canonical branch, in the slot ``next_ref`` names.
+``resolve_forks`` rebuilds the live state with one ancestor walk when
+it retires a branch; ``spawn_fork`` leaves it alone, since an empty
+branch adds no block.  A payload is read once, when its block is
+appended.  The engine opens each forward update block with a
+``Forward`` marker naming its transaction, and each rollback block with
+a ``Compensation`` marker naming the block it reverses.
 
 A ``BlockRef`` is a plain tuple: it keys every block store, height
 index and the lock table, and hashes, compares and sorts as
@@ -123,14 +132,16 @@ class Compensation:
         )
 
 
-def compute_block_hash(ref: BlockRef, parent_hash: bytes, payload: tuple) -> bytes:
-    h = hashlib.sha256()
-    h.update(struct.pack(">III", ref.chain, ref.height, ref.branch))
-    h.update(parent_hash)
-    h.update(struct.pack(">I", len(payload)))
-    for record in payload:
-        h.update(record.to_bytes())
-    return h.digest()
+_REF = struct.Struct(">III")
+_COUNT = struct.Struct(">I")
+
+
+def compute_block_hash(ref: tuple[int, int, int], parent_hash: bytes, payload: tuple) -> bytes:
+    """sha256 over the ref (chain, height, branch), the parent hash, the
+    record count and each record's bytes."""
+    return hashlib.sha256(
+        _REF.pack(*ref) + parent_hash + _COUNT.pack(len(payload)) + b"".join([r.to_bytes() for r in payload])
+    ).digest()
 
 
 @dataclass(frozen=True)
@@ -162,43 +173,53 @@ class ChainError(Exception):
 
 
 class Chain:
-    """One blockchain: a genesis block plus appended blocks on branches."""
+    """One blockchain: a declared trunk (genesis plus ``length`` empty
+    blocks on branch 0) plus appended blocks on branches."""
 
-    def __init__(self, chain_id: int, replicas: int = 1, assets: Iterable[str] = ()) -> None:
+    def __init__(self, chain_id: int, replicas: int = 1, assets: Iterable[str] = (), length: int = 0) -> None:
         if chain_id < 1:
             raise ChainError("chain ids start at 1")
         if chain_id > 2**32 - 1:
             raise ChainError(f"chain id {chain_id} does not fit its 32-bit field")
         if replicas < 1:
             raise ChainError("a chain needs at least one replica")
+        if length < 0:
+            raise ChainError("a declared trunk cannot have a negative length")
         self.id = chain_id
         self.replicas = replicas
         self.assets = tuple(assets)
-        self._blocks: dict[BlockRef, Block] = {}
-        self.branches: dict[int, BranchInfo] = {0: BranchInfo(spawn_height=0, parent=None)}
-        genesis = Block.seal(BlockRef(chain_id, 0, 0), None, GENESIS_PARENT, ())
-        self._blocks[genesis.ref] = genesis
-        self.branches[0].tip = 0
-        # live state, kept current by _index and _rebuild_live
-        self._live_at: dict[int, list[BlockRef]] = {}  # height -> refs, by branch
+        self._trunk = length  # the declared trunk: heights 0..length on branch 0
+        self._trunk_hashes: list[bytes] = []  # hashes of declared heights 0.., derived on demand
+        self._blocks: dict[BlockRef, Block] = {}  # appended blocks and declared blocks handed out
+        self.branches: dict[int, BranchInfo] = {0: BranchInfo(spawn_height=0, parent=None, tip=length)}
+        # live state, kept current by _index and _rebuild_live; every build walks
+        # the height index, so it lists the declared trunk from the start
+        self._live_at: dict[int, list[BlockRef]] = {  # height -> refs, by branch
+            height: [BlockRef(chain_id, height, 0)] for height in range(length + 1)
+        }
         self._compensated: set[BlockRef] = set()
         self._ledger: dict[tuple[str, str], int] = {}
-        self._index((genesis.ref,))
 
     # -- queries ---------------------------------------------------------
 
     def block(self, ref: BlockRef) -> Block:
-        try:
-            return self._blocks[ref]
-        except KeyError:
-            raise ChainError(f"no block {ref} on chain {self.id}") from None
+        block = self._blocks.get(ref)
+        if block is None:
+            if not self._declared(ref):
+                raise ChainError(f"no block {ref} on chain {self.id}")
+            height = ref[1]
+            parent = BlockRef(self.id, height - 1, 0) if height else None
+            parent_hash = self._trunk_hash(height - 1) if height else GENESIS_PARENT
+            block = Block(BlockRef(self.id, height, 0), parent, parent_hash, (), self._trunk_hash(height))
+            self._blocks[block.ref] = block
+        return block
 
     def holds_forward(self, ref: BlockRef, txn_id: int) -> bool:
         """Whether the block at ``ref`` is a forward update block of ``txn_id``."""
         return ref in self._blocks and self._blocks[ref].payload[:1] == (Forward(txn_id),)
 
     def all_refs(self) -> list[BlockRef]:
-        return sorted(self._blocks)
+        return sorted(self._blocks.keys() | {BlockRef(self.id, height, 0) for height in range(self._trunk + 1)})
 
     def live_branch_labels(self) -> list[int]:
         return sorted(b for b, info in self.branches.items() if info.live)
@@ -245,6 +266,31 @@ class Chain:
         """Net (party, asset) change carried by live asset updates."""
         return dict(self._ledger)
 
+    # -- the declared trunk ------------------------------------------------
+
+    def _declared(self, ref: BlockRef) -> bool:
+        """Whether ``ref`` names a block of the declared trunk."""
+        chain, height, branch = ref
+        return chain == self.id and branch == 0 and 0 <= height <= self._trunk
+
+    def _trunk_hash(self, height: int) -> bytes:
+        """Hash of the declared block at ``height``, deriving the prefix up to it."""
+        hashes = self._trunk_hashes
+        if height >= len(hashes):
+            parent_hash = hashes[-1] if hashes else GENESIS_PARENT
+            for h in range(len(hashes), height + 1):
+                parent_hash = compute_block_hash((self.id, h, 0), parent_hash, ())
+                hashes.append(parent_hash)
+        return hashes[height]
+
+    def _hash(self, ref: BlockRef) -> Optional[bytes]:
+        """Hash a child of ``ref`` links to: the stored block's, else the
+        derived one of a declared block; None if there is no such block."""
+        block = self._blocks.get(ref)
+        if block is not None:
+            return block.hash
+        return self._trunk_hash(ref[1]) if self._declared(ref) else None
+
     # -- maintained live state ---------------------------------------------
 
     def _index(self, refs: Iterable[BlockRef]) -> None:
@@ -257,7 +303,10 @@ class Chain:
                 at[ref.height] = [ref]
             else:
                 insort(row, ref)
-            for record in blocks[ref].payload:
+            block = blocks.get(ref)
+            if block is None:
+                continue  # a declared block carries no payload
+            for record in block.payload:
                 if isinstance(record, AssetUpdate):
                     key_from = (record.owner_from, record.asset)
                     key_to = (record.owner_to, record.asset)
@@ -274,6 +323,9 @@ class Chain:
             info = self.branches[label]
             ref: Optional[BlockRef] = BlockRef(self.id, info.tip, label) if info.tip >= 0 else None
             while ref is not None and ref not in closure:
+                if self._declared(ref):  # so is every ancestor: take them without building blocks
+                    closure.update(BlockRef(self.id, height, 0) for height in range(ref.height + 1))
+                    break
                 closure.add(ref)
                 ref = self._blocks[ref].parent_ref
         for state in (self._live_at, self._compensated, self._ledger):
@@ -305,10 +357,10 @@ class Chain:
         if not info.live:
             raise ChainError(f"branch {branch} on chain {self.id} is dead")
         parent_ref, height = self._slot(branch)
-        blocks = self._blocks
-        if parent_ref is None or parent_ref not in blocks:
+        parent_hash = None if parent_ref is None else self._hash(parent_ref)
+        if parent_hash is None:
             raise ChainError(f"missing parent at height {height - 1} on chain {self.id}")
-        parent_hash = blocks[parent_ref].hash
+        blocks = self._blocks
         refs = []
         for payload in payloads:
             ref = BlockRef(self.id, height, branch)
@@ -330,7 +382,7 @@ class Chain:
         parents = self.live_block_at(at_height - 1)
         if not parents:
             raise ChainError(f"no live block at height {at_height - 1} to fork from")
-        label = max(self.branches) + 1
+        label = len(self.branches)  # labels run 0, 1, ... and are never dropped
         self.branches[label] = BranchInfo(spawn_height=at_height, parent=parents[0])
         return label
 
@@ -349,9 +401,14 @@ class Chain:
     # -- integrity ---------------------------------------------------------
 
     def hash_violations(self) -> list[BlockRef]:
-        """Refs whose stored hash or parent link fails verification, in order."""
+        """Refs whose stored hash or parent link fails verification, in order.
+
+        Every stored block is checked, its link against its parent's
+        stored or derived hash; a declared block never handed out has
+        nothing to tamper with.
+        """
         bad = []
-        for ref in self.all_refs():
+        for ref in sorted(self._blocks):
             block = self._blocks[ref]
             if compute_block_hash(block.ref, block.parent_hash, block.payload) != block.hash:
                 bad.append(ref)
@@ -359,10 +416,8 @@ class Chain:
             if block.parent_ref is None:
                 if block.parent_hash != GENESIS_PARENT or ref.height != 0:
                     bad.append(ref)
-            else:
-                parent = self._blocks.get(block.parent_ref)
-                if parent is None or parent.hash != block.parent_hash:
-                    bad.append(ref)
+            elif self._hash(block.parent_ref) != block.parent_hash:
+                bad.append(ref)
         return bad
 
 

@@ -7,7 +7,8 @@ key appears at most once, and only in its own section.  Blank lines
 and ``#`` comments are ignored.  Block positions are written
 ``chain:height`` or ``chain:height:branch``.  Input that could not
 run as written (a number, name or update list its binary field cannot
-hold, a scenario name that would split its CSV cell, a duplicate chain
+hold, a scenario name that would split its CSV cell, a party name that
+would split a report's ``worse_off`` cell, a duplicate chain
 or txn id, a fork with no block below it, a failure that can never
 fire, more blocks or replicas than the work budget allows) is rejected
 with its line and field.
@@ -27,7 +28,6 @@ replays byte-identically too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -107,10 +107,15 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 
 # The work budget.  A run holds its scenario's whole declared history in
 # memory, so each bound keeps one structure of a run within MEMORY_BUDGET
-# bytes.  Sizes were measured with tracemalloc on CPython 3.11 and rounded
+# bytes.  Sizes were measured with tracemalloc on CPython 3.11.7 and rounded
 # up to a power of two:
-# - a declared block costs BLOCK_BYTES: its sealed block (~490 B) and its
-#   vertex and edges in one complex build (~390 B);
+# - a declared block costs at most BLOCK_BYTES.  A trunk block is its
+#   height-index entry (~200 B) and, once a block above it is sealed, its
+#   derived hash (~75 B); a fork's block is sealed and stored (~450-570 B
+#   with its branch).  Its vertex and edges in one complex build add
+#   ~270-460 B.  Per declared block that came to ~600 B on a bare trunk and
+#   ~720-900 B with forks (many on one height, one per height, or each on
+#   the last);
 # - in replicated mode the copies of a block form one simplex whose face
 #   closure, which Betti numbers and complex text enumerate, holds
 #   2**replicas - 1 cells of up to CELL_BYTES each.
@@ -135,8 +140,7 @@ class Scenario:
     def build_federation(self) -> Federation:
         federation = Federation()
         for spec in sorted(self.chains, key=lambda c: c.id):
-            chain = Chain(spec.id, replicas=spec.replicas, assets=spec.assets)
-            chain.append_blocks(0, repeat((), spec.length))
+            chain = Chain(spec.id, replicas=spec.replicas, assets=spec.assets, length=spec.length)
             for height, branches in spec.forks:
                 for _ in range(branches):
                     chain.append_blocks(chain.spawn_fork(height), ((),))
@@ -194,6 +198,14 @@ def _check_names(value: str, names: Iterable[str], line: int, fld: str) -> None:
                 raise ScenarioError(f"a name takes at most {NAME_BYTES} UTF-8 bytes, got {size}", line, fld)
 
 
+def _check_parties(names: Iterable[str], line: int, fld: str) -> None:
+    """Refuse a party name with ';', which joins the parties of a report's
+    ``worse_off`` cell: such a name would read back as two parties."""
+    for name in names:
+        if ";" in name:
+            raise ScenarioError(f"a party name takes no ';', got {name!r}", line, fld)
+
+
 def _parse_ref(token: str, line: int, fld: str) -> BlockRef:
     parts = token.split(":")
     if len(parts) not in (2, 3):
@@ -217,6 +229,7 @@ def _parse_sub(value: str, line: int) -> SubTransaction:
             raise ScenarioError(f"update must be 'from to asset amount', got {clause.strip()!r}", line, "sub")
         updates.append(AssetUpdate(toks[0], toks[1], toks[2], _parse_int(toks[3], line, "sub", AMOUNT)))
     _check_names(updates_part, (name for u in updates for name in (u.owner_from, u.owner_to, u.asset)), line, "sub")
+    _check_parties((name for u in updates for name in (u.owner_from, u.owner_to)), line, "sub")
     if not blocks:
         raise ScenarioError("sub needs at least one block", line, "sub")
     return SubTransaction(blocks=blocks, updates=tuple(updates))
@@ -384,10 +397,13 @@ def parse_scenario(text: str) -> Scenario:
             current[key] = value
         elif key == "party":
             _check_names(value, (value,), lineno, key)
+            _check_parties((value,), lineno, key)
             current[key] = value
         elif key in ("assets", "parties"):
             current[key] = tuple(value.split())
             _check_names(value, current[key], lineno, key)
+            if key == "parties":
+                _check_parties(current[key], lineno, key)
         elif key == "blocks":
             current["blocks"] = tuple(_parse_ref(tok, lineno, "blocks") for tok in value.split())
         elif key == "fork":
@@ -402,6 +418,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(toks) != 3:
                 raise ScenarioError("balance needs 'party asset amount'", lineno, "balance")
             _check_names(value, toks[:2], lineno, key)
+            _check_parties(toks[:1], lineno, key)
             current.setdefault("balance", []).append(
                 (toks[0], toks[1], _parse_int(toks[2], lineno, "balance", BALANCE))
             )

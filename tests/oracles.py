@@ -1,5 +1,8 @@
 """Small reference computations that only tests call."""
 
+import hashlib
+import struct
+
 from topocbt.chain import BlockRef, Chain, Federation
 from topocbt.gf2 import Matrix
 
@@ -36,3 +39,15 @@ def asset_totals(federation: Federation) -> dict[str, int]:
 def is_live(chain: Chain, ref: BlockRef) -> bool:
     """Whether the chain's maintained height index lists the block as live."""
     return ref in chain.live_block_at(ref.height)
+
+
+def reference_block_hash(ref: BlockRef, parent_hash: bytes, payload: tuple) -> bytes:
+    """A block hash fed to sha256 field by field: the ref, the parent
+    hash, the record count, then each record's bytes."""
+    h = hashlib.sha256()
+    h.update(struct.pack(">III", ref.chain, ref.height, ref.branch))
+    h.update(parent_hash)
+    h.update(struct.pack(">I", len(payload)))
+    for record in payload:
+        h.update(record.to_bytes())
+    return h.digest()

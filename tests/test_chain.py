@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topocbt import chain as chain_module
 from topocbt.chain import (
     AssetUpdate,
     Block,
@@ -10,11 +11,14 @@ from topocbt.chain import (
     Compensation,
     Conflict,
     Federation,
+    Forward,
+    compute_block_hash,
 )
 from topocbt.rng import SplitMix64
+from topocbt.scenario import ChainSpec, Scenario
 from topocbt.unionfind import UnionFind
 from topocbt.wal import WalKind, WriteAheadLog
-from oracles import asset_totals
+from oracles import asset_totals, reference_block_hash
 
 
 def make_chain(length=3, chain_id=1):
@@ -68,6 +72,7 @@ def test_append_blocks_seals_a_run_on_the_branch():
 # -- block refs ------------------------------------------------------------------
 
 REF_FIELDS = st.tuples(st.integers(1, 5), st.integers(0, 5), st.integers(0, 3))
+U32 = st.integers(0, 2**32 - 1)
 
 
 @given(st.lists(REF_FIELDS, max_size=20))
@@ -248,6 +253,96 @@ def test_any_single_field_flip_is_detected(seed):
     else:
         object.__setattr__(block, "parent_hash", b"\x01" * 32)
     assert ch.hash_violations() == [victim_ref]
+
+
+# -- hash bytes ------------------------------------------------------------------
+
+NAMES = st.text(max_size=6)
+RECORDS = st.one_of(
+    st.builds(AssetUpdate, NAMES, NAMES, NAMES, st.integers(1, 2**64 - 1)),
+    st.builds(Forward, st.integers(0, 2**64 - 1)),
+    st.builds(Compensation, st.builds(BlockRef, U32, U32, U32), st.integers(0, 2**64 - 1)),
+)
+
+
+@given(st.builds(BlockRef, st.integers(1, 2**32 - 1), U32, U32), st.binary(min_size=32, max_size=32),
+       st.lists(RECORDS, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_block_hash_equals_the_field_by_field_reference(ref, parent_hash, payload):
+    payload = tuple(payload)
+    assert compute_block_hash(ref, parent_hash, payload) == reference_block_hash(ref, parent_hash, payload)
+
+
+def test_declared_hashes_are_the_hashes_of_sealed_empty_blocks():
+    # known answers: chain 1's genesis and the empty block at height 2
+    ch = Chain(1, length=2)
+    assert ch.block(BlockRef(1, 0, 0)).hash.hex() == "610c67331fd02ea24177c59686474d115d1112e7af1a01833ce8d1a9d31cefc8"
+    assert ch.block(BlockRef(1, 2, 0)).hash.hex() == "c5b73d84b2b9700d0643d04802b8886f1f0d591601615d1ee3fe0c51da851dc5"
+    assert ch.block(BlockRef(1, 2, 0)).hash == make_chain(2).block(BlockRef(1, 2, 0)).hash
+
+
+# -- the declared trunk ------------------------------------------------------------
+
+def test_building_a_declared_trunk_hashes_nothing(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return compute_block_hash(*args)
+
+    monkeypatch.setattr(chain_module, "compute_block_hash", counted)
+    federation = Scenario(chains=[ChainSpec(id=1, length=5000)]).build_federation()
+    assert calls == []
+    chain = federation.chain(1)
+    assert chain.branches[0].tip == 5000 and len(chain.all_refs()) == 5001
+    assert chain.live_block_at(5000) == [BlockRef(1, 5000, 0)]
+    assert chain.hash_violations() == [] and calls == []
+
+
+def test_a_declared_block_is_derived_from_its_height():
+    ch = Chain(1, length=3)
+    block = ch.block(BlockRef(1, 2, 0))
+    assert (block.ref, block.parent_ref, block.payload) == (BlockRef(1, 2, 0), BlockRef(1, 1, 0), ())
+    assert block.parent_hash == ch.block(BlockRef(1, 1, 0)).hash
+    assert ch.block(BlockRef(1, 2, 0)) is block
+    assert not ch.holds_forward(BlockRef(1, 2, 0), 0)
+    for ref in (BlockRef(1, 4, 0), BlockRef(1, 2, 1), BlockRef(2, 2, 0)):
+        with pytest.raises(ChainError, match="no block"):
+            ch.block(ref)
+    with pytest.raises(ChainError, match="negative"):
+        Chain(1, length=-1)
+
+
+def declared_tip_under_an_append():
+    ch = Chain(1, length=4)
+    ch.append_block(0, (AssetUpdate("a", "b", "X", 1),))
+    return ch, BlockRef(1, 4, 0)
+
+
+def declared_fork_parent():
+    ch = Chain(1, length=4)
+    ch.append_block(ch.spawn_fork(3), ())
+    return ch, BlockRef(1, 2, 0)
+
+
+@pytest.mark.parametrize("make", [declared_tip_under_an_append, declared_fork_parent])
+@pytest.mark.parametrize("field", ["payload", "parent_hash"])
+def test_a_declared_block_handed_out_and_tampered_is_detected(make, field):
+    ch, victim = make()
+    assert ch.hash_violations() == []
+    forged = (AssetUpdate("m", "a", "X", 5),) if field == "payload" else b"\x01" * 32
+    object.__setattr__(ch.block(victim), field, forged)
+    assert ch.hash_violations() == [victim]
+
+
+def test_a_child_resealed_on_the_wrong_declared_hash_is_detected():
+    # the child's own hash verifies; only its link to the never-handed-out parent fails
+    ch, _ = declared_fork_parent()
+    child = ch.block(BlockRef(1, 3, 1))
+    wrong = Chain(1, length=4).block(BlockRef(1, 3, 0)).hash
+    object.__setattr__(child, "parent_hash", wrong)
+    object.__setattr__(child, "hash", compute_block_hash(child.ref, wrong, child.payload))
+    assert ch.hash_violations() == [BlockRef(1, 3, 1)]
 
 
 # -- locks ------------------------------------------------------------------------

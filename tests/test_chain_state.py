@@ -221,6 +221,28 @@ def test_declared_history_equals_the_chain_built_block_by_block(length, forks):
     assert_chain_matches_rescan(built)
 
 
+@given(st.integers(1, 40), st.data())
+@settings(max_examples=50, deadline=None)
+def test_declared_trunk_retired_above_a_fork_equals_the_chain_built_block_by_block(length, data):
+    height = data.draw(st.integers(1, length), label="fork height")
+    outgrow = length - height + 2  # blocks the branch needs to pass the trunk's tip
+    expected = Chain(1, assets=("X",))
+    for _ in range(length):
+        expected.append_block(0, ())
+    label = expected.spawn_fork(height)
+    for _ in range(outgrow):
+        expected.append_block(label, ())
+    built = Scenario(chains=[ChainSpec(id=1, length=length, assets=("X",), forks=((height, 1),))]).build_federation()
+    built = built.chain(1)
+    for _ in range(outgrow - 1):
+        built.append_block(label, ())
+    assert built.resolve_forks() == expected.resolve_forks() == label
+    assert built.live_branch_labels() == [label]
+    assert not any(built.live_block_at(h) == [BlockRef(1, h, 0)] for h in range(height, length + 1))
+    assert_same_chain(built, expected)
+    assert_chain_matches_rescan(built)
+
+
 def test_returned_state_cannot_corrupt_the_chain():
     chain = Chain(1, assets=("X",))
     ref = chain.append_block(0, (AssetUpdate("a", "b", "X", 2),))

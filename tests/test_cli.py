@@ -50,6 +50,15 @@ def test_run_with_protocol_override(capsys):
     assert "PartialCommit" in captured.out
 
 
+def test_run_refuses_a_party_name_that_would_split_the_worse_off_cell(tmp_path):
+    # with the name accepted, ac2s reported worse_off `al;ice`, which reads back as two parties
+    path = tmp_path / "semicolon.scenario"
+    path.write_text((DATA / "car_trading_walkaway.scenario").read_text().replace("alice", "al;ice"))
+    code, out, err = run_main(["run", "--scenario", str(path), "--protocol", "ac2s"])
+    assert_one_error_line(code, out, err)
+    assert err == "error: line 12: field balance: a party name takes no ';', got 'al;ice'\n"
+
+
 def test_run_missing_scenario_exits_nonzero(capsys):
     code = main(["run", "--scenario", "ghost.scenario"])
     assert code != 0

@@ -218,6 +218,11 @@ REJECTED = {
     "name past >H in a balance": (_edited("balance = alice ETH", f"balance = {LONG_NAME} ETH"), 12, "balance"),
     "name past >H in a sub": (_edited("alice bob ETH 10\n", f"alice bob {LONG_NAME} 10\n"), 31, "sub"),
     "name past >H in a failure": (_appended(f"[failure]\ntxn = 1\nkind = walk_away\nparty = {LONG_NAME}\n"), 37, "party"),
+    "';' in a party of parties": (_edited("parties = alice bob cindy", "parties = al;ice bob cindy"), 29, "parties"),
+    "';' in a balance's party": (_edited("balance = alice ETH", "balance = al;ice ETH"), 12, "balance"),
+    "';' in a sub's sender": (_edited("alice bob ETH 10\n", "al;ice bob ETH 10\n"), 31, "sub"),
+    "';' in a sub's receiver": (_edited("cindy alice CAR 1\n", "cindy al;ice CAR 1\n"), 33, "sub"),
+    "';' in a failure's party": (_appended("[failure]\ntxn = 1\nkind = walk_away\nparty = al;ice\n"), 37, "party"),
     "updates past >H in a sub": (_edited("sub = 1:2 ; alice bob ETH 10", f"sub = 1:2 ; {TOO_MANY_UPDATES}"), 31, "sub"),
     "comma in the scenario name": (_edited("name = car-trading", "name = car,trading"), 5, "name"),
     "key of another section in [txn]": (_edited("protocol = topocbt\n", "protocol = topocbt\nbalance = b Y 10\n"), 29, "balance"),
@@ -284,7 +289,8 @@ def test_numbers_at_the_range_edges_parse():
     assert scen.plan_for(2**64 - 1).crash_after_append == 1
 
 
-@pytest.mark.parametrize("case", ["name past >H in parties", "updates past >H in a sub", "comma in the scenario name"])
+@pytest.mark.parametrize("case", ["name past >H in parties", "updates past >H in a sub", "comma in the scenario name",
+                                  "';' in a party of parties"])
 def test_run_refuses_what_its_outputs_cannot_hold_with_one_error_line(tmp_path, case):
     text, line, fld = REJECTED[case]
     assert_refused_by_run(tmp_path, text, line, fld, "--wal", str(tmp_path / "run.wal"))
