@@ -22,7 +22,7 @@ from .engine import TopoCbtEngine
 from .harness import _replay, betti_report, compare_protocols, complexity_fit, fit_ops, measure_grid, run_scenario
 from .scenario import PROTOCOLS, ScenarioError, load_scenario
 from .simplicial import read_complex
-from .topology import write_tagged
+from .topology import tagged_to_text
 from .wal import WalFormatError, WalKind, WalRecord, WriteAheadLog
 
 
@@ -63,9 +63,13 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         return _fail("betti needs --scenario or --complex")
     scenario, _ = load_scenario(args.scenario)
     betti, tagged = betti_report(scenario, args.at)
+    # a complex past the face budget is refused before anything is printed
+    texts = tagged_to_text(tagged) if args.out else None
     print("betti:", " ".join(map(str, betti)))
-    if args.out:
-        write_tagged(tagged, args.out, args.out + ".tags")
+    if texts:
+        body, tags = texts
+        Path(args.out).write_text(body, encoding="ascii")
+        Path(args.out + ".tags").write_text(tags, encoding="ascii")
         print(f"complex written to {args.out}")
     return 0
 

@@ -34,6 +34,7 @@ from typing import Iterable, Optional
 from .chain import AssetUpdate, BlockRef, Chain, Federation
 from .engine import FACE_FAILURE_KINDS, NO_FAILURES, FailurePlan
 from .rng import SplitMix64
+from .simplicial import MAX_CELLS, MEMORY_BUDGET
 from .topology import CrossChainTransaction, SubTransaction, TopologyMode
 
 
@@ -107,8 +108,9 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 
 # The work budget.  A run holds its scenario's whole declared history in
 # memory, so each bound keeps one structure of a run within MEMORY_BUDGET
-# bytes.  Sizes were measured with tracemalloc on CPython 3.11.7 and rounded
-# up to a power of two:
+# bytes (simplicial.py, beside the face-enumeration budget MAX_CELLS).
+# Sizes were measured with tracemalloc on CPython 3.11.7 and rounded up to
+# a power of two:
 # - a declared block costs at most BLOCK_BYTES.  A trunk block is its
 #   height-index entry (~200 B) and, once a block above it is sealed, its
 #   derived hash (~75 B); a fork's block is sealed and stored (~450-570 B
@@ -117,13 +119,14 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 #   ~720-900 B with forks (many on one height, one per height, or each on
 #   the last);
 # - in replicated mode the copies of a block form one simplex whose face
-#   closure, which Betti numbers and complex text enumerate, holds
-#   2**replicas - 1 cells of up to CELL_BYTES each.
-MEMORY_BUDGET = 2**30
+#   closure, which complex text enumerates, holds 2**replicas - 1 cells,
+#   so one replica group alone fits in MAX_CELLS.  The text of a build
+#   whose groups and tops together pass MAX_CELLS is refused (betti
+#   --out); Betti numbers enumerate no such closure
+#   (simplicial.betti_from_generators).
 BLOCK_BYTES = 1024
-CELL_BYTES = 256
 MAX_BLOCKS = MEMORY_BUDGET // BLOCK_BYTES  # trunks and forks of all chains together
-REPLICAS = (1, (MEMORY_BUDGET // CELL_BYTES).bit_length() - 1)
+REPLICAS = (1, MAX_CELLS.bit_length() - 1)
 
 
 @dataclass

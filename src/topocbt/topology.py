@@ -8,7 +8,10 @@ structural cells, kept as plain ascending vertex tuples; each in-flight
 transaction adds one top simplex spanning all of its blocks, fork
 duplicates included.  A tagged complex keeps only these generators; a
 top is the only ``Simplex`` a build makes, and the face closure is
-built, as vertex tuples, only where members or text are read.  Tearing
+built, as vertex tuples, only where members or text are read, within
+the face budget.  Betti numbers come from the generators
+(``simplicial.betti_from_generators``), so a wide top costs about as
+much as its intersections with the rest, not 2^|top| faces.  Tearing
 a transaction down drops its top and keeps the rest, so chain structure
 can never be deleted.
 """
@@ -22,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
-from .simplicial import Cell, Simplex, SimplicialComplex, betti_from_cells, close_by_dimension, complex_to_text, text_order
+from .simplicial import Cell, Simplex, SimplicialComplex, betti_from_generators, close_by_dimension, complex_to_text, text_order
 
 log = logging.getLogger(__name__)
 
@@ -115,7 +118,8 @@ class TaggedComplex:
     ``vertex_of`` numbers, the other structural ``cells`` (chain and fork
     edges, replica groups) as ascending vertex tuples, and one top per
     in-flight transaction, sorted by id.  The face closure ``complex`` is
-    built on first read; Betti numbers do not need it."""
+    built on first read, and refused past ``simplicial.MAX_CELLS`` cells;
+    Betti numbers do not need it."""
 
     cells: frozenset[Cell]
     txn_tops: dict[int, Simplex]
@@ -138,9 +142,9 @@ class TaggedComplex:
         return SimplicialComplex(self._generators())
 
     def betti_numbers(self) -> tuple[int, ...]:
-        """Betti numbers of the closure of the generators; ``complex`` is
-        neither read nor built."""
-        return betti_from_cells(close_by_dimension(self._generators()))
+        """Betti numbers of the closure of the generators, taken from the
+        generators; no face closure is built, ``complex`` included."""
+        return betti_from_generators(self._generators())
 
 
 def build_federation_complex(
@@ -250,7 +254,10 @@ def tagged_to_text(tagged: TaggedComplex) -> tuple[str, str]:
 
     A face is tagged structural if it lies in the structural closure,
     else with the lowest id among the transaction tops that contain it.
+    Generators whose closure may pass ``simplicial.MAX_CELLS`` are
+    refused (``ValueError``) before any face is enumerated.
     """
+    complex_ = tagged.complex
     structural = set().union(*close_by_dimension(tagged.structural()))
     tops = [(tid, set(top.vertices)) for tid, top in tagged.txn_tops.items()]
 
@@ -259,13 +266,5 @@ def tagged_to_text(tagged: TaggedComplex) -> tuple[str, str]:
             return "structural"
         return next(f"txn:{tid}" for tid, top in tops if top.issuperset(cell))
 
-    tags = "".join(tag(cell) + "\n" for cell in text_order(tagged.complex))
-    return complex_to_text(tagged.complex), tags
-
-
-def write_tagged(tagged: TaggedComplex, complex_path, tags_path) -> None:
-    body, tags = tagged_to_text(tagged)
-    with open(complex_path, "w", encoding="ascii") as fh:
-        fh.write(body)
-    with open(tags_path, "w", encoding="ascii") as fh:
-        fh.write(tags)
+    tags = "".join(tag(cell) + "\n" for cell in text_order(complex_))
+    return complex_to_text(complex_), tags

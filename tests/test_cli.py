@@ -2,6 +2,7 @@ import functools
 import io
 import re
 import struct
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +17,7 @@ from topocbt.simplicial import complex_from_text
 from topocbt.wal import WalKind, WriteAheadLog
 from test_harness import CANCELLING_DEAL_TEXT
 from test_simplicial import dense_betti
+from test_topology import TWO_CHAIN_DEAL
 
 DATA = Path(__file__).parent / "data"
 
@@ -149,6 +151,43 @@ def test_complex_file_takes_only_ascii_decimal_ids(tmp_path, capsys, data, line,
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: line {line}: ")
     assert token is None or token in err
+
+
+def test_betti_out_refuses_a_complex_past_the_face_budget(tmp_path):
+    # Betti numbers need no closure, but the complex file lists all 2^40 - 1 faces of the deal
+    path = tmp_path / "wide.scenario"
+    path.write_text(TWO_CHAIN_DEAL.format(replicas=20))
+    out = tmp_path / "wide.complex"
+    start = time.perf_counter()
+    code, stdout, err = run_main(["betti", "--scenario", str(path), "--out", str(out)])
+    assert time.perf_counter() - start < 1
+    assert_one_error_line(code, stdout, err)
+    assert err.startswith("error: the face closure may hold ") and "more than the budget of" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_betti_out_writes_a_complex_that_betti_complex_reads_back(tmp_path):
+    # a top of 14 vertices: 16,383 faces on their own lines, each a face
+    # of the top, whose sums of 2^|line| - 1 together pass the face budget
+    path = tmp_path / "deal.scenario"
+    path.write_text(TWO_CHAIN_DEAL.format(replicas=7))
+    out = tmp_path / "deal.complex"
+    code, stdout, _ = run_main(["betti", "--scenario", str(path), "--out", str(out)])
+    assert code == 0
+    betti = stdout.splitlines()[0]
+    code, again, err = run_main(["betti", "--complex", str(out)])
+    assert (code, err) == (0, "")
+    assert again.splitlines()[0] == betti
+
+
+def test_a_complex_line_past_the_face_budget_is_refused_at_its_line(tmp_path):
+    path = tmp_path / "wide.complex"
+    path.write_text("0 1\n" + " ".join(map(str, range(30))) + "\n")
+    start = time.perf_counter()
+    code, out, err = run_main(["betti", "--complex", str(path)])
+    assert time.perf_counter() - start < 1
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: line 2: the face closure may hold ")
 
 
 def well_formed(data: bytes) -> bool:

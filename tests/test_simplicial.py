@@ -1,11 +1,16 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topocbt import simplicial
 from topocbt.rng import SplitMix64
 from topocbt.simplicial import (
+    MAX_CELLS,
     Simplex,
     SimplicialComplex,
     betti_from_cells,
+    betti_from_generators,
     close_by_dimension,
     complex_from_text,
     complex_to_text,
@@ -237,6 +242,97 @@ def test_betti_invariant_under_relabeling(seed, perm_seed):
     relabeled = SimplicialComplex(cells)
     assert cells_of(relabeled) == all_subsets_closure(cells) == cells
     assert relabeled.betti_numbers() == c.betti_numbers()
+
+
+# -- Betti numbers from the generators against the closure ---------------------
+
+@st.composite
+def generator_lists(draw):
+    """Generator lists for the cone rewrite: wide generators that overlap,
+    nest or repeat, with or without their vertex generators, and now and
+    then a wide one that meets nothing."""
+    generators = draw(st.lists(
+        st.sets(st.integers(0, 11), min_size=1, max_size=9).map(lambda vs: tuple(sorted(vs))),
+        min_size=1, max_size=8,
+    ))
+    for g in list(generators):  # a face of a generator, or the whole generator again
+        if draw(st.booleans()):
+            generators.append(draw(st.sampled_from(sorted(subsets(g)))))
+    if draw(st.booleans()):
+        generators.append(tuple(range(20, 20 + draw(st.integers(1, 9)))))
+    if draw(st.booleans()):
+        generators.extend((v,) for v in sorted({v for g in generators for v in g}))
+    return draw(st.permutations(generators))
+
+
+@given(generator_lists())
+@settings(max_examples=300, deadline=None)
+def test_betti_from_generators_equals_the_closure(generators):
+    assert betti_from_generators(generators) == betti_from_cells(close_by_dimension(generators))
+
+
+@pytest.mark.parametrize("generators, betti", [
+    ([], ()),
+    ([(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)], (1,) + (0,) * 9),
+    ([(0, 1), (2, 3, 4, 5, 6, 7)], (2, 0, 0, 0, 0, 0)),
+    ([(0, 1, 2, 3, 4), (0, 1, 2, 3, 4), (1, 2, 3)], (1, 0, 0, 0, 0)),
+    ([tuple(sorted(t)) for t in TORUS], (1, 2, 1)),
+    # a path from the last vertex of a 39-simplex back to its first: one loop
+    ([tuple(range(40)), (39, 40), (40, 41), (0, 41)], (1, 1) + (0,) * 38),
+    # two 40-simplices sharing a 25-vertex face, which neither one's cone
+    # alone could drop (2^26 faces), and a path between their ends
+    ([tuple(range(40)), tuple(range(15, 55)), (0, 60), (54, 60)], (1, 1) + (0,) * 38),
+    # three 44-simplices, each pair sharing a 22-vertex face and no vertex
+    # common to all three: a hollow triangle
+    ([tuple(range(44)), tuple(range(22, 66)), (*range(44, 66), *range(22))], (1, 1) + (0,) * 42),
+], ids=["empty", "lone-simplex", "wide-meets-nothing", "nested-and-repeated", "torus", "40-vertex-loop",
+        "shared-wide-face", "hollow-triangle-of-wide-faces"])
+def test_betti_from_generators_on_known_spaces(monkeypatch, generators, betti):
+    def no_closure(generators):
+        raise AssertionError("face closure enumerated")
+
+    monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
+    assert betti_from_generators(generators) == betti
+
+
+# -- the face budget -------------------------------------------------------------
+
+def test_the_constructor_refuses_a_closure_past_the_face_budget(monkeypatch):
+    def no_closure(generators):  # what would be enumerated is not the point here
+        return []
+
+    monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
+    # generators inside another one add no cells: the vertices and an edge of the 22-simplex
+    at_budget = [tuple(range(22)), *((v,) for v in range(23)), (0, 1)]  # 2^22 - 1 + 1 cells at most
+    SimplicialComplex(at_budget)
+    with pytest.raises(ValueError, match=f"^the face closure may hold {MAX_CELLS + 2} cells, "
+                                         f"more than the budget of {MAX_CELLS}$"):
+        SimplicialComplex([tuple(range(22)), (22, 23)])
+
+
+def test_text_reading_refuses_the_line_that_passes_the_face_budget():
+    wide = " ".join(map(str, range(30)))
+    # "0 1" and "5 6" lie inside the wide line and add no cells
+    with pytest.raises(ValueError, match=f"^line 4: the face closure may hold {3 + 2**30 - 1} cells"):
+        complex_from_text(f"40 41\n0 1\n# the next line alone may close to 2^30 - 1 cells\n{wide}\n5 6\n")
+
+
+def test_text_reading_counts_each_face_once():
+    # the text of a 13-simplex's closure: 2^14 - 1 lines, whose sums of
+    # 2^|line| - 1 add up to 3^14 - 2^14, past the budget
+    closure = SimplicialComplex([tuple(range(14))])
+    assert 3**14 - 2**14 > MAX_CELLS
+    assert complex_from_text(complex_to_text(closure)) == closure
+
+
+def test_the_one_pass_refuses_what_the_cones_cannot_shrink():
+    # each 23-simplex shares 22 vertices with the first: no cone has fewer faces
+    top = tuple(range(23))
+    generators = [top] + [tuple(sorted(set(top) - {v} | {100 + v})) for v in top]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^the face closure may hold [0-9]+ cells, more than the budget of"):
+        betti_from_generators(generators)
+    assert time.perf_counter() - start < 1
 
 
 # -- the cell store against all-subsets brute force -----------------------------

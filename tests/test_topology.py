@@ -1,4 +1,5 @@
 import re
+import time
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -9,9 +10,17 @@ from hypothesis import given, settings, strategies as st
 from topocbt import gf2, simplicial, topology
 from topocbt.chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
 from topocbt.engine import NO_FAILURES, TopoCbtEngine
-from topocbt.harness import PROTOCOL_RUNNERS, _replay, betti_report
+from topocbt.harness import PROTOCOL_RUNNERS, _replay, betti_report, run_scenario
 from topocbt.rng import SplitMix64
-from topocbt.scenario import ChainSpec, Scenario, car_trading, grid_scenario, load_scenario, random_scenario
+from topocbt.scenario import (
+    ChainSpec,
+    Scenario,
+    car_trading,
+    grid_scenario,
+    load_scenario,
+    parse_scenario,
+    random_scenario,
+)
 from topocbt.simplicial import Simplex, SimplicialComplex, betti_from_cells, close_by_dimension
 from topocbt.topology import (
     CrossChainTransaction,
@@ -41,9 +50,17 @@ def federation_of(lengths, replicas=None):
     return fed
 
 
+def generators_of(tagged):
+    return tagged.structural() + [top.vertices for top in tagged.txn_tops.values()]
+
+
+def closure_betti(tagged):
+    """The oracle: Betti numbers of the enumerated face closure."""
+    return betti_from_cells(close_by_dimension(generators_of(tagged)))
+
+
 def assert_closes_its_generators(tagged):
-    generators = tagged.structural() + [top.vertices for top in tagged.txn_tops.values()]
-    assert cells_of(tagged.complex) == all_subsets_closure(generators)
+    assert cells_of(tagged.complex) == all_subsets_closure(generators_of(tagged))
 
 
 def txn(tid, refs, parties=("a", "b")):
@@ -584,6 +601,140 @@ def test_betti_report_equals_dense_oracle(scenario):
     for k in sorted({0, 1, n // 2, n}):
         betti, tagged = betti_report(scenario, k)
         assert betti == dense_betti(tagged.complex), k
+
+
+def closure_corpus():
+    """The Betti corpus and every scenario file under tests/data."""
+    yield from betti_corpus()
+    for path in sorted((Path(__file__).parent / "data").glob("*.scenario")):
+        yield pytest.param(load_scenario(str(path))[0], id=path.stem)
+
+
+@pytest.mark.parametrize("scenario", closure_corpus())
+def test_betti_report_equals_the_closure_oracle_at_every_event(scenario):
+    for k in range(len(scenario.transactions()) + 1):
+        betti, tagged = betti_report(scenario, k)
+        assert betti == closure_betti(tagged), k
+
+
+TWO_CHAIN_DEAL = """\
+[scenario]
+name = two-chain-deal
+mode = replicated
+
+[chain]
+id = 1
+replicas = {replicas}
+length = 2
+assets = X
+balance = a X 5
+
+[chain]
+id = 2
+replicas = {replicas}
+length = 2
+assets = Y
+balance = b Y 5
+
+[txn]
+id = 1
+parties = a b
+blocks = 1:1 2:1
+sub = 1:1 2:1 ; a b X 1, b a Y 1
+"""
+
+
+def two_chain_betti(replicas):
+    """(betti_pre, betti_post) of the deal: each chain is a path of replica
+    groups, every two groups linked copy by copy, which closes replicas - 1
+    loops per link.  Before the deal: 2 links per chain and the deal's top
+    of 2 * replicas vertices joins the chains; after: a committed block
+    adds a third link per chain and the top is gone."""
+    loops = replicas - 1
+    return ((1, 2 * 2 * loops) + (0,) * (2 * replicas - 2),
+            (2, 2 * 3 * loops) + (0,) * (replicas - 2))
+
+
+@pytest.mark.parametrize("replicas", range(2, 9))
+def test_two_chain_deal_equals_the_closure_oracle(replicas):
+    scenario = parse_scenario(TWO_CHAIN_DEAL.format(replicas=replicas))
+    expected = two_chain_betti(replicas)
+    for k in (0, 1):
+        betti, tagged = betti_report(scenario, k)
+        assert betti == closure_betti(tagged) == expected[k]
+    row, = run_scenario(scenario, 1).rows
+    assert (row.betti_pre, row.betti_post) == expected
+
+
+def test_two_chain_deal_at_twenty_replicas_runs_with_betti_in_seconds():
+    # its top has 40 vertices: 2^40 - 1 faces, never enumerated
+    scenario = parse_scenario(TWO_CHAIN_DEAL.format(replicas=20))
+    start = time.perf_counter()
+    row, = run_scenario(scenario, 1).rows
+    assert time.perf_counter() - start < 10
+    assert (row.betti_pre, row.betti_post) == two_chain_betti(20)
+
+
+def deals_over_three_chains(pairs, replicas):
+    """Three replicated chains and one deal per pair of chains, each over
+    block 1 of both, so two deals that share a chain share its replica
+    group."""
+    text = "[scenario]\nname = deals\nmode = replicated\n"
+    for c in (1, 2, 3):
+        text += f"[chain]\nid = {c}\nreplicas = {replicas}\nlength = 2\nassets = A{c}\nbalance = p{c} A{c} 5\n"
+    for tid, (x, y) in enumerate(pairs, start=1):
+        text += (f"[txn]\nid = {tid}\nparties = p{x} p{y}\nblocks = {x}:1 {y}:1\n"
+                 f"sub = {x}:1 {y}:1 ; p{x} p{y} A{x} 1, p{y} p{x} A{y} 1\n")
+    return parse_scenario(text)
+
+
+OVERLAPPING_DEALS = {"two-deals": [(1, 2), (2, 3)], "triangle": [(1, 2), (2, 3), (3, 1)]}
+
+
+@pytest.mark.parametrize("replicas", range(2, 7))
+@pytest.mark.parametrize("pairs", OVERLAPPING_DEALS.values(), ids=OVERLAPPING_DEALS.keys())
+def test_deals_sharing_a_replica_group_equal_the_closure_oracle(pairs, replicas):
+    scenario = deals_over_three_chains(pairs, replicas)
+    for k in range(len(pairs) + 1):
+        betti, tagged = betti_report(scenario, k)
+        assert betti == closure_betti(tagged), k
+
+
+@pytest.mark.parametrize("replicas", [20, 22])
+@pytest.mark.parametrize("pairs", OVERLAPPING_DEALS.values(), ids=OVERLAPPING_DEALS.keys())
+def test_deals_sharing_a_wide_replica_group_run_with_betti_in_seconds(pairs, replicas):
+    # two tops of 2 * replicas vertices share a group of replicas vertices:
+    # each top coned alone would keep 2^(replicas + 1) faces of it
+    scenario = deals_over_three_chains(pairs, replicas)
+    start = time.perf_counter()
+    rows = run_scenario(scenario, 1).rows
+    assert time.perf_counter() - start < 10
+    # 6 (replicas - 1) loops of linked copies, one more around a triangle of deals
+    loops = 6 * (replicas - 1) + (len(pairs) == 3)
+    assert rows[0].betti_pre == (1, loops) + (0,) * (2 * replicas - 2)
+    assert all(a.betti_post == b.betti_pre for a, b in zip(rows, rows[1:]))
+
+
+def grid_14():
+    return betti_report(grid_scenario(14, 0), 0)[1]
+
+
+def twenty_chain_deal():
+    return build_federation_complex(federation_of([2] * 20), [txn(1, [(cid, 2, 0) for cid in range(1, 21)])])
+
+
+@pytest.mark.parametrize("build", [grid_14, twenty_chain_deal], ids=["grid-14", "twenty-chains"])
+def test_a_wide_deal_takes_its_betti_numbers_without_a_closure(monkeypatch, build):
+    tagged = build()
+    expected = closure_betti(tagged)
+
+    def no_closure(generators):
+        raise AssertionError("face closure enumerated")
+
+    monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
+    monkeypatch.setattr(topology, "close_by_dimension", no_closure)
+    assert tagged.betti_numbers() == expected
+    assert "complex" not in tagged.__dict__
 
 
 def test_tagged_betti_builds_no_closure_and_no_dense_matrix(monkeypatch):
