@@ -18,12 +18,14 @@ declared block never handed out has nothing to tamper with.
 
 Each chain keeps its live state instead of deriving it on every read:
 a height -> live refs index over the ancestor closure of the live
-branch tips (the only record of which blocks are live), the refs undone
-by live ``Compensation`` blocks, and the net (party, asset) change of
-its live ``AssetUpdate`` records.  ``append_blocks`` seals a run of
-blocks on one branch in one loop, each hash fixed as its block is
-sealed, and adds the run to all three at once (its parent is always
-live already); ``append_block`` is a run of one.  ``append`` seals one
+branch tips (the only record of which blocks are live), the sorted
+heights that hold a live block off branch 0 (its forked heights; every
+other live height holds the trunk block alone), the refs undone by live
+``Compensation`` blocks, and the net (party, asset) change of its live
+``AssetUpdate`` records.  ``append_blocks`` seals a run of blocks on one
+branch in one loop, each hash fixed as its block is sealed, and adds the
+run to all four at once (its parent is always live already);
+``append_block`` is a run of one.  ``append`` seals one
 block on the canonical branch, in the slot ``next_ref`` names.
 ``resolve_forks`` rebuilds the live state with one ancestor walk when
 it retires a branch; ``spawn_fork`` leaves it alone, since an empty
@@ -45,9 +47,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 GENESIS_PARENT = b"\x00" * 32
 
@@ -197,6 +199,7 @@ class Chain:
         self._live_at: dict[int, list[BlockRef]] = {  # height -> refs, by branch
             height: [BlockRef(chain_id, height, 0)] for height in range(length + 1)
         }
+        self._forked: list[int] = []  # ascending heights that hold a live block off branch 0
         self._compensated: set[BlockRef] = set()
         self._ledger: dict[tuple[str, str], int] = {}
 
@@ -246,17 +249,12 @@ class Chain:
         """Live blocks at a height, canonical order."""
         return list(self._live_at.get(height, ()))
 
-    def live_rows(self, lo: int = 0, hi: Optional[int] = None) -> Iterator[tuple[int, tuple[BlockRef, ...]]]:
-        """(height, live blocks there in canonical order) for each live
-        height from ``lo`` to ``hi`` (default: the tallest tip), ascending.
-
-        Live heights run without a gap from genesis up: a live block's
-        parent sits one height below it and is live too.
-        """
-        at = self._live_at
-        top = len(at) - 1 if hi is None else min(hi, len(at) - 1)
-        for height in range(max(lo, 0), top + 1):
-            yield height, tuple(at[height])
+    def forked_heights(self, lo: int, hi: int) -> list[int]:
+        """The heights from ``lo`` to ``hi`` that hold a live block off
+        branch 0, ascending.  Every other live height holds the trunk
+        block alone, and its parent is the trunk block one below."""
+        forked = self._forked
+        return forked[bisect_left(forked, lo) : bisect_right(forked, hi)]
 
     def compensated_refs(self) -> frozenset[BlockRef]:
         """Blocks already reversed by a live compensation block."""
@@ -274,12 +272,17 @@ class Chain:
         return chain == self.id and branch == 0 and 0 <= height <= self._trunk
 
     def _trunk_hash(self, height: int) -> bytes:
-        """Hash of the declared block at ``height``, deriving the prefix up to it."""
+        """Hash of the declared block at ``height``, deriving the prefix up to it.
+
+        Each step is ``compute_block_hash((id, h, 0), parent, ())`` written
+        out: an empty payload adds a zero record count and no record bytes.
+        """
         hashes = self._trunk_hashes
         if height >= len(hashes):
             parent_hash = hashes[-1] if hashes else GENESIS_PARENT
+            sha256, ref, chain_id, no_records = hashlib.sha256, _REF.pack, self.id, _COUNT.pack(0)
             for h in range(len(hashes), height + 1):
-                parent_hash = compute_block_hash((self.id, h, 0), parent_hash, ())
+                parent_hash = sha256(ref(chain_id, h, 0) + parent_hash + no_records).digest()
                 hashes.append(parent_hash)
         return hashes[height]
 
@@ -295,14 +298,18 @@ class Chain:
 
     def _index(self, refs: Iterable[BlockRef]) -> None:
         """Add blocks, in canonical order, to the height index, the
-        compensation set and the ledger."""
-        at, ledger, blocks = self._live_at, self._ledger, self._blocks
+        forked heights, the compensation set and the ledger."""
+        at, forked, ledger, blocks = self._live_at, self._forked, self._ledger, self._blocks
         for ref in refs:
             row = at.get(ref.height)
             if row is None:
                 at[ref.height] = [ref]
             else:
                 insort(row, ref)
+            if ref.branch:
+                i = bisect_left(forked, ref.height)
+                if i == len(forked) or forked[i] != ref.height:
+                    forked.insert(i, ref.height)
             block = blocks.get(ref)
             if block is None:
                 continue  # a declared block carries no payload
@@ -328,7 +335,7 @@ class Chain:
                     break
                 closure.add(ref)
                 ref = self._blocks[ref].parent_ref
-        for state in (self._live_at, self._compensated, self._ledger):
+        for state in (self._live_at, self._forked, self._compensated, self._ledger):
             state.clear()
         self._index(sorted(closure))
 
@@ -432,6 +439,7 @@ class Federation:
 
     def __init__(self, initial_balances: Optional[dict[tuple[str, str], int]] = None) -> None:
         self.chains: dict[int, Chain] = {}
+        self._asset_chain: dict[str, Chain] = {}  # asset -> the lowest-id chain that manages it
         self.locks: dict[BlockRef, int] = {}
         self.initial_balances: dict[tuple[str, str], int] = dict(initial_balances or {})
 
@@ -439,6 +447,10 @@ class Federation:
         if chain.id in self.chains:
             raise ChainError(f"duplicate chain id {chain.id}")
         self.chains[chain.id] = chain
+        for asset in chain.assets:
+            holder = self._asset_chain.get(asset)
+            if holder is None or chain.id < holder.id:
+                self._asset_chain[asset] = chain
         return chain
 
     def chain(self, chain_id: int) -> Chain:
@@ -451,10 +463,11 @@ class Federation:
         return sorted(self.chains)
 
     def chain_for_asset(self, asset: str) -> Chain:
-        for cid in self.chain_ids():
-            if asset in self.chains[cid].assets:
-                return self.chains[cid]
-        raise ChainError(f"no chain manages asset {asset!r}")
+        """The chain that manages ``asset``: the lowest id among those that list it."""
+        try:
+            return self._asset_chain[asset]
+        except KeyError:
+            raise ChainError(f"no chain manages asset {asset!r}") from None
 
     # -- locks -------------------------------------------------------------
 
@@ -495,7 +508,7 @@ class Federation:
         chain's ledger of live updates, chain ids ascending."""
         totals = dict(self.initial_balances)
         for cid in self.chain_ids():
-            for key, delta in self.chains[cid].ledger().items():
+            for key, delta in self.chains[cid]._ledger.items():  # read only: no copy
                 totals[key] = totals.get(key, 0) + delta
         return totals
 

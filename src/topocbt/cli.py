@@ -21,7 +21,7 @@ from .chain import ChainError
 from .engine import TopoCbtEngine
 from .harness import _replay, betti_report, compare_protocols, complexity_fit, fit_ops, measure_grid, run_scenario
 from .scenario import PROTOCOLS, ScenarioError, load_scenario
-from .simplicial import read_complex
+from .simplicial import betti_from_generators, read_generators
 from .topology import tagged_to_text
 from .wal import WalFormatError, WalKind, WalRecord, WriteAheadLog
 
@@ -56,8 +56,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_betti(args: argparse.Namespace) -> int:
     if args.complex:
-        complex_ = read_complex(args.complex)
-        print("betti:", " ".join(map(str, complex_.betti_numbers())))
+        print("betti:", " ".join(map(str, betti_from_generators(read_generators(args.complex)))))
         return 0
     if not args.scenario:
         return _fail("betti needs --scenario or --complex")

@@ -462,10 +462,12 @@ def _reduced_rank(cols: list[Cell], rows: list[Cell], cleared: set[int]) -> tupl
 #
 # One simplex per line: ascending base-10 vertex ids (ASCII digits only)
 # separated by single spaces.  Lines starting with '#' are comments.
-# Reading applies face closure, so complex_to_text -> complex_from_text
-# round-trips the member set.  Reading refuses lines whose closure may
-# pass ``MAX_CELLS`` cells, naming the line at which the count, taken in
-# file order over the lines that lie inside no other, passes it.
+# Reading a complex applies face closure, so complex_to_text ->
+# complex_from_text round-trips the member set; ``betti --complex`` reads
+# only the generators and closes nothing.  Reading refuses lines whose
+# closure may pass ``MAX_CELLS`` cells, naming the line at which the
+# count, taken in file order over the lines that lie inside no other,
+# passes it.
 
 
 def text_order(complex_: SimplicialComplex) -> list[Cell]:
@@ -477,7 +479,11 @@ def complex_to_text(complex_: SimplicialComplex) -> str:
     return "".join(" ".join(map(str, cell)) + "\n" for cell in text_order(complex_))
 
 
-def complex_from_text(text: str) -> SimplicialComplex:
+def generators_from_text(text: str) -> list[Cell]:
+    """The distinct lines of a complex file that lie inside no other, in
+    file order, as ascending vertex tuples.  Refuses, naming the line, a
+    malformed line or the line at which the most cells their closure can
+    hold passes ``MAX_CELLS``; no face is enumerated."""
     lines: dict[Cell, int] = {}  # each distinct line -> the number of its first occurrence
     for lineno, raw in enumerate(text.split("\n"), start=1):
         try:
@@ -493,19 +499,29 @@ def complex_from_text(text: str) -> SimplicialComplex:
             lines.setdefault(Simplex(tuple(int(tok) for tok in tokens)).vertices, lineno)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+    generators = _maximal(lines)
     try:
-        return SimplicialComplex(lines)
-    except ValueError as exc:  # past the face budget: name the line that passes it
+        _check_face_budget(sum((1 << len(g)) - 1 for g in generators))
+    except ValueError as exc:  # name the line that passes it
         faces = 0  # the most cells the closure of the lines so far can hold
-        for cell in _maximal(lines):
+        for cell in generators:
             faces += (1 << len(cell)) - 1
             if faces > MAX_CELLS:
                 raise ValueError(f"line {lines[cell]}: {exc}") from exc
-        raise
+    return generators
 
 
-def read_complex(path) -> SimplicialComplex:
+def complex_from_text(text: str) -> SimplicialComplex:
+    return SimplicialComplex(generators_from_text(text))
+
+
+def read_generators(path) -> list[Cell]:
+    """:func:`generators_from_text` of a complex file."""
     # undecodable bytes become lone surrogates, which the reader rejects
     # with their line number
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return complex_from_text(fh.read())
+        return generators_from_text(fh.read())
+
+
+def read_complex(path) -> SimplicialComplex:
+    return SimplicialComplex(read_generators(path))

@@ -2,7 +2,11 @@
 
 Every live block contributes one vertex, or in replicated mode one per
 replica if it is a trunk block (``_copies``, the only such rule),
-numbered by one walk up each chain's live heights.
+numbered up each chain's live heights.  Only the rows at a chain's
+forked heights, the row just above each and the lowest row built take
+a step per block; every other run of heights holds the trunk block
+alone over the trunk block, and is laid in bulk (``_lay_trunk_run``),
+so a long straight history costs per fork, not per block.
 Chain adjacency, fork stitching, and replica groups produce the other
 structural cells, kept as plain ascending vertex tuples; each in-flight
 transaction adds one top simplex spanning all of its blocks, fork
@@ -19,6 +23,7 @@ can never be deleted.
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -147,6 +152,33 @@ class TaggedComplex:
         return betti_from_generators(self._generators())
 
 
+def _lay_trunk_run(
+    vertex_of: dict[VertexKey, int], cells: set[Cell], cid: int, start: int, stop: int, v: int, copies: int
+) -> int:
+    """Lay the trunk blocks of chain ``cid`` at heights ``start`` to
+    ``stop - 1``, each the only live block at its height and the child of
+    the trunk block below, whose ``copies`` vertices end at ``v - 1``.
+
+    Lays what the per-row walk would, in the same order: vertex keys by
+    height then replica from ``v`` up, each copy's edge to the same copy
+    one height down, and each height's replica group if it has two or
+    more copies.  Every set and dict is filled from iterators, with no
+    step per block in Python.  Returns the next vertex id.
+    """
+    end = v + (stop - start) * copies
+    ids = range(v, end)
+    if copies == 1:
+        heights, replicas = range(start, stop), itertools.repeat(0)
+    else:
+        heights = itertools.chain.from_iterable(map(itertools.repeat, range(start, stop), itertools.repeat(copies)))
+        replicas = itertools.cycle(range(copies))
+    vertex_of.update(zip(zip(itertools.repeat(cid), heights, itertools.repeat(0), replicas), ids))
+    cells.update(zip(range(v - copies, end - copies), ids))
+    if copies >= 2:  # only trunk blocks in replicated mode have copies
+        cells.update(map(tuple, map(range, range(v, end, copies), range(v + copies, end + copies, copies))))
+    return end
+
+
 def build_federation_complex(
     federation: Federation,
     transactions: Iterable[CrossChainTransaction] = (),
@@ -158,9 +190,13 @@ def build_federation_complex(
 
     ``window`` restricts each chain that a transaction references to
     blocks within that height radius of the referenced heights; None
-    keeps whole chains.  Each chain is walked once, up its live heights
-    and along each height in branch order, which numbers the vertices
-    in ascending ``VertexKey`` order.
+    keeps whole chains.  Each chain's live heights are built in
+    ascending order, and along each height in branch order, which
+    numbers the vertices in ascending ``VertexKey`` order.  The rows that
+    may hold more than the trunk block or hang off more than it (the
+    lowest built, each forked height and the one above it) take the
+    per-block steps; each run of rows between them is laid in bulk by
+    ``_lay_trunk_run``, with the same keys, cells and key order.
     """
     transactions = list(transactions)
 
@@ -182,12 +218,25 @@ def build_federation_complex(
         tips: dict[int, list[int]] = {}  # height -> live branches whose tip is there
         for label in chain.live_branch_labels():
             tips.setdefault(branches[label].tip, []).append(label)
+        top = max(tips)  # live heights run without a gap from genesis to the tallest live tip
+        lo, hi = spans.get(cid, (0, top))
+        lo, hi = max(lo, 0), min(hi, top)
+        forked = chain.forked_heights(lo, hi)
+        rows = sorted(h for h in {lo, *forked, *(h + 1 for h in forked)} if h <= hi)
+        trunk = copies_of[0]
         below: dict[int, int] = {}  # branch -> first vertex id, one height down
-        for height, refs in chain.live_rows(*spans.get(cid, (0, None))):
+        run_start = lo  # the lowest height not built yet
+        for height in [*rows, hi + 1]:
+            if run_start < height:  # the trunk block alone, over the trunk block alone
+                v = _lay_trunk_run(vertex_of, cells, cid, run_start, height, v, trunk)
+                below = {0: v - trunk}
+            if height > hi:
+                break
+            run_start = height + 1
             start = v
             here: dict[int, int] = {}
             stitched = tips.get(height - 1, ())
-            for ref in refs:
+            for ref in chain.live_block_at(height):
                 branch = ref.branch
                 here[branch] = v
                 copies = copies_of[branch]

@@ -281,6 +281,20 @@ def test_declared_hashes_are_the_hashes_of_sealed_empty_blocks():
     assert ch.block(BlockRef(1, 2, 0)).hash == make_chain(2).block(BlockRef(1, 2, 0)).hash
 
 
+@given(st.integers(1, 2**32 - 1), st.integers(0, 300))
+@settings(max_examples=60, deadline=None)
+def test_derived_trunk_hashes_equal_a_trunk_of_sealed_empty_blocks(chain_id, length):
+    declared = Chain(chain_id, length=length)
+    top = declared.append_block(0, ())  # derives every hash below it in one loop
+    parent_ref, parent_hash = None, chain_module.GENESIS_PARENT
+    for height in range(length + 1):
+        sealed = Block.seal(BlockRef(chain_id, height, 0), parent_ref, parent_hash, ())
+        assert declared.block(sealed.ref) == sealed
+        parent_ref, parent_hash = sealed.ref, sealed.hash
+    assert declared.block(top).parent_hash == parent_hash
+    assert declared.hash_violations() == []
+
+
 # -- the declared trunk ------------------------------------------------------------
 
 def test_building_a_declared_trunk_hashes_nothing(monkeypatch):
@@ -290,7 +304,14 @@ def test_building_a_declared_trunk_hashes_nothing(monkeypatch):
         calls.append(args[0])
         return compute_block_hash(*args)
 
+    derive = Chain._trunk_hash
+
+    def derived(self, height):
+        calls.append(height)
+        return derive(self, height)
+
     monkeypatch.setattr(chain_module, "compute_block_hash", counted)
+    monkeypatch.setattr(Chain, "_trunk_hash", derived)  # declared hashes are derived there, not sealed
     federation = Scenario(chains=[ChainSpec(id=1, length=5000)]).build_federation()
     assert calls == []
     chain = federation.chain(1)
@@ -446,6 +467,23 @@ def test_balances_walk_live_blocks_only():
     ch.resolve_forks()  # branch 0 longer, fork dies
     assert fed.balance("b", "X") == 4
     assert fed.balance("a", "X") == 6
+
+
+def test_the_lowest_chain_id_manages_a_shared_asset_whatever_the_order_added():
+    fed = Federation()
+    high = fed.add_chain(Chain(5, assets=("X", "Y")))
+    low = fed.add_chain(Chain(2, assets=("Z", "X")))
+    fed.add_chain(Chain(9, assets=("X",)))
+    assert fed.chain_for_asset("X") is low
+    assert fed.chain_for_asset("Y") is high
+    assert fed.chain_for_asset("Z") is low
+
+
+def test_an_unknown_asset_names_itself_in_the_error():
+    fed = Federation()
+    fed.add_chain(Chain(1, assets=("X",)))
+    with pytest.raises(ChainError, match=r"^no chain manages asset 'W'$"):
+        fed.chain_for_asset("W")
 
 
 def test_asset_conservation_under_random_transfers():

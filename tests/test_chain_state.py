@@ -64,10 +64,15 @@ def assert_chain_matches_rescan(chain: Chain) -> None:
         assert chain.live_block_at(height) == sorted(r for r in live if r.height == height)
     heights = sorted({r.height for r in live})
     assert heights == list(range(len(heights)))  # no gap from genesis up
-    rows = [(h, tuple(sorted(r for r in live if r.height == h))) for h in heights]
-    assert list(chain.live_rows()) == rows
-    assert list(chain.live_rows(-1, 2)) == rows[:3]
-    assert list(chain.live_rows(2)) == rows[2:]
+    forked = sorted({r.height for r in live if r.branch})
+    assert chain.forked_heights(-1, len(heights)) == forked
+    assert chain.forked_heights(2, 4) == [h for h in forked if 2 <= h <= 4]
+    assert chain.forked_heights(3, 2) == []
+    for height in set(heights) - set(forked):
+        # elsewhere the trunk block alone, a child of the trunk block below
+        assert chain.live_block_at(height) == [BlockRef(chain.id, height, 0)]
+        parent = chain.block(BlockRef(chain.id, height, 0)).parent_ref
+        assert parent is None or parent == BlockRef(chain.id, height - 1, 0)
     assert chain.compensated_refs() == rescan_compensated(chain)
     assert chain.ledger() == rescan_ledger(chain)
     for ref in chain.all_refs():
@@ -170,7 +175,9 @@ def assert_same_chain(built: Chain, expected: Chain) -> None:
     assert built.all_refs() == expected.all_refs()
     assert [built.block(r) for r in built.all_refs()] == [expected.block(r) for r in expected.all_refs()]
     assert built.branches == expected.branches
-    assert list(built.live_rows()) == list(expected.live_rows())
+    heights = range(len({r.height for r in expected.live_refs()}) + 1)
+    assert [built.live_block_at(h) for h in heights] == [expected.live_block_at(h) for h in heights]
+    assert built.forked_heights(0, len(heights)) == expected.forked_heights(0, len(heights))
     assert built.ledger() == expected.ledger()
     assert built.compensated_refs() == expected.compensated_refs()
     assert built.hash_violations() == [] == expected.hash_violations()
@@ -211,7 +218,7 @@ def test_declared_history_equals_the_chain_built_block_by_block(length, forks):
         expected.append_block(0, ())
     declared = []
     for height, branches in forks:
-        height = 1 + height % len(list(expected.live_rows()))  # a fork needs a block below it
+        height = 1 + height % len({r.height for r in expected.live_refs()})  # a fork needs a block below it
         declared.append((height, branches))
         for _ in range(branches):
             expected.append_block(expected.spawn_fork(height), ())

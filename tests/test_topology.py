@@ -560,6 +560,48 @@ def test_build_equals_reference_build_on_random_histories(data):
     assert_build_matches_reference(fed, txns, mode, window)
 
 
+def forked_trunk(data, cid):
+    """A declared trunk of up to 300 blocks with forks drawn at height 1,
+    mid-trunk, at the tip and above it, now and then one grown past the
+    trunk and resolved, which retires branch 0 above the fork."""
+    length = data.draw(st.integers(0, 300), label="length")
+    chain = Chain(cid, replicas=data.draw(st.integers(1, 3), label="replicas"), length=length)
+    heights = {"one": 1, "mid": max(1, length // 2), "tip": max(1, length), "above": length + 1}
+    for where in data.draw(st.lists(st.sampled_from(sorted(heights)), max_size=3), label="forks"):
+        label = chain.spawn_fork(heights[where])
+        chain.append_blocks(label, [()] * data.draw(st.integers(0, 3)))
+    if len(chain.branches) > 1 and data.draw(st.booleans(), label="resolve"):
+        label = data.draw(st.sampled_from(chain.live_branch_labels()[1:]))
+        info = chain.branches[label]
+        tallest = max(chain.branches[b].tip for b in chain.live_branch_labels())
+        chain.append_blocks(label, [()] * (tallest - max(info.tip, info.spawn_height - 1) + 1))
+        assert chain.resolve_forks() == label
+    chain.append_blocks(data.draw(st.sampled_from(chain.live_branch_labels())), [()] * data.draw(st.integers(0, 2)))
+    return chain
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_bulk_trunk_runs_equal_reference_build(data):
+    fed = Federation()
+    for cid in range(1, data.draw(st.integers(1, 2), label="chains") + 1):
+        fed.add_chain(forked_trunk(data, cid))
+    mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
+    window = data.draw(st.sampled_from([None, 0, 1, 2, 3]), label="window")
+    refs = []
+    for cid in fed.chain_ids():
+        chain = fed.chain(cid)
+        top = len({r.height for r in chain.live_refs()}) - 1
+        forked = chain.forked_heights(0, top)
+        height = data.draw(st.integers(0, top), label="height")
+        if forked and window is not None and data.draw(st.booleans(), label="window edge near a fork"):
+            # the window's lower or upper edge on a forked height or one either side
+            edge = data.draw(st.sampled_from(forked)) + data.draw(st.sampled_from([-1, 0, 1]))
+            height = min(max(edge + data.draw(st.sampled_from([window, -window])), 0), top)
+        refs.append(data.draw(st.sampled_from(chain.live_block_at(height)), label="ref"))
+    assert_build_matches_reference(fed, [CrossChainTransaction(1, ("a", "b"), tuple(refs), ())], mode, window)
+
+
 def test_one_simplex_per_transaction_top(monkeypatch):
     made = []
     post_init = Simplex.__post_init__
