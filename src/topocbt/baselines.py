@@ -218,6 +218,6 @@ def ac3wn_execute(
 def _witness_space(witness: Chain) -> int:
     total = 0
     for ref in witness.all_refs():
-        for record in witness.block(ref).payload:
+        for record in witness.payload(ref):
             total += len(record.to_bytes())
     return total

@@ -7,32 +7,48 @@ several live branches at once; the longest-branch rule retires all but
 one.  Dead branches keep their blocks for audit but never enter new
 topology builds.
 
+A block is sealed when it is first read, not when it is appended.
+``append_blocks`` stores each block of a run unsealed (its ref, parent
+ref and payload), after checking that every record of the run packs, so
+a refused run stores nothing.  ``block`` and ``hash_violations`` seal
+the unsealed blocks below the one asked for in height order, each on
+its parent's hash, so no caller ever holds an unsealed block.  The
+trade: a block's hash is fixed at its first read, and a write through
+the private store before that read is not caught.  ``payload`` reads a
+block's records without sealing it.
+
 A chain is built with its declared trunk: genesis and ``length`` empty
 blocks above it on branch 0, held as that length alone.  A declared
 block is derived when something asks for it: its parent is one height
 below on branch 0 and its hash depends only on the chain id and its
 height, so the chain keeps just the hashes it has derived so far, in a
-list that grows on demand.  ``block`` stores the declared block it hands
-out, so ``hash_violations`` checks it like any appended block; a
-declared block never handed out has nothing to tamper with.
+list that grows on demand, and only a seal or ``block`` derives them.
+``block`` stores the declared block it hands out, so ``hash_violations``
+checks it like any appended block; a declared block never handed out
+has nothing to tamper with.
 
-Each chain keeps its live state instead of deriving it on every read:
-a height -> live refs index over the ancestor closure of the live
-branch tips (the only record of which blocks are live), the sorted
+Each chain keeps its live state instead of deriving it on every read,
+and that state grows with appended blocks, not declared ones.  A block
+is live when it is in the ancestor closure of the live branch tips, and
+two pieces of state are the only record of which blocks are: the
+highest declared height still live (every declared height below it is
+live too), and a height -> live refs index over the heights that hold a
+live appended or forked block, where a live declared block leads its
+row.  Beside them sit the sorted
 heights that hold a live block off branch 0 (its forked heights; every
 other live height holds the trunk block alone), the refs undone by live
 ``Compensation`` blocks, and the net (party, asset) change of its live
-``AssetUpdate`` records.  ``append_blocks`` seals a run of blocks on one
-branch in one loop, each hash fixed as its block is sealed, and adds the
-run to all four at once (its parent is always live already);
-``append_block`` is a run of one.  ``append`` seals one
-block on the canonical branch, in the slot ``next_ref`` names.
-``resolve_forks`` rebuilds the live state with one ancestor walk when
-it retires a branch; ``spawn_fork`` leaves it alone, since an empty
-branch adds no block.  A payload is read once, when its block is
-appended.  The engine opens each forward update block with a
-``Forward`` marker naming its transaction, and each rollback block with
-a ``Compensation`` marker naming the block it reverses.
+``AssetUpdate`` records.  ``append_blocks`` adds a run to all of them at
+once (its parent is always live already); ``append_block`` is a run of
+one.  ``append`` stores one block on the canonical branch, in the slot
+``next_ref`` names.  ``resolve_forks`` rebuilds the live state with one
+ancestor walk over appended blocks when it retires a branch, lowering
+the live declared height only when branch 0 is retired above a fork;
+``spawn_fork`` leaves it alone, since an empty branch adds no block.  A
+payload is read once, when its block is appended.  The engine opens
+each forward update block with a ``Forward`` marker naming its
+transaction, and each rollback block with a ``Compensation`` marker
+naming the block it reverses.
 
 A ``BlockRef`` is a plain tuple: it keys every block store, height
 index and the lock table, and hashes, compares and sorts as
@@ -148,7 +164,10 @@ def compute_block_hash(ref: tuple[int, int, int], parent_hash: bytes, payload: t
 
 @dataclass(frozen=True)
 class Block:
-    """A sealed block. The stored hash is fixed at append time."""
+    """A sealed block.  Its hash is fixed when the block is first read
+    (``Chain.block`` or ``Chain.hash_violations``), not at append time,
+    so a write through the chain's private store before that read is
+    not caught; one after it is."""
 
     ref: BlockRef
     parent_ref: Optional[BlockRef]
@@ -160,6 +179,31 @@ class Block:
     def seal(cls, ref: BlockRef, parent_ref: Optional[BlockRef], parent_hash: bytes, payload: Iterable) -> "Block":
         payload = tuple(payload)
         return cls(ref, parent_ref, parent_hash, payload, compute_block_hash(ref, parent_hash, payload))
+
+
+class _Unsealed(NamedTuple):
+    """A stored block not read yet: what sealing it takes, bar its parent's hash."""
+
+    ref: BlockRef
+    parent_ref: BlockRef
+    payload: tuple
+
+
+_SHORT_NAME = 2**14 - 1  # characters of at most 4 UTF-8 bytes each: never past the 16-bit length
+
+
+def _check_packs(payload: tuple) -> None:
+    """Raise what sealing ``payload`` would raise: a name past its 16-bit
+    length field, or a number past its field.  An update's names are
+    encoded only when their length alone cannot rule that out; every
+    other record is packed."""
+    for record in payload:
+        if isinstance(record, AssetUpdate):
+            for name in (record.owner_from, record.owner_to, record.asset):
+                if len(name) > _SHORT_NAME:
+                    _pack_str(name)
+        else:
+            record.to_bytes()
 
 
 @dataclass
@@ -192,13 +236,17 @@ class Chain:
         self.assets = tuple(assets)
         self._trunk = length  # the declared trunk: heights 0..length on branch 0
         self._trunk_hashes: list[bytes] = []  # hashes of declared heights 0.., derived on demand
-        self._blocks: dict[BlockRef, Block] = {}  # appended blocks and declared blocks handed out
+        # refs of the declared heights live_block_at has answered: every build asks
+        # again, and a NamedTuple is slow to make; grows with the heights read
+        self._trunk_refs: dict[int, BlockRef] = {}
+        # appended blocks, unsealed until first read, and declared blocks handed out
+        self._blocks: dict[BlockRef, Block | _Unsealed] = {}
         self.branches: dict[int, BranchInfo] = {0: BranchInfo(spawn_height=0, parent=None, tip=length)}
-        # live state, kept current by _index and _rebuild_live; every build walks
-        # the height index, so it lists the declared trunk from the start
-        self._live_at: dict[int, list[BlockRef]] = {  # height -> refs, by branch
-            height: [BlockRef(chain_id, height, 0)] for height in range(length + 1)
-        }
+        # live state, kept current by _index and _rebuild_live
+        self._live_trunk = length  # declared heights 0.._live_trunk are live
+        # height -> live refs, by branch, at each height that holds a live
+        # appended or forked block; a live declared block there leads its row
+        self._live_at: dict[int, list[BlockRef]] = {}
         self._forked: list[int] = []  # ascending heights that hold a live block off branch 0
         self._compensated: set[BlockRef] = set()
         self._ledger: dict[tuple[str, str], int] = {}
@@ -206,20 +254,33 @@ class Chain:
     # -- queries ---------------------------------------------------------
 
     def block(self, ref: BlockRef) -> Block:
+        """The sealed block at ``ref``, sealing it and the unsealed blocks below it first."""
         block = self._blocks.get(ref)
-        if block is None:
-            if not self._declared(ref):
-                raise ChainError(f"no block {ref} on chain {self.id}")
-            height = ref[1]
-            parent = BlockRef(self.id, height - 1, 0) if height else None
-            parent_hash = self._trunk_hash(height - 1) if height else GENESIS_PARENT
-            block = Block(BlockRef(self.id, height, 0), parent, parent_hash, (), self._trunk_hash(height))
-            self._blocks[block.ref] = block
+        if type(block) is Block:
+            return block
+        if block is not None:
+            return self._seal(block)
+        if not self._declared(ref):
+            raise ChainError(f"no block {ref} on chain {self.id}")
+        height = ref[1]
+        parent = BlockRef(self.id, height - 1, 0) if height else None
+        parent_hash = self._trunk_hash(height - 1) if height else GENESIS_PARENT
+        block = Block(BlockRef(self.id, height, 0), parent, parent_hash, (), self._trunk_hash(height))
+        self._blocks[block.ref] = block
         return block
+
+    def payload(self, ref: BlockRef) -> tuple:
+        """The records of the block at ``ref``, read without sealing it."""
+        block = self._blocks.get(ref)
+        if block is not None:
+            return block.payload
+        if not self._declared(ref):
+            raise ChainError(f"no block {ref} on chain {self.id}")
+        return ()
 
     def holds_forward(self, ref: BlockRef, txn_id: int) -> bool:
         """Whether the block at ``ref`` is a forward update block of ``txn_id``."""
-        return ref in self._blocks and self._blocks[ref].payload[:1] == (Forward(txn_id),)
+        return ref in self._blocks and self.payload(ref)[:1] == (Forward(txn_id),)
 
     def all_refs(self) -> list[BlockRef]:
         return sorted(self._blocks.keys() | {BlockRef(self.id, height, 0) for height in range(self._trunk + 1)})
@@ -243,11 +304,20 @@ class Chain:
         Shared trunk prefixes stay live even when their own branch lost
         a resolution; blocks only reachable from dead tips drop out.
         """
-        return frozenset(ref for row in self._live_at.values() for ref in row)
+        declared = [BlockRef(self.id, height, 0) for height in range(self._live_trunk + 1)]
+        return frozenset(declared + [ref for row in self._live_at.values() for ref in row])
 
     def live_block_at(self, height: int) -> list[BlockRef]:
         """Live blocks at a height, canonical order."""
-        return list(self._live_at.get(height, ()))
+        row = self._live_at.get(height)
+        if row is not None:
+            return list(row)
+        if not 0 <= height <= self._live_trunk:
+            return []
+        ref = self._trunk_refs.get(height)
+        if ref is None:
+            ref = self._trunk_refs[height] = BlockRef(self.id, height, 0)
+        return [ref]
 
     def forked_heights(self, lo: int, hi: int) -> list[int]:
         """The heights from ``lo`` to ``hi`` that hold a live block off
@@ -289,31 +359,46 @@ class Chain:
     def _hash(self, ref: BlockRef) -> Optional[bytes]:
         """Hash a child of ``ref`` links to: the stored block's, else the
         derived one of a declared block; None if there is no such block."""
-        block = self._blocks.get(ref)
-        if block is not None:
-            return block.hash
+        if ref in self._blocks:
+            return self.block(ref).hash
         return self._trunk_hash(ref[1]) if self._declared(ref) else None
+
+    # -- sealing -----------------------------------------------------------
+
+    def _seal(self, unsealed: _Unsealed) -> Block:
+        """Seal ``unsealed`` and the unsealed blocks below it, lowest first,
+        each on its parent's hash; below them is a sealed block or a
+        declared one never handed out."""
+        blocks = self._blocks
+        line = [unsealed]
+        parent = blocks.get(unsealed.parent_ref)
+        while type(parent) is _Unsealed:
+            line.append(parent)
+            parent = blocks.get(parent.parent_ref)
+        parent_hash = self._trunk_hash(line[-1].parent_ref[1]) if parent is None else parent.hash
+        for ref, parent_ref, payload in reversed(line):
+            block = Block.seal(ref, parent_ref, parent_hash, payload)
+            blocks[ref] = block
+            parent_hash = block.hash
+        return block
 
     # -- maintained live state ---------------------------------------------
 
     def _index(self, refs: Iterable[BlockRef]) -> None:
-        """Add blocks, in canonical order, to the height index, the
-        forked heights, the compensation set and the ledger."""
+        """Add appended blocks, in canonical order, to the height index,
+        the forked heights, the compensation set and the ledger."""
         at, forked, ledger, blocks = self._live_at, self._forked, self._ledger, self._blocks
         for ref in refs:
             row = at.get(ref.height)
-            if row is None:
-                at[ref.height] = [ref]
+            if row is None:  # a block at a live declared height sits off branch 0
+                at[ref.height] = [BlockRef(self.id, ref.height, 0), ref] if ref.height <= self._live_trunk else [ref]
             else:
                 insort(row, ref)
             if ref.branch:
                 i = bisect_left(forked, ref.height)
                 if i == len(forked) or forked[i] != ref.height:
                     forked.insert(i, ref.height)
-            block = blocks.get(ref)
-            if block is None:
-                continue  # a declared block carries no payload
-            for record in block.payload:
+            for record in blocks[ref].payload:
                 if isinstance(record, AssetUpdate):
                     key_from = (record.owner_from, record.asset)
                     key_to = (record.owner_to, record.asset)
@@ -324,17 +409,20 @@ class Chain:
 
     def _rebuild_live(self) -> None:
         """Recompute the live state: the ancestor closure of the live
-        branch tips, indexed in canonical order."""
+        branch tips, indexed in canonical order.  Each walk stops at the
+        declared trunk, where every block below is live too."""
         closure: set[BlockRef] = set()
+        live_trunk = 0
         for label in self.live_branch_labels():
             info = self.branches[label]
             ref: Optional[BlockRef] = BlockRef(self.id, info.tip, label) if info.tip >= 0 else None
             while ref is not None and ref not in closure:
-                if self._declared(ref):  # so is every ancestor: take them without building blocks
-                    closure.update(BlockRef(self.id, height, 0) for height in range(ref.height + 1))
+                if self._declared(ref):
+                    live_trunk = max(live_trunk, ref.height)
                     break
                 closure.add(ref)
                 ref = self._blocks[ref].parent_ref
+        self._live_trunk = live_trunk
         for state in (self._live_at, self._forked, self._compensated, self._ledger):
             state.clear()
         self._index(sorted(closure))
@@ -349,32 +437,33 @@ class Chain:
         return BlockRef(self.id, info.tip, branch), info.tip + 1
 
     def append(self, payload: Iterable = ()) -> BlockRef:
-        """Seal one block on the canonical branch."""
+        """Store one block on the canonical branch."""
         return self.append_block(self.canonical_branch(), payload)
 
     def append_block(self, branch: int, payload: Iterable = ()) -> BlockRef:
         return self.append_blocks(branch, (payload,))[0]
 
     def append_blocks(self, branch: int, payloads: Iterable[Iterable]) -> list[BlockRef]:
-        """Seal one block per payload on top of ``branch``, each on the
-        one before, then index the run at once.  Each hash is fixed here."""
+        """Store one block per payload on top of ``branch``, each on the
+        one before, then index the run at once.  Every record of the run
+        is checked to pack first, so a refused run stores nothing; the
+        blocks are sealed when first read."""
         if branch not in self.branches:
             raise ChainError(f"unknown branch {branch} on chain {self.id}")
         info = self.branches[branch]
         if not info.live:
             raise ChainError(f"branch {branch} on chain {self.id} is dead")
+        payloads = [tuple(payload) for payload in payloads]
+        for payload in payloads:
+            _check_packs(payload)
         parent_ref, height = self._slot(branch)
-        parent_hash = None if parent_ref is None else self._hash(parent_ref)
-        if parent_hash is None:
-            raise ChainError(f"missing parent at height {height - 1} on chain {self.id}")
         blocks = self._blocks
         refs = []
         for payload in payloads:
             ref = BlockRef(self.id, height, branch)
-            block = Block.seal(ref, parent_ref, parent_hash, payload)
-            blocks[ref] = block
+            blocks[ref] = _Unsealed(ref, parent_ref, payload)
             refs.append(ref)
-            parent_ref, parent_hash, height = ref, block.hash, height + 1
+            parent_ref, height = ref, height + 1
         if refs:
             info.tip = height - 1
         # the parent is live: a live branch's tip is, a fork's parent was
@@ -410,13 +499,13 @@ class Chain:
     def hash_violations(self) -> list[BlockRef]:
         """Refs whose stored hash or parent link fails verification, in order.
 
-        Every stored block is checked, its link against its parent's
-        stored or derived hash; a declared block never handed out has
-        nothing to tamper with.
+        Every stored block is sealed, then checked, its link against its
+        parent's stored or derived hash; a declared block never handed
+        out has nothing to tamper with.
         """
         bad = []
         for ref in sorted(self._blocks):
-            block = self._blocks[ref]
+            block = self.block(ref)  # its parent, one height down, is sealed already
             if compute_block_hash(block.ref, block.parent_hash, block.payload) != block.hash:
                 bad.append(ref)
                 continue

@@ -111,13 +111,15 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 # bytes (simplicial.py, beside the face-enumeration budget MAX_CELLS).
 # Sizes were measured with tracemalloc on CPython 3.11.7 and rounded up to
 # a power of two:
-# - a declared block costs at most BLOCK_BYTES.  A trunk block is its
-#   height-index entry (~200 B) and, once a block above it is sealed, its
-#   derived hash (~75 B); a fork's block is sealed and stored (~450-570 B
-#   with its branch).  Its vertex and edges in one complex build add
-#   ~270-460 B.  Per declared block that came to ~600 B on a bare trunk and
-#   ~720-900 B with forks (many on one height, one per height, or each on
-#   the last);
+# - a declared block costs at most BLOCK_BYTES.  A trunk block costs its
+#   chain at most its ref (~130 B) during a run, kept once live_block_at
+#   names its height; a fork's block is stored unsealed with its branch
+#   and height-index row (~490-570 B).  No run reads a block, so none is
+#   sealed: a read seals a fork's block (~180 B more) and hands out a
+#   trunk block (~390 B and its ~75 B derived hash).  Its vertex and
+#   edges in one complex build add ~270-460 B.  Per declared block, the
+#   chain and one build came to ~310 B on a bare trunk and ~560-630 B with
+#   forks (2,000 on one height, or one on each of 2,000 heights);
 # - in replicated mode the copies of a block form one simplex whose face
 #   closure, which complex text enumerates, holds 2**replicas - 1 cells,
 #   so one replica group alone fits in MAX_CELLS.  The text of a build

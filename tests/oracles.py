@@ -3,7 +3,7 @@
 import hashlib
 import struct
 
-from topocbt.chain import BlockRef, Chain, Federation
+from topocbt.chain import GENESIS_PARENT, Block, BlockRef, BranchInfo, Chain, Federation, compute_block_hash
 from topocbt.gf2 import Matrix
 
 
@@ -51,3 +51,70 @@ def reference_block_hash(ref: BlockRef, parent_hash: bytes, payload: tuple) -> b
     for record in payload:
         h.update(record.to_bytes())
     return h.digest()
+
+
+class EagerChain:
+    """A chain that seals every block, its declared trunk included, when
+    it stores it, and finds live blocks by walking back from the live
+    tips: the reference a chain sealed on first read is judged against."""
+
+    def __init__(self, chain_id: int, length: int = 0) -> None:
+        self.id = chain_id
+        self.blocks: dict[BlockRef, Block] = {}
+        parent_ref, parent_hash = None, GENESIS_PARENT
+        for height in range(length + 1):
+            block = Block.seal(BlockRef(chain_id, height, 0), parent_ref, parent_hash, ())
+            self.blocks[block.ref] = block
+            parent_ref, parent_hash = block.ref, block.hash
+        self.branches = {0: BranchInfo(spawn_height=0, parent=None, tip=length)}
+
+    def block(self, ref: BlockRef) -> Block:
+        return self.blocks[ref]
+
+    def live_refs(self) -> set[BlockRef]:
+        live: set[BlockRef] = set()
+        for label, info in self.branches.items():
+            ref = BlockRef(self.id, info.tip, label) if info.live and info.tip >= 0 else None
+            while ref is not None and ref not in live:
+                live.add(ref)
+                ref = self.blocks[ref].parent_ref
+        return live
+
+    def append_blocks(self, branch: int, payloads) -> list[BlockRef]:
+        info = self.branches[branch]
+        refs = []
+        for payload in payloads:
+            if info.tip < 0:
+                parent_ref, height = info.parent, info.spawn_height
+            else:
+                parent_ref, height = BlockRef(self.id, info.tip, branch), info.tip + 1
+            ref = BlockRef(self.id, height, branch)
+            self.blocks[ref] = Block.seal(ref, parent_ref, self.blocks[parent_ref].hash, payload)
+            info.tip = height
+            refs.append(ref)
+        return refs
+
+    def spawn_fork(self, at_height: int) -> int:
+        parent = min(ref for ref in self.live_refs() if ref.height == at_height - 1)
+        label = len(self.branches)
+        self.branches[label] = BranchInfo(spawn_height=at_height, parent=parent)
+        return label
+
+    def resolve_forks(self) -> int:
+        survivor = min((-info.tip, label) for label, info in self.branches.items() if info.live)[1]
+        for label, info in self.branches.items():
+            info.live = label == survivor
+        return survivor
+
+    def hash_violations(self) -> list[BlockRef]:
+        """Every stored block checked against its own fields and its parent's stored hash."""
+        bad = []
+        for ref in sorted(self.blocks):
+            block = self.blocks[ref]
+            if block.parent_ref is None:
+                linked = block.parent_hash == GENESIS_PARENT and ref.height == 0
+            else:
+                linked = self.blocks[block.parent_ref].hash == block.parent_hash
+            if compute_block_hash(ref, block.parent_hash, block.payload) != block.hash or not linked:
+                bad.append(ref)
+        return bad

@@ -1,7 +1,12 @@
+import re
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from topocbt import chain as chain_module
+from topocbt.baselines import Decision
 from topocbt.chain import (
     AssetUpdate,
     Block,
@@ -14,11 +19,14 @@ from topocbt.chain import (
     Forward,
     compute_block_hash,
 )
+from topocbt.harness import compare_protocols, run_scenario
 from topocbt.rng import SplitMix64
-from topocbt.scenario import ChainSpec, Scenario
+from topocbt.scenario import ChainSpec, Scenario, car_trading, load_scenario
 from topocbt.unionfind import UnionFind
 from topocbt.wal import WalKind, WriteAheadLog
-from oracles import asset_totals, reference_block_hash
+from oracles import EagerChain, asset_totals, reference_block_hash
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_chain(length=3, chain_id=1):
@@ -297,14 +305,15 @@ def test_derived_trunk_hashes_equal_a_trunk_of_sealed_empty_blocks(chain_id, len
 
 # -- the declared trunk ------------------------------------------------------------
 
-def test_building_a_declared_trunk_hashes_nothing(monkeypatch):
+def count_hashing(monkeypatch) -> list:
+    """Record, from now on, the ref of each block sealed and the height
+    of each declared hash derived."""
     calls = []
+    derive = Chain._trunk_hash
 
     def counted(*args):
         calls.append(args[0])
         return compute_block_hash(*args)
-
-    derive = Chain._trunk_hash
 
     def derived(self, height):
         calls.append(height)
@@ -312,6 +321,11 @@ def test_building_a_declared_trunk_hashes_nothing(monkeypatch):
 
     monkeypatch.setattr(chain_module, "compute_block_hash", counted)
     monkeypatch.setattr(Chain, "_trunk_hash", derived)  # declared hashes are derived there, not sealed
+    return calls
+
+
+def test_building_a_declared_trunk_hashes_nothing(monkeypatch):
+    calls = count_hashing(monkeypatch)
     federation = Scenario(chains=[ChainSpec(id=1, length=5000)]).build_federation()
     assert calls == []
     chain = federation.chain(1)
@@ -319,6 +333,17 @@ def test_building_a_declared_trunk_hashes_nothing(monkeypatch):
     assert chain.live_block_at(5000) == [BlockRef(1, 5000, 0)]
     assert chain.hash_violations() == [] and calls == []
 
+
+def test_a_deep_declared_trunk_holds_no_per_block_state():
+    tracemalloc.start()
+    try:
+        chain = Chain(1, length=1_000_000)
+        chain.append_block(0, (AssetUpdate("a", "b", "X", 1),))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert chain.live_block_at(1_000_001) == [BlockRef(1, 1_000_001, 0)]
+    assert held < 2**20
 
 def test_a_declared_block_is_derived_from_its_height():
     ch = Chain(1, length=3)
@@ -365,6 +390,90 @@ def test_a_child_resealed_on_the_wrong_declared_hash_is_detected():
     object.__setattr__(child, "hash", compute_block_hash(child.ref, wrong, child.payload))
     assert ch.hash_violations() == [BlockRef(1, 3, 1)]
 
+
+
+# -- sealing on first read ----------------------------------------------------------
+
+def test_appending_above_a_declared_trunk_hashes_nothing_until_read(monkeypatch):
+    calls = count_hashing(monkeypatch)
+    chain = Chain(1, length=5000)
+    top = chain.append_blocks(0, [(Forward(1), AssetUpdate("a", "b", "X", 1)), ()])[-1]
+    chain.append_blocks(chain.spawn_fork(2500), [(Compensation(top, 1),)])
+    assert calls == []
+    assert chain.ledger() == {("a", "X"): -1, ("b", "X"): 1} and chain.compensated_refs() == {top}
+    assert chain.holds_forward(BlockRef(1, 5001, 0), 1) and calls == []
+    assert chain.block(top).parent_ref == BlockRef(1, 5001, 0)
+    assert calls == [5000, BlockRef(1, 5001, 0), top]  # the trunk's tip, then the run below the read
+    calls.clear()
+    assert chain.hash_violations() == []
+    assert BlockRef(1, 2500, 1) in calls
+
+
+def test_no_run_or_comparison_seals_a_block(monkeypatch):
+    calls = count_hashing(monkeypatch)
+    scenarios = [car_trading()] + [load_scenario(str(path))[0] for path in sorted(DATA.glob("*.scenario"))]
+    for scenario in scenarios:
+        run_scenario(scenario, 1)
+    compare_protocols(scenarios, [1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("record", [
+    AssetUpdate("a", "b", "\u00e9" * 2**15, 1),
+    Forward(2**64),
+    Compensation(BlockRef(1, 1, 0), 2**64),
+    Decision("GlobalCommit", 2**64),
+], ids=["name past >H", "forward txn past >Q", "compensation txn past >Q", "decision txn past >Q"])
+def test_a_refused_run_leaves_the_chain_as_it_was(record):
+    chain = Chain(1, assets=("X",), length=2)
+    chain.append_block(chain.spawn_fork(2), (AssetUpdate("a", "b", "X", 1),))
+
+    def state():
+        tips = {label: (info.tip, info.live) for label, info in chain.branches.items()}
+        return chain.all_refs(), chain.live_refs(), tips, chain.ledger(), chain.compensated_refs()
+
+    before = state()
+    with pytest.raises(Exception) as sealing:
+        record.to_bytes()
+    with pytest.raises(type(sealing.value), match=f"^{re.escape(str(sealing.value))}$"):
+        chain.append_blocks(0, [(AssetUpdate("a", "b", "X", 2),), (record,)])
+    assert state() == before
+    assert chain.hash_violations() == []
+
+
+PAYLOADS = st.lists(st.lists(RECORDS, max_size=2).map(tuple), max_size=3)
+TAMPERS = st.sampled_from([("payload", (AssetUpdate("m", "a", "X", 5),)), ("parent_hash", b"\x01" * 32)])
+
+
+@given(st.integers(0, 12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_hash_handed_out_equals_the_eager_seal(length, data):
+    chain, eager = Chain(1, length=length), EagerChain(1, length=length)
+    for _ in range(data.draw(st.integers(1, 20), label="steps")):
+        step = data.draw(st.sampled_from(["append", "append", "fork", "resolve", "read", "read", "tamper", "verify"]))
+        if step == "append":
+            branch = data.draw(st.sampled_from(chain.live_branch_labels()))
+            payloads = data.draw(PAYLOADS)
+            assert chain.append_blocks(branch, payloads) == eager.append_blocks(branch, payloads)
+        elif step == "fork":  # at height 1, mid-trunk, beside the tip or above it
+            top = max(ref.height for ref in chain.live_refs())
+            height = data.draw(st.sampled_from(sorted({1, max(1, top // 2), max(1, top), top + 1})))
+            assert chain.spawn_fork(height) == eager.spawn_fork(height)
+        elif step == "resolve":
+            assert chain.resolve_forks() == eager.resolve_forks()
+        elif step in ("read", "tamper"):
+            # a tip read seals the whole unsealed run below it
+            tips = [BlockRef(1, info.tip, label) for label, info in chain.branches.items() if info.tip >= 0]
+            ref = data.draw(st.sampled_from(tips if step == "read" else chain.all_refs()))
+            assert chain.block(ref) == eager.block(ref)
+            if step == "tamper":
+                field, forged = data.draw(TAMPERS)
+                for either in (chain, eager):
+                    object.__setattr__(either.block(ref), field, forged)
+        else:
+            assert chain.hash_violations() == eager.hash_violations()
+    assert chain.hash_violations() == eager.hash_violations()
+    assert [chain.block(ref) for ref in chain.all_refs()] == [eager.block(ref) for ref in sorted(eager.blocks)]
 
 # -- locks ------------------------------------------------------------------------
 

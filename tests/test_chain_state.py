@@ -60,7 +60,15 @@ def rescan_balances(federation: Federation) -> dict:
 def assert_chain_matches_rescan(chain: Chain) -> None:
     live = rescan_live(chain)
     assert chain.live_refs() == live
-    for height in range(max(r.height for r in chain.all_refs()) + 2):
+    # the live declared prefix: every declared height up to the highest live one
+    live_trunk = max(r.height for r in live if r.branch == 0 and r.height <= chain._trunk)
+    assert chain._live_trunk == live_trunk
+    assert {r for r in live if r.branch == 0 and r.height <= chain._trunk} == {
+        BlockRef(chain.id, h, 0) for h in range(live_trunk + 1)
+    }
+    # the height index holds only the heights of live appended or forked blocks
+    assert set(chain._live_at) == {r.height for r in live if r.branch or r.height > chain._trunk}
+    for height in range(-1, max(r.height for r in chain.all_refs()) + 2):
         assert chain.live_block_at(height) == sorted(r for r in live if r.height == height)
     heights = sorted({r.height for r in live})
     assert heights == list(range(len(heights)))  # no gap from genesis up
@@ -121,7 +129,7 @@ def random_history(data, chain: Chain, max_steps: int = 25):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_maintained_state_equals_rescan_after_every_step(data):
-    chain = Chain(1, assets=("X", "Y"))
+    chain = Chain(1, assets=("X", "Y"), length=data.draw(st.integers(0, 6), label="declared length"))
     assert_chain_matches_rescan(chain)
     for _ in random_history(data, chain):
         assert_chain_matches_rescan(chain)
