@@ -21,8 +21,9 @@ A chain is built with its declared trunk: genesis and ``length`` empty
 blocks above it on branch 0, held as that length alone.  A declared
 block is derived when something asks for it: its parent is one height
 below on branch 0 and its hash depends only on the chain id and its
-height, so the chain keeps just the hashes it has derived so far, in a
-list that grows on demand, and only a seal or ``block`` derives them.
+height, so the chain keeps only one derived hash per 1,024 heights
+(``_CHECKPOINT``) and the last one derived, re-deriving any other from
+the one kept below it, and only a seal or ``block`` derives them.
 ``block`` stores the declared block it hands out, so ``hash_violations``
 checks it like any appended block; a declared block never handed out
 has nothing to tamper with.
@@ -151,6 +152,7 @@ class Compensation:
 
 
 _REF = struct.Struct(">III")
+_CHECKPOINT = 1024  # a chain keeps the derived hash of every this many declared heights
 _COUNT = struct.Struct(">I")
 
 
@@ -235,7 +237,10 @@ class Chain:
         self.replicas = replicas
         self.assets = tuple(assets)
         self._trunk = length  # the declared trunk: heights 0..length on branch 0
-        self._trunk_hashes: list[bytes] = []  # hashes of declared heights 0.., derived on demand
+        # every _CHECKPOINT-th declared hash, from genesis up, and the last
+        # one derived, as (height, hash): derived on demand
+        self._trunk_marks: list[bytes] = []
+        self._trunk_last: tuple[int, bytes] = (-1, GENESIS_PARENT)
         # refs of the declared heights live_block_at has answered: every build asks
         # again, and a NamedTuple is slow to make; grows with the heights read
         self._trunk_refs: dict[int, BlockRef] = {}
@@ -342,19 +347,35 @@ class Chain:
         return chain == self.id and branch == 0 and 0 <= height <= self._trunk
 
     def _trunk_hash(self, height: int) -> bytes:
-        """Hash of the declared block at ``height``, deriving the prefix up to it.
+        """Hash of the declared block at ``height``, derived up from the
+        highest kept hash at or below it: the last one derived, or the
+        checkpoint of every ``_CHECKPOINT``-th height, kept as the
+        derivation passes it.  So a read derives fewer than
+        ``_CHECKPOINT`` hashes above the checkpoints, and the chain holds
+        one hash per ``_CHECKPOINT`` heights read below.
 
         Each step is ``compute_block_hash((id, h, 0), parent, ())`` written
         out: an empty payload adds a zero record count and no record bytes.
         """
-        hashes = self._trunk_hashes
-        if height >= len(hashes):
-            parent_hash = hashes[-1] if hashes else GENESIS_PARENT
-            sha256, ref, chain_id, no_records = hashlib.sha256, _REF.pack, self.id, _COUNT.pack(0)
-            for h in range(len(hashes), height + 1):
-                parent_hash = sha256(ref(chain_id, h, 0) + parent_hash + no_records).digest()
-                hashes.append(parent_hash)
-        return hashes[height]
+        marks = self._trunk_marks
+        mark = min(height // _CHECKPOINT, len(marks) - 1)
+        at, digest = (mark * _CHECKPOINT, marks[mark]) if mark >= 0 else (-1, GENESIS_PARENT)
+        last_at, last = self._trunk_last
+        if at < last_at <= height:
+            at, digest = last_at, last
+        sha256, pack_ref, chain_id = hashlib.sha256, _REF.pack_into, self.id
+        # ref, parent hash, a zero record count: rewritten in place per step
+        step = bytearray(_REF.size + 32 + _COUNT.size)
+        next_mark = len(marks) * _CHECKPOINT
+        for h in range(at + 1, height + 1):
+            pack_ref(step, 0, chain_id, h, 0)
+            step[12:44] = digest
+            digest = sha256(step).digest()
+            if h == next_mark:
+                marks.append(digest)
+                next_mark += _CHECKPOINT
+        self._trunk_last = (height, digest)
+        return digest
 
     def _hash(self, ref: BlockRef) -> Optional[bytes]:
         """Hash a child of ``ref`` links to: the stored block's, else the

@@ -32,7 +32,7 @@ from .baselines import ac2s_execute, ac3wn_execute
 from .chain import Federation
 from .engine import FailurePlan, Outcome, SimulatedCrash, Status, TopoCbtEngine
 from .scenario import Scenario, grid_scenario
-from .topology import CrossChainTransaction, build_federation_complex
+from .topology import CrossChainTransaction, build_federation_complex, federation_betti
 from .wal import WalKind, WriteAheadLog
 
 log = logging.getLogger(__name__)
@@ -208,9 +208,10 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     The event's fork resolution (every ``epoch`` events) runs when the
     generator is resumed, after the row's audit and betti_post, so a
     caller that stops after k rows holds the federation row k reported.
-    An event's betti_pre is the previous event's betti_post unless fork
-    resolution ran in between: the federation and the pending set are
-    the same ones.
+    An event's betti_pre is the previous event's betti_post, and its
+    pre-event balance sheet the previous event's post-event one, unless
+    fork resolution ran in between: the federation and the pending set
+    are the same ones.
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
     transactions = scenario.transactions()
@@ -219,19 +220,19 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     def betti() -> tuple[int, ...]:
         if not compute_betti:
             return ()
-        return build_federation_complex(
-            federation, pending, mode=scenario.mode, window=scenario.window
-        ).betti_numbers()
+        return federation_betti(federation, pending, mode=scenario.mode, window=scenario.window)
 
+    post_balances: Optional[dict] = None
     betti_post: Optional[tuple[int, ...]] = None
     for event, txn in enumerate(transactions, start=1):
         protocol = protocol_override or scenario.protocols[txn.id]
         plan = scenario.plan_for(txn.id)
-        pre_balances = federation.balances()
+        pre_balances = federation.balances() if post_balances is None else post_balances
         betti_pre = betti() if betti_post is None else betti_post
         outcome, recovered = PROTOCOL_RUNNERS[protocol](engine, txn, plan)
         pending = [t for t in pending if t.id != txn.id]
-        audit = audit_atomicity(pre_balances, txn, federation.balances())
+        post_balances = federation.balances()
+        audit = audit_atomicity(pre_balances, txn, post_balances)
         undecided = outcome.status is Status.COMMITTED and outcome.applied_updates and audit == AUDIT_NONE
         betti_post = betti()
         yield TxnRow(
@@ -245,7 +246,7 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
         if scenario.epoch > 0 and event % scenario.epoch == 0:
             for cid in federation.chain_ids():
                 federation.chain(cid).resolve_forks()
-            betti_post = None
+            post_balances = betti_post = None
 
 
 def run_scenario(
@@ -278,8 +279,8 @@ def betti_report(scenario: Scenario, at_event: int):
     for _ in islice(_replay(scenario, federation, WriteAheadLog()), at_event):
         pass
     pending = transactions[at_event:]
-    tagged = build_federation_complex(federation, pending, mode=scenario.mode, window=scenario.window)
-    return tagged.betti_numbers(), tagged
+    betti = federation_betti(federation, pending, mode=scenario.mode, window=scenario.window)
+    return betti, build_federation_complex(federation, pending, mode=scenario.mode, window=scenario.window)
 
 
 # -- protocol comparison -----------------------------------------------------

@@ -13,11 +13,20 @@ transaction adds one top simplex spanning all of its blocks, fork
 duplicates included.  A tagged complex keeps only these generators; a
 top is the only ``Simplex`` a build makes, and the face closure is
 built, as vertex tuples, only where members or text are read, within
-the face budget.  Betti numbers come from the generators
+the face budget.  Tearing a transaction down drops its top and keeps
+the rest, so chain structure can never be deleted.
+
+A report's Betti numbers (``federation_betti``) come from a
+path-collapsed build, walked by the same rows: it also keeps each
+chain's top row and every height that an in-flight transaction names,
+and lays none of the trunk runs in between.  Such a run is a path of
+replica groups that nothing else touches, and collapsing each group and
+then the path keeps the homotopy type (Hatcher, *Algebraic Topology*,
+Prop. 0.17), save for the c - 1 loops that each height step of c copies
+closes in replicated mode, which are added to b1.  So a report costs per fork and per
+reference, not per block.  The numbers are taken from the generators
 (``simplicial.betti_from_generators``), so a wide top costs about as
-much as its intersections with the rest, not 2^|top| faces.  Tearing
-a transaction down drops its top and keeps the rest, so chain structure
-can never be deleted.
+much as its intersections with the rest, not 2^|top| faces.
 """
 
 from __future__ import annotations
@@ -198,8 +207,51 @@ def build_federation_complex(
     per-block steps; each run of rows between them is laid in bulk by
     ``_lay_trunk_run``, with the same keys, cells and key order.
     """
-    transactions = list(transactions)
+    return _build(federation, list(transactions), mode, window, collapse=False)[0]
 
+
+def federation_betti(
+    federation: Federation,
+    transactions: Iterable[CrossChainTransaction] = (),
+    mode: TopologyMode = TopologyMode.ABSTRACT,
+    window: Optional[int] = None,
+) -> tuple[int, ...]:
+    """The Betti numbers of ``build_federation_complex``'s complex, from
+    a path-collapsed build.
+
+    Besides the rows the full build walks one by one, the collapsed
+    build keeps each chain's top row and every height that a
+    transaction's blocks name, and lays none of the trunk runs between
+    them: the next kept row links to the last kept trunk copies, copy
+    by copy.  A run of such heights is a path of replica groups, each
+    group a simplex that meets nothing but its neighbours, so
+    contracting each group and then the path keeps the homotopy type
+    (Hatcher, *Algebraic Topology*, Prop. 0.17), except that each
+    dropped height's c copies joined copy by copy to the group below
+    close c - 1 loops; b1 gets them back, the dropped heights times
+    (copies - 1).  A chain that drops a run keeps rows above and below
+    it, and so an edge: the vector runs to the full build's top
+    dimension.
+    """
+    tagged, loops = _build(federation, list(transactions), mode, window, collapse=True)
+    betti = tagged.betti_numbers()
+    return (betti[0], betti[1] + loops, *betti[2:]) if loops else betti
+
+
+def _build(
+    federation: Federation,
+    transactions: list[CrossChainTransaction],
+    mode: TopologyMode,
+    window: Optional[int],
+    collapse: bool,
+) -> tuple[TaggedComplex, int]:
+    """The row walk of both builds: the tagged complex and the loops the
+    trunk heights it dropped would have closed (0 unless ``collapse``).
+
+    With ``collapse`` it also keeps each chain's top row and each height
+    that ``transactions`` name, and drops the trunk runs in between
+    instead of laying them.
+    """
     spans: dict[int, tuple[int, int]] = {}  # chain -> the heights built, if windowed
     if window is not None:
         for txn in transactions:
@@ -210,6 +262,7 @@ def build_federation_complex(
     replicated = mode is TopologyMode.REPLICATED
     vertex_of: dict[VertexKey, int] = {}
     cells: set[Cell] = set()
+    loops = 0  # closed by the dropped trunk heights
     v = 0  # the next vertex id
     for cid in federation.chain_ids():
         chain = federation.chain(cid)
@@ -222,14 +275,21 @@ def build_federation_complex(
         lo, hi = spans.get(cid, (0, top))
         lo, hi = max(lo, 0), min(hi, top)
         forked = chain.forked_heights(lo, hi)
-        rows = sorted(h for h in {lo, *forked, *(h + 1 for h in forked)} if h <= hi)
+        rows = {lo, *forked, *(h + 1 for h in forked)}
+        if collapse:  # and the top row, and each height a transaction names
+            rows.add(hi)
+            rows.update(ref.height for txn in transactions for ref in txn.blocks if ref.chain == cid)
+        rows = sorted(h for h in rows if h <= hi)
         trunk = copies_of[0]
         below: dict[int, int] = {}  # branch -> first vertex id, one height down
         run_start = lo  # the lowest height not built yet
         for height in [*rows, hi + 1]:
             if run_start < height:  # the trunk block alone, over the trunk block alone
-                v = _lay_trunk_run(vertex_of, cells, cid, run_start, height, v, trunk)
-                below = {0: v - trunk}
+                if collapse:  # the row below holds the trunk block alone, and stays ``below``
+                    loops += (height - run_start) * (trunk - 1)
+                else:
+                    v = _lay_trunk_run(vertex_of, cells, cid, run_start, height, v, trunk)
+                    below = {0: v - trunk}
             if height > hi:
                 break
             run_start = height + 1
@@ -273,7 +333,7 @@ def build_federation_complex(
             verts.extend(range(first, first + _copies(federation.chain(ref.chain), ref.branch, mode)))
         txn_tops[txn.id] = Simplex(tuple(verts))
 
-    return TaggedComplex(frozenset(cells), dict(sorted(txn_tops.items())), vertex_of)
+    return TaggedComplex(frozenset(cells), dict(sorted(txn_tops.items())), vertex_of), loops
 
 
 def transaction_simplex(

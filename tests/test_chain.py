@@ -345,6 +345,35 @@ def test_a_deep_declared_trunk_holds_no_per_block_state():
     assert chain.live_block_at(1_000_001) == [BlockRef(1, 1_000_001, 0)]
     assert held < 2**20
 
+
+def test_reading_above_a_deep_declared_trunk_holds_no_per_block_hashes():
+    chain = Chain(1, length=1_000_000)
+    top = chain.append_block(0, (AssetUpdate("a", "b", "X", 1),))
+    tracemalloc.start()
+    try:
+        block = chain.block(top)  # derives every declared hash below it
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert block.parent_ref == BlockRef(1, 1_000_000, 0)
+    assert held < 2**20
+
+
+DEEP = 3 * chain_module._CHECKPOINT + 2  # a trunk over three checkpoints
+EAGER_DEEP = EagerChain(1, length=DEEP)
+
+
+@given(st.integers(0, DEEP), st.data())
+@settings(max_examples=60, deadline=None)
+def test_declared_blocks_read_in_any_order_equal_the_eager_seal(length, data):
+    # each read re-derives from a checkpoint or the last read below it
+    chain = Chain(1, length=length)
+    for height in data.draw(st.lists(st.integers(0, length), min_size=1, max_size=6), label="heights"):
+        ref = BlockRef(1, height, 0)
+        assert chain.block(ref) == EAGER_DEEP.block(ref)
+    assert chain.hash_violations() == []
+
+
 def test_a_declared_block_is_derived_from_its_height():
     ch = Chain(1, length=3)
     block = ch.block(BlockRef(1, 2, 0))

@@ -30,6 +30,7 @@ from topocbt.topology import (
     build_federation_complex,
     expand_refs,
     expected_transaction_dimension,
+    federation_betti,
     tagged_to_text,
     teardown_transaction,
     transaction_simplex,
@@ -791,6 +792,70 @@ def test_tagged_betti_builds_no_closure_and_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(Simplex, "__post_init__", forbidden)
     assert tagged.betti_numbers() == (1, 4, 0, 0)
     assert "complex" not in tagged.__dict__
+
+
+# -- Betti numbers of the path-collapsed build --------------------------------------
+
+def full_betti(federation, transactions, mode, window):
+    return build_federation_complex(federation, transactions, mode, window).betti_numbers()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_collapsed_betti_equals_the_full_build(data):
+    fed = Federation()
+    for cid in range(1, data.draw(st.integers(1, 3), label="chains") + 1):
+        fed.add_chain(forked_trunk(data, cid))
+    mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
+    window = data.draw(st.sampled_from([None, 0, 1, 2, 3]), label="window")
+    txns = []
+    for tid in range(1, data.draw(st.integers(0, 3), label="txns") + 1):
+        refs = []
+        for cid in sorted(data.draw(st.lists(st.sampled_from(fed.chain_ids()), min_size=1, unique=True))):
+            chain = fed.chain(cid)
+            top = max(chain.branches[label].tip for label in chain.live_branch_labels())
+            # any live height, or one at or beside a fork or an end
+            near = {min(max(h + d, 0), top) for h in [0, top, *chain.forked_heights(0, top)] for d in (-1, 0, 1)}
+            height = data.draw(st.one_of(st.integers(0, top), st.sampled_from(sorted(near))), label="height")
+            refs.append(data.draw(st.sampled_from(chain.live_block_at(height)), label="ref"))
+        txns.append(CrossChainTransaction(tid, ("a", "b"), tuple(refs), ()))
+    assert federation_betti(fed, txns, mode, window) == full_betti(fed, txns, mode, window)
+
+
+def collapse_corpus():
+    for path in sorted((Path(__file__).parent / "data").glob("*.scenario")):
+        yield pytest.param(load_scenario(str(path))[0], id=path.stem)
+    for seed in range(200):
+        yield pytest.param(random_scenario(seed), id=f"random-{seed}")
+    for n in range(2, 7):
+        for m in range(1, 5):
+            for mode in TopologyMode:
+                yield pytest.param(replace(grid_scenario(n, m), mode=mode), id=f"grid-{n}-{m}-{mode.value}")
+
+
+@pytest.mark.parametrize("scenario", collapse_corpus())
+def test_collapsed_betti_equals_the_full_build_at_every_event(scenario):
+    federation = scenario.build_federation()
+    transactions = scenario.transactions()
+    rows = _replay(scenario, federation, WriteAheadLog())
+    for k in range(len(transactions) + 1):
+        if k:
+            next(rows)  # the federation event k reports as its betti_post
+        pending = transactions[k:]
+        assert federation_betti(federation, pending, scenario.mode, scenario.window) == full_betti(
+            federation, pending, scenario.mode, scenario.window), k
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 3])
+@pytest.mark.parametrize("length", [1, 10, 1_000_000])
+def test_a_bare_replicated_trunk_closes_replicas_minus_one_loops_per_height(length, replicas):
+    # each height's group links to the one below copy by copy: b1 = L(c - 1)
+    fed = Federation()
+    fed.add_chain(Chain(1, replicas=replicas, length=length))
+    expected = (1, length * (replicas - 1)) + (0,) * (replicas - 2)
+    assert federation_betti(fed, (), TopologyMode.REPLICATED) == expected
+    if length <= 10:
+        assert full_betti(fed, (), TopologyMode.REPLICATED, None) == expected
 
 
 # -- tags and teardown ---------------------------------------------------------------
