@@ -247,6 +247,7 @@ class Chain:
         # appended blocks, unsealed until first read, and declared blocks handed out
         self._blocks: dict[BlockRef, Block | _Unsealed] = {}
         self.branches: dict[int, BranchInfo] = {0: BranchInfo(spawn_height=0, parent=None, tip=length)}
+        self._canonical = 0  # the live branch with the highest tip, the lowest label among those
         # live state, kept current by _index and _rebuild_live
         self._live_trunk = length  # declared heights 0.._live_trunk are live
         # height -> live refs, by branch, at each height that holds a live
@@ -296,7 +297,7 @@ class Chain:
     def canonical_branch(self) -> int:
         """The branch the longest-branch rule would pick right now: the
         live branch with the highest tip, the lowest label among those."""
-        return min((-info.tip, b) for b, info in self.branches.items() if info.live)[1]
+        return self._canonical
 
     def next_ref(self) -> BlockRef:
         """The ref the next ``append`` fills."""
@@ -487,6 +488,10 @@ class Chain:
             parent_ref, height = ref, height + 1
         if refs:
             info.tip = height - 1
+            # tips only rise, so the branch that rose is the only new contender
+            best = self._canonical
+            if (-info.tip, branch) < (-self.branches[best].tip, best):
+                self._canonical = branch
         # the parent is live: a live branch's tip is, a fork's parent was
         # when it spawned, and a resolution leaves no empty branch live
         self._index(refs)
@@ -500,12 +505,14 @@ class Chain:
         if not parents:
             raise ChainError(f"no live block at height {at_height - 1} to fork from")
         label = len(self.branches)  # labels run 0, 1, ... and are never dropped
+        # empty and labelled highest, the branch loses to every live one: the canonical branch stays
         self.branches[label] = BranchInfo(spawn_height=at_height, parent=parents[0])
         return label
 
     def resolve_forks(self) -> int:
-        """Keep the longest live branch (ties go to the lowest label)."""
-        survivor = self.canonical_branch()
+        """Keep the longest live branch (ties go to the lowest label): the
+        canonical branch, which stays canonical."""
+        survivor = self._canonical
         retired = False
         for label, info in self.branches.items():
             if label != survivor and info.live:
@@ -630,15 +637,28 @@ class Federation:
         return [(cid, tuple(grouped[cid])) for cid in sorted(grouped)]
 
     def can_fund(self, updates: Iterable[AssetUpdate]) -> bool:
-        """Whether the updates, applied in order to current balances, never overdraw."""
-        working = self.balances()
+        """Whether the updates, applied in order to current balances, never
+        overdraw.  Reads only the balances the updates touch: the initial
+        sheet's and each chain's ledger entry for those keys."""
+        updates = tuple(updates)
+        initial = self.initial_balances
+        working = {
+            key: initial.get(key, 0)
+            for upd in updates
+            for key in ((upd.owner_from, upd.asset), (upd.owner_to, upd.asset))
+        }
+        touched = working.keys()
+        for chain in self.chains.values():
+            ledger = chain._ledger  # read only: no copy
+            if ledger:
+                for key in touched & ledger.keys():
+                    working[key] += ledger[key]
         for upd in updates:
             key = (upd.owner_from, upd.asset)
-            if working.get(key, 0) < upd.amount:
+            if working[key] < upd.amount:
                 return False
-            working[key] = working.get(key, 0) - upd.amount
-            to_key = (upd.owner_to, upd.asset)
-            working[to_key] = working.get(to_key, 0) + upd.amount
+            working[key] -= upd.amount
+            working[(upd.owner_to, upd.asset)] += upd.amount
         return True
 
     def balance(self, party: str, asset: str) -> int:

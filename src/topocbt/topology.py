@@ -3,10 +3,14 @@
 Every live block contributes one vertex, or in replicated mode one per
 replica if it is a trunk block (``_copies``, the only such rule),
 numbered up each chain's live heights.  Only the rows at a chain's
-forked heights, the row just above each and the lowest row built take
-a step per block; every other run of heights holds the trunk block
-alone over the trunk block, and is laid in bulk (``_lay_trunk_run``),
-so a long straight history costs per fork, not per block.
+forked heights, the row just above each, the lowest row built and each
+height an in-flight transaction names take a step per block; every
+other run of heights holds the trunk block alone over the trunk block.
+The full build records each such run and counts its vertex ids past,
+and lays it (``_lay_trunk_run``, from iterators, no step per block)
+only when the complex's ``vertex_of`` or ``cells`` is first read.  So a
+transaction's top, the one thing ``transaction_simplex`` reads, costs
+per fork and per reference, not per declared block.
 Chain adjacency, fork stitching, and replica groups produce the other
 structural cells, kept as plain ascending vertex tuples; each in-flight
 transaction adds one top simplex spanning all of its blocks, fork
@@ -17,14 +21,14 @@ the face budget.  Tearing a transaction down drops its top and keeps
 the rest, so chain structure can never be deleted.
 
 A report's Betti numbers (``federation_betti``) come from a
-path-collapsed build, walked by the same rows: it also keeps each
-chain's top row and every height that an in-flight transaction names,
-and lays none of the trunk runs in between.  Such a run is a path of
-replica groups that nothing else touches, and collapsing each group and
-then the path keeps the homotopy type (Hatcher, *Algebraic Topology*,
-Prop. 0.17), save for the c - 1 loops that each height step of c copies
-closes in replicated mode, which are added to b1.  So a report costs per fork and per
-reference, not per block.  The numbers are taken from the generators
+path-collapsed build, walked by the same rows plus each chain's top
+row: where the full build records a trunk run, it drops it.  Such a run
+is a path of replica groups that nothing else touches, and collapsing
+each group and then the path keeps the homotopy type (Hatcher,
+*Algebraic Topology*, Prop. 0.17), save for the c - 1 loops that each
+height step of c copies closes in replicated mode, which are added to
+b1.  So a report costs per fork and per reference, not per block.  The
+numbers are taken from the generators
 (``simplicial.betti_from_generators``), so a wide top costs about as
 much as its intersections with the rest, not 2^|top| faces.
 """
@@ -36,7 +40,7 @@ import itertools
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
 from .simplicial import Cell, Simplex, SimplicialComplex, betti_from_generators, close_by_dimension, complex_to_text, text_order
@@ -126,18 +130,71 @@ def expected_transaction_dimension(
     return sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in expand_refs(federation, txn)) - 1
 
 
+class _Run(NamedTuple):
+    """A trunk run the full build records instead of laying: the trunk
+    blocks of ``chain`` at heights ``start`` to ``stop - 1``, numbered
+    from ``first`` up with ``copies`` vertices each, after the first
+    ``after`` keys of the laid rows (the arguments of ``_lay_trunk_run``)."""
+
+    after: int
+    chain: int
+    start: int
+    stop: int
+    first: int
+    copies: int
+
+
 @dataclass(frozen=True)
 class TaggedComplex:
     """The generators of a federation complex: the vertices 0..n-1 that
     ``vertex_of`` numbers, the other structural ``cells`` (chain and fork
     edges, replica groups) as ascending vertex tuples, and one top per
-    in-flight transaction, sorted by id.  The face closure ``complex`` is
-    built on first read, and refused past ``simplicial.MAX_CELLS`` cells;
-    Betti numbers do not need it."""
+    in-flight transaction, sorted by id.
 
-    cells: frozenset[Cell]
+    A build keeps the keys and cells of the rows it walked, and records
+    each run of heights between them that holds the trunk block alone
+    over the trunk block.  ``vertex_of`` and ``cells`` lay the runs in on
+    first read, keys in ascending ``VertexKey`` order, so a caller that
+    reads only ``txn_tops`` (``transaction_simplex``) pays per row, not
+    per block.  The face closure ``complex`` is built on first read, and
+    refused past ``simplicial.MAX_CELLS`` cells; Betti numbers do not
+    need it."""
+
+    _rows: dict[VertexKey, int]
+    _row_cells: frozenset[Cell]
+    _runs: tuple[_Run, ...]
     txn_tops: dict[int, Simplex]
-    vertex_of: dict[VertexKey, int]
+
+    @cached_property
+    def _laid(self) -> tuple[dict[VertexKey, int], frozenset[Cell]]:
+        """The rows' keys and cells with every recorded run laid in
+        where it falls between the rows."""
+        if not self._runs:
+            return self._rows, self._row_cells
+        vertex_of: dict[VertexKey, int] = {}
+        cells = set(self._row_cells)
+        rows = iter(self._rows.items())
+        laid = 0
+        for after, *run in self._runs:
+            vertex_of.update(itertools.islice(rows, after - laid))
+            laid = after
+            _lay_trunk_run(vertex_of, cells, *run)
+        vertex_of.update(rows)
+        return vertex_of, frozenset(cells)
+
+    @property
+    def vertex_of(self) -> dict[VertexKey, int]:
+        return self._laid[0]
+
+    @property
+    def cells(self) -> frozenset[Cell]:
+        return self._laid[1]
+
+    def __eq__(self, other: object) -> bool:
+        """Equal generators, however much of each build is laid."""
+        if not isinstance(other, TaggedComplex):
+            return NotImplemented
+        return (self.vertex_of, self.cells, self.txn_tops) == (other.vertex_of, other.cells, other.txn_tops)
 
     def structural(self) -> list[Cell]:
         """The structural generators, vertices first, as vertex tuples."""
@@ -163,7 +220,7 @@ class TaggedComplex:
 
 def _lay_trunk_run(
     vertex_of: dict[VertexKey, int], cells: set[Cell], cid: int, start: int, stop: int, v: int, copies: int
-) -> int:
+) -> None:
     """Lay the trunk blocks of chain ``cid`` at heights ``start`` to
     ``stop - 1``, each the only live block at its height and the child of
     the trunk block below, whose ``copies`` vertices end at ``v - 1``.
@@ -172,7 +229,7 @@ def _lay_trunk_run(
     height then replica from ``v`` up, each copy's edge to the same copy
     one height down, and each height's replica group if it has two or
     more copies.  Every set and dict is filled from iterators, with no
-    step per block in Python.  Returns the next vertex id.
+    step per block in Python.
     """
     end = v + (stop - start) * copies
     ids = range(v, end)
@@ -185,7 +242,6 @@ def _lay_trunk_run(
     cells.update(zip(range(v - copies, end - copies), ids))
     if copies >= 2:  # only trunk blocks in replicated mode have copies
         cells.update(map(tuple, map(range, range(v, end, copies), range(v + copies, end + copies, copies))))
-    return end
 
 
 def build_federation_complex(
@@ -199,13 +255,16 @@ def build_federation_complex(
 
     ``window`` restricts each chain that a transaction references to
     blocks within that height radius of the referenced heights; None
-    keeps whole chains.  Each chain's live heights are built in
+    keeps whole chains.  Each chain's live heights are numbered in
     ascending order, and along each height in branch order, which
     numbers the vertices in ascending ``VertexKey`` order.  The rows that
     may hold more than the trunk block or hang off more than it (the
-    lowest built, each forked height and the one above it) take the
-    per-block steps; each run of rows between them is laid in bulk by
-    ``_lay_trunk_run``, with the same keys, cells and key order.
+    lowest built, each forked height and the one above it) and every
+    height a transaction names take the per-block steps, so each top is
+    numbered from walked rows.  Each run of heights between them is only
+    recorded, its vertex ids counted past, and laid by
+    ``_lay_trunk_run`` when ``vertex_of`` or ``cells`` is first read, with
+    the keys, cells and key order a walk would give.
     """
     return _build(federation, list(transactions), mode, window, collapse=False)[0]
 
@@ -219,17 +278,15 @@ def federation_betti(
     """The Betti numbers of ``build_federation_complex``'s complex, from
     a path-collapsed build.
 
-    Besides the rows the full build walks one by one, the collapsed
-    build keeps each chain's top row and every height that a
-    transaction's blocks name, and lays none of the trunk runs between
-    them: the next kept row links to the last kept trunk copies, copy
-    by copy.  A run of such heights is a path of replica groups, each
-    group a simplex that meets nothing but its neighbours, so
-    contracting each group and then the path keeps the homotopy type
-    (Hatcher, *Algebraic Topology*, Prop. 0.17), except that each
-    dropped height's c copies joined copy by copy to the group below
-    close c - 1 loops; b1 gets them back, the dropped heights times
-    (copies - 1).  A chain that drops a run keeps rows above and below
+    It walks the rows the full build walks, and each chain's top row,
+    and lays none of the trunk runs between them: the next kept row
+    links to the last kept trunk copies, copy by copy.  A run of such
+    heights is a path of replica groups, each group a simplex that
+    meets nothing but its neighbours, so contracting each group and
+    then the path keeps the homotopy type (Hatcher, *Algebraic
+    Topology*, Prop. 0.17), except that each dropped height's c copies
+    joined copy by copy to the group below close c - 1 loops; b1 gets
+    them back, the dropped heights times (copies - 1).  A chain that drops a run keeps rows above and below
     it, and so an edge: the vector runs to the full build's top
     dimension.
     """
@@ -248,20 +305,23 @@ def _build(
     """The row walk of both builds: the tagged complex and the loops the
     trunk heights it dropped would have closed (0 unless ``collapse``).
 
-    With ``collapse`` it also keeps each chain's top row and each height
-    that ``transactions`` name, and drops the trunk runs in between
-    instead of laying them.
+    Both walk every height that ``transactions`` name.  At a trunk run
+    between walked rows the full build records the run; with
+    ``collapse`` the walk also keeps each chain's top row, and drops the
+    run instead.
     """
+    named: dict[int, set[int]] = {}  # chain -> the heights the transactions' blocks name
+    for txn in transactions:
+        for ref in txn.blocks:
+            named.setdefault(ref.chain, set()).add(ref.height)
     spans: dict[int, tuple[int, int]] = {}  # chain -> the heights built, if windowed
     if window is not None:
-        for txn in transactions:
-            for ref in txn.blocks:
-                lo, hi = spans.get(ref.chain, (ref.height - window, ref.height + window))
-                spans[ref.chain] = (min(lo, ref.height - window), max(hi, ref.height + window))
+        spans = {cid: (min(heights) - window, max(heights) + window) for cid, heights in named.items()}
 
     replicated = mode is TopologyMode.REPLICATED
-    vertex_of: dict[VertexKey, int] = {}
+    vertex_of: dict[VertexKey, int] = {}  # of the walked rows only
     cells: set[Cell] = set()
+    runs: list[_Run] = []
     loops = 0  # closed by the dropped trunk heights
     v = 0  # the next vertex id
     for cid in federation.chain_ids():
@@ -275,11 +335,10 @@ def _build(
         lo, hi = spans.get(cid, (0, top))
         lo, hi = max(lo, 0), min(hi, top)
         forked = chain.forked_heights(lo, hi)
-        rows = {lo, *forked, *(h + 1 for h in forked)}
-        if collapse:  # and the top row, and each height a transaction names
+        rows = {lo, *forked, *(h + 1 for h in forked), *named.get(cid, ())}
+        if collapse:
             rows.add(hi)
-            rows.update(ref.height for txn in transactions for ref in txn.blocks if ref.chain == cid)
-        rows = sorted(h for h in rows if h <= hi)
+        rows = sorted(h for h in rows if lo <= h <= hi)
         trunk = copies_of[0]
         below: dict[int, int] = {}  # branch -> first vertex id, one height down
         run_start = lo  # the lowest height not built yet
@@ -288,7 +347,8 @@ def _build(
                 if collapse:  # the row below holds the trunk block alone, and stays ``below``
                     loops += (height - run_start) * (trunk - 1)
                 else:
-                    v = _lay_trunk_run(vertex_of, cells, cid, run_start, height, v, trunk)
+                    runs.append(_Run(len(vertex_of), cid, run_start, height, v, trunk))
+                    v += (height - run_start) * trunk
                     below = {0: v - trunk}
             if height > hi:
                 break
@@ -333,7 +393,7 @@ def _build(
             verts.extend(range(first, first + _copies(federation.chain(ref.chain), ref.branch, mode)))
         txn_tops[txn.id] = Simplex(tuple(verts))
 
-    return TaggedComplex(frozenset(cells), dict(sorted(txn_tops.items())), vertex_of), loops
+    return TaggedComplex(vertex_of, frozenset(cells), tuple(runs), dict(sorted(txn_tops.items()))), loops
 
 
 def transaction_simplex(

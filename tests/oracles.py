@@ -36,6 +36,20 @@ def asset_totals(federation: Federation) -> dict[str, int]:
     return totals
 
 
+def whole_sheet_can_fund(federation: Federation, updates) -> bool:
+    """Whether the updates, applied in order to the whole balance sheet,
+    never overdraw."""
+    working = federation.balances()
+    for upd in updates:
+        key = (upd.owner_from, upd.asset)
+        if working.get(key, 0) < upd.amount:
+            return False
+        working[key] = working.get(key, 0) - upd.amount
+        to_key = (upd.owner_to, upd.asset)
+        working[to_key] = working.get(to_key, 0) + upd.amount
+    return True
+
+
 def is_live(chain: Chain, ref: BlockRef) -> bool:
     """Whether the chain's maintained height index lists the block as live."""
     return ref in chain.live_block_at(ref.height)

@@ -24,7 +24,7 @@ from topocbt.rng import SplitMix64
 from topocbt.scenario import ChainSpec, Scenario, car_trading, load_scenario
 from topocbt.unionfind import UnionFind
 from topocbt.wal import WalKind, WriteAheadLog
-from oracles import EagerChain, asset_totals, reference_block_hash
+from oracles import EagerChain, asset_totals, reference_block_hash, whole_sheet_can_fund
 
 DATA = Path(__file__).parent / "data"
 
@@ -605,6 +605,31 @@ def test_balances_walk_live_blocks_only():
     ch.resolve_forks()  # branch 0 longer, fork dies
     assert fed.balance("b", "X") == 4
     assert fed.balance("a", "X") == 6
+
+
+def updates_among(parties: str):
+    party = st.sampled_from(parties)
+    return st.builds(AssetUpdate, party, party, st.sampled_from("XY"), st.integers(1, 6))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_can_fund_reads_the_touched_balances_as_the_whole_sheet_rule_does(data):
+    keys = [(party, asset) for party in "abc" for asset in "XYZ"]
+    initial = data.draw(st.fixed_dictionaries({key: st.integers(0, 8) for key in keys}), label="initial")
+    fed = Federation(initial)
+    for cid in range(1, data.draw(st.integers(0, 3), label="chains") + 1):
+        chain = fed.add_chain(Chain(cid, assets=("X", "Y"), length=data.draw(st.integers(0, 2))))
+        for _ in range(data.draw(st.integers(0, 4), label="blocks")):
+            branch = data.draw(st.sampled_from(chain.live_branch_labels()))
+            chain.append_block(branch, data.draw(st.lists(updates_among("abc"), max_size=3)))
+            if data.draw(st.integers(0, 3)) == 0:
+                chain.spawn_fork(data.draw(st.sampled_from(sorted({r.height for r in chain.live_refs()}))) + 1)
+            elif data.draw(st.integers(0, 3)) == 0:
+                chain.resolve_forks()  # a retired branch's updates leave the sheet
+    # two parties trading back and forth: a later update often spends what an earlier one paid in
+    updates = data.draw(st.lists(updates_among("ab"), max_size=6), label="updates")
+    assert fed.can_fund(updates) == whole_sheet_can_fund(fed, updates)
 
 
 def test_the_lowest_chain_id_manages_a_shared_asset_whatever_the_order_added():

@@ -57,7 +57,13 @@ def rescan_balances(federation: Federation) -> dict:
     return totals
 
 
+def longest_branch(chain: Chain) -> int:
+    """The longest-branch rule: the live branch with the highest tip, the lowest label among those."""
+    return min((-info.tip, label) for label, info in chain.branches.items() if info.live)[1]
+
+
 def assert_chain_matches_rescan(chain: Chain) -> None:
+    assert chain.canonical_branch() == longest_branch(chain)
     live = rescan_live(chain)
     assert chain.live_refs() == live
     # the live declared prefix: every declared height up to the highest live one
@@ -140,6 +146,7 @@ def test_maintained_state_equals_rescan_after_every_step(data):
 def test_next_ref_is_the_slot_the_next_append_fills(data):
     chain = Chain(1, assets=("X", "Y"))
     for _ in random_history(data, chain):
+        assert chain.canonical_branch() == longest_branch(chain)
         if data.draw(st.booleans(), label="append on the canonical branch"):
             expected = chain.next_ref()
             assert chain.append((draw_update(data),)) == expected
@@ -183,6 +190,7 @@ def assert_same_chain(built: Chain, expected: Chain) -> None:
     assert built.all_refs() == expected.all_refs()
     assert [built.block(r) for r in built.all_refs()] == [expected.block(r) for r in expected.all_refs()]
     assert built.branches == expected.branches
+    assert built.canonical_branch() == expected.canonical_branch() == longest_branch(expected)
     heights = range(len({r.height for r in expected.live_refs()}) + 1)
     assert [built.live_block_at(h) for h in heights] == [expected.live_block_at(h) for h in heights]
     assert built.forked_heights(0, len(heights)) == expected.forked_heights(0, len(heights))

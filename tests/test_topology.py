@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -419,6 +420,7 @@ def assert_build_matches_reference(federation, transactions, mode, window):
         return
     tagged = build_federation_complex(federation, transactions, mode, window)
     assert (frozenset(map(Simplex, tagged.structural())), tagged.txn_tops, tagged.vertex_of) == expected
+    assert list(tagged.vertex_of) == list(expected[2])  # keys in ascending order
     assert list(tagged.txn_tops) == list(expected[1])
     structural, tops, _ = expected
     generators = [s.vertices for s in structural] + [s.vertices for s in tops.values()]
@@ -601,6 +603,142 @@ def test_bulk_trunk_runs_equal_reference_build(data):
             height = min(max(edge + data.draw(st.sampled_from([window, -window])), 0), top)
         refs.append(data.draw(st.sampled_from(chain.live_block_at(height)), label="ref"))
     assert_build_matches_reference(fed, [CrossChainTransaction(1, ("a", "b"), tuple(refs), ())], mode, window)
+
+
+# -- trunk runs recorded by the build, laid on first read ---------------------------
+
+def data_scenarios():
+    return [load_scenario(str(path))[0] for path in sorted((Path(__file__).parent / "data").glob("*.scenario"))]
+
+
+def test_a_run_without_betti_lays_no_trunk_run(monkeypatch):
+    laid = []
+    lay = topology._lay_trunk_run
+
+    def counted(*args):
+        laid.append(args[2:])
+        lay(*args)
+
+    monkeypatch.setattr(topology, "_lay_trunk_run", counted)
+    rows = 0
+    for scenario in data_scenarios():
+        rows += len(run_scenario(scenario, 1, compute_betti=False).rows)
+    assert rows > 0 and laid == []
+    # the corpus has trunk runs to skip: reading its builds' keys lays them
+    for scenario in data_scenarios():
+        build_federation_complex(scenario.build_federation(), scenario.transactions(), mode=scenario.mode).vertex_of
+    assert laid
+
+
+READS = {
+    "cells": lambda tagged: tagged.cells,
+    "vertex_of": lambda tagged: tagged.vertex_of,
+    "complex": lambda tagged: tagged.complex,
+    "text": tagged_to_text,
+}
+
+
+def assert_laid_as_reference(tagged, expected, read):
+    """Read one view of an unread build first; it and every other view
+    then equal the reference's, keys in ascending order."""
+    assert "_laid" not in tagged.__dict__
+    first = READS[read](tagged)
+    structural, tops, vertex_of = expected
+    assert tagged.vertex_of == vertex_of and list(tagged.vertex_of) == list(vertex_of)
+    assert frozenset(map(Simplex, tagged.structural())) == structural and tagged.txn_tops == tops
+    generators = [s.vertices for s in structural] + [s.vertices for s in tops.values()]
+    if read == "complex":
+        assert cells_of(first) == all_subsets_closure(generators)
+    if read == "text":
+        assert first[0] == simplicial.complex_to_text(SimplicialComplex(generators))
+
+
+@pytest.mark.parametrize("read", READS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_each_first_read_lays_the_reference_build(read, data):
+    fed = Federation()
+    for cid in range(1, data.draw(st.integers(1, 2), label="chains") + 1):
+        fed.add_chain(forked_trunk(data, cid))
+    mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
+    window = data.draw(st.sampled_from([None, 0, 2]), label="window")
+    txns = []
+    for tid in range(1, data.draw(st.integers(0, 2), label="txns") + 1):
+        refs = []
+        for cid in fed.chain_ids():
+            chain = fed.chain(cid)
+            height = data.draw(st.integers(0, len({r.height for r in chain.live_refs()}) - 1), label="height")
+            refs.append(data.draw(st.sampled_from(chain.live_block_at(height)), label="ref"))
+        txns.append(CrossChainTransaction(tid, ("a", "b"), tuple(refs), ()))
+    expected = reference_build(fed, txns, mode, window)
+    assert_laid_as_reference(build_federation_complex(fed, txns, mode, window), expected, read)
+
+
+def long_trunk_scenario(mode):
+    """Two deals over 120- and 80-block declared trunks, one forked."""
+    return parse_scenario(f"""\
+[scenario]
+name = long-trunks
+mode = {mode.value}
+
+[chain]
+id = 1
+replicas = 2
+length = 120
+assets = X
+fork = 60 1
+balance = a X 5
+
+[chain]
+id = 2
+length = 80
+assets = Y
+balance = b Y 5
+
+[txn]
+id = 1
+parties = a b
+blocks = 1:30 2:79
+sub = 1:30 2:79 ; a b X 1, b a Y 1
+
+[txn]
+id = 2
+parties = a b
+blocks = 1:90 2:40
+sub = 1:90 2:40 ; a b X 1, b a Y 1
+""")
+
+
+@pytest.mark.parametrize("read", READS)
+@pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
+def test_betti_reports_lay_the_reference_build_at_every_event(read, mode):
+    scenario = long_trunk_scenario(mode)
+    transactions = scenario.transactions()
+    federation = scenario.build_federation()
+    rows = _replay(scenario, federation, WriteAheadLog())
+    for k in range(len(transactions) + 1):
+        expected = reference_build(federation, transactions[k:], mode)
+        betti, tagged = betti_report(scenario, k)
+        assert tagged._runs  # the build recorded trunk runs
+        assert_laid_as_reference(tagged, expected, read)
+        assert betti == closure_betti(tagged)
+        next(rows, None)
+
+
+def test_a_top_over_a_million_block_trunk_holds_under_a_mebibyte():
+    fed = Federation()
+    fed.add_chain(Chain(1, length=1_000_000))
+    fed.add_chain(Chain(2, length=3))
+    deal = txn(1, [(1, 500_000, 0), (2, 3, 0)])
+    tracemalloc.start()
+    try:
+        top = transaction_simplex(fed, deal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # chain 1 numbers 1,000,001 vertices, chain 2 the next four
+    assert top == Simplex((500_000, 1_000_004))
+    assert peak < 2**20, peak
 
 
 def test_one_simplex_per_transaction_top(monkeypatch):
@@ -920,7 +1058,7 @@ def test_teardown_all_matches_bare_build(seed, mode):
     for i, tid in enumerate(order):
         tagged = teardown_transaction(tagged, tid)
         rebuilt = build_federation_complex(fed, [t for t in txns if t.id not in order[: i + 1]], mode=mode)
-        assert tagged.complex == rebuilt.complex
+        assert tagged == rebuilt and tagged.complex == rebuilt.complex
         assert tagged_to_text(tagged) == tagged_to_text(rebuilt)
     assert tagged.txn_tops == {}
 
