@@ -47,9 +47,7 @@ from .simplicial import (
     BoundaryMatrix,
     Simplex,
     SimplicialComplex,
-    complex_from_text,
     complex_to_text,
-    read_complex,
 )
 from .topology import (
     CrossChainTransaction,

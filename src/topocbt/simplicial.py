@@ -462,12 +462,12 @@ def _reduced_rank(cols: list[Cell], rows: list[Cell], cleared: set[int]) -> tupl
 #
 # One simplex per line: ascending base-10 vertex ids (ASCII digits only)
 # separated by single spaces.  Lines starting with '#' are comments.
-# Reading a complex applies face closure, so complex_to_text ->
-# complex_from_text round-trips the member set; ``betti --complex`` reads
-# only the generators and closes nothing.  Reading refuses lines whose
-# closure may pass ``MAX_CELLS`` cells, naming the line at which the
-# count, taken in file order over the lines that lie inside no other,
-# passes it.
+# Reading gives the lines that lie inside no other
+# (``generators_from_text``): their face closure is the complex written,
+# so complex_to_text round-trips the member set, and ``betti --complex``
+# closes nothing.  Reading refuses lines whose closure may pass
+# ``MAX_CELLS`` cells, naming the line at which the count, taken in file
+# order over the lines that lie inside no other, passes it.
 
 
 def text_order(complex_: SimplicialComplex) -> list[Cell]:
@@ -511,17 +511,9 @@ def generators_from_text(text: str) -> list[Cell]:
     return generators
 
 
-def complex_from_text(text: str) -> SimplicialComplex:
-    return SimplicialComplex(generators_from_text(text))
-
-
 def read_generators(path) -> list[Cell]:
     """:func:`generators_from_text` of a complex file."""
     # undecodable bytes become lone surrogates, which the reader rejects
     # with their line number
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return generators_from_text(fh.read())
-
-
-def read_complex(path) -> SimplicialComplex:
-    return SimplicialComplex(read_generators(path))

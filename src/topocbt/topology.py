@@ -3,14 +3,16 @@
 Every live block contributes one vertex, or in replicated mode one per
 replica if it is a trunk block (``_copies``, the only such rule),
 numbered up each chain's live heights.  Only the rows at a chain's
-forked heights, the row just above each, the lowest row built and each
-height an in-flight transaction names take a step per block; every
-other run of heights holds the trunk block alone over the trunk block.
-The full build records each such run and counts its vertex ids past,
-and lays it (``_lay_trunk_run``, from iterators, no step per block)
-only when the complex's ``vertex_of`` or ``cells`` is first read.  So a
-transaction's top, the one thing ``transaction_simplex`` reads, costs
-per fork and per reference, not per declared block.
+forked heights and the row just above each take a step per block;
+every other height holds the trunk block alone, over the trunk block
+or, at the lowest height built, over nothing.  The full build records
+each run of such heights, a chain with no fork in its window as one
+run, and counts its vertex ids past; it lays a run
+(``_lay_trunk_run``, from iterators, no step per block) only when the
+complex's ``vertex_of`` or ``cells`` is first read.  A transaction's
+top, the one thing ``transaction_simplex`` reads, numbers each trunk
+block from the run that holds it, so it costs per chain, per fork and
+per reference, not per height or declared block.
 Chain adjacency, fork stitching, and replica groups produce the other
 structural cells, kept as plain ascending vertex tuples; each in-flight
 transaction adds one top simplex spanning all of its blocks, fork
@@ -21,16 +23,17 @@ the face budget.  Tearing a transaction down drops its top and keeps
 the rest, so chain structure can never be deleted.
 
 A report's Betti numbers (``federation_betti``) come from a
-path-collapsed build, walked by the same rows plus each chain's top
-row: where the full build records a trunk run, it drops it.  Such a run
-is a path of replica groups that nothing else touches, and collapsing
-each group and then the path keeps the homotopy type (Hatcher,
-*Algebraic Topology*, Prop. 0.17), save for the c - 1 loops that each
-height step of c copies closes in replicated mode, which are added to
-b1.  So a report costs per fork and per reference, not per block.  The
-numbers are taken from the generators
-(``simplicial.betti_from_generators``), so a wide top costs about as
-much as its intersections with the rest, not 2^|top| faces.
+path-collapsed build, walked by the same rows plus each chain's lowest
+and top rows and each height a transaction names: where the full build
+records a trunk run, it drops it.  Such a run is a path of replica
+groups that nothing else touches, and collapsing each group and then
+the path keeps the homotopy type (Hatcher, *Algebraic Topology*, Prop.
+0.17), save for the c - 1 loops that each height step of c copies
+closes in replicated mode, which are added to b1.  So a report costs
+per fork and per reference, not per block.  The numbers are taken from
+the generators (``simplicial.betti_from_generators``), so a wide top
+costs about as much as its intersections with the rest, not 2^|top|
+faces.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from __future__ import annotations
 import enum
 import itertools
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
@@ -142,6 +147,7 @@ class _Run(NamedTuple):
     stop: int
     first: int
     copies: int
+    linked: bool  # whether the row below is built and each copy links to its own
 
 
 @dataclass(frozen=True)
@@ -151,14 +157,15 @@ class TaggedComplex:
     edges, replica groups) as ascending vertex tuples, and one top per
     in-flight transaction, sorted by id.
 
-    A build keeps the keys and cells of the rows it walked, and records
-    each run of heights between them that holds the trunk block alone
-    over the trunk block.  ``vertex_of`` and ``cells`` lay the runs in on
-    first read, keys in ascending ``VertexKey`` order, so a caller that
-    reads only ``txn_tops`` (``transaction_simplex``) pays per row, not
-    per block.  The face closure ``complex`` is built on first read, and
-    refused past ``simplicial.MAX_CELLS`` cells; Betti numbers do not
-    need it."""
+    A build keeps the keys and cells of the rows it walked, the forked
+    heights and the one above each, and records every other run of
+    heights, which holds the trunk block alone at each height.
+    ``vertex_of`` and ``cells`` lay the runs in on first read, keys in
+    ascending ``VertexKey`` order, so a caller that reads only
+    ``txn_tops`` (``transaction_simplex``) pays per walked row and per
+    run, not per block.  The face closure ``complex`` is built on first
+    read, and refused past ``simplicial.MAX_CELLS`` cells; Betti numbers
+    do not need it."""
 
     _rows: dict[VertexKey, int]
     _row_cells: frozenset[Cell]
@@ -219,11 +226,12 @@ class TaggedComplex:
 
 
 def _lay_trunk_run(
-    vertex_of: dict[VertexKey, int], cells: set[Cell], cid: int, start: int, stop: int, v: int, copies: int
+    vertex_of: dict[VertexKey, int], cells: set[Cell], cid: int, start: int, stop: int, v: int, copies: int, linked: bool
 ) -> None:
     """Lay the trunk blocks of chain ``cid`` at heights ``start`` to
     ``stop - 1``, each the only live block at its height and the child of
-    the trunk block below, whose ``copies`` vertices end at ``v - 1``.
+    the trunk block below: if ``linked``, the first one's parent is built
+    too, and its ``copies`` vertices end at ``v - 1``.
 
     Lays what the per-row walk would, in the same order: vertex keys by
     height then replica from ``v`` up, each copy's edge to the same copy
@@ -239,7 +247,8 @@ def _lay_trunk_run(
         heights = itertools.chain.from_iterable(map(itertools.repeat, range(start, stop), itertools.repeat(copies)))
         replicas = itertools.cycle(range(copies))
     vertex_of.update(zip(zip(itertools.repeat(cid), heights, itertools.repeat(0), replicas), ids))
-    cells.update(zip(range(v - copies, end - copies), ids))
+    low = v - copies if linked else v  # the lowest copy with a child in the run
+    cells.update(zip(range(low, end - copies), range(low + copies, end)))
     if copies >= 2:  # only trunk blocks in replicated mode have copies
         cells.update(map(tuple, map(range, range(v, end, copies), range(v + copies, end + copies, copies))))
 
@@ -257,14 +266,15 @@ def build_federation_complex(
     blocks within that height radius of the referenced heights; None
     keeps whole chains.  Each chain's live heights are numbered in
     ascending order, and along each height in branch order, which
-    numbers the vertices in ascending ``VertexKey`` order.  The rows that
-    may hold more than the trunk block or hang off more than it (the
-    lowest built, each forked height and the one above it) and every
-    height a transaction names take the per-block steps, so each top is
-    numbered from walked rows.  Each run of heights between them is only
+    numbers the vertices in ascending ``VertexKey`` order.  Only the rows
+    that may hold more than the trunk block or hang off more than it,
+    each forked height and the one above it, take the per-block steps.
+    Every other run of heights, the lowest one built included, is only
     recorded, its vertex ids counted past, and laid by
-    ``_lay_trunk_run`` when ``vertex_of`` or ``cells`` is first read, with
-    the keys, cells and key order a walk would give.
+    ``_lay_trunk_run`` when ``vertex_of`` or ``cells`` is first read,
+    with the keys, cells and key order a walk would give.  A chain with
+    no forked height in its window is one run.  Each top numbers a
+    trunk block in a run from the run's first id and the block's height.
     """
     return _build(federation, list(transactions), mode, window, collapse=False)[0]
 
@@ -278,16 +288,17 @@ def federation_betti(
     """The Betti numbers of ``build_federation_complex``'s complex, from
     a path-collapsed build.
 
-    It walks the rows the full build walks, and each chain's top row,
-    and lays none of the trunk runs between them: the next kept row
-    links to the last kept trunk copies, copy by copy.  A run of such
-    heights is a path of replica groups, each group a simplex that
-    meets nothing but its neighbours, so contracting each group and
-    then the path keeps the homotopy type (Hatcher, *Algebraic
-    Topology*, Prop. 0.17), except that each dropped height's c copies
-    joined copy by copy to the group below close c - 1 loops; b1 gets
-    them back, the dropped heights times (copies - 1).  A chain that drops a run keeps rows above and below
-    it, and so an edge: the vector runs to the full build's top
+    It walks the rows the full build walks, each chain's lowest and top
+    rows and each height a transaction names, and lays none of the
+    trunk runs between them: the next kept row links to the last kept
+    trunk copies, copy by copy.  A run of such heights is a path of
+    replica groups, each group a simplex that meets nothing but its
+    neighbours, so contracting each group and then the path keeps the
+    homotopy type (Hatcher, *Algebraic Topology*, Prop. 0.17), except
+    that each dropped height's c copies joined copy by copy to the group
+    below close c - 1 loops; b1 gets them back, the dropped heights
+    times (copies - 1).  A chain that drops a run keeps rows above and
+    below it, and so an edge: the vector runs to the full build's top
     dimension.
     """
     tagged, loops = _build(federation, list(transactions), mode, window, collapse=True)
@@ -305,10 +316,14 @@ def _build(
     """The row walk of both builds: the tagged complex and the loops the
     trunk heights it dropped would have closed (0 unless ``collapse``).
 
-    Both walk every height that ``transactions`` name.  At a trunk run
-    between walked rows the full build records the run; with
-    ``collapse`` the walk also keeps each chain's top row, and drops the
-    run instead.
+    Both walk each chain's forked heights and the height just above
+    each.  The full build records every other run of heights, the lowest
+    one built included, as a ``_Run``, so a chain with no forked height
+    in its window is one run and costs no step per row; a top's trunk
+    blocks are numbered from the runs that hold them.  With
+    ``collapse`` the walk also keeps each chain's lowest and top rows
+    and every height that ``transactions`` name, the vertices the
+    collapsed complex keeps, and drops the runs between them instead.
     """
     named: dict[int, set[int]] = {}  # chain -> the heights the transactions' blocks name
     for txn in transactions:
@@ -322,32 +337,45 @@ def _build(
     vertex_of: dict[VertexKey, int] = {}  # of the walked rows only
     cells: set[Cell] = set()
     runs: list[_Run] = []
+    runs_of: dict[int, list[_Run]] = {}  # chain -> its recorded runs, ascending
     loops = 0  # closed by the dropped trunk heights
     v = 0  # the next vertex id
     for cid in federation.chain_ids():
         chain = federation.chain(cid)
+        # live heights run without a gap from genesis to the tallest live
+        # tip, the canonical branch's
+        top = chain.branches[chain.canonical_branch()].tip
+        lo, hi = spans.get(cid, (0, top))
+        lo, hi = max(lo, 0), min(hi, top)
+        forked = chain.forked_heights(lo, hi)
+        trunk = _copies(chain, 0, mode)
+        if not (forked or collapse):  # the trunk block alone at every height: one run
+            if lo <= hi:
+                run = _Run(len(vertex_of), cid, lo, hi + 1, v, trunk, False)
+                runs.append(run)
+                runs_of[cid] = [run]
+                v += (hi + 1 - lo) * trunk
+            continue
+        rows = {*forked, *(h + 1 for h in forked)}
+        if collapse:  # the rows whose vertices the collapsed complex keeps
+            rows.update((lo, hi), named.get(cid, ()))
+        rows = sorted(h for h in rows if lo <= h <= hi)
         branches = chain.branches
         copies_of = {label: _copies(chain, label, mode) for label in branches}
         tips: dict[int, list[int]] = {}  # height -> live branches whose tip is there
         for label in chain.live_branch_labels():
             tips.setdefault(branches[label].tip, []).append(label)
-        top = max(tips)  # live heights run without a gap from genesis to the tallest live tip
-        lo, hi = spans.get(cid, (0, top))
-        lo, hi = max(lo, 0), min(hi, top)
-        forked = chain.forked_heights(lo, hi)
-        rows = {lo, *forked, *(h + 1 for h in forked), *named.get(cid, ())}
-        if collapse:
-            rows.add(hi)
-        rows = sorted(h for h in rows if lo <= h <= hi)
-        trunk = copies_of[0]
+        chain_runs = runs_of[cid] = []
         below: dict[int, int] = {}  # branch -> first vertex id, one height down
         run_start = lo  # the lowest height not built yet
         for height in [*rows, hi + 1]:
             if run_start < height:  # the trunk block alone, over the trunk block alone
                 if collapse:  # the row below holds the trunk block alone, and stays ``below``
                     loops += (height - run_start) * (trunk - 1)
-                else:
-                    runs.append(_Run(len(vertex_of), cid, run_start, height, v, trunk))
+                else:  # linked to the row below unless it starts the window
+                    run = _Run(len(vertex_of), cid, run_start, height, v, trunk, run_start > lo)
+                    runs.append(run)
+                    chain_runs.append(run)
                     v += (height - run_start) * trunk
                     below = {0: v - trunk}
             if height > hi:
@@ -387,13 +415,26 @@ def _build(
     for txn in transactions:
         verts: list[int] = []
         for ref in expand_refs(federation, txn):  # canonical order: ids ascend
-            first = vertex_of.get((ref.chain, ref.height, ref.branch, 0))
+            cid, height, branch = ref
+            first = vertex_of.get((cid, height, branch, 0))
+            if first is None and not branch:  # a trunk block in a recorded run
+                first = _run_vertex(runs_of.get(cid, ()), height)
             if first is None:
                 raise ChainError(f"txn {txn.id}: block {ref} outside the built window")
-            verts.extend(range(first, first + _copies(federation.chain(ref.chain), ref.branch, mode)))
+            verts.extend(range(first, first + _copies(federation.chain(cid), branch, mode)))
         txn_tops[txn.id] = Simplex(tuple(verts))
 
     return TaggedComplex(vertex_of, frozenset(cells), tuple(runs), dict(sorted(txn_tops.items()))), loops
+
+
+def _run_vertex(runs: list[_Run], height: int) -> Optional[int]:
+    """The first vertex id of the trunk block at ``height`` if one of a
+    chain's ``runs``, ascending, holds it; else None."""
+    i = bisect_right(runs, height, key=attrgetter("start")) - 1
+    if i < 0 or height >= runs[i].stop:
+        return None
+    run = runs[i]
+    return run.first + (height - run.start) * run.copies
 
 
 def transaction_simplex(

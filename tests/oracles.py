@@ -5,6 +5,7 @@ import struct
 
 from topocbt.chain import GENESIS_PARENT, Block, BlockRef, BranchInfo, Chain, Federation, compute_block_hash
 from topocbt.gf2 import Matrix
+from topocbt.simplicial import SimplicialComplex, generators_from_text, read_generators
 
 
 def gf2_matmul(a: Matrix, b: Matrix) -> list[list[int]]:
@@ -21,6 +22,16 @@ def subsets(cell: tuple[int, ...]) -> set[tuple[int, ...]]:
 def all_subsets_closure(generators) -> set[tuple[int, ...]]:
     """The face closure of ascending vertex tuples: every non-empty subset of each."""
     return set().union(*map(subsets, generators))
+
+
+def complex_from_text(text: str) -> SimplicialComplex:
+    """The complex a complex file's text holds: its lines' face closure."""
+    return SimplicialComplex(generators_from_text(text))
+
+
+def read_complex(path) -> SimplicialComplex:
+    """:func:`complex_from_text` of a complex file."""
+    return SimplicialComplex(read_generators(path))
 
 
 def cells_of(complex_) -> set[tuple[int, ...]]:

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topocbt.cli import build_parser, main
+from topocbt.cli import FIT_GRID_MAX, build_parser, main
 from topocbt.harness import run_scenario
 from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading, load_scenario
-from topocbt.simplicial import complex_from_text
 from topocbt.wal import WalKind, WriteAheadLog
+from oracles import complex_from_text
 from test_harness import CANCELLING_DEAL_TEXT
 from test_simplicial import dense_betti
 from test_topology import TWO_CHAIN_DEAL
@@ -322,6 +322,16 @@ def test_fit_prints_the_golden_lines(capsys, argv, golden):
 def test_fit_rejects_bad_grid(capsys):
     assert main(["fit", "--grid", "nope"]) != 0
     assert main(["fit", "--grid", "2,1"]) != 0
+
+
+@pytest.mark.parametrize("grid", [f"{FIT_GRID_MAX + 1},2", f"3,{FIT_GRID_MAX + 1}", "99999999999,2"])
+def test_fit_refuses_a_grid_past_its_cap_at_once(capsys, grid):
+    start = time.perf_counter()
+    assert main(["fit", "--grid", grid]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --grid takes nmax and mmax up to {FIT_GRID_MAX}, got {grid!r}\n"
 
 
 def recover_output(capsys) -> list[str]:

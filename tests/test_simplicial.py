@@ -12,12 +12,11 @@ from topocbt.simplicial import (
     betti_from_cells,
     betti_from_generators,
     close_by_dimension,
-    complex_from_text,
     complex_to_text,
-    read_complex,
+    generators_from_text,
 )
 from topocbt.unionfind import UnionFind
-from oracles import all_subsets_closure, cells_of, gf2_matmul, subsets
+from oracles import all_subsets_closure, cells_of, complex_from_text, gf2_matmul, read_complex, subsets
 
 
 def closed(*vertex_tuples):
@@ -323,6 +322,60 @@ def test_text_reading_counts_each_face_once():
     closure = SimplicialComplex([tuple(range(14))])
     assert 3**14 - 2**14 > MAX_CELLS
     assert complex_from_text(complex_to_text(closure)) == closure
+
+
+def widths_summing_to(total, wide):
+    """Line widths w whose 2^w - 1 cells add up to ``total``: the ``wide``
+    ones that fit, then the widest that fits, again and again."""
+    widths = []
+    for w in wide:
+        if (1 << w) - 1 <= total:
+            widths.append(w)
+            total -= (1 << w) - 1
+    while total:
+        w = (total + 1).bit_length() - 1
+        widths.append(w)
+        total -= (1 << w) - 1
+    return widths
+
+
+@given(data=st.data(), past=st.sampled_from([-1, 0, 1]))
+@settings(max_examples=60, deadline=None)
+def test_the_face_budget_holds_at_its_bound(data, past):
+    total = MAX_CELLS + past
+    widths = widths_summing_to(total, data.draw(st.lists(st.integers(2, 22), max_size=4), label="wide"))
+    widths = data.draw(st.permutations(widths), label="order")
+    first, lines = 0, []  # disjoint vertex ranges: no line lies inside another
+    for w in widths:
+        lines.append(tuple(range(first, first + w)))
+        first += w
+    text, numbers = [], []  # the file's lines; each generator's line number
+    for i, line in enumerate(lines):
+        # a comment, or a face or repeat of a line above, adds no cells
+        above = [" ".join(map(str, g[:2])) for g in lines[:i]]
+        text += data.draw(st.lists(st.sampled_from(["# a comment", *above]), max_size=2))
+        text.append(" ".join(map(str, line)))
+        numbers.append(len(text))
+    text = "\n".join(text) + "\n"
+    closed = []  # what the constructor asked to close, which no case enumerates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "close_by_dimension", lambda generators: closed.append(generators) or [])
+        if past <= 0:
+            assert generators_from_text(text) == lines
+            SimplicialComplex(lines)
+            assert closed == [lines]
+            return
+        faces = 0  # the line whose cells pass the budget is named
+        for line, passing in zip(lines, numbers):
+            faces += (1 << len(line)) - 1
+            if faces > MAX_CELLS:
+                break
+        budget = f"the face closure may hold {total} cells, more than the budget of {MAX_CELLS}$"
+        with pytest.raises(ValueError, match=f"^line {passing}: {budget}"):
+            generators_from_text(text)
+        with pytest.raises(ValueError, match=f"^{budget}"):
+            SimplicialComplex(lines)
+        assert closed == []
 
 
 def test_the_one_pass_refuses_what_the_cones_cannot_shrink():

@@ -762,6 +762,67 @@ def test_one_simplex_per_transaction_top(monkeypatch):
     assert "complex" not in tagged.__dict__
 
 
+def count_chain_reads(monkeypatch):
+    """Record every (chain, height) ``Chain.live_block_at`` answers and
+    every ``Chain.live_branch_labels`` call."""
+    reads, labels = [], []
+    live_block_at, live_branch_labels = Chain.live_block_at, Chain.live_branch_labels
+
+    def counted_at(self, height):
+        reads.append((self.id, height))
+        return live_block_at(self, height)
+
+    def counted_labels(self):
+        labels.append(self.id)
+        return live_branch_labels(self)
+
+    monkeypatch.setattr(Chain, "live_block_at", counted_at)
+    monkeypatch.setattr(Chain, "live_branch_labels", counted_labels)
+    return reads, labels
+
+
+@pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
+def test_a_simplex_over_unforked_chains_reads_only_its_declared_blocks(monkeypatch, mode):
+    fed = Federation()
+    fed.add_chain(Chain(1, replicas=3, length=100_000))
+    for cid in range(2, 9):
+        fed.add_chain(Chain(cid, replicas=cid % 3 + 1, length=10 * cid))
+    fed.chain(5).append_blocks(0, [()] * 4)  # appended blocks on the trunk fork nothing
+    deal = txn(1, [(1, 99_999, 0), *((cid, 3 * cid, 0) for cid in range(2, 9))])
+    expected, first = [], 0  # each chain numbers its heights' copies up from ``first``
+    for ref in deal.blocks:
+        chain = fed.chain(ref.chain)
+        copies = chain.replicas if mode is TopologyMode.REPLICATED else 1
+        expected.extend(range(first + ref.height * copies, first + (ref.height + 1) * copies))
+        first += len({r.height for r in chain.live_refs()}) * copies
+    reads, labels = count_chain_reads(monkeypatch)
+    assert transaction_simplex(fed, deal, mode) == Simplex(tuple(expected))
+    # expand_refs' one read per declared block is the build's only read
+    assert reads == [(ref.chain, ref.height) for ref in deal.blocks]
+    assert labels == []
+
+
+@pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
+def test_a_simplex_walks_each_forked_height_and_the_one_above(monkeypatch, mode):
+    fed = Federation()
+    chain = fed.add_chain(Chain(1, replicas=2, length=60))
+    for height in (7, 8, 30, 31, 59):
+        chain.append_blocks(chain.spawn_fork(height), [()] * (2 if height == 30 else 1))
+    fed.add_chain(Chain(2, length=5))
+    assert chain.forked_heights(0, 60) == [7, 8, 30, 31, 59]
+    walked = [7, 8, 9, 30, 31, 32, 59, 60]  # each forked height and the one above
+    deals = [txn(1, [(1, height, 0), (2, 2, 0)]) for height in (0, 20, 31, 60)]
+    expected = [reference_build(fed, [deal], mode)[1][1] for deal in deals]
+    reads, labels = count_chain_reads(monkeypatch)
+    for deal, top in zip(deals, expected):
+        reads.clear()
+        labels.clear()
+        assert transaction_simplex(fed, deal, mode) == top
+        # the walk, then expand_refs' one read per declared block for the top
+        assert reads == [(1, h) for h in walked] + [(ref.chain, ref.height) for ref in deal.blocks]
+        assert labels == [1]
+
+
 # -- Betti numbers against the dense oracle ---------------------------------------------
 
 def betti_corpus():
