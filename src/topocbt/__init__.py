@@ -43,12 +43,7 @@ from .harness import (
 )
 from .rng import SplitMix64
 from .scenario import Scenario, ScenarioError, car_trading, grid_scenario, load_scenario, parse_scenario, random_scenario
-from .simplicial import (
-    BoundaryMatrix,
-    Simplex,
-    SimplicialComplex,
-    complex_to_text,
-)
+from .simplicial import Simplex, SimplicialComplex, complex_to_text
 from .topology import (
     CrossChainTransaction,
     SubTransaction,
@@ -59,7 +54,6 @@ from .topology import (
     teardown_transaction,
     transaction_simplex,
 )
-from .unionfind import UnionFind
 from .wal import WalFormatError, WalKind, WalRecord, WriteAheadLog
 
 __version__ = "0.1.0"

@@ -55,13 +55,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_betti(args: argparse.Namespace) -> int:
-    if args.complex:
+    if args.complex is not None:
+        for flag, value in (("--at", args.at), ("--out", args.out)):
+            if value is not None:
+                return _fail(f"argument {flag}: not allowed with argument --complex")
         print("betti:", " ".join(map(str, betti_from_generators(read_generators(args.complex)))))
         return 0
-    if not args.scenario:
-        return _fail("betti needs --scenario or --complex")
     scenario, _ = load_scenario(args.scenario)
-    betti, tagged = betti_report(scenario, args.at)
+    betti, tagged = betti_report(scenario, args.at or 0)
     # a complex past the face budget is refused before anything is printed
     texts = tagged_to_text(tagged) if args.out else None
     print("betti:", " ".join(map(str, betti)))
@@ -210,9 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_betti = sub.add_parser("betti", help="topology report")
-    p_betti.add_argument("--scenario")
-    p_betti.add_argument("--at", type=int, default=0, help="transactions executed before the build")
-    p_betti.add_argument("--complex", help="read a complex file instead of building one")
+    source = p_betti.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scenario")
+    source.add_argument("--complex", help="read a complex file instead of building one")
+    p_betti.add_argument("--at", type=int, help="transactions executed before the build (default 0)")
     p_betti.add_argument("--out", help="write the built complex (plus .tags sidecar)")
     p_betti.set_defaults(func=_cmd_betti)
 

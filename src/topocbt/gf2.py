@@ -5,8 +5,8 @@ rows.  Pivoting is deterministic: columns are scanned left to right
 and the first nonzero row at or below the current pivot row is chosen,
 so identical inputs always reduce identically.  This is the plain dense
 algorithm on purpose, independent of the column bitsets with clearing
-that :func:`topocbt.simplicial.betti_from_cells` and
-:func:`topocbt.simplicial.betti_from_generators` use.
+that :func:`topocbt.simplicial.betti_from_generators`, the package's
+one Betti routine, uses.
 """
 
 from __future__ import annotations

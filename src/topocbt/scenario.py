@@ -9,9 +9,10 @@ and ``#`` comments are ignored.  Block positions are written
 run as written (a number, name or update list its binary field cannot
 hold, a scenario name that would split its CSV cell, a party name that
 would split a report's ``worse_off`` cell, a duplicate chain
-or txn id, a fork with no block below it, a failure that can never
-fire, more blocks or replicas than the work budget allows) is rejected
-with its line and field.
+or txn id, a txn with no block or fewer than two parties, a fork with
+no block below it, a failure that can never fire, more blocks or
+replicas than the work budget allows) is rejected with its line and
+field.
 
 A parsed :class:`Scenario` holds the chains to build, each transaction
 as the :class:`CrossChainTransaction` it runs (in declaration order)
@@ -338,6 +339,11 @@ def parse_scenario(text: str) -> Scenario:
             protocol = current.get("protocol", "topocbt")
             if protocol not in PROTOCOLS:
                 raise ScenarioError(f"unknown protocol {protocol!r}", section_line, "protocol")
+            # a run builds each deal's top for its first Betti report, before the engine checks the deal
+            if len(current.get("parties", ())) < 2:
+                raise ScenarioError("txn needs at least two parties", lines.get("parties", section_line), "parties")
+            if not current.get("blocks"):
+                raise ScenarioError("txn needs at least one block", lines.get("blocks", section_line), "blocks")
             scenario.protocols[tid] = protocol
             scenario.txns.append(
                 CrossChainTransaction(

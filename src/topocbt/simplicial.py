@@ -2,28 +2,28 @@
 
 A simplex is a strictly ascending tuple of vertex ids.  A complex is
 closed under faces by construction: its one constructor checks each
-generator by the ``Simplex`` rule and stores the face closure from
-:func:`close_by_dimension`, the one face-closure routine.  It holds its
-cells grouped by dimension, ``cells[k]`` being the frozenset of its
-k-cells as ascending tuples (the sorted vertex sequences of Boissonnat
-& Maria's simplex tree).  A face becomes a ``Simplex`` only where a
-caller asks for members.  Enumerating a closure is held to a budget:
-one that may pass ``MAX_CELLS`` cells is refused first.
+generator by the ``Simplex`` rule, keeps the generators that lie inside
+no other and stores their face closure from :func:`close_by_dimension`,
+the one face-closure routine.  It holds its cells grouped by dimension,
+``cells[k]`` being the frozenset of its k-cells as ascending tuples
+(the sorted vertex sequences of Boissonnat & Maria's simplex tree).  A
+face becomes a ``Simplex`` only where a caller asks for members.
+Enumerating a closure is held to a budget: one that may pass
+``MAX_CELLS`` cells is refused first.
 
-Betti numbers over GF(2) come from cells or from generators.  From a
-closure's cells (:func:`betti_from_cells`), rank d1 is the vertex count
-less the union-find component count, and rank dk for k >= 2 comes from
-a column reduction whose columns are Python ints used as bitsets, with
-clearing.  From generators (:func:`betti_from_generators`) no closure
-is enumerated: each wide generator, alone or with the generator it
-shares most with, is swapped for a cone over their intersections with
-the others, which keeps the homology, then one pass gives the vertices,
-edges and components, and only generators of 3 or more vertices are
-closed, within the face budget, for the same column reduction.  Ranks
-do not depend on any ordering, so results are bit-for-bit
-reproducible.  The dense boundary matrices, tuples of 0/1 rows
-(:meth:`SimplicialComplex.boundary_matrix` with ``gf2_rank``), stay as
-the tests' independent oracle.
+Betti numbers over GF(2) have one routine,
+:func:`betti_from_generators`; a complex takes its numbers from the
+generators its constructor kept.  No closure is enumerated: each wide
+generator, alone or with the generator it shares most with, is swapped
+for a cone over their intersections with the others, which keeps the
+homology, then one pass gives the vertices, edges and components, and
+only generators of 3 or more vertices are closed, within the face
+budget, for a column reduction whose columns are Python ints used as
+bitsets, with clearing.  Ranks do not depend on any ordering, so
+results are bit-for-bit reproducible.  The dense boundary matrices,
+tuples of 0/1 rows (:meth:`SimplicialComplex.boundary_matrix` with
+``gf2_rank``), and the Betti numbers of an enumerated closure stay
+with the tests as their independent oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from itertools import combinations, groupby
 from typing import Iterable, Iterator, Sequence
 
 from .gf2 import gf2_rank
-from .unionfind import UnionFind
 
 Cell = tuple[int, ...]
 
@@ -102,17 +101,18 @@ class SimplicialComplex:
     ``cells[k]``: its k-cells.
 
     The constructor takes generators as ascending vertex tuples, checks
-    each by :class:`Simplex`'s rule and stores their face closure; it
-    refuses generators whose closure may pass ``MAX_CELLS``, counting
-    only those that lie inside no other.
+    each by :class:`Simplex`'s rule and stores, as ``generators``, those
+    that lie inside no other, and their face closure; it refuses
+    generators whose closure may pass ``MAX_CELLS``.
     """
 
-    __slots__ = ("cells",)
+    __slots__ = ("cells", "generators")
 
     def __init__(self, cells: Iterable[Sequence[int]] = ()) -> None:
         generators = _maximal(Simplex(cell).vertices for cell in cells)
         _check_face_budget(sum((1 << len(g)) - 1 for g in generators))
         self.cells = tuple(map(frozenset, close_by_dimension(generators)))
+        self.generators = tuple(generators)
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Simplex]) -> "SimplicialComplex":
@@ -185,7 +185,7 @@ class SimplicialComplex:
 
     def betti_numbers(self) -> tuple[int, ...]:
         """Betti numbers (b_0 .. b_dim) over GF(2); () for the empty complex."""
-        return betti_from_cells(self.cells)
+        return betti_from_generators(self.generators)
 
     def euler_characteristic(self) -> int:
         """Alternating sum of simplex counts by dimension."""
@@ -212,47 +212,25 @@ def close_by_dimension(generators: Iterable[Cell]) -> list[set[Cell]]:
     return cells
 
 
-def betti_from_cells(cells: Sequence[Iterable[Cell]]) -> tuple[int, ...]:
-    """Betti numbers over GF(2) of a closed complex given as cells[k] = its
-    k-cells (ascending vertex tuples); () when there are none.  Every
-    caller hands in a closure: ``SimplicialComplex.cells`` or the output
-    of :func:`close_by_dimension`.
-
-    b_k = n_k - rank(d_k) - rank(d_{k+1}).  Rank d1 is the vertex count
-    less the union-find component count.  Rank dk for k >= 2 is the
-    number of pivots of a column reduction run from the top dimension
-    down, with clearing (Chen & Kerber, "Persistent homology computation
-    with a twist", 2011): a reduced column of d(k+1) is a boundary, so
-    d(k) maps it to zero; its pivot is its first k-cell, whose column in
-    d(k) is therefore a sum of later columns and is skipped.
-    """
-    ordered = [sorted(c) for c in cells]
-    if not ordered:
-        return ()
-    rank1 = 0
-    if len(ordered) > 1:
-        uf = UnionFind()
-        for (v,) in ordered[0]:
-            uf.find(v)
-        for a, b in ordered[1]:
-            uf.union(a, b)
-        rank1 = len(ordered[0]) - uf.component_count()
-    return _betti([len(c) for c in ordered], ordered, rank1)
-
-
 def betti_from_generators(generators: Sequence[Cell]) -> tuple[int, ...]:
     """Betti numbers over GF(2) of the face closure of ascending vertex
     tuples, without enumerating that closure; () when there are none.
-    Equal to ``betti_from_cells(close_by_dimension(generators))``.
 
     Wide generators are first replaced, alone or in pairs, by cones over
     their intersections (:func:`_cone_wide`), which keeps the homology.
     Then one pass over the generators gives the rest: union-find over
     each generator's vertices gives rank d1, a set of their edges gives
     n1, and only the generators with 3 or more vertices are closed, at
-    dimension 2 and up, for the column reduction of the higher ranks.
-    Coning never raises a dimension but can lower the top one, so the
-    vector is padded with zeros to the input's top dimension.
+    dimension 2 and up, for the higher ranks.  Coning never raises a
+    dimension but can lower the top one, so the vector is padded with
+    zeros to the input's top dimension.
+
+    b_k = n_k - rank(d_k) - rank(d_{k+1}).  Rank dk for k >= 2 is the
+    number of pivots of a column reduction run from the top dimension
+    down, with clearing (Chen & Kerber, "Persistent homology computation
+    with a twist", 2011): a reduced column of d(k+1) is a boundary, so
+    d(k) maps it to zero; its pivot is its first k-cell, whose column in
+    d(k) is therefore a sum of later columns and is skipped.
 
     The generators the pass closes are held to the face budget: when
     the sum of 2^|g| - 1 over them passes ``MAX_CELLS`` the pass is
@@ -263,7 +241,7 @@ def betti_from_generators(generators: Sequence[Cell]) -> tuple[int, ...]:
     widest = max(map(len, generators))
     if widest >= 3 and 2**widest > len(generators):
         generators = _cone_wide(generators)
-    # union-find inline, not UnionFind: with UnionFind's calls the
+    # union-find inline: with a union-find class's method calls the
     # betti-history benchmark ran 11% slower (median 976 vs 1,092 txn/s,
     # 2-vCPU container, CPython 3.11.7)
     parent: dict[int, int] = {}
@@ -298,22 +276,14 @@ def betti_from_generators(generators: Sequence[Cell]) -> tuple[int, ...]:
         for size in range(3, len(g) + 1):
             upper[size - 3].update(combinations(g, size))
     counts = ([len(parent), len(edges), *map(len, upper)] + [0] * widest)[:widest]
-    rank1 = len(parent) - sum(1 for v, p in parent.items() if v == p)
-    ordered = [[], sorted(edges), *map(sorted, upper)] if upper else []  # ordered[k] holds the k-cells
-    return _betti(counts, ordered, rank1)
-
-
-def _betti(counts: list[int], ordered: list[list[Cell]], rank1: int) -> tuple[int, ...]:
-    """b_k = n_k - rank(d_k) - rank(d_{k+1}) for k < len(counts), given
-    n_k = counts[k], rank d1 and, for the column reduction of rank dk at
-    k >= 2, the sorted k-cells ordered[k] of each k >= 1 up to the top
-    that has any (none when there is no 2-cell)."""
-    ranks = [0] * (len(counts) + 1)
-    ranks[1] = rank1
-    cleared: set[int] = set()
-    for k in range(len(ordered) - 1, 1, -1):
-        ranks[k], cleared = _reduced_rank(ordered[k], ordered[k - 1], cleared)
-    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts)))
+    ranks = [0] * (widest + 1)  # ranks[k] is rank d_k
+    ranks[1] = len(parent) - sum(1 for v, p in parent.items() if v == p)
+    if upper:
+        ordered = [[], sorted(edges), *map(sorted, upper)]  # ordered[k] holds the k-cells
+        cleared: set[int] = set()
+        for k in range(len(ordered) - 1, 1, -1):
+            ranks[k], cleared = _reduced_rank(ordered[k], ordered[k - 1], cleared)
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(widest))
 
 
 def _cone_wide(generators: Sequence[Cell]) -> list[Cell]:

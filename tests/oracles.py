@@ -2,10 +2,11 @@
 
 import hashlib
 import struct
+from typing import Iterable, Sequence
 
 from topocbt.chain import GENESIS_PARENT, Block, BlockRef, BranchInfo, Chain, Federation, compute_block_hash
 from topocbt.gf2 import Matrix
-from topocbt.simplicial import SimplicialComplex, generators_from_text, read_generators
+from topocbt.simplicial import Cell, SimplicialComplex, _reduced_rank, generators_from_text, read_generators
 
 
 def gf2_matmul(a: Matrix, b: Matrix) -> list[list[int]]:
@@ -22,6 +23,66 @@ def subsets(cell: tuple[int, ...]) -> set[tuple[int, ...]]:
 def all_subsets_closure(generators) -> set[tuple[int, ...]]:
     """The face closure of ascending vertex tuples: every non-empty subset of each."""
     return set().union(*map(subsets, generators))
+
+
+class UnionFind:
+    """Disjoint-set forest with union by size and path compression."""
+
+    def __init__(self) -> None:
+        self._parent: dict = {}
+        self._size: dict = {}
+
+    def find(self, x):
+        if x not in self._parent:
+            self._parent[x] = x
+            self._size[x] = 1
+            return x
+        root = x
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[x] != root:
+            self._parent[x], x = root, self._parent[x]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+
+    def component_count(self) -> int:
+        return sum(1 for x, p in self._parent.items() if x == p)
+
+
+def betti_from_cells(cells: Sequence[Iterable[Cell]]) -> tuple[int, ...]:
+    """Betti numbers over GF(2) of a closed complex given as cells[k] = its
+    k-cells (ascending vertex tuples), such as the output of
+    ``close_by_dimension``; () when there are none: the closure oracle
+    that ``betti_from_generators`` is judged against.
+
+    b_k = n_k - rank(d_k) - rank(d_{k+1}).  Rank d1 is the vertex count
+    less the union-find component count; rank dk for k >= 2 comes from
+    the package's column reduction with clearing, which the dense GF(2)
+    oracle judges on its own.
+    """
+    ordered = [sorted(c) for c in cells]
+    if not ordered:
+        return ()
+    ranks = [0] * (len(ordered) + 1)
+    if len(ordered) > 1:
+        uf = UnionFind()
+        for (v,) in ordered[0]:
+            uf.find(v)
+        for a, b in ordered[1]:
+            uf.union(a, b)
+        ranks[1] = len(ordered[0]) - uf.component_count()
+    cleared: set[int] = set()
+    for k in range(len(ordered) - 1, 1, -1):
+        ranks[k], cleared = _reduced_rank(ordered[k], ordered[k - 1], cleared)
+    return tuple(len(ordered[k]) - ranks[k] - ranks[k + 1] for k in range(len(ordered)))
 
 
 def complex_from_text(text: str) -> SimplicialComplex:

@@ -41,8 +41,7 @@ from topocbt.topology import (
     expected_transaction_dimension,
     transaction_simplex,
 )
-from topocbt.unionfind import UnionFind
-from oracles import asset_totals
+from oracles import UnionFind, asset_totals
 from test_topology import DRIFT_CASES, assert_dimension_matches_oracle
 
 DATA = Path(__file__).parent / "data"

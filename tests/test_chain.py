@@ -22,7 +22,6 @@ from topocbt.chain import (
 from topocbt.harness import compare_protocols, run_scenario
 from topocbt.rng import SplitMix64
 from topocbt.scenario import ChainSpec, Scenario, car_trading, load_scenario
-from topocbt.unionfind import UnionFind
 from topocbt.wal import WalKind, WriteAheadLog
 from oracles import EagerChain, asset_totals, reference_block_hash, whole_sheet_can_fund
 

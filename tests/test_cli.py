@@ -83,6 +83,13 @@ def test_run_accepts_a_commit_whose_updates_cancel_out(tmp_path):
     ["bogus"],
     ["run", "--scenario", "car-trading", "x\ny"],
     ["compare", "--scenario-dir", "no\nsuch"],
+    ["betti"],
+    # --complex once ignored each of these and exited 0, --out writing nothing
+    ["betti", "--complex", str(DATA / "car_trading_at0.complex"), "--scenario", "car-trading"],
+    ["betti", "--scenario", "car-trading", "--complex", str(DATA / "car_trading_at0.complex")],
+    ["betti", "--complex", str(DATA / "car_trading_at0.complex"), "--at", "0"],
+    ["betti", "--at", "1", "--complex", str(DATA / "car_trading_at0.complex")],
+    ["betti", "--complex", str(DATA / "car_trading_at0.complex"), "--out", str(DATA / "no_such_dir" / "x.complex")],
 ])
 def test_bad_command_line_is_one_error_line(argv):
     assert_one_error_line(*run_main(argv))

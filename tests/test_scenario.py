@@ -264,6 +264,12 @@ REJECTED = {
     "plus sign on an amount": (_edited("alice bob ETH 10\n", "alice bob ETH +10\n"), 31, "sub"),
     "space inside a number": (_edited("[txn]\nid = 1\n", "[txn]\nid = 1 0\n"), 27, "id"),
     "two minus signs": (_edited("alice ETH 10\n", "alice ETH --10\n"), 12, "balance"),
+    # a run's first Betti report would build the deal's empty top before anything named the txn
+    "txn without blocks": (_edited("blocks = 1:2 2:2 3:2\n", ""), 26, "blocks"),
+    "txn with empty blocks": (_edited("blocks = 1:2 2:2 3:2", "blocks ="), 30, "blocks"),
+    "txn without parties": (_edited("parties = alice bob cindy\n", ""), 26, "parties"),
+    "txn with one party": (_edited("parties = alice bob cindy", "parties = alice"), 29, "parties"),
+    "txn with empty parties": (_edited("parties = alice bob cindy", "parties ="), 29, "parties"),
 }
 
 
@@ -290,7 +296,7 @@ def test_numbers_at_the_range_edges_parse():
 
 
 @pytest.mark.parametrize("case", ["name past >H in parties", "updates past >H in a sub", "comma in the scenario name",
-                                  "';' in a party of parties"])
+                                  "';' in a party of parties", "txn without blocks", "txn with empty blocks"])
 def test_run_refuses_what_its_outputs_cannot_hold_with_one_error_line(tmp_path, case):
     text, line, fld = REJECTED[case]
     assert_refused_by_run(tmp_path, text, line, fld, "--wal", str(tmp_path / "run.wal"))

@@ -9,14 +9,21 @@ from topocbt.simplicial import (
     MAX_CELLS,
     Simplex,
     SimplicialComplex,
-    betti_from_cells,
     betti_from_generators,
     close_by_dimension,
     complex_to_text,
     generators_from_text,
 )
-from topocbt.unionfind import UnionFind
-from oracles import all_subsets_closure, cells_of, complex_from_text, gf2_matmul, read_complex, subsets
+from oracles import (
+    UnionFind,
+    all_subsets_closure,
+    betti_from_cells,
+    cells_of,
+    complex_from_text,
+    gf2_matmul,
+    read_complex,
+    subsets,
+)
 
 
 def closed(*vertex_tuples):

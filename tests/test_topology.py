@@ -22,7 +22,7 @@ from topocbt.scenario import (
     parse_scenario,
     random_scenario,
 )
-from topocbt.simplicial import Simplex, SimplicialComplex, betti_from_cells, close_by_dimension
+from topocbt.simplicial import Simplex, SimplicialComplex, close_by_dimension
 from topocbt.topology import (
     CrossChainTransaction,
     SubTransaction,
@@ -37,7 +37,7 @@ from topocbt.topology import (
     transaction_simplex,
 )
 from topocbt.wal import WriteAheadLog
-from oracles import all_subsets_closure, cells_of
+from oracles import all_subsets_closure, betti_from_cells, cells_of
 from test_chain_state import random_history, rescan_live
 from test_simplicial import dense_betti
 
@@ -394,10 +394,12 @@ def reference_build(federation, transactions=(), mode=TopologyMode.ABSTRACT, win
                 if succ in in_window and chain.block(succ).parent_ref != tip:
                     edge((cid, tip.height, label, 0), (cid, succ.height, succ.branch, 0))
         if mode is TopologyMode.REPLICATED:
-            for height in sorted({r.height for r in included[cid]}):
-                group = sorted(vertex_of[k] for r in included[cid] if r.height == height for k in copies(r))
+            groups = {}  # height -> the vertices of its blocks' copies
+            for r in included[cid]:
+                groups.setdefault(r.height, []).extend(vertex_of[k] for k in copies(r))
+            for group in groups.values():
                 if len(group) >= 2:
-                    structural.append(Simplex(tuple(group)))
+                    structural.append(Simplex(tuple(sorted(group))))
 
     txn_tops = {}
     for t in transactions:
@@ -446,6 +448,17 @@ def test_fork_off_a_surviving_fork_matches_reference():
     for mode in TopologyMode:
         for window in (None, 0, 1):
             assert_build_matches_reference(fed, [deal], mode, window)
+
+
+def test_a_long_replicated_chain_forked_near_its_tip_matches_reference():
+    fed = Federation()
+    chain = fed.add_chain(Chain(1, replicas=3, length=10_000))
+    fork = chain.spawn_fork(9_998)
+    chain.append_blocks(fork, [()] * 2)
+    fed.add_chain(Chain(2, replicas=2, length=50))
+    deals = [txn(1, [(1, 9_997, 0), (2, 40, 0)]), txn(2, [(1, 9_999, fork), (2, 50, 0)])]
+    for window in (None, 2):
+        assert_build_matches_reference(fed, deals, TopologyMode.REPLICATED, window)
 
 
 def deep_scenario(seed: int) -> Scenario:
