@@ -41,8 +41,7 @@ from .harness import (
     measure_grid,
     run_scenario,
 )
-from .rng import SplitMix64
-from .scenario import Scenario, ScenarioError, car_trading, grid_scenario, load_scenario, parse_scenario, random_scenario
+from .scenario import Scenario, ScenarioError, car_trading, grid_scenario, load_scenario, parse_scenario
 from .simplicial import Simplex, SimplicialComplex, complex_to_text
 from .topology import (
     CrossChainTransaction,

@@ -336,10 +336,6 @@ class Chain:
         """Blocks already reversed by a live compensation block."""
         return frozenset(self._compensated)
 
-    def ledger(self) -> dict[tuple[str, str], int]:
-        """Net (party, asset) change carried by live asset updates."""
-        return dict(self._ledger)
-
     # -- the declared trunk ------------------------------------------------
 
     def _declared(self, ref: BlockRef) -> bool:

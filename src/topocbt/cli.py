@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run scenarios under all protocols")
     p_cmp.add_argument("--scenario-dir", required=True)
     p_cmp.add_argument("--seeds", default="1",
-                       help="comma-separated report labels; each repeats the same runs")
+                       help="comma-separated report labels; each labels the same runs")
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=_cmd_compare)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
@@ -313,14 +313,16 @@ class ComparisonTable:
 def compare_protocols(scenarios: Iterable[Scenario], seeds: Sequence[int]) -> ComparisonTable:
     """Run every scenario under every protocol and collect the rows.
 
-    Seeds are labels: each one repeats the same runs under its own label.
+    Seeds are labels: a run is the same under every seed, so each
+    (scenario, protocol) runs once, under the first seed, and its rows
+    repeat under each later one.
     """
     rows: list[TxnRow] = []
     for scenario in scenarios:
-        for seed in seeds:
-            for protocol in PROTOCOL_RUNNERS:
-                report = run_scenario(scenario, seed, protocol_override=protocol, compute_betti=False)
-                rows.extend(report.rows)
+        first = [row for seed in seeds[:1] for protocol in PROTOCOL_RUNNERS
+                 for row in run_scenario(scenario, seed, protocol_override=protocol, compute_betti=False).rows]
+        rows += first
+        rows += [replace(row, seed=seed) for seed in seeds[1:] for row in first]
     return ComparisonTable(rows)
 
 

@@ -34,7 +34,6 @@ from typing import Iterable, Optional
 
 from .chain import AssetUpdate, BlockRef, Chain, Federation
 from .engine import FACE_FAILURE_KINDS, NO_FAILURES, FailurePlan
-from .rng import SplitMix64
 from .simplicial import MAX_CELLS, MEMORY_BUDGET
 from .topology import CrossChainTransaction, SubTransaction, TopologyMode
 
@@ -556,67 +555,3 @@ def grid_scenario(n: int, m: int, protocol: str = "topocbt") -> Scenario:
             )
     txn = CrossChainTransaction(id=1, parties=parties, blocks=blocks, sub_transactions=tuple(subs))
     return Scenario(name=f"grid-n{n}-m{m}", chains=chains, txns=[txn], protocols={1: protocol})
-
-
-def random_scenario(seed: int) -> Scenario:
-    """Small randomized federation + one transaction + one failure plan.
-
-    Fully determined by the seed (SplitMix64 throughout).
-    """
-    rng = SplitMix64(seed)
-    n_chains = rng.randrange(2, 4)
-    chains = []
-    for i in range(1, n_chains + 1):
-        length = rng.randrange(1, 3)
-        forks: list[tuple[int, int]] = []
-        if rng.below(3) == 0:
-            forks.append((rng.randrange(1, length), 1))
-        chains.append(
-            ChainSpec(
-                id=i,
-                replicas=rng.randrange(1, 3),
-                length=length,
-                assets=(f"A{i}",),
-                forks=tuple(forks),
-                balances=((f"p{i}", f"A{i}", rng.randrange(10, 20)),),
-            )
-        )
-    n_txn_chains = rng.randrange(2, n_chains)
-    pool = list(range(1, n_chains + 1))
-    rng.shuffle(pool)
-    txn_chain_ids = sorted(pool[:n_txn_chains])
-
-    blocks = tuple(BlockRef(cid, chains[cid - 1].length, 0) for cid in txn_chain_ids)
-    parties = tuple(f"p{cid}" for cid in txn_chain_ids)
-    n_faces = rng.randrange(1, 3)
-    subs = []
-    for _ in range(n_faces):
-        face_chain_count = rng.randrange(1, len(txn_chain_ids))
-        face_pool = list(txn_chain_ids)
-        rng.shuffle(face_pool)
-        face_chains = sorted(face_pool[:face_chain_count])
-        updates = []
-        for cid in face_chains:
-            others = [p for p in parties if p != f"p{cid}"]
-            to = others[rng.below(len(others))]
-            # occasionally ask for more than the party holds to trigger
-            # a genuine update failure
-            amount = rng.randrange(1, 30) if rng.below(6) == 0 else rng.randrange(1, 3)
-            updates.append(AssetUpdate(f"p{cid}", to, f"A{cid}", amount))
-        subs.append(SubTransaction(blocks=tuple(BlockRef(c, chains[c - 1].length, 0) for c in face_chains),
-                                   updates=tuple(updates)))
-    txn = CrossChainTransaction(id=1, parties=parties, blocks=blocks, sub_transactions=tuple(subs))
-
-    failures: list[FailureSpec] = []
-    kind = (None, *FACE_FAILURE_KINDS, "crash_after_record", "crash_after_append")[rng.below(6)]
-    if kind is not None:
-        top = n_faces if kind in FACE_FAILURE_KINDS else 2 * n_faces
-        failures.append(FailureSpec(1, kind, rng.randrange(1, top)))
-
-    return Scenario(
-        name=f"random-{seed}",
-        chains=chains,
-        txns=[txn],
-        protocols={1: "topocbt"},
-        failures=failures,
-    )

@@ -66,11 +66,6 @@ class Simplex:
         if any(a >= b for a, b in zip(vs, vs[1:])):
             raise ValueError(f"vertices must be strictly ascending, got {vs}")
 
-    @classmethod
-    def of(cls, *vertices: int) -> "Simplex":
-        """Build a simplex from vertices in any order (duplicates rejected)."""
-        return cls(tuple(sorted(vertices)))
-
     @property
     def dimension(self) -> int:
         return len(self.vertices) - 1

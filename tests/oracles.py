@@ -1,12 +1,142 @@
-"""Small reference computations that only tests call."""
+"""Fixtures and reference computations that only tests call.
+
+The package ships only what its programs call.  What tests alone need
+lives here: the seeded fixture generator (:class:`SplitMix64`) and the
+scenarios it draws (:func:`random_scenario`), read-only views of a
+chain's private state (:func:`ledger`), and slow but plain reference
+computations the fast ones are judged against.
+"""
 
 import hashlib
 import struct
 from typing import Iterable, Sequence
 
-from topocbt.chain import GENESIS_PARENT, Block, BlockRef, BranchInfo, Chain, Federation, compute_block_hash
+from topocbt.chain import (
+    GENESIS_PARENT,
+    AssetUpdate,
+    Block,
+    BlockRef,
+    BranchInfo,
+    Chain,
+    Federation,
+    compute_block_hash,
+)
+from topocbt.engine import FACE_FAILURE_KINDS
 from topocbt.gf2 import Matrix
+from topocbt.scenario import ChainSpec, FailureSpec, Scenario
 from topocbt.simplicial import Cell, SimplicialComplex, _reduced_rank, generators_from_text, read_generators
+from topocbt.topology import CrossChainTransaction, SubTransaction
+
+_MASK = (1 << 64) - 1
+
+
+class SplitMix64:
+    """Seedable, portable 64-bit generator with a tiny state.
+
+    Every randomized fixture runs on it, so a fixture replays identically
+    from its seed, whatever Python's hash seed or the platform.
+    Algorithm constants:
+
+        increment   0x9E3779B97F4A7C15
+        mix step 1  0xBF58476D1CE4E5B9  (xor-shift 30)
+        mix step 2  0x94D049BB133111EB  (xor-shift 27)
+        final       xor-shift 31
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        """Uniform integer in [0, bound). bound must be positive."""
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        return self.next_u64() % bound
+
+    def randrange(self, lo: int, hi: int) -> int:
+        """Uniform integer in [lo, hi] inclusive."""
+        return lo + self.below(hi - lo + 1)
+
+    def choice(self, items):
+        return items[self.below(len(items))]
+
+    def shuffle(self, items: list) -> None:
+        """Fisher-Yates shuffle in place."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+
+
+def random_scenario(seed: int) -> Scenario:
+    """Small randomized federation + one transaction + one failure plan.
+
+    Fully determined by the seed (SplitMix64 throughout).
+    """
+    rng = SplitMix64(seed)
+    n_chains = rng.randrange(2, 4)
+    chains = []
+    for i in range(1, n_chains + 1):
+        length = rng.randrange(1, 3)
+        forks: list[tuple[int, int]] = []
+        if rng.below(3) == 0:
+            forks.append((rng.randrange(1, length), 1))
+        chains.append(
+            ChainSpec(
+                id=i,
+                replicas=rng.randrange(1, 3),
+                length=length,
+                assets=(f"A{i}",),
+                forks=tuple(forks),
+                balances=((f"p{i}", f"A{i}", rng.randrange(10, 20)),),
+            )
+        )
+    n_txn_chains = rng.randrange(2, n_chains)
+    pool = list(range(1, n_chains + 1))
+    rng.shuffle(pool)
+    txn_chain_ids = sorted(pool[:n_txn_chains])
+
+    blocks = tuple(BlockRef(cid, chains[cid - 1].length, 0) for cid in txn_chain_ids)
+    parties = tuple(f"p{cid}" for cid in txn_chain_ids)
+    n_faces = rng.randrange(1, 3)
+    subs = []
+    for _ in range(n_faces):
+        face_chain_count = rng.randrange(1, len(txn_chain_ids))
+        face_pool = list(txn_chain_ids)
+        rng.shuffle(face_pool)
+        face_chains = sorted(face_pool[:face_chain_count])
+        updates = []
+        for cid in face_chains:
+            others = [p for p in parties if p != f"p{cid}"]
+            to = others[rng.below(len(others))]
+            # occasionally ask for more than the party holds to trigger
+            # a genuine update failure
+            amount = rng.randrange(1, 30) if rng.below(6) == 0 else rng.randrange(1, 3)
+            updates.append(AssetUpdate(f"p{cid}", to, f"A{cid}", amount))
+        subs.append(SubTransaction(blocks=tuple(BlockRef(c, chains[c - 1].length, 0) for c in face_chains),
+                                   updates=tuple(updates)))
+    txn = CrossChainTransaction(id=1, parties=parties, blocks=blocks, sub_transactions=tuple(subs))
+
+    failures: list[FailureSpec] = []
+    kind = (None, *FACE_FAILURE_KINDS, "crash_after_record", "crash_after_append")[rng.below(6)]
+    if kind is not None:
+        top = n_faces if kind in FACE_FAILURE_KINDS else 2 * n_faces
+        failures.append(FailureSpec(1, kind, rng.randrange(1, top)))
+
+    return Scenario(
+        name=f"random-{seed}",
+        chains=chains,
+        txns=[txn],
+        protocols={1: "topocbt"},
+        failures=failures,
+    )
 
 
 def gf2_matmul(a: Matrix, b: Matrix) -> list[list[int]]:
@@ -120,6 +250,11 @@ def whole_sheet_can_fund(federation: Federation, updates) -> bool:
         to_key = (upd.owner_to, upd.asset)
         working[to_key] = working.get(to_key, 0) + upd.amount
     return True
+
+
+def ledger(chain: Chain) -> dict[tuple[str, str], int]:
+    """Net (party, asset) change carried by the chain's live asset updates."""
+    return dict(chain._ledger)
 
 
 def is_live(chain: Chain, ref: BlockRef) -> bool:

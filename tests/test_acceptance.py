@@ -25,13 +25,11 @@ from topocbt.harness import (
     measure_grid,
     run_scenario,
 )
-from topocbt.rng import SplitMix64
 from topocbt.scenario import (
     FailureSpec,
     car_trading,
     load_scenario,
     parse_scenario,
-    random_scenario,
 )
 from topocbt.simplicial import Simplex, SimplicialComplex
 from topocbt.topology import (
@@ -41,7 +39,7 @@ from topocbt.topology import (
     expected_transaction_dimension,
     transaction_simplex,
 )
-from oracles import UnionFind, asset_totals
+from oracles import SplitMix64, UnionFind, asset_totals, random_scenario
 from test_topology import DRIFT_CASES, assert_dimension_matches_oracle
 
 DATA = Path(__file__).parent / "data"

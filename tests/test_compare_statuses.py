@@ -14,7 +14,8 @@ from pathlib import Path
 
 from topocbt.engine import Status
 from topocbt.harness import compare_protocols
-from topocbt.scenario import PROTOCOLS, random_scenario
+from topocbt.scenario import PROTOCOLS
+from oracles import random_scenario
 
 GOLDEN = Path(__file__).parent / "data" / "compare_statuses.txt"
 SEEDS = range(200)

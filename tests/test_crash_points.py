@@ -19,8 +19,9 @@ import pytest
 from topocbt import cli
 from topocbt.engine import Status, TopoCbtEngine
 from topocbt.harness import AUDIT_ALL, AUDIT_NONE, _replay, apply_updates_pure
-from topocbt.scenario import FailureSpec, car_trading, grid_scenario, load_scenario, random_scenario
+from topocbt.scenario import FailureSpec, car_trading, grid_scenario, load_scenario
 from topocbt.wal import WalKind, WriteAheadLog
+from oracles import random_scenario
 from test_topology import DEEP_SEEDS, deep_scenario
 
 DATA = Path(__file__).parent / "data"

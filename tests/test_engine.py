@@ -11,10 +11,10 @@ from topocbt.engine import (
     TopoCbtEngine,
 )
 from topocbt.harness import AUDIT_PARTIAL, audit_atomicity
-from topocbt.scenario import car_trading, random_scenario
+from topocbt.scenario import car_trading
 from topocbt.topology import CrossChainTransaction, SubTransaction
 from topocbt.wal import WalKind
-from oracles import asset_totals
+from oracles import asset_totals, random_scenario
 
 
 def car_setup():

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topocbt.gf2 import gf2_rank, gf2_row_echelon
-from topocbt.rng import SplitMix64
-from oracles import gf2_matmul
+from oracles import SplitMix64, gf2_matmul
 
 
 def test_rank_identity():

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from topocbt import harness
 from topocbt.engine import NO_FAILURES, FailurePlan, Status, TopoCbtEngine
 from topocbt.harness import (
     AUDIT_ALL,
     AUDIT_NONE,
     AUDIT_PARTIAL,
     PROTOCOL_RUNNERS,
+    ComparisonTable,
     FitResult,
     _replay,
     audit_atomicity,
@@ -29,10 +31,10 @@ from topocbt.scenario import (
     grid_scenario,
     load_scenario,
     parse_scenario,
-    random_scenario,
 )
 from topocbt.topology import build_federation_complex
 from topocbt.wal import WalKind, WriteAheadLog
+from oracles import random_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -370,6 +372,22 @@ def test_comparison_reproduces_capability_pattern():
 def test_comparison_failure_free_all_commit():
     table = compare_protocols([car_trading()], seeds=[1, 2])
     assert all(row.status is Status.COMMITTED for row in table.rows)
+
+
+def test_comparison_runs_each_scenario_and_protocol_once_for_every_seed(monkeypatch):
+    scenarios = failure_suite()
+    naive = [row for scenario in scenarios for seed in (1, 2, 3) for protocol in PROTOCOL_RUNNERS
+             for row in run_scenario(scenario, seed, protocol_override=protocol, compute_betti=False).rows]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_scenario", counted)
+    table = compare_protocols(scenarios, seeds=[1, 2, 3])
+    assert len(calls) == 3 * len(scenarios) == len(PROTOCOL_RUNNERS) * len(scenarios)
+    assert table.to_csv() == ComparisonTable(naive).to_csv()
 
 
 def test_comparison_csv_columns():

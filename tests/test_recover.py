@@ -15,8 +15,9 @@ import pytest
 from topocbt import cli
 from topocbt.chain import Federation
 from topocbt.harness import apply_updates_pure, run_scenario
-from topocbt.scenario import CAR_TRADING_TEXT, load_scenario, parse_scenario, random_scenario
+from topocbt.scenario import CAR_TRADING_TEXT, load_scenario, parse_scenario
 from topocbt.wal import WalKind, WriteAheadLog
+from oracles import random_scenario
 
 DATA = Path(__file__).parent / "data"
 

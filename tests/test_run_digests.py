@@ -13,7 +13,8 @@ import hashlib
 from pathlib import Path
 
 from topocbt.harness import run_scenario
-from topocbt.scenario import PROTOCOLS, car_trading, grid_scenario, parse_scenario, random_scenario
+from topocbt.scenario import PROTOCOLS, car_trading, grid_scenario, parse_scenario
+from oracles import random_scenario
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "run_digests.txt"

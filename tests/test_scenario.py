@@ -16,9 +16,9 @@ from topocbt.scenario import (
     grid_scenario,
     load_scenario,
     parse_scenario,
-    random_scenario,
 )
 from topocbt.topology import TopologyMode
+from oracles import random_scenario
 from test_cli import assert_one_error_line, run_main
 from test_simplicial import NOT_NEWLINES
 

@@ -12,7 +12,6 @@ from topocbt import gf2, simplicial, topology
 from topocbt.chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
 from topocbt.engine import NO_FAILURES, TopoCbtEngine
 from topocbt.harness import PROTOCOL_RUNNERS, _replay, betti_report, run_scenario
-from topocbt.rng import SplitMix64
 from topocbt.scenario import (
     ChainSpec,
     Scenario,
@@ -20,7 +19,6 @@ from topocbt.scenario import (
     grid_scenario,
     load_scenario,
     parse_scenario,
-    random_scenario,
 )
 from topocbt.simplicial import Simplex, SimplicialComplex, close_by_dimension
 from topocbt.topology import (
@@ -37,7 +35,7 @@ from topocbt.topology import (
     transaction_simplex,
 )
 from topocbt.wal import WriteAheadLog
-from oracles import all_subsets_closure, betti_from_cells, cells_of
+from oracles import SplitMix64, all_subsets_closure, betti_from_cells, cells_of, random_scenario
 from test_chain_state import random_history, rescan_live
 from test_simplicial import dense_betti
 
@@ -371,7 +369,7 @@ def reference_build(federation, transactions=(), mode=TopologyMode.ABSTRACT, win
     structural = [Simplex((i,)) for i in range(len(keys))]
 
     def edge(a, b):
-        structural.append(Simplex.of(vertex_of[a], vertex_of[b]))
+        structural.append(Simplex(tuple(sorted((vertex_of[a], vertex_of[b])))))
 
     for cid in federation.chain_ids():
         chain = federation.chain(cid)
