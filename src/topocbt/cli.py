@@ -75,6 +75,10 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        return _fail(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     directory = Path(args.scenario_dir)
     if not directory.is_dir():
         return _fail(f"not a directory: {args.scenario_dir}")
@@ -82,7 +86,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not files:
         return _fail(f"no .scenario files in {args.scenario_dir}")
     scenarios = [load_scenario(str(f))[0] for f in files]
-    seeds = [int(s) for s in args.seeds.split(",")]
     table = compare_protocols(scenarios, seeds)
     csv_text = table.to_csv()
     if args.out:

@@ -32,7 +32,14 @@ from .baselines import ac2s_execute, ac3wn_execute
 from .chain import Federation
 from .engine import FailurePlan, Outcome, SimulatedCrash, Status, TopoCbtEngine
 from .scenario import Scenario, grid_scenario
-from .topology import CrossChainTransaction, build_federation_complex, federation_betti
+from .topology import (
+    CrossChainTransaction,
+    build_federation_complex,
+    epoch_betti,
+    expand_refs,
+    federation_betti,
+    structural_betti,
+)
 from .wal import WalKind, WriteAheadLog
 
 log = logging.getLogger(__name__)
@@ -206,36 +213,52 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     """Every scenario event in id order, one row each: the one event loop.
 
     The event's fork resolution (every ``epoch`` events) runs when the
-    generator is resumed, after the row's audit and betti_post, so a
-    caller that stops after k rows holds the federation row k reported.
-    An event's betti_pre is the previous event's betti_post, and its
-    pre-event balance sheet the previous event's post-event one, unless
-    fork resolution ran in between: the federation and the pending set
-    are the same ones.
+    generator is resumed after the row, so with Betti numbers off, or
+    with a window, a caller that stops after k rows holds the federation
+    row k reported.  An event's pre-event balance sheet is the previous
+    event's post-event one, unless fork resolution ran in between.
+
+    An epoch is the stretch of events between two fork resolutions, and
+    the whole run when ``epoch`` is 0.  With Betti numbers on and no
+    window, the rows of an epoch are held and come out in event order at
+    its end, before its resolution: ``topology.epoch_betti`` takes every
+    state's numbers from one collapsed build of the epoch's last
+    federation, with b1 corrected by ``structural_betti`` taken at the
+    epoch's start and after each event.  With a window each event takes
+    its own ``federation_betti``, and its betti_pre is the previous
+    event's betti_post unless fork resolution ran in between.
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
     transactions = scenario.transactions()
-    pending = list(transactions)
+    mode, window = scenario.mode, scenario.window
+    per_event = compute_betti and window is not None
+    by_epoch = compute_betti and window is None
+    held: list[TxnRow] = []  # by_epoch: the epoch's rows so far
+    shapes: list[tuple[int, ...]] = []  # by_epoch: structural_betti at the epoch's start and after each event
 
-    def betti() -> tuple[int, ...]:
-        if not compute_betti:
-            return ()
-        return federation_betti(federation, pending, mode=scenario.mode, window=scenario.window)
+    def betti(done: int) -> tuple[int, ...]:
+        """The numbers after ``done`` events, if each event takes its own."""
+        return federation_betti(federation, transactions[done:], mode=mode, window=window) if per_event else ()
 
     post_balances: Optional[dict] = None
     betti_post: Optional[tuple[int, ...]] = None
     for event, txn in enumerate(transactions, start=1):
         protocol = protocol_override or scenario.protocols[txn.id]
         plan = scenario.plan_for(txn.id)
+        if by_epoch and not shapes:  # the epoch's first event
+            # each pending deal's blocks must be live, as a per-event
+            # build checks; only appends follow, so once per epoch does
+            for later in transactions[event - 1:]:
+                expand_refs(federation, later)
+            shapes.append(structural_betti(federation, mode))
         pre_balances = federation.balances() if post_balances is None else post_balances
-        betti_pre = betti() if betti_post is None else betti_post
+        betti_pre = betti(event - 1) if betti_post is None else betti_post
         outcome, recovered = PROTOCOL_RUNNERS[protocol](engine, txn, plan)
-        pending = [t for t in pending if t.id != txn.id]
         post_balances = federation.balances()
         audit = audit_atomicity(pre_balances, txn, post_balances)
         undecided = outcome.status is Status.COMMITTED and outcome.applied_updates and audit == AUDIT_NONE
-        betti_post = betti()
-        yield TxnRow(
+        betti_post = betti(event)
+        row = TxnRow(
             scenario=scenario.name, seed=seed, protocol=protocol, txn_id=txn.id,
             status=outcome.status, applied_updates=outcome.applied_updates,
             messages=outcome.messages, primitive_ops=outcome.primitive_ops,
@@ -243,7 +266,18 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
             audit=audit, betti_pre=betti_pre, betti_post=betti_post, recovered=recovered,
             forward_blocks=_forward_blocks(federation, engine.wal, txn.id) if undecided else 0,
         )
-        if scenario.epoch > 0 and event % scenario.epoch == 0:
+        resolve = scenario.epoch > 0 and event % scenario.epoch == 0
+        if not by_epoch:
+            yield row
+        else:
+            held.append(row)
+            shapes.append(structural_betti(federation, mode))
+            if resolve or event == len(transactions):
+                vectors = epoch_betti(federation, transactions[event - len(held):], mode, shapes)
+                for row, pre, post in zip(held, vectors, vectors[1:]):
+                    yield replace(row, betti_pre=pre, betti_post=post)
+                held, shapes = [], []
+        if resolve:
             for cid in federation.chain_ids():
                 federation.chain(cid).resolve_forks()
             post_balances = betti_post = None

@@ -34,6 +34,15 @@ per fork and per reference, not per block.  The numbers are taken from
 the generators (``simplicial.betti_from_generators``), so a wide top
 costs about as much as its intersections with the rest, not 2^|top|
 faces.
+
+A run without a window reports from one such build per epoch
+(``epoch_betti``), made at the epoch's end over the transactions
+pending at its start.  Within an epoch the federation only gains blocks,
+each on a canonical branch above every live block and so in no pending
+top: each event's complex is the end's structural part plus that
+event's pending tops, save for the loops the later blocks closed.
+``structural_betti`` counts those in closed form, per chain and per
+branch, with no closure and no walk up a chain.
 """
 
 from __future__ import annotations
@@ -302,8 +311,100 @@ def federation_betti(
     dimension.
     """
     tagged, loops = _build(federation, list(transactions), mode, window, collapse=True)
-    betti = tagged.betti_numbers()
+    return _add_loops(tagged.betti_numbers(), loops)
+
+
+def _add_loops(betti: tuple[int, ...], loops: int) -> tuple[int, ...]:
     return (betti[0], betti[1] + loops, *betti[2:]) if loops else betti
+
+
+def structural_betti(federation: Federation, mode: TopologyMode) -> tuple[int, ...]:
+    """b0 and b1 of the whole federation's structural complex (no
+    transactions, no window) in closed form, per chain and per branch;
+    b0 alone when the complex has no cell of two or more vertices, ()
+    when it has no vertex.
+
+    Each chain is connected: every live block but genesis links to its
+    parent.  Contracting each replica group, a simplex that meets no
+    other, keeps the homotopy type (Hatcher, *Algebraic Topology*, Prop.
+    0.17) and leaves a graph.  In abstract mode its vertices are the
+    blocks, each hanging off its parent by one edge, so its loops are
+    the stitch edges.  In replicated mode they are the heights: each of
+    the c copies at a height h >= 1 links to the row below, which closes
+    c - 1 loops (a trunk-only height gives replicas - 1), and each
+    stitch edge adds one more.  The copies are counted off the paths
+    from each live branch tip down to the trunk, the blocks ``Chain``
+    keeps live, and the stitch edges off the row above each live tip: a
+    step per branch, not per block.
+    """
+    replicated = mode is TopologyMode.REPLICATED
+    chains = loops = 0
+    edged = False
+    for cid in federation.chain_ids():
+        chain = federation.chain(cid)
+        branches = chain.branches
+        top = branches[chain.canonical_branch()].tip
+        live = chain.live_branch_labels()
+        chains += 1
+        edged = edged or top > 0 or _copies(chain, 0, mode) > 1  # a parent link, or a group at genesis
+        if replicated:
+            reach: dict[int, int] = {}  # branch -> its highest live block, on a path down from a live tip
+            for label in live:
+                height, branch = branches[label].tip, label
+                while height >= 0 and reach.get(branch, -1) < height:  # below, the path is walked already
+                    reach[branch] = height
+                    parent = branches[branch].parent
+                    if parent is None:
+                        break
+                    height, branch = parent.height, parent.branch
+            # the live copies at heights 1..top, less one per height
+            off_trunk = sum(height - branches[b].spawn_height + 1 for b, height in reach.items() if b)
+            loops += _copies(chain, 0, mode) * reach[0] + off_trunk - top
+        for label in live:  # a stitch edge from each live tip below the top to each block it did not parent
+            tip = branches[label].tip
+            if 0 <= tip < top:
+                for ref in chain.live_block_at(tip + 1):
+                    info = branches[ref.branch]
+                    loops += (info.parent.branch if tip + 1 == info.spawn_height else ref.branch) != label
+    if not chains:
+        return ()
+    return (chains, loops) if edged else (chains,)
+
+
+def epoch_betti(
+    federation: Federation,
+    transactions: list[CrossChainTransaction],
+    mode: TopologyMode,
+    shapes: list[tuple[int, ...]],
+) -> list[tuple[int, ...]]:
+    """``federation_betti`` at each state of one epoch, without a window,
+    from one collapsed build of its last state.
+
+    State k has ``transactions[k:]`` pending and ``shapes[k]`` is its
+    ``structural_betti``; ``federation`` is the last state's.  Within an
+    epoch the federation only gains blocks on its canonical branches, each
+    at a height above every live block, so in no pending top: one build
+    over the transactions pending at the start keeps every height that a
+    state's tops name, and state k takes the structural generators plus
+    its own tops.  An appended block's copies form a simplex joined to
+    the rows below by e edges, which adds e - 1 loops and nothing else
+    both to the complex and to its structural part: so b1 at state k is
+    the end's, plus the build's dropped-run loops, less the structural
+    loops gained since state k.  The end's vector runs to its own top
+    dimension; a state whose structural complex has no edge yet (b0
+    alone in its shape) runs to its widest top.
+    """
+    tagged, dropped = _build(federation, transactions, mode, None, collapse=True)
+    structural = tagged.structural()
+    tops = [top.vertices for top in tagged.txn_tops.values()]  # by id: the order of ``transactions``
+    end_loops = sum(shapes[-1][1:])  # a shape's b1, 0 where it stops at b0
+    vectors = []
+    for k, shape in enumerate(shapes):
+        betti = betti_from_generators(structural + tops[k:])
+        if len(shape) < 2:
+            betti = betti[: max(map(len, tops[k:]), default=1)]
+        vectors.append(_add_loops(betti, dropped + sum(shape[1:]) - end_loops))
+    return vectors
 
 
 def _build(

@@ -78,6 +78,8 @@ def test_run_accepts_a_commit_whose_updates_cancel_out(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["compare", "--scenario-dir", str(DATA), "--seeds", "-1,0"],
+    ["compare", "--scenario-dir", str(DATA), "--seeds", ""],
+    ["compare", "--scenario-dir", str(DATA), "--seeds", "1,x"],
     ["run", "--scenario", "car-trading", "--seed", "x"],
     ["run", "--seed", "1"],
     ["bogus"],
@@ -93,6 +95,13 @@ def test_run_accepts_a_commit_whose_updates_cancel_out(tmp_path):
 ])
 def test_bad_command_line_is_one_error_line(argv):
     assert_one_error_line(*run_main(argv))
+
+
+@pytest.mark.parametrize("seeds", ["", "1,x"])
+def test_bad_seeds_name_the_flag(seeds):
+    code, out, err = run_main(["compare", "--scenario-dir", str(DATA), "--seeds", seeds])
+    assert_one_error_line(code, out, err)
+    assert err == f"error: --seeds must be comma-separated integers, got {seeds!r}\n"
 
 
 def test_one_parser_serves_every_call():

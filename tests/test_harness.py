@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from topocbt import harness
+from topocbt import harness, topology
+from topocbt.chain import ChainError
 from topocbt.engine import NO_FAILURES, FailurePlan, Status, TopoCbtEngine
 from topocbt.harness import (
     AUDIT_ALL,
@@ -32,7 +33,7 @@ from topocbt.scenario import (
     load_scenario,
     parse_scenario,
 )
-from topocbt.topology import build_federation_complex
+from topocbt.topology import TopologyMode, build_federation_complex
 from topocbt.wal import WalKind, WriteAheadLog
 from oracles import random_scenario
 
@@ -302,9 +303,127 @@ kind = witness_crash
 """
 
 
+# deals over forked replicated chains: chain 1's second fork grows past
+# its trunk and takes the appends, chain 3's fork ties its trunk's tip,
+# and only the first deal names a block that a fork resolution retires
+FORKED_DEALS_TEXT = """\
+[scenario]
+name = forked-deals-{mode}-epoch{epoch}{window}
+mode = {mode}
+epoch = {epoch}
+{window_line}
+[chain]
+id = 1
+replicas = 3
+length = 6
+assets = X
+fork = 3 1
+fork = 7 1
+balance = a X 9
+
+[chain]
+id = 2
+replicas = 2
+length = 4
+assets = Y
+fork = 2 2
+balance = b Y 9
+
+[chain]
+id = 3
+length = 3
+assets = Z
+fork = 3 1
+balance = c Z 9
+
+[txn]
+id = 1
+parties = a b
+blocks = 1:3:1 2:2:1
+sub = 1:3:1 2:2:1 ; a b X 1, b a Y 1
+
+[txn]
+id = 2
+parties = a c
+blocks = 1:7:2 3:3
+sub = 1:7:2 3:3 ; a c X 1, c a Z 1
+
+[txn]
+id = 3
+parties = b c
+blocks = 2:4 3:2
+sub = 2:4 3:2 ; b c Y 1, c b Z 1
+
+[txn]
+id = 4
+parties = a b c
+blocks = 1:5 2:3 3:3
+sub = 1:5 2:3 ; a b X 1, b c Y 1
+
+[txn]
+id = 5
+parties = a b
+blocks = 1:3 2:2
+sub = 1:3 2:2 ; a b X 1, b a Y 1
+
+[txn]
+id = 6
+parties = b c
+blocks = 2:1 3:1
+sub = 2:1 3:1 ; b c Y 1, c b Z 1
+"""
+
+
+# genesis-only chains: the first report has no edge, so its vector stops
+# at b0 where the run's end, after the deals' appends, has b1
+GENESIS_DEALS_TEXT = """\
+[scenario]
+name = genesis-deals-{mode}
+mode = {mode}
+
+[chain]
+id = 1
+length = 0
+replicas = {replicas}
+assets = X
+balance = a X 5
+
+[chain]
+id = 2
+length = 0
+assets = Y
+balance = b Y 5
+
+[txn]
+id = 1
+parties = a b
+blocks = {blocks}
+sub = 1:0 ; a b X 1
+
+[txn]
+id = 2
+parties = a b
+blocks = 2:0
+sub = 2:0 ; b a Y 1
+"""
+
+
+def genesis_deals(mode, replicas=1, blocks="1:0"):
+    return parse_scenario(GENESIS_DEALS_TEXT.format(mode=mode.value, replicas=replicas, blocks=blocks))
+
+
+def forked_deals(mode, epoch, window=None):
+    return parse_scenario(FORKED_DEALS_TEXT.format(
+        mode=mode.value, epoch=epoch, window="" if window is None else f"-window{window}",
+        window_line="" if window is None else f"window = {window}\n"))
+
+
 @pytest.mark.parametrize(
     "scen",
     [parse_scenario(EPOCH_FORK_TEXT), parse_scenario(BLOCKED_THEN_DEAL_TEXT), car_trading()]
+    + [forked_deals(mode, epoch) for mode in TopologyMode for epoch in range(4)]
+    + [forked_deals(mode, epoch, window=1) for mode in TopologyMode for epoch in (0, 2)]
+    + [genesis_deals(mode) for mode in TopologyMode]
     + [random_scenario(seed) for seed in range(40)],
     ids=lambda scen: scen.name,
 )
@@ -327,6 +446,40 @@ def fresh_betti_pre(scen, k):
             federation.chain(cid).resolve_forks()
     pending = scen.transactions()[k - 1:]
     return build_federation_complex(federation, pending, mode=scen.mode, window=scen.window).betti_numbers()
+
+
+@pytest.mark.parametrize("epoch, epochs", [(0, 1), (1, 6), (2, 3), (4, 2), (6, 1)])
+@pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
+def test_a_run_makes_one_collapsed_build_per_epoch(monkeypatch, mode, epoch, epochs):
+    collapsed = []
+    build = topology._build
+
+    def counted(*args, **kwargs):
+        collapsed.append(kwargs["collapse"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(topology, "_build", counted)
+    scen = forked_deals(mode, epoch)
+    assert len(run_scenario(scen, 1).rows) == 6
+    assert collapsed.count(True) == epochs
+    collapsed.clear()
+    run_scenario(scen, 1, compute_betti=False)
+    assert True not in collapsed
+    # a window takes each event's own build
+    run_scenario(forked_deals(mode, epoch, window=1), 1)
+    assert collapsed.count(True) == 6 + epochs
+
+
+def test_a_deal_on_a_block_not_made_yet_is_refused_at_the_first_report():
+    # deal 2 names the block deal 1 appends: without Betti numbers it
+    # runs, with them the first report refuses it before deal 1 runs
+    scen = parse_scenario(GENESIS_DEALS_TEXT.format(mode="abstract", replicas=1, blocks="1:0 2:0")
+                          .replace("blocks = 2:0", "blocks = 1:1 2:0"))
+    assert [row.status for row in run_scenario(scen, 1, compute_betti=False).rows] == [Status.COMMITTED] * 2
+    wal = WriteAheadLog()
+    with pytest.raises(ChainError, match=r"^txn 2: block 1:1:0 is missing or on a dead branch$"):
+        next(_replay(scen, scen.build_federation(), wal, compute_betti=True))
+    assert wal.records == []
 
 
 def test_betti_report_releases_blocked_2pc_locks():

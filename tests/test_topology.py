@@ -30,6 +30,7 @@ from topocbt.topology import (
     expand_refs,
     expected_transaction_dimension,
     federation_betti,
+    structural_betti,
     tagged_to_text,
     teardown_transaction,
     transaction_simplex,
@@ -1066,6 +1067,23 @@ def test_a_bare_replicated_trunk_closes_replicas_minus_one_loops_per_height(leng
     assert federation_betti(fed, (), TopologyMode.REPLICATED) == expected
     if length <= 10:
         assert full_betti(fed, (), TopologyMode.REPLICATED, None) == expected
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_structural_loops_equal_the_closure_oracle(data):
+    # canonical appends cross the fork tips below them, or run on up a
+    # fork branch grown past the trunk
+    fed = Federation()
+    for cid in range(1, data.draw(st.integers(1, 2), label="chains") + 1):
+        chain = forked_trunk(data, cid)
+        for _ in range(data.draw(st.integers(0, 4), label="canonical appends")):
+            chain.append(())
+        fed.add_chain(chain)
+    mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
+    closure = betti_from_cells(close_by_dimension(build_federation_complex(fed, (), mode).structural()))
+    assert closure[0] == len(fed.chain_ids())
+    assert structural_betti(fed, mode) == closure[:2]
 
 
 # -- tags and teardown ---------------------------------------------------------------
