@@ -42,12 +42,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario, _ = load_scenario(args.scenario)
     report = run_scenario(scenario, args.seed, protocol_override=args.protocol)
     csv_text = report.to_csv()
+    # the log, then the report, all before anything is printed: a failed write prints nothing
+    if args.wal:
+        report.wal.write(args.wal)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
         sys.stdout.write(csv_text)
-    if args.wal:
-        report.wal.write(args.wal)
     problems = report.invariant_failures()
     for problem in problems:
         print(f"error: invariant: {problem}", file=sys.stderr)
@@ -63,13 +64,13 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         return 0
     scenario, _ = load_scenario(args.scenario)
     betti, tagged = betti_report(scenario, args.at or 0)
-    # a complex past the face budget is refused before anything is printed
-    texts = tagged_to_text(tagged) if args.out else None
-    print("betti:", " ".join(map(str, betti)))
-    if texts:
-        body, tags = texts
+    # a complex past the face budget, or a failed write, is refused before anything is printed
+    if args.out:
+        body, tags = tagged_to_text(tagged)
         Path(args.out).write_text(body, encoding="ascii")
         Path(args.out + ".tags").write_text(tags, encoding="ascii")
+    print("betti:", " ".join(map(str, betti)))
+    if args.out:
         print(f"complex written to {args.out}")
     return 0
 

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .baselines import ac2s_execute, ac3wn_execute
 from .chain import Federation
@@ -36,9 +36,7 @@ from .topology import (
     CrossChainTransaction,
     build_federation_complex,
     epoch_betti,
-    expand_refs,
     federation_betti,
-    structural_betti,
 )
 from .wal import WalKind, WriteAheadLog
 
@@ -213,44 +211,41 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     """Every scenario event in id order, one row each: the one event loop.
 
     The event's fork resolution (every ``epoch`` events) runs when the
-    generator is resumed after the row, so with Betti numbers off, or
-    with a window, a caller that stops after k rows holds the federation
-    row k reported.  An event's pre-event balance sheet is the previous
-    event's post-event one, unless fork resolution ran in between.
+    generator is resumed after the row, so a caller that stops after k
+    rows holds the federation row k reported.  An event's pre-event
+    balance sheet and Betti numbers are the previous event's post-event
+    ones, unless fork resolution ran in between.
 
     An epoch is the stretch of events between two fork resolutions, and
     the whole run when ``epoch`` is 0.  With Betti numbers on and no
-    window, the rows of an epoch are held and come out in event order at
-    its end, before its resolution: ``topology.epoch_betti`` takes every
-    state's numbers from one collapsed build of the epoch's last
-    federation, with b1 corrected by ``structural_betti`` taken at the
-    epoch's start and after each event.  With a window each event takes
-    its own ``federation_betti``, and its betti_pre is the previous
-    event's betti_post unless fork resolution ran in between.
+    window, ``topology.epoch_betti`` makes one collapsed build at the
+    epoch's first report, over the deals pending then, and takes each
+    later state's numbers from it, with b1 corrected by
+    ``structural_betti``.  With a window each report takes its own
+    ``federation_betti``.
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
     transactions = scenario.transactions()
     mode, window = scenario.mode, scenario.window
-    per_event = compute_betti and window is not None
-    by_epoch = compute_betti and window is None
-    held: list[TxnRow] = []  # by_epoch: the epoch's rows so far
-    shapes: list[tuple[int, ...]] = []  # by_epoch: structural_betti at the epoch's start and after each event
+    epoch_start = 0
+    reader: Optional[Callable[[int], tuple[int, ...]]] = None  # the epoch's, once its first report is made
 
     def betti(done: int) -> tuple[int, ...]:
-        """The numbers after ``done`` events, if each event takes its own."""
-        return federation_betti(federation, transactions[done:], mode=mode, window=window) if per_event else ()
+        """The numbers after ``done`` events."""
+        nonlocal epoch_start, reader
+        if not compute_betti:
+            return ()
+        if window is not None:
+            return federation_betti(federation, transactions[done:], mode=mode, window=window)
+        if reader is None:
+            epoch_start, reader = done, epoch_betti(federation, transactions[done:], mode)
+        return reader(done - epoch_start)
 
     post_balances: Optional[dict] = None
     betti_post: Optional[tuple[int, ...]] = None
     for event, txn in enumerate(transactions, start=1):
         protocol = protocol_override or scenario.protocols[txn.id]
         plan = scenario.plan_for(txn.id)
-        if by_epoch and not shapes:  # the epoch's first event
-            # each pending deal's blocks must be live, as a per-event
-            # build checks; only appends follow, so once per epoch does
-            for later in transactions[event - 1:]:
-                expand_refs(federation, later)
-            shapes.append(structural_betti(federation, mode))
         pre_balances = federation.balances() if post_balances is None else post_balances
         betti_pre = betti(event - 1) if betti_post is None else betti_post
         outcome, recovered = PROTOCOL_RUNNERS[protocol](engine, txn, plan)
@@ -258,7 +253,7 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
         audit = audit_atomicity(pre_balances, txn, post_balances)
         undecided = outcome.status is Status.COMMITTED and outcome.applied_updates and audit == AUDIT_NONE
         betti_post = betti(event)
-        row = TxnRow(
+        yield TxnRow(
             scenario=scenario.name, seed=seed, protocol=protocol, txn_id=txn.id,
             status=outcome.status, applied_updates=outcome.applied_updates,
             messages=outcome.messages, primitive_ops=outcome.primitive_ops,
@@ -266,21 +261,10 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
             audit=audit, betti_pre=betti_pre, betti_post=betti_post, recovered=recovered,
             forward_blocks=_forward_blocks(federation, engine.wal, txn.id) if undecided else 0,
         )
-        resolve = scenario.epoch > 0 and event % scenario.epoch == 0
-        if not by_epoch:
-            yield row
-        else:
-            held.append(row)
-            shapes.append(structural_betti(federation, mode))
-            if resolve or event == len(transactions):
-                vectors = epoch_betti(federation, transactions[event - len(held):], mode, shapes)
-                for row, pre, post in zip(held, vectors, vectors[1:]):
-                    yield replace(row, betti_pre=pre, betti_post=post)
-                held, shapes = [], []
-        if resolve:
+        if scenario.epoch > 0 and event % scenario.epoch == 0:
             for cid in federation.chain_ids():
                 federation.chain(cid).resolve_forks()
-            post_balances = betti_post = None
+            post_balances = betti_post = reader = None
 
 
 def run_scenario(

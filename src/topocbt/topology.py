@@ -36,11 +36,11 @@ costs about as much as its intersections with the rest, not 2^|top|
 faces.
 
 A run without a window reports from one such build per epoch
-(``epoch_betti``), made at the epoch's end over the transactions
-pending at its start.  Within an epoch the federation only gains blocks,
-each on a canonical branch above every live block and so in no pending
-top: each event's complex is the end's structural part plus that
-event's pending tops, save for the loops the later blocks closed.
+(``epoch_betti``), made at the epoch's first report over the
+transactions pending then.  Within an epoch the federation only gains
+blocks, each on a canonical branch above every live block and so in no
+pending top: each event's complex is the start's structural part plus
+that event's pending tops, save for the loops the new blocks closed.
 ``structural_betti`` counts those in closed form, per chain and per
 branch, with no closure and no walk up a chain.
 """
@@ -54,7 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
 from .simplicial import Cell, Simplex, SimplicialComplex, betti_from_generators, close_by_dimension, complex_to_text, text_order
@@ -372,39 +372,41 @@ def structural_betti(federation: Federation, mode: TopologyMode) -> tuple[int, .
 
 
 def epoch_betti(
-    federation: Federation,
-    transactions: list[CrossChainTransaction],
-    mode: TopologyMode,
-    shapes: list[tuple[int, ...]],
-) -> list[tuple[int, ...]]:
+    federation: Federation, transactions: list[CrossChainTransaction], mode: TopologyMode
+) -> Callable[[int], tuple[int, ...]]:
     """``federation_betti`` at each state of one epoch, without a window,
-    from one collapsed build of its last state.
+    from one collapsed build of its first state.
 
-    State k has ``transactions[k:]`` pending and ``shapes[k]`` is its
-    ``structural_betti``; ``federation`` is the last state's.  Within an
-    epoch the federation only gains blocks on its canonical branches, each
-    at a height above every live block, so in no pending top: one build
-    over the transactions pending at the start keeps every height that a
-    state's tops name, and state k takes the structural generators plus
-    its own tops.  An appended block's copies form a simplex joined to
-    the rows below by e edges, which adds e - 1 loops and nothing else
-    both to the complex and to its structural part: so b1 at state k is
-    the end's, plus the build's dropped-run loops, less the structural
-    loops gained since state k.  The end's vector runs to its own top
-    dimension; a state whose structural complex has no edge yet (b0
-    alone in its shape) runs to its widest top.
+    State 0 is ``federation`` now, with ``transactions`` pending; the
+    returned reader gives state k's numbers when ``federation`` has run
+    k more events of the epoch and ``transactions[k:]`` are pending.
+    Within an epoch the federation only gains blocks on its canonical
+    branches, each at a height above every live block, so in no pending
+    top: the build keeps every height that a state's tops name, and state
+    k takes its structural generators plus its own tops.  The build
+    refuses a pending deal whose blocks are not live (``expand_refs``).  An appended
+    block's copies form a simplex joined to the rows below by e edges,
+    which adds e - 1 loops and nothing else both to the complex and to
+    its structural part: so b1 at state k is the build's, plus its
+    dropped-run loops, plus the structural loops (``structural_betti``)
+    gained since the start.  A start whose structural complex has no
+    edge gives vectors that stop at its widest top; once a state's has
+    one, its vector runs to b1 at least.
     """
     tagged, dropped = _build(federation, transactions, mode, None, collapse=True)
     structural = tagged.structural()
     tops = [top.vertices for top in tagged.txn_tops.values()]  # by id: the order of ``transactions``
-    end_loops = sum(shapes[-1][1:])  # a shape's b1, 0 where it stops at b0
-    vectors = []
-    for k, shape in enumerate(shapes):
+    start = structural_betti(federation, mode)
+
+    def at(k: int) -> tuple[int, ...]:
+        shape = structural_betti(federation, mode)
         betti = betti_from_generators(structural + tops[k:])
-        if len(shape) < 2:
-            betti = betti[: max(map(len, tops[k:]), default=1)]
-        vectors.append(_add_loops(betti, dropped + sum(shape[1:]) - end_loops))
-    return vectors
+        if len(start) < 2 <= len(shape):  # edges since the start: the vector runs to b1
+            betti += (0,) * (2 - len(betti))
+        # a shape's b1, 0 where it stops at b0
+        return _add_loops(betti, dropped + sum(shape[1:]) - sum(start[1:]))
+
+    return at
 
 
 def _build(

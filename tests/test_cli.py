@@ -92,6 +92,9 @@ def test_run_accepts_a_commit_whose_updates_cancel_out(tmp_path):
     ["betti", "--complex", str(DATA / "car_trading_at0.complex"), "--at", "0"],
     ["betti", "--at", "1", "--complex", str(DATA / "car_trading_at0.complex")],
     ["betti", "--complex", str(DATA / "car_trading_at0.complex"), "--out", str(DATA / "no_such_dir" / "x.complex")],
+    # a failed write once came after the report was printed
+    ["run", "--scenario", "car-trading", "--wal", str(DATA / "no_such_dir" / "x.wal")],
+    ["betti", "--scenario", "car-trading", "--out", str(DATA / "no_such_dir" / "x")],
 ])
 def test_bad_command_line_is_one_error_line(argv):
     assert_one_error_line(*run_main(argv))

@@ -482,6 +482,19 @@ def test_a_deal_on_a_block_not_made_yet_is_refused_at_the_first_report():
     assert wal.records == []
 
 
+@pytest.mark.parametrize("window", [None, 1])
+@pytest.mark.parametrize("epoch", [0, 2])
+@pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
+def test_a_row_comes_out_as_its_event_ends(mode, epoch, window):
+    # with Betti numbers on, the first row is yielded before deal 2 runs
+    scen = forked_deals(mode, epoch, window)
+    wal = WriteAheadLog()
+    row = next(_replay(scen, scen.build_federation(), wal, compute_betti=True))
+    assert wal.records and {rec.txn_id for rec in wal.records} == {1}
+    first = run_scenario(scen, 1).rows[0]
+    assert (row.betti_pre, row.betti_post) == (first.betti_pre, first.betti_post)
+
+
 def test_betti_report_releases_blocked_2pc_locks():
     scen = parse_scenario(BLOCKED_THEN_DEAL_TEXT)
     report = run_scenario(scen, 1)
