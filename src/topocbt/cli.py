@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn, Optional
 
 from .chain import ChainError
 from .engine import TopoCbtEngine
@@ -38,16 +38,30 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _write_all(writes: list[tuple[Optional[str], Callable[[str], object]]]) -> None:
+    """Call each ``write(path)`` whose path is set, in turn.  When one
+    fails, the files written before it are removed, so a failed command
+    leaves no file behind."""
+    written: list[str] = []
+    try:
+        for path, write in writes:
+            if path:
+                write(path)
+                written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario, _ = load_scenario(args.scenario)
     report = run_scenario(scenario, args.seed, protocol_override=args.protocol)
     csv_text = report.to_csv()
-    # the log, then the report, all before anything is printed: a failed write prints nothing
-    if args.wal:
-        report.wal.write(args.wal)
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
+    # every file before anything is printed: a failed write prints nothing
+    _write_all([(args.wal, report.wal.write), (args.out, lambda path: Path(path).write_text(csv_text))])
+    if not args.out:
         sys.stdout.write(csv_text)
     problems = report.invariant_failures()
     for problem in problems:
@@ -67,8 +81,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
     # a complex past the face budget, or a failed write, is refused before anything is printed
     if args.out:
         body, tags = tagged_to_text(tagged)
-        Path(args.out).write_text(body, encoding="ascii")
-        Path(args.out + ".tags").write_text(tags, encoding="ascii")
+        _write_all([(args.out, lambda path: Path(path).write_text(body, encoding="ascii")),
+                    (args.out + ".tags", lambda path: Path(path).write_text(tags, encoding="ascii"))])
     print("betti:", " ".join(map(str, betti)))
     if args.out:
         print(f"complex written to {args.out}")

@@ -26,18 +26,13 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .baselines import ac2s_execute, ac3wn_execute
 from .chain import Federation
 from .engine import FailurePlan, Outcome, SimulatedCrash, Status, TopoCbtEngine
 from .scenario import Scenario, grid_scenario
-from .topology import (
-    CrossChainTransaction,
-    build_federation_complex,
-    epoch_betti,
-    federation_betti,
-)
+from .topology import CrossChainTransaction, build_federation_complex, federation_betti
 from .wal import WalKind, WriteAheadLog
 
 log = logging.getLogger(__name__)
@@ -214,32 +209,18 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     generator is resumed after the row, so a caller that stops after k
     rows holds the federation row k reported.  An event's pre-event
     balance sheet and Betti numbers are the previous event's post-event
-    ones, unless fork resolution ran in between.
-
-    An epoch is the stretch of events between two fork resolutions, and
-    the whole run when ``epoch`` is 0.  With Betti numbers on and no
-    window, ``topology.epoch_betti`` makes one collapsed build at the
-    epoch's first report, over the deals pending then, and takes each
-    later state's numbers from it, with b1 corrected by
-    ``structural_betti``.  With a window each report takes its own
-    ``federation_betti``.
+    ones, unless fork resolution ran in between.  Each report is one
+    ``federation_betti`` call on the federation as it stands, so no
+    Betti state is kept from one event to the next.
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
     transactions = scenario.transactions()
-    mode, window = scenario.mode, scenario.window
-    epoch_start = 0
-    reader: Optional[Callable[[int], tuple[int, ...]]] = None  # the epoch's, once its first report is made
 
     def betti(done: int) -> tuple[int, ...]:
         """The numbers after ``done`` events."""
-        nonlocal epoch_start, reader
         if not compute_betti:
             return ()
-        if window is not None:
-            return federation_betti(federation, transactions[done:], mode=mode, window=window)
-        if reader is None:
-            epoch_start, reader = done, epoch_betti(federation, transactions[done:], mode)
-        return reader(done - epoch_start)
+        return federation_betti(federation, transactions[done:], mode=scenario.mode, window=scenario.window)
 
     post_balances: Optional[dict] = None
     betti_post: Optional[tuple[int, ...]] = None
@@ -264,7 +245,7 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
         if scenario.epoch > 0 and event % scenario.epoch == 0:
             for cid in federation.chain_ids():
                 federation.chain(cid).resolve_forks()
-            post_balances = betti_post = reader = None
+            post_balances = betti_post = None
 
 
 def run_scenario(

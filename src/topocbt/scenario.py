@@ -8,11 +8,11 @@ and ``#`` comments are ignored.  Block positions are written
 ``chain:height`` or ``chain:height:branch``.  Input that could not
 run as written (a number, name or update list its binary field cannot
 hold, a scenario name that would split its CSV cell, a party name that
-would split a report's ``worse_off`` cell, a duplicate chain
-or txn id, a txn with no block or fewer than two parties, a fork with
-no block below it, a failure that can never fire, more blocks or
-replicas than the work budget allows) is rejected with its line and
-field.
+would split a report's ``worse_off`` cell, a duplicate chain or txn
+id, a txn with no block, two blocks on one chain or fewer than two
+parties, a fork with no block below it, a failure that can never fire,
+more blocks or replicas than the work budget allows) is rejected with
+its line and field.
 
 A parsed :class:`Scenario` holds the chains to build, each transaction
 as the :class:`CrossChainTransaction` it runs (in declaration order)
@@ -338,11 +338,14 @@ def parse_scenario(text: str) -> Scenario:
             protocol = current.get("protocol", "topocbt")
             if protocol not in PROTOCOLS:
                 raise ScenarioError(f"unknown protocol {protocol!r}", section_line, "protocol")
-            # a run builds each deal's top for its first Betti report, before the engine checks the deal
+            # a run's first Betti report glues each deal's top, one row per chain, before the engine checks the deal
             if len(current.get("parties", ())) < 2:
                 raise ScenarioError("txn needs at least two parties", lines.get("parties", section_line), "parties")
             if not current.get("blocks"):
                 raise ScenarioError("txn needs at least one block", lines.get("blocks", section_line), "blocks")
+            chains = [ref.chain for ref in current["blocks"]]
+            if len(set(chains)) != len(chains):
+                raise ScenarioError("txn takes one block height per chain", lines["blocks"], "blocks")
             scenario.protocols[tid] = protocol
             scenario.txns.append(
                 CrossChainTransaction(

@@ -22,27 +22,22 @@ built, as vertex tuples, only where members or text are read, within
 the face budget.  Tearing a transaction down drops its top and keeps
 the rest, so chain structure can never be deleted.
 
-A report's Betti numbers (``federation_betti``) come from a
-path-collapsed build, walked by the same rows plus each chain's lowest
+A report's Betti numbers (``federation_betti``) need no build without
+a window: the complex is the chains' structural complex glued to the
+pending tops along disjoint contractible pieces, so by Mayer–Vietoris
+(Hatcher, *Algebraic Topology*, §2.2) the numbers are the tops' own,
+with each chain a hub joined to its pieces, plus the chains' loops,
+which ``structural_betti`` counts in closed form, per chain and per
+branch, with no closure and no walk up a chain.  A windowed report
+walks a path-collapsed build, the same rows plus each chain's lowest
 and top rows and each height a transaction names: where the full build
-records a trunk run, it drops it.  Such a run is a path of replica
-groups that nothing else touches, and collapsing each group and then
-the path keeps the homotopy type (Hatcher, *Algebraic Topology*, Prop.
-0.17), save for the c - 1 loops that each height step of c copies
+records a trunk run, it drops it, which keeps the homotopy type (Prop.
+0.17) save for the c - 1 loops that each height step of c copies
 closes in replicated mode, which are added to b1.  So a report costs
 per fork and per reference, not per block.  The numbers are taken from
 the generators (``simplicial.betti_from_generators``), so a wide top
 costs about as much as its intersections with the rest, not 2^|top|
 faces.
-
-A run without a window reports from one such build per epoch
-(``epoch_betti``), made at the epoch's first report over the
-transactions pending then.  Within an epoch the federation only gains
-blocks, each on a canonical branch above every live block and so in no
-pending top: each event's complex is the start's structural part plus
-that event's pending tops, save for the loops the new blocks closed.
-``structural_betti`` counts those in closed form, per chain and per
-branch, with no closure and no walk up a chain.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
 from .simplicial import Cell, Simplex, SimplicialComplex, betti_from_generators, close_by_dimension, complex_to_text, text_order
@@ -92,9 +87,7 @@ class CrossChainTransaction:
             raise ValueError(f"txn {self.id}: needs at least two parties")
         if not self.blocks:
             raise ValueError(f"txn {self.id}: needs at least one block")
-        chains = [ref.chain for ref in self.blocks]
-        if len(set(chains)) != len(chains):
-            raise ValueError(f"txn {self.id}: one block height per chain")
+        self.check_chains()
         declared = set(self.blocks)
         for i, sub in enumerate(self.sub_transactions, start=1):
             if not set(sub.blocks) <= declared:
@@ -106,6 +99,12 @@ class CrossChainTransaction:
                     raise ValueError(
                         f"txn {self.id}: face {i} moves {upd.asset} but has no block on chain {chain.id}"
                     )
+
+    def check_chains(self) -> None:
+        """A deal names one height per chain."""
+        chains = [ref.chain for ref in self.blocks]
+        if len(set(chains)) != len(chains):
+            raise ValueError(f"txn {self.id}: one block height per chain")
 
     def total_updates(self) -> int:
         return sum(len(sub.updates) for sub in self.sub_transactions)
@@ -294,35 +293,65 @@ def federation_betti(
     mode: TopologyMode = TopologyMode.ABSTRACT,
     window: Optional[int] = None,
 ) -> tuple[int, ...]:
-    """The Betti numbers of ``build_federation_complex``'s complex, from
-    a path-collapsed build.
+    """The Betti numbers of ``build_federation_complex``'s complex.
 
-    It walks the rows the full build walks, each chain's lowest and top
-    rows and each height a transaction names, and lays none of the
-    trunk runs between them: the next kept row links to the last kept
-    trunk copies, copy by copy.  A run of such heights is a path of
-    replica groups, each group a simplex that meets nothing but its
-    neighbours, so contracting each group and then the path keeps the
-    homotopy type (Hatcher, *Algebraic Topology*, Prop. 0.17), except
-    that each dropped height's c copies joined copy by copy to the group
-    below close c - 1 loops; b1 gets them back, the dropped heights
-    times (copies - 1).  A chain that drops a run keeps rows above and
-    below it, and so an edge: the vector runs to the full build's top
-    dimension.
+    Without a window no federation complex is built.  The complex is
+    the structural complex S of the whole federation glued to the
+    closure T of the pending tops.  A top names one height per chain
+    (``check_chains``) and spans every live copy there, so S and T meet
+    in disjoint contractible pieces: each named block in abstract mode,
+    each named (chain, height) row, a replica group, in replicated mode.
+    S is a graph up to homotopy (``structural_betti``) and each chain
+    is connected, so by Mayer–Vietoris (Hatcher, *Algebraic Topology*,
+    §2.2) b_k = b_k(T) for k >= 2, and b0 and b1 are those of T with a
+    hub per touched chain joined by one edge to each of its pieces, plus
+    the untouched chains in b0 and S's loops in b1.  Each piece is a
+    face of every top that meets it, so it is taken as one vertex
+    (Hatcher, Prop. 0.17): a report reduces one top per pending deal
+    and one edge per piece.  The vector runs to the full build's widest
+    generator.
+
+    A window can cut a chain into parts that only a row walk finds, so a
+    windowed report takes the path-collapsed build (module docstring):
+    the full build's rows, each chain's lowest and top rows and each
+    named height, with b1 raised by the loops the dropped runs closed.
     """
-    tagged, loops = _build(federation, list(transactions), mode, window, collapse=True)
-    return _add_loops(tagged.betti_numbers(), loops)
-
-
-def _add_loops(betti: tuple[int, ...], loops: int) -> tuple[int, ...]:
-    return (betti[0], betti[1] + loops, *betti[2:]) if loops else betti
+    transactions = list(transactions)
+    if window is not None:
+        tagged, loops = _build(federation, transactions, mode, window, collapse=True)
+        betti = tagged.betti_numbers()
+        return (betti[0], betti[1] + loops, *betti[2:]) if loops else betti
+    replicated = mode is TopologyMode.REPLICATED
+    pieces: dict[tuple, int] = {}  # a block, or a (chain, height) row if replicated -> its vertex
+    tops: list[Cell] = []
+    shape = structural_betti(federation, mode)
+    widest = len(shape)  # the full build's widest generator: an edge, a group or a top
+    for cid in federation.chain_ids():
+        chain = federation.chain(cid)
+        forked = chain.forked_heights(0, chain.branches[chain.canonical_branch()].tip) if replicated else ()
+        # a forked row's group: its first block's copies, and one per block after it (off the trunk)
+        widest = max(widest, _copies(chain, 0, mode),
+                     *(_copies(chain, row[0].branch, mode) + len(row) - 1 for row in map(chain.live_block_at, forked)))
+    for txn in transactions:
+        txn.check_chains()
+        refs = expand_refs(federation, txn)
+        widest = max(widest, sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in refs))
+        tops.append(tuple(sorted({pieces.setdefault(ref[:2] if replicated else ref, len(pieces)) for ref in refs})))
+    hubs: dict[int, int] = {}  # a touched chain -> its hub's vertex
+    edges = [(v, hubs.setdefault(piece[0], len(pieces) + len(hubs))) for piece, v in pieces.items()]
+    betti = [*betti_from_generators(tops + edges), *[0] * (widest + 2)]
+    betti[0] += sum(shape[:1]) - len(hubs)
+    betti[1] += sum(shape[1:])
+    return tuple(betti[:widest])
 
 
 def structural_betti(federation: Federation, mode: TopologyMode) -> tuple[int, ...]:
     """b0 and b1 of the whole federation's structural complex (no
     transactions, no window) in closed form, per chain and per branch;
     b0 alone when the complex has no cell of two or more vertices, ()
-    when it has no vertex.
+    when it has no vertex.  Its higher numbers are 0, and each chain is
+    one component: the two facts ``federation_betti`` glues the pending
+    tops onto.
 
     Each chain is connected: every live block but genesis links to its
     parent.  Contracting each replica group, a simplex that meets no
@@ -369,44 +398,6 @@ def structural_betti(federation: Federation, mode: TopologyMode) -> tuple[int, .
     if not chains:
         return ()
     return (chains, loops) if edged else (chains,)
-
-
-def epoch_betti(
-    federation: Federation, transactions: list[CrossChainTransaction], mode: TopologyMode
-) -> Callable[[int], tuple[int, ...]]:
-    """``federation_betti`` at each state of one epoch, without a window,
-    from one collapsed build of its first state.
-
-    State 0 is ``federation`` now, with ``transactions`` pending; the
-    returned reader gives state k's numbers when ``federation`` has run
-    k more events of the epoch and ``transactions[k:]`` are pending.
-    Within an epoch the federation only gains blocks on its canonical
-    branches, each at a height above every live block, so in no pending
-    top: the build keeps every height that a state's tops name, and state
-    k takes its structural generators plus its own tops.  The build
-    refuses a pending deal whose blocks are not live (``expand_refs``).  An appended
-    block's copies form a simplex joined to the rows below by e edges,
-    which adds e - 1 loops and nothing else both to the complex and to
-    its structural part: so b1 at state k is the build's, plus its
-    dropped-run loops, plus the structural loops (``structural_betti``)
-    gained since the start.  A start whose structural complex has no
-    edge gives vectors that stop at its widest top; once a state's has
-    one, its vector runs to b1 at least.
-    """
-    tagged, dropped = _build(federation, transactions, mode, None, collapse=True)
-    structural = tagged.structural()
-    tops = [top.vertices for top in tagged.txn_tops.values()]  # by id: the order of ``transactions``
-    start = structural_betti(federation, mode)
-
-    def at(k: int) -> tuple[int, ...]:
-        shape = structural_betti(federation, mode)
-        betti = betti_from_generators(structural + tops[k:])
-        if len(start) < 2 <= len(shape):  # edges since the start: the vector runs to b1
-            betti += (0,) * (2 - len(betti))
-        # a shape's b1, 0 where it stops at b0
-        return _add_loops(betti, dropped + sum(shape[1:]) - sum(start[1:]))
-
-    return at
 
 
 def _build(

@@ -100,6 +100,29 @@ def test_bad_command_line_is_one_error_line(argv):
     assert_one_error_line(*run_main(argv))
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "car-trading", "--wal", "{dir}/ok.wal", "--out", "{dir}/no_such_dir/x.csv"],
+    ["run", "--scenario", "car-trading", "--wal", "{dir}/no_such_dir/x.wal", "--out", "{dir}/ok.csv"],
+    ["betti", "--scenario", "car-trading", "--out", "{dir}/no_such_dir/x"],
+    ["betti", "--scenario", "car-trading", "--out", "{dir}/x"],  # x.tags is a directory
+], ids=["run-out", "run-wal", "betti-out", "betti-tags"])
+def test_a_failed_write_leaves_no_file_behind(tmp_path, argv):
+    # the log or the complex written before the failed write once stayed
+    (tmp_path / "x.tags").mkdir()
+    assert_one_error_line(*run_main([arg.format(dir=tmp_path) for arg in argv]))
+    assert [path.name for path in tmp_path.iterdir()] == ["x.tags"]
+
+
+@pytest.mark.parametrize("command", [["betti", "--at", "0"], ["run"]])
+def test_a_deal_naming_one_chain_twice_is_one_error_line(tmp_path, command):
+    # betti --at 0 once printed `betti: 1 0 0` for it; run refused it only at execute
+    path = tmp_path / "twice.scenario"
+    path.write_text(CAR_TRADING_TEXT.replace("blocks = 1:2 2:2 3:2", "blocks = 1:1 1:2 2:1"))
+    code, out, err = run_main([command[0], "--scenario", str(path), *command[1:]])
+    assert_one_error_line(code, out, err)
+    assert err == "error: line 30: field blocks: txn takes one block height per chain\n"
+
+
 @pytest.mark.parametrize("seeds", ["", "1,x"])
 def test_bad_seeds_name_the_flag(seeds):
     code, out, err = run_main(["compare", "--scenario-dir", str(DATA), "--seeds", seeds])

@@ -450,24 +450,41 @@ def fresh_betti_pre(scen, k):
 
 @pytest.mark.parametrize("epoch, epochs", [(0, 1), (1, 6), (2, 3), (4, 2), (6, 1)])
 @pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
-def test_a_run_makes_one_collapsed_build_per_epoch(monkeypatch, mode, epoch, epochs):
-    collapsed = []
-    build = topology._build
+def test_a_report_reduces_only_the_pending_tops_and_their_pieces(monkeypatch, mode, epoch, epochs):
+    builds, sizes, expected = [], [], []
+    build, reduce, report = topology._build, topology.betti_from_generators, harness.federation_betti
 
-    def counted(*args, **kwargs):
-        collapsed.append(kwargs["collapse"])
+    def counted_build(*args, **kwargs):
+        builds.append(kwargs["collapse"])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(topology, "_build", counted)
+    def counted_reduce(generators):
+        sizes.append(len(generators))
+        return reduce(generators)
+
+    def counted_report(federation, pending, mode, window):
+        # a piece is a named block, or in replicated mode a named (chain, height) row
+        refs = {ref for txn in pending for ref in topology.expand_refs(federation, txn)}
+        pieces = {ref[:2] if mode is TopologyMode.REPLICATED else ref for ref in refs}
+        expected.append(len(pieces) + len(pending))
+        return report(federation, pending, mode=mode, window=window)
+
+    monkeypatch.setattr(topology, "_build", counted_build)
+    monkeypatch.setattr(topology, "betti_from_generators", counted_reduce)
+    monkeypatch.setattr(harness, "federation_betti", counted_report)
     scen = forked_deals(mode, epoch)
     assert len(run_scenario(scen, 1).rows) == 6
-    assert collapsed.count(True) == epochs
-    collapsed.clear()
+    # a report builds nothing: the six builds are execute's, one per deal, as with Betti numbers off
+    assert builds == [False] * 6
+    builds.clear()
     run_scenario(scen, 1, compute_betti=False)
-    assert True not in collapsed
-    # a window takes each event's own build
+    assert builds == [False] * 6
+    # one report before the first event, one after each, one more after each resolution with an event to come
+    assert len(expected) == 6 + epochs and sizes == expected
+    # a window takes each report's own collapsed build
+    builds.clear()
     run_scenario(forked_deals(mode, epoch, window=1), 1)
-    assert collapsed.count(True) == 6 + epochs
+    assert builds.count(True) == 6 + epochs
 
 
 def test_a_deal_on_a_block_not_made_yet_is_refused_at_the_first_report():

@@ -270,6 +270,8 @@ REJECTED = {
     "txn without parties": (_edited("parties = alice bob cindy\n", ""), 26, "parties"),
     "txn with one party": (_edited("parties = alice bob cindy", "parties = alice"), 29, "parties"),
     "txn with empty parties": (_edited("parties = alice bob cindy", "parties ="), 29, "parties"),
+    # a report glues a top to one row per chain; two rows of one chain once gave betti --at 0 a loop too few
+    "txn naming one chain twice": (_edited("blocks = 1:2 2:2 3:2", "blocks = 1:2 2:2 1:1"), 30, "blocks"),
 }
 
 
@@ -296,7 +298,8 @@ def test_numbers_at_the_range_edges_parse():
 
 
 @pytest.mark.parametrize("case", ["name past >H in parties", "updates past >H in a sub", "comma in the scenario name",
-                                  "';' in a party of parties", "txn without blocks", "txn with empty blocks"])
+                                  "';' in a party of parties", "txn without blocks", "txn with empty blocks",
+                                  "txn naming one chain twice"])
 def test_run_refuses_what_its_outputs_cannot_hold_with_one_error_line(tmp_path, case):
     text, line, fld = REJECTED[case]
     assert_refused_by_run(tmp_path, text, line, fld, "--wal", str(tmp_path / "run.wal"))

@@ -1014,9 +1014,18 @@ def full_betti(federation, transactions, mode, window):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_collapsed_betti_equals_the_full_build(data):
+    # canonical appends stitch to the fork tips below them, and a
+    # resolution retires trunk rows or leaves fork-only rows above them
     fed = Federation()
     for cid in range(1, data.draw(st.integers(1, 3), label="chains") + 1):
-        fed.add_chain(forked_trunk(data, cid))
+        chain = forked_trunk(data, cid)
+        for _ in range(data.draw(st.integers(0, 3), label="canonical appends")):
+            chain.append(())
+        if data.draw(st.booleans(), label="resolve_forks"):
+            chain.resolve_forks()
+            for _ in range(data.draw(st.integers(0, 3), label="canonical appends after it")):
+                chain.append(())
+        fed.add_chain(chain)
     mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
     window = data.draw(st.sampled_from([None, 0, 1, 2, 3]), label="window")
     txns = []
@@ -1055,6 +1064,18 @@ def test_collapsed_betti_equals_the_full_build_at_every_event(scenario):
         pending = transactions[k:]
         assert federation_betti(federation, pending, scenario.mode, scenario.window) == full_betti(
             federation, pending, scenario.mode, scenario.window), k
+
+
+def test_a_report_refuses_a_deal_naming_one_chain_twice():
+    # two rows of chain 1 in one top: the glued pieces would not be disjoint
+    fed = federation_of([2, 2])
+    deal = txn(1, [(1, 1, 0), (1, 2, 0), (2, 1, 0)])
+    message = "^txn 1: one block height per chain$"
+    with pytest.raises(ValueError, match=message):
+        deal.validate(fed)
+    for mode in TopologyMode:
+        with pytest.raises(ValueError, match=message):
+            federation_betti(fed, [deal], mode)
 
 
 @pytest.mark.parametrize("replicas", [1, 2, 3])
