@@ -19,10 +19,10 @@ from typing import Callable, NoReturn, Optional
 
 from .chain import ChainError
 from .engine import TopoCbtEngine
-from .harness import _replay, betti_report, compare_protocols, complexity_fit, fit_ops, measure_grid, run_scenario
+from .harness import _replay, compare_protocols, complexity_fit, fit_ops, measure_grid, replay_to, run_scenario
 from .scenario import PROTOCOLS, ScenarioError, load_scenario
 from .simplicial import betti_from_generators, read_generators
-from .topology import tagged_to_text
+from .topology import build_federation_complex, federation_betti, tagged_to_text
 from .wal import WalFormatError, WalKind, WalRecord, WriteAheadLog
 
 
@@ -77,10 +77,13 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         print("betti:", " ".join(map(str, betti_from_generators(read_generators(args.complex)))))
         return 0
     scenario, _ = load_scenario(args.scenario)
-    betti, tagged = betti_report(scenario, args.at or 0)
-    # a complex past the face budget, or a failed write, is refused before anything is printed
+    federation, pending = replay_to(scenario, args.at or 0)
+    betti = federation_betti(federation, pending, mode=scenario.mode, window=scenario.window)
+    # the complex is made only to be written; one past the face budget,
+    # or a failed write, is refused before anything is printed
     if args.out:
-        body, tags = tagged_to_text(tagged)
+        body, tags = tagged_to_text(
+            build_federation_complex(federation, pending, mode=scenario.mode, window=scenario.window))
         _write_all([(args.out, lambda path: Path(path).write_text(body, encoding="ascii")),
                     (args.out + ".tags", lambda path: Path(path).write_text(tags, encoding="ascii"))])
     print("betti:", " ".join(map(str, betti)))

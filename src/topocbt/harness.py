@@ -32,7 +32,7 @@ from .baselines import ac2s_execute, ac3wn_execute
 from .chain import Federation
 from .engine import FailurePlan, Outcome, SimulatedCrash, Status, TopoCbtEngine
 from .scenario import Scenario, grid_scenario
-from .topology import CrossChainTransaction, build_federation_complex, federation_betti
+from .topology import BettiGlue, CrossChainTransaction, build_federation_complex, federation_betti
 from .wal import WalKind, WriteAheadLog
 
 log = logging.getLogger(__name__)
@@ -209,18 +209,33 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     generator is resumed after the row, so a caller that stops after k
     rows holds the federation row k reported.  An event's pre-event
     balance sheet and Betti numbers are the previous event's post-event
-    ones, unless fork resolution ran in between.  Each report is one
-    ``federation_betti`` call on the federation as it stands, so no
-    Betti state is kept from one event to the next.
+    ones, unless fork resolution ran in between.
+
+    Without a window, an epoch's reports share one ``BettiGlue``, made
+    at its first report over the deals pending then and made again
+    after each fork resolution.  Between two resolutions every block a
+    protocol adds is ``Chain.append``'s, onto the canonical branch, one
+    height above every live block: forward blocks, recovery's
+    compensation blocks, and the ac2s and ac3wn legs.  So nothing below
+    a canonical tip changes within an epoch, and each report reduces
+    only the tops still pending, with the loops the risen tips closed in
+    closed form.  A windowed report is one ``federation_betti`` call.
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
     transactions = scenario.transactions()
+    glue: Optional[tuple[int, BettiGlue]] = None  # the epoch's first report's event count, and its glue
 
     def betti(done: int) -> tuple[int, ...]:
         """The numbers after ``done`` events."""
+        nonlocal glue
         if not compute_betti:
             return ()
-        return federation_betti(federation, transactions[done:], mode=scenario.mode, window=scenario.window)
+        if scenario.window is not None:
+            return federation_betti(federation, transactions[done:], mode=scenario.mode, window=scenario.window)
+        if glue is None:
+            glue = done, BettiGlue(federation, transactions[done:], scenario.mode)
+        start, epoch_glue = glue
+        return epoch_glue.betti(done - start)
 
     post_balances: Optional[dict] = None
     betti_post: Optional[tuple[int, ...]] = None
@@ -245,7 +260,7 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
         if scenario.epoch > 0 and event % scenario.epoch == 0:
             for cid in federation.chain_ids():
                 federation.chain(cid).resolve_forks()
-            post_balances = betti_post = None
+            post_balances = betti_post = glue = None
 
 
 def run_scenario(
@@ -271,15 +286,21 @@ def betti_report(scenario: Scenario, at_event: int):
     betti_post (before that event's fork resolution).  Event 0 is the
     initial federation with every declared transaction still in flight.
     """
+    federation, pending = replay_to(scenario, at_event)
+    betti = federation_betti(federation, pending, mode=scenario.mode, window=scenario.window)
+    return betti, build_federation_complex(federation, pending, mode=scenario.mode, window=scenario.window)
+
+
+def replay_to(scenario: Scenario, at_event: int) -> tuple[Federation, list[CrossChainTransaction]]:
+    """The federation after ``at_event`` transactions ran, before that
+    event's fork resolution, and the transactions still pending."""
     transactions = scenario.transactions()
     if at_event < 0 or at_event > len(transactions):
         raise ValueError(f"event index {at_event} out of range 0..{len(transactions)}")
     federation = scenario.build_federation()
     for _ in islice(_replay(scenario, federation, WriteAheadLog()), at_event):
         pass
-    pending = transactions[at_event:]
-    betti = federation_betti(federation, pending, mode=scenario.mode, window=scenario.window)
-    return betti, build_federation_complex(federation, pending, mode=scenario.mode, window=scenario.window)
+    return federation, transactions[at_event:]
 
 
 # -- protocol comparison -----------------------------------------------------

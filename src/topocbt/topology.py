@@ -28,16 +28,21 @@ pending tops along disjoint contractible pieces, so by Mayer–Vietoris
 (Hatcher, *Algebraic Topology*, §2.2) the numbers are the tops' own,
 with each chain a hub joined to its pieces, plus the chains' loops,
 which ``structural_betti`` counts in closed form, per chain and per
-branch, with no closure and no walk up a chain.  A windowed report
-walks a path-collapsed build, the same rows plus each chain's lowest
-and top rows and each height a transaction names: where the full build
-records a trunk run, it drops it, which keeps the homotopy type (Prop.
-0.17) save for the c - 1 loops that each height step of c copies
-closes in replicated mode, which are added to b1.  So a report costs
-per fork and per reference, not per block.  The numbers are taken from
-the generators (``simplicial.betti_from_generators``), so a wide top
-costs about as much as its intersections with the rest, not 2^|top|
-faces.
+branch, with no closure and no walk up a chain.  That glue
+(``BettiGlue``) stands while every block added is ``Chain.append``'s,
+onto a chain's canonical branch one height above every live block, and
+no fork is resolved: nothing below a canonical tip changes, so a later
+report drops the tops no longer pending and adds the loops the risen
+tips closed, in closed form, and derives nothing else again.  A
+windowed report walks a path-collapsed build, the same rows plus each
+chain's lowest and top rows and each height a transaction names: where
+the full build records a trunk run, it drops it, which keeps the
+homotopy type (Prop. 0.17) save for the c - 1 loops that each height
+step of c copies closes in replicated mode, which are added to b1.  So
+a report costs per fork and per reference, not per block.  The numbers
+are taken from the generators (``simplicial.betti_from_generators``),
+so a wide top costs about as much as its intersections with the rest,
+not 2^|top| faces.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .chain import AssetUpdate, BlockRef, Chain, ChainError, Federation
+from .chain import AssetUpdate, BlockRef, BranchInfo, Chain, ChainError, Federation
 from .simplicial import Cell, Simplex, SimplicialComplex, betti_from_generators, close_by_dimension, complex_to_text, text_order
 
 log = logging.getLogger(__name__)
@@ -295,54 +300,99 @@ def federation_betti(
 ) -> tuple[int, ...]:
     """The Betti numbers of ``build_federation_complex``'s complex.
 
-    Without a window no federation complex is built.  The complex is
-    the structural complex S of the whole federation glued to the
-    closure T of the pending tops.  A top names one height per chain
-    (``check_chains``) and spans every live copy there, so S and T meet
-    in disjoint contractible pieces: each named block in abstract mode,
-    each named (chain, height) row, a replica group, in replicated mode.
-    S is a graph up to homotopy (``structural_betti``) and each chain
-    is connected, so by Mayer–Vietoris (Hatcher, *Algebraic Topology*,
-    §2.2) b_k = b_k(T) for k >= 2, and b0 and b1 are those of T with a
-    hub per touched chain joined by one edge to each of its pieces, plus
-    the untouched chains in b0 and S's loops in b1.  Each piece is a
-    face of every top that meets it, so it is taken as one vertex
-    (Hatcher, Prop. 0.17): a report reduces one top per pending deal
-    and one edge per piece.  The vector runs to the full build's widest
-    generator.
-
-    A window can cut a chain into parts that only a row walk finds, so a
-    windowed report takes the path-collapsed build (module docstring):
-    the full build's rows, each chain's lowest and top rows and each
-    named height, with b1 raised by the loops the dropped runs closed.
+    Without a window no federation complex is built: the numbers are a
+    fresh ``BettiGlue``'s, with every deal pending.  A window can cut a chain
+    into parts that only a row walk finds, so a windowed report takes
+    the path-collapsed build (module docstring): the full build's rows,
+    each chain's lowest and top rows and each named height, with b1
+    raised by the loops the dropped runs closed.
     """
     transactions = list(transactions)
-    if window is not None:
-        tagged, loops = _build(federation, transactions, mode, window, collapse=True)
-        betti = tagged.betti_numbers()
-        return (betti[0], betti[1] + loops, *betti[2:]) if loops else betti
-    replicated = mode is TopologyMode.REPLICATED
-    pieces: dict[tuple, int] = {}  # a block, or a (chain, height) row if replicated -> its vertex
-    tops: list[Cell] = []
-    shape = structural_betti(federation, mode)
-    widest = len(shape)  # the full build's widest generator: an edge, a group or a top
-    for cid in federation.chain_ids():
-        chain = federation.chain(cid)
-        forked = chain.forked_heights(0, chain.branches[chain.canonical_branch()].tip) if replicated else ()
-        # a forked row's group: its first block's copies, and one per block after it (off the trunk)
-        widest = max(widest, _copies(chain, 0, mode),
-                     *(_copies(chain, row[0].branch, mode) + len(row) - 1 for row in map(chain.live_block_at, forked)))
-    for txn in transactions:
-        txn.check_chains()
-        refs = expand_refs(federation, txn)
-        widest = max(widest, sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in refs))
-        tops.append(tuple(sorted({pieces.setdefault(ref[:2] if replicated else ref, len(pieces)) for ref in refs})))
-    hubs: dict[int, int] = {}  # a touched chain -> its hub's vertex
-    edges = [(v, hubs.setdefault(piece[0], len(pieces) + len(hubs))) for piece, v in pieces.items()]
-    betti = [*betti_from_generators(tops + edges), *[0] * (widest + 2)]
-    betti[0] += sum(shape[:1]) - len(hubs)
-    betti[1] += sum(shape[1:])
-    return tuple(betti[:widest])
+    if window is None:
+        return BettiGlue(federation, transactions, mode).betti(0)
+    tagged, loops = _build(federation, transactions, mode, window, collapse=True)
+    betti = tagged.betti_numbers()
+    return (betti[0], betti[1] + loops, *betti[2:]) if loops else betti
+
+
+class BettiGlue:
+    """What the unwindowed Betti numbers of a federation and its pending
+    deals are made of, derived once: each deal's top over numbered
+    pieces and its width, the hub edges, the widest structural group and
+    ``structural_betti``'s shape.
+
+    The complex is the structural complex S of the whole federation
+    glued to the closure T of the pending tops.  A top names one height
+    per chain (``check_chains``) and spans every live copy there, so S
+    and T meet in disjoint contractible pieces: each named block in
+    abstract mode, each named (chain, height) row, a replica group, in
+    replicated mode.  S is a graph up to homotopy (``structural_betti``)
+    and each chain is connected, so by Mayer–Vietoris (Hatcher,
+    *Algebraic Topology*, §2.2) b_k = b_k(T) for k >= 2, and b0 and b1
+    are those of T with a hub per touched chain joined by one edge to
+    each of its pieces, plus the untouched chains in b0 and S's loops in
+    b1.  Each piece is a face of every top that meets it, so it is taken
+    as one vertex (Hatcher, Prop. 0.17).  A piece only a dropped top
+    named is a leaf on its hub, which changes no number.
+
+    ``betti(k)`` holds once the first k deals are no longer pending,
+    provided every block added since is ``Chain.append``'s, onto the
+    canonical branch, one height above every live block, and no fork
+    was resolved: then no live block below a canonical tip changes, so
+    the pieces, tops and groups stand, and S only grows at each chain's
+    top.  If its canonical tip rose n > 0 heights, S gains a stitch edge
+    from each live tip tied with it at the start, one loop each, and in
+    replicated mode, if the canonical branch is the trunk, n heights of
+    ``replicas`` copies over a row of as many, n * (replicas - 1) loops.
+    """
+
+    def __init__(self, federation: Federation, transactions: Iterable[CrossChainTransaction],
+                 mode: TopologyMode) -> None:
+        replicated = mode is TopologyMode.REPLICATED
+        pieces: dict[tuple, int] = {}  # a block, or a (chain, height) row if replicated -> its vertex
+        self.tops: list[Cell] = []
+        self.widths: list[int] = []  # each top's vertices in the full build
+        for txn in transactions:
+            txn.check_chains()
+            refs = expand_refs(federation, txn)
+            self.widths.append(sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in refs))
+            self.tops.append(tuple(sorted({pieces.setdefault(ref[:2] if replicated else ref, len(pieces))
+                                           for ref in refs})))
+        hubs: dict[int, int] = {}  # a touched chain -> its hub's vertex
+        self.edges = [(v, hubs.setdefault(piece[0], len(pieces) + len(hubs))) for piece, v in pieces.items()]
+        shape = structural_betti(federation, mode)
+        self.untouched = sum(shape[:1]) - len(hubs)
+        self.loops = sum(shape[1:])
+        self.edged = len(shape) > 1
+        self.widest = len(shape)  # the full build's widest structural generator: an edge or a group
+        # per chain: its canonical branch, that branch's tip now, the live
+        # tips tied with it, and the loops each height it rises closes
+        self.tips: list[tuple[BranchInfo, int, int, int]] = []
+        for cid in federation.chain_ids():
+            chain = federation.chain(cid)
+            canonical = chain.canonical_branch()
+            top = chain.branches[canonical].tip
+            forked = chain.forked_heights(0, top) if replicated else ()
+            # a forked row's group: its first block's copies, and one per block after it (off the trunk)
+            self.widest = max(self.widest, _copies(chain, 0, mode),
+                              *(_copies(chain, row[0].branch, mode) + len(row) - 1
+                                for row in map(chain.live_block_at, forked)))
+            tied = sum(chain.branches[label].tip == top for label in chain.live_branch_labels()) - 1
+            self.tips.append((chain.branches[canonical], top, tied, _copies(chain, canonical, mode) - 1))
+
+    def betti(self, dropped: int) -> tuple[int, ...]:
+        """The numbers with the first ``dropped`` deals no longer pending."""
+        loops, edged = self.loops, self.edged
+        for info, start, tied, per_height in self.tips:
+            risen = info.tip - start
+            if risen:
+                loops += tied + risen * per_height
+                edged = True
+        widest = max(self.widest, 2 * edged, *self.widths[dropped:])
+        betti = [*betti_from_generators(self.tops[dropped:] + self.edges), *[0] * (widest + 2)]
+        betti[0] += self.untouched
+        betti[1] += loops
+        return tuple(betti[:widest])
 
 
 def structural_betti(federation: Federation, mode: TopologyMode) -> tuple[int, ...]:
@@ -350,8 +400,8 @@ def structural_betti(federation: Federation, mode: TopologyMode) -> tuple[int, .
     transactions, no window) in closed form, per chain and per branch;
     b0 alone when the complex has no cell of two or more vertices, ()
     when it has no vertex.  Its higher numbers are 0, and each chain is
-    one component: the two facts ``federation_betti`` glues the pending
-    tops onto.
+    one component: the two facts ``BettiGlue`` glues the pending tops
+    onto.
 
     Each chain is connected: every live block but genesis links to its
     parent.  Contracting each replica group, a simplex that meets no

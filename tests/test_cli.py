@@ -5,17 +5,19 @@ import struct
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topocbt import topology
 from topocbt.cli import FIT_GRID_MAX, build_parser, main
-from topocbt.harness import run_scenario
+from topocbt.harness import _replay, betti_report, run_scenario
 from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading, load_scenario
 from topocbt.wal import WalKind, WriteAheadLog
 from oracles import complex_from_text
-from test_harness import CANCELLING_DEAL_TEXT
+from test_harness import CANCELLING_DEAL_TEXT, FORKED_DEALS_TEXT
 from test_simplicial import dense_betti
 from test_topology import TWO_CHAIN_DEAL
 
@@ -167,6 +169,28 @@ def test_betti_out_matches_golden(tmp_path, capsys, scenario, golden, betti):
     assert capsys.readouterr().out.splitlines()[0] == betti
     assert out.read_bytes() == (DATA / golden).read_bytes()
     assert Path(str(out) + ".tags").read_bytes() == (DATA / (golden + ".tags")).read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["abstract", "replicated"])
+def test_betti_without_out_builds_no_complex(monkeypatch, tmp_path, mode):
+    # the vector is glued, not built: betti --at k makes only the builds
+    # of the k deals it replays, as a run with Betti numbers off does
+    path = tmp_path / "forked.scenario"
+    path.write_text(FORKED_DEALS_TEXT.format(mode=mode, epoch=2, window="", window_line=""))
+    scenario, _ = load_scenario(str(path))
+    builds = []
+    build = topology._build
+    monkeypatch.setattr(topology, "_build", lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs))
+    for at in range(len(scenario.transactions()) + 1):
+        for _ in islice(_replay(scenario, scenario.build_federation(), WriteAheadLog()), at):
+            pass
+        replayed = len(builds)
+        builds.clear()
+        code, out, err = run_main(["betti", "--scenario", str(path), "--at", str(at)])
+        assert (code, err) == (0, "") and len(builds) == replayed == at
+        builds.clear()
+        assert out == "betti: " + " ".join(map(str, betti_report(scenario, at)[0])) + "\n"
+        builds.clear()
 
 
 def test_betti_from_complex_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from topocbt.scenario import (
     load_scenario,
     parse_scenario,
 )
-from topocbt.topology import TopologyMode, build_federation_complex
+from topocbt.topology import CrossChainTransaction, TopologyMode, build_federation_complex
 from topocbt.wal import WalKind, WriteAheadLog
 from oracles import random_scenario
 
@@ -418,11 +419,24 @@ def forked_deals(mode, epoch, window=None):
         window_line="" if window is None else f"window = {window}\n"))
 
 
+def faulty_forked_deals(mode, epoch):
+    """``forked_deals`` with deal 4 crashing after its first append, so
+    recovery appends a compensation block, and deal 5 under ac3wn, whose
+    legs are appended too: within an epoch every chain still grows only
+    at its canonical tip, the trunk on chain 2 and a fork on chain 1."""
+    text = FORKED_DEALS_TEXT.format(mode=mode.value, epoch=epoch, window="", window_line="")
+    text = text.replace("[txn]\nid = 5\n", "[txn]\nid = 5\nprotocol = ac3wn\n")
+    scen = parse_scenario(text + "\n[failure]\ntxn = 4\nkind = crash_after_append\nappend = 1\n")
+    scen.name += "-faults"
+    return scen
+
+
 @pytest.mark.parametrize(
     "scen",
     [parse_scenario(EPOCH_FORK_TEXT), parse_scenario(BLOCKED_THEN_DEAL_TEXT), car_trading()]
     + [forked_deals(mode, epoch) for mode in TopologyMode for epoch in range(4)]
     + [forked_deals(mode, epoch, window=1) for mode in TopologyMode for epoch in (0, 2)]
+    + [faulty_forked_deals(mode, epoch) for mode in TopologyMode for epoch in range(4)]
     + [genesis_deals(mode) for mode in TopologyMode]
     + [random_scenario(seed) for seed in range(40)],
     ids=lambda scen: scen.name,
@@ -450,9 +464,27 @@ def fresh_betti_pre(scen, k):
 
 @pytest.mark.parametrize("epoch, epochs", [(0, 1), (1, 6), (2, 3), (4, 2), (6, 1)])
 @pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
-def test_a_report_reduces_only_the_pending_tops_and_their_pieces(monkeypatch, mode, epoch, epochs):
-    builds, sizes, expected = [], [], []
-    build, reduce, report = topology._build, topology.betti_from_generators, harness.federation_betti
+def test_each_epoch_glues_once_and_a_report_reduces_its_tops(monkeypatch, mode, epoch, epochs):
+    scen = forked_deals(mode, epoch)
+    deals = scen.transactions()
+    # each epoch's first report comes after ``start`` events and its fork resolution
+    starts = range(0, len(deals), epoch) if epoch else [0]
+    assert len(starts) == epochs
+    expected = []  # per report: a top per pending deal, and an edge per piece the epoch's first report names
+    for start in starts:
+        federation = scen.build_federation()
+        for _ in islice(_replay(scen, federation, WriteAheadLog()), start):
+            pass
+        for cid in federation.chain_ids() if start else ():
+            federation.chain(cid).resolve_forks()
+        refs = {ref for txn in deals[start:] for ref in topology.expand_refs(federation, txn)}
+        pieces = {ref[:2] if mode is TopologyMode.REPLICATED else ref for ref in refs}
+        end = min(start + epoch, len(deals)) if epoch else len(deals)
+        expected += [len(deals) - done + len(pieces) for done in range(start, end + 1)]
+
+    builds, sizes, calls = [], [], Counter()
+    build, reduce, shape = topology._build, topology.betti_from_generators, topology.structural_betti
+    expand, check = topology.expand_refs, CrossChainTransaction.check_chains
 
     def counted_build(*args, **kwargs):
         builds.append(kwargs["collapse"])
@@ -462,25 +494,40 @@ def test_a_report_reduces_only_the_pending_tops_and_their_pieces(monkeypatch, mo
         sizes.append(len(generators))
         return reduce(generators)
 
-    def counted_report(federation, pending, mode, window):
-        # a piece is a named block, or in replicated mode a named (chain, height) row
-        refs = {ref for txn in pending for ref in topology.expand_refs(federation, txn)}
-        pieces = {ref[:2] if mode is TopologyMode.REPLICATED else ref for ref in refs}
-        expected.append(len(pieces) + len(pending))
-        return report(federation, pending, mode=mode, window=window)
+    def counted_shape(federation, mode):
+        calls["structural_betti"] += 1
+        return shape(federation, mode)
+
+    def counted_expand(federation, txn):
+        calls["expand_refs", txn.id] += 1
+        return expand(federation, txn)
+
+    def counted_check(txn):
+        calls["check_chains", txn.id] += 1
+        return check(txn)
 
     monkeypatch.setattr(topology, "_build", counted_build)
     monkeypatch.setattr(topology, "betti_from_generators", counted_reduce)
-    monkeypatch.setattr(harness, "federation_betti", counted_report)
-    scen = forked_deals(mode, epoch)
-    assert len(run_scenario(scen, 1).rows) == 6
-    # a report builds nothing: the six builds are execute's, one per deal, as with Betti numbers off
-    assert builds == [False] * 6
-    builds.clear()
+    monkeypatch.setattr(topology, "structural_betti", counted_shape)
+    monkeypatch.setattr(topology, "expand_refs", counted_expand)
+    monkeypatch.setattr(CrossChainTransaction, "check_chains", counted_check)
     run_scenario(scen, 1, compute_betti=False)
-    assert builds == [False] * 6
+    executed, execute_calls = list(builds), Counter(calls)  # execute's own, one build per deal
+    assert executed == [False] * 6 and not sizes
+    builds.clear()
+    calls.clear()
+    assert len(run_scenario(scen, 1).rows) == 6
+    # the reports build nothing, and derive the glue once per epoch: each
+    # deal pending at an epoch's first report is checked and expanded once
+    assert builds == executed
+    glued = Counter({"structural_betti": epochs})
+    for start in starts:
+        for txn in deals[start:]:
+            glued["expand_refs", txn.id] += 1
+            glued["check_chains", txn.id] += 1
+    assert calls == execute_calls + glued
     # one report before the first event, one after each, one more after each resolution with an event to come
-    assert len(expected) == 6 + epochs and sizes == expected
+    assert len(sizes) == 6 + epochs and sizes == expected
     # a window takes each report's own collapsed build
     builds.clear()
     run_scenario(forked_deals(mode, epoch, window=1), 1)

@@ -22,6 +22,7 @@ from topocbt.scenario import (
 )
 from topocbt.simplicial import Simplex, SimplicialComplex, close_by_dimension
 from topocbt.topology import (
+    BettiGlue,
     CrossChainTransaction,
     SubTransaction,
     TaggedComplex,
@@ -1028,8 +1029,14 @@ def test_collapsed_betti_equals_the_full_build(data):
         fed.add_chain(chain)
     mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
     window = data.draw(st.sampled_from([None, 0, 1, 2, 3]), label="window")
+    txns = draw_deals(data, fed, 3)
+    assert federation_betti(fed, txns, mode, window) == full_betti(fed, txns, mode, window)
+
+
+def draw_deals(data, fed, most):
+    """Up to ``most`` deals, each naming one live block on each of some chains."""
     txns = []
-    for tid in range(1, data.draw(st.integers(0, 3), label="txns") + 1):
+    for tid in range(1, data.draw(st.integers(0, most), label="txns") + 1):
         refs = []
         for cid in sorted(data.draw(st.lists(st.sampled_from(fed.chain_ids()), min_size=1, unique=True))):
             chain = fed.chain(cid)
@@ -1039,7 +1046,26 @@ def test_collapsed_betti_equals_the_full_build(data):
             height = data.draw(st.one_of(st.integers(0, top), st.sampled_from(sorted(near))), label="height")
             refs.append(data.draw(st.sampled_from(chain.live_block_at(height)), label="ref"))
         txns.append(CrossChainTransaction(tid, ("a", "b"), tuple(refs), ()))
-    assert federation_betti(fed, txns, mode, window) == full_betti(fed, txns, mode, window)
+    return txns
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_an_epoch_glue_read_after_canonical_appends_equals_the_full_build(data):
+    # one glue, read as deals stop pending and chains grow at their
+    # canonical tips: a fork tied with the tip, a fork or the trunk
+    # taking the appends, a genesis-only chain gaining its first edge
+    fed = Federation()
+    for cid in range(1, data.draw(st.integers(1, 3), label="chains") + 1):
+        fed.add_chain(forked_trunk(data, cid))
+    mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
+    txns = draw_deals(data, fed, 4)
+    glue = BettiGlue(fed, txns, mode)
+    for k in range(len(txns) + 1):
+        if k:
+            for cid in data.draw(st.lists(st.sampled_from(fed.chain_ids()), max_size=3), label="appends"):
+                fed.chain(cid).append(())
+        assert glue.betti(k) == full_betti(fed, txns[k:], mode, None), k
 
 
 def collapse_corpus():
