@@ -45,7 +45,11 @@ one.  ``append`` stores one block on the canonical branch, in the slot
 ``next_ref`` names.  ``resolve_forks`` rebuilds the live state with one
 ancestor walk over appended blocks when it retires a branch, lowering
 the live declared height only when branch 0 is retired above a fork;
-``spawn_fork`` leaves it alone, since an empty branch adds no block.  A
+``spawn_fork`` leaves it alone, since an empty branch adds no block.
+``reshapes`` counts every change but a canonical append at the top,
+one height above every live block: a spawned fork, an append on another
+branch and a resolution that retires a branch, so a reader that
+derived something from the chain's shape can tell that it went stale.  A
 payload is read once, when its block is appended.  The engine opens
 each forward update block with a ``Forward`` marker naming its
 transaction, and each rollback block with a ``Compensation`` marker
@@ -248,6 +252,9 @@ class Chain:
         self._blocks: dict[BlockRef, Block | _Unsealed] = {}
         self.branches: dict[int, BranchInfo] = {0: BranchInfo(spawn_height=0, parent=None, tip=length)}
         self._canonical = 0  # the live branch with the highest tip, the lowest label among those
+        # bumped by every change but a canonical append at the top: a fork
+        # spawned, an append on another branch, a branch retired
+        self.reshapes = 0
         # live state, kept current by _index and _rebuild_live
         self._live_trunk = length  # declared heights 0.._live_trunk are live
         # height -> live refs, by branch, at each height that holds a live
@@ -486,6 +493,8 @@ class Chain:
             info.tip = height - 1
             # tips only rise, so the branch that rose is the only new contender
             best = self._canonical
+            if branch != best:
+                self.reshapes += 1
             if (-info.tip, branch) < (-self.branches[best].tip, best):
                 self._canonical = branch
         # the parent is live: a live branch's tip is, a fork's parent was
@@ -503,6 +512,7 @@ class Chain:
         label = len(self.branches)  # labels run 0, 1, ... and are never dropped
         # empty and labelled highest, the branch loses to every live one: the canonical branch stays
         self.branches[label] = BranchInfo(spawn_height=at_height, parent=parents[0])
+        self.reshapes += 1
         return label
 
     def resolve_forks(self) -> int:
@@ -516,6 +526,7 @@ class Chain:
                 retired = True
         if retired:
             self._rebuild_live()
+            self.reshapes += 1
         return survivor
 
     # -- integrity ---------------------------------------------------------

@@ -211,19 +211,20 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     balance sheet and Betti numbers are the previous event's post-event
     ones, unless fork resolution ran in between.
 
-    Without a window, an epoch's reports share one ``BettiGlue``, made
-    at its first report over the deals pending then and made again
-    after each fork resolution.  Between two resolutions every block a
-    protocol adds is ``Chain.append``'s, onto the canonical branch, one
-    height above every live block: forward blocks, recovery's
-    compensation blocks, and the ac2s and ac3wn legs.  So nothing below
-    a canonical tip changes within an epoch, and each report reduces
-    only the tops still pending, with the loops the risen tips closed in
-    closed form.  A windowed report is one ``federation_betti`` call.
+    Without a window, the reports share one ``BettiGlue``, made at the
+    first report.  Between two resolutions every block a protocol adds
+    is ``Chain.append``'s, onto the canonical branch, one height above
+    every live block: forward blocks, recovery's compensation blocks,
+    and the ac2s and ac3wn legs.  So nothing below a canonical tip
+    changes within an epoch, and each report reads its stage of the
+    epoch's one filtered reduction, with the loops the risen tips closed
+    in closed form.  A resolution that retires a branch bumps its
+    chain's ``reshapes``, and the next report derives the glue again.  A
+    windowed report is one ``federation_betti`` call.
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
     transactions = scenario.transactions()
-    glue: Optional[tuple[int, BettiGlue]] = None  # the epoch's first report's event count, and its glue
+    glue: Optional[BettiGlue] = None
 
     def betti(done: int) -> tuple[int, ...]:
         """The numbers after ``done`` events."""
@@ -232,10 +233,9 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
             return ()
         if scenario.window is not None:
             return federation_betti(federation, transactions[done:], mode=scenario.mode, window=scenario.window)
-        if glue is None:
-            glue = done, BettiGlue(federation, transactions[done:], scenario.mode)
-        start, epoch_glue = glue
-        return epoch_glue.betti(done - start)
+        if glue is None:  # at the first report, with every deal pending
+            glue = BettiGlue(federation, transactions, scenario.mode)
+        return glue.betti(done)
 
     post_balances: Optional[dict] = None
     betti_post: Optional[tuple[int, ...]] = None
@@ -260,7 +260,7 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
         if scenario.epoch > 0 and event % scenario.epoch == 0:
             for cid in federation.chain_ids():
                 federation.chain(cid).resolve_forks()
-            post_balances = betti_post = glue = None
+            post_balances = betti_post = None
 
 
 def run_scenario(

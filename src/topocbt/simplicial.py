@@ -11,14 +11,17 @@ face becomes a ``Simplex`` only where a caller asks for members.
 Enumerating a closure is held to a budget: one that may pass
 ``MAX_CELLS`` cells is refused first.
 
-Betti numbers over GF(2) have one routine,
-:func:`betti_from_generators`; a complex takes its numbers from the
-generators its constructor kept.  No closure is enumerated: each wide
-generator, alone or with the generator it shares most with, is swapped
-for a cone over their intersections with the others, which keeps the
-homology, then one pass gives the vertices, edges and components, and
-only generators of 3 or more vertices are closed, within the face
-budget, for a column reduction whose columns are Python ints used as
+Betti numbers over GF(2) have one routine, :func:`betti_by_stage`: it
+takes a filtration, stages of generators whose closures nest, and
+gives every stage's numbers from one reduction.
+:func:`betti_from_generators` is its one-stage case; a complex takes
+its numbers from the generators its constructor kept.  No closure is
+enumerated: each wide generator, alone or with the generator it shares
+most with, is swapped for cones over their intersections with the
+others, which keeps every stage's homology, then one pass gives the
+vertices, edges and components, and only generators of 3 or more
+vertices are closed, within the face budget, for one column reduction
+in the order the cells enter, whose columns are Python ints used as
 bitsets, with clearing.  Ranks do not depend on any ordering, so
 results are bit-for-bit reproducible.  The dense boundary matrices,
 tuples of 0/1 rows (:meth:`SimplicialComplex.boundary_matrix` with
@@ -104,7 +107,7 @@ class SimplicialComplex:
     __slots__ = ("cells", "generators")
 
     def __init__(self, cells: Iterable[Sequence[int]] = ()) -> None:
-        generators = _maximal(Simplex(cell).vertices for cell in cells)
+        generators = list(_maximal(dict.fromkeys((Simplex(cell).vertices for cell in cells), 0)))
         _check_face_budget(sum((1 << len(g)) - 1 for g in generators))
         self.cells = tuple(map(frozenset, close_by_dimension(generators)))
         self.generators = tuple(generators)
@@ -209,33 +212,63 @@ def close_by_dimension(generators: Iterable[Cell]) -> list[set[Cell]]:
 
 def betti_from_generators(generators: Sequence[Cell]) -> tuple[int, ...]:
     """Betti numbers over GF(2) of the face closure of ascending vertex
-    tuples, without enumerating that closure; () when there are none.
+    tuples, without enumerating that closure; () when there are none:
+    the one-stage case of :func:`betti_by_stage`."""
+    return betti_by_stage([generators])[0]
 
-    Wide generators are first replaced, alone or in pairs, by cones over
-    their intersections (:func:`_cone_wide`), which keeps the homology.
-    Then one pass over the generators gives the rest: union-find over
-    each generator's vertices gives rank d1, a set of their edges gives
-    n1, and only the generators with 3 or more vertices are closed, at
-    dimension 2 and up, for the higher ranks.  Coning never raises a
-    dimension but can lower the top one, so the vector is padded with
-    zeros to the input's top dimension.
 
-    b_k = n_k - rank(d_k) - rank(d_{k+1}).  Rank dk for k >= 2 is the
-    number of pivots of a column reduction run from the top dimension
-    down, with clearing (Chen & Kerber, "Persistent homology computation
-    with a twist", 2011): a reduced column of d(k+1) is a boundary, so
-    d(k) maps it to zero; its pivot is its first k-cell, whose column in
-    d(k) is therefore a sum of later columns and is skipped.
+def betti_by_stage(stages: Sequence[Sequence[Cell]]) -> list[tuple[int, ...]]:
+    """Betti numbers over GF(2) of every complex of a filtration, from one
+    reduction and without enumerating a closure: entry s is that of the
+    face closure of the generators of ``stages[0]`` through
+    ``stages[s]``, () while there are none.
+
+    Each distinct generator enters at the first stage that holds it.
+    When one is wide, those that lie inside another entered no later are
+    dropped (:func:`_maximal`), and each wide one, alone or with the
+    generator it shares most with, is replaced by cones over their
+    intersections with the generators of every stage
+    (:func:`_cone_wide`), which keeps the homology of every stage.  Then
+    one pass over the generators, stage by stage, gives the rest:
+    union-find over each generator's vertices gives rank d1 at the end
+    of each stage, and only the generators with 3 or more vertices are
+    closed, within the face budget, for the higher ranks.  Coning never
+    raises a dimension but can lower the top one, so each vector is
+    padded with zeros to the top dimension of its stage's input.
+
+    b_k = n_k - rank(d_k) - rank(d_{k+1}) over the cells entered by
+    then.  Each dimension's cells are numbered in the order they enter,
+    so a stage's complex is a prefix of every boundary map's columns,
+    and one column reduction in that order, each column reduced by
+    earlier ones only, gives the rank of every prefix: its number of
+    nonzero reduced columns (Edelsbrunner, Letscher & Zomorodian,
+    "Topological persistence and simplification", 2002).  Ranks for
+    k >= 2 are reduced from the top dimension down, with clearing (Chen
+    & Kerber, "Persistent homology computation with a twist", 2011): a
+    reduced column of d(k+1) is a cycle whose pivot is its latest
+    k-cell, so that cell's column in d(k) is a sum of earlier ones,
+    reduces to zero and is skipped.
 
     The generators the pass closes are held to the face budget: when
     the sum of 2^|g| - 1 over them passes ``MAX_CELLS`` the pass is
     refused (``ValueError``) before it enumerates any face.
     """
-    if not generators:
-        return ()
-    widest = max(map(len, generators))
-    if widest >= 3 and 2**widest > len(generators):
-        generators = _cone_wide(generators)
+    entered: dict[Cell, int] = {}  # each distinct generator -> the first stage that holds it
+    widths: list[int] = []  # per stage: the widest generator of its input so far
+    widest = total = 0
+    for s, generators in enumerate(stages):
+        for g in generators:
+            entered.setdefault(g, s)
+        widest = max(widest, max(map(len, generators), default=0))
+        widths.append(widest)
+        total += len(generators)
+    kept = entered
+    if widest >= 3 and 2**widest > total:
+        kept = _cone_wide(_maximal(entered), total)
+    _check_face_budget(sum((1 << len(g)) - 1 for g in kept if len(g) >= 3))
+    by_stage: list[list[Cell]] = [[] for _ in stages]
+    for g, s in kept.items():
+        by_stage[s].append(g)
     # union-find inline: with a union-find class's method calls the
     # betti-history benchmark ran 11% slower (median 976 vs 1,092 txn/s,
     # 2-vCPU container, CPython 3.11.7)
@@ -246,76 +279,88 @@ def betti_from_generators(generators: Sequence[Cell]) -> tuple[int, ...]:
             parent[v] = v = parent[parent[v]]
         return v
 
-    edges: set[Cell] = set()
-    closed: list[Cell] = []  # the generators of 3 or more vertices
-    for g in generators:
-        head = g[0]
-        parent.setdefault(head, head)
-        if len(g) == 1:
-            continue
-        if len(g) == 2:
-            edges.add(g)
-        else:
-            closed.append(g)
-        a = root(head)
-        for v in g[1:]:
-            b = root(parent.setdefault(v, v))
-            if a != b:
-                parent[b] = a
-    _check_face_budget(sum((1 << len(g)) - 1 for g in closed))
-    upper: list[set[Cell]] = []  # upper[k - 2] holds the k-cells
-    for g in closed:
-        edges.update(combinations(g, 2))
-        while len(upper) < len(g) - 2:
-            upper.append(set())
-        for size in range(3, len(g) + 1):
-            upper[size - 3].update(combinations(g, size))
-    counts = ([len(parent), len(edges), *map(len, upper)] + [0] * widest)[:widest]
-    ranks = [0] * (widest + 1)  # ranks[k] is rank d_k
-    ranks[1] = len(parent) - sum(1 for v, p in parent.items() if v == p)
-    if upper:
-        ordered = [[], sorted(edges), *map(sorted, upper)]  # ordered[k] holds the k-cells
+    merges = 0  # rank d1: the vertices less the components
+    levels: list[dict[Cell, None]] = [{}]  # levels[k - 1] holds the k-cells, k >= 1, in the order they enter
+    counts: list[list[int]] = []  # counts[s][k]: n_k at the end of stage s
+    ranks: list[list[int]] = []  # ranks[s][k]: rank d_k at the end of stage s
+    for generators in by_stage:
+        for g in generators:
+            head = g[0]
+            a = root(parent.setdefault(head, head))
+            for v in g[1:]:
+                b = root(parent.setdefault(v, v))
+                if a != b:
+                    parent[b] = a
+                    merges += 1
+            if len(g) == 2:
+                levels[0][g] = None
+            elif len(g) > 2:
+                while len(levels) < len(g) - 1:
+                    levels.append({})
+                for size in range(2, len(g) + 1):
+                    levels[size - 2].update(dict.fromkeys(combinations(g, size)))
+        counts.append([len(parent), *map(len, levels)])
+        ranks.append([0, merges])
+    dims = max(len(levels) + 1, widest)
+    counts = [count + [0] * (dims - len(count)) for count in counts]
+    ranks = [rank + [0] * dims for rank in ranks]
+    if len(levels) > 1:  # 2-cells: the ranks above d1 are reduced
+        ends = [[count[k] for count in counts] for k in range(len(levels) + 1)]  # ends[k][s]: n_k after stage s
+        ordered = [[], *(_stagewise(level, ends[k]) for k, level in enumerate(levels, start=1))]
         cleared: set[int] = set()
-        for k in range(len(ordered) - 1, 1, -1):
-            ranks[k], cleared = _reduced_rank(ordered[k], ordered[k - 1], cleared)
-    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(widest))
+        for k in range(len(levels), 1, -1):
+            by_end, cleared = _reduced_ranks(ordered[k], ordered[k - 1], ends[k], ends[k - 1], cleared)
+            for rank, r in zip(ranks, by_end):
+                rank[k] = r
+    return [tuple(count[k] - rank[k] - rank[k + 1] for k in range(width))
+            for count, rank, width in zip(counts, ranks, widths)]
 
 
-def _cone_wide(generators: Sequence[Cell]) -> list[Cell]:
-    """Generators whose face closure has the same homology as that of
-    ``generators``, with each wide generator, alone or together with the
-    generator it shares most with, replaced by a cone over their
-    intersections with the others where that has fewer faces.
+def _cone_wide(entered: dict[Cell, int], total: int) -> dict[Cell, int]:
+    """Generators, each with the stage it enters, whose face closure at
+    every stage has the same homology as that of ``entered`` (distinct
+    generators, none inside another entered no later), with each wide
+    generator, alone or together with the generator it shares most
+    with, replaced by cones over their intersections with the others
+    where that has fewer faces.  ``total`` is the count of generators
+    the caller was given.
 
     Take K = L ∪ X for a contractible subcomplex X and the complex L of
-    the other generators.  X and the cone from a new apex over L ∩ X
-    are both contractible and both meet L in exactly L ∩ X, so swapping
-    one for the other keeps K's homotopy type (Hatcher, *Algebraic
-    Topology*, Prop. 0.17); an X that meets nothing becomes the apex
-    alone.  X is Δ(T) for a generator T, or Δ(T) ∪ Δ(g) for a g that
-    meets T, contractible since Δ(T ∩ g) is; L ∩ X is the closure of the
-    intersections h ∩ T (and h ∩ g) over the other generators h.  The
-    cone holds about Σ 2^|h ∩ T| cells where Δ(T) holds 2^|T|.  Coning
-    T together with g drops their shared face, which two deals over one
-    replicated block both hold, where T's own cone would keep it.
+    the other generators.  Any contractible Z that meets L in exactly
+    L ∩ X can stand for X: by Mayer–Vietoris both unions have the same
+    homology (Hatcher, *Algebraic Topology*, §2.2).  X is Δ(T) for a
+    generator T, or Δ(T) ∪ Δ(g) for a g that meets T, contractible since
+    Δ(T ∩ g) is.  C_T is the closure of the intersections h ∩ T over
+    the generators h of every stage other than T (and g), and C_g that
+    of g's; the generators L_k of stage k meet Δ(T) inside C_T, so a Z
+    built over C_T and C_g with fresh apexes meets L_k as X does, at
+    every stage.  T alone becomes the cone a * C_T, entered with T; a
+    C_T that is empty gives the apex alone.  A pair entered at one
+    stage becomes a * (C_T ∪ C_g).  A pair entered at two, T first,
+    becomes a * C_T at T's stage, which is all of X held until g
+    enters, and b * (a * C_T ∪ C_g), a cone again, at g's.  The cone
+    holds about Σ 2^|h ∩ T| cells where Δ(T) holds 2^|T|.  Coning T
+    together with g drops their shared face, which two deals over one
+    replicated block, or two deals over most of the same chains, both
+    hold, where T's own cone would keep it.
 
     A generator T is wide when its closure outweighs one pass over the
-    list: |T| >= 3 and 2^|T| > len(generators).  Generators that lie
-    inside another are dropped first, then each wide one is weighed in
+    list: |T| >= 3 and 2^|T| > ``total``.  Each wide one is weighed in
     turn against the list as rewritten so far, as are the wide cone
     generators with fewer vertices than the T they replace; the
     intersections are found through an index from each vertex to the
     generators that hold it.  An apex is a fresh negative id, so each
     cone generator stays ascending.
     """
-    current = dict(enumerate(_maximal(generators)))
+    current = dict(enumerate(entered))
+    stage = dict(enumerate(entered.values()))  # generator id -> the stage it enters
     holding: dict[int, dict[int, None]] = {}  # vertex -> ids of the generators that hold it
     for i, g in current.items():
         for v in g:
             holding.setdefault(v, {})[i] = None
 
     def wide(g: Cell) -> bool:
-        return len(g) >= 3 and 2 ** len(g) > len(generators)
+        return len(g) >= 3 and 2 ** len(g) > total
 
     def meets(i: int, *others: int) -> dict[int, list[int]]:
         """Generator id -> its intersection with generator i, others skipped."""
@@ -337,62 +382,100 @@ def _cone_wide(generators: Sequence[Cell]) -> list[Cell]:
             continue
         top = current[i]
         found = meets(i)
+        a, b = apex - 1, apex - 2  # fresh apexes
         # () gives the apex alone
         faces = dict.fromkeys(map(tuple, found.values())) or {(): None}
-        best, dropped = cells(faces), (i,)
+        best, dropped, cones = cells(faces), (i,), [((a, *face), stage[i]) for face in faces]
         if found:
             j = max(found, key=lambda j: len(found[j]))
-            pair = [f for k, f in found.items() if k != j] + list(meets(j, i).values())
-            pair_faces = dict.fromkeys(map(tuple, pair)) or {(): None}
-            pair_cells = cells(pair_faces) - (1 << len(current[j]))  # g's own faces go too
+            own = dict.fromkeys(tuple(f) for k, f in found.items() if k != j)
+            other = dict.fromkeys(map(tuple, meets(j, i).values()))
+            lost = 1 << len(current[j])  # g's own faces go too
+            if stage[j] == stage[i]:
+                pair = {**own, **other} or {(): None}
+                pair_cells, pair_cones = cells(pair) - lost, [((a, *face), stage[i]) for face in pair]
+            else:  # the first's cone, then a cone over it and the second's base
+                (first, base), (second, rest) = sorted([(stage[i], own), (stage[j], other)], key=lambda x: x[0])
+                base = base or {(): None}
+                pair_cells = 3 * cells(base) + cells(rest) - lost
+                pair_cones = [((a, *face), first) for face in base]
+                pair_cones += [((b, a, *face), second) for face in base]
+                pair_cones += [((b, *face), second) for face in rest]
             if pair_cells < best:
-                faces, best, dropped = pair_faces, pair_cells, (i, j)
+                best, dropped, cones = pair_cells, (i, j), pair_cones
         if best >= 1 << len(top):
             continue
-        apex -= 1
+        apex = min(cone[0] for cone, _ in cones)  # the last apex used
         for d in dropped:
             for v in current.pop(d):
                 del holding[v][d]
-        for face in faces:
-            current[next_id] = cone = (apex, *face)
+        for cone, entry in cones:
+            current[next_id], stage[next_id] = cone, entry
             for v in cone:
                 holding.setdefault(v, {})[next_id] = None
             if wide(cone) and len(cone) < len(top):
                 queue.append(next_id)
             next_id += 1
-    return list(current.values())
+    return {g: stage[i] for i, g in current.items()}
 
 
-def _maximal(generators: Iterable[Cell]) -> list[Cell]:
-    """The distinct generators that lie inside no other one, in order.
+def _maximal(entered: dict[Cell, int]) -> dict[Cell, int]:
+    """The generators of ``entered``, each mapped to the stage it enters,
+    that lie inside no other one entered at the same stage or before, in
+    order; with one stage, the generators that lie inside no other.
 
     Each is checked only against the longer kept ones that hold its
     vertex held by the fewest of them, so generators of one size, such
-    as the edges of a graph, are never checked against each other."""
-    distinct = list(dict.fromkeys(generators))
+    as the edges of a graph, are never checked against each other.  A
+    generator inside a dropped one lies inside the kept one that dropped
+    it, which entered no later."""
     kept: set[Cell] = set()
-    holders: dict[int, list[set[int]]] = {}  # vertex -> the longer kept generators that hold it
+    holders: dict[int, list[tuple[set[int], int]]] = {}  # vertex -> the longer kept generators that hold it
     longer: list[Cell] = []  # the kept generators of the last size, indexed once a shorter size comes
-    for _, group in groupby(sorted(distinct, key=len, reverse=True), key=len):
+
+    def inside(g: Cell) -> bool:
+        s = entered[g]
+        return any(t <= s and h.issuperset(g) for h, t in min((holders.get(v, ()) for v in g), key=len))
+
+    for _, group in groupby(sorted(entered, key=len, reverse=True), key=len):
         for h in longer:
-            members = set(h)
+            held = set(h), entered[h]
             for v in h:
-                holders.setdefault(v, []).append(members)
-        longer = [g for g in group if not any(h.issuperset(g) for h in min((holders.get(v, ()) for v in g), key=len))]
+                holders.setdefault(v, []).append(held)
+        longer = [g for g in group if not inside(g)]
         kept.update(longer)
-    return [g for g in distinct if g in kept]
+    return {g: s for g, s in entered.items() if g in kept}
 
 
-def _reduced_rank(cols: list[Cell], rows: list[Cell], cleared: set[int]) -> tuple[int, set[int]]:
-    """GF(2) rank of the boundary map from ``cols`` to ``rows`` (both
-    sorted), skipping the column indices in ``cleared``, and the set of
-    pivot row indices.
+def _stagewise(cells: Iterable[Cell], ends: Sequence[int]) -> list[Cell]:
+    """Cells in the order they entered, ``ends[s]`` of them by the end
+    of stage s, with each stage's in descending order: the order
+    :func:`_reduced_ranks` takes."""
+    cells = list(cells)
+    out: list[Cell] = []
+    start = 0
+    for end in ends:
+        out += sorted(cells[start:end], reverse=True)
+        start = end
+    return out
+
+
+def _reduced_ranks(cols: list[Cell], rows: list[Cell], ends: Sequence[int], row_ends: Sequence[int],
+                   cleared: set[int]) -> tuple[list[int], set[int]]:
+    """The GF(2) rank of the boundary map from ``cols[:end]`` to ``rows``
+    for each ``end`` of ``ends``, skipping the column indices in
+    ``cleared``, and the set of pivot row indices.  Stage s holds
+    ``cols[ends[s - 1]:ends[s]]`` and ``rows[row_ends[s - 1]:row_ends[s]]``,
+    each in descending order (:func:`_stagewise`).
 
     A column is an int whose bit i is set when rows[i] is a facet of its
-    cell; a reduced column's pivot is its lowest set bit.  Since rows
-    are sorted, a cell's lowest facet is the cell less its last vertex,
-    so a column whose pivot is new is stored as its cell and turned into
-    bits only when a later column must be reduced by it.
+    cell, reduced by the earlier columns only, so a prefix's rank is its
+    count of nonzero reduced columns; a reduced column's pivot is its
+    highest set bit, its latest row.  A cell's lexicographically first
+    facet is the cell less its last vertex, so that is its latest facet
+    when it entered at the cell's own stage, which one stage always
+    gives.  A column whose pivot is new is stored as its cell and turned
+    into bits only when a later column must be reduced by it.
     """
     index = {cell: i for i, cell in enumerate(rows)}
 
@@ -403,24 +486,32 @@ def _reduced_rank(cols: list[Cell], rows: list[Cell], cleared: set[int]) -> tupl
         return col
 
     pivots: dict[int, Cell | int] = {}
-    for j, cell in enumerate(cols):
-        if j in cleared:
-            continue
-        low = index[cell[:-1]]
-        if low not in pivots:
-            pivots[low] = cell
-            continue
-        col = bits(cell)
-        while col:
-            low = (col & -col).bit_length() - 1
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = col
-                break
-            if isinstance(other, tuple):
-                other = pivots[low] = bits(other)
-            col ^= other
-    return len(pivots), set(pivots)
+    ranks: list[int] = []
+    start = 0
+    for end, first_row in zip(ends, [0, *row_ends]):
+        for j in range(start, end):
+            if j in cleared:
+                continue
+            cell = cols[j]
+            low = index[cell[:-1]]
+            if low < first_row:  # entered at an earlier stage than the cell
+                low = max(map(index.__getitem__, combinations(cell, len(cell) - 1)))
+            if low not in pivots:
+                pivots[low] = cell
+                continue
+            col = bits(cell)
+            while col:
+                low = col.bit_length() - 1
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    break
+                if isinstance(other, tuple):
+                    other = pivots[low] = bits(other)
+                col ^= other
+        ranks.append(len(pivots))
+        start = end
+    return ranks, set(pivots)
 
 
 # -- text format -------------------------------------------------------
@@ -464,7 +555,7 @@ def generators_from_text(text: str) -> list[Cell]:
             lines.setdefault(Simplex(tuple(int(tok) for tok in tokens)).vertices, lineno)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    generators = _maximal(lines)
+    generators = list(_maximal(dict.fromkeys(lines, 0)))
     try:
         _check_face_budget(sum((1 << len(g)) - 1 for g in generators))
     except ValueError as exc:  # name the line that passes it

@@ -31,18 +31,21 @@ which ``structural_betti`` counts in closed form, per chain and per
 branch, with no closure and no walk up a chain.  That glue
 (``BettiGlue``) stands while every block added is ``Chain.append``'s,
 onto a chain's canonical branch one height above every live block, and
-no fork is resolved: nothing below a canonical tip changes, so a later
-report drops the tops no longer pending and adds the loops the risen
-tips closed, in closed form, and derives nothing else again.  A
-windowed report walks a path-collapsed build, the same rows plus each
+no fork is resolved: nothing below a canonical tip changes, so the
+pending tops' complexes nest as deals stop pending, and one filtered
+reduction made when the glue is derived
+(``simplicial.betti_by_stage``) gives every later report's numbers; a
+report adds the loops the risen tips closed, in closed form, and
+derives nothing else again unless a chain's ``reshapes`` count moved.
+A windowed report walks a path-collapsed build, the same rows plus each
 chain's lowest and top rows and each height a transaction names: where
 the full build records a trunk run, it drops it, which keeps the
 homotopy type (Prop. 0.17) save for the c - 1 loops that each height
 step of c copies closes in replicated mode, which are added to b1.  So
 a report costs per fork and per reference, not per block.  The numbers
-are taken from the generators (``simplicial.betti_from_generators``),
-so a wide top costs about as much as its intersections with the rest,
-not 2^|top| faces.
+are taken from the generators (``simplicial.betti_by_stage``), so a
+wide top costs about as much as its intersections with the rest, not
+2^|top| faces.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .chain import AssetUpdate, BlockRef, BranchInfo, Chain, ChainError, Federation
-from .simplicial import Cell, Simplex, SimplicialComplex, betti_from_generators, close_by_dimension, complex_to_text, text_order
+from .simplicial import (Cell, Simplex, SimplicialComplex, betti_by_stage, betti_from_generators, close_by_dimension,
+                         complex_to_text, text_order)
 
 log = logging.getLogger(__name__)
 
@@ -317,9 +321,10 @@ def federation_betti(
 
 class BettiGlue:
     """What the unwindowed Betti numbers of a federation and its pending
-    deals are made of, derived once: each deal's top over numbered
-    pieces and its width, the hub edges, the widest structural group and
-    ``structural_betti``'s shape.
+    deals are made of, derived once per epoch: each deal's top over
+    numbered pieces and its width, the hub edges, the widest structural
+    group, ``structural_betti``'s shape, and every report's numbers from
+    one filtered reduction.
 
     The complex is the structural complex S of the whole federation
     glued to the closure T of the pending tops.  A top names one height
@@ -335,6 +340,13 @@ class BettiGlue:
     as one vertex (Hatcher, Prop. 0.17).  A piece only a dropped top
     named is a leaf on its hub, which changes no number.
 
+    The tops' complexes once the first k deals are no longer pending
+    nest, K_n ⊂ … ⊂ K_0 with K_k the closure of the hub edges and
+    tops[k:], so read backwards they are a filtration: the hub edges
+    enter first, then tops[n-1], …, tops[0].  One
+    ``simplicial.betti_by_stage`` reduction of it, made when the glue is
+    derived, gives every K_k's numbers, and a report reads its stage.
+
     ``betti(k)`` holds once the first k deals are no longer pending,
     provided every block added since is ``Chain.append``'s, onto the
     canonical branch, one height above every live block, and no fork
@@ -344,22 +356,38 @@ class BettiGlue:
     from each live tip tied with it at the start, one loop each, and in
     replicated mode, if the canonical branch is the trunk, n heights of
     ``replicas`` copies over a row of as many, n * (replicas - 1) loops.
+    Every other change bumps a chain's ``reshapes``; the glue records
+    each chain's count when it is derived, and a report that finds one
+    moved derives the glue again over the deals still pending.
     """
 
     def __init__(self, federation: Federation, transactions: Iterable[CrossChainTransaction],
                  mode: TopologyMode) -> None:
+        self.federation, self.transactions, self.mode = federation, list(transactions), mode
+        self._derive(0)
+
+    def _reshapes(self) -> list[tuple[int, int]]:
+        """Each chain's id and ``reshapes`` count."""
+        return [(cid, chain.reshapes) for cid, chain in self.federation.chains.items()]
+
+    def _derive(self, start: int) -> None:
+        """Derive the glue with the first ``start`` deals no longer pending."""
+        federation, mode = self.federation, self.mode
         replicated = mode is TopologyMode.REPLICATED
+        self.start, self.reshapes = start, self._reshapes()
         pieces: dict[tuple, int] = {}  # a block, or a (chain, height) row if replicated -> its vertex
-        self.tops: list[Cell] = []
+        tops: list[Cell] = []
         self.widths: list[int] = []  # each top's vertices in the full build
-        for txn in transactions:
+        for txn in self.transactions[start:]:
             txn.check_chains()
             refs = expand_refs(federation, txn)
             self.widths.append(sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in refs))
-            self.tops.append(tuple(sorted({pieces.setdefault(ref[:2] if replicated else ref, len(pieces))
-                                           for ref in refs})))
+            tops.append(tuple(sorted({pieces.setdefault(ref[:2] if replicated else ref, len(pieces))
+                                      for ref in refs})))
         hubs: dict[int, int] = {}  # a touched chain -> its hub's vertex
-        self.edges = [(v, hubs.setdefault(piece[0], len(pieces) + len(hubs))) for piece, v in pieces.items()]
+        edges = [(v, hubs.setdefault(piece[0], len(pieces) + len(hubs))) for piece, v in pieces.items()]
+        # stages[k]: the tops' numbers with the first k deals dropped
+        self.stages = betti_by_stage([edges, *([top] for top in reversed(tops))])[::-1]
         shape = structural_betti(federation, mode)
         self.untouched = sum(shape[:1]) - len(hubs)
         self.loops = sum(shape[1:])
@@ -382,14 +410,17 @@ class BettiGlue:
 
     def betti(self, dropped: int) -> tuple[int, ...]:
         """The numbers with the first ``dropped`` deals no longer pending."""
+        if dropped < self.start or self.reshapes != self._reshapes():
+            self._derive(dropped)
+        k = dropped - self.start
         loops, edged = self.loops, self.edged
         for info, start, tied, per_height in self.tips:
             risen = info.tip - start
             if risen:
                 loops += tied + risen * per_height
                 edged = True
-        widest = max(self.widest, 2 * edged, *self.widths[dropped:])
-        betti = [*betti_from_generators(self.tops[dropped:] + self.edges), *[0] * (widest + 2)]
+        widest = max(self.widest, 2 * edged, *self.widths[k:])
+        betti = [*self.stages[k], *[0] * (widest + 2)]
         betti[0] += self.untouched
         betti[1] += loops
         return tuple(betti[:widest])

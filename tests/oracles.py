@@ -24,7 +24,7 @@ from topocbt.chain import (
 from topocbt.engine import FACE_FAILURE_KINDS
 from topocbt.gf2 import Matrix
 from topocbt.scenario import ChainSpec, FailureSpec, Scenario
-from topocbt.simplicial import Cell, SimplicialComplex, _reduced_rank, generators_from_text, read_generators
+from topocbt.simplicial import Cell, SimplicialComplex, _reduced_ranks, generators_from_text, read_generators
 from topocbt.topology import CrossChainTransaction, SubTransaction
 
 _MASK = (1 << 64) - 1
@@ -198,7 +198,7 @@ def betti_from_cells(cells: Sequence[Iterable[Cell]]) -> tuple[int, ...]:
     the package's column reduction with clearing, which the dense GF(2)
     oracle judges on its own.
     """
-    ordered = [sorted(c) for c in cells]
+    ordered = [sorted(c, reverse=True) for c in cells]
     if not ordered:
         return ()
     ranks = [0] * (len(ordered) + 1)
@@ -211,8 +211,17 @@ def betti_from_cells(cells: Sequence[Iterable[Cell]]) -> tuple[int, ...]:
         ranks[1] = len(ordered[0]) - uf.component_count()
     cleared: set[int] = set()
     for k in range(len(ordered) - 1, 1, -1):
-        ranks[k], cleared = _reduced_rank(ordered[k], ordered[k - 1], cleared)
+        (ranks[k],), cleared = _reduced_ranks(ordered[k], ordered[k - 1], [len(ordered[k])], [len(ordered[k - 1])],
+                                              cleared)
     return tuple(len(ordered[k]) - ranks[k] - ranks[k + 1] for k in range(len(ordered)))
+
+
+def dense_betti(c: SimplicialComplex) -> tuple[int, ...]:
+    """The dense oracle: b_k from the GF(2) ranks of a complex's dense
+    boundary matrices, its face closure enumerated."""
+    counts = c.simplex_counts()
+    ranks = [0] + [c.boundary_matrix(k).rank() for k in range(1, c.dimension + 1)] + [0]
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(c.dimension + 1))
 
 
 def complex_from_text(text: str) -> SimplicialComplex:

@@ -201,6 +201,25 @@ def test_resolve_single_branch_unchanged():
     assert ch.live_refs() == {BlockRef(1, h, 0) for h in range(3)}
 
 
+def test_reshapes_counts_every_change_but_a_canonical_append_at_the_top():
+    ch = make_chain(2)
+    ch.append(())
+    ch.append_blocks(0, [(), ()])
+    ch.append_blocks(0, [])
+    assert ch.reshapes == 0
+    label = ch.spawn_fork(3)
+    assert ch.reshapes == 1
+    ch.append_block(label, ())  # off the canonical branch
+    assert ch.reshapes == 2
+    for _ in range(3):  # off the canonical branch until the fork rises past the trunk
+        ch.append_block(label, ())
+    assert ch.canonical_branch() == label and ch.reshapes == 5
+    ch.append_block(label, ())  # the canonical branch now
+    assert ch.reshapes == 5
+    assert ch.resolve_forks() == label and ch.reshapes == 6
+    assert ch.resolve_forks() == label and ch.reshapes == 6  # nothing left to retire
+
+
 def test_resolve_never_shortens_survivor():
     ch = make_chain(4)
     label = ch.spawn_fork(2)

@@ -16,9 +16,8 @@ from topocbt.cli import FIT_GRID_MAX, build_parser, main
 from topocbt.harness import _replay, betti_report, run_scenario
 from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading, load_scenario
 from topocbt.wal import WalKind, WriteAheadLog
-from oracles import complex_from_text
+from oracles import complex_from_text, dense_betti
 from test_harness import CANCELLING_DEAL_TEXT, FORKED_DEALS_TEXT
-from test_simplicial import dense_betti
 from test_topology import TWO_CHAIN_DEAL
 
 DATA = Path(__file__).parent / "data"

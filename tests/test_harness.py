@@ -470,29 +470,36 @@ def test_each_epoch_glues_once_and_a_report_reduces_its_tops(monkeypatch, mode, 
     # each epoch's first report comes after ``start`` events and its fork resolution
     starts = range(0, len(deals), epoch) if epoch else [0]
     assert len(starts) == epochs
-    expected = []  # per report: a top per pending deal, and an edge per piece the epoch's first report names
+    # the glue is derived at the first report, and again at an epoch's
+    # first report when its resolution retired a branch
+    glued_at, expected = [], []  # per glue: an edge per piece its tops name, and each pending top's pieces
     for start in starts:
         federation = scen.build_federation()
         for _ in islice(_replay(scen, federation, WriteAheadLog()), start):
             pass
+        retired = False
         for cid in federation.chain_ids() if start else ():
+            retired |= len(federation.chain(cid).live_branch_labels()) > 1
             federation.chain(cid).resolve_forks()
-        refs = {ref for txn in deals[start:] for ref in topology.expand_refs(federation, txn)}
-        pieces = {ref[:2] if mode is TopologyMode.REPLICATED else ref for ref in refs}
-        end = min(start + epoch, len(deals)) if epoch else len(deals)
-        expected += [len(deals) - done + len(pieces) for done in range(start, end + 1)]
+        if start and not retired:
+            continue
+        glued_at.append(start)
+        piece_sets = [{ref[:2] if mode is TopologyMode.REPLICATED else ref
+                       for ref in topology.expand_refs(federation, txn)} for txn in deals[start:]]
+        expected.append((len(set().union(*piece_sets)), [len(pieces) for pieces in reversed(piece_sets)]))
+    assert len(glued_at) == (2 if 0 < epoch < len(deals) else 1)  # only the first resolution retires a branch
 
-    builds, sizes, calls = [], [], Counter()
-    build, reduce, shape = topology._build, topology.betti_from_generators, topology.structural_betti
-    expand, check = topology.expand_refs, CrossChainTransaction.check_chains
+    builds, filtrations, calls = [], [], Counter()
+    build, reduce, shape = topology._build, topology.betti_by_stage, topology.structural_betti
+    expand, check, report = topology.expand_refs, CrossChainTransaction.check_chains, topology.BettiGlue.betti
 
     def counted_build(*args, **kwargs):
         builds.append(kwargs["collapse"])
         return build(*args, **kwargs)
 
-    def counted_reduce(generators):
-        sizes.append(len(generators))
-        return reduce(generators)
+    def counted_reduce(stages):
+        filtrations.append(stages)
+        return reduce(stages)
 
     def counted_shape(federation, mode):
         calls["structural_betti"] += 1
@@ -506,28 +513,38 @@ def test_each_epoch_glues_once_and_a_report_reduces_its_tops(monkeypatch, mode, 
         calls["check_chains", txn.id] += 1
         return check(txn)
 
+    def counted_report(glue, dropped):
+        calls["report"] += 1
+        return report(glue, dropped)
+
     monkeypatch.setattr(topology, "_build", counted_build)
-    monkeypatch.setattr(topology, "betti_from_generators", counted_reduce)
+    monkeypatch.setattr(topology, "betti_by_stage", counted_reduce)
     monkeypatch.setattr(topology, "structural_betti", counted_shape)
     monkeypatch.setattr(topology, "expand_refs", counted_expand)
     monkeypatch.setattr(CrossChainTransaction, "check_chains", counted_check)
+    monkeypatch.setattr(topology.BettiGlue, "betti", counted_report)
     run_scenario(scen, 1, compute_betti=False)
     executed, execute_calls = list(builds), Counter(calls)  # execute's own, one build per deal
-    assert executed == [False] * 6 and not sizes
+    assert executed == [False] * 6 and not filtrations
     builds.clear()
     calls.clear()
     assert len(run_scenario(scen, 1).rows) == 6
-    # the reports build nothing, and derive the glue once per epoch: each
-    # deal pending at an epoch's first report is checked and expanded once
+    # the reports build nothing: each derived glue checks and expands
+    # each deal pending then once, and takes one filtered reduction
     assert builds == executed
-    glued = Counter({"structural_betti": epochs})
-    for start in starts:
+    # one report before the first event, one after each, one more after each resolution with an event to come
+    glued = Counter({"structural_betti": len(glued_at), "report": 6 + epochs})
+    for start in glued_at:
         for txn in deals[start:]:
             glued["expand_refs", txn.id] += 1
             glued["check_chains", txn.id] += 1
     assert calls == execute_calls + glued
-    # one report before the first event, one after each, one more after each resolution with an event to come
-    assert len(sizes) == 6 + epochs and sizes == expected
+    # each reduction is fed each piece's hub edge once, then each pending top once, the last deal's first
+    assert len(filtrations) == len(glued_at)
+    for (edges, *tops), (pieces, top_sizes) in zip(filtrations, expected):
+        assert len(edges) == len(set(edges)) == pieces and all(len(edge) == 2 for edge in edges)
+        assert [len(stage) for stage in tops] == [1] * len(top_sizes)
+        assert [len(top) for (top,) in tops] == top_sizes
     # a window takes each report's own collapsed build
     builds.clear()
     run_scenario(forked_deals(mode, epoch, window=1), 1)

@@ -1,13 +1,14 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topocbt import simplicial
 from topocbt.simplicial import (
     MAX_CELLS,
     Simplex,
     SimplicialComplex,
+    betti_by_stage,
     betti_from_generators,
     close_by_dimension,
     complex_to_text,
@@ -20,6 +21,7 @@ from oracles import (
     betti_from_cells,
     cells_of,
     complex_from_text,
+    dense_betti,
     gf2_matmul,
     read_complex,
     subsets,
@@ -28,13 +30,6 @@ from oracles import (
 
 def closed(*vertex_tuples):
     return SimplicialComplex.from_simplices([Simplex(t) for t in vertex_tuples])
-
-
-def dense_betti(c: SimplicialComplex) -> tuple[int, ...]:
-    """The oracle: b_k from the dense boundary matrices' GF(2) ranks."""
-    counts = c.simplex_counts()
-    ranks = [0] + [c.boundary_matrix(k).rank() for k in range(1, c.dimension + 1)] + [0]
-    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(c.dimension + 1))
 
 
 # -- simplex basics ---------------------------------------------------------
@@ -299,6 +294,62 @@ def test_betti_from_generators_on_known_spaces(monkeypatch, generators, betti):
 
     monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
     assert betti_from_generators(generators) == betti
+
+
+# -- a filtration's stages --------------------------------------------------------
+
+def cells_between(lo, hi):
+    return st.sets(st.integers(0, 9), min_size=lo, max_size=hi).map(lambda vs: tuple(sorted(vs)))
+
+
+@st.composite
+def filtrations(draw):
+    """Stages of generators: a wide one past the coning threshold, faces
+    and repeats of drawn generators entered before or after them, and
+    stages left empty."""
+    stages = [[] for _ in range(draw(st.integers(1, 5), label="stages"))]
+
+    def enter(g):
+        stages[draw(st.integers(0, len(stages) - 1), label="stage")].append(g)
+
+    enter(draw(cells_between(5, 6), label="wide"))
+    for g in draw(st.lists(cells_between(1, 4), max_size=6), label="generators"):
+        enter(g)
+    for g in draw(st.lists(st.sampled_from([g for stage in stages for g in stage]), max_size=3), label="nested"):
+        enter(draw(st.sampled_from(sorted(subsets(g))), label="face or repeat"))
+    return stages
+
+
+@given(filtrations())
+@example([[(0, 1)], [(0, 1, 2, 3, 4)]])  # a face, then the top that holds it
+@example([[(0, 1, 2, 3, 4)], [(0, 1)]])  # a top, then a face of it
+@example([[(0, 1, 2, 3, 4)], [], [(0, 1, 2, 3, 4)]])  # a repeat, past a stage with no generator
+@example([[], [(0, 1, 2, 3, 4, 5)], [(1, 2, 3, 4, 5, 6)], [(0, 6)]])  # two wide tops sharing a face, apart
+@example([[(0, 6), (1, 2, 3, 4, 5, 6)], [(0, 1, 2, 3, 4, 5)]])  # the later one entered first
+@settings(max_examples=150, deadline=None)
+def test_every_stage_equals_its_own_reduction_and_the_dense_oracle(stages):
+    total = sum(map(len, stages))
+    assert any(len(g) >= 3 and 2 ** len(g) > total for stage in stages for g in stage)  # one is coned
+    by_stage = betti_by_stage(stages)
+    assert len(by_stage) == len(stages)
+    held = []  # the generators of the stages so far
+    for stage, betti in zip(stages, by_stage):
+        held += stage
+        assert betti == betti_from_generators(held)
+        assert betti == (dense_betti(SimplicialComplex(held)) if held else ())
+
+
+def test_two_wide_tops_entered_apart_share_their_face_without_a_closure(monkeypatch):
+    # two 40-simplices sharing a 39-vertex face: coning either alone
+    # would keep 2^39 faces of it, past the budget
+    def no_closure(generators):
+        raise AssertionError("face closure enumerated")
+
+    monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
+    first, second = tuple(range(40)), tuple(range(1, 41))
+    ring = [(0, 41), (41, 40)]  # a path between their two free vertices closes one loop
+    assert betti_by_stage([[first], ring, [second]]) == [(1,) + (0,) * 39, (1,) + (0,) * 39, (1, 1) + (0,) * 38]
+    assert betti_by_stage([[second, *ring], [first]]) == [(1,) + (0,) * 39, (1, 1) + (0,) * 38]
 
 
 # -- the face budget -------------------------------------------------------------

@@ -37,9 +37,8 @@ from topocbt.topology import (
     transaction_simplex,
 )
 from topocbt.wal import WriteAheadLog
-from oracles import SplitMix64, all_subsets_closure, betti_from_cells, cells_of, random_scenario
+from oracles import SplitMix64, all_subsets_closure, betti_from_cells, cells_of, dense_betti, random_scenario
 from test_chain_state import random_history, rescan_live
-from test_simplicial import dense_betti
 
 
 def federation_of(lengths, replicas=None):
@@ -992,6 +991,37 @@ def test_a_wide_deal_takes_its_betti_numbers_without_a_closure(monkeypatch, buil
     assert "complex" not in tagged.__dict__
 
 
+def twenty_chain_deals_text():
+    """Twenty chains and two deals over all of them that share 19
+    blocks: deal 2 names chain 1 one height below deal 1."""
+    text = "[scenario]\nname = twenty-chain-deals\n"
+    for cid in range(1, 21):
+        text += f"[chain]\nid = {cid}\nlength = 3\nassets = A{cid}\nbalance = p{cid} A{cid} 5\n"
+    for tid, height in ((1, 2), (2, 1)):
+        refs = " ".join([f"1:{height}"] + [f"{cid}:2" for cid in range(2, 21)])
+        text += f"[txn]\nid = {tid}\nparties = p1 p2\nblocks = {refs}\nsub = {refs} ; p1 p2 A1 1, p2 p1 A2 1\n"
+    return text
+
+
+def test_a_run_glues_twenty_chain_deals_without_a_closure(monkeypatch):
+    # each top has 2^20 - 1 faces, and the two share a 19-vertex face
+    # that neither one's cone alone could drop
+    def no_closure(generators):
+        raise AssertionError("face closure enumerated")
+
+    faces = []  # what each reduction may close
+    check = simplicial._check_face_budget
+    monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
+    monkeypatch.setattr(topology, "close_by_dimension", no_closure)
+    monkeypatch.setattr(simplicial, "_check_face_budget", lambda n: faces.append(n) or check(n))
+    rows = run_scenario(parse_scenario(twenty_chain_deals_text()), 1).rows
+    assert faces and max(faces) < 2**10
+    # the two tops and chain 1's edge between the heights they name close one loop
+    assert rows[0].betti_pre == (1, 1) + (0,) * 18
+    assert rows[0].betti_post == rows[1].betti_pre == (1,) + (0,) * 19
+    assert rows[1].betti_post == (20, 0)
+
+
 def test_tagged_betti_builds_no_closure_and_no_dense_matrix(monkeypatch):
     fed, deal = double_fork_pair()
     tagged = build_federation_complex(fed, [deal])
@@ -1066,6 +1096,20 @@ def test_an_epoch_glue_read_after_canonical_appends_equals_the_full_build(data):
             for cid in data.draw(st.lists(st.sampled_from(fed.chain_ids()), max_size=3), label="appends"):
                 fed.chain(cid).append(())
         assert glue.betti(k) == full_betti(fed, txns[k:], mode, None), k
+
+
+def test_a_glue_derives_again_once_a_chain_is_reshaped():
+    fed = Federation()
+    for cid in (1, 2):
+        fed.add_chain(Chain(cid, length=2))
+    deal = txn(1, [(1, 1, 0), (2, 1, 0)])
+    glue = BettiGlue(fed, [deal], TopologyMode.ABSTRACT)
+    assert glue.betti(0) == (1, 0)
+    chain = fed.chain(1)
+    chain.append_block(chain.spawn_fork(1), ())
+    # the new block joins the deal's top, and its tip is stitched to the trunk block above it
+    assert federation_betti(fed, [deal]) == (1, 2, 0)
+    assert glue.betti(0) == (1, 2, 0)
 
 
 def collapse_corpus():
