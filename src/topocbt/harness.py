@@ -211,16 +211,17 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     balance sheet and Betti numbers are the previous event's post-event
     ones, unless fork resolution ran in between.
 
-    Without a window, the reports share one ``BettiGlue``, made at the
-    first report.  Between two resolutions every block a protocol adds
-    is ``Chain.append``'s, onto the canonical branch, one height above
+    The reports share one ``BettiGlue``, made at the first report.
+    Between two resolutions every block a protocol adds is
+    ``Chain.append``'s, onto the canonical branch, one height above
     every live block: forward blocks, recovery's compensation blocks,
-    and the ac2s and ac3wn legs.  So nothing below a canonical tip
-    changes within an epoch, and each report reads its stage of the
-    epoch's one filtered reduction, with the loops the risen tips closed
-    in closed form.  A resolution that retires a branch bumps its
-    chain's ``reshapes``, and the next report derives the glue again.  A
-    windowed report is one ``federation_betti`` call.
+    and the ac2s and ac3wn legs.  So without a window nothing below a
+    canonical tip changes within an epoch, and each report reads its
+    stage of the epoch's one filtered reduction, with the loops the
+    risen tips closed in closed form.  A resolution that retires a
+    branch bumps its chain's ``reshapes``, and the next report derives
+    the glue again.  With a window the glue derives itself again at
+    every report, since the windows move as deals stop pending.
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
     transactions = scenario.transactions()
@@ -231,10 +232,8 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
         nonlocal glue
         if not compute_betti:
             return ()
-        if scenario.window is not None:
-            return federation_betti(federation, transactions[done:], mode=scenario.mode, window=scenario.window)
         if glue is None:  # at the first report, with every deal pending
-            glue = BettiGlue(federation, transactions, scenario.mode)
+            glue = BettiGlue(federation, transactions, scenario.mode, scenario.window)
         return glue.betti(done)
 
     post_balances: Optional[dict] = None

@@ -5,7 +5,7 @@ replica if it is a trunk block (``_copies``, the only such rule),
 numbered up each chain's live heights.  Only the rows at a chain's
 forked heights and the row just above each take a step per block;
 every other height holds the trunk block alone, over the trunk block
-or, at the lowest height built, over nothing.  The full build records
+or, at the lowest height built, over nothing.  The build records
 each run of such heights, a chain with no fork in its window as one
 run, and counts its vertex ids past; it lays a run
 (``_lay_trunk_run``, from iterators, no step per block) only when the
@@ -22,30 +22,24 @@ built, as vertex tuples, only where members or text are read, within
 the face budget.  Tearing a transaction down drops its top and keeps
 the rest, so chain structure can never be deleted.
 
-A report's Betti numbers (``federation_betti``) need no build without
-a window: the complex is the chains' structural complex glued to the
-pending tops along disjoint contractible pieces, so by Mayer–Vietoris
-(Hatcher, *Algebraic Topology*, §2.2) the numbers are the tops' own,
-with each chain a hub joined to its pieces, plus the chains' loops,
-which ``structural_betti`` counts in closed form, per chain and per
-branch, with no closure and no walk up a chain.  That glue
-(``BettiGlue``) stands while every block added is ``Chain.append``'s,
-onto a chain's canonical branch one height above every live block, and
-no fork is resolved: nothing below a canonical tip changes, so the
-pending tops' complexes nest as deals stop pending, and one filtered
-reduction made when the glue is derived
-(``simplicial.betti_by_stage``) gives every later report's numbers; a
-report adds the loops the risen tips closed, in closed form, and
-derives nothing else again unless a chain's ``reshapes`` count moved.
-A windowed report walks a path-collapsed build, the same rows plus each
-chain's lowest and top rows and each height a transaction names: where
-the full build records a trunk run, it drops it, which keeps the
-homotopy type (Prop. 0.17) save for the c - 1 loops that each height
-step of c copies closes in replicated mode, which are added to b1.  So
-a report costs per fork and per reference, not per block.  The numbers
-are taken from the generators (``simplicial.betti_by_stage``), so a
-wide top costs about as much as its intersections with the rest, not
-2^|top| faces.
+A report's Betti numbers (``federation_betti``) need no build: the
+complex is the chains' structural complex, each cut to its window,
+glued to the pending tops along disjoint contractible pieces, so by
+Mayer–Vietoris (Hatcher, *Algebraic Topology*, §2.2) the numbers are
+the tops' own, with each structural component a hub joined to its
+pieces, plus the structure's loops, which ``structural_betti`` counts
+in closed form, per chain and per branch, with no closure and no walk
+up a chain.  Without a window that glue (``BettiGlue``) stands while
+every block added is ``Chain.append``'s, onto a chain's canonical
+branch one height above every live block, and no fork is resolved:
+nothing below a canonical tip changes, so the pending tops' complexes
+nest as deals stop pending, and one filtered reduction made when the
+glue is derived (``simplicial.betti_by_stage``) gives every later
+report's numbers; a report adds the loops the risen tips closed, in
+closed form, and derives nothing else again unless a chain's
+``reshapes`` count moved.  A window moves as deals leave, so a
+windowed report derives the glue again.  A wide top costs about as
+much as its intersections with the rest, not 2^|top| faces.
 """
 
 from __future__ import annotations
@@ -153,7 +147,7 @@ def expected_transaction_dimension(
 
 
 class _Run(NamedTuple):
-    """A trunk run the full build records instead of laying: the trunk
+    """A trunk run the build records instead of laying: the trunk
     blocks of ``chain`` at heights ``start`` to ``stop - 1``, numbered
     from ``first`` up with ``copies`` vertices each, after the first
     ``after`` keys of the laid rows (the arguments of ``_lay_trunk_run``)."""
@@ -270,75 +264,39 @@ def _lay_trunk_run(
         cells.update(map(tuple, map(range, range(v, end, copies), range(v + copies, end + copies, copies))))
 
 
-def build_federation_complex(
-    federation: Federation,
-    transactions: Iterable[CrossChainTransaction] = (),
-    mode: TopologyMode = TopologyMode.ABSTRACT,
-    window: Optional[int] = None,
-) -> TaggedComplex:
-    """Construct the tagged complex of the federation plus in-flight
-    transactions.
-
-    ``window`` restricts each chain that a transaction references to
-    blocks within that height radius of the referenced heights; None
-    keeps whole chains.  Each chain's live heights are numbered in
-    ascending order, and along each height in branch order, which
-    numbers the vertices in ascending ``VertexKey`` order.  Only the rows
-    that may hold more than the trunk block or hang off more than it,
-    each forked height and the one above it, take the per-block steps.
-    Every other run of heights, the lowest one built included, is only
-    recorded, its vertex ids counted past, and laid by
-    ``_lay_trunk_run`` when ``vertex_of`` or ``cells`` is first read,
-    with the keys, cells and key order a walk would give.  A chain with
-    no forked height in its window is one run.  Each top numbers a
-    trunk block in a run from the run's first id and the block's height.
-    """
-    return _build(federation, list(transactions), mode, window, collapse=False)[0]
-
-
 def federation_betti(
     federation: Federation,
     transactions: Iterable[CrossChainTransaction] = (),
     mode: TopologyMode = TopologyMode.ABSTRACT,
     window: Optional[int] = None,
 ) -> tuple[int, ...]:
-    """The Betti numbers of ``build_federation_complex``'s complex.
-
-    Without a window no federation complex is built: the numbers are a
-    fresh ``BettiGlue``'s, with every deal pending.  A window can cut a chain
-    into parts that only a row walk finds, so a windowed report takes
-    the path-collapsed build (module docstring): the full build's rows,
-    each chain's lowest and top rows and each named height, with b1
-    raised by the loops the dropped runs closed.
-    """
-    transactions = list(transactions)
-    if window is None:
-        return BettiGlue(federation, transactions, mode).betti(0)
-    tagged, loops = _build(federation, transactions, mode, window, collapse=True)
-    betti = tagged.betti_numbers()
-    return (betti[0], betti[1] + loops, *betti[2:]) if loops else betti
+    """The Betti numbers of ``build_federation_complex``'s complex, with
+    no federation complex built: a fresh ``BettiGlue``'s, with every
+    deal pending."""
+    return BettiGlue(federation, transactions, mode, window).betti(0)
 
 
 class BettiGlue:
-    """What the unwindowed Betti numbers of a federation and its pending
-    deals are made of, derived once per epoch: each deal's top over
-    numbered pieces and its width, the hub edges, the widest structural
-    group, ``structural_betti``'s shape, and every report's numbers from
-    one filtered reduction.
+    """What the Betti numbers of a federation and its pending deals are
+    made of, each chain cut to its window: each deal's top over numbered
+    pieces and its width, the hub edges, the widest structural group,
+    ``structural_betti``'s shape, and every report's numbers from one
+    filtered reduction.
 
-    The complex is the structural complex S of the whole federation
-    glued to the closure T of the pending tops.  A top names one height
-    per chain (``check_chains``) and spans every live copy there, so S
-    and T meet in disjoint contractible pieces: each named block in
-    abstract mode, each named (chain, height) row, a replica group, in
-    replicated mode.  S is a graph up to homotopy (``structural_betti``)
-    and each chain is connected, so by Mayer–Vietoris (Hatcher,
-    *Algebraic Topology*, §2.2) b_k = b_k(T) for k >= 2, and b0 and b1
-    are those of T with a hub per touched chain joined by one edge to
-    each of its pieces, plus the untouched chains in b0 and S's loops in
-    b1.  Each piece is a face of every top that meets it, so it is taken
-    as one vertex (Hatcher, Prop. 0.17).  A piece only a dropped top
-    named is a leaf on its hub, which changes no number.
+    The complex is the structural complex S of the federation, each
+    chain cut to its ``_spans`` entry, glued to the closure T of the
+    pending tops.  A top names one height per chain (``check_chains``)
+    and spans every live copy there, so S and T meet in disjoint
+    contractible pieces: each named block in abstract mode, each named
+    (chain, height) row, a replica group, in replicated mode.  S is a
+    graph up to homotopy (``structural_betti``), so by Mayer–Vietoris
+    (Hatcher, *Algebraic Topology*, §2.2) b_k = b_k(T) for k >= 2, and
+    b0 and b1 are those of T with a hub per component of S that holds a
+    piece (``_part``) joined by one edge to each of its pieces, plus the
+    other components in b0 and S's loops in b1.  Each piece is a face of
+    every top that meets it, so it is taken as one vertex (Hatcher,
+    Prop. 0.17).  A piece only a dropped top named is a leaf on its hub,
+    which changes no number.
 
     The tops' complexes once the first k deals are no longer pending
     nest, K_n ⊂ … ⊂ K_0 with K_k the closure of the hub edges and
@@ -347,24 +305,26 @@ class BettiGlue:
     ``simplicial.betti_by_stage`` reduction of it, made when the glue is
     derived, gives every K_k's numbers, and a report reads its stage.
 
-    ``betti(k)`` holds once the first k deals are no longer pending,
-    provided every block added since is ``Chain.append``'s, onto the
-    canonical branch, one height above every live block, and no fork
-    was resolved: then no live block below a canonical tip changes, so
-    the pieces, tops and groups stand, and S only grows at each chain's
-    top.  If its canonical tip rose n > 0 heights, S gains a stitch edge
-    from each live tip tied with it at the start, one loop each, and in
-    replicated mode, if the canonical branch is the trunk, n heights of
-    ``replicas`` copies over a row of as many, n * (replicas - 1) loops.
-    Every other change bumps a chain's ``reshapes``; the glue records
-    each chain's count when it is derived, and a report that finds one
-    moved derives the glue again over the deals still pending.
+    Without a window, ``betti(k)`` holds once the first k deals are no
+    longer pending, provided every block added since is
+    ``Chain.append``'s, onto the canonical branch, one height above
+    every live block, and no fork was resolved: then no live block below
+    a canonical tip changes, so the pieces, tops and groups stand, and S
+    only grows at each chain's top.  If its canonical tip rose n > 0
+    heights, S gains a stitch edge from each live tip tied with it at
+    the start, one loop each, and in replicated mode, if the canonical
+    branch is the trunk, n heights of ``replicas`` copies over a row of
+    as many, n * (replicas - 1) loops.  Every other change bumps a
+    chain's ``reshapes``; the glue records each chain's count when it is
+    derived, and a report that finds one moved derives the glue again
+    over the deals still pending.  A window moves as deals stop pending,
+    so a windowed glue derives itself again at every report.
     """
 
     def __init__(self, federation: Federation, transactions: Iterable[CrossChainTransaction],
-                 mode: TopologyMode) -> None:
-        self.federation, self.transactions, self.mode = federation, list(transactions), mode
-        self._derive(0)
+                 mode: TopologyMode, window: Optional[int] = None) -> None:
+        self.federation, self.transactions, self.mode, self.window = federation, list(transactions), mode, window
+        self.start, self.reshapes = 0, None  # derived at the first report
 
     def _reshapes(self) -> list[tuple[int, int]]:
         """Each chain's id and ``reshapes`` count."""
@@ -375,34 +335,41 @@ class BettiGlue:
         federation, mode = self.federation, self.mode
         replicated = mode is TopologyMode.REPLICATED
         self.start, self.reshapes = start, self._reshapes()
+        pending = self.transactions[start:]
         pieces: dict[tuple, int] = {}  # a block, or a (chain, height) row if replicated -> its vertex
         tops: list[Cell] = []
-        self.widths: list[int] = []  # each top's vertices in the full build
-        for txn in self.transactions[start:]:
+        self.widths: list[int] = []  # each top's vertices in the build
+        for txn in pending:
             txn.check_chains()
             refs = expand_refs(federation, txn)
             self.widths.append(sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in refs))
             tops.append(tuple(sorted({pieces.setdefault(ref[:2] if replicated else ref, len(pieces))
                                       for ref in refs})))
-        hubs: dict[int, int] = {}  # a touched chain -> its hub's vertex
-        edges = [(v, hubs.setdefault(piece[0], len(pieces) + len(hubs))) for piece, v in pieces.items()]
+        spans = _spans(federation, pending, self.window)
+        joined: dict[tuple[int, int], tuple[int, int]] = {}
+        shape = structural_betti(federation, mode, spans, joined)
+        hubs: dict[tuple[int, int], int] = {}  # a component of S that holds a piece -> its hub's vertex
+
+        def hub(cid: int, height: int, branch: int = 0) -> int:  # a replicated row: the trunk's part, the only one
+            return hubs.setdefault(_part(federation.chain(cid), branch, spans[cid][0], joined), len(pieces) + len(hubs))
+        edges = [(v, hub(*piece)) for piece, v in pieces.items()]
         # stages[k]: the tops' numbers with the first k deals dropped
         self.stages = betti_by_stage([edges, *([top] for top in reversed(tops))])[::-1]
-        shape = structural_betti(federation, mode)
         self.untouched = sum(shape[:1]) - len(hubs)
         self.loops = sum(shape[1:])
-        self.edged = len(shape) > 1
-        self.widest = len(shape)  # the full build's widest structural generator: an edge or a group
+        self.widest = len(shape)  # the build's widest structural generator: an edge or a group
         # per chain: its canonical branch, that branch's tip now, the live
         # tips tied with it, and the loops each height it rises closes
         self.tips: list[tuple[BranchInfo, int, int, int]] = []
         for cid in federation.chain_ids():
             chain = federation.chain(cid)
+            lo, hi = spans[cid]
             canonical = chain.canonical_branch()
             top = chain.branches[canonical].tip
-            forked = chain.forked_heights(0, top) if replicated else ()
-            # a forked row's group: its first block's copies, and one per block after it (off the trunk)
-            self.widest = max(self.widest, _copies(chain, 0, mode),
+            forked = chain.forked_heights(lo, hi) if replicated else ()
+            # the copies of the lowest row's first block (the trunk's, if any row kept holds
+            # it), and each forked row's group: its first block's copies, one per block after it
+            self.widest = max(self.widest, _copies(chain, chain.live_block_at(lo)[0].branch, mode),
                               *(_copies(chain, row[0].branch, mode) + len(row) - 1
                                 for row in map(chain.live_block_at, forked)))
             tied = sum(chain.branches[label].tip == top for label in chain.live_branch_labels()) - 1
@@ -410,10 +377,10 @@ class BettiGlue:
 
     def betti(self, dropped: int) -> tuple[int, ...]:
         """The numbers with the first ``dropped`` deals no longer pending."""
-        if dropped < self.start or self.reshapes != self._reshapes():
+        if self.window is not None or dropped < self.start or self.reshapes != self._reshapes():
             self._derive(dropped)
         k = dropped - self.start
-        loops, edged = self.loops, self.edged
+        loops, edged = self.loops, False
         for info, start, tied, per_height in self.tips:
             risen = info.tip - start
             if risen:
@@ -426,37 +393,41 @@ class BettiGlue:
         return tuple(betti[:widest])
 
 
-def structural_betti(federation: Federation, mode: TopologyMode) -> tuple[int, ...]:
-    """b0 and b1 of the whole federation's structural complex (no
-    transactions, no window) in closed form, per chain and per branch;
-    b0 alone when the complex has no cell of two or more vertices, ()
-    when it has no vertex.  Its higher numbers are 0, and each chain is
-    one component: the two facts ``BettiGlue`` glues the pending tops
-    onto.
+def structural_betti(federation: Federation, mode: TopologyMode, spans: Optional[dict[int, tuple[int, int]]] = None,
+                     joined: Optional[dict[tuple[int, int], tuple[int, int]]] = None) -> tuple[int, ...]:
+    """b0 and b1 of the federation's structural complex (no
+    transactions), each chain cut to its ``spans`` entry, from lo to hi,
+    or whole without one, in closed form, per chain and per branch; b0
+    alone when the complex has no cell of two or more vertices, () when
+    it has no vertex.  Its higher numbers are 0: the fact ``BettiGlue``
+    glues the pending tops onto, with ``joined`` filled for ``_part``.
 
-    Each chain is connected: every live block but genesis links to its
-    parent.  Contracting each replica group, a simplex that meets no
-    other, keeps the homotopy type (Hatcher, *Algebraic Topology*, Prop.
-    0.17) and leaves a graph.  In abstract mode its vertices are the
-    blocks, each hanging off its parent by one edge, so its loops are
-    the stitch edges.  In replicated mode they are the heights: each of
-    the c copies at a height h >= 1 links to the row below, which closes
-    c - 1 loops (a trunk-only height gives replicas - 1), and each
-    stitch edge adds one more.  The copies are counted off the paths
-    from each live branch tip down to the trunk, the blocks ``Chain``
-    keeps live, and the stitch edges off the row above each live tip: a
-    step per branch, not per block.
+    Contracting each replica group, a simplex that meets no other, keeps
+    the homotopy type (Hatcher, *Algebraic Topology*, Prop. 0.17) and
+    leaves a graph.  In abstract mode its vertices are the blocks, each
+    above lo hanging off its parent by one edge: each block at lo roots
+    a tree, a part, and each stitch edge joins two components or closes
+    a loop.  In replicated mode they are the heights, and a chain is one
+    component: each of the c copies at a height in (lo, hi] links to the
+    row below, which closes c - 1 loops (a trunk-only height gives
+    replicas - 1), and each stitch edge closes one more.  The copies are
+    counted off the paths from each live branch tip down to the trunk,
+    the blocks ``Chain`` keeps live, and the stitch edges off the row
+    above each live tip: a step per branch, not per block.
     """
     replicated = mode is TopologyMode.REPLICATED
-    chains = loops = 0
+    joined = {} if joined is None else joined
+    components = loops = 0
     edged = False
     for cid in federation.chain_ids():
         chain = federation.chain(cid)
         branches = chain.branches
-        top = branches[chain.canonical_branch()].tip
+        lo, hi = spans[cid] if spans else (0, branches[chain.canonical_branch()].tip)
+        row = chain.live_block_at(lo)
+        components += 1 if replicated else len(row)
+        # a parent link, or a replica group at lo
+        edged = edged or hi > lo or replicated and _copies(chain, row[0].branch, mode) + len(row) > 2
         live = chain.live_branch_labels()
-        chains += 1
-        edged = edged or top > 0 or _copies(chain, 0, mode) > 1  # a parent link, or a group at genesis
         if replicated:
             reach: dict[int, int] = {}  # branch -> its highest live block, on a path down from a live tip
             for label in live:
@@ -467,74 +438,104 @@ def structural_betti(federation: Federation, mode: TopologyMode) -> tuple[int, .
                     if parent is None:
                         break
                     height, branch = parent.height, parent.branch
-            # the live copies at heights 1..top, less one per height
-            off_trunk = sum(height - branches[b].spawn_height + 1 for b, height in reach.items() if b)
-            loops += _copies(chain, 0, mode) * reach[0] + off_trunk - top
-        for label in live:  # a stitch edge from each live tip below the top to each block it did not parent
+            # the live copies at heights lo + 1..hi, less one per height
+            off_trunk = sum(max(min(height, hi) - max(branches[b].spawn_height, lo + 1) + 1, 0)
+                            for b, height in reach.items() if b)
+            loops += _copies(chain, 0, mode) * max(min(reach[0], hi) - lo, 0) + off_trunk - (hi - lo)
+        floor = 0 if replicated else lo  # where the parts are rooted: a replicated cut is one
+        for label in live:  # a stitch edge from each live tip below hi to each block it did not parent
             tip = branches[label].tip
-            if 0 <= tip < top:
+            if lo <= tip < hi:
                 for ref in chain.live_block_at(tip + 1):
                     info = branches[ref.branch]
-                    loops += (info.parent.branch if tip + 1 == info.spawn_height else ref.branch) != label
-    if not chains:
+                    if (info.parent.branch if tip + 1 == info.spawn_height else ref.branch) != label:
+                        part, other = _part(chain, label, floor, joined), _part(chain, ref.branch, floor, joined)
+                        if part == other:
+                            loops += 1
+                        else:
+                            joined[part] = other
+                            components -= 1
+    if not components:
         return ()
-    return (chains, loops) if edged else (chains,)
+    return (components, loops) if edged else (components,)
 
 
-def _build(
-    federation: Federation,
-    transactions: list[CrossChainTransaction],
-    mode: TopologyMode,
-    window: Optional[int],
-    collapse: bool,
-) -> tuple[TaggedComplex, int]:
-    """The row walk of both builds: the tagged complex and the loops the
-    trunk heights it dropped would have closed (0 unless ``collapse``).
+def _part(chain: Chain, branch: int, lo: int, joined: dict[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
+    """The component of ``chain``'s structure cut at ``lo`` that holds a
+    live block on ``branch`` at or above ``lo``: the part, rooted at the
+    live block at ``lo`` below it, as (chain, that block's branch),
+    followed through the parts ``joined`` to another."""
+    branches = chain.branches
+    while branches[branch].spawn_height > lo:
+        branch = branches[branch].parent.branch
+    part = (chain.id, branch)
+    while part in joined:
+        part = joined[part]
+    return part
 
-    Both walk each chain's forked heights and the height just above
-    each.  The full build records every other run of heights, the lowest
-    one built included, as a ``_Run``, so a chain with no forked height
-    in its window is one run and costs no step per row; a top's trunk
-    blocks are numbered from the runs that hold them.  With
-    ``collapse`` the walk also keeps each chain's lowest and top rows
-    and every height that ``transactions`` name, the vertices the
-    collapsed complex keeps, and drops the runs between them instead.
-    """
-    named: dict[int, set[int]] = {}  # chain -> the heights the transactions' blocks name
-    for txn in transactions:
+
+def _spans(federation: Federation, transactions: list[CrossChainTransaction],
+           window: Optional[int]) -> dict[int, tuple[int, int]]:
+    """Each chain's lowest and top heights kept.  With a window, a chain
+    the transactions' blocks name keeps the named heights widened by
+    ``window``, clipped to its live heights; every other keeps them all,
+    genesis to its canonical tip (live heights run without a gap)."""
+    named: dict[int, list[int]] = {}  # chain -> the heights the transactions' blocks name
+    for txn in transactions if window is not None else ():
         for ref in txn.blocks:
-            named.setdefault(ref.chain, set()).add(ref.height)
-    spans: dict[int, tuple[int, int]] = {}  # chain -> the heights built, if windowed
-    if window is not None:
-        spans = {cid: (min(heights) - window, max(heights) + window) for cid, heights in named.items()}
+            named.setdefault(ref.chain, []).append(ref.height)
+    spans = {}
+    for cid in federation.chain_ids():
+        chain, heights = federation.chain(cid), named.get(cid)
+        top = chain.branches[chain.canonical_branch()].tip
+        spans[cid] = (max(min(heights) - window, 0), min(max(heights) + window, top)) if heights else (0, top)
+    return spans
 
+
+def build_federation_complex(
+    federation: Federation,
+    transactions: Iterable[CrossChainTransaction] = (),
+    mode: TopologyMode = TopologyMode.ABSTRACT,
+    window: Optional[int] = None,
+) -> TaggedComplex:
+    """Construct the tagged complex of the federation plus in-flight
+    transactions.
+
+    ``window`` restricts each chain that a transaction references to
+    blocks within that height radius of the referenced heights
+    (``_spans``); None keeps whole chains.  Each chain's live heights are
+    numbered in ascending order, and along each height in branch order,
+    which numbers the vertices in ascending ``VertexKey`` order.  Only
+    the rows that may hold more than the trunk block or hang off more
+    than it, each forked height and the one above it, take the per-block
+    steps.  Every other run of heights, the lowest one built included,
+    is only recorded as a ``_Run``, its vertex ids counted past, and laid
+    by ``_lay_trunk_run`` when ``vertex_of`` or ``cells`` is first read,
+    with the keys, cells and key order a walk would give.  A chain with
+    no forked height in its window is one run.  Each top numbers a trunk
+    block in a run from the run's first id and the block's height.
+    """
+    transactions = list(transactions)
+    spans = _spans(federation, transactions, window)
     replicated = mode is TopologyMode.REPLICATED
     vertex_of: dict[VertexKey, int] = {}  # of the walked rows only
     cells: set[Cell] = set()
     runs: list[_Run] = []
     runs_of: dict[int, list[_Run]] = {}  # chain -> its recorded runs, ascending
-    loops = 0  # closed by the dropped trunk heights
     v = 0  # the next vertex id
     for cid in federation.chain_ids():
         chain = federation.chain(cid)
-        # live heights run without a gap from genesis to the tallest live
-        # tip, the canonical branch's
-        top = chain.branches[chain.canonical_branch()].tip
-        lo, hi = spans.get(cid, (0, top))
-        lo, hi = max(lo, 0), min(hi, top)
+        lo, hi = spans[cid]
         forked = chain.forked_heights(lo, hi)
         trunk = _copies(chain, 0, mode)
-        if not (forked or collapse):  # the trunk block alone at every height: one run
+        if not forked:  # the trunk block alone at every height: one run
             if lo <= hi:
                 run = _Run(len(vertex_of), cid, lo, hi + 1, v, trunk, False)
                 runs.append(run)
                 runs_of[cid] = [run]
                 v += (hi + 1 - lo) * trunk
             continue
-        rows = {*forked, *(h + 1 for h in forked)}
-        if collapse:  # the rows whose vertices the collapsed complex keeps
-            rows.update((lo, hi), named.get(cid, ()))
-        rows = sorted(h for h in rows if lo <= h <= hi)
+        rows = sorted(h for h in {*forked, *(h + 1 for h in forked)} if h <= hi)
         branches = chain.branches
         copies_of = {label: _copies(chain, label, mode) for label in branches}
         tips: dict[int, list[int]] = {}  # height -> live branches whose tip is there
@@ -544,15 +545,13 @@ def _build(
         below: dict[int, int] = {}  # branch -> first vertex id, one height down
         run_start = lo  # the lowest height not built yet
         for height in [*rows, hi + 1]:
-            if run_start < height:  # the trunk block alone, over the trunk block alone
-                if collapse:  # the row below holds the trunk block alone, and stays ``below``
-                    loops += (height - run_start) * (trunk - 1)
-                else:  # linked to the row below unless it starts the window
-                    run = _Run(len(vertex_of), cid, run_start, height, v, trunk, run_start > lo)
-                    runs.append(run)
-                    chain_runs.append(run)
-                    v += (height - run_start) * trunk
-                    below = {0: v - trunk}
+            if run_start < height:  # the trunk block alone, over the trunk block alone,
+                # linked to the row below unless it starts the window
+                run = _Run(len(vertex_of), cid, run_start, height, v, trunk, run_start > lo)
+                runs.append(run)
+                chain_runs.append(run)
+                v += (height - run_start) * trunk
+                below = {0: v - trunk}
             if height > hi:
                 break
             run_start = height + 1
@@ -599,7 +598,7 @@ def _build(
             verts.extend(range(first, first + _copies(federation.chain(cid), branch, mode)))
         txn_tops[txn.id] = Simplex(tuple(verts))
 
-    return TaggedComplex(vertex_of, frozenset(cells), tuple(runs), dict(sorted(txn_tops.items()))), loops
+    return TaggedComplex(vertex_of, frozenset(cells), tuple(runs), dict(sorted(txn_tops.items())))
 
 
 def _run_vertex(runs: list[_Run], height: int) -> Optional[int]:

@@ -170,16 +170,22 @@ def test_betti_out_matches_golden(tmp_path, capsys, scenario, golden, betti):
     assert Path(str(out) + ".tags").read_bytes() == (DATA / (golden + ".tags")).read_bytes()
 
 
-@pytest.mark.parametrize("mode", ["abstract", "replicated"])
-def test_betti_without_out_builds_no_complex(monkeypatch, tmp_path, mode):
-    # the vector is glued, not built: betti --at k makes only the builds
-    # of the k deals it replays, as a run with Betti numbers off does
+@pytest.mark.parametrize("mode, window", [("abstract", None), ("replicated", None), ("abstract", 1), ("replicated", 1)],
+                         ids=["abstract", "replicated", "abstract-window1", "replicated-window1"])
+def test_betti_without_out_builds_no_complex(monkeypatch, tmp_path, mode, window):
+    # the vector is glued, not built, with a window too: betti --at k
+    # makes only the builds of the k deals it replays, as a run with
+    # Betti numbers off does
     path = tmp_path / "forked.scenario"
-    path.write_text(FORKED_DEALS_TEXT.format(mode=mode, epoch=2, window="", window_line=""))
+    path.write_text(FORKED_DEALS_TEXT.format(mode=mode, epoch=2, window="" if window is None else f"-window{window}",
+                                             window_line="" if window is None else f"window = {window}\n"))
     scenario, _ = load_scenario(str(path))
+    assert scenario.window == window
     builds = []
-    build = topology._build
-    monkeypatch.setattr(topology, "_build", lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs))
+    build = topology.build_federation_complex
+    monkeypatch.setattr(topology, "build_federation_complex",
+                        lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs))
+    monkeypatch.setattr(topology.TaggedComplex, "betti_numbers", lambda tagged: pytest.fail("betti read a build"))
     for at in range(len(scenario.transactions()) + 1):
         for _ in islice(_replay(scenario, scenario.build_federation(), WriteAheadLog()), at):
             pass

@@ -490,20 +490,21 @@ def test_each_epoch_glues_once_and_a_report_reduces_its_tops(monkeypatch, mode, 
     assert len(glued_at) == (2 if 0 < epoch < len(deals) else 1)  # only the first resolution retires a branch
 
     builds, filtrations, calls = [], [], Counter()
-    build, reduce, shape = topology._build, topology.betti_by_stage, topology.structural_betti
+    build, reduce, shape = topology.build_federation_complex, topology.betti_by_stage, topology.structural_betti
     expand, check, report = topology.expand_refs, CrossChainTransaction.check_chains, topology.BettiGlue.betti
 
-    def counted_build(*args, **kwargs):
-        builds.append(kwargs["collapse"])
-        return build(*args, **kwargs)
+    def counted_build(federation, transactions=(), **kwargs):
+        transactions = list(transactions)
+        builds.append([txn.id for txn in transactions])
+        return build(federation, transactions, **kwargs)
 
     def counted_reduce(stages):
         filtrations.append(stages)
         return reduce(stages)
 
-    def counted_shape(federation, mode):
+    def counted_shape(*args):
         calls["structural_betti"] += 1
-        return shape(federation, mode)
+        return shape(*args)
 
     def counted_expand(federation, txn):
         calls["expand_refs", txn.id] += 1
@@ -517,7 +518,7 @@ def test_each_epoch_glues_once_and_a_report_reduces_its_tops(monkeypatch, mode, 
         calls["report"] += 1
         return report(glue, dropped)
 
-    monkeypatch.setattr(topology, "_build", counted_build)
+    monkeypatch.setattr(topology, "build_federation_complex", counted_build)
     monkeypatch.setattr(topology, "betti_by_stage", counted_reduce)
     monkeypatch.setattr(topology, "structural_betti", counted_shape)
     monkeypatch.setattr(topology, "expand_refs", counted_expand)
@@ -525,7 +526,7 @@ def test_each_epoch_glues_once_and_a_report_reduces_its_tops(monkeypatch, mode, 
     monkeypatch.setattr(topology.BettiGlue, "betti", counted_report)
     run_scenario(scen, 1, compute_betti=False)
     executed, execute_calls = list(builds), Counter(calls)  # execute's own, one build per deal
-    assert executed == [False] * 6 and not filtrations
+    assert len(executed) == 6 and not filtrations
     builds.clear()
     calls.clear()
     assert len(run_scenario(scen, 1).rows) == 6
@@ -545,10 +546,15 @@ def test_each_epoch_glues_once_and_a_report_reduces_its_tops(monkeypatch, mode, 
         assert len(edges) == len(set(edges)) == pieces and all(len(edge) == 2 for edge in edges)
         assert [len(stage) for stage in tops] == [1] * len(top_sizes)
         assert [len(top) for (top,) in tops] == top_sizes
-    # a window takes each report's own collapsed build
+    # a window glues too: its reports make no build beyond execute's and read no built complex
+    monkeypatch.setattr(topology.TaggedComplex, "betti_numbers", lambda tagged: pytest.fail("a report read a build"))
+    windowed = forked_deals(mode, epoch, window=1)
     builds.clear()
-    run_scenario(forked_deals(mode, epoch, window=1), 1)
-    assert builds.count(True) == 6 + epochs
+    run_scenario(windowed, 1, compute_betti=False)
+    executed = list(builds)
+    builds.clear()
+    assert len(run_scenario(windowed, 1).rows) == 6
+    assert builds == executed
 
 
 def test_a_deal_on_a_block_not_made_yet_is_refused_at_the_first_report():

@@ -1036,7 +1036,7 @@ def test_tagged_betti_builds_no_closure_and_no_dense_matrix(monkeypatch):
     assert "complex" not in tagged.__dict__
 
 
-# -- Betti numbers of the path-collapsed build --------------------------------------
+# -- Betti numbers glued, without and with a window, against the build ---------------
 
 def full_betti(federation, transactions, mode, window):
     return build_federation_complex(federation, transactions, mode, window).betti_numbers()
@@ -1061,6 +1061,46 @@ def test_collapsed_betti_equals_the_full_build(data):
     window = data.draw(st.sampled_from([None, 0, 1, 2, 3]), label="window")
     txns = draw_deals(data, fed, 3)
     assert federation_betti(fed, txns, mode, window) == full_betti(fed, txns, mode, window)
+
+
+def test_a_window_above_a_fork_counts_a_second_stitch_between_two_parts_as_a_loop():
+    # chain 1's window, heights 3 to 6, starts above the fork at 2, so
+    # branch 1's block at 3, its tip, roots a part of its own.  That tip
+    # is stitched to the trunk block at 4 and to branch 2's first block,
+    # both in the trunk's part: the first edge joins the parts, the
+    # second closes a loop.  A window of 4, or none, cuts below the fork,
+    # and each edge closes a loop
+    fed = Federation()
+    chain = fed.add_chain(Chain(1, length=6))
+    chain.append_blocks(chain.spawn_fork(2), [(), ()])
+    chain.append_blocks(chain.spawn_fork(4), [(), (), ()])
+    fed.add_chain(Chain(2, length=2))
+    deal = txn(1, [(1, 5, 0), (2, 1, 0)])
+    mode = TopologyMode.ABSTRACT
+    assert topology._spans(fed, [deal], 2) == {1: (3, 6), 2: (0, 2)}
+    assert structural_betti(fed, mode, topology._spans(fed, [deal], 2)) == (2, 1)
+    assert structural_betti(fed, mode, topology._spans(fed, [deal], 4)) == structural_betti(fed, mode) == (2, 2)
+    # the deal's top joins the chains, and its two blocks on chain 1 close one more loop through the joined parts
+    assert federation_betti(fed, [deal], mode, 2) == full_betti(fed, [deal], mode, 2) == (1, 2, 0)
+
+
+def test_a_part_no_deal_names_and_no_stitch_joins_adds_to_b0():
+    # on a named chain every part is named or stitched to another: a part
+    # whose highest block lies below the window's top row ends in a live
+    # tip there, stitched to every block above it.  So such a part is a
+    # chain that no deal names, kept whole: chain 3, beside chain 1 cut
+    # into two parts
+    fed = Federation()
+    chain = fed.add_chain(Chain(1, length=6))
+    chain.append_blocks(chain.spawn_fork(2), [(), ()])
+    chain.append_blocks(chain.spawn_fork(4), [(), (), ()])
+    fed.add_chain(Chain(2, length=2))
+    third = fed.add_chain(Chain(3, length=3))
+    third.append_blocks(third.spawn_fork(2), [()])
+    deal = txn(1, [(1, 5, 0), (2, 1, 0)])
+    mode = TopologyMode.ABSTRACT
+    assert structural_betti(fed, mode, topology._spans(fed, [deal], 2)) == (3, 2)
+    assert federation_betti(fed, [deal], mode, 2) == full_betti(fed, [deal], mode, 2) == (2, 3, 0)
 
 
 def draw_deals(data, fed, most):
@@ -1175,6 +1215,24 @@ def test_structural_loops_equal_the_closure_oracle(data):
     closure = betti_from_cells(close_by_dimension(build_federation_complex(fed, (), mode).structural()))
     assert closure[0] == len(fed.chain_ids())
     assert structural_betti(fed, mode) == closure[:2]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_windowed_structural_betti_equals_the_closure_oracle(data):
+    # each chain cut to the heights a window keeps round the deals'
+    fed = Federation()
+    for cid in range(1, data.draw(st.integers(1, 2), label="chains") + 1):
+        chain = forked_trunk(data, cid)
+        for _ in range(data.draw(st.integers(0, 4), label="canonical appends")):
+            chain.append(())
+        fed.add_chain(chain)
+    mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
+    window = data.draw(st.integers(0, 3), label="window")
+    txns = draw_deals(data, fed, 3)
+    structural = build_federation_complex(fed, txns, mode, window).structural()
+    spans = topology._spans(fed, txns, window)
+    assert structural_betti(fed, mode, spans) == betti_from_cells(close_by_dimension(structural))[:2]
 
 
 # -- tags and teardown ---------------------------------------------------------------
