@@ -211,9 +211,9 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     balance sheet and Betti numbers are the previous event's post-event
     ones, unless fork resolution ran in between.
 
-    The reports share one ``BettiGlue``, made at the first report.
-    Between two resolutions every block a protocol adds is
-    ``Chain.append``'s, onto the canonical branch, one height above
+    The reports share one ``BettiGlue``, which derives itself at the
+    first report.  Between two resolutions every block a protocol adds
+    is ``Chain.append``'s, onto the canonical branch, one height above
     every live block: forward blocks, recovery's compensation blocks,
     and the ac2s and ac3wn legs.  So without a window nothing below a
     canonical tip changes within an epoch, and each report reads its
@@ -225,16 +225,11 @@ def _replay(scenario: Scenario, federation: Federation, wal: WriteAheadLog, seed
     """
     engine = TopoCbtEngine(federation, wal, mode=scenario.mode)
     transactions = scenario.transactions()
-    glue: Optional[BettiGlue] = None
+    glue = BettiGlue(federation, transactions, scenario.mode, scenario.window) if compute_betti else None
 
     def betti(done: int) -> tuple[int, ...]:
         """The numbers after ``done`` events."""
-        nonlocal glue
-        if not compute_betti:
-            return ()
-        if glue is None:  # at the first report, with every deal pending
-            glue = BettiGlue(federation, transactions, scenario.mode, scenario.window)
-        return glue.betti(done)
+        return () if glue is None else glue.betti(done)
 
     post_balances: Optional[dict] = None
     betti_post: Optional[tuple[int, ...]] = None

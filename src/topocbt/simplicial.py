@@ -148,9 +148,6 @@ class SimplicialComplex:
         """Highest simplex dimension present; -1 for the empty complex."""
         return len(self.cells) - 1
 
-    def vertices(self) -> list[int]:
-        return sorted({v for level in self.cells for cell in level for v in cell})
-
     def simplices_of_dim(self, k: int) -> list[Simplex]:
         """k-simplices in canonical (lexicographic) order."""
         if not 0 <= k < len(self.cells):

@@ -28,8 +28,10 @@ glued to the pending tops along disjoint contractible pieces, so by
 Mayer–Vietoris (Hatcher, *Algebraic Topology*, §2.2) the numbers are
 the tops' own, with each structural component a hub joined to its
 pieces, plus the structure's loops, which ``structural_betti`` counts
-in closed form, per chain and per branch, with no closure and no walk
-up a chain.  Without a window that glue (``BettiGlue``) stands while
+in closed form from each chain's forked rows in its window, with no
+closure, no branch list and no walk up a chain: a windowed report
+costs per forked row and per deal in its window, not per branch.
+Without a window that glue (``BettiGlue``) stands while
 every block added is ``Chain.append``'s, onto a chain's canonical
 branch one height above every live block, and no fork is resolved:
 nothing below a canonical tip changes, so the pending tops' complexes
@@ -134,6 +136,27 @@ def _copies(chain: Chain, branch: int, mode: TopologyMode) -> int:
     return chain.replicas if branch == 0 and mode is TopologyMode.REPLICATED else 1
 
 
+def _width(federation: Federation, refs: Iterable[BlockRef], mode: TopologyMode) -> int:
+    """The vertices the live blocks ``refs`` give, ``_copies`` each: a
+    top's, or in replicated mode a row's replica group."""
+    return sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in refs)
+
+
+def _parent_branch(branches: dict[int, BranchInfo], ref: BlockRef) -> int:
+    """The branch of the live block ``ref``'s parent, one height down: a
+    branch's first block hangs off its fork parent, every later one off
+    the block below on its own branch."""
+    info = branches[ref.branch]
+    return info.parent.branch if ref.height == info.spawn_height else ref.branch
+
+
+def _tips(branches: dict[int, BranchInfo], height: int, labels: Iterable[int]) -> list[int]:
+    """Those of ``labels``, the branches of the live blocks at
+    ``height``, that are live with their tip there: each such tip is
+    stitched to every block one height up that it did not parent."""
+    return [label for label in labels if branches[label].tip == height and branches[label].live]
+
+
 def expected_transaction_dimension(
     federation: Federation, txn: CrossChainTransaction, mode: TopologyMode = TopologyMode.ABSTRACT
 ) -> int:
@@ -143,7 +166,7 @@ def expected_transaction_dimension(
 
     The sum counts vertices; a simplex on v vertices has dimension v-1.
     """
-    return sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in expand_refs(federation, txn)) - 1
+    return _width(federation, expand_refs(federation, txn), mode) - 1
 
 
 class _Run(NamedTuple):
@@ -279,9 +302,8 @@ def federation_betti(
 class BettiGlue:
     """What the Betti numbers of a federation and its pending deals are
     made of, each chain cut to its window: each deal's top over numbered
-    pieces and its width, the hub edges, the widest structural group,
-    ``structural_betti``'s shape, and every report's numbers from one
-    filtered reduction.
+    pieces and its width, the hub edges, the ``Structure`` of the chains,
+    and every report's numbers from one filtered reduction.
 
     The complex is the structural complex S of the federation, each
     chain cut to its ``_spans`` entry, glued to the closure T of the
@@ -304,6 +326,9 @@ class BettiGlue:
     enter first, then tops[n-1], …, tops[0].  One
     ``simplicial.betti_by_stage`` reduction of it, made when the glue is
     derived, gives every K_k's numbers, and a report reads its stage.
+    Deriving reads each chain once, in ``structural_betti``'s walk over
+    its forked rows: no branch list and no row outside its window but
+    the canonical tip's.
 
     Without a window, ``betti(k)`` holds once the first k deals are no
     longer pending, provided every block added since is
@@ -342,65 +367,58 @@ class BettiGlue:
         for txn in pending:
             txn.check_chains()
             refs = expand_refs(federation, txn)
-            self.widths.append(sum(_copies(federation.chain(ref.chain), ref.branch, mode) for ref in refs))
+            self.widths.append(_width(federation, refs, mode))
             tops.append(tuple(sorted({pieces.setdefault(ref[:2] if replicated else ref, len(pieces))
                                       for ref in refs})))
         spans = _spans(federation, pending, self.window)
-        joined: dict[tuple[int, int], tuple[int, int]] = {}
-        shape = structural_betti(federation, mode, spans, joined)
+        self.structure = structure = structural_betti(federation, mode, spans)
         hubs: dict[tuple[int, int], int] = {}  # a component of S that holds a piece -> its hub's vertex
 
         def hub(cid: int, height: int, branch: int = 0) -> int:  # a replicated row: the trunk's part, the only one
-            return hubs.setdefault(_part(federation.chain(cid), branch, spans[cid][0], joined), len(pieces) + len(hubs))
+            part = _part(federation.chain(cid), branch, spans[cid][0], structure.joined)
+            return hubs.setdefault(part, len(pieces) + len(hubs))
         edges = [(v, hub(*piece)) for piece, v in pieces.items()]
         # stages[k]: the tops' numbers with the first k deals dropped
         self.stages = betti_by_stage([edges, *([top] for top in reversed(tops))])[::-1]
-        self.untouched = sum(shape[:1]) - len(hubs)
-        self.loops = sum(shape[1:])
-        self.widest = len(shape)  # the build's widest structural generator: an edge or a group
-        # per chain: its canonical branch, that branch's tip now, the live
-        # tips tied with it, and the loops each height it rises closes
-        self.tips: list[tuple[BranchInfo, int, int, int]] = []
-        for cid in federation.chain_ids():
-            chain = federation.chain(cid)
-            lo, hi = spans[cid]
-            canonical = chain.canonical_branch()
-            top = chain.branches[canonical].tip
-            forked = chain.forked_heights(lo, hi) if replicated else ()
-            # the copies of the lowest row's first block (the trunk's, if any row kept holds
-            # it), and each forked row's group: its first block's copies, one per block after it
-            self.widest = max(self.widest, _copies(chain, chain.live_block_at(lo)[0].branch, mode),
-                              *(_copies(chain, row[0].branch, mode) + len(row) - 1
-                                for row in map(chain.live_block_at, forked)))
-            tied = sum(chain.branches[label].tip == top for label in chain.live_branch_labels()) - 1
-            self.tips.append((chain.branches[canonical], top, tied, _copies(chain, canonical, mode) - 1))
+        self.untouched = structure.components - len(hubs)
 
     def betti(self, dropped: int) -> tuple[int, ...]:
         """The numbers with the first ``dropped`` deals no longer pending."""
         if self.window is not None or dropped < self.start or self.reshapes != self._reshapes():
             self._derive(dropped)
-        k = dropped - self.start
-        loops, edged = self.loops, False
-        for info, start, tied, per_height in self.tips:
+        k, structure = dropped - self.start, self.structure
+        loops, edged = structure.loops, False
+        for info, start, tied, per_height in structure.tips:
             risen = info.tip - start
             if risen:
                 loops += tied + risen * per_height
                 edged = True
-        widest = max(self.widest, 2 * edged, *self.widths[k:])
+        widest = max(structure.widest, 2 * edged, *self.widths[k:])
         betti = [*self.stages[k], *[0] * (widest + 2)]
         betti[0] += self.untouched
         betti[1] += loops
         return tuple(betti[:widest])
 
 
-def structural_betti(federation: Federation, mode: TopologyMode, spans: Optional[dict[int, tuple[int, int]]] = None,
-                     joined: Optional[dict[tuple[int, int], tuple[int, int]]] = None) -> tuple[int, ...]:
+class Structure(NamedTuple):
+    """The federation's structural complex, each chain cut to its span,
+    as ``structural_betti`` reads it."""
+
+    components: int  # b0
+    loops: int  # b1
+    widest: int  # the vertices of its widest generator: 0 none, 1 a vertex, 2 an edge, more a replica group
+    joined: dict[tuple[int, int], tuple[int, int]]  # a part -> a part a stitch edge joined it to, for ``_part``
+    # per chain: its canonical branch, that branch's tip, the live tips
+    # tied with it, and the loops each height the tip rises closes
+    tips: list[tuple[BranchInfo, int, int, int]]
+
+
+def structural_betti(federation: Federation, mode: TopologyMode, spans: dict[int, tuple[int, int]]) -> Structure:
     """b0 and b1 of the federation's structural complex (no
     transactions), each chain cut to its ``spans`` entry, from lo to hi,
-    or whole without one, in closed form, per chain and per branch; b0
-    alone when the complex has no cell of two or more vertices, () when
-    it has no vertex.  Its higher numbers are 0: the fact ``BettiGlue``
-    glues the pending tops onto, with ``joined`` filled for ``_part``.
+    in closed form, with what else ``BettiGlue`` reads of the chains.
+    Its higher numbers are 0: the fact the glue glues the pending tops
+    onto.
 
     Contracting each replica group, a simplex that meets no other, keeps
     the homotopy type (Hatcher, *Algebraic Topology*, Prop. 0.17) and
@@ -408,56 +426,69 @@ def structural_betti(federation: Federation, mode: TopologyMode, spans: Optional
     above lo hanging off its parent by one edge: each block at lo roots
     a tree, a part, and each stitch edge joins two components or closes
     a loop.  In replicated mode they are the heights, and a chain is one
-    component: each of the c copies at a height in (lo, hi] links to the
-    row below, which closes c - 1 loops (a trunk-only height gives
-    replicas - 1), and each stitch edge closes one more.  The copies are
-    counted off the paths from each live branch tip down to the trunk,
-    the blocks ``Chain`` keeps live, and the stitch edges off the row
-    above each live tip: a step per branch, not per block.
+    component: the w copies at a height in (lo, hi] each link to the row
+    below, which closes w - 1 loops, and each stitch edge closes one
+    more.  So its loops are (hi - lo)(replicas - 1), each height holding
+    the trunk block alone, plus each forked row's width less the
+    trunk's, plus the stitch edges.
+
+    Every height but a forked one (``Chain.forked_heights``) holds the
+    trunk block alone, over the trunk block alone, so each chain is read
+    at its forked rows in [lo, hi], one step per block, and at the row
+    above a forked row that holds a live tip: a live tip below hi is
+    stitched to a block above it that it did not parent only if that
+    block's parent sits beside it, in a forked row.  The row at the
+    canonical tip gives the tips tied with it.
     """
     replicated = mode is TopologyMode.REPLICATED
-    joined = {} if joined is None else joined
-    components = loops = 0
-    edged = False
+    joined: dict[tuple[int, int], tuple[int, int]] = {}
+    tips: list[tuple[BranchInfo, int, int, int]] = []
+    components = loops = widest = 0
     for cid in federation.chain_ids():
         chain = federation.chain(cid)
         branches = chain.branches
-        lo, hi = spans[cid] if spans else (0, branches[chain.canonical_branch()].tip)
-        row = chain.live_block_at(lo)
-        components += 1 if replicated else len(row)
-        # a parent link, or a replica group at lo
-        edged = edged or hi > lo or replicated and _copies(chain, row[0].branch, mode) + len(row) > 2
-        live = chain.live_branch_labels()
+        lo, hi = spans[cid]
+        trunk = _copies(chain, 0, mode)
+        forked = chain.forked_heights(lo, hi)
+        components += 1  # a replicated chain's, or in abstract mode the part of the first block at lo
+        parted = False  # whether blocks at lo root several parts: else every stitch edge closes a loop
         if replicated:
-            reach: dict[int, int] = {}  # branch -> its highest live block, on a path down from a live tip
-            for label in live:
-                height, branch = branches[label].tip, label
-                while height >= 0 and reach.get(branch, -1) < height:  # below, the path is walked already
-                    reach[branch] = height
-                    parent = branches[branch].parent
-                    if parent is None:
-                        break
-                    height, branch = parent.height, parent.branch
-            # the live copies at heights lo + 1..hi, less one per height
-            off_trunk = sum(max(min(height, hi) - max(branches[b].spawn_height, lo + 1) + 1, 0)
-                            for b, height in reach.items() if b)
-            loops += _copies(chain, 0, mode) * max(min(reach[0], hi) - lo, 0) + off_trunk - (hi - lo)
-        floor = 0 if replicated else lo  # where the parts are rooted: a replicated cut is one
-        for label in live:  # a stitch edge from each live tip below hi to each block it did not parent
-            tip = branches[label].tip
-            if lo <= tip < hi:
-                for ref in chain.live_block_at(tip + 1):
-                    info = branches[ref.branch]
-                    if (info.parent.branch if tip + 1 == info.spawn_height else ref.branch) != label:
-                        part, other = _part(chain, label, floor, joined), _part(chain, ref.branch, floor, joined)
-                        if part == other:
-                            loops += 1
-                        else:
+            loops += (hi - lo) * (trunk - 1)
+        # a vertex, an edge from above lo, and a row holding the trunk block alone
+        widest = max(widest, 1 + (hi > lo), trunk if len(forked) <= hi - lo else 1)
+        for height in forked:
+            row = chain.live_block_at(height)
+            if replicated:
+                width = _width(federation, row, mode)
+                widest = max(widest, width)
+                if height > lo:
+                    loops += width - trunk
+            elif height == lo:
+                components += len(row) - 1
+                parted = len(row) > 1
+            above = None  # the row above, read at this row's first live tip
+            for tip in row if height < hi else ():
+                info = branches[tip.branch]
+                if info.tip != height or not info.live:  # ``_tips``' rule, inline in the one loop per forked row
+                    continue
+                if above is None:
+                    above = chain.live_block_at(height + 1)
+                for ref in above:  # a stitch edge to each block the tip did not parent
+                    if _parent_branch(branches, ref) == tip.branch:
+                        continue
+                    if parted:
+                        part, other = _part(chain, tip.branch, lo, joined), _part(chain, ref.branch, lo, joined)
+                        if part != other:
                             joined[part] = other
                             components -= 1
-    if not components:
-        return ()
-    return (components, loops) if edged else (components,)
+                            continue
+                    loops += 1
+        canonical = chain.canonical_branch()
+        info = branches[canonical]
+        # no tip is higher, so each live block at the canonical tip's height is a live tip tied with it
+        tied = len(chain.live_block_at(info.tip)) - 1
+        tips.append((info, info.tip, tied, _copies(chain, canonical, mode) - 1))
+    return Structure(components, loops, widest, joined, tips)
 
 
 def _part(chain: Chain, branch: int, lo: int, joined: dict[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
@@ -537,10 +568,6 @@ def build_federation_complex(
             continue
         rows = sorted(h for h in {*forked, *(h + 1 for h in forked)} if h <= hi)
         branches = chain.branches
-        copies_of = {label: _copies(chain, label, mode) for label in branches}
-        tips: dict[int, list[int]] = {}  # height -> live branches whose tip is there
-        for label in chain.live_branch_labels():
-            tips.setdefault(branches[label].tip, []).append(label)
         chain_runs = runs_of[cid] = []
         below: dict[int, int] = {}  # branch -> first vertex id, one height down
         run_start = lo  # the lowest height not built yet
@@ -557,21 +584,18 @@ def build_federation_complex(
             run_start = height + 1
             start = v
             here: dict[int, int] = {}
-            stitched = tips.get(height - 1, ())
+            stitched = _tips(branches, height - 1, below)
             for ref in chain.live_block_at(height):
                 branch = ref.branch
                 here[branch] = v
-                copies = copies_of[branch]
+                copies = _copies(chain, branch, mode)
                 for r in range(copies):
                     vertex_of[(cid, height, branch, r)] = v + r
                 if below:  # else the lowest height built: no parent in the window
                     # the parent link (covers fork spawn: the parent joins
                     # both children); a trunk block's parent is on the
-                    # trunk, so their copies link replica by replica.  A
-                    # branch's first block hangs off its fork parent, every
-                    # later one off the block below on its own branch
-                    info = branches[branch]
-                    parent_branch = info.parent.branch if height == info.spawn_height else branch
+                    # trunk, so their copies link replica by replica
+                    parent_branch = _parent_branch(branches, ref)
                     p = below[parent_branch]
                     for r in range(copies):
                         cells.add((p + r, v + r))

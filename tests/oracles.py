@@ -234,6 +234,11 @@ def read_complex(path) -> SimplicialComplex:
     return SimplicialComplex(read_generators(path))
 
 
+def vertices(complex_: SimplicialComplex) -> list[int]:
+    """A complex's vertices, ascending."""
+    return sorted({v for level in complex_.cells for cell in level for v in cell})
+
+
 def cells_of(complex_) -> set[tuple[int, ...]]:
     """A complex's cells, every dimension, as vertex tuples."""
     return {cell for level in complex_.cells for cell in level}

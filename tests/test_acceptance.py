@@ -39,7 +39,7 @@ from topocbt.topology import (
     expected_transaction_dimension,
     transaction_simplex,
 )
-from oracles import SplitMix64, UnionFind, asset_totals, random_scenario
+from oracles import SplitMix64, UnionFind, asset_totals, random_scenario, vertices
 from test_topology import DRIFT_CASES, assert_dimension_matches_oracle
 
 DATA = Path(__file__).parent / "data"
@@ -113,7 +113,7 @@ def test_criterion_2_euler_betti_and_component_oracles():
         assert sum((-1) ** k * b for k, b in enumerate(betti)) == euler_by_cells, f"seed {seed}"
 
         uf = UnionFind()
-        for v in complex_.vertices():
+        for v in vertices(complex_):
             uf.find(v)
         for edge in complex_.simplices_of_dim(1):
             uf.union(*edge.vertices)

@@ -55,6 +55,15 @@ def generators_of(tagged):
     return tagged.structural() + [top.vertices for top in tagged.txn_tops.values()]
 
 
+def structural_numbers(federation, mode, spans=None):
+    """``structural_betti``'s b0 and b1 as a Betti vector, each chain
+    cut to its ``spans`` entry or whole: () with no vertex, b0 alone with
+    no cell of two or more vertices."""
+    spans = topology._spans(federation, [], None) if spans is None else spans
+    structure = structural_betti(federation, mode, spans)
+    return (structure.components, structure.loops)[:structure.widest]
+
+
 def closure_betti(tagged):
     """The oracle: Betti numbers of the enumerated face closure."""
     return betti_from_cells(close_by_dimension(generators_of(tagged)))
@@ -832,7 +841,7 @@ def test_a_simplex_walks_each_forked_height_and_the_one_above(monkeypatch, mode)
         assert transaction_simplex(fed, deal, mode) == top
         # the walk, then expand_refs' one read per declared block for the top
         assert reads == [(1, h) for h in walked] + [(ref.chain, ref.height) for ref in deal.blocks]
-        assert labels == [1]
+        assert labels == []  # a build reads no branch list
 
 
 # -- Betti numbers against the dense oracle ---------------------------------------------
@@ -1078,8 +1087,8 @@ def test_a_window_above_a_fork_counts_a_second_stitch_between_two_parts_as_a_loo
     deal = txn(1, [(1, 5, 0), (2, 1, 0)])
     mode = TopologyMode.ABSTRACT
     assert topology._spans(fed, [deal], 2) == {1: (3, 6), 2: (0, 2)}
-    assert structural_betti(fed, mode, topology._spans(fed, [deal], 2)) == (2, 1)
-    assert structural_betti(fed, mode, topology._spans(fed, [deal], 4)) == structural_betti(fed, mode) == (2, 2)
+    assert structural_numbers(fed, mode, topology._spans(fed, [deal], 2)) == (2, 1)
+    assert structural_numbers(fed, mode, topology._spans(fed, [deal], 4)) == structural_numbers(fed, mode) == (2, 2)
     # the deal's top joins the chains, and its two blocks on chain 1 close one more loop through the joined parts
     assert federation_betti(fed, [deal], mode, 2) == full_betti(fed, [deal], mode, 2) == (1, 2, 0)
 
@@ -1099,7 +1108,7 @@ def test_a_part_no_deal_names_and_no_stitch_joins_adds_to_b0():
     third.append_blocks(third.spawn_fork(2), [()])
     deal = txn(1, [(1, 5, 0), (2, 1, 0)])
     mode = TopologyMode.ABSTRACT
-    assert structural_betti(fed, mode, topology._spans(fed, [deal], 2)) == (3, 2)
+    assert structural_numbers(fed, mode, topology._spans(fed, [deal], 2)) == (3, 2)
     assert federation_betti(fed, [deal], mode, 2) == full_betti(fed, [deal], mode, 2) == (2, 3, 0)
 
 
@@ -1136,6 +1145,43 @@ def test_an_epoch_glue_read_after_canonical_appends_equals_the_full_build(data):
             for cid in data.draw(st.lists(st.sampled_from(fed.chain_ids()), max_size=3), label="appends"):
                 fed.chain(cid).append(())
         assert glue.betti(k) == full_betti(fed, txns[k:], mode, None), k
+
+
+@pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
+def test_a_windowed_report_reads_no_branch_list_and_no_row_outside_its_window(monkeypatch, mode):
+    # a fork at every even height of chain 1, 1,001 live branches, and
+    # deals near its tip: each report reads a named chain's rows in its
+    # window and the row at its canonical tip, no more
+    lines = [f"[scenario]\nname = fork-heavy\nmode = {mode.value}\nepoch = 5\nwindow = 1",
+             "[chain]\nid = 1\nreplicas = 2\nlength = 2000\nassets = A1\nbalance = p1 A1 50",
+             *(f"fork = {height} 1" for height in range(2, 2001, 2)),
+             "[chain]\nid = 2\nlength = 3\nassets = A2\nbalance = p2 A2 50"]
+    for tid in range(1, 11):
+        refs = f"1:{2001 - tid} 2:{tid % 3 + 1}"
+        lines.append(f"[txn]\nid = {tid}\nparties = p1 p2\nblocks = {refs}\nsub = {refs} ; p1 p2 A1 1, p2 p1 A2 1")
+    scen = parse_scenario("\n".join(lines) + "\n")
+    reads, labels = count_chain_reads(monkeypatch)
+    report, reports, strays = BettiGlue.betti, [], []
+
+    def watched(glue, dropped):
+        pending = glue.transactions[dropped:]
+        spans = topology._spans(glue.federation, pending, glue.window)
+        tips = {cid: chain.branches[chain.canonical_branch()].tip for cid, chain in glue.federation.chains.items()}
+        reads.clear()
+        labels.clear()
+        betti = report(glue, dropped)
+        reports.append((dropped, list(labels)))
+        named = {ref.chain for txn in pending for ref in txn.blocks}
+        strays.extend((dropped, cid, height) for cid, height in reads
+                      if cid in named and not spans[cid][0] <= height <= spans[cid][1] and height != tips[cid])
+        return betti
+
+    monkeypatch.setattr(BettiGlue, "betti", watched)
+    assert len(run_scenario(scen, 1).rows) == 10
+    # one report before the first event, one after each, one more after the resolution
+    assert [dropped for dropped, _ in reports] == [0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10]
+    assert [called for _, called in reports] == [[]] * 12
+    assert strays == []
 
 
 def test_a_glue_derives_again_once_a_chain_is_reshaped():
@@ -1214,7 +1260,7 @@ def test_structural_loops_equal_the_closure_oracle(data):
     mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
     closure = betti_from_cells(close_by_dimension(build_federation_complex(fed, (), mode).structural()))
     assert closure[0] == len(fed.chain_ids())
-    assert structural_betti(fed, mode) == closure[:2]
+    assert structural_numbers(fed, mode) == closure[:2]
 
 
 @given(st.data())
@@ -1232,7 +1278,7 @@ def test_windowed_structural_betti_equals_the_closure_oracle(data):
     txns = draw_deals(data, fed, 3)
     structural = build_federation_complex(fed, txns, mode, window).structural()
     spans = topology._spans(fed, txns, window)
-    assert structural_betti(fed, mode, spans) == betti_from_cells(close_by_dimension(structural))[:2]
+    assert structural_numbers(fed, mode, spans) == betti_from_cells(close_by_dimension(structural))[:2]
 
 
 # -- tags and teardown ---------------------------------------------------------------
