@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -245,9 +245,9 @@ class Chain:
         # one derived, as (height, hash): derived on demand
         self._trunk_marks: list[bytes] = []
         self._trunk_last: tuple[int, bytes] = (-1, GENESIS_PARENT)
-        # refs of the declared heights live_block_at has answered: every build asks
+        # rows of the declared heights live_block_at has answered: every build asks
         # again, and a NamedTuple is slow to make; grows with the heights read
-        self._trunk_refs: dict[int, BlockRef] = {}
+        self._trunk_refs: dict[int, tuple[BlockRef]] = {}
         # appended blocks, unsealed until first read, and declared blocks handed out
         self._blocks: dict[BlockRef, Block | _Unsealed] = {}
         self.branches: dict[int, BranchInfo] = {0: BranchInfo(spawn_height=0, parent=None, tip=length)}
@@ -258,8 +258,9 @@ class Chain:
         # live state, kept current by _index and _rebuild_live
         self._live_trunk = length  # declared heights 0.._live_trunk are live
         # height -> live refs, by branch, at each height that holds a live
-        # appended or forked block; a live declared block there leads its row
-        self._live_at: dict[int, list[BlockRef]] = {}
+        # appended or forked block; a live declared block there leads its
+        # row.  A row is a tuple, handed out as it is stored.
+        self._live_at: dict[int, tuple[BlockRef, ...]] = {}
         self._forked: list[int] = []  # ascending heights that hold a live block off branch 0
         self._compensated: set[BlockRef] = set()
         self._ledger: dict[tuple[str, str], int] = {}
@@ -320,17 +321,17 @@ class Chain:
         declared = [BlockRef(self.id, height, 0) for height in range(self._live_trunk + 1)]
         return frozenset(declared + [ref for row in self._live_at.values() for ref in row])
 
-    def live_block_at(self, height: int) -> list[BlockRef]:
+    def live_block_at(self, height: int) -> tuple[BlockRef, ...]:
         """Live blocks at a height, canonical order."""
         row = self._live_at.get(height)
         if row is not None:
-            return list(row)
+            return row
         if not 0 <= height <= self._live_trunk:
-            return []
-        ref = self._trunk_refs.get(height)
-        if ref is None:
-            ref = self._trunk_refs[height] = BlockRef(self.id, height, 0)
-        return [ref]
+            return ()
+        row = self._trunk_refs.get(height)
+        if row is None:
+            row = self._trunk_refs[height] = (BlockRef(self.id, height, 0),)
+        return row
 
     def forked_heights(self, lo: int, hi: int) -> list[int]:
         """The heights from ``lo`` to ``hi`` that hold a live block off
@@ -416,9 +417,10 @@ class Chain:
         for ref in refs:
             row = at.get(ref.height)
             if row is None:  # a block at a live declared height sits off branch 0
-                at[ref.height] = [BlockRef(self.id, ref.height, 0), ref] if ref.height <= self._live_trunk else [ref]
-            else:
-                insort(row, ref)
+                at[ref.height] = (BlockRef(self.id, ref.height, 0), ref) if ref.height <= self._live_trunk else (ref,)
+            else:  # a fork's block at a height that holds a row already
+                i = bisect_left(row, ref)
+                at[ref.height] = row[:i] + (ref,) + row[i:]
             if ref.branch:
                 i = bisect_left(forked, ref.height)
                 if i == len(forked) or forked[i] != ref.height:

@@ -1,18 +1,26 @@
 """Scenario configuration: a line-oriented sectioned text format.
 
 Sections start with a ``[header]`` line and hold ``key = value`` pairs.
-``[chain]``, ``[txn]``, and ``[failure]`` sections repeat; ``fork``,
-``balance``, and ``sub`` keys repeat within their section; any other
-key appears at most once, and only in its own section.  Blank lines
-and ``#`` comments are ignored.  Block positions are written
-``chain:height`` or ``chain:height:branch``.  Input that could not
-run as written (a number, name or update list its binary field cannot
-hold, a scenario name that would split its CSV cell, a party name that
-would split a report's ``worse_off`` cell, a duplicate chain or txn
-id, a txn with no block, two blocks on one chain or fewer than two
-parties, a fork with no block below it, a failure that can never fire,
-more blocks or replicas than the work budget allows) is rejected with
-its line and field.
+``[scenario]`` appears at most once; ``[chain]``, ``[txn]``, and
+``[failure]`` sections repeat; ``fork``, ``balance``, and ``sub`` keys
+repeat within their section; any other key appears at most once, and
+only in its own section.  Blank lines and ``#`` comments are ignored.
+Block positions are written ``chain:height`` or ``chain:height:branch``.
+Input that could not run as written (a number, name or update list its
+binary field cannot hold, a scenario name that would split its CSV
+cell, a party name that would split a report's ``worse_off`` cell, a
+duplicate chain or txn id, a txn with no block, two blocks on one chain
+or fewer than two parties, a fork with no block below it, a failure
+that can never fire, more blocks or replicas than the work budget
+allows) is rejected with its line and field.
+
+``SECTION_KEYS`` is the format: it maps each section to its keys, and
+each key to the parser of its value.  A parser applies its key's
+bounds, name checks or list of choices and refuses a bad value at the
+key's own line.  What only a whole section shows (a required key, a
+duplicate id, the block budget, a fork's height, a txn's shape) is
+checked when the section ends, and what only the whole file shows (the
+txn a failure strikes) once the file ends.
 
 A parsed :class:`Scenario` holds the chains to build, each transaction
 as the :class:`CrossChainTransaction` it runs (in declaration order)
@@ -29,14 +37,14 @@ replays byte-identically too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .chain import AssetUpdate, BlockRef, Chain, Federation
 from .engine import FACE_FAILURE_KINDS, NO_FAILURES, FailurePlan
 from .simplicial import MAX_CELLS, MEMORY_BUDGET
 from .topology import CrossChainTransaction, SubTransaction, TopologyMode
-
 
 class ScenarioError(Exception):
     """Parse or schema failure; message carries line and field."""
@@ -87,14 +95,6 @@ LOCATING_KEYS = tuple(dict.fromkeys(key for key, _ in FAILURE_KEYS.values() if k
 
 PROTOCOLS = ("topocbt", "ac2s", "ac3wn")
 
-SECTION_KEYS = {
-    "scenario": frozenset({"name", "mode", "epoch", "window"}),
-    "chain": frozenset({"id", "replicas", "length", "assets", "fork", "balance"}),
-    "txn": frozenset({"id", "protocol", "parties", "blocks", "sub"}),
-    "failure": frozenset({"txn", "kind", *LOCATING_KEYS}),
-}
-REPEATED_KEYS = frozenset({"fork", "balance", "sub"})
-
 # Number ranges, inclusive, set by the binary formats the numbers end up in.
 U32 = (0, 2**32 - 1)           # heights, branches: '>I' in block hashes and the WAL
 CHAIN_ID = (1, 2**32 - 1)      # chain ids: '>I' too, and chains are numbered from 1
@@ -112,14 +112,15 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 # Sizes were measured with tracemalloc on CPython 3.11.7 and rounded up to
 # a power of two:
 # - a declared block costs at most BLOCK_BYTES.  A trunk block costs its
-#   chain at most its ref (~130 B) during a run, kept once live_block_at
-#   names its height; a fork's block is stored unsealed with its branch
+#   chain at most its row, its ref in a 1-tuple (~205 B), during a run,
+#   kept once live_block_at names its height; a fork's block is stored unsealed with its branch
 #   and height-index row (~490-570 B).  No run reads a block, so none is
 #   sealed: a read seals a fork's block (~180 B more) and hands out a
 #   trunk block (~390 B and its ~75 B derived hash).  Its vertex and
 #   edges in one complex build add ~270-460 B.  Per declared block, the
 #   chain and one build came to ~310 B on a bare trunk and ~560-630 B with
-#   forks (2,000 on one height, or one on each of 2,000 heights);
+#   forks (2,000 on one height, or one on each of 2,000 heights), measured
+#   when a trunk row held its ref alone, 48 B less;
 # - in replicated mode the copies of a block form one simplex whose face
 #   closure, which complex text enumerates, holds 2**replicas - 1 cells,
 #   so one replica group alone fits in MAX_CELLS.  The text of a build
@@ -174,6 +175,10 @@ class Scenario:
 
 # -- parsing -------------------------------------------------------------
 
+# A key's parser: (value, line, key) -> the value as the scenario holds
+# it; it refuses a bad value with a ScenarioError at that line and key.
+Parser = Callable[[str, int, str], object]
+
 
 def _parse_int(token: str, line: int, fld: str, bounds: Optional[tuple[int, Optional[int]]] = None) -> int:
     """A base-10 integer in ASCII, '-?[0-9]+': int() alone would also take
@@ -189,6 +194,25 @@ def _parse_int(token: str, line: int, fld: str, bounds: Optional[tuple[int, Opti
         if value < lo or (hi is not None and value > hi):
             expected = f"at least {lo}" if hi is None else f"{lo}..{hi}"
             raise ScenarioError(f"expected {expected}, got {value}", line, fld)
+    return value
+
+
+def _choice(what: str, choices: dict[str, object]) -> Parser:
+    """The parser of a key whose value names one of ``choices``."""
+    def parse(value: str, line: int, key: str) -> object:
+        if value not in choices:
+            raise ScenarioError(f"unknown {what} {value!r}", line, key)
+        return choices[value]
+    return parse
+
+
+def _window(value: str, line: int, key: str) -> Optional[int]:
+    return _parse_int(value, line, key, NATURAL) or None  # 0: whole chains, as no window
+
+
+def _name(value: str, line: int, key: str) -> str:
+    if "," in value:
+        raise ScenarioError(f"the scenario name is one CSV cell and takes no ',', got {value!r}", line, key)
     return value
 
 
@@ -211,33 +235,87 @@ def _check_parties(names: Iterable[str], line: int, fld: str) -> None:
             raise ScenarioError(f"a party name takes no ';', got {name!r}", line, fld)
 
 
-def _parse_ref(token: str, line: int, fld: str) -> BlockRef:
-    parts = token.split(":")
-    if len(parts) not in (2, 3):
-        raise ScenarioError(f"block position must be chain:height[:branch], got {token!r}", line, fld)
-    nums = [_parse_int(p, line, fld, U32) for p in parts]
-    return BlockRef(nums[0], nums[1], nums[2] if len(nums) == 3 else 0)
+def _names(value: str, line: int, key: str) -> tuple[str, ...]:
+    names = tuple(value.split())
+    _check_names(value, names, line, key)
+    return names
 
 
-def _parse_sub(value: str, line: int) -> SubTransaction:
+def _parties(value: str, line: int, key: str) -> tuple[str, ...]:
+    names = _names(value, line, key)
+    _check_parties(names, line, key)
+    return names
+
+
+def _party(value: str, line: int, key: str) -> str:
+    """One party name: the whole value, spaces and all."""
+    _check_names(value, (value,), line, key)
+    _check_parties((value,), line, key)
+    return value
+
+
+def _blocks(value: str, line: int, key: str) -> tuple[BlockRef, ...]:
+    refs = []
+    for token in value.split():
+        parts = token.split(":")
+        if len(parts) not in (2, 3):
+            raise ScenarioError(f"block position must be chain:height[:branch], got {token!r}", line, key)
+        refs.append(BlockRef(*[_parse_int(part, line, key, U32) for part in parts]))
+    return tuple(refs)
+
+
+def _fork(value: str, line: int, key: str) -> tuple[int, int, int]:
+    """(height, branches, line): whether a block lies below the fork is
+    ``_check_forks``' question, once the chain's section ends."""
+    toks = value.split()
+    if len(toks) != 2:
+        raise ScenarioError("fork needs 'height branches'", line, key)
+    return _parse_int(toks[0], line, key, U32), _parse_int(toks[1], line, key, U32), line
+
+
+def _balance(value: str, line: int, key: str) -> tuple[str, str, int]:
+    toks = value.split()
+    if len(toks) != 3:
+        raise ScenarioError("balance needs 'party asset amount'", line, key)
+    _check_names(value, toks[:2], line, key)
+    _check_parties(toks[:1], line, key)
+    return toks[0], toks[1], _parse_int(toks[2], line, key, BALANCE)
+
+
+def _sub(value: str, line: int, key: str) -> SubTransaction:
     if ";" not in value:
-        raise ScenarioError("sub needs 'blocks ; updates'", line, "sub")
+        raise ScenarioError("sub needs 'blocks ; updates'", line, key)
     blocks_part, updates_part = value.split(";", 1)
-    blocks = tuple(_parse_ref(tok, line, "sub") for tok in blocks_part.split())
+    blocks = _blocks(blocks_part, line, key)
     clauses = updates_part.split(",")
     if len(clauses) > SUB_UPDATES:
-        raise ScenarioError(f"a sub takes at most {SUB_UPDATES} updates, got {len(clauses)}", line, "sub")
+        raise ScenarioError(f"a sub takes at most {SUB_UPDATES} updates, got {len(clauses)}", line, key)
     updates = []
     for clause in clauses:
         toks = clause.split()
         if len(toks) != 4:
-            raise ScenarioError(f"update must be 'from to asset amount', got {clause.strip()!r}", line, "sub")
-        updates.append(AssetUpdate(toks[0], toks[1], toks[2], _parse_int(toks[3], line, "sub", AMOUNT)))
-    _check_names(updates_part, (name for u in updates for name in (u.owner_from, u.owner_to, u.asset)), line, "sub")
-    _check_parties((name for u in updates for name in (u.owner_from, u.owner_to)), line, "sub")
+            raise ScenarioError(f"update must be 'from to asset amount', got {clause.strip()!r}", line, key)
+        updates.append(AssetUpdate(toks[0], toks[1], toks[2], _parse_int(toks[3], line, key, AMOUNT)))
+    _check_names(updates_part, (name for u in updates for name in (u.owner_from, u.owner_to, u.asset)), line, key)
+    _check_parties((name for u in updates for name in (u.owner_from, u.owner_to)), line, key)
     if not blocks:
-        raise ScenarioError("sub needs at least one block", line, "sub")
+        raise ScenarioError("sub needs at least one block", line, key)
     return SubTransaction(blocks=blocks, updates=tuple(updates))
+
+
+# The format: each section's keys, each with the parser of its value.
+SECTION_KEYS: dict[str, dict[str, Parser]] = {
+    "scenario": {"name": _name, "mode": _choice("mode", {mode.value: mode for mode in TopologyMode}),
+                 "epoch": partial(_parse_int, bounds=NATURAL), "window": _window},
+    "chain": {"id": partial(_parse_int, bounds=CHAIN_ID), "replicas": partial(_parse_int, bounds=REPLICAS),
+              "length": partial(_parse_int, bounds=U32), "assets": _names, "fork": _fork, "balance": _balance},
+    "txn": {"id": partial(_parse_int, bounds=TXN_ID), "protocol": _choice("protocol", dict(zip(PROTOCOLS, PROTOCOLS))),
+            "parties": _parties, "blocks": _blocks, "sub": _sub},
+    "failure": {"txn": _parse_int, "kind": _choice("failure kind", dict(zip(FAILURE_KINDS, FAILURE_KINDS))),
+                "party": _party,
+                **dict.fromkeys(("face", "swap", "record", "append"), partial(_parse_int, bounds=POINT))},
+}
+REPEATED_KEYS = frozenset({"fork", "balance", "sub"})
 
 
 def _check_failure(current: dict, lines: dict[str, int], txns: dict[int, CrossChainTransaction]) -> None:
@@ -280,11 +358,18 @@ def _check_forks(forks: list[tuple[int, int, int]], length: int) -> tuple[tuple[
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     section: Optional[str] = None
-    current: dict = {}
+    scenario_line: Optional[int] = None  # the [scenario] header's line
+    current: dict = {}  # key -> parsed value; a repeated key -> the list of its values
     lines: dict[str, int] = {}  # key -> line of its first occurrence; "" -> the section header
     chain_ids: set[int] = set()
     declared_blocks = 0
     failure_sections: list[tuple[dict, dict[str, int]]] = []
+
+    def needs(key: str, what: str, holds: bool = True) -> None:
+        """Refuse a section without ``key`` at its header, and one whose
+        ``key`` does not hold at the key's line."""
+        if key not in current or not holds:
+            raise ScenarioError(f"{section} needs {what}", lines.get(key, lines[""]), key)
 
     def count_blocks(count: int, line: int, fld: str) -> None:
         nonlocal declared_blocks
@@ -295,74 +380,56 @@ def parse_scenario(text: str) -> Scenario:
 
     def flush() -> None:
         nonlocal current, lines
-        if section is None:
-            return
-        section_line = lines[""]
         if section == "scenario":
-            scenario.name = current.get("name", scenario.name)
-            mode = current.get("mode", "abstract")
-            try:
-                scenario.mode = TopologyMode(mode)
-            except ValueError:
-                raise ScenarioError(f"unknown mode {mode!r}", section_line, "mode") from None
-            scenario.epoch = current.get("epoch", 0)
-            window = current.get("window", 0)
-            scenario.window = None if window == 0 else window
+            for key, value in current.items():
+                setattr(scenario, key, value)
         elif section == "chain":
-            if "id" not in current:
-                raise ScenarioError("chain needs an id", section_line, "id")
+            needs("id", "an id")
             cid = current["id"]
             if cid in chain_ids:
                 raise ScenarioError(f"chain id {cid} is already declared", lines["id"], "id")
             chain_ids.add(cid)
             length = current.get("length", 1)
-            count_blocks(length, lines.get("length", section_line), "length")
-            for _, branches, line in current.get("fork", ()):
+            count_blocks(length, lines.get("length", lines[""]), "length")
+            forks = current.get("fork", ())
+            for _, branches, line in forks:
                 count_blocks(branches, line, "fork")
             scenario.chains.append(
                 ChainSpec(
                     id=cid,
                     replicas=current.get("replicas", 1),
                     length=length,
-                    assets=tuple(current.get("assets", ())),
-                    forks=_check_forks(current.get("fork", ()), length),
+                    assets=current.get("assets", ()),
+                    forks=_check_forks(forks, length),
                     balances=tuple(current.get("balance", ())),
                 )
             )
         elif section == "txn":
-            if "id" not in current:
-                raise ScenarioError("txn needs an id", section_line, "id")
+            needs("id", "an id")
             tid = current["id"]
             if tid in scenario.protocols:
                 raise ScenarioError(f"txn id {tid} is already declared", lines["id"], "id")
-            protocol = current.get("protocol", "topocbt")
-            if protocol not in PROTOCOLS:
-                raise ScenarioError(f"unknown protocol {protocol!r}", section_line, "protocol")
             # a run's first Betti report glues each deal's top, one row per chain, before the engine checks the deal
-            if len(current.get("parties", ())) < 2:
-                raise ScenarioError("txn needs at least two parties", lines.get("parties", section_line), "parties")
-            if not current.get("blocks"):
-                raise ScenarioError("txn needs at least one block", lines.get("blocks", section_line), "blocks")
+            needs("parties", "at least two parties", len(current.get("parties", ())) >= 2)
+            needs("blocks", "at least one block", bool(current.get("blocks")))
             chains = [ref.chain for ref in current["blocks"]]
             if len(set(chains)) != len(chains):
                 raise ScenarioError("txn takes one block height per chain", lines["blocks"], "blocks")
-            scenario.protocols[tid] = protocol
+            scenario.protocols[tid] = current.get("protocol", "topocbt")
             scenario.txns.append(
                 CrossChainTransaction(
                     id=tid,
-                    parties=current.get("parties", ()),
-                    blocks=current.get("blocks", ()),
+                    parties=current["parties"],
+                    blocks=current["blocks"],
                     sub_transactions=tuple(current.get("sub", ())),
                 )
             )
         elif section == "failure":
-            if "txn" not in current:
-                raise ScenarioError("failure needs a txn", section_line, "txn")
-            kind = current.get("kind")
-            if kind not in FAILURE_KINDS:
-                raise ScenarioError(f"unknown failure kind {kind!r}", section_line, "kind")
-            key = FAILURE_KEYS[kind][0]
-            scenario.failures.append(FailureSpec(current["txn"], kind, current.get(key) if key else None))
+            needs("txn", "a txn")
+            needs("kind", "a kind")
+            kind = current["kind"]
+            # the value of the kind's locating key: None for a kind with no key
+            scenario.failures.append(FailureSpec(current["txn"], kind, current.get(FAILURE_KEYS[kind][0])))
             failure_sections.append((current, lines))
         current, lines = {}, {}
 
@@ -373,9 +440,13 @@ def parse_scenario(text: str) -> Scenario:
         if line.startswith("[") and line.endswith("]"):
             flush()
             section = line[1:-1].strip().lower()
-            lines[""] = lineno
             if section not in SECTION_KEYS:
                 raise ScenarioError(f"unknown section [{section}]", lineno, None)
+            if section == "scenario":
+                if scenario_line is not None:
+                    raise ScenarioError(f"[scenario] is already declared at line {scenario_line}", lineno, None)
+                scenario_line = lineno
+            lines[""] = lineno
             continue
         if section is None:
             raise ScenarioError("content before any [section] header", lineno, None)
@@ -383,60 +454,17 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("expected key = value", lineno, None)
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        if key not in SECTION_KEYS[section]:
+        parse = SECTION_KEYS[section].get(key)
+        if parse is None:
             raise ScenarioError(f"key {key!r} is not valid in [{section}]", lineno, key)
         first = lines.setdefault(key, lineno)
         if first != lineno and key not in REPEATED_KEYS:
             raise ScenarioError(f"{key} is already set at line {first}", lineno, key)
-
-        if key == "id":
-            current[key] = _parse_int(value, lineno, key, CHAIN_ID if section == "chain" else TXN_ID)
-        elif key == "length":
-            current[key] = _parse_int(value, lineno, key, U32)
-        elif key == "replicas":
-            current[key] = _parse_int(value, lineno, key, REPLICAS)
-        elif key in ("face", "swap", "record", "append"):
-            current[key] = _parse_int(value, lineno, key, POINT)
-        elif key in ("epoch", "window"):
-            current[key] = _parse_int(value, lineno, key, NATURAL)
-        elif key == "txn":
-            current[key] = _parse_int(value, lineno, key)
-        elif key == "name":
-            if "," in value:
-                raise ScenarioError(f"the scenario name is one CSV cell and takes no ',', got {value!r}", lineno, key)
-            current[key] = value
-        elif key in ("mode", "protocol", "kind"):
-            current[key] = value
-        elif key == "party":
-            _check_names(value, (value,), lineno, key)
-            _check_parties((value,), lineno, key)
-            current[key] = value
-        elif key in ("assets", "parties"):
-            current[key] = tuple(value.split())
-            _check_names(value, current[key], lineno, key)
-            if key == "parties":
-                _check_parties(current[key], lineno, key)
-        elif key == "blocks":
-            current["blocks"] = tuple(_parse_ref(tok, lineno, "blocks") for tok in value.split())
-        elif key == "fork":
-            toks = value.split()
-            if len(toks) != 2:
-                raise ScenarioError("fork needs 'height branches'", lineno, "fork")
-            current.setdefault("fork", []).append(
-                (_parse_int(toks[0], lineno, "fork", U32), _parse_int(toks[1], lineno, "fork", U32), lineno)
-            )
-        elif key == "balance":
-            toks = value.split()
-            if len(toks) != 3:
-                raise ScenarioError("balance needs 'party asset amount'", lineno, "balance")
-            _check_names(value, toks[:2], lineno, key)
-            _check_parties(toks[:1], lineno, key)
-            current.setdefault("balance", []).append(
-                (toks[0], toks[1], _parse_int(toks[2], lineno, "balance", BALANCE))
-            )
+        value = parse(value.strip(), lineno, key)
+        if key in REPEATED_KEYS:
+            current.setdefault(key, []).append(value)
         else:
-            current.setdefault("sub", []).append(_parse_sub(value, lineno))
+            current[key] = value
     flush()
     txns = {txn.id: txn for txn in scenario.txns}
     for current, lines in failure_sections:

@@ -155,7 +155,7 @@ def test_spawn_fork_creates_sibling_at_height():
     assert ref == BlockRef(1, 2, label)
     assert ch.block(ref).parent_ref == BlockRef(1, 1, 0)
     # both height-2 blocks live
-    assert ch.live_block_at(2) == [BlockRef(1, 2, 0), BlockRef(1, 2, label)]
+    assert ch.live_block_at(2) == (BlockRef(1, 2, 0), BlockRef(1, 2, label))
 
 
 def test_spawn_two_forks_same_height():
@@ -347,7 +347,7 @@ def test_building_a_declared_trunk_hashes_nothing(monkeypatch):
     assert calls == []
     chain = federation.chain(1)
     assert chain.branches[0].tip == 5000 and len(chain.all_refs()) == 5001
-    assert chain.live_block_at(5000) == [BlockRef(1, 5000, 0)]
+    assert chain.live_block_at(5000) == (BlockRef(1, 5000, 0),)
     assert chain.hash_violations() == [] and calls == []
 
 
@@ -359,7 +359,7 @@ def test_a_deep_declared_trunk_holds_no_per_block_state():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert chain.live_block_at(1_000_001) == [BlockRef(1, 1_000_001, 0)]
+    assert chain.live_block_at(1_000_001) == (BlockRef(1, 1_000_001, 0),)
     assert held < 2**20
 
 

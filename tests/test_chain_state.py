@@ -75,7 +75,7 @@ def assert_chain_matches_rescan(chain: Chain) -> None:
     # the height index holds only the heights of live appended or forked blocks
     assert set(chain._live_at) == {r.height for r in live if r.branch or r.height > chain._trunk}
     for height in range(-1, max(r.height for r in chain.all_refs()) + 2):
-        assert chain.live_block_at(height) == sorted(r for r in live if r.height == height)
+        assert chain.live_block_at(height) == tuple(sorted(r for r in live if r.height == height))
     heights = sorted({r.height for r in live})
     assert heights == list(range(len(heights)))  # no gap from genesis up
     forked = sorted({r.height for r in live if r.branch})
@@ -84,7 +84,7 @@ def assert_chain_matches_rescan(chain: Chain) -> None:
     assert chain.forked_heights(3, 2) == []
     for height in set(heights) - set(forked):
         # elsewhere the trunk block alone, a child of the trunk block below
-        assert chain.live_block_at(height) == [BlockRef(chain.id, height, 0)]
+        assert chain.live_block_at(height) == (BlockRef(chain.id, height, 0),)
         parent = chain.block(BlockRef(chain.id, height, 0)).parent_ref
         assert parent is None or parent == BlockRef(chain.id, height - 1, 0)
     assert chain.compensated_refs() == rescan_compensated(chain)
@@ -261,7 +261,7 @@ def test_declared_trunk_retired_above_a_fork_equals_the_chain_built_block_by_blo
         built.append_block(label, ())
     assert built.resolve_forks() == expected.resolve_forks() == label
     assert built.live_branch_labels() == [label]
-    assert not any(built.live_block_at(h) == [BlockRef(1, h, 0)] for h in range(height, length + 1))
+    assert not any(built.live_block_at(h) == (BlockRef(1, h, 0),) for h in range(height, length + 1))
     assert_same_chain(built, expected)
     assert_chain_matches_rescan(built)
 
@@ -270,10 +270,13 @@ def test_returned_state_cannot_corrupt_the_chain():
     chain = Chain(1, assets=("X",))
     ref = chain.append_block(0, (AssetUpdate("a", "b", "X", 2),))
     chain.append_block(0, (Compensation(ref, 1), AssetUpdate("b", "a", "X", 2)))
-    chain.live_block_at(1).clear()
+    # a row is immutable and handed out as stored, an indexed one and a declared one alike
+    for height in (0, 1):
+        row = chain.live_block_at(height)
+        assert type(row) is tuple and chain.live_block_at(height) is row
     assert isinstance(chain.live_refs(), frozenset)
     assert isinstance(chain.compensated_refs(), frozenset)
-    assert chain.live_block_at(1) == [ref]
+    assert chain.live_block_at(1) == (ref,)
     assert ledger(chain) == {("a", "X"): 0, ("b", "X"): 0}
     assert_chain_matches_rescan(chain)
 

@@ -85,7 +85,7 @@ face = 1
     plan = scen.plan_for(1)
     assert plan.face_failures == ((1, "crash_after_undo"),)
     fed = scen.build_federation()
-    assert fed.chain(1).live_block_at(2) == [BlockRef(1, 2, 0), BlockRef(1, 2, 1)]
+    assert fed.chain(1).live_block_at(2) == (BlockRef(1, 2, 0), BlockRef(1, 2, 1))
 
 
 def test_parse_errors_carry_line_and_field():
@@ -99,6 +99,8 @@ def test_parse_errors_carry_line_and_field():
         parse_scenario("[txn]\nid = 1\nprotocol = 3pc\n")
     with pytest.raises(ScenarioError, match="unknown failure kind"):
         parse_scenario("[failure]\ntxn = 1\nkind = gremlins\n")
+    with pytest.raises(ScenarioError, match="failure needs a kind"):
+        parse_scenario("[failure]\ntxn = 1\n")
     with pytest.raises(ScenarioError, match="chain:height"):
         parse_scenario("[txn]\nid = 1\nblocks = 1-2\n")
 
@@ -190,6 +192,14 @@ def test_random_scenarios_build_and_validate():
         txn.validate(fed)
 
 
+def test_a_second_scenario_section_is_refused_at_its_header():
+    text = "[scenario]\nmode = replicated\nepoch = 2\n\n[chain]\nid = 1\n\n[scenario]\nname = b\n"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.field) == (8, None)
+    assert str(info.value) == "line 8: [scenario] is already declared at line 1"
+
+
 def test_mode_parsing():
     scen = parse_scenario("[scenario]\nname = r\nmode = replicated\n")
     assert scen.mode is TopologyMode.REPLICATED
@@ -238,6 +248,11 @@ REJECTED = {
     "face beyond the declared subs": (_appended("[failure]\ntxn = 1\nkind = update_failure\nface = 9\n"), 37, "face"),
     "undeclared party": (_appended("[failure]\ntxn = 1\nkind = walk_away\nparty = mallory\n"), 37, "party"),
     "undeclared txn": (_appended("[failure]\ntxn = 2\nkind = witness_crash\n"), 35, "txn"),
+    "failure without a kind": (_appended("[failure]\ntxn = 1\nface = 1\n"), 34, "kind"),
+    # a value outside a key's choices is refused at the key's line, not the header's
+    "unknown mode below the header": (_edited("mode = abstract", "mode = holographic"), 6, "mode"),
+    "unknown protocol below the header": (_edited("protocol = topocbt", "protocol = 3pc"), 28, "protocol"),
+    "unknown failure kind below the header": (_appended("[failure]\ntxn = 1\nkind = gremlins\n"), 36, "kind"),
     "balance beyond >q": (_edited("alice ETH 10\n", "a X 99999999999999999999\n"), 12, "balance"),
     "balance below >q": (_edited("alice ETH 10\n", f"a X {-2**63 - 1}\n"), 12, "balance"),
     "amount beyond >q": (_edited("alice bob ETH 10\n", f"alice bob ETH {2**63}\n"), 31, "sub"),
