@@ -128,7 +128,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         nmax, mmax = (int(tok) for tok in args.grid.split(","))
     except ValueError:
         return _fail(f"--grid must be 'nmax,mmax', got {args.grid!r}")
-    if nmax < 3 or mmax < 2:
+    if nmax < 3 or mmax < 2 or (nmax - 1) * mmax < 6:  # fit_ops needs six points
         return _fail("grid too small for a meaningful fit")
     if max(nmax, mmax) > FIT_GRID_MAX:
         return _fail(f"--grid takes nmax and mmax up to {FIT_GRID_MAX}, got {args.grid!r}")

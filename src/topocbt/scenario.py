@@ -112,15 +112,20 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 # Sizes were measured with tracemalloc on CPython 3.11.7 and rounded up to
 # a power of two:
 # - a declared block costs at most BLOCK_BYTES.  A trunk block costs its
-#   chain at most its row, its ref in a 1-tuple (~205 B), during a run,
-#   kept once live_block_at names its height; a fork's block is stored unsealed with its branch
-#   and height-index row (~490-570 B).  No run reads a block, so none is
-#   sealed: a read seals a fork's block (~180 B more) and hands out a
-#   trunk block (~390 B and its ~75 B derived hash).  Its vertex and
-#   edges in one complex build add ~270-460 B.  Per declared block, the
-#   chain and one build came to ~310 B on a bare trunk and ~560-630 B with
-#   forks (2,000 on one height, or one on each of 2,000 heights), measured
-#   when a trunk row held its ref alone, 48 B less;
+#   chain at most its row, its ref in a 1-tuple (~205 B), kept once
+#   live_block_at names its height; a fork's block is stored unsealed with
+#   its branch and height-index row (~390-740 B, the row included).  No run
+#   reads a block, so none is sealed: a read seals a fork's block (~180 B
+#   more) and hands out a trunk block (~390 B and its ~75 B derived hash).
+#   A complex build walks only the forked rows and the row above each and
+#   keeps their cells, and while it builds one first vertex id per block
+#   there; the other trunk heights are recorded as runs.  Per declared block, the chains and one
+#   build came to ~0.1 B on a bare 150,000-block trunk and ~390-830 B with
+#   2,000 forks (on one height, or one on each of 2,000 heights), and a
+#   whole run peaked at the same.  betti --out lays its build's runs (~180-
+#   500 B per declared block) and its face closure: the two came to
+#   ~400-530 B in abstract mode and ~980-1,100 B with 2 replicas, the
+#   closure being bounded by MAX_CELLS, below;
 # - in replicated mode the copies of a block form one simplex whose face
 #   closure, which complex text enumerates, holds 2**replicas - 1 cells,
 #   so one replica group alone fits in MAX_CELLS.  The text of a build

@@ -2,25 +2,26 @@
 
 Every live block contributes one vertex, or in replicated mode one per
 replica if it is a trunk block (``_copies``, the only such rule),
-numbered up each chain's live heights.  Only the rows at a chain's
-forked heights and the row just above each take a step per block;
-every other height holds the trunk block alone, over the trunk block
-or, at the lowest height built, over nothing.  The build records
-each run of such heights, a chain with no fork in its window as one
-run, and counts its vertex ids past; it lays a run
-(``_lay_trunk_run``, from iterators, no step per block) only when the
-complex's ``vertex_of`` or ``cells`` is first read.  A transaction's
-top, the one thing ``transaction_simplex`` reads, numbers each trunk
-block from the run that holds it, so it costs per chain, per fork and
-per reference, not per height or declared block.
+numbered up each chain's live heights; a vertex is only its number.
+Only the rows at a chain's forked heights and the row just above each
+take a step per block; every other height holds the trunk block
+alone, over the trunk block or, at the lowest height built, over
+nothing.  The build records each run of such heights, a chain with no
+fork in its window as one run, and counts its vertex ids past; it
+lays a run's cells (``_lay_trunk_run``, from iterators, no step per
+block) only when the complex's ``cells`` are first read.  A
+transaction's top, the one thing ``transaction_simplex`` reads,
+numbers each trunk block from the run that holds it, so it costs per
+chain, per fork and per reference, not per height or declared block.
 Chain adjacency, fork stitching, and replica groups produce the other
 structural cells, kept as plain ascending vertex tuples; each in-flight
 transaction adds one top simplex spanning all of its blocks, fork
-duplicates included.  A tagged complex keeps only these generators; a
-top is the only ``Simplex`` a build makes, and the face closure is
-built, as vertex tuples, only where members or text are read, within
-the face budget.  Tearing a transaction down drops its top and keeps
-the rest, so chain structure can never be deleted.
+duplicates included.  A tagged complex keeps only these generators: a
+vertex count, the cells and the tops.  A top is the only ``Simplex`` a
+build makes, and the face closure is built, as vertex tuples, only
+where members or text are read, within the face budget.  Tearing a
+transaction down drops its top and keeps the rest, so chain structure
+can never be deleted.
 
 A report's Betti numbers (``federation_betti``) need no build: the
 complex is the chains' structural complex, each cut to its window,
@@ -60,10 +61,6 @@ from .simplicial import (Cell, Simplex, SimplicialComplex, betti_by_stage, betti
                          complex_to_text, text_order)
 
 log = logging.getLogger(__name__)
-
-# A vertex is one physical copy of a block: (chain, height, branch, replica).
-VertexKey = tuple[int, int, int, int]
-
 
 class TopologyMode(enum.Enum):
     ABSTRACT = "abstract"      # each chain contributes one vertex per block
@@ -170,13 +167,11 @@ def expected_transaction_dimension(
 
 
 class _Run(NamedTuple):
-    """A trunk run the build records instead of laying: the trunk
-    blocks of ``chain`` at heights ``start`` to ``stop - 1``, numbered
-    from ``first`` up with ``copies`` vertices each, after the first
-    ``after`` keys of the laid rows (the arguments of ``_lay_trunk_run``)."""
+    """A trunk run the build records instead of laying: one chain's
+    trunk blocks at heights ``start`` to ``stop - 1``, numbered from
+    ``first`` up with ``copies`` vertices each (the arguments of
+    ``_lay_trunk_run``)."""
 
-    after: int
-    chain: int
     start: int
     stop: int
     first: int
@@ -186,60 +181,38 @@ class _Run(NamedTuple):
 
 @dataclass(frozen=True)
 class TaggedComplex:
-    """The generators of a federation complex: the vertices 0..n-1 that
-    ``vertex_of`` numbers, the other structural ``cells`` (chain and fork
-    edges, replica groups) as ascending vertex tuples, and one top per
-    in-flight transaction, sorted by id.
+    """The generators of a federation complex: the vertices 0..n-1, the
+    other structural ``cells`` (chain and fork edges, replica groups) as
+    ascending vertex tuples, and one top per in-flight transaction,
+    sorted by id.
 
-    A build keeps the keys and cells of the rows it walked, the forked
-    heights and the one above each, and records every other run of
-    heights, which holds the trunk block alone at each height.
-    ``vertex_of`` and ``cells`` lay the runs in on first read, keys in
-    ascending ``VertexKey`` order, so a caller that reads only
-    ``txn_tops`` (``transaction_simplex``) pays per walked row and per
-    run, not per block.  The face closure ``complex`` is built on first
-    read, and refused past ``simplicial.MAX_CELLS`` cells; Betti numbers
-    do not need it."""
+    A build keeps the cells of the rows it walked, the forked heights
+    and the one above each, and records every other run of heights,
+    which holds the trunk block alone at each height.  ``cells`` lays the
+    runs in on first read, so a caller that reads only ``txn_tops``
+    (``transaction_simplex``) pays per walked row and per run, not per
+    block.  The face closure ``complex`` is built on first read, and
+    refused past ``simplicial.MAX_CELLS`` cells; Betti numbers do not
+    need it."""
 
-    _rows: dict[VertexKey, int]
+    vertex_count: int
     _row_cells: frozenset[Cell]
     _runs: tuple[_Run, ...]
     txn_tops: dict[int, Simplex]
 
     @cached_property
-    def _laid(self) -> tuple[dict[VertexKey, int], frozenset[Cell]]:
-        """The rows' keys and cells with every recorded run laid in
-        where it falls between the rows."""
-        if not self._runs:
-            return self._rows, self._row_cells
-        vertex_of: dict[VertexKey, int] = {}
-        cells = set(self._row_cells)
-        rows = iter(self._rows.items())
-        laid = 0
-        for after, *run in self._runs:
-            vertex_of.update(itertools.islice(rows, after - laid))
-            laid = after
-            _lay_trunk_run(vertex_of, cells, *run)
-        vertex_of.update(rows)
-        return vertex_of, frozenset(cells)
-
-    @property
-    def vertex_of(self) -> dict[VertexKey, int]:
-        return self._laid[0]
-
-    @property
     def cells(self) -> frozenset[Cell]:
-        return self._laid[1]
-
-    def __eq__(self, other: object) -> bool:
-        """Equal generators, however much of each build is laid."""
-        if not isinstance(other, TaggedComplex):
-            return NotImplemented
-        return (self.vertex_of, self.cells, self.txn_tops) == (other.vertex_of, other.cells, other.txn_tops)
+        """The rows' cells with every recorded run's cells laid in."""
+        if not self._runs:
+            return self._row_cells
+        cells = set(self._row_cells)
+        for run in self._runs:
+            _lay_trunk_run(cells, *run)
+        return frozenset(cells)
 
     def structural(self) -> list[Cell]:
         """The structural generators, vertices first, as vertex tuples."""
-        generators = [(v,) for v in range(len(self.vertex_of))]
+        generators = [(v,) for v in range(self.vertex_count)]
         generators.extend(self.cells)
         return generators
 
@@ -259,28 +232,19 @@ class TaggedComplex:
         return betti_from_generators(self._generators())
 
 
-def _lay_trunk_run(
-    vertex_of: dict[VertexKey, int], cells: set[Cell], cid: int, start: int, stop: int, v: int, copies: int, linked: bool
-) -> None:
-    """Lay the trunk blocks of chain ``cid`` at heights ``start`` to
-    ``stop - 1``, each the only live block at its height and the child of
-    the trunk block below: if ``linked``, the first one's parent is built
-    too, and its ``copies`` vertices end at ``v - 1``.
+def _lay_trunk_run(cells: set[Cell], start: int, stop: int, v: int, copies: int, linked: bool) -> None:
+    """Lay the cells of a chain's trunk blocks at heights ``start`` to
+    ``stop - 1``, numbered from ``v`` up with ``copies`` vertices each,
+    each the only live block at its height and the child of the trunk
+    block below: if ``linked``, the first one's parent is built too, and
+    its copies end at ``v - 1``.
 
-    Lays what the per-row walk would, in the same order: vertex keys by
-    height then replica from ``v`` up, each copy's edge to the same copy
-    one height down, and each height's replica group if it has two or
-    more copies.  Every set and dict is filled from iterators, with no
-    step per block in Python.
+    Lays the cells the per-row walk would: each copy's edge to the same
+    copy one height down, and each height's replica group if it has two
+    or more copies.  The set is filled from iterators, with no step per
+    block in Python.
     """
     end = v + (stop - start) * copies
-    ids = range(v, end)
-    if copies == 1:
-        heights, replicas = range(start, stop), itertools.repeat(0)
-    else:
-        heights = itertools.chain.from_iterable(map(itertools.repeat, range(start, stop), itertools.repeat(copies)))
-        replicas = itertools.cycle(range(copies))
-    vertex_of.update(zip(zip(itertools.repeat(cid), heights, itertools.repeat(0), replicas), ids))
     low = v - copies if linked else v  # the lowest copy with a child in the run
     cells.update(zip(range(low, end - copies), range(low + copies, end)))
     if copies >= 2:  # only trunk blocks in replicated mode have copies
@@ -534,24 +498,25 @@ def build_federation_complex(
 
     ``window`` restricts each chain that a transaction references to
     blocks within that height radius of the referenced heights
-    (``_spans``); None keeps whole chains.  Each chain's live heights are
-    numbered in ascending order, and along each height in branch order,
-    which numbers the vertices in ascending ``VertexKey`` order.  Only
-    the rows that may hold more than the trunk block or hang off more
-    than it, each forked height and the one above it, take the per-block
-    steps.  Every other run of heights, the lowest one built included,
-    is only recorded as a ``_Run``, its vertex ids counted past, and laid
-    by ``_lay_trunk_run`` when ``vertex_of`` or ``cells`` is first read,
-    with the keys, cells and key order a walk would give.  A chain with
-    no forked height in its window is one run.  Each top numbers a trunk
-    block in a run from the run's first id and the block's height.
+    (``_spans``); None keeps whole chains.  The vertices are numbered
+    chain by chain, up each chain's live heights, along each height in
+    branch order, a block's copies in replica order.  Only the rows that
+    may hold more than the trunk block or hang off more than it, each
+    forked height and the one above it, take the per-block steps, and
+    only their blocks' first ids are kept, for the tops.  Every other
+    run of heights, the lowest one built included, is only recorded as
+    a ``_Run``, its vertex ids counted past, and laid by
+    ``_lay_trunk_run`` when ``cells`` is first read, with the cells a
+    walk would give.  A chain with no forked height in its window is one
+    run.  Every block a top names lies in its chain's span, so in a
+    walked row or, as the trunk block alone at its height, in a run,
+    whose first id and the block's height number it.
     """
     transactions = list(transactions)
     spans = _spans(federation, transactions, window)
     replicated = mode is TopologyMode.REPLICATED
-    vertex_of: dict[VertexKey, int] = {}  # of the walked rows only
+    first_of: dict[BlockRef, int] = {}  # each walked block -> its first vertex id
     cells: set[Cell] = set()
-    runs: list[_Run] = []
     runs_of: dict[int, list[_Run]] = {}  # chain -> its recorded runs, ascending
     v = 0  # the next vertex id
     for cid in federation.chain_ids():
@@ -561,9 +526,7 @@ def build_federation_complex(
         trunk = _copies(chain, 0, mode)
         if not forked:  # the trunk block alone at every height: one run
             if lo <= hi:
-                run = _Run(len(vertex_of), cid, lo, hi + 1, v, trunk, False)
-                runs.append(run)
-                runs_of[cid] = [run]
+                runs_of[cid] = [_Run(lo, hi + 1, v, trunk, False)]
                 v += (hi + 1 - lo) * trunk
             continue
         rows = sorted(h for h in {*forked, *(h + 1 for h in forked)} if h <= hi)
@@ -574,9 +537,7 @@ def build_federation_complex(
         for height in [*rows, hi + 1]:
             if run_start < height:  # the trunk block alone, over the trunk block alone,
                 # linked to the row below unless it starts the window
-                run = _Run(len(vertex_of), cid, run_start, height, v, trunk, run_start > lo)
-                runs.append(run)
-                chain_runs.append(run)
+                chain_runs.append(_Run(run_start, height, v, trunk, run_start > lo))
                 v += (height - run_start) * trunk
                 below = {0: v - trunk}
             if height > hi:
@@ -587,10 +548,8 @@ def build_federation_complex(
             stitched = _tips(branches, height - 1, below)
             for ref in chain.live_block_at(height):
                 branch = ref.branch
-                here[branch] = v
+                here[branch] = first_of[ref] = v
                 copies = _copies(chain, branch, mode)
-                for r in range(copies):
-                    vertex_of[(cid, height, branch, r)] = v + r
                 if below:  # else the lowest height built: no parent in the window
                     # the parent link (covers fork spawn: the parent joins
                     # both children); a trunk block's parent is on the
@@ -613,26 +572,16 @@ def build_federation_complex(
     for txn in transactions:
         verts: list[int] = []
         for ref in expand_refs(federation, txn):  # canonical order: ids ascend
-            cid, height, branch = ref
-            first = vertex_of.get((cid, height, branch, 0))
-            if first is None and not branch:  # a trunk block in a recorded run
-                first = _run_vertex(runs_of.get(cid, ()), height)
-            if first is None:
-                raise ChainError(f"txn {txn.id}: block {ref} outside the built window")
-            verts.extend(range(first, first + _copies(federation.chain(cid), branch, mode)))
+            first = first_of.get(ref)
+            if first is None:  # the trunk block alone at its height, in a recorded run
+                runs = runs_of[ref.chain]
+                run = runs[bisect_right(runs, ref.height, key=attrgetter("start")) - 1]
+                first = run.first + (ref.height - run.start) * run.copies
+            verts.extend(range(first, first + _copies(federation.chain(ref.chain), ref.branch, mode)))
         txn_tops[txn.id] = Simplex(tuple(verts))
 
-    return TaggedComplex(vertex_of, frozenset(cells), tuple(runs), dict(sorted(txn_tops.items())))
-
-
-def _run_vertex(runs: list[_Run], height: int) -> Optional[int]:
-    """The first vertex id of the trunk block at ``height`` if one of a
-    chain's ``runs``, ascending, holds it; else None."""
-    i = bisect_right(runs, height, key=attrgetter("start")) - 1
-    if i < 0 or height >= runs[i].stop:
-        return None
-    run = runs[i]
-    return run.first + (height - run.start) * run.copies
+    runs = tuple(itertools.chain.from_iterable(runs_of.values()))
+    return TaggedComplex(v, frozenset(cells), runs, dict(sorted(txn_tops.items())))
 
 
 def transaction_simplex(

@@ -395,6 +395,15 @@ def test_fit_rejects_bad_grid(capsys):
     assert main(["fit", "--grid", "2,1"]) != 0
 
 
+def test_fit_refuses_a_grid_of_under_six_points_before_measuring(monkeypatch):
+    # 3,2 passes the per-axis minimums, but its (3 - 1) * 2 points are fewer than fit_ops needs
+    calls = []
+    monkeypatch.setattr("topocbt.cli.measure_grid", lambda *args: calls.append(args))
+    code, out, err = run_main(["fit", "--grid", "3,2"])
+    assert_one_error_line(code, out, err)
+    assert err == "error: grid too small for a meaningful fit\n" and calls == []
+
+
 @pytest.mark.parametrize("grid", [f"{FIT_GRID_MAX + 1},2", f"3,{FIT_GRID_MAX + 1}", "99999999999,2"])
 def test_fit_refuses_a_grid_past_its_cap_at_once(capsys, grid):
     start = time.perf_counter()
