@@ -156,11 +156,24 @@ def ac3wn_execute(
 
     A caller that audits that updates only ever follow a recorded
     GlobalCommit hands in the witness chain, e.g.
-    ``Chain(WITNESS_CHAIN_ID)``; otherwise a private one is used.
+    ``Chain(WITNESS_CHAIN_ID)``: each decision is appended to it, and the
+    outcome's space is the bytes of every decision the chain holds.
+    Without one, no chain is kept: the space is the bytes of this run's
+    decisions, what a fresh witness chain would hold.
     """
     txn.validate(federation)
-    if witness is None:
-        witness = Chain(WITNESS_CHAIN_ID)
+    taken = 0  # bytes of this run's decisions
+
+    def decide(kind: str) -> None:
+        nonlocal taken
+        decision = Decision(kind, txn.id)
+        if witness is None:
+            taken += len(decision.to_bytes())
+        else:
+            witness.append((decision,))
+
+    def space() -> int:
+        return taken if witness is None else _witness_space(witness)
 
     refs = expand_refs(federation, txn)
     messages = 0
@@ -177,7 +190,7 @@ def ac3wn_execute(
     messages += 2 * len(chain_ids)
     meter_ops += 2 * len(chain_ids)
     for index, sub in enumerate(txn.sub_transactions, start=1):
-        witness.append((Decision("Prepared", txn.id),))
+        decide("Prepared")
         meter_ops += 1
         vote_abort = plan.vote_abort_face == index or plan.face_failure(index) == UPDATE_FAILURE
         if vote_abort:
@@ -191,17 +204,17 @@ def ac3wn_execute(
         held = [ref for ref, holder in federation.locks.items() if holder == txn.id]
         log.info("txn %s: no decision %d ticks after prepare, %d locks still held",
                  txn.id, BLOCKING_HORIZON_FACTOR * DEFAULT_TIMELOCK, len(held))
-        return Outcome(Status.BLOCKED, 0, messages, meter_ops, _witness_space(witness))
+        return Outcome(Status.BLOCKED, 0, messages, meter_ops, space())
 
     if not votes_ok:
-        witness.append((Decision("GlobalAbort", txn.id),))
+        decide("GlobalAbort")
         meter_ops += 1
         messages += len(chain_ids)
         federation.release_blocks(refs, txn.id)
         meter_ops += len(refs)
-        return Outcome(Status.ABORTED, 0, messages, meter_ops, _witness_space(witness))
+        return Outcome(Status.ABORTED, 0, messages, meter_ops, space())
 
-    witness.append((Decision("GlobalCommit", txn.id),))
+    decide("GlobalCommit")
     meter_ops += 1
     messages += len(chain_ids)
     applied = 0
@@ -212,7 +225,7 @@ def ac3wn_execute(
             applied += len(updates)
     federation.release_blocks(refs, txn.id)
     meter_ops += len(refs)
-    return Outcome(Status.COMMITTED, applied, messages, meter_ops, _witness_space(witness))
+    return Outcome(Status.COMMITTED, applied, messages, meter_ops, space())
 
 
 def _witness_space(witness: Chain) -> int:

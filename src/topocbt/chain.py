@@ -39,13 +39,15 @@ row.  Beside them sit the sorted
 heights that hold a live block off branch 0 (its forked heights; every
 other live height holds the trunk block alone), the refs undone by live
 ``Compensation`` blocks, and the net (party, asset) change of its live
-``AssetUpdate`` records.  ``append_blocks`` adds a run to all of them at
-once (its parent is always live already); ``append_block`` is a run of
-one.  ``append`` stores one block on the canonical branch, in the slot
-``next_ref`` names.  ``resolve_forks`` rebuilds the live state with one
-ancestor walk over appended blocks when it retires a branch, lowering
-the live declared height only when branch 0 is retired above a fork;
-``spawn_fork`` leaves it alone, since an empty branch adds no block.
+``AssetUpdate`` records, its ledger.  ``append_block`` stores one block
+on top of a branch and adds it to all of them in one step (its parent
+is always live already); ``append_blocks`` checks that a whole run
+packs, then stores it block by block the same way.  ``append`` stores
+one block on the canonical branch, in the slot ``next_ref`` names.
+``resolve_forks`` rebuilds the live state with one ancestor walk over
+appended blocks when it retires a branch, lowering the live declared
+height only when branch 0 is retired above a fork; ``spawn_fork``
+leaves it alone, since an empty branch adds no block.
 ``reshapes`` counts every change but a canonical append at the top,
 one height above every live block: a spawned fork, an append on another
 branch and a resolution that retires a branch, so a reader that
@@ -54,6 +56,18 @@ payload is read once, when its block is appended.  The engine opens
 each forward update block with a ``Forward`` marker naming its
 transaction, and each rollback block with a ``Compensation`` marker
 naming the block it reverses.
+
+A federation keeps one balance sheet: the running sum of its chains'
+ledgers, key by key, which a chain adds each indexed update to as it
+indexes it.  A chain that rebuilds its live state has the sheet summed
+again from every member's ledger, so the sheet holds exactly the keys
+and amounts of the ledgers' sum: a key that only a retired branch's
+updates touched leaves the sheet with it.
+``Federation.balances`` is the initial sheet plus that one sum, and
+``Federation.can_fund`` reads just the keys a face touches.  The sheet
+holds the members' ledgers, not the chains, so a chain refers to it
+without referring back to its federation, and a chain belongs to one
+federation at most.
 
 A ``BlockRef`` is a plain tuple: it keys every block store, height
 index and the lock table, and hashes, compares and sorts as
@@ -156,6 +170,7 @@ class Compensation:
 
 
 _REF = struct.Struct(">III")
+_AMOUNT = struct.Struct(">q")
 _CHECKPOINT = 1024  # a chain keeps the derived hash of every this many declared heights
 _COUNT = struct.Struct(">I")
 
@@ -224,6 +239,40 @@ class ChainError(Exception):
     pass
 
 
+_Ledger = dict[tuple[str, str], int]  # (party, asset) -> net change
+
+
+class _Sheet:
+    """A federation's running balance sheet: ``totals`` is the sum of
+    its member chains' ledgers, key by key.  A member adds each update
+    it indexes to ``totals`` as well; ``resum`` sums ``totals`` again
+    from the ledgers after a member rebuilt its own."""
+
+    __slots__ = ("totals", "ledgers")
+
+    def __init__(self) -> None:
+        self.totals: _Ledger = {}
+        self.ledgers: list[_Ledger] = []
+
+    def admit(self, chain: "Chain") -> None:
+        """Make ``chain`` a member, folding in the ledger it holds already."""
+        if chain._sheet is not None:
+            raise ChainError(f"chain {chain.id} is already in a federation")
+        chain._sheet = self
+        self.ledgers.append(chain._ledger)
+        self._fold(chain._ledger)
+
+    def resum(self) -> None:
+        self.totals.clear()
+        for ledger in self.ledgers:
+            self._fold(ledger)
+
+    def _fold(self, ledger: _Ledger) -> None:
+        totals = self.totals
+        for key, delta in ledger.items():
+            totals[key] = totals.get(key, 0) + delta
+
+
 class Chain:
     """One blockchain: a declared trunk (genesis plus ``length`` empty
     blocks on branch 0) plus appended blocks on branches."""
@@ -263,7 +312,8 @@ class Chain:
         self._live_at: dict[int, tuple[BlockRef, ...]] = {}
         self._forked: list[int] = []  # ascending heights that hold a live block off branch 0
         self._compensated: set[BlockRef] = set()
-        self._ledger: dict[tuple[str, str], int] = {}
+        self._ledger: _Ledger = {}
+        self._sheet: Optional[_Sheet] = None  # the sheet of the federation that holds the chain
 
     # -- queries ---------------------------------------------------------
 
@@ -309,8 +359,8 @@ class Chain:
 
     def next_ref(self) -> BlockRef:
         """The ref the next ``append`` fills."""
-        branch = self.canonical_branch()
-        return BlockRef(self.id, self._slot(branch)[1], branch)
+        branch = self._canonical
+        return BlockRef(self.id, self._slot(branch, self.branches[branch])[1], branch)
 
     def live_refs(self) -> frozenset[BlockRef]:
         """Ancestor closure of every live branch tip.
@@ -410,34 +460,40 @@ class Chain:
 
     # -- maintained live state ---------------------------------------------
 
-    def _index(self, refs: Iterable[BlockRef]) -> None:
-        """Add appended blocks, in canonical order, to the height index,
-        the forked heights, the compensation set and the ledger."""
-        at, forked, ledger, blocks = self._live_at, self._forked, self._ledger, self._blocks
-        for ref in refs:
-            row = at.get(ref.height)
-            if row is None:  # a block at a live declared height sits off branch 0
-                at[ref.height] = (BlockRef(self.id, ref.height, 0), ref) if ref.height <= self._live_trunk else (ref,)
-            else:  # a fork's block at a height that holds a row already
-                i = bisect_left(row, ref)
-                at[ref.height] = row[:i] + (ref,) + row[i:]
-            if ref.branch:
-                i = bisect_left(forked, ref.height)
-                if i == len(forked) or forked[i] != ref.height:
-                    forked.insert(i, ref.height)
-            for record in blocks[ref].payload:
-                if isinstance(record, AssetUpdate):
-                    key_from = (record.owner_from, record.asset)
-                    key_to = (record.owner_to, record.asset)
-                    ledger[key_from] = ledger.get(key_from, 0) - record.amount
-                    ledger[key_to] = ledger.get(key_to, 0) + record.amount
-                elif isinstance(record, Compensation):
-                    self._compensated.add(record.undone)
+    def _index(self, ref: BlockRef, payload: tuple, totals: _Ledger) -> None:
+        """Add an appended block, in canonical order, to the height index,
+        the forked heights, the compensation set and the ledger, and its
+        updates to ``totals`` too."""
+        at, ledger = self._live_at, self._ledger
+        chain_id, height, branch = ref
+        row = at.get(height)
+        if row is None:  # a block at a live declared height sits off branch 0
+            at[height] = (BlockRef(chain_id, height, 0), ref) if height <= self._live_trunk else (ref,)
+        else:  # a fork's block at a height that holds a row already
+            i = bisect_left(row, ref)
+            at[height] = row[:i] + (ref,) + row[i:]
+        if branch:
+            forked = self._forked
+            i = bisect_left(forked, height)
+            if i == len(forked) or forked[i] != height:
+                forked.insert(i, height)
+        for record in payload:
+            if isinstance(record, AssetUpdate):
+                amount = record.amount
+                key = (record.owner_from, record.asset)
+                ledger[key] = ledger.get(key, 0) - amount
+                totals[key] = totals.get(key, 0) - amount
+                key = (record.owner_to, record.asset)
+                ledger[key] = ledger.get(key, 0) + amount
+                totals[key] = totals.get(key, 0) + amount
+            elif isinstance(record, Compensation):
+                self._compensated.add(record.undone)
 
     def _rebuild_live(self) -> None:
         """Recompute the live state: the ancestor closure of the live
         branch tips, indexed in canonical order.  Each walk stops at the
-        declared trunk, where every block below is live too."""
+        declared trunk, where every block below is live too.  The
+        federation's sheet is summed again from its members' ledgers."""
         closure: set[BlockRef] = set()
         live_trunk = 0
         for label in self.live_branch_labels():
@@ -452,57 +508,69 @@ class Chain:
         self._live_trunk = live_trunk
         for state in (self._live_at, self._forked, self._compensated, self._ledger):
             state.clear()
-        self._index(sorted(closure))
+        blocks, discarded = self._blocks, {}
+        for ref in sorted(closure):
+            self._index(ref, blocks[ref].payload, discarded)
+        if self._sheet is not None:
+            self._sheet.resum()
 
     # -- mutation ----------------------------------------------------------
 
-    def _slot(self, branch: int) -> tuple[Optional[BlockRef], int]:
+    def _slot(self, branch: int, info: BranchInfo) -> tuple[Optional[BlockRef], int]:
         """Parent and height of the next block on ``branch``."""
-        info = self.branches[branch]
         if info.tip < 0:
             return info.parent, info.spawn_height
         return BlockRef(self.id, info.tip, branch), info.tip + 1
 
-    def append(self, payload: Iterable = ()) -> BlockRef:
-        """Store one block on the canonical branch."""
-        return self.append_block(self.canonical_branch(), payload)
-
-    def append_block(self, branch: int, payload: Iterable = ()) -> BlockRef:
-        return self.append_blocks(branch, (payload,))[0]
-
-    def append_blocks(self, branch: int, payloads: Iterable[Iterable]) -> list[BlockRef]:
-        """Store one block per payload on top of ``branch``, each on the
-        one before, then index the run at once.  Every record of the run
-        is checked to pack first, so a refused run stores nothing; the
-        blocks are sealed when first read."""
-        if branch not in self.branches:
+    def _live_branch(self, branch: int) -> BranchInfo:
+        info = self.branches.get(branch)
+        if info is None:
             raise ChainError(f"unknown branch {branch} on chain {self.id}")
-        info = self.branches[branch]
         if not info.live:
             raise ChainError(f"branch {branch} on chain {self.id} is dead")
-        payloads = [tuple(payload) for payload in payloads]
-        for payload in payloads:
-            _check_packs(payload)
-        parent_ref, height = self._slot(branch)
-        blocks = self._blocks
-        refs = []
-        for payload in payloads:
-            ref = BlockRef(self.id, height, branch)
-            blocks[ref] = _Unsealed(ref, parent_ref, payload)
-            refs.append(ref)
-            parent_ref, height = ref, height + 1
-        if refs:
-            info.tip = height - 1
-            # tips only rise, so the branch that rose is the only new contender
-            best = self._canonical
-            if branch != best:
-                self.reshapes += 1
-            if (-info.tip, branch) < (-self.branches[best].tip, best):
+        return info
+
+    def _store(self, branch: int, info: BranchInfo, payload: tuple) -> BlockRef:
+        """Store one block of checked records on top of live ``branch``,
+        unsealed, and index it."""
+        parent_ref, height = self._slot(branch, info)
+        ref = BlockRef(self.id, height, branch)
+        self._blocks[ref] = _Unsealed(ref, parent_ref, payload)
+        info.tip = height
+        # tips only rise, so the branch that rose is the only new contender
+        best = self._canonical
+        if branch != best:
+            self.reshapes += 1
+            if (-height, branch) < (-self.branches[best].tip, best):
                 self._canonical = branch
         # the parent is live: a live branch's tip is, a fork's parent was
         # when it spawned, and a resolution leaves no empty branch live
-        self._index(refs)
-        return refs
+        sheet = self._sheet
+        self._index(ref, payload, {} if sheet is None else sheet.totals)
+        return ref
+
+    def append(self, payload: Iterable = ()) -> BlockRef:
+        """Store one block on the canonical branch."""
+        return self.append_block(self._canonical, payload)
+
+    def append_block(self, branch: int, payload: Iterable = ()) -> BlockRef:
+        """Store one block on top of ``branch``, unsealed, and index it.
+        Its records are checked to pack first, so a refused block is not
+        stored; it is sealed when first read."""
+        info = self._live_branch(branch)
+        payload = tuple(payload)
+        _check_packs(payload)
+        return self._store(branch, info, payload)
+
+    def append_blocks(self, branch: int, payloads: Iterable[Iterable]) -> list[BlockRef]:
+        """Store one block per payload on top of ``branch``, each on the
+        one before, as ``append_block`` does.  Every record of the run is
+        checked to pack first, so a refused run stores nothing."""
+        info = self._live_branch(branch)
+        payloads = [tuple(payload) for payload in payloads]
+        for payload in payloads:
+            _check_packs(payload)
+        return [self._store(branch, info, payload) for payload in payloads]
 
     def spawn_fork(self, at_height: int) -> int:
         """Open a new branch whose first block will sit at ``at_height``."""
@@ -568,10 +636,15 @@ class Federation:
         self._asset_chain: dict[str, Chain] = {}  # asset -> the lowest-id chain that manages it
         self.locks: dict[BlockRef, int] = {}
         self.initial_balances: dict[tuple[str, str], int] = dict(initial_balances or {})
+        self._sheet = _Sheet()  # the sum of the chains' ledgers
 
     def add_chain(self, chain: Chain) -> Chain:
+        """Hold ``chain``, its ledger summed into the balance sheet.  A
+        chain already held by a federation is refused: its ledger feeds
+        that federation's sheet."""
         if chain.id in self.chains:
             raise ChainError(f"duplicate chain id {chain.id}")
+        self._sheet.admit(chain)
         self.chains[chain.id] = chain
         for asset in chain.assets:
             holder = self._asset_chain.get(asset)
@@ -630,12 +703,11 @@ class Federation:
     # -- balances ------------------------------------------------------------
 
     def balances(self) -> dict[tuple[str, str], int]:
-        """Effective (party, asset) balances: the initial sheet plus every
-        chain's ledger of live updates, chain ids ascending."""
+        """Effective (party, asset) balances: the initial sheet plus the
+        running sum of every chain's ledger of live updates."""
         totals = dict(self.initial_balances)
-        for cid in self.chain_ids():
-            for key, delta in self.chains[cid]._ledger.items():  # read only: no copy
-                totals[key] = totals.get(key, 0) + delta
+        for key, delta in self._sheet.totals.items():
+            totals[key] = totals.get(key, 0) + delta
         return totals
 
     def updates_by_chain(self, updates: Iterable[AssetUpdate]) -> list[tuple[int, tuple[AssetUpdate, ...]]]:
@@ -648,20 +720,14 @@ class Federation:
     def can_fund(self, updates: Iterable[AssetUpdate]) -> bool:
         """Whether the updates, applied in order to current balances, never
         overdraw.  Reads only the balances the updates touch: the initial
-        sheet's and each chain's ledger entry for those keys."""
+        sheet's and the federation's sheet's entries for those keys."""
         updates = tuple(updates)
-        initial = self.initial_balances
+        initial, totals = self.initial_balances, self._sheet.totals
         working = {
-            key: initial.get(key, 0)
+            key: initial.get(key, 0) + totals.get(key, 0)
             for upd in updates
             for key in ((upd.owner_from, upd.asset), (upd.owner_to, upd.asset))
         }
-        touched = working.keys()
-        for chain in self.chains.values():
-            ledger = chain._ledger  # read only: no copy
-            if ledger:
-                for key in touched & ledger.keys():
-                    working[key] += ledger[key]
         for upd in updates:
             key = (upd.owner_from, upd.asset)
             if working[key] < upd.amount:
@@ -680,13 +746,12 @@ class Federation:
         leaves the digest exactly where it started.  Balances that are
         each in range can still sum past the signed 64-bit field.
         """
-        h = hashlib.sha256()
+        fields: list[bytes] = []
+        pack = _AMOUNT.pack
         for (party, asset), amount in sorted(self.balances().items()):
             if amount == 0:
                 continue
             if not -(2**63) <= amount < 2**63:
                 raise ChainError(f"balance of {party} in {asset} is {amount}, beyond the digest's 64-bit field")
-            h.update(_pack_str(party))
-            h.update(_pack_str(asset))
-            h.update(struct.pack(">q", amount))
-        return h.hexdigest()
+            fields += (_pack_str(party), _pack_str(asset), pack(amount))
+        return hashlib.sha256(b"".join(fields)).hexdigest()

@@ -18,6 +18,7 @@ from topocbt.chain import (
     BlockRef,
     BranchInfo,
     Chain,
+    ChainError,
     Federation,
     compute_block_hash,
 )
@@ -264,6 +265,24 @@ def whole_sheet_can_fund(federation: Federation, updates) -> bool:
         to_key = (upd.owner_to, upd.asset)
         working[to_key] = working.get(to_key, 0) + upd.amount
     return True
+
+
+def streaming_state_digest(balances: dict) -> str:
+    """A balance sheet's digest fed to sha256 field by field: each nonzero
+    balance's '>H'-prefixed party and asset and its '>q' amount, keys
+    ascending, refusing an amount past the signed 64-bit field."""
+    h = hashlib.sha256()
+    for (party, asset), amount in sorted(balances.items()):
+        if amount == 0:
+            continue
+        if not -(2**63) <= amount < 2**63:
+            raise ChainError(f"balance of {party} in {asset} is {amount}, beyond the digest's 64-bit field")
+        for name in (party, asset):
+            raw = name.encode("utf-8")
+            h.update(struct.pack(">H", len(raw)))
+            h.update(raw)
+        h.update(struct.pack(">q", amount))
+    return h.hexdigest()
 
 
 def ledger(chain: Chain) -> dict[tuple[str, str], int]:

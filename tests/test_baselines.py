@@ -1,3 +1,6 @@
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from topocbt.baselines import (
@@ -8,8 +11,11 @@ from topocbt.baselines import (
 )
 from topocbt.chain import AssetUpdate, BlockRef, Chain
 from topocbt.engine import FailurePlan, Status, UPDATE_FAILURE, CRASH_BEFORE_COMMIT
-from topocbt.scenario import car_trading, grid_scenario, parse_scenario
+from topocbt.scenario import car_trading, grid_scenario, load_scenario, parse_scenario
 from topocbt.topology import CrossChainTransaction, SubTransaction
+from oracles import random_scenario
+
+DATA = Path(__file__).parent / "data"
 
 
 def car_setup():
@@ -221,6 +227,28 @@ def test_witness_space_grows_with_faces():
     assert spaces[0] < spaces[-1]
     deltas = {b - a for a, b in zip(spaces, spaces[1:])}
     assert len(deltas) == 1  # exactly linear
+
+
+def test_a_run_without_a_witness_has_the_outcome_of_one_with_a_fresh_witness():
+    """Without a witness no chain is kept, yet the outcome, its space
+    bytes included, is the one a fresh witness chain yields."""
+    scenarios = [load_scenario(path)[0] for path in sorted(DATA.glob("*.scenario"))]
+    scenarios += [random_scenario(seed) for seed in range(50)]
+    statuses = Counter()
+    for scenario in scenarios:
+        bare, witnessed = scenario.build_federation(), scenario.build_federation()
+        for event, txn in enumerate(scenario.transactions(), start=1):
+            plan = scenario.plan_for(txn.id)
+            outcome = ac3wn_execute(bare, txn, plan)
+            assert outcome == ac3wn_execute(witnessed, txn, plan, witness=Chain(WITNESS_CHAIN_ID))
+            assert bare.balances() == witnessed.balances() and bare.locks == witnessed.locks
+            statuses[outcome.status] += 1
+            for federation in (bare, witnessed):
+                federation.release_all(txn.id)  # a blocked run holds its locks
+                if scenario.epoch and event % scenario.epoch == 0:
+                    for cid in federation.chain_ids():
+                        federation.chain(cid).resolve_forks()
+    assert {Status.COMMITTED, Status.ABORTED, Status.BLOCKED} <= statuses.keys()
 
 
 def test_decision_record_serialization():

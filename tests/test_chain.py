@@ -3,7 +3,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topocbt import chain as chain_module
 from topocbt.baselines import Decision
@@ -22,7 +22,15 @@ from topocbt.chain import (
 from topocbt.harness import compare_protocols, run_scenario
 from topocbt.scenario import ChainSpec, Scenario, car_trading, load_scenario
 from topocbt.wal import WalKind, WriteAheadLog
-from oracles import EagerChain, SplitMix64, asset_totals, ledger, reference_block_hash, whole_sheet_can_fund
+from oracles import (
+    EagerChain,
+    SplitMix64,
+    asset_totals,
+    ledger,
+    reference_block_hash,
+    streaming_state_digest,
+    whole_sheet_can_fund,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -660,6 +668,21 @@ def test_the_lowest_chain_id_manages_a_shared_asset_whatever_the_order_added():
     assert fed.chain_for_asset("Z") is low
 
 
+def test_a_chain_held_by_a_federation_is_refused_by_another():
+    chain = Chain(1, assets=("X",))
+    chain.append_block(0, (AssetUpdate("a", "b", "X", 2),))
+    first = Federation()
+    first.add_chain(chain)
+    other = Federation({("a", "X"): 5})
+    with pytest.raises(ChainError, match=r"^chain 1 is already in a federation$"):
+        other.add_chain(chain)
+    # the refusal leaves the other federation as it was
+    assert other.chains == {} and other.balances() == {("a", "X"): 5}
+    with pytest.raises(ChainError, match=r"^no chain manages asset 'X'$"):
+        other.chain_for_asset("X")
+    assert first.balances() == {("a", "X"): -2, ("b", "X"): 2}
+
+
 def test_an_unknown_asset_names_itself_in_the_error():
     fed = Federation()
     fed.add_chain(Chain(1, assets=("X",)))
@@ -687,6 +710,25 @@ def test_state_digest_ignores_compensated_noise():
     ch.append_block(0, (Compensation(ref, 1), AssetUpdate("b", "a", "X", 3)))
     assert fed.state_digest() == before
     assert ch.compensated_refs() == {ref}
+
+
+NAMES = st.text(alphabet="abü\x00", max_size=3)
+
+
+@given(st.dictionaries(st.tuples(NAMES, NAMES), st.integers(-3, 3) | st.integers(-(2**64), 2**64)))
+@settings(max_examples=300, deadline=None)
+@example({("a", "X"): 2**63 - 1, ("b", "X"): -(2**63)})
+@example({("a", "X"): 1, ("b", "X"): 2**63})
+@example({("a", "X"): 0})
+def test_state_digest_is_the_digest_streamed_field_by_field(sheet):
+    federation = Federation(sheet)
+    try:
+        expected = streaming_state_digest(sheet)
+    except ChainError as refused:
+        with pytest.raises(ChainError, match=f"^{re.escape(str(refused))}$"):
+            federation.state_digest()
+    else:
+        assert federation.state_digest() == expected
 
 
 def test_blocks_are_immutable_values():

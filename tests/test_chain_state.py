@@ -1,4 +1,5 @@
-"""The state each chain maintains on append, judged by a from-scratch rescan.
+"""The state each chain maintains on append, and the balance sheet its
+federation keeps, judged by a from-scratch rescan.
 
 The oracle below is the ancestor walk the chain used to run on every
 read: the closure of the live branch tips, and the live blocks' payloads
@@ -11,7 +12,7 @@ from topocbt.chain import AssetUpdate, BlockRef, Chain, Compensation, Federation
 from topocbt.harness import _replay
 from topocbt.scenario import ChainSpec, Scenario, car_trading, parse_scenario
 from topocbt.wal import WalKind, WriteAheadLog
-from oracles import is_live, ledger, random_scenario
+from oracles import is_live, ledger, random_scenario, whole_sheet_can_fund
 
 
 # -- oracle ------------------------------------------------------------------------
@@ -112,23 +113,28 @@ def draw_update(data) -> AssetUpdate:
     return AssetUpdate(frm, to, data.draw(st.sampled_from("XY")), data.draw(st.integers(1, 5)))
 
 
+def random_step(data, chain: Chain) -> None:
+    """Grow ``chain`` by one drawn append, compensate, spawn_fork or
+    resolve_forks step."""
+    step = data.draw(st.sampled_from(["append", "append", "compensate", "fork", "resolve"]))
+    if step in ("append", "compensate"):
+        branch = data.draw(st.sampled_from(chain.live_branch_labels()))
+        payload = tuple(draw_update(data) for _ in range(data.draw(st.integers(0, 2))))
+        if step == "compensate":
+            undone = data.draw(st.sampled_from(chain.all_refs()))
+            payload = (Compensation(undone, data.draw(st.integers(1, 9))),) + payload
+        chain.append_block(branch, payload)
+    elif step == "fork":
+        heights = sorted({r.height for r in chain.live_refs()})
+        chain.spawn_fork(data.draw(st.sampled_from(heights)) + 1)
+    else:
+        chain.resolve_forks()
+
+
 def random_history(data, chain: Chain, max_steps: int = 25):
-    """Grow ``chain`` by a drawn run of append, compensate, spawn_fork
-    and resolve_forks steps, yielding after each step."""
+    """Grow ``chain`` by a drawn run of steps, yielding after each step."""
     for _ in range(data.draw(st.integers(1, max_steps), label="steps")):
-        step = data.draw(st.sampled_from(["append", "append", "compensate", "fork", "resolve"]))
-        if step in ("append", "compensate"):
-            branch = data.draw(st.sampled_from(chain.live_branch_labels()))
-            payload = tuple(draw_update(data) for _ in range(data.draw(st.integers(0, 2))))
-            if step == "compensate":
-                undone = data.draw(st.sampled_from(chain.all_refs()))
-                payload = (Compensation(undone, data.draw(st.integers(1, 9))),) + payload
-            chain.append_block(branch, payload)
-        elif step == "fork":
-            heights = sorted({r.height for r in chain.live_refs()})
-            chain.spawn_fork(data.draw(st.sampled_from(heights)) + 1)
-        else:
-            chain.resolve_forks()
+        random_step(data, chain)
         yield
 
 
@@ -139,6 +145,47 @@ def test_maintained_state_equals_rescan_after_every_step(data):
     assert_chain_matches_rescan(chain)
     for _ in random_history(data, chain):
         assert_chain_matches_rescan(chain)
+
+
+def assert_sheet_is_exact(federation: Federation, data) -> None:
+    """The running sheet is the rescanned sum of the held chains' ledgers,
+    key for key, zero entries included, and funding reads it as the
+    whole-sheet rule does."""
+    assert federation.balances() == rescan_balances(federation)
+    updates = [draw_update(data) for _ in range(data.draw(st.integers(0, 4), label="face updates"))]
+    assert federation.can_fund(updates) == whole_sheet_can_fund(federation, updates)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_federation_sheet_is_the_sum_of_its_chains_ledgers_after_every_step(data):
+    # a key of no initial balance shows whether the sheet holds it as zero or not at all
+    keys = [(party, asset) for party in PARTIES for asset in "XY"]
+    initial = data.draw(st.dictionaries(st.sampled_from(keys), st.integers(0, 6)), label="initial")
+    federation = Federation(initial)
+    # chains join the federation at drawn steps, some after their first appends
+    waiting = [
+        Chain(cid, assets=("X", "Y"), length=data.draw(st.integers(0, 3), label="declared length"))
+        for cid in range(1, data.draw(st.integers(1, 3), label="chains") + 1)
+    ]
+    assert_sheet_is_exact(federation, data)
+    for _ in range(data.draw(st.integers(1, 30), label="steps")):
+        if waiting and data.draw(st.integers(0, 3), label="join") == 0:
+            federation.add_chain(waiting.pop(data.draw(st.integers(0, len(waiting) - 1))))
+        else:
+            held = [federation.chain(cid) for cid in federation.chain_ids()]
+            random_step(data, data.draw(st.sampled_from(held + waiting), label="chain"))
+        assert_sheet_is_exact(federation, data)
+
+
+def test_a_resolution_drops_the_keys_only_a_retired_branch_held():
+    federation = Federation()
+    chain = federation.add_chain(Chain(1, assets=("X",), length=2))
+    label = chain.spawn_fork(2)
+    chain.append_block(label, (AssetUpdate("a", "zed", "X", 1),))
+    assert federation.balances() == rescan_balances(federation) == {("a", "X"): -1, ("zed", "X"): 1}
+    assert chain.resolve_forks() == 0  # the trunk ties the fork and has the lower label
+    assert federation.balances() == rescan_balances(federation) == {}
 
 
 @given(st.data())
