@@ -390,9 +390,9 @@ class Chain:
         forked = self._forked
         return forked[bisect_left(forked, lo) : bisect_right(forked, hi)]
 
-    def compensated_refs(self) -> frozenset[BlockRef]:
-        """Blocks already reversed by a live compensation block."""
-        return frozenset(self._compensated)
+    def is_compensated(self, ref: BlockRef) -> bool:
+        """Whether a live compensation block already reverses ``ref``."""
+        return ref in self._compensated
 
     # -- the declared trunk ------------------------------------------------
 

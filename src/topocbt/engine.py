@@ -175,7 +175,7 @@ class TopoCbtEngine:
         for rec in reversed(undo_records):
             assert rec.block_ref is not None
             chain = self.federation.chain(rec.block_ref.chain)
-            if not chain.holds_forward(rec.block_ref, rec.txn_id) or rec.block_ref in chain.compensated_refs():
+            if not chain.holds_forward(rec.block_ref, rec.txn_id) or chain.is_compensated(rec.block_ref):
                 continue
             inverse = tuple(u.inverse() for u in reversed(rec.updates))
             chain.append((Compensation(rec.block_ref, rec.txn_id),) + inverse)

@@ -16,17 +16,17 @@ takes a filtration, stages of generators whose closures nest, and
 gives every stage's numbers from one reduction.
 :func:`betti_from_generators` is its one-stage case; a complex takes
 its numbers from the generators its constructor kept.  No closure is
-enumerated: each wide generator, alone or with the generator it shares
-most with, is swapped for cones over their intersections with the
-others, which keeps every stage's homology, then one pass gives the
-vertices, edges and components, and only generators of 3 or more
-vertices are closed, within the face budget, for one column reduction
-in the order the cells enter, whose columns are Python ints used as
-bitsets, with clearing.  Ranks do not depend on any ordering, so
-results are bit-for-bit reproducible.  The dense boundary matrices,
-tuples of 0/1 rows (:meth:`SimplicialComplex.boundary_matrix` with
-``gf2_rank``), and the Betti numbers of an enumerated closure stay
-with the tests as their independent oracles.
+enumerated: the wide generators through a shared vertex are swapped
+together for one cone over their intersections with the others, which
+keeps every stage's homology, then one pass gives the vertices, edges
+and components, and only generators of 3 or more vertices are closed,
+within the face budget, for one column reduction in the order the
+cells enter, whose columns are Python ints used as bitsets, with
+clearing.  Ranks do not depend on any ordering, so results are
+bit-for-bit reproducible.  The dense boundary matrices, tuples of 0/1
+rows (:meth:`SimplicialComplex.boundary_matrix` with ``gf2_rank``), and
+the Betti numbers of an enumerated closure stay with the tests as their
+independent oracles.
 """
 
 from __future__ import annotations
@@ -222,14 +222,14 @@ def betti_by_stage(stages: Sequence[Sequence[Cell]]) -> list[tuple[int, ...]]:
 
     Each distinct generator enters at the first stage that holds it.
     When one is wide, those that lie inside another entered no later are
-    dropped (:func:`_maximal`), and each wide one, alone or with the
-    generator it shares most with, is replaced by cones over their
-    intersections with the generators of every stage
-    (:func:`_cone_wide`), which keeps the homology of every stage.  Then
-    one pass over the generators, stage by stage, gives the rest:
-    union-find over each generator's vertices gives rank d1 at the end
-    of each stage, and only the generators with 3 or more vertices are
-    closed, within the face budget, for the higher ranks.  Coning never
+    dropped (:func:`_maximal`), and the wide ones through a shared
+    vertex are replaced together by one cone over their intersections
+    with the generators of every stage (:func:`_cone_wide`), which keeps
+    the homology of every stage.  Then one pass over the generators,
+    stage by stage, gives the rest: union-find over each generator's
+    vertices gives rank d1 at the end of each stage, and only the
+    generators with 3 or more vertices are closed, within the face
+    budget, for the higher ranks.  Coning never
     raises a dimension but can lower the top one, so each vector is
     padded with zeros to the top dimension of its stage's input.
 
@@ -316,38 +316,36 @@ def betti_by_stage(stages: Sequence[Sequence[Cell]]) -> list[tuple[int, ...]]:
 def _cone_wide(entered: dict[Cell, int], total: int) -> dict[Cell, int]:
     """Generators, each with the stage it enters, whose face closure at
     every stage has the same homology as that of ``entered`` (distinct
-    generators, none inside another entered no later), with each wide
-    generator, alone or together with the generator it shares most
-    with, replaced by cones over their intersections with the others
-    where that has fewer faces.  ``total`` is the count of generators
-    the caller was given.
-
-    Take K = L ∪ X for a contractible subcomplex X and the complex L of
-    the other generators.  Any contractible Z that meets L in exactly
-    L ∩ X can stand for X: by Mayer–Vietoris both unions have the same
-    homology (Hatcher, *Algebraic Topology*, §2.2).  X is Δ(T) for a
-    generator T, or Δ(T) ∪ Δ(g) for a g that meets T, contractible since
-    Δ(T ∩ g) is.  C_T is the closure of the intersections h ∩ T over
-    the generators h of every stage other than T (and g), and C_g that
-    of g's; the generators L_k of stage k meet Δ(T) inside C_T, so a Z
-    built over C_T and C_g with fresh apexes meets L_k as X does, at
-    every stage.  T alone becomes the cone a * C_T, entered with T; a
-    C_T that is empty gives the apex alone.  A pair entered at one
-    stage becomes a * (C_T ∪ C_g).  A pair entered at two, T first,
-    becomes a * C_T at T's stage, which is all of X held until g
-    enters, and b * (a * C_T ∪ C_g), a cone again, at g's.  The cone
-    holds about Σ 2^|h ∩ T| cells where Δ(T) holds 2^|T|.  Coning T
-    together with g drops their shared face, which two deals over one
-    replicated block, or two deals over most of the same chains, both
-    hold, where T's own cone would keep it.
+    generators, none inside another entered no later), with the wide
+    generators through a shared vertex replaced by one cone over their
+    intersections with the others where that has fewer faces.  ``total``
+    is the count of generators the caller was given.
 
     A generator T is wide when its closure outweighs one pass over the
-    list: |T| >= 3 and 2^|T| > ``total``.  Each wide one is weighed in
-    turn against the list as rewritten so far, as are the wide cone
-    generators with fewer vertices than the T they replace; the
-    intersections are found through an index from each vertex to the
-    generators that hold it.  An apex is a fresh negative id, so each
-    cone generator stays ascending.
+    list: |T| >= 3 and 2^|T| > ``total``.  Take the vertex v of T that
+    the most wide generators hold; the cluster X is every wide generator
+    that holds v, and L_s the closure of the other generators entered by
+    stage s.  The union Δ(X_s) of the members entered by s is
+    star-shaped from v, so it is contractible while it is not empty.
+    The traces h ∩ T_j of the other generators h on each member T_j
+    span C; Z = a * C, for a fresh apex a, enters its apex at the first
+    member's stage and each trace at the stage of its member.  Then Z_s
+    = a * C_s is a cone, so contractible, and Z_s ∩ L_s = C_s ∩ L_s =
+    Δ(X_s) ∩ L_s: each trace of an h entered by s lies in both, and a
+    trace meets L_s in traces of its member too.  Any contractible Z_s
+    that meets L_s exactly where Δ(X_s) does can stand for it: by
+    Mayer–Vietoris both unions have the same homology (Hatcher,
+    *Algebraic Topology*, §2.2).
+
+    X is replaced only where the cone holds fewer faces: Σ 2^|c| over
+    its generators c, the apex and a joined to each distinct trace,
+    against Σ_j 2^|T_j|.  So every replacement lowers Σ 2^|g| over the
+    list, and the rewriting ends.  Each wide generator is weighed in
+    turn against the list as rewritten so far, as are the cone
+    generators that are still wide; the traces are found through an
+    index from each vertex to the generators that hold it.  An apex is a
+    fresh negative id, below every earlier one, so each cone generator
+    stays ascending.
     """
     current = dict(enumerate(entered))
     stage = dict(enumerate(entered.values()))  # generator id -> the stage it enters
@@ -359,58 +357,35 @@ def _cone_wide(entered: dict[Cell, int], total: int) -> dict[Cell, int]:
     def wide(g: Cell) -> bool:
         return len(g) >= 3 and 2 ** len(g) > total
 
-    def meets(i: int, *others: int) -> dict[int, list[int]]:
-        """Generator id -> its intersection with generator i, others skipped."""
-        found: dict[int, list[int]] = {}
-        for v in current[i]:
-            for j in holding[v]:
-                if j != i and j not in others:
-                    found.setdefault(j, []).append(v)
-        return found
-
-    def cells(faces: dict[Cell, None]) -> int:
-        return sum(1 << len(face) for face in faces)
-
     queue = [i for i, g in current.items() if wide(g)]
     next_id = len(current)
-    apex = 0
+    apex = -1
     for i in queue:  # grows while it is read
-        if i not in current:  # coned together with an earlier one
+        if i not in current:  # coned with an earlier cluster
             continue
-        top = current[i]
-        found = meets(i)
-        a, b = apex - 1, apex - 2  # fresh apexes
-        # () gives the apex alone
-        faces = dict.fromkeys(map(tuple, found.values())) or {(): None}
-        best, dropped, cones = cells(faces), (i,), [((a, *face), stage[i]) for face in faces]
-        if found:
-            j = max(found, key=lambda j: len(found[j]))
-            own = dict.fromkeys(tuple(f) for k, f in found.items() if k != j)
-            other = dict.fromkeys(map(tuple, meets(j, i).values()))
-            lost = 1 << len(current[j])  # g's own faces go too
-            if stage[j] == stage[i]:
-                pair = {**own, **other} or {(): None}
-                pair_cells, pair_cones = cells(pair) - lost, [((a, *face), stage[i]) for face in pair]
-            else:  # the first's cone, then a cone over it and the second's base
-                (first, base), (second, rest) = sorted([(stage[i], own), (stage[j], other)], key=lambda x: x[0])
-                base = base or {(): None}
-                pair_cells = 3 * cells(base) + cells(rest) - lost
-                pair_cones = [((a, *face), first) for face in base]
-                pair_cones += [((b, a, *face), second) for face in base]
-                pair_cones += [((b, *face), second) for face in rest]
-            if pair_cells < best:
-                best, dropped, cones = pair_cells, (i, j), pair_cones
-        if best >= 1 << len(top):
+        hub = max(current[i], key=lambda v: sum(wide(current[j]) for j in holding[v]))
+        members = dict.fromkeys(j for j in holding[hub] if wide(current[j]))
+        cones = {(apex,): min(stage[j] for j in members)}
+        for j in members:
+            found: dict[int, list[int]] = {}  # other generator id -> its trace on member j
+            for v in current[j]:
+                for h in holding[v]:
+                    if h not in members:
+                        found.setdefault(h, []).append(v)
+            for face in found.values():
+                cone = (apex, *face)
+                cones[cone] = min(cones.get(cone, stage[j]), stage[j])
+        if sum(1 << len(cone) for cone in cones) >= sum(1 << len(current[j]) for j in members):
             continue
-        apex = min(cone[0] for cone, _ in cones)  # the last apex used
-        for d in dropped:
-            for v in current.pop(d):
-                del holding[v][d]
-        for cone, entry in cones:
+        apex -= 1
+        for j in members:
+            for v in current.pop(j):
+                del holding[v][j]
+        for cone, entry in cones.items():
             current[next_id], stage[next_id] = cone, entry
             for v in cone:
                 holding.setdefault(v, {})[next_id] = None
-            if wide(cone) and len(cone) < len(top):
+            if wide(cone):
                 queue.append(next_id)
             next_id += 1
     return {g: stage[i] for i, g in current.items()}

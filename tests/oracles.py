@@ -290,6 +290,11 @@ def ledger(chain: Chain) -> dict[tuple[str, str], int]:
     return dict(chain._ledger)
 
 
+def compensated_refs(chain: Chain) -> frozenset[BlockRef]:
+    """Blocks already reversed by a live compensation block."""
+    return frozenset(chain._compensated)
+
+
 def is_live(chain: Chain, ref: BlockRef) -> bool:
     """Whether the chain's maintained height index lists the block as live."""
     return ref in chain.live_block_at(ref.height)

@@ -26,6 +26,7 @@ from oracles import (
     EagerChain,
     SplitMix64,
     asset_totals,
+    compensated_refs,
     ledger,
     reference_block_hash,
     streaming_state_digest,
@@ -455,7 +456,7 @@ def test_appending_above_a_declared_trunk_hashes_nothing_until_read(monkeypatch)
     top = chain.append_blocks(0, [(Forward(1), AssetUpdate("a", "b", "X", 1)), ()])[-1]
     chain.append_blocks(chain.spawn_fork(2500), [(Compensation(top, 1),)])
     assert calls == []
-    assert ledger(chain) == {("a", "X"): -1, ("b", "X"): 1} and chain.compensated_refs() == {top}
+    assert ledger(chain) == {("a", "X"): -1, ("b", "X"): 1} and compensated_refs(chain) == {top}
     assert chain.holds_forward(BlockRef(1, 5001, 0), 1) and calls == []
     assert chain.block(top).parent_ref == BlockRef(1, 5001, 0)
     assert calls == [5000, BlockRef(1, 5001, 0), top]  # the trunk's tip, then the run below the read
@@ -485,7 +486,7 @@ def test_a_refused_run_leaves_the_chain_as_it_was(record):
 
     def state():
         tips = {label: (info.tip, info.live) for label, info in chain.branches.items()}
-        return chain.all_refs(), chain.live_refs(), tips, ledger(chain), chain.compensated_refs()
+        return chain.all_refs(), chain.live_refs(), tips, ledger(chain), compensated_refs(chain)
 
     before = state()
     with pytest.raises(Exception) as sealing:
@@ -709,7 +710,7 @@ def test_state_digest_ignores_compensated_noise():
     assert fed.state_digest() != before
     ch.append_block(0, (Compensation(ref, 1), AssetUpdate("b", "a", "X", 3)))
     assert fed.state_digest() == before
-    assert ch.compensated_refs() == {ref}
+    assert compensated_refs(ch) == {ref}
 
 
 NAMES = st.text(alphabet="abü\x00", max_size=3)

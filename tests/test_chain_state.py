@@ -12,7 +12,7 @@ from topocbt.chain import AssetUpdate, BlockRef, Chain, Compensation, Federation
 from topocbt.harness import _replay
 from topocbt.scenario import ChainSpec, Scenario, car_trading, parse_scenario
 from topocbt.wal import WalKind, WriteAheadLog
-from oracles import is_live, ledger, random_scenario, whole_sheet_can_fund
+from oracles import compensated_refs, is_live, ledger, random_scenario, whole_sheet_can_fund
 
 
 # -- oracle ------------------------------------------------------------------------
@@ -88,10 +88,12 @@ def assert_chain_matches_rescan(chain: Chain) -> None:
         assert chain.live_block_at(height) == (BlockRef(chain.id, height, 0),)
         parent = chain.block(BlockRef(chain.id, height, 0)).parent_ref
         assert parent is None or parent == BlockRef(chain.id, height - 1, 0)
-    assert chain.compensated_refs() == rescan_compensated(chain)
+    compensated = rescan_compensated(chain)
+    assert compensated_refs(chain) == compensated
     assert ledger(chain) == rescan_ledger(chain)
     for ref in chain.all_refs():
         assert is_live(chain, ref) == (ref in live)
+        assert chain.is_compensated(ref) == (ref in compensated)
 
 
 def assert_federation_matches_rescan(federation: Federation) -> None:
@@ -242,7 +244,7 @@ def assert_same_chain(built: Chain, expected: Chain) -> None:
     assert [built.live_block_at(h) for h in heights] == [expected.live_block_at(h) for h in heights]
     assert built.forked_heights(0, len(heights)) == expected.forked_heights(0, len(heights))
     assert ledger(built) == ledger(expected)
-    assert built.compensated_refs() == expected.compensated_refs()
+    assert compensated_refs(built) == compensated_refs(expected)
     assert built.hash_violations() == [] == expected.hash_violations()
 
 
@@ -322,7 +324,7 @@ def test_returned_state_cannot_corrupt_the_chain():
         row = chain.live_block_at(height)
         assert type(row) is tuple and chain.live_block_at(height) is row
     assert isinstance(chain.live_refs(), frozenset)
-    assert isinstance(chain.compensated_refs(), frozenset)
+    assert isinstance(compensated_refs(chain), frozenset)
     assert chain.live_block_at(1) == (ref,)
     assert ledger(chain) == {("a", "X"): 0, ("b", "X"): 0}
     assert_chain_matches_rescan(chain)

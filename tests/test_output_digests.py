@@ -1,0 +1,72 @@
+"""Byte-identity gate over the shapes of Betti output: windows, modes,
+epochs and the benchmark's scenario pools.
+
+``tests/data/output_digests.txt`` holds one ``<case> <sha256>`` line per
+run, where the digest covers ``RunReport.to_csv()`` followed by
+``wal.to_bytes()``, with Betti numbers on.  The cases are:
+
+- ``random_scenario`` 0-199 at windows None and 1, in both modes;
+- the seed-7 pools of the benchmark's four workloads
+  (``bench/workloads.generate_pool``, read only) at windows None and 1;
+- every ``tests/data/*.scenario`` as declared.
+
+Regenerate the file only for a change that is meant to alter output:
+
+    PYTHONPATH=src python tests/test_output_digests.py > tests/data/output_digests.txt
+"""
+
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
+from topocbt.scenario import load_scenario, parse_scenario
+from topocbt.topology import TopologyMode
+from oracles import random_scenario
+from test_run_digests import run_digest
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "output_digests.txt"
+WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads.py"
+WINDOWS = (None, 1)
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses looks it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def output_cases():
+    """(case name, scenario) in file order."""
+    for seed in range(200):
+        scenario = random_scenario(seed)
+        for mode in TopologyMode:
+            for window in WINDOWS:
+                yield f"random-{seed}/{mode.value}/window-{window}", \
+                    dataclasses.replace(scenario, mode=mode, window=window)
+    workloads = _workloads()
+    for workload in sorted(workloads.PARAMS):
+        for generated in workloads.generate_pool(workload, 7):
+            scenario = parse_scenario(generated.text)
+            for window in WINDOWS:
+                yield f"{generated.name}/window-{window}", dataclasses.replace(scenario, window=window)
+    for path in sorted(DATA.glob("*.scenario")):
+        yield f"data/{path.stem}", load_scenario(str(path))[0]
+
+
+def current_lines() -> list[str]:
+    return [f"{name} {run_digest(scenario, None)}" for name, scenario in output_cases()]
+
+
+def test_every_output_is_byte_identical_to_the_golden_digests():
+    expected = GOLDEN.read_text().splitlines()
+    got = current_lines()
+    assert [line.split()[0] for line in got] == [line.split()[0] for line in expected]
+    changed = [g.split()[0] for g, e in zip(got, expected) if g != e]
+    assert not changed, f"output bytes changed for {changed}"
+
+
+if __name__ == "__main__":
+    print("\n".join(current_lines()))

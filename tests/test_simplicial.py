@@ -273,6 +273,15 @@ def test_betti_from_generators_equals_the_closure(generators):
     assert betti_from_generators(generators) == betti_from_cells(close_by_dimension(generators))
 
 
+# thirty 13-simplices through vertex 0, otherwise apart, each with an edge
+# out to a vertex of its own: a tree of wide tops
+HUB = [g for t in range(30) for top in [(0, *range(13 * t + 1, 13 * t + 14))] for g in (top, (top[-1], 1000 + t))]
+# three 29-simplices each pair of which shares at least 28 vertices, each
+# vertex with an edge out to a path: 32 routes from the tops to the path
+THREE_OVERLAP = [tuple(range(t, t + 30)) for t in (1, 2, 3)] + [(v, 1000 + v) for v in range(1, 33)] \
+    + [(1000 + v, 1001 + v) for v in range(1, 32)]
+
+
 @pytest.mark.parametrize("generators, betti", [
     ([], ()),
     ([(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)], (1,) + (0,) * 9),
@@ -287,14 +296,27 @@ def test_betti_from_generators_equals_the_closure(generators):
     # three 44-simplices, each pair sharing a 22-vertex face and no vertex
     # common to all three: a hollow triangle
     ([tuple(range(44)), tuple(range(22, 66)), (*range(44, 66), *range(22))], (1, 1) + (0,) * 42),
+    (HUB, (1,) + (0,) * 13),
+    (THREE_OVERLAP, (1, 31) + (0,) * 28),
 ], ids=["empty", "lone-simplex", "wide-meets-nothing", "nested-and-repeated", "torus", "40-vertex-loop",
-        "shared-wide-face", "hollow-triangle-of-wide-faces"])
+        "shared-wide-face", "hollow-triangle-of-wide-faces", "hub", "three-overlap"])
 def test_betti_from_generators_on_known_spaces(monkeypatch, generators, betti):
     def no_closure(generators):
         raise AssertionError("face closure enumerated")
 
     monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
     assert betti_from_generators(generators) == betti
+
+
+@pytest.mark.parametrize("generators", [HUB, THREE_OVERLAP], ids=["hub", "three-overlap"])
+def test_wide_tops_through_a_shared_vertex_are_coned_to_nothing_the_pass_closes(monkeypatch, generators):
+    # the tops share a vertex, so one cone over their traces on the edges
+    # stands for all of them and leaves no generator of 3 or more vertices
+    faces = []  # what each reduction may close
+    check = simplicial._check_face_budget
+    monkeypatch.setattr(simplicial, "_check_face_budget", lambda n: faces.append(n) or check(n))
+    betti_from_generators(generators)
+    assert faces == [0]
 
 
 # -- a filtration's stages --------------------------------------------------------
@@ -305,15 +327,16 @@ def cells_between(lo, hi):
 
 @st.composite
 def filtrations(draw):
-    """Stages of generators: a wide one past the coning threshold, faces
-    and repeats of drawn generators entered before or after them, and
-    stages left empty."""
+    """Stages of generators: one to four wide ones past the coning
+    threshold, which may share vertices, faces and repeats of drawn
+    generators entered before or after them, and stages left empty."""
     stages = [[] for _ in range(draw(st.integers(1, 5), label="stages"))]
 
     def enter(g):
         stages[draw(st.integers(0, len(stages) - 1), label="stage")].append(g)
 
-    enter(draw(cells_between(5, 6), label="wide"))
+    for g in draw(st.lists(cells_between(5, 6), min_size=1, max_size=4), label="wide"):
+        enter(g)
     for g in draw(st.lists(cells_between(1, 4), max_size=6), label="generators"):
         enter(g)
     for g in draw(st.lists(st.sampled_from([g for stage in stages for g in stage]), max_size=3), label="nested"):
