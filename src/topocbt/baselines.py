@@ -154,12 +154,10 @@ def ac3wn_execute(
 ) -> Outcome:
     """Two-phase commit with the decision sequence on a witness chain.
 
-    A caller that audits that updates only ever follow a recorded
-    GlobalCommit hands in the witness chain, e.g.
-    ``Chain(WITNESS_CHAIN_ID)``: each decision is appended to it, and the
-    outcome's space is the bytes of every decision the chain holds.
-    Without one, no chain is kept: the space is the bytes of this run's
-    decisions, what a fresh witness chain would hold.
+    The outcome's space is the bytes of this run's decisions.  A caller
+    that audits that updates only ever follow a recorded GlobalCommit
+    hands in the witness chain, e.g. ``Chain(WITNESS_CHAIN_ID)``, and
+    each decision is appended to it; without one, no chain is kept.
     """
     txn.validate(federation)
     taken = 0  # bytes of this run's decisions
@@ -167,13 +165,9 @@ def ac3wn_execute(
     def decide(kind: str) -> None:
         nonlocal taken
         decision = Decision(kind, txn.id)
-        if witness is None:
-            taken += len(decision.to_bytes())
-        else:
+        taken += len(decision.to_bytes())
+        if witness is not None:
             witness.append((decision,))
-
-    def space() -> int:
-        return taken if witness is None else _witness_space(witness)
 
     refs = expand_refs(federation, txn)
     messages = 0
@@ -201,10 +195,9 @@ def ac3wn_execute(
     # coordinator crash window: prepare done, decision not yet durable
     crashed = plan.witness_crash or any(k == CRASH_BEFORE_COMMIT for _, k in plan.face_failures)
     if crashed:
-        held = [ref for ref, holder in federation.locks.items() if holder == txn.id]
         log.info("txn %s: no decision %d ticks after prepare, %d locks still held",
-                 txn.id, BLOCKING_HORIZON_FACTOR * DEFAULT_TIMELOCK, len(held))
-        return Outcome(Status.BLOCKED, 0, messages, meter_ops, space())
+                 txn.id, BLOCKING_HORIZON_FACTOR * DEFAULT_TIMELOCK, len(refs))
+        return Outcome(Status.BLOCKED, 0, messages, meter_ops, taken)
 
     if not votes_ok:
         decide("GlobalAbort")
@@ -212,7 +205,7 @@ def ac3wn_execute(
         messages += len(chain_ids)
         federation.release_blocks(refs, txn.id)
         meter_ops += len(refs)
-        return Outcome(Status.ABORTED, 0, messages, meter_ops, space())
+        return Outcome(Status.ABORTED, 0, messages, meter_ops, taken)
 
     decide("GlobalCommit")
     meter_ops += 1
@@ -225,12 +218,5 @@ def ac3wn_execute(
             applied += len(updates)
     federation.release_blocks(refs, txn.id)
     meter_ops += len(refs)
-    return Outcome(Status.COMMITTED, applied, messages, meter_ops, space())
+    return Outcome(Status.COMMITTED, applied, messages, meter_ops, taken)
 
-
-def _witness_space(witness: Chain) -> int:
-    total = 0
-    for ref in witness.all_refs():
-        for record in witness.payload(ref):
-            total += len(record.to_bytes())
-    return total

@@ -11,8 +11,12 @@ binary field cannot hold, a scenario name that would split its CSV
 cell, a party name that would split a report's ``worse_off`` cell, a
 duplicate chain or txn id, a txn with no block, two blocks on one chain
 or fewer than two parties, a fork with no block below it, a failure
-that can never fire, more blocks or replicas than the work budget
-allows) is rejected with its line and field.
+naming no declared txn, missing its locating key or carrying another,
+a failure's ``face`` past its txn's faces or ``party`` not one of its
+parties, more blocks or replicas than the work budget allows) is
+rejected with its line and field.  A ``record``, ``append`` or ``swap``
+count past the run's is accepted and never fires: the fault-mix
+benchmark draws ``record`` up to twice a deal's faces.
 
 ``SECTION_KEYS`` is the format: it maps each section to its keys, and
 each key to the parser of its value.  A parser applies its key's
@@ -324,8 +328,10 @@ REPEATED_KEYS = frozenset({"fork", "balance", "sub"})
 
 
 def _check_failure(current: dict, lines: dict[str, int], txns: dict[int, CrossChainTransaction]) -> None:
-    """Reject a failure that can never fire; ``current`` is its parsed
-    section and ``lines`` maps each key (and the header, under "") to its line."""
+    """Reject a failure on no declared txn, with a missing or extra
+    locating key, a face past its txn's or a party not its; ``current``
+    is its parsed section and ``lines`` maps each key (and the header,
+    under "") to its line."""
     txn = txns.get(current["txn"])
     if txn is None:
         raise ScenarioError(f"no txn {current['txn']} is declared", lines["txn"], "txn")

@@ -57,8 +57,8 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .chain import AssetUpdate, BlockRef, BranchInfo, Chain, ChainError, Federation
-from .simplicial import (Cell, Simplex, SimplicialComplex, betti_by_stage, betti_from_generators, close_by_dimension,
-                         complex_to_text, text_order)
+from .simplicial import (Cell, Simplex, SimplicialComplex, betti_by_stage, betti_from_generators, complex_to_text,
+                         text_order)
 
 log = logging.getLogger(__name__)
 
@@ -431,17 +431,14 @@ def structural_betti(federation: Federation, mode: TopologyMode, spans: dict[int
                 components += len(row) - 1
                 parted = len(row) > 1
             above = None  # the row above, read at this row's first live tip
-            for tip in row if height < hi else ():
-                info = branches[tip.branch]
-                if info.tip != height or not info.live:  # ``_tips``' rule, inline in the one loop per forked row
-                    continue
+            for label in _tips(branches, height, (ref.branch for ref in row)) if height < hi else ():
                 if above is None:
                     above = chain.live_block_at(height + 1)
                 for ref in above:  # a stitch edge to each block the tip did not parent
-                    if _parent_branch(branches, ref) == tip.branch:
+                    if _parent_branch(branches, ref) == label:
                         continue
                     if parted:
-                        part, other = _part(chain, tip.branch, lo, joined), _part(chain, ref.branch, lo, joined)
+                        part, other = _part(chain, label, lo, joined), _part(chain, ref.branch, lo, joined)
                         if part != other:
                             joined[part] = other
                             components -= 1
@@ -524,12 +521,7 @@ def build_federation_complex(
         lo, hi = spans[cid]
         forked = chain.forked_heights(lo, hi)
         trunk = _copies(chain, 0, mode)
-        if not forked:  # the trunk block alone at every height: one run
-            if lo <= hi:
-                runs_of[cid] = [_Run(lo, hi + 1, v, trunk, False)]
-                v += (hi + 1 - lo) * trunk
-            continue
-        rows = sorted(h for h in {*forked, *(h + 1 for h in forked)} if h <= hi)
+        rows = sorted({*forked, *(h + 1 for h in forked if h < hi)})
         branches = chain.branches
         chain_runs = runs_of[cid] = []
         below: dict[int, int] = {}  # branch -> first vertex id, one height down
@@ -611,15 +603,21 @@ def tagged_to_text(tagged: TaggedComplex) -> tuple[str, str]:
 
     A face is tagged structural if it lies in the structural closure,
     else with the lowest id among the transaction tops that contain it.
-    Generators whose closure may pass ``simplicial.MAX_CELLS`` are
-    refused (``ValueError``) before any face is enumerated.
+    So a vertex is structural, and so is a face in no top; any other face
+    is structural if a structural cell through its first vertex, a top's,
+    holds it.  Generators whose closure may pass ``simplicial.MAX_CELLS``
+    are refused (``ValueError``) before any face is enumerated.
     """
     complex_ = tagged.complex
-    structural = set().union(*close_by_dimension(tagged.structural()))
     tops = [(tid, set(top.vertices)) for tid, top in tagged.txn_tops.items()]
+    through: dict[int, list[set[int]]] = {v: [] for _, top in tops for v in top}  # a top's vertex -> cells through it
+    for cell in tagged.cells:
+        for v in cell:
+            if v in through:
+                through[v].append(set(cell))
 
     def tag(cell: Cell) -> str:
-        if cell in structural:
+        if len(cell) == 1 or cell[0] not in through or any(c.issuperset(cell) for c in through[cell[0]]):
             return "structural"
         return next(f"txn:{tid}" for tid, top in tops if top.issuperset(cell))
 

@@ -25,7 +25,8 @@ from topocbt.chain import (
 from topocbt.engine import FACE_FAILURE_KINDS
 from topocbt.gf2 import Matrix
 from topocbt.scenario import ChainSpec, FailureSpec, Scenario
-from topocbt.simplicial import Cell, SimplicialComplex, _reduced_ranks, generators_from_text, read_generators
+from topocbt.simplicial import (Cell, SimplicialComplex, _reduced_ranks, close_by_dimension, complex_to_text,
+                                generators_from_text, read_generators, text_order)
 from topocbt.topology import CrossChainTransaction, SubTransaction
 
 _MASK = (1 << 64) - 1
@@ -223,6 +224,23 @@ def dense_betti(c: SimplicialComplex) -> tuple[int, ...]:
     counts = c.simplex_counts()
     ranks = [0] + [c.boundary_matrix(k).rank() for k in range(1, c.dimension + 1)] + [0]
     return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(c.dimension + 1))
+
+
+def closure_tags(tagged) -> tuple[str, str]:
+    """``tagged_to_text`` by the closure rule it is judged against: the
+    structural generators closed once beside the complex, and a face
+    tagged structural if it lies in that closure, else with the lowest
+    id among the transaction tops that contain it."""
+    complex_ = tagged.complex
+    structural = set().union(*close_by_dimension(tagged.structural()))
+    tops = [(tid, set(top.vertices)) for tid, top in tagged.txn_tops.items()]
+
+    def tag(cell: Cell) -> str:
+        if cell in structural:
+            return "structural"
+        return next(f"txn:{tid}" for tid, top in tops if top.issuperset(cell))
+
+    return complex_to_text(complex_), "".join(tag(cell) + "\n" for cell in text_order(complex_))
 
 
 def complex_from_text(text: str) -> SimplicialComplex:

@@ -251,6 +251,19 @@ def test_a_run_without_a_witness_has_the_outcome_of_one_with_a_fresh_witness():
     assert {Status.COMMITTED, Status.ABORTED, Status.BLOCKED} <= statuses.keys()
 
 
+def test_runs_sharing_a_witness_each_count_their_own_decisions():
+    witness = Chain(WITNESS_CHAIN_ID)
+    kinds = []
+    for _ in range(3):
+        fed, txn = car_setup()
+        alone = ac3wn_execute(car_setup()[0], txn)
+        shared = ac3wn_execute(fed, txn, witness=witness)
+        assert shared.space_bytes == alone.space_bytes == 80
+        kinds += ["Prepared"] * len(txn.sub_transactions) + ["GlobalCommit"]
+    # the chain still holds every run's decisions
+    assert [rec.kind for ref in witness.all_refs() for rec in witness.block(ref).payload] == kinds
+
+
 def test_decision_record_serialization():
     d = Decision("GlobalCommit", 42)
     raw = d.to_bytes()

@@ -8,7 +8,7 @@ import pytest
 
 from topocbt import harness, topology
 from topocbt.chain import ChainError
-from topocbt.engine import NO_FAILURES, FailurePlan, Status, TopoCbtEngine
+from topocbt.engine import NO_FAILURES, Status, TopoCbtEngine
 from topocbt.harness import (
     AUDIT_ALL,
     AUDIT_NONE,
@@ -30,7 +30,6 @@ from topocbt.scenario import (
     PROTOCOLS,
     FailureSpec,
     car_trading,
-    grid_scenario,
     load_scenario,
     parse_scenario,
 )

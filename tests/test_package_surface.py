@@ -6,6 +6,10 @@ benchmark outside its own tests.  A name counts as read where it appears
 as an ``ast.Name`` or an ``ast.Attribute``, and in the benchmark also as
 a string constant, since its tracer patches functions by name.  Code
 that only tests call belongs in ``tests/oracles.py``.
+
+No module of the package, the demos or the tests imports a name it
+never reads, so a name a deletion left behind cannot linger; the
+package's ``__init__`` is exempt, since its imports are what it exports.
 """
 
 import ast
@@ -70,6 +74,34 @@ def uncalled(package, programs) -> dict[str, str]:
     """The package's definitions that no program file names."""
     referenced = referenced_names(programs) | ALLOWED
     return {name: where for name, where in defined_names(package).items() if name not in referenced}
+
+
+def unread_imports(path: Path) -> dict[str, int]:
+    """Each name ``path`` imports but never reads as an ``ast.Name``,
+    with its line; ``from __future__`` imports are directives."""
+    tree = parse(path)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.partition(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: line for name, line in imported.items() if name not in read}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = [p for p in package_files() if p.name != "__init__.py"]
+    modules += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unread = {f"{path.relative_to(ROOT)}:{line}": name
+              for path in modules for name, line in unread_imports(path).items()}
+    assert unread == {}
+
+
+def test_an_unread_import_is_caught(tmp_path):
+    extra = tmp_path / "extra.py"
+    extra.write_text("from __future__ import annotations\nimport os.path\nfrom typing import Optional, Sequence\n"
+                     "x: Optional[int] = None\n")
+    assert unread_imports(extra) == {"os": 2, "Sequence": 3}
 
 
 def test_every_package_definition_has_a_program_caller():

@@ -25,7 +25,6 @@ from topocbt.topology import (
     BettiGlue,
     CrossChainTransaction,
     SubTransaction,
-    TaggedComplex,
     TopologyMode,
     build_federation_complex,
     expand_refs,
@@ -37,7 +36,8 @@ from topocbt.topology import (
     transaction_simplex,
 )
 from topocbt.wal import WriteAheadLog
-from oracles import SplitMix64, all_subsets_closure, betti_from_cells, cells_of, dense_betti, random_scenario
+from oracles import (SplitMix64, all_subsets_closure, betti_from_cells, cells_of, closure_tags, dense_betti,
+                     random_scenario)
 from test_chain_state import random_history, rescan_live
 
 
@@ -345,7 +345,6 @@ def test_building_a_wide_deal_enumerates_no_faces(monkeypatch):
     deal = txn(1, [(cid, 2, 0) for cid in range(1, 21)])
     top = Simplex(tuple(3 * k + 2 for k in range(20)))  # heights 0..2 per chain
     monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
-    monkeypatch.setattr(topology, "close_by_dimension", no_closure)
     assert transaction_simplex(fed, deal) == top
     assert build_federation_complex(fed, [deal]).txn_tops == {1: top}
 
@@ -995,7 +994,6 @@ def test_a_wide_deal_takes_its_betti_numbers_without_a_closure(monkeypatch, buil
         raise AssertionError("face closure enumerated")
 
     monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
-    monkeypatch.setattr(topology, "close_by_dimension", no_closure)
     assert tagged.betti_numbers() == expected
     assert "complex" not in tagged.__dict__
 
@@ -1021,7 +1019,6 @@ def test_a_run_glues_twenty_chain_deals_without_a_closure(monkeypatch):
     faces = []  # what each reduction may close
     check = simplicial._check_face_budget
     monkeypatch.setattr(simplicial, "close_by_dimension", no_closure)
-    monkeypatch.setattr(topology, "close_by_dimension", no_closure)
     monkeypatch.setattr(simplicial, "_check_face_budget", lambda n: faces.append(n) or check(n))
     rows = run_scenario(parse_scenario(twenty_chain_deals_text()), 1).rows
     assert faces and max(faces) < 2**10
@@ -1295,6 +1292,27 @@ def test_structural_tags_cover_chain_parts():
     for line, mark in zip(lines, marks):
         if " " not in line:
             assert mark == "structural"
+
+
+def tags_corpus():
+    """Every scenario file under tests/data, ``random_scenario`` 0-199 and
+    the grid points, each in both modes."""
+    scenarios = [pytest.param(load_scenario(str(path))[0], id=path.stem)
+                 for path in sorted((Path(__file__).parent / "data").glob("*.scenario"))]
+    scenarios += [pytest.param(random_scenario(seed), id=f"random-{seed}") for seed in range(200)]
+    scenarios += [pytest.param(grid_scenario(n, m), id=f"grid-{n}-{m}") for n in range(2, 7) for m in range(1, 5)]
+    for param in scenarios:
+        for mode in TopologyMode:
+            yield pytest.param(replace(param.values[0], mode=mode), id=f"{param.id}-{mode.value}")
+
+
+@pytest.mark.parametrize("scenario", tags_corpus())
+def test_tags_equal_the_closure_rule(scenario):
+    # with every deal pending, and with none
+    n = len(scenario.transactions())
+    for k in sorted({0, n}):
+        tagged = betti_report(scenario, k)[1]
+        assert tagged_to_text(tagged) == closure_tags(tagged), k
 
 
 def test_teardown_removes_deal_faces_only():
