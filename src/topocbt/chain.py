@@ -8,14 +8,14 @@ one.  Dead branches keep their blocks for audit but never enter new
 topology builds.
 
 A block is sealed when it is first read, not when it is appended.
-``append_blocks`` stores each block of a run unsealed (its ref, parent
-ref and payload), after checking that every record of the run packs, so
-a refused run stores nothing.  ``block`` and ``hash_violations`` seal
+``append_block``, the one store step, stores a block unsealed (its ref,
+parent ref and payload) after checking that every record packs, so a
+refused block is not stored.  ``block`` and ``hash_violations`` seal
 the unsealed blocks below the one asked for in height order, each on
 its parent's hash, so no caller ever holds an unsealed block.  The
 trade: a block's hash is fixed at its first read, and a write through
-the private store before that read is not caught.  ``payload`` reads a
-block's records without sealing it.
+the private store before that read is not caught.  ``holds_forward``
+reads a block's records without sealing it.
 
 A chain is built with its declared trunk: genesis and ``length`` empty
 blocks above it on branch 0, held as that length alone.  A declared
@@ -35,15 +35,15 @@ two pieces of state are the only record of which blocks are: the
 highest declared height still live (every declared height below it is
 live too), and a height -> live refs index over the heights that hold a
 live appended or forked block, where a live declared block leads its
-row.  Beside them sit the sorted
+row; a declared height's row, its trunk block alone, is built each time
+it is read.  Beside them sit the sorted
 heights that hold a live block off branch 0 (its forked heights; every
 other live height holds the trunk block alone), the refs undone by live
 ``Compensation`` blocks, and the net (party, asset) change of its live
 ``AssetUpdate`` records, its ledger.  ``append_block`` stores one block
 on top of a branch and adds it to all of them in one step (its parent
-is always live already); ``append_blocks`` checks that a whole run
-packs, then stores it block by block the same way.  ``append`` stores
-one block on the canonical branch, in the slot ``next_ref`` names.
+is always live already); ``append`` stores one block on the canonical
+branch, in the slot ``next_ref`` names.
 ``resolve_forks`` rebuilds the live state with one ancestor walk over
 appended blocks when it retires a branch, lowering the live declared
 height only when branch 0 is retired above a fork; ``spawn_fork``
@@ -294,9 +294,6 @@ class Chain:
         # one derived, as (height, hash): derived on demand
         self._trunk_marks: list[bytes] = []
         self._trunk_last: tuple[int, bytes] = (-1, GENESIS_PARENT)
-        # rows of the declared heights live_block_at has answered: every build asks
-        # again, and a NamedTuple is slow to make; grows with the heights read
-        self._trunk_refs: dict[int, tuple[BlockRef]] = {}
         # appended blocks, unsealed until first read, and declared blocks handed out
         self._blocks: dict[BlockRef, Block | _Unsealed] = {}
         self.branches: dict[int, BranchInfo] = {0: BranchInfo(spawn_height=0, parent=None, tip=length)}
@@ -333,18 +330,11 @@ class Chain:
         self._blocks[block.ref] = block
         return block
 
-    def payload(self, ref: BlockRef) -> tuple:
-        """The records of the block at ``ref``, read without sealing it."""
-        block = self._blocks.get(ref)
-        if block is not None:
-            return block.payload
-        if not self._declared(ref):
-            raise ChainError(f"no block {ref} on chain {self.id}")
-        return ()
-
     def holds_forward(self, ref: BlockRef, txn_id: int) -> bool:
-        """Whether the block at ``ref`` is a forward update block of ``txn_id``."""
-        return ref in self._blocks and self.payload(ref)[:1] == (Forward(txn_id),)
+        """Whether the block at ``ref`` is a forward update block of
+        ``txn_id``, read without sealing it."""
+        block = self._blocks.get(ref)
+        return block is not None and block.payload[:1] == (Forward(txn_id),)
 
     def all_refs(self) -> list[BlockRef]:
         return sorted(self._blocks.keys() | {BlockRef(self.id, height, 0) for height in range(self._trunk + 1)})
@@ -376,12 +366,7 @@ class Chain:
         row = self._live_at.get(height)
         if row is not None:
             return row
-        if not 0 <= height <= self._live_trunk:
-            return ()
-        row = self._trunk_refs.get(height)
-        if row is None:
-            row = self._trunk_refs[height] = (BlockRef(self.id, height, 0),)
-        return row
+        return (BlockRef(self.id, height, 0),) if 0 <= height <= self._live_trunk else ()
 
     def forked_heights(self, lo: int, hi: int) -> list[int]:
         """The heights from ``lo`` to ``hi`` that hold a live block off
@@ -522,17 +507,21 @@ class Chain:
             return info.parent, info.spawn_height
         return BlockRef(self.id, info.tip, branch), info.tip + 1
 
-    def _live_branch(self, branch: int) -> BranchInfo:
+    def append(self, payload: Iterable = ()) -> BlockRef:
+        """Store one block on the canonical branch."""
+        return self.append_block(self._canonical, payload)
+
+    def append_block(self, branch: int, payload: Iterable = ()) -> BlockRef:
+        """Store one block on top of ``branch``, unsealed, and index it.
+        Its records are checked to pack first, so a refused block is not
+        stored; it is sealed when first read."""
         info = self.branches.get(branch)
         if info is None:
             raise ChainError(f"unknown branch {branch} on chain {self.id}")
         if not info.live:
             raise ChainError(f"branch {branch} on chain {self.id} is dead")
-        return info
-
-    def _store(self, branch: int, info: BranchInfo, payload: tuple) -> BlockRef:
-        """Store one block of checked records on top of live ``branch``,
-        unsealed, and index it."""
+        payload = tuple(payload)
+        _check_packs(payload)
         parent_ref, height = self._slot(branch, info)
         ref = BlockRef(self.id, height, branch)
         self._blocks[ref] = _Unsealed(ref, parent_ref, payload)
@@ -548,29 +537,6 @@ class Chain:
         sheet = self._sheet
         self._index(ref, payload, {} if sheet is None else sheet.totals)
         return ref
-
-    def append(self, payload: Iterable = ()) -> BlockRef:
-        """Store one block on the canonical branch."""
-        return self.append_block(self._canonical, payload)
-
-    def append_block(self, branch: int, payload: Iterable = ()) -> BlockRef:
-        """Store one block on top of ``branch``, unsealed, and index it.
-        Its records are checked to pack first, so a refused block is not
-        stored; it is sealed when first read."""
-        info = self._live_branch(branch)
-        payload = tuple(payload)
-        _check_packs(payload)
-        return self._store(branch, info, payload)
-
-    def append_blocks(self, branch: int, payloads: Iterable[Iterable]) -> list[BlockRef]:
-        """Store one block per payload on top of ``branch``, each on the
-        one before, as ``append_block`` does.  Every record of the run is
-        checked to pack first, so a refused run stores nothing."""
-        info = self._live_branch(branch)
-        payloads = [tuple(payload) for payload in payloads]
-        for payload in payloads:
-            _check_packs(payload)
-        return [self._store(branch, info, payload) for payload in payloads]
 
     def spawn_fork(self, at_height: int) -> int:
         """Open a new branch whose first block will sit at ``at_height``."""

@@ -20,7 +20,7 @@ from typing import Callable, NoReturn, Optional
 from .chain import ChainError
 from .engine import TopoCbtEngine
 from .harness import _replay, compare_protocols, complexity_fit, fit_ops, measure_grid, replay_to, run_scenario
-from .scenario import PROTOCOLS, ScenarioError, load_scenario
+from .scenario import PROTOCOLS, ScenarioError, integer, load_scenario
 from .simplicial import betti_from_generators, read_generators
 from .topology import build_federation_complex, federation_betti, tagged_to_text
 from .wal import WalFormatError, WalKind, WalRecord, WriteAheadLog
@@ -94,7 +94,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        seeds = [integer(s) for s in args.seeds.split(",")]
     except ValueError:
         return _fail(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     directory = Path(args.scenario_dir)
@@ -125,7 +125,7 @@ FIT_GRID_MAX = 40
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     try:
-        nmax, mmax = (int(tok) for tok in args.grid.split(","))
+        nmax, mmax = (integer(tok) for tok in args.grid.split(","))
     except ValueError:
         return _fail(f"--grid must be 'nmax,mmax', got {args.grid!r}")
     if nmax < 3 or mmax < 2 or (nmax - 1) * mmax < 6:  # fit_ops needs six points
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one scenario")
     p_run.add_argument("--scenario", required=True, help="file path or built-in name (car-trading)")
-    p_run.add_argument("--seed", type=int, default=1,
+    p_run.add_argument("--seed", type=integer, default=1,
                        help="label copied into the report; runs do not depend on it")
     p_run.add_argument("--protocol", choices=PROTOCOLS,
                        help="override the protocol declared per transaction")
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_betti.add_mutually_exclusive_group(required=True)
     source.add_argument("--scenario")
     source.add_argument("--complex", help="read a complex file instead of building one")
-    p_betti.add_argument("--at", type=int, help="transactions executed before the build (default 0)")
+    p_betti.add_argument("--at", type=integer, help="transactions executed before the build (default 0)")
     p_betti.add_argument("--out", help="write the built complex (plus .tags sidecar)")
     p_betti.set_defaults(func=_cmd_betti)
 

@@ -116,9 +116,9 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 # Sizes were measured with tracemalloc on CPython 3.11.7 and rounded up to
 # a power of two:
 # - a declared block costs at most BLOCK_BYTES.  A trunk block costs its
-#   chain at most its row, its ref in a 1-tuple (~205 B), kept once
-#   live_block_at names its height; a fork's block is stored unsealed with
-#   its branch and height-index row (~390-740 B, the row included).  No run
+#   chain nothing of its own (live_block_at builds its row each time it is
+#   read); a fork's block is stored unsealed with its branch, its parent's
+#   ref and its height-index row (~460-640 B, the row included).  No run
 #   reads a block, so none is sealed: a read seals a fork's block (~180 B
 #   more) and hands out a trunk block (~390 B and its ~75 B derived hash).
 #   A complex build walks only the forked rows and the row above each and
@@ -128,8 +128,11 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 #   2,000 forks (on one height, or one on each of 2,000 heights), and a
 #   whole run peaked at the same.  betti --out lays its build's runs (~180-
 #   500 B per declared block) and its face closure: the two came to
-#   ~400-530 B in abstract mode and ~980-1,100 B with 2 replicas, the
-#   closure being bounded by MAX_CELLS, below;
+#   ~400-530 B in abstract mode and ~980-1,100 B with 2 replicas, and
+#   writing its text peaked at ~2,330-2,340 B with 2 replicas, past
+#   BLOCK_BYTES.  So betti --out's memory per declared block is held by
+#   the face budget MAX_CELLS, below, which refuses such a build past
+#   about 381,000 declared blocks, not by BLOCK_BYTES;
 # - in replicated mode the copies of a block form one simplex whose face
 #   closure, which complex text enumerates, holds 2**replicas - 1 cells,
 #   so one replica group alone fits in MAX_CELLS.  The text of a build
@@ -158,7 +161,7 @@ class Scenario:
             chain = Chain(spec.id, replicas=spec.replicas, assets=spec.assets, length=spec.length)
             for height, branches in spec.forks:
                 for _ in range(branches):
-                    chain.append_blocks(chain.spawn_fork(height), ((),))
+                    chain.append_block(chain.spawn_fork(height))
             federation.add_chain(chain)
             for party, asset, amount in spec.balances:
                 key = (party, asset)
@@ -189,13 +192,19 @@ class Scenario:
 Parser = Callable[[str, int, str], object]
 
 
-def _parse_int(token: str, line: int, fld: str, bounds: Optional[tuple[int, Optional[int]]] = None) -> int:
-    """A base-10 integer in ASCII, '-?[0-9]+': int() alone would also take
+def integer(token: str) -> int:
+    """A base-10 integer in ASCII, '-?[0-9]+', the one integer rule of
+    scenario files and the command line: int() alone would also take
     '+', '_', surrounding spaces and the digits of other scripts."""
+    if not (token.isascii() and token.lstrip("-").isdigit()):
+        raise ValueError(f"expected integer, got {token!r}")
+    return int(token)
+
+
+def _parse_int(token: str, line: int, fld: str, bounds: Optional[tuple[int, Optional[int]]] = None) -> int:
+    """``integer`` at a scenario line, within ``bounds``."""
     try:
-        if not (token.isascii() and token.lstrip("-").isdigit()):
-            raise ValueError(token)
-        value = int(token)
+        value = integer(token)
     except ValueError:
         raise ScenarioError(f"expected integer, got {token!r}", line, fld) from None
     if bounds is not None:

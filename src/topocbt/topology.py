@@ -147,11 +147,18 @@ def _parent_branch(branches: dict[int, BranchInfo], ref: BlockRef) -> int:
     return info.parent.branch if ref.height == info.spawn_height else ref.branch
 
 
-def _tips(branches: dict[int, BranchInfo], height: int, labels: Iterable[int]) -> list[int]:
-    """Those of ``labels``, the branches of the live blocks at
-    ``height``, that are live with their tip there: each such tip is
-    stitched to every block one height up that it did not parent."""
-    return [label for label in labels if branches[label].tip == height and branches[label].live]
+def _stitches(branches: dict[int, BranchInfo], height: int, labels: Iterable[int],
+              above: tuple[BlockRef, ...]) -> list[tuple[int, BlockRef]]:
+    """The stitch edges from ``height`` up: each of ``labels``, the
+    branches of the live blocks at ``height``, that is live with its tip
+    there, paired with each block of ``above``, the row one height up,
+    that the tip did not parent."""
+    stitches = []
+    for label in labels:
+        info = branches[label]
+        if info.tip == height and info.live:
+            stitches += [(label, ref) for ref in above if _parent_branch(branches, ref) != label]
+    return stitches
 
 
 def expected_transaction_dimension(
@@ -399,10 +406,10 @@ def structural_betti(federation: Federation, mode: TopologyMode, spans: dict[int
     Every height but a forked one (``Chain.forked_heights``) holds the
     trunk block alone, over the trunk block alone, so each chain is read
     at its forked rows in [lo, hi], one step per block, and at the row
-    above a forked row that holds a live tip: a live tip below hi is
-    stitched to a block above it that it did not parent only if that
-    block's parent sits beside it, in a forked row.  The row at the
-    canonical tip gives the tips tied with it.
+    above each of them below hi: a live tip below hi is stitched to a
+    block above it that it did not parent (``_stitches``, the build's
+    rule) only if that block's parent sits beside it, in a forked row.
+    The row at the canonical tip gives the tips tied with it.
     """
     replicated = mode is TopologyMode.REPLICATED
     joined: dict[tuple[int, int], tuple[int, int]] = {}
@@ -430,20 +437,15 @@ def structural_betti(federation: Federation, mode: TopologyMode, spans: dict[int
             elif height == lo:
                 components += len(row) - 1
                 parted = len(row) > 1
-            above = None  # the row above, read at this row's first live tip
-            for label in _tips(branches, height, (ref.branch for ref in row)) if height < hi else ():
-                if above is None:
-                    above = chain.live_block_at(height + 1)
-                for ref in above:  # a stitch edge to each block the tip did not parent
-                    if _parent_branch(branches, ref) == label:
+            above = chain.live_block_at(height + 1) if height < hi else ()
+            for tip, ref in _stitches(branches, height, [block.branch for block in row], above):
+                if parted:
+                    part, other = _part(chain, tip, lo, joined), _part(chain, ref.branch, lo, joined)
+                    if part != other:
+                        joined[part] = other
+                        components -= 1
                         continue
-                    if parted:
-                        part, other = _part(chain, label, lo, joined), _part(chain, ref.branch, lo, joined)
-                        if part != other:
-                            joined[part] = other
-                            components -= 1
-                            continue
-                    loops += 1
+                loops += 1
         canonical = chain.canonical_branch()
         info = branches[canonical]
         # no tip is higher, so each live block at the canonical tip's height is a live tip tied with it
@@ -507,7 +509,9 @@ def build_federation_complex(
     walk would give.  A chain with no forked height in its window is one
     run.  Every block a top names lies in its chain's span, so in a
     walked row or, as the trunk block alone at its height, in a run,
-    whose first id and the block's height number it.
+    whose first id and the block's height number it.  A walked row's
+    blocks are stitched to the live tips of the row below by
+    ``_stitches``, the rule ``structural_betti`` counts.
     """
     transactions = list(transactions)
     spans = _spans(federation, transactions, window)
@@ -537,8 +541,8 @@ def build_federation_complex(
             run_start = height + 1
             start = v
             here: dict[int, int] = {}
-            stitched = _tips(branches, height - 1, below)
-            for ref in chain.live_block_at(height):
+            row = chain.live_block_at(height)
+            for ref in row:
                 branch = ref.branch
                 here[branch] = first_of[ref] = v
                 copies = _copies(chain, branch, mode)
@@ -546,15 +550,12 @@ def build_federation_complex(
                     # the parent link (covers fork spawn: the parent joins
                     # both children); a trunk block's parent is on the
                     # trunk, so their copies link replica by replica
-                    parent_branch = _parent_branch(branches, ref)
-                    p = below[parent_branch]
+                    p = below[_parent_branch(branches, ref)]
                     for r in range(copies):
                         cells.add((p + r, v + r))
-                    # stitch each live branch tip below to the blocks it did not parent
-                    for label in stitched:
-                        if label != parent_branch:
-                            cells.add((below[label], v))
                 v += copies
+            for tip, ref in _stitches(branches, height - 1, below, row):
+                cells.add((below[tip], here[ref.branch]))
             # replica groups: all copies at one height form a single cell
             if v - start >= 2 and replicated:
                 cells.add(tuple(range(start, v)))

@@ -318,6 +318,12 @@ def is_live(chain: Chain, ref: BlockRef) -> bool:
     return ref in chain.live_block_at(ref.height)
 
 
+def append_run(chain, branch: int, payloads: Iterable) -> list[BlockRef]:
+    """Append one block per payload on top of ``branch``, block by block
+    (``append_block``, on a ``Chain`` or an ``EagerChain``)."""
+    return [chain.append_block(branch, payload) for payload in payloads]
+
+
 def reference_block_hash(ref: BlockRef, parent_hash: bytes, payload: tuple) -> bytes:
     """A block hash fed to sha256 field by field: the ref, the parent
     hash, the record count, then each record's bytes."""
@@ -357,19 +363,16 @@ class EagerChain:
                 ref = self.blocks[ref].parent_ref
         return live
 
-    def append_blocks(self, branch: int, payloads) -> list[BlockRef]:
+    def append_block(self, branch: int, payload) -> BlockRef:
         info = self.branches[branch]
-        refs = []
-        for payload in payloads:
-            if info.tip < 0:
-                parent_ref, height = info.parent, info.spawn_height
-            else:
-                parent_ref, height = BlockRef(self.id, info.tip, branch), info.tip + 1
-            ref = BlockRef(self.id, height, branch)
-            self.blocks[ref] = Block.seal(ref, parent_ref, self.blocks[parent_ref].hash, payload)
-            info.tip = height
-            refs.append(ref)
-        return refs
+        if info.tip < 0:
+            parent_ref, height = info.parent, info.spawn_height
+        else:
+            parent_ref, height = BlockRef(self.id, info.tip, branch), info.tip + 1
+        ref = BlockRef(self.id, height, branch)
+        self.blocks[ref] = Block.seal(ref, parent_ref, self.blocks[parent_ref].hash, payload)
+        info.tip = height
+        return ref
 
     def spawn_fork(self, at_height: int) -> int:
         parent = min(ref for ref in self.live_refs() if ref.height == at_height - 1)

@@ -25,6 +25,7 @@ from topocbt.wal import WalKind, WriteAheadLog
 from oracles import (
     EagerChain,
     SplitMix64,
+    append_run,
     asset_totals,
     compensated_refs,
     ledger,
@@ -73,15 +74,14 @@ def test_append_to_unknown_branch_fails():
         Chain(1).append_block(7, ())
 
 
-def test_append_blocks_seals_a_run_on_the_branch():
+def test_a_run_of_appended_blocks_seals_on_the_branch():
     ch = Chain(1)
-    refs = ch.append_blocks(0, [(), (AssetUpdate("a", "b", "X", 2),), ()])
+    refs = append_run(ch, 0, [(), (AssetUpdate("a", "b", "X", 2),), ()])
     assert refs == [BlockRef(1, 1, 0), BlockRef(1, 2, 0), BlockRef(1, 3, 0)]
     for ref in refs:
         assert ch.block(ref).parent_hash == ch.block(ch.block(ref).parent_ref).hash
     assert ch.branches[0].tip == 3
     assert ledger(ch) == {("a", "X"): -2, ("b", "X"): 2}
-    assert ch.append_blocks(0, []) == [] and ch.branches[0].tip == 3
 
 
 # -- block refs ------------------------------------------------------------------
@@ -213,8 +213,7 @@ def test_resolve_single_branch_unchanged():
 def test_reshapes_counts_every_change_but_a_canonical_append_at_the_top():
     ch = make_chain(2)
     ch.append(())
-    ch.append_blocks(0, [(), ()])
-    ch.append_blocks(0, [])
+    append_run(ch, 0, [(), ()])
     assert ch.reshapes == 0
     label = ch.spawn_fork(3)
     assert ch.reshapes == 1
@@ -263,7 +262,7 @@ def test_tampered_parent_hash_detected():
 
 def test_tampered_block_of_a_one_pass_run_is_detected():
     ch = Chain(1)
-    ch.append_blocks(0, [()] * 5)
+    append_run(ch, 0, [()] * 5)
     assert ch.hash_violations() == []
     victim = BlockRef(1, 3, 0)
     object.__setattr__(ch.block(victim), "payload", (AssetUpdate("m", "a", "X", 5),))
@@ -453,8 +452,8 @@ def test_a_child_resealed_on_the_wrong_declared_hash_is_detected():
 def test_appending_above_a_declared_trunk_hashes_nothing_until_read(monkeypatch):
     calls = count_hashing(monkeypatch)
     chain = Chain(1, length=5000)
-    top = chain.append_blocks(0, [(Forward(1), AssetUpdate("a", "b", "X", 1)), ()])[-1]
-    chain.append_blocks(chain.spawn_fork(2500), [(Compensation(top, 1),)])
+    top = append_run(chain, 0, [(Forward(1), AssetUpdate("a", "b", "X", 1)), ()])[-1]
+    append_run(chain, chain.spawn_fork(2500), [(Compensation(top, 1),)])
     assert calls == []
     assert ledger(chain) == {("a", "X"): -1, ("b", "X"): 1} and compensated_refs(chain) == {top}
     assert chain.holds_forward(BlockRef(1, 5001, 0), 1) and calls == []
@@ -492,7 +491,7 @@ def test_a_refused_run_leaves_the_chain_as_it_was(record):
     with pytest.raises(Exception) as sealing:
         record.to_bytes()
     with pytest.raises(type(sealing.value), match=f"^{re.escape(str(sealing.value))}$"):
-        chain.append_blocks(0, [(AssetUpdate("a", "b", "X", 2),), (record,)])
+        chain.append_block(0, (AssetUpdate("a", "b", "X", 2), record))
     assert state() == before
     assert chain.hash_violations() == []
 
@@ -510,7 +509,7 @@ def test_every_hash_handed_out_equals_the_eager_seal(length, data):
         if step == "append":
             branch = data.draw(st.sampled_from(chain.live_branch_labels()))
             payloads = data.draw(PAYLOADS)
-            assert chain.append_blocks(branch, payloads) == eager.append_blocks(branch, payloads)
+            assert append_run(chain, branch, payloads) == append_run(eager, branch, payloads)
         elif step == "fork":  # at height 1, mid-trunk, beside the tip or above it
             top = max(ref.height for ref in chain.live_refs())
             height = data.draw(st.sampled_from(sorted({1, max(1, top // 2), max(1, top), top + 1})))

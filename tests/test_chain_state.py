@@ -248,33 +248,6 @@ def assert_same_chain(built: Chain, expected: Chain) -> None:
     assert built.hash_violations() == [] == expected.hash_violations()
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_a_run_sealed_in_one_pass_equals_one_sealed_block_by_block(data):
-    one_pass, by_block = Chain(1, assets=("X", "Y")), Chain(1, assets=("X", "Y"))
-    for _ in range(data.draw(st.integers(1, 6), label="runs")):
-        step = data.draw(st.sampled_from(["trunk", "fork", "fork", "resolve"]))
-        if step == "resolve":
-            one_pass.resolve_forks()
-            by_block.resolve_forks()
-            continue
-        if step == "fork":
-            height = data.draw(st.sampled_from(sorted({r.height for r in one_pass.live_refs()}))) + 1
-            assert one_pass.spawn_fork(height) == by_block.spawn_fork(height)
-        branch = data.draw(st.sampled_from(one_pass.live_branch_labels()))
-        payloads = []
-        for _ in range(data.draw(st.integers(0, 12), label="run length")):
-            payload = tuple(draw_update(data) for _ in range(data.draw(st.integers(0, 2))))
-            if data.draw(st.integers(0, 4)) == 0:
-                undone = data.draw(st.sampled_from(by_block.all_refs()))
-                payload = (Compensation(undone, data.draw(st.integers(1, 9))),) + payload
-            payloads.append(payload)
-        refs = one_pass.append_blocks(branch, payloads)
-        assert refs == [by_block.append_block(branch, payload) for payload in payloads]
-        assert_same_chain(one_pass, by_block)
-    assert_chain_matches_rescan(one_pass)
-
-
 @given(st.integers(0, 60), st.lists(st.tuples(st.integers(1, 70), st.integers(0, 3)), max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_declared_history_equals_the_chain_built_block_by_block(length, forks):
@@ -319,10 +292,10 @@ def test_returned_state_cannot_corrupt_the_chain():
     chain = Chain(1, assets=("X",))
     ref = chain.append_block(0, (AssetUpdate("a", "b", "X", 2),))
     chain.append_block(0, (Compensation(ref, 1), AssetUpdate("b", "a", "X", 2)))
-    # a row is immutable and handed out as stored, an indexed one and a declared one alike
-    for height in (0, 1):
-        row = chain.live_block_at(height)
-        assert type(row) is tuple and chain.live_block_at(height) is row
+    # a row is immutable: an indexed one is handed out as stored, a declared one built when read
+    declared, indexed = chain.live_block_at(0), chain.live_block_at(1)
+    assert type(declared) is tuple and chain.live_block_at(0) == declared == (BlockRef(1, 0, 0),)
+    assert type(indexed) is tuple and chain.live_block_at(1) is indexed
     assert isinstance(chain.live_refs(), frozenset)
     assert isinstance(compensated_refs(chain), frozenset)
     assert chain.live_block_at(1) == (ref,)

@@ -131,6 +131,24 @@ def test_bad_seeds_name_the_flag(seeds):
     assert err == f"error: --seeds must be comma-separated integers, got {seeds!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "car-trading", "--seed", "٣"],
+    ["run", "--scenario", "car-trading", "--seed", "+1"],
+    ["betti", "--scenario", "car-trading", "--at", "١"],
+    ["betti", "--scenario", "car-trading", "--at", "+1"],
+    ["betti", "--scenario", "car-trading", "--at", " 1"],
+    ["compare", "--scenario-dir", str(DATA), "--seeds", "1_0, ٢"],
+    ["compare", "--scenario-dir", str(DATA), "--seeds", "1,+2"],
+    ["fit", "--grid", "٦,٤"],
+    ["fit", "--grid", "6,0_4"],
+], ids=["seed-digit", "seed-plus", "at-digit", "at-plus", "at-space", "seeds-underscore-digit", "seeds-plus",
+        "grid-digits", "grid-underscore"])
+def test_command_line_integers_follow_the_scenario_integer_rule(monkeypatch, argv):
+    # int() once read each of these: --at ١ read event 1, --seeds "1_0, ٢" labelled rows 10 and 2
+    monkeypatch.setattr("topocbt.cli.measure_grid", lambda *args: pytest.fail("a refused grid was measured"))
+    assert_one_error_line(*run_main(argv))
+
+
 def test_one_parser_serves_every_call():
     # the parser is built once per process and keeps nothing between calls
     assert build_parser() is build_parser()

@@ -2,13 +2,21 @@
 epochs and the benchmark's scenario pools.
 
 ``tests/data/output_digests.txt`` holds one ``<case> <sha256>`` line per
-run, where the digest covers ``RunReport.to_csv()`` followed by
-``wal.to_bytes()``, with Betti numbers on.  The cases are:
+case.  A run's digest covers ``RunReport.to_csv()`` followed by
+``wal.to_bytes()``, with Betti numbers on.  The runs are:
 
 - ``random_scenario`` 0-199 at windows None and 1, in both modes;
 - the seed-7 pools of the benchmark's four workloads
   (``bench/workloads.generate_pool``, read only) at windows None and 1;
-- every ``tests/data/*.scenario`` as declared.
+- every ``tests/data/*.scenario`` as declared;
+- ``random_scenario`` 0-199 at windows 0 and 3, in both modes (window 0
+  is a radius of 0 heights, set on the ``Scenario``; a scenario file's
+  ``window = 0`` means no window).
+
+Then come the complex files: the digest of ``tagged_to_text``'s two
+strings for the build after 0 and after all n events (``betti --out``
+at k = 0 and k = n), over every ``tests/data/*.scenario`` and
+``random_scenario`` 0-49, in both modes at windows None and 1.
 
 Regenerate the file only for a change that is meant to alter output:
 
@@ -16,12 +24,14 @@ Regenerate the file only for a change that is meant to alter output:
 """
 
 import dataclasses
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
 
+from topocbt.harness import replay_to
 from topocbt.scenario import load_scenario, parse_scenario
-from topocbt.topology import TopologyMode
+from topocbt.topology import TopologyMode, build_federation_complex, tagged_to_text
 from oracles import random_scenario
 from test_run_digests import run_digest
 
@@ -29,6 +39,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "output_digests.txt"
 WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads.py"
 WINDOWS = (None, 1)
+MORE_WINDOWS = (0, 3)
 
 
 def _workloads():
@@ -54,10 +65,36 @@ def output_cases():
                 yield f"{generated.name}/window-{window}", dataclasses.replace(scenario, window=window)
     for path in sorted(DATA.glob("*.scenario")):
         yield f"data/{path.stem}", load_scenario(str(path))[0]
+    for seed in range(200):
+        scenario = random_scenario(seed)
+        for mode in TopologyMode:
+            for window in MORE_WINDOWS:
+                yield f"random-{seed}/{mode.value}/window-{window}", \
+                    dataclasses.replace(scenario, mode=mode, window=window)
+
+
+def text_cases():
+    """(case name, scenario, event) in file order, after ``output_cases``."""
+    declared = [(f"data/{path.stem}", load_scenario(str(path))[0]) for path in sorted(DATA.glob("*.scenario"))]
+    for label, scenario in declared + [(f"random-{seed}", random_scenario(seed)) for seed in range(50)]:
+        for mode in TopologyMode:
+            for window in WINDOWS:
+                for event in sorted({0, len(scenario.transactions())}):
+                    yield f"text/{label}/{mode.value}/window-{window}/at-{event}", \
+                        dataclasses.replace(scenario, mode=mode, window=window), event
+
+
+def text_digest(scenario, event: int) -> str:
+    """sha256 of the complex file and its tags after ``event`` events, as
+    ``betti --out`` writes them."""
+    federation, pending = replay_to(scenario, event)
+    body, tags = tagged_to_text(build_federation_complex(federation, pending, scenario.mode, scenario.window))
+    return hashlib.sha256(body.encode() + tags.encode()).hexdigest()
 
 
 def current_lines() -> list[str]:
-    return [f"{name} {run_digest(scenario, None)}" for name, scenario in output_cases()]
+    return [f"{name} {run_digest(scenario, None)}" for name, scenario in output_cases()] + \
+        [f"{name} {text_digest(scenario, event)}" for name, scenario, event in text_cases()]
 
 
 def test_every_output_is_byte_identical_to_the_golden_digests():

@@ -36,8 +36,8 @@ from topocbt.topology import (
     transaction_simplex,
 )
 from topocbt.wal import WriteAheadLog
-from oracles import (SplitMix64, all_subsets_closure, betti_from_cells, cells_of, closure_tags, dense_betti,
-                     random_scenario)
+from oracles import (SplitMix64, all_subsets_closure, append_run, betti_from_cells, cells_of, closure_tags,
+                     dense_betti, random_scenario)
 from test_chain_state import random_history, rescan_live
 
 
@@ -239,7 +239,7 @@ def fork_above_the_trunk_tip():
     """A 3-replica chain whose deal block is a fork block one height
     above the trunk's tip: one vertex, not one per replica."""
     chain = Chain(1, replicas=3)
-    chain.append_blocks(0, [(), ()])
+    append_run(chain, 0, [(), ()])
     fork = chain.spawn_fork(3)
     chain.append_block(fork, ())
     fed = Federation()
@@ -252,9 +252,9 @@ def trunk_lost_a_resolution():
     """A 2-replica chain whose fork outgrew the trunk: the deal block is
     on the surviving fork, so it has one vertex."""
     chain = Chain(1, replicas=2)
-    chain.append_blocks(0, [(), ()])
+    append_run(chain, 0, [(), ()])
     fork = chain.spawn_fork(2)
-    chain.append_blocks(fork, [(), ()])
+    append_run(chain, fork, [(), ()])
     assert chain.resolve_forks() == fork
     fed = Federation()
     fed.add_chain(chain)
@@ -461,7 +461,7 @@ def test_a_long_replicated_chain_forked_near_its_tip_matches_reference():
     fed = Federation()
     chain = fed.add_chain(Chain(1, replicas=3, length=10_000))
     fork = chain.spawn_fork(9_998)
-    chain.append_blocks(fork, [()] * 2)
+    append_run(chain, fork, [()] * 2)
     fed.add_chain(Chain(2, replicas=2, length=50))
     deals = [txn(1, [(1, 9_997, 0), (2, 40, 0)]), txn(2, [(1, 9_999, fork), (2, 50, 0)])]
     for window in (None, 2):
@@ -592,14 +592,14 @@ def forked_trunk(data, cid):
     heights = {"one": 1, "mid": max(1, length // 2), "tip": max(1, length), "above": length + 1}
     for where in data.draw(st.lists(st.sampled_from(sorted(heights)), max_size=3), label="forks"):
         label = chain.spawn_fork(heights[where])
-        chain.append_blocks(label, [()] * data.draw(st.integers(0, 3)))
+        append_run(chain, label, [()] * data.draw(st.integers(0, 3)))
     if len(chain.branches) > 1 and data.draw(st.booleans(), label="resolve"):
         label = data.draw(st.sampled_from(chain.live_branch_labels()[1:]))
         info = chain.branches[label]
         tallest = max(chain.branches[b].tip for b in chain.live_branch_labels())
-        chain.append_blocks(label, [()] * (tallest - max(info.tip, info.spawn_height - 1) + 1))
+        append_run(chain, label, [()] * (tallest - max(info.tip, info.spawn_height - 1) + 1))
         assert chain.resolve_forks() == label
-    chain.append_blocks(data.draw(st.sampled_from(chain.live_branch_labels())), [()] * data.draw(st.integers(0, 2)))
+    append_run(chain, data.draw(st.sampled_from(chain.live_branch_labels())), [()] * data.draw(st.integers(0, 2)))
     return chain
 
 
@@ -807,7 +807,7 @@ def test_a_simplex_over_unforked_chains_reads_only_its_declared_blocks(monkeypat
     fed.add_chain(Chain(1, replicas=3, length=100_000))
     for cid in range(2, 9):
         fed.add_chain(Chain(cid, replicas=cid % 3 + 1, length=10 * cid))
-    fed.chain(5).append_blocks(0, [()] * 4)  # appended blocks on the trunk fork nothing
+    append_run(fed.chain(5), 0, [()] * 4)  # appended blocks on the trunk fork nothing
     deal = txn(1, [(1, 99_999, 0), *((cid, 3 * cid, 0) for cid in range(2, 9))])
     expected, first = [], 0  # each chain numbers its heights' copies up from ``first``
     for ref in deal.blocks:
@@ -827,7 +827,7 @@ def test_a_simplex_walks_each_forked_height_and_the_one_above(monkeypatch, mode)
     fed = Federation()
     chain = fed.add_chain(Chain(1, replicas=2, length=60))
     for height in (7, 8, 30, 31, 59):
-        chain.append_blocks(chain.spawn_fork(height), [()] * (2 if height == 30 else 1))
+        append_run(chain, chain.spawn_fork(height), [()] * (2 if height == 30 else 1))
     fed.add_chain(Chain(2, length=5))
     assert chain.forked_heights(0, 60) == [7, 8, 30, 31, 59]
     walked = [7, 8, 9, 30, 31, 32, 59, 60]  # each forked height and the one above
@@ -1078,8 +1078,8 @@ def test_a_window_above_a_fork_counts_a_second_stitch_between_two_parts_as_a_loo
     # and each edge closes a loop
     fed = Federation()
     chain = fed.add_chain(Chain(1, length=6))
-    chain.append_blocks(chain.spawn_fork(2), [(), ()])
-    chain.append_blocks(chain.spawn_fork(4), [(), (), ()])
+    append_run(chain, chain.spawn_fork(2), [(), ()])
+    append_run(chain, chain.spawn_fork(4), [(), (), ()])
     fed.add_chain(Chain(2, length=2))
     deal = txn(1, [(1, 5, 0), (2, 1, 0)])
     mode = TopologyMode.ABSTRACT
@@ -1098,11 +1098,11 @@ def test_a_part_no_deal_names_and_no_stitch_joins_adds_to_b0():
     # into two parts
     fed = Federation()
     chain = fed.add_chain(Chain(1, length=6))
-    chain.append_blocks(chain.spawn_fork(2), [(), ()])
-    chain.append_blocks(chain.spawn_fork(4), [(), (), ()])
+    append_run(chain, chain.spawn_fork(2), [(), ()])
+    append_run(chain, chain.spawn_fork(4), [(), (), ()])
     fed.add_chain(Chain(2, length=2))
     third = fed.add_chain(Chain(3, length=3))
-    third.append_blocks(third.spawn_fork(2), [()])
+    append_run(third, third.spawn_fork(2), [()])
     deal = txn(1, [(1, 5, 0), (2, 1, 0)])
     mode = TopologyMode.ABSTRACT
     assert structural_numbers(fed, mode, topology._spans(fed, [deal], 2)) == (3, 2)
