@@ -21,33 +21,32 @@ A chain is built with its declared trunk: genesis and ``length`` empty
 blocks above it on branch 0, held as that length alone.  A declared
 block is derived when something asks for it: its parent is one height
 below on branch 0 and its hash depends only on the chain id and its
-height, so the chain keeps only one derived hash per 1,024 heights
-(``_CHECKPOINT``) and the last one derived, re-deriving any other from
-the one kept below it, and only a seal or ``block`` derives them.
+height, so the chain keeps one derived hash, the last one derived, and
+derives any other up from it, or from genesis when it lies above the
+height asked for; only a seal or ``block`` derives them.
 ``block`` stores the declared block it hands out, so ``hash_violations``
 checks it like any appended block; a declared block never handed out
 has nothing to tamper with.
 
-Each chain keeps its live state instead of deriving it on every read,
-and that state grows with appended blocks, not declared ones.  A block
-is live when it is in the ancestor closure of the live branch tips, and
-two pieces of state are the only record of which blocks are: the
-highest declared height still live (every declared height below it is
-live too), and a height -> live refs index over the heights that hold a
-live appended or forked block, where a live declared block leads its
-row; a declared height's row, its trunk block alone, is built each time
-it is read.  Beside them sit the sorted
-heights that hold a live block off branch 0 (its forked heights; every
-other live height holds the trunk block alone), the refs undone by live
-``Compensation`` blocks, and the net (party, asset) change of its live
+Each chain keeps its live state instead of deriving it on every read.
+A block is live when it is in the ancestor closure of the live branch
+tips, and two pieces of state, which grow with the chain's forks and
+not with its trunk, are the only record of which blocks are: the top of
+the live trunk (every branch-0 block from genesis up to it, declared or
+appended, is live), and a height -> live refs index over the heights
+that hold a live block off branch 0, its forked heights, where a live
+trunk block leads its row.  Every other live height holds the trunk
+block alone, and its row is built each time it is read.  Beside them
+sit the forked heights, sorted (the index's keys), the refs undone by
+live ``Compensation`` blocks, and the net (party, asset) change of its live
 ``AssetUpdate`` records, its ledger.  ``append_block`` stores one block
 on top of a branch and adds it to all of them in one step (its parent
 is always live already); ``append`` stores one block on the canonical
-branch, in the slot ``next_ref`` names.
-``resolve_forks`` rebuilds the live state with one ancestor walk over
-appended blocks when it retires a branch, lowering the live declared
-height only when branch 0 is retired above a fork; ``spawn_fork``
-leaves it alone, since an empty branch adds no block.
+branch, in the slot ``next_ref`` names.  ``resolve_forks`` leaves only
+the canonical branch live, so when it retires a branch it rebuilds the
+live state from that branch's one path, walked from its tip down to the
+declared trunk; ``spawn_fork`` leaves it alone, since an empty branch
+adds no block.
 ``reshapes`` counts every change but a canonical append at the top,
 one height above every live block: a spawned fork, an append on another
 branch and a resolution that retires a branch, so a reader that
@@ -82,7 +81,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -171,7 +170,6 @@ class Compensation:
 
 _REF = struct.Struct(">III")
 _AMOUNT = struct.Struct(">q")
-_CHECKPOINT = 1024  # a chain keeps the derived hash of every this many declared heights
 _COUNT = struct.Struct(">I")
 
 
@@ -290,10 +288,7 @@ class Chain:
         self.replicas = replicas
         self.assets = tuple(assets)
         self._trunk = length  # the declared trunk: heights 0..length on branch 0
-        # every _CHECKPOINT-th declared hash, from genesis up, and the last
-        # one derived, as (height, hash): derived on demand
-        self._trunk_marks: list[bytes] = []
-        self._trunk_last: tuple[int, bytes] = (-1, GENESIS_PARENT)
+        self._trunk_last: tuple[int, bytes] = (-1, GENESIS_PARENT)  # the last declared hash derived, by height
         # appended blocks, unsealed until first read, and declared blocks handed out
         self._blocks: dict[BlockRef, Block | _Unsealed] = {}
         self.branches: dict[int, BranchInfo] = {0: BranchInfo(spawn_height=0, parent=None, tip=length)}
@@ -302,12 +297,12 @@ class Chain:
         # spawned, an append on another branch, a branch retired
         self.reshapes = 0
         # live state, kept current by _index and _rebuild_live
-        self._live_trunk = length  # declared heights 0.._live_trunk are live
+        self._live_trunk = length  # branch-0 heights 0.._live_trunk, declared or appended, are live
         # height -> live refs, by branch, at each height that holds a live
-        # appended or forked block; a live declared block there leads its
-        # row.  A row is a tuple, handed out as it is stored.
+        # block off branch 0; a live trunk block there leads its row.  A
+        # row is a tuple, handed out as it is stored.
         self._live_at: dict[int, tuple[BlockRef, ...]] = {}
-        self._forked: list[int] = []  # ascending heights that hold a live block off branch 0
+        self._forked: list[int] = []  # the heights of those rows, ascending
         self._compensated: set[BlockRef] = set()
         self._ledger: _Ledger = {}
         self._sheet: Optional[_Sheet] = None  # the sheet of the federation that holds the chain
@@ -338,9 +333,6 @@ class Chain:
 
     def all_refs(self) -> list[BlockRef]:
         return sorted(self._blocks.keys() | {BlockRef(self.id, height, 0) for height in range(self._trunk + 1)})
-
-    def live_branch_labels(self) -> list[int]:
-        return sorted(b for b, info in self.branches.items() if info.live)
 
     def canonical_branch(self) -> int:
         """The branch the longest-branch rule would pick right now: the
@@ -388,32 +380,24 @@ class Chain:
 
     def _trunk_hash(self, height: int) -> bytes:
         """Hash of the declared block at ``height``, derived up from the
-        highest kept hash at or below it: the last one derived, or the
-        checkpoint of every ``_CHECKPOINT``-th height, kept as the
-        derivation passes it.  So a read derives fewer than
-        ``_CHECKPOINT`` hashes above the checkpoints, and the chain holds
-        one hash per ``_CHECKPOINT`` heights read below.
+        last one derived when that lies at or below it, else from
+        genesis; it is then the last one derived.  ``hash_violations``
+        seals in height order, so only a read out of that order derives
+        from genesis again.
 
         Each step is ``compute_block_hash((id, h, 0), parent, ())`` written
         out: an empty payload adds a zero record count and no record bytes.
         """
-        marks = self._trunk_marks
-        mark = min(height // _CHECKPOINT, len(marks) - 1)
-        at, digest = (mark * _CHECKPOINT, marks[mark]) if mark >= 0 else (-1, GENESIS_PARENT)
-        last_at, last = self._trunk_last
-        if at < last_at <= height:
-            at, digest = last_at, last
+        at, digest = self._trunk_last
+        if at > height:
+            at, digest = -1, GENESIS_PARENT
         sha256, pack_ref, chain_id = hashlib.sha256, _REF.pack_into, self.id
         # ref, parent hash, a zero record count: rewritten in place per step
         step = bytearray(_REF.size + 32 + _COUNT.size)
-        next_mark = len(marks) * _CHECKPOINT
         for h in range(at + 1, height + 1):
             pack_ref(step, 0, chain_id, h, 0)
             step[12:44] = digest
             digest = sha256(step).digest()
-            if h == next_mark:
-                marks.append(digest)
-                next_mark += _CHECKPOINT
         self._trunk_last = (height, digest)
         return digest
 
@@ -446,22 +430,25 @@ class Chain:
     # -- maintained live state ---------------------------------------------
 
     def _index(self, ref: BlockRef, payload: tuple, totals: _Ledger) -> None:
-        """Add an appended block, in canonical order, to the height index,
-        the forked heights, the compensation set and the ledger, and its
-        updates to ``totals`` too."""
+        """Add an appended block to the live state.  A trunk block becomes
+        the live trunk's top, and leads its height's row if that height
+        forks.  Any other block joins its height's row in canonical order;
+        a new row starts with the trunk block if one is live there, and its
+        height joins the forked heights.  The block's records join the
+        compensation set and the ledger, its updates ``totals`` too."""
         at, ledger = self._live_at, self._ledger
         chain_id, height, branch = ref
         row = at.get(height)
-        if row is None:  # a block at a live declared height sits off branch 0
+        if not branch:
+            self._live_trunk = height
+            if row is not None:
+                at[height] = (ref,) + row
+        elif row is None:
             at[height] = (BlockRef(chain_id, height, 0), ref) if height <= self._live_trunk else (ref,)
-        else:  # a fork's block at a height that holds a row already
+            insort(self._forked, height)
+        else:
             i = bisect_left(row, ref)
             at[height] = row[:i] + (ref,) + row[i:]
-        if branch:
-            forked = self._forked
-            i = bisect_left(forked, height)
-            if i == len(forked) or forked[i] != height:
-                forked.insert(i, height)
         for record in payload:
             if isinstance(record, AssetUpdate):
                 amount = record.amount
@@ -475,26 +462,21 @@ class Chain:
                 self._compensated.add(record.undone)
 
     def _rebuild_live(self) -> None:
-        """Recompute the live state: the ancestor closure of the live
-        branch tips, indexed in canonical order.  Each walk stops at the
-        declared trunk, where every block below is live too.  The
+        """Recompute the live state from the canonical branch, the one
+        live branch left: its path from the tip down to the declared
+        trunk, every block below which is live, indexed bottom-up.  The
         federation's sheet is summed again from its members' ledgers."""
-        closure: set[BlockRef] = set()
-        live_trunk = 0
-        for label in self.live_branch_labels():
-            info = self.branches[label]
-            ref: Optional[BlockRef] = BlockRef(self.id, info.tip, label) if info.tip >= 0 else None
-            while ref is not None and ref not in closure:
-                if self._declared(ref):
-                    live_trunk = max(live_trunk, ref.height)
-                    break
-                closure.add(ref)
-                ref = self._blocks[ref].parent_ref
-        self._live_trunk = live_trunk
+        label = self._canonical
+        ref = BlockRef(self.id, self.branches[label].tip, label)
+        path = []
+        while not self._declared(ref):
+            path.append(ref)
+            ref = self._blocks[ref].parent_ref
+        self._live_trunk = ref[1]
         for state in (self._live_at, self._forked, self._compensated, self._ledger):
             state.clear()
         blocks, discarded = self._blocks, {}
-        for ref in sorted(closure):
+        for ref in reversed(path):
             self._index(ref, blocks[ref].payload, discarded)
         if self._sheet is not None:
             self._sheet.resum()
@@ -546,8 +528,10 @@ class Chain:
         if not parents:
             raise ChainError(f"no live block at height {at_height - 1} to fork from")
         label = len(self.branches)  # labels run 0, 1, ... and are never dropped
+        previous = self.branches[label - 1].parent  # forks spawned one after another share one parent ref
+        parent = previous if previous == parents[0] else parents[0]
         # empty and labelled highest, the branch loses to every live one: the canonical branch stays
-        self.branches[label] = BranchInfo(spawn_height=at_height, parent=parents[0])
+        self.branches[label] = BranchInfo(spawn_height=at_height, parent=parent)
         self.reshapes += 1
         return label
 

@@ -119,7 +119,6 @@ class TxnRow:
 
 @dataclass
 class RunReport:
-    scenario_name: str
     seed: int
     rows: list[TxnRow]
     final_digest: str
@@ -270,7 +269,7 @@ def run_scenario(
     federation = scenario.build_federation()
     wal = WriteAheadLog()
     rows = list(_replay(scenario, federation, wal, seed, protocol_override, compute_betti))
-    return RunReport(scenario.name, seed, rows, federation.state_digest(), wal)
+    return RunReport(seed, rows, federation.state_digest(), wal)
 
 
 def betti_report(scenario: Scenario, at_event: int):
@@ -345,7 +344,6 @@ def compare_protocols(scenarios: Iterable[Scenario], seeds: Sequence[int]) -> Co
 
 @dataclass(frozen=True)
 class FitResult:
-    basis: tuple[str, ...]
     coefficients: tuple[float, ...]
     residual_ratio: float
 
@@ -388,7 +386,7 @@ def fit_ops(points: list[tuple[int, int, int]], basis: str) -> FitResult:
     coeffs = [row[k] for row in rows]
     residual = sum((sum(c * v for c, v in zip(coeffs, x)) - t) ** 2 for x, t in zip(design, y))
     ratio = math.sqrt(residual / sum(t * t for t in y))
-    return FitResult(basis=names, coefficients=tuple(float(c) for c in coeffs), residual_ratio=ratio)
+    return FitResult(coefficients=tuple(float(c) for c in coeffs), residual_ratio=ratio)
 
 
 def measure_grid(

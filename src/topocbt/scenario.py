@@ -116,9 +116,11 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 # Sizes were measured with tracemalloc on CPython 3.11.7 and rounded up to
 # a power of two:
 # - a declared block costs at most BLOCK_BYTES.  A trunk block costs its
-#   chain nothing of its own (live_block_at builds its row each time it is
-#   read); a fork's block is stored unsealed with its branch, its parent's
-#   ref and its height-index row (~460-640 B, the row included).  No run
+#   chain nothing of its own, and an appended one holds no height-index
+#   row either (live_block_at builds a trunk row each time it is read); a
+#   fork's block is stored unsealed with its branch and its height-index
+#   row, and forks spawned at one height share their parent's ref (~360-
+#   640 B, the row included).  No run
 #   reads a block, so none is sealed: a read seals a fork's block (~180 B
 #   more) and hands out a trunk block (~390 B and its ~75 B derived hash).
 #   A complex build walks only the forked rows and the row above each and

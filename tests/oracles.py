@@ -313,6 +313,11 @@ def compensated_refs(chain: Chain) -> frozenset[BlockRef]:
     return frozenset(chain._compensated)
 
 
+def live_branch_labels(chain: Chain) -> list[int]:
+    """The labels of the chain's live branches, ascending."""
+    return sorted(label for label, info in chain.branches.items() if info.live)
+
+
 def is_live(chain: Chain, ref: BlockRef) -> bool:
     """Whether the chain's maintained height index lists the block as live."""
     return ref in chain.live_block_at(ref.height)

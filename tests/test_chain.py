@@ -29,6 +29,7 @@ from oracles import (
     asset_totals,
     compensated_refs,
     ledger,
+    live_branch_labels,
     reference_block_hash,
     streaming_state_digest,
     whole_sheet_can_fund,
@@ -182,6 +183,13 @@ def test_spawn_beyond_tip_fails():
         ch.spawn_fork(5)
 
 
+def test_forks_spawned_at_one_height_share_one_parent_ref():
+    ch = make_chain(4)
+    a, b = ch.spawn_fork(3), ch.spawn_fork(3)
+    assert ch.branches[a].parent == BlockRef(1, 2, 0)
+    assert ch.branches[a].parent is ch.branches[b].parent
+
+
 def test_resolve_keeps_longest_branch():
     ch = make_chain(2)
     label = ch.spawn_fork(2)
@@ -189,7 +197,7 @@ def test_resolve_keeps_longest_branch():
         ch.append_block(label, ())  # fork reaches height 4
     # main stays at height 2: lengths (3, 5) in blocks from genesis
     assert ch.resolve_forks() == label
-    assert ch.live_branch_labels() == [label]
+    assert live_branch_labels(ch) == [label]
     # shared trunk below the fork point stays live
     live = ch.live_refs()
     assert BlockRef(1, 1, 0) in live
@@ -201,7 +209,7 @@ def test_resolve_tie_goes_to_lowest_label():
     label = ch.spawn_fork(3)
     ch.append_block(label, ())  # both tips at height 3
     assert ch.resolve_forks() == 0
-    assert ch.live_branch_labels() == [0]
+    assert live_branch_labels(ch) == [0]
 
 
 def test_resolve_single_branch_unchanged():
@@ -385,14 +393,14 @@ def test_reading_above_a_deep_declared_trunk_holds_no_per_block_hashes():
     assert held < 2**20
 
 
-DEEP = 3 * chain_module._CHECKPOINT + 2  # a trunk over three checkpoints
+DEEP = 3 * 1024 + 2  # deep enough that a read below the last one derives thousands of hashes again
 EAGER_DEEP = EagerChain(1, length=DEEP)
 
 
 @given(st.integers(0, DEEP), st.data())
 @settings(max_examples=60, deadline=None)
 def test_declared_blocks_read_in_any_order_equal_the_eager_seal(length, data):
-    # each read re-derives from a checkpoint or the last read below it
+    # each read derives from the last read below it, or from genesis
     chain = Chain(1, length=length)
     for height in data.draw(st.lists(st.integers(0, length), min_size=1, max_size=6), label="heights"):
         ref = BlockRef(1, height, 0)
@@ -507,7 +515,7 @@ def test_every_hash_handed_out_equals_the_eager_seal(length, data):
     for _ in range(data.draw(st.integers(1, 20), label="steps")):
         step = data.draw(st.sampled_from(["append", "append", "fork", "resolve", "read", "read", "tamper", "verify"]))
         if step == "append":
-            branch = data.draw(st.sampled_from(chain.live_branch_labels()))
+            branch = data.draw(st.sampled_from(live_branch_labels(chain)))
             payloads = data.draw(PAYLOADS)
             assert append_run(chain, branch, payloads) == append_run(eager, branch, payloads)
         elif step == "fork":  # at height 1, mid-trunk, beside the tip or above it
@@ -647,7 +655,7 @@ def test_can_fund_reads_the_touched_balances_as_the_whole_sheet_rule_does(data):
     for cid in range(1, data.draw(st.integers(0, 3), label="chains") + 1):
         chain = fed.add_chain(Chain(cid, assets=("X", "Y"), length=data.draw(st.integers(0, 2))))
         for _ in range(data.draw(st.integers(0, 4), label="blocks")):
-            branch = data.draw(st.sampled_from(chain.live_branch_labels()))
+            branch = data.draw(st.sampled_from(live_branch_labels(chain)))
             chain.append_block(branch, data.draw(st.lists(updates_among("abc"), max_size=3)))
             if data.draw(st.integers(0, 3)) == 0:
                 chain.spawn_fork(data.draw(st.sampled_from(sorted({r.height for r in chain.live_refs()}))) + 1)

@@ -12,14 +12,14 @@ from topocbt.chain import AssetUpdate, BlockRef, Chain, Compensation, Federation
 from topocbt.harness import _replay
 from topocbt.scenario import ChainSpec, Scenario, car_trading, parse_scenario
 from topocbt.wal import WalKind, WriteAheadLog
-from oracles import compensated_refs, is_live, ledger, random_scenario, whole_sheet_can_fund
+from oracles import compensated_refs, is_live, ledger, live_branch_labels, random_scenario, whole_sheet_can_fund
 
 
 # -- oracle ------------------------------------------------------------------------
 
 def rescan_live(chain: Chain) -> set[BlockRef]:
     live: set[BlockRef] = set()
-    for label in chain.live_branch_labels():
+    for label in live_branch_labels(chain):
         info = chain.branches[label]
         if info.tip < 0:
             continue
@@ -67,19 +67,20 @@ def assert_chain_matches_rescan(chain: Chain) -> None:
     assert chain.canonical_branch() == longest_branch(chain)
     live = rescan_live(chain)
     assert chain.live_refs() == live
-    # the live declared prefix: every declared height up to the highest live one
-    live_trunk = max(r.height for r in live if r.branch == 0 and r.height <= chain._trunk)
+    # the live trunk is one prefix: every branch-0 height, declared or
+    # appended, up to the highest live one
+    live_trunk = max(r.height for r in live if r.branch == 0)
     assert chain._live_trunk == live_trunk
-    assert {r for r in live if r.branch == 0 and r.height <= chain._trunk} == {
-        BlockRef(chain.id, h, 0) for h in range(live_trunk + 1)
-    }
-    # the height index holds only the heights of live appended or forked blocks
-    assert set(chain._live_at) == {r.height for r in live if r.branch or r.height > chain._trunk}
+    assert {r for r in live if r.branch == 0} == {BlockRef(chain.id, h, 0) for h in range(live_trunk + 1)}
+    # the height index holds a row only at a height of a live block off
+    # branch 0, and the forked heights, ascending, are its keys
+    forked = sorted({r.height for r in live if r.branch})
+    assert set(chain._live_at) == set(chain._forked) == set(forked)
+    assert chain._forked == forked
     for height in range(-1, max(r.height for r in chain.all_refs()) + 2):
         assert chain.live_block_at(height) == tuple(sorted(r for r in live if r.height == height))
     heights = sorted({r.height for r in live})
     assert heights == list(range(len(heights)))  # no gap from genesis up
-    forked = sorted({r.height for r in live if r.branch})
     assert chain.forked_heights(-1, len(heights)) == forked
     assert chain.forked_heights(2, 4) == [h for h in forked if 2 <= h <= 4]
     assert chain.forked_heights(3, 2) == []
@@ -120,7 +121,7 @@ def random_step(data, chain: Chain) -> None:
     resolve_forks step."""
     step = data.draw(st.sampled_from(["append", "append", "compensate", "fork", "resolve"]))
     if step in ("append", "compensate"):
-        branch = data.draw(st.sampled_from(chain.live_branch_labels()))
+        branch = data.draw(st.sampled_from(live_branch_labels(chain)))
         payload = tuple(draw_update(data) for _ in range(data.draw(st.integers(0, 2))))
         if step == "compensate":
             undone = data.draw(st.sampled_from(chain.all_refs()))
@@ -282,7 +283,7 @@ def test_declared_trunk_retired_above_a_fork_equals_the_chain_built_block_by_blo
     for _ in range(outgrow - 1):
         built.append_block(label, ())
     assert built.resolve_forks() == expected.resolve_forks() == label
-    assert built.live_branch_labels() == [label]
+    assert live_branch_labels(built) == [label]
     assert not any(built.live_block_at(h) == (BlockRef(1, h, 0),) for h in range(height, length + 1))
     assert_same_chain(built, expected)
     assert_chain_matches_rescan(built)
@@ -292,14 +293,39 @@ def test_returned_state_cannot_corrupt_the_chain():
     chain = Chain(1, assets=("X",))
     ref = chain.append_block(0, (AssetUpdate("a", "b", "X", 2),))
     chain.append_block(0, (Compensation(ref, 1), AssetUpdate("b", "a", "X", 2)))
-    # a row is immutable: an indexed one is handed out as stored, a declared one built when read
-    declared, indexed = chain.live_block_at(0), chain.live_block_at(1)
-    assert type(declared) is tuple and chain.live_block_at(0) == declared == (BlockRef(1, 0, 0),)
-    assert type(indexed) is tuple and chain.live_block_at(1) is indexed
+    fork = chain.append_block(chain.spawn_fork(2), ())
+    # a row is immutable: a forked one is handed out as stored, a trunk one
+    # (declared or appended) built when read
+    for height, row in ((0, (BlockRef(1, 0, 0),)), (1, (ref,))):
+        built = chain.live_block_at(height)
+        assert type(built) is tuple and built == row and chain.live_block_at(height) == row
+    forked = chain.live_block_at(2)
+    assert type(forked) is tuple and chain.live_block_at(2) is forked
+    assert forked == (BlockRef(1, 2, 0), fork)
     assert isinstance(chain.live_refs(), frozenset)
     assert isinstance(compensated_refs(chain), frozenset)
-    assert chain.live_block_at(1) == (ref,)
     assert ledger(chain) == {("a", "X"): 0, ("b", "X"): 0}
+    assert_chain_matches_rescan(chain)
+
+
+def test_canonical_trunk_appends_take_no_row():
+    chain = Chain(1)
+    refs = [chain.append(()) for _ in range(10_000)]
+    assert chain._live_at == {} and chain._forked == []
+    assert all(chain.live_block_at(ref.height) == (ref,) for ref in refs)
+
+
+def test_a_fork_that_wins_above_appended_trunk_blocks_keeps_them_live():
+    chain = Chain(1, assets=("X",), length=2)
+    trunk = [chain.append((AssetUpdate("a", "b", "X", 1),)) for _ in range(3)]  # heights 3 to 5
+    label = chain.spawn_fork(5)  # its parent is the appended trunk block at height 4
+    fork = [chain.append_block(label, ()) for _ in range(2)]  # heights 5 and 6: past the trunk's tip
+    assert chain.resolve_forks() == label
+    live = chain.live_refs()
+    assert trunk[0] in live and trunk[1] in live and trunk[2] not in live
+    assert chain._live_trunk == 4
+    assert chain._live_at == {5: (fork[0],), 6: (fork[1],)} and chain._forked == [5, 6]
+    assert ledger(chain) == {("a", "X"): -2, ("b", "X"): 2}
     assert_chain_matches_rescan(chain)
 
 

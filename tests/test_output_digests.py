@@ -18,6 +18,13 @@ strings for the build after 0 and after all n events (``betti --out``
 at k = 0 and k = n), over every ``tests/data/*.scenario`` and
 ``random_scenario`` 0-49, in both modes at windows None and 1.
 
+Then more runs: the seed-7 pools at windows 0 and 3, the fork-heavy
+history (``fork_heavy.text``) in both modes at windows None and 1, and
+``random_scenario`` 0-49 at epoch 1.  Last come the Betti numbers
+``betti --at k`` prints, joined by ``|`` in place of a digest, for every
+k over every ``tests/data/*.scenario`` and ``random_scenario`` 0-49, in
+both modes at windows None and 1.
+
 Regenerate the file only for a change that is meant to alter output:
 
     PYTHONPATH=src python tests/test_output_digests.py > tests/data/output_digests.txt
@@ -31,7 +38,8 @@ from pathlib import Path
 
 from topocbt.harness import replay_to
 from topocbt.scenario import load_scenario, parse_scenario
-from topocbt.topology import TopologyMode, build_federation_complex, tagged_to_text
+from topocbt.topology import TopologyMode, build_federation_complex, federation_betti, tagged_to_text
+import fork_heavy
 from oracles import random_scenario
 from test_run_digests import run_digest
 
@@ -73,15 +81,52 @@ def output_cases():
                     dataclasses.replace(scenario, mode=mode, window=window)
 
 
+def _labelled():
+    """(label, scenario): every ``tests/data/*.scenario``, then ``random_scenario`` 0-49."""
+    declared = [(f"data/{path.stem}", load_scenario(str(path))[0]) for path in sorted(DATA.glob("*.scenario"))]
+    return declared + [(f"random-{seed}", random_scenario(seed)) for seed in range(50)]
+
+
 def text_cases():
     """(case name, scenario, event) in file order, after ``output_cases``."""
-    declared = [(f"data/{path.stem}", load_scenario(str(path))[0]) for path in sorted(DATA.glob("*.scenario"))]
-    for label, scenario in declared + [(f"random-{seed}", random_scenario(seed)) for seed in range(50)]:
+    for label, scenario in _labelled():
         for mode in TopologyMode:
             for window in WINDOWS:
                 for event in sorted({0, len(scenario.transactions())}):
                     yield f"text/{label}/{mode.value}/window-{window}/at-{event}", \
                         dataclasses.replace(scenario, mode=mode, window=window), event
+
+
+def later_cases():
+    """(case name, scenario) in file order, after ``text_cases``."""
+    workloads = _workloads()
+    for workload in sorted(workloads.PARAMS):
+        for generated in workloads.generate_pool(workload, 7):
+            scenario = parse_scenario(generated.text)
+            for window in MORE_WINDOWS:
+                yield f"{generated.name}/window-{window}", dataclasses.replace(scenario, window=window)
+    for mode in TopologyMode:
+        for window in WINDOWS:
+            yield f"fork-heavy/{mode.value}/window-{window}", \
+                parse_scenario(fork_heavy.text("fork-heavy", mode.value, window))
+    for seed in range(50):  # one deal each: epoch 1 resolves forks after it, before the final digest
+        yield f"random-{seed}/epoch-1", dataclasses.replace(random_scenario(seed), epoch=1)
+
+
+def betti_cases():
+    """(case name, scenario, event) in file order, after ``later_cases``."""
+    for label, scenario in _labelled():
+        for mode in TopologyMode:
+            for window in WINDOWS:
+                for event in range(len(scenario.transactions()) + 1):
+                    yield f"betti/{label}/{mode.value}/window-{window}/at-{event}", \
+                        dataclasses.replace(scenario, mode=mode, window=window), event
+
+
+def betti_at(scenario, event: int) -> str:
+    """The Betti numbers ``betti --at event`` prints, joined by ``|``."""
+    federation, pending = replay_to(scenario, event)
+    return "|".join(map(str, federation_betti(federation, pending, mode=scenario.mode, window=scenario.window)))
 
 
 def text_digest(scenario, event: int) -> str:
@@ -94,7 +139,9 @@ def text_digest(scenario, event: int) -> str:
 
 def current_lines() -> list[str]:
     return [f"{name} {run_digest(scenario, None)}" for name, scenario in output_cases()] + \
-        [f"{name} {text_digest(scenario, event)}" for name, scenario, event in text_cases()]
+        [f"{name} {text_digest(scenario, event)}" for name, scenario, event in text_cases()] + \
+        [f"{name} {run_digest(scenario, None)}" for name, scenario in later_cases()] + \
+        [f"{name} {betti_at(scenario, event)}" for name, scenario, event in betti_cases()]
 
 
 def test_every_output_is_byte_identical_to_the_golden_digests():

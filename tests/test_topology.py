@@ -37,7 +37,7 @@ from topocbt.topology import (
 )
 from topocbt.wal import WriteAheadLog
 from oracles import (SplitMix64, all_subsets_closure, append_run, betti_from_cells, cells_of, closure_tags,
-                     dense_betti, random_scenario)
+                     dense_betti, live_branch_labels, random_scenario)
 from test_chain_state import random_history, rescan_live
 
 
@@ -392,7 +392,7 @@ def reference_build(federation, transactions=(), mode=TopologyMode.ABSTRACT, win
                     edge((cid, parent.height, parent.branch, r), (cid, ref.height, ref.branch, r))
             else:
                 edge((cid, parent.height, parent.branch, 0), (cid, ref.height, ref.branch, 0))
-        for label in chain.live_branch_labels():
+        for label in live_branch_labels(chain):
             info = chain.branches[label]
             tip = BlockRef(cid, info.tip, label)
             if info.tip < 0 or tip not in in_window:
@@ -594,12 +594,12 @@ def forked_trunk(data, cid):
         label = chain.spawn_fork(heights[where])
         append_run(chain, label, [()] * data.draw(st.integers(0, 3)))
     if len(chain.branches) > 1 and data.draw(st.booleans(), label="resolve"):
-        label = data.draw(st.sampled_from(chain.live_branch_labels()[1:]))
+        label = data.draw(st.sampled_from(live_branch_labels(chain)[1:]))
         info = chain.branches[label]
-        tallest = max(chain.branches[b].tip for b in chain.live_branch_labels())
+        tallest = max(chain.branches[b].tip for b in live_branch_labels(chain))
         append_run(chain, label, [()] * (tallest - max(info.tip, info.spawn_height - 1) + 1))
         assert chain.resolve_forks() == label
-    append_run(chain, data.draw(st.sampled_from(chain.live_branch_labels())), [()] * data.draw(st.integers(0, 2)))
+    append_run(chain, data.draw(st.sampled_from(live_branch_labels(chain))), [()] * data.draw(st.integers(0, 2)))
     return chain
 
 
@@ -783,22 +783,16 @@ def test_one_simplex_per_transaction_top(monkeypatch):
 
 
 def count_chain_reads(monkeypatch):
-    """Record every (chain, height) ``Chain.live_block_at`` answers and
-    every ``Chain.live_branch_labels`` call."""
-    reads, labels = [], []
-    live_block_at, live_branch_labels = Chain.live_block_at, Chain.live_branch_labels
+    """Record every (chain, height) ``Chain.live_block_at`` answers."""
+    reads = []
+    live_block_at = Chain.live_block_at
 
     def counted_at(self, height):
         reads.append((self.id, height))
         return live_block_at(self, height)
 
-    def counted_labels(self):
-        labels.append(self.id)
-        return live_branch_labels(self)
-
     monkeypatch.setattr(Chain, "live_block_at", counted_at)
-    monkeypatch.setattr(Chain, "live_branch_labels", counted_labels)
-    return reads, labels
+    return reads
 
 
 @pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
@@ -815,11 +809,10 @@ def test_a_simplex_over_unforked_chains_reads_only_its_declared_blocks(monkeypat
         copies = chain.replicas if mode is TopologyMode.REPLICATED else 1
         expected.extend(range(first + ref.height * copies, first + (ref.height + 1) * copies))
         first += len({r.height for r in chain.live_refs()}) * copies
-    reads, labels = count_chain_reads(monkeypatch)
+    reads = count_chain_reads(monkeypatch)
     assert transaction_simplex(fed, deal, mode) == Simplex(tuple(expected))
     # expand_refs' one read per declared block is the build's only read
     assert reads == [(ref.chain, ref.height) for ref in deal.blocks]
-    assert labels == []
 
 
 @pytest.mark.parametrize("mode", list(TopologyMode), ids=lambda mode: mode.value)
@@ -833,14 +826,12 @@ def test_a_simplex_walks_each_forked_height_and_the_one_above(monkeypatch, mode)
     walked = [7, 8, 9, 30, 31, 32, 59, 60]  # each forked height and the one above
     deals = [txn(1, [(1, height, 0), (2, 2, 0)]) for height in (0, 20, 31, 60)]
     expected = [reference_build(fed, [deal], mode)[1][1] for deal in deals]
-    reads, labels = count_chain_reads(monkeypatch)
+    reads = count_chain_reads(monkeypatch)
     for deal, top in zip(deals, expected):
         reads.clear()
-        labels.clear()
         assert transaction_simplex(fed, deal, mode) == top
         # the walk, then expand_refs' one read per declared block for the top
         assert reads == [(1, h) for h in walked] + [(ref.chain, ref.height) for ref in deal.blocks]
-        assert labels == []  # a build reads no branch list
 
 
 # -- Betti numbers against the dense oracle ---------------------------------------------
@@ -1116,7 +1107,7 @@ def draw_deals(data, fed, most):
         refs = []
         for cid in sorted(data.draw(st.lists(st.sampled_from(fed.chain_ids()), min_size=1, unique=True))):
             chain = fed.chain(cid)
-            top = max(chain.branches[label].tip for label in chain.live_branch_labels())
+            top = max(chain.branches[label].tip for label in live_branch_labels(chain))
             # any live height, or one at or beside a fork or an end
             near = {min(max(h + d, 0), top) for h in [0, top, *chain.forked_heights(0, top)] for d in (-1, 0, 1)}
             height = data.draw(st.one_of(st.integers(0, top), st.sampled_from(sorted(near))), label="height")
@@ -1157,7 +1148,7 @@ def test_a_windowed_report_reads_no_branch_list_and_no_row_outside_its_window(mo
         refs = f"1:{2001 - tid} 2:{tid % 3 + 1}"
         lines.append(f"[txn]\nid = {tid}\nparties = p1 p2\nblocks = {refs}\nsub = {refs} ; p1 p2 A1 1, p2 p1 A2 1")
     scen = parse_scenario("\n".join(lines) + "\n")
-    reads, labels = count_chain_reads(monkeypatch)
+    reads = count_chain_reads(monkeypatch)
     report, reports, strays = BettiGlue.betti, [], []
 
     def watched(glue, dropped):
@@ -1165,9 +1156,8 @@ def test_a_windowed_report_reads_no_branch_list_and_no_row_outside_its_window(mo
         spans = topology._spans(glue.federation, pending, glue.window)
         tips = {cid: chain.branches[chain.canonical_branch()].tip for cid, chain in glue.federation.chains.items()}
         reads.clear()
-        labels.clear()
         betti = report(glue, dropped)
-        reports.append((dropped, list(labels)))
+        reports.append(dropped)
         named = {ref.chain for txn in pending for ref in txn.blocks}
         strays.extend((dropped, cid, height) for cid, height in reads
                       if cid in named and not spans[cid][0] <= height <= spans[cid][1] and height != tips[cid])
@@ -1176,8 +1166,7 @@ def test_a_windowed_report_reads_no_branch_list_and_no_row_outside_its_window(mo
     monkeypatch.setattr(BettiGlue, "betti", watched)
     assert len(run_scenario(scen, 1).rows) == 10
     # one report before the first event, one after each, one more after the resolution
-    assert [dropped for dropped, _ in reports] == [0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10]
-    assert [called for _, called in reports] == [[]] * 12
+    assert reports == [0, 1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10]
     assert strays == []
 
 
