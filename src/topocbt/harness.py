@@ -3,7 +3,7 @@
 A run is a pure function of the scenario bytes: transactions execute
 in id order against a freshly built federation, crashes go through
 recovery, and the report serializes to CSV with a trailing
-state-digest line.  The seed is only a label copied into the report;
+state-digest line.  The seed is only a label copied into each row;
 no run reads it.  Nothing time-dependent enters the output.
 
 Every protocol runs through one table, ``PROTOCOL_RUNNERS``.  A runner
@@ -119,7 +119,6 @@ class TxnRow:
 
 @dataclass
 class RunReport:
-    seed: int
     rows: list[TxnRow]
     final_digest: str
     wal: WriteAheadLog
@@ -269,7 +268,7 @@ def run_scenario(
     federation = scenario.build_federation()
     wal = WriteAheadLog()
     rows = list(_replay(scenario, federation, wal, seed, protocol_override, compute_betti))
-    return RunReport(seed, rows, federation.state_digest(), wal)
+    return RunReport(rows, federation.state_digest(), wal)
 
 
 def betti_report(scenario: Scenario, at_event: int):

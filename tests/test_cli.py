@@ -17,8 +17,8 @@ from topocbt.harness import _replay, betti_report, run_scenario
 from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading, load_scenario
 from topocbt.wal import WalKind, WriteAheadLog
 from oracles import complex_from_text, dense_betti
+from shapes import two_chain_deal
 from test_harness import CANCELLING_DEAL_TEXT, FORKED_DEALS_TEXT
-from test_topology import TWO_CHAIN_DEAL
 
 DATA = Path(__file__).parent / "data"
 
@@ -245,7 +245,7 @@ def test_complex_file_takes_only_ascii_decimal_ids(tmp_path, capsys, data, line,
 def test_betti_out_refuses_a_complex_past_the_face_budget(tmp_path):
     # Betti numbers need no closure, but the complex file lists all 2^40 - 1 faces of the deal
     path = tmp_path / "wide.scenario"
-    path.write_text(TWO_CHAIN_DEAL.format(replicas=20))
+    path.write_text(two_chain_deal(20))
     out = tmp_path / "wide.complex"
     start = time.perf_counter()
     code, stdout, err = run_main(["betti", "--scenario", str(path), "--out", str(out)])
@@ -259,7 +259,7 @@ def test_betti_out_writes_a_complex_that_betti_complex_reads_back(tmp_path):
     # a top of 14 vertices: 16,383 faces on their own lines, each a face
     # of the top, whose sums of 2^|line| - 1 together pass the face budget
     path = tmp_path / "deal.scenario"
-    path.write_text(TWO_CHAIN_DEAL.format(replicas=7))
+    path.write_text(two_chain_deal(7))
     out = tmp_path / "deal.complex"
     code, stdout, _ = run_main(["betti", "--scenario", str(path), "--out", str(out)])
     assert code == 0

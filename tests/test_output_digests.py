@@ -19,11 +19,17 @@ at k = 0 and k = n), over every ``tests/data/*.scenario`` and
 ``random_scenario`` 0-49, in both modes at windows None and 1.
 
 Then more runs: the seed-7 pools at windows 0 and 3, the fork-heavy
-history (``fork_heavy.text``) in both modes at windows None and 1, and
-``random_scenario`` 0-49 at epoch 1.  Last come the Betti numbers
+history (``shapes.fork_heavy``) in both modes at windows None and 1, and
+``random_scenario`` 0-49 at epoch 1.  Then come the Betti numbers
 ``betti --at k`` prints, joined by ``|`` in place of a digest, for every
 k over every ``tests/data/*.scenario`` and ``random_scenario`` 0-49, in
 both modes at windows None and 1.
+
+Last come the other shapes the CI builds, from ``tests/shapes.py`` (the
+three deals at n = 30, the two-chain deal at 20 replicas, the forked
+deals as declared, at window 1 and with faults, and the deep history at
+10,000 blocks): each one's run digest, then its ``betti --at k``
+numbers for every k.
 
 Regenerate the file only for a change that is meant to alter output:
 
@@ -39,7 +45,7 @@ from pathlib import Path
 from topocbt.harness import replay_to
 from topocbt.scenario import load_scenario, parse_scenario
 from topocbt.topology import TopologyMode, build_federation_complex, federation_betti, tagged_to_text
-import fork_heavy
+import shapes
 from oracles import random_scenario
 from test_run_digests import run_digest
 
@@ -108,7 +114,7 @@ def later_cases():
     for mode in TopologyMode:
         for window in WINDOWS:
             yield f"fork-heavy/{mode.value}/window-{window}", \
-                parse_scenario(fork_heavy.text("fork-heavy", mode.value, window))
+                parse_scenario(shapes.fork_heavy("fork-heavy", mode.value, window))
     for seed in range(50):  # one deal each: epoch 1 resolves forks after it, before the final digest
         yield f"random-{seed}/epoch-1", dataclasses.replace(random_scenario(seed), epoch=1)
 
@@ -121,6 +127,15 @@ def betti_cases():
                 for event in range(len(scenario.transactions()) + 1):
                     yield f"betti/{label}/{mode.value}/window-{window}/at-{event}", \
                         dataclasses.replace(scenario, mode=mode, window=window), event
+
+
+def ci_cases():
+    """(label, scenario) in file order, after ``betti_cases``."""
+    for label, text in (("three-deals-30", shapes.three_deals(30)), ("two-chain-deal-20", shapes.two_chain_deal(20)),
+                        ("forked-deals", shapes.forked_deals()), ("forked-deals-window-1", shapes.forked_deals(1)),
+                        ("forked-deals-faults", shapes.forked_deals(faults=True)),
+                        ("deep-history-10000", shapes.deep_history(10000))):
+        yield label, parse_scenario(text)
 
 
 def betti_at(scenario, event: int) -> str:
@@ -141,7 +156,10 @@ def current_lines() -> list[str]:
     return [f"{name} {run_digest(scenario, None)}" for name, scenario in output_cases()] + \
         [f"{name} {text_digest(scenario, event)}" for name, scenario, event in text_cases()] + \
         [f"{name} {run_digest(scenario, None)}" for name, scenario in later_cases()] + \
-        [f"{name} {betti_at(scenario, event)}" for name, scenario, event in betti_cases()]
+        [f"{name} {betti_at(scenario, event)}" for name, scenario, event in betti_cases()] + \
+        [line for label, scenario in ci_cases() for line in
+         [f"ci/{label} {run_digest(scenario, None)}",
+          *(f"ci/{label}/at-{event} {betti_at(scenario, event)}" for event in range(len(scenario.transactions()) + 1))]]
 
 
 def test_every_output_is_byte_identical_to_the_golden_digests():

@@ -38,6 +38,7 @@ from topocbt.topology import (
 from topocbt.wal import WriteAheadLog
 from oracles import (SplitMix64, all_subsets_closure, append_run, betti_from_cells, cells_of, closure_tags,
                      dense_betti, live_branch_labels, random_scenario)
+from shapes import fork_heavy, two_chain_deal
 from test_chain_state import random_history, rescan_live
 
 
@@ -870,33 +871,6 @@ def test_betti_report_equals_the_closure_oracle_at_every_event(scenario):
         assert betti == closure_betti(tagged), k
 
 
-TWO_CHAIN_DEAL = """\
-[scenario]
-name = two-chain-deal
-mode = replicated
-
-[chain]
-id = 1
-replicas = {replicas}
-length = 2
-assets = X
-balance = a X 5
-
-[chain]
-id = 2
-replicas = {replicas}
-length = 2
-assets = Y
-balance = b Y 5
-
-[txn]
-id = 1
-parties = a b
-blocks = 1:1 2:1
-sub = 1:1 2:1 ; a b X 1, b a Y 1
-"""
-
-
 def two_chain_betti(replicas):
     """(betti_pre, betti_post) of the deal: each chain is a path of replica
     groups, every two groups linked copy by copy, which closes replicas - 1
@@ -910,7 +884,7 @@ def two_chain_betti(replicas):
 
 @pytest.mark.parametrize("replicas", range(2, 9))
 def test_two_chain_deal_equals_the_closure_oracle(replicas):
-    scenario = parse_scenario(TWO_CHAIN_DEAL.format(replicas=replicas))
+    scenario = parse_scenario(two_chain_deal(replicas))
     expected = two_chain_betti(replicas)
     for k in (0, 1):
         betti, tagged = betti_report(scenario, k)
@@ -921,7 +895,7 @@ def test_two_chain_deal_equals_the_closure_oracle(replicas):
 
 def test_two_chain_deal_at_twenty_replicas_runs_with_betti_in_seconds():
     # its top has 40 vertices: 2^40 - 1 faces, never enumerated
-    scenario = parse_scenario(TWO_CHAIN_DEAL.format(replicas=20))
+    scenario = parse_scenario(two_chain_deal(20))
     start = time.perf_counter()
     row, = run_scenario(scenario, 1).rows
     assert time.perf_counter() - start < 10
@@ -1140,14 +1114,7 @@ def test_a_windowed_report_reads_no_branch_list_and_no_row_outside_its_window(mo
     # a fork at every even height of chain 1, 1,001 live branches, and
     # deals near its tip: each report reads a named chain's rows in its
     # window and the row at its canonical tip, no more
-    lines = [f"[scenario]\nname = fork-heavy\nmode = {mode.value}\nepoch = 5\nwindow = 1",
-             "[chain]\nid = 1\nreplicas = 2\nlength = 2000\nassets = A1\nbalance = p1 A1 50",
-             *(f"fork = {height} 1" for height in range(2, 2001, 2)),
-             "[chain]\nid = 2\nlength = 3\nassets = A2\nbalance = p2 A2 50"]
-    for tid in range(1, 11):
-        refs = f"1:{2001 - tid} 2:{tid % 3 + 1}"
-        lines.append(f"[txn]\nid = {tid}\nparties = p1 p2\nblocks = {refs}\nsub = {refs} ; p1 p2 A1 1, p2 p1 A2 1")
-    scen = parse_scenario("\n".join(lines) + "\n")
+    scen = parse_scenario(fork_heavy("fork-heavy", mode.value, 1, length=2000))
     reads = count_chain_reads(monkeypatch)
     report, reports, strays = BettiGlue.betti, [], []
 
