@@ -11,9 +11,11 @@ Each shape is a function of its sizes that returns the scenario text:
 - ``three_deals``: ``n + 2`` chains; deal t names block 2 of chains t to
   t + n - 1, one party per chain and one cyclic face.
 - ``deep_history``: two deals near the tip of a ``length``-block chain.
-- ``forked_deals``: six deals over forked replicated chains, two events
-  per epoch; with a window, or with deal 4 crashing after its first
-  append and deal 5 under ac3wn.
+- ``forked_deals``: six deals over forked replicated chains, in ``mode``
+  (replicated by default) with ``epoch`` events per epoch (2 by default);
+  with a window, or with deal 4 crashing after its first append and deal
+  5 under ac3wn.  The tests take it from here too, in both modes and at
+  epochs 0 to 3.
 
 Print one with
 
@@ -101,11 +103,10 @@ def deep_history(length: int) -> str:
     return _text(lines)
 
 
+# deals over forked replicated chains: chain 1's second fork grows past
+# its trunk and takes the appends, chain 3's fork ties its trunk's tip,
+# and only the first deal names a block that a fork resolution retires
 FORKED_DEALS = """\
-[scenario]
-name = forked-deals
-mode = replicated
-epoch = 2
 [chain]
 id = 1
 replicas = 3
@@ -160,10 +161,9 @@ sub = 2:1 3:1 ; b c Y 1, c b Z 1
 """
 
 
-def forked_deals(window: Optional[int] = None, faults: bool = False) -> str:
-    text = FORKED_DEALS
-    if window is not None:
-        text = text.replace("epoch = 2\n", f"epoch = 2\nwindow = {window}\n")
+def forked_deals(window: Optional[int] = None, faults: bool = False, mode: str = "replicated", epoch: int = 2) -> str:
+    text = _text(["[scenario]", "name = forked-deals", f"mode = {mode}", f"epoch = {epoch}",
+                  *([f"window = {window}"] if window is not None else [])]) + FORKED_DEALS
     if faults:
         text = text.replace("[txn]\nid = 5\n", "[txn]\nid = 5\nprotocol = ac3wn\n")
         text += "[failure]\ntxn = 4\nkind = crash_after_append\nappend = 1\n"

@@ -40,7 +40,7 @@ from topocbt.topology import (
     transaction_simplex,
 )
 from oracles import SplitMix64, UnionFind, asset_totals, random_scenario, vertices
-from test_topology import DRIFT_CASES, assert_dimension_matches_oracle
+from test_topology import DRIFT_CASES, assert_dimension_matches_oracle, double_fork_pair, three_chain_two_txn
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,42 +53,18 @@ def linked_pair_complex():
     return SimplicialComplex.from_simplices([Simplex((0, 1, 2, 3)), Simplex((4, 5, 6)), Simplex((3, 4))])
 
 
-def three_chain_two_txn_build():
-    fed = Federation()
-    for cid, length in ((1, 4), (2, 3), (3, 2)):
-        ch = Chain(cid)
-        for _ in range(length):
-            ch.append_block(0, ())
-        fed.add_chain(ch)
-    t1 = CrossChainTransaction(1, ("a", "b"), (BlockRef(1, 2), BlockRef(2, 2)), ())
-    t2 = CrossChainTransaction(2, ("a", "b", "c"), (BlockRef(1, 4), BlockRef(2, 3), BlockRef(3, 2)), ())
-    return build_federation_complex(fed, [t1, t2])
-
-
-def double_fork_build():
-    fed = Federation()
-    for cid in (1, 2):
-        ch = Chain(cid)
-        for _ in range(3):
-            ch.append_block(0, ())
-        label = ch.spawn_fork(2)
-        ch.append_block(label, ())
-        fed.add_chain(ch)
-    deal = CrossChainTransaction(9, ("a", "b"), (BlockRef(1, 2), BlockRef(2, 2)), ())
-    return fed, deal
-
-
 def test_criterion_1_betti_reproduction():
     t0 = time.monotonic()
     assert linked_pair_complex().betti_numbers() == (1, 0, 0, 0)
     assert time.monotonic() - t0 < 1.0
 
     t0 = time.monotonic()
-    assert three_chain_two_txn_build().betti_numbers() == (1, 1, 0)
+    fed, t1, t2 = three_chain_two_txn()
+    assert build_federation_complex(fed, [t1, t2]).betti_numbers() == (1, 1, 0)
     assert time.monotonic() - t0 < 1.0
 
     t0 = time.monotonic()
-    fed, deal = double_fork_build()
+    fed, deal = double_fork_pair()
     assert build_federation_complex(fed, [deal]).betti_numbers() == (1, 4, 0, 0)
     assert time.monotonic() - t0 < 1.0
     _ok(1, "betti vectors (1,0,0,0) / (1,1,0) / (1,4,0,0) reproduced exactly")
@@ -283,7 +259,7 @@ def test_criterion_8_dimension_consistency():
         for mode in TopologyMode:
             assert_dimension_matches_oracle(*make(), mode)
 
-    fed, deal = double_fork_build()
+    fed, deal = double_fork_pair()
     assert transaction_simplex(fed, deal).dimension == 3
     _ok(8, f"200 random federations and {len(DRIFT_CASES)} drift cases: constructed dimension equals "
            "the trunk replicas plus one per other live block, minus 1; two-fork pair deal is 3-dimensional")

@@ -182,6 +182,15 @@ def test_witness_crash_blocks_with_locks_held():
     assert out.applied_updates == 0
 
 
+def test_a_locked_block_aborts_before_any_decision():
+    fed, txn = car_setup()
+    fed.lock_blocks([txn.blocks[0]], 99)
+    out = ac3wn_execute(fed, txn)
+    assert (out.status, out.messages, out.primitive_ops, out.applied_updates, out.space_bytes) == (
+        Status.ABORTED, 3, 3, 0, 0)
+    assert fed.locks == {txn.blocks[0]: 99}  # the other holder keeps its lock
+
+
 def test_coordinator_crash_plan_also_blocks():
     fed, txn = car_setup()
     out = ac3wn_execute(fed, txn, FailurePlan(face_failures=((2, CRASH_BEFORE_COMMIT),)))

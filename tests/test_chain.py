@@ -133,6 +133,24 @@ def test_chain_id_fits_the_hash_field():
         Chain(2**32)
 
 
+def add_twice():
+    fed = Federation()
+    fed.add_chain(make_chain(3, 1))
+    fed.add_chain(make_chain(3, 1))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Chain(0), "chain ids start at 1"),
+    (lambda: Chain(1, replicas=0), "a chain needs at least one replica"),
+    (lambda: make_chain(3).spawn_fork(0), "cannot fork at or below genesis"),
+    (add_twice, "duplicate chain id 1"),
+    (lambda: Federation().chain(9), "no chain 9"),
+], ids=["chain-id-0", "no-replica", "fork-at-genesis", "duplicate-chain-id", "no-such-chain"])
+def test_a_chain_or_federation_refuses_with_its_message(make, message):
+    with pytest.raises(ChainError, match=f"^{message}$"):
+        make()
+
+
 def test_update_amount_fits_the_block_and_log_field():
     # blocks and the WAL pack an amount as '>Q'
     top = AssetUpdate("a", "b", "X", 2**64 - 1)
@@ -579,6 +597,13 @@ def test_release_wrong_holder_is_error(federation):
     federation.lock_blocks([ref], 1)
     with pytest.raises(ChainError, match="held by txn 1"):
         federation.release_blocks([ref], 2)
+
+
+def test_release_skips_a_ref_that_holds_no_lock(federation):
+    held, free = BlockRef(1, 1, 0), BlockRef(2, 1, 0)
+    federation.lock_blocks([held], 4)
+    federation.release_blocks([held, free], 4)
+    assert federation.locks == {}
 
 
 def test_release_empty_noop(federation):

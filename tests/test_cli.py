@@ -11,14 +11,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topocbt import topology
+from topocbt import cli, topology
 from topocbt.cli import FIT_GRID_MAX, build_parser, main
+from topocbt.engine import Status
 from topocbt.harness import _replay, betti_report, run_scenario
 from topocbt.scenario import CAR_TRADING_TEXT, SECTION_KEYS, car_trading, load_scenario
 from topocbt.wal import WalKind, WriteAheadLog
 from oracles import complex_from_text, dense_betti
-from shapes import two_chain_deal
-from test_harness import CANCELLING_DEAL_TEXT, FORKED_DEALS_TEXT
+from shapes import forked_deals, two_chain_deal
+from test_harness import CANCELLING_DEAL_TEXT
 
 DATA = Path(__file__).parent / "data"
 
@@ -195,8 +196,7 @@ def test_betti_without_out_builds_no_complex(monkeypatch, tmp_path, mode, window
     # makes only the builds of the k deals it replays, as a run with
     # Betti numbers off does
     path = tmp_path / "forked.scenario"
-    path.write_text(FORKED_DEALS_TEXT.format(mode=mode, epoch=2, window="" if window is None else f"-window{window}",
-                                             window_line="" if window is None else f"window = {window}\n"))
+    path.write_text(forked_deals(window, mode=mode))
     scenario, _ = load_scenario(str(path))
     assert scenario.window == window
     builds = []
@@ -386,6 +386,25 @@ def test_run_and_compare_refuse_a_deal_on_an_undeclared_chain_alike(tmp_path):
     compare = run_main(["compare", "--scenario-dir", str(tmp_path), "--seeds", "1"])
     assert_one_error_line(*run)
     assert run == compare == (2, "", "error: txn 1: block 9:1:0 is missing or on a dead branch\n")
+
+
+def test_run_refuses_a_face_moving_an_asset_on_a_chain_it_names_no_block_of(tmp_path):
+    scenario = tmp_path / "deal.scenario"
+    scenario.write_text(CAR_TRADING_TEXT.replace("sub = 1:2 ; alice bob ETH 10", "sub = 1:2 ; bob cindy BTC 1"))
+    assert run_main(["run", "--scenario", str(scenario)]) == (
+        2, "", "error: txn 1: face 1 moves BTC but has no block on chain 2\n")
+
+
+def test_run_exits_1_on_each_invariant_failure(monkeypatch):
+    def doctored(*args, **kwargs):
+        report = run_scenario(*args, **kwargs)
+        report.rows[0] = replace(report.rows[0], status=Status.ABORTED)
+        return report
+
+    monkeypatch.setattr(cli, "run_scenario", doctored)
+    code, out, err = run_main(["run", "--scenario", "car-trading"])
+    assert (code, err) == (1, "error: invariant: txn 1: status Aborted but audit all\n")
+    assert out.startswith("scenario,") and ",Aborted," in out
 
 
 def test_compare_empty_directory(tmp_path, capsys):

@@ -35,6 +35,7 @@ from topocbt.scenario import (
 )
 from topocbt.topology import CrossChainTransaction, TopologyMode, build_federation_complex
 from topocbt.wal import WalKind, WriteAheadLog
+import shapes
 from oracles import live_branch_labels, random_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -303,77 +304,6 @@ kind = witness_crash
 """
 
 
-# deals over forked replicated chains: chain 1's second fork grows past
-# its trunk and takes the appends, chain 3's fork ties its trunk's tip,
-# and only the first deal names a block that a fork resolution retires
-FORKED_DEALS_TEXT = """\
-[scenario]
-name = forked-deals-{mode}-epoch{epoch}{window}
-mode = {mode}
-epoch = {epoch}
-{window_line}
-[chain]
-id = 1
-replicas = 3
-length = 6
-assets = X
-fork = 3 1
-fork = 7 1
-balance = a X 9
-
-[chain]
-id = 2
-replicas = 2
-length = 4
-assets = Y
-fork = 2 2
-balance = b Y 9
-
-[chain]
-id = 3
-length = 3
-assets = Z
-fork = 3 1
-balance = c Z 9
-
-[txn]
-id = 1
-parties = a b
-blocks = 1:3:1 2:2:1
-sub = 1:3:1 2:2:1 ; a b X 1, b a Y 1
-
-[txn]
-id = 2
-parties = a c
-blocks = 1:7:2 3:3
-sub = 1:7:2 3:3 ; a c X 1, c a Z 1
-
-[txn]
-id = 3
-parties = b c
-blocks = 2:4 3:2
-sub = 2:4 3:2 ; b c Y 1, c b Z 1
-
-[txn]
-id = 4
-parties = a b c
-blocks = 1:5 2:3 3:3
-sub = 1:5 2:3 ; a b X 1, b c Y 1
-
-[txn]
-id = 5
-parties = a b
-blocks = 1:3 2:2
-sub = 1:3 2:2 ; a b X 1, b a Y 1
-
-[txn]
-id = 6
-parties = b c
-blocks = 2:1 3:1
-sub = 2:1 3:1 ; b c Y 1, c b Z 1
-"""
-
-
 # genesis-only chains: the first report has no edge, so its vector stops
 # at b0 where the run's end, after the deals' appends, has b1
 GENESIS_DEALS_TEXT = """\
@@ -412,21 +342,11 @@ def genesis_deals(mode, replicas=1, blocks="1:0"):
     return parse_scenario(GENESIS_DEALS_TEXT.format(mode=mode.value, replicas=replicas, blocks=blocks))
 
 
-def forked_deals(mode, epoch, window=None):
-    return parse_scenario(FORKED_DEALS_TEXT.format(
-        mode=mode.value, epoch=epoch, window="" if window is None else f"-window{window}",
-        window_line="" if window is None else f"window = {window}\n"))
-
-
-def faulty_forked_deals(mode, epoch):
-    """``forked_deals`` with deal 4 crashing after its first append, so
-    recovery appends a compensation block, and deal 5 under ac3wn, whose
-    legs are appended too: within an epoch every chain still grows only
-    at its canonical tip, the trunk on chain 2 and a fork on chain 1."""
-    text = FORKED_DEALS_TEXT.format(mode=mode.value, epoch=epoch, window="", window_line="")
-    text = text.replace("[txn]\nid = 5\n", "[txn]\nid = 5\nprotocol = ac3wn\n")
-    scen = parse_scenario(text + "\n[failure]\ntxn = 4\nkind = crash_after_append\nappend = 1\n")
-    scen.name += "-faults"
+def forked_deals(mode, epoch, window=None, faults=False):
+    """``shapes.forked_deals`` in ``mode`` with ``epoch``, named for its arguments."""
+    scen = parse_scenario(shapes.forked_deals(window, faults, mode.value, epoch))
+    suffix = ("" if window is None else f"-window{window}") + ("-faults" if faults else "")
+    scen.name = f"forked-deals-{mode.value}-epoch{epoch}{suffix}"
     return scen
 
 
@@ -435,7 +355,7 @@ def faulty_forked_deals(mode, epoch):
     [parse_scenario(EPOCH_FORK_TEXT), parse_scenario(BLOCKED_THEN_DEAL_TEXT), car_trading()]
     + [forked_deals(mode, epoch) for mode in TopologyMode for epoch in range(4)]
     + [forked_deals(mode, epoch, window=1) for mode in TopologyMode for epoch in (0, 2)]
-    + [faulty_forked_deals(mode, epoch) for mode in TopologyMode for epoch in range(4)]
+    + [forked_deals(mode, epoch, faults=True) for mode in TopologyMode for epoch in range(4)]
     + [genesis_deals(mode) for mode in TopologyMode]
     + [random_scenario(seed) for seed in range(40)],
     ids=lambda scen: scen.name,

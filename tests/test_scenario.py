@@ -299,6 +299,17 @@ def test_rejected_input_names_line_and_field(case):
     assert str(info.value).startswith(f"line {line}: field {fld}: ")
 
 
+@pytest.mark.parametrize("text, message", [
+    (_appended("[chain]\nid = 4\nfork = 3\n"), "line 36: field fork: fork needs 'height branches'"),
+    (_edited("sub = 1:2 ; alice bob ETH 10", "sub = ; alice bob ETH 1"),
+     "line 31: field sub: sub needs at least one block"),
+], ids=["fork-without-branches", "sub-without-blocks"])
+def test_refused_input_reads_its_message(text, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert str(info.value) == message
+
+
 def test_numbers_at_the_range_edges_parse():
     text = (
         CAR_TRADING_TEXT.replace("[txn]\nid = 1\n", f"[txn]\nid = {2**64 - 1}\n")

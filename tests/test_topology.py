@@ -162,6 +162,16 @@ def test_txn_on_dead_branch_is_error():
         build_federation_complex(fed, [dead])
 
 
+@pytest.mark.parametrize("parties, blocks, message", [
+    (("a",), [(1, 2, 0)], "txn 5: needs at least two parties"),
+    (("a", "b"), [], "txn 5: needs at least one block"),
+], ids=["one-party", "no-block"])
+def test_validate_refuses_a_deal_of_one_party_or_no_block(parties, blocks, message):
+    fed, _, _ = three_chain_two_txn()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        txn(5, blocks, parties).validate(fed)
+
+
 # -- transaction simplices -------------------------------------------------------
 
 def test_pair_deal_is_edge():
