@@ -32,13 +32,16 @@ BLOCKING_HORIZON_FACTOR = 10  # locks held past factor * timelock => blocked
 
 @dataclass(frozen=True)
 class Decision:
-    """2PC decision record carried on the witness chain."""
+    """2PC decision record carried on the witness chain.  Packed as it
+    is made, like ``chain.Forward``."""
 
     kind: str  # Prepared | GlobalCommit | GlobalAbort
     txn_id: int
 
     def to_bytes(self) -> bytes:
         return b"D" + _pack_str(self.kind) + struct.pack(">Q", self.txn_id)
+
+    __post_init__ = to_bytes
 
 
 WITNESS_CHAIN_ID = 999

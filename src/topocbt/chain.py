@@ -9,8 +9,8 @@ topology builds.
 
 A block is sealed when it is first read, not when it is appended.
 ``append_block``, the one store step, stores a block unsealed (its ref,
-parent ref and payload) after checking that every record packs, so a
-refused block is not stored.  ``block`` and ``hash_violations`` seal
+parent ref and payload) and packs nothing: a payload record checks its
+fields as it is made.  ``block`` and ``hash_violations`` seal
 the unsealed blocks below the one asked for in height order, each on
 its parent's hash, so no caller ever holds an unsealed block.  The
 trade: a block's hash is fixed at its first read, and a write through
@@ -86,14 +86,15 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 GENESIS_PARENT = b"\x00" * 32
+_NAME_LENGTH = struct.Struct(">H")
+_SHORT_NAME = 2**14 - 1  # characters of at most 4 UTF-8 bytes each: never past the 16-bit length
 
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    try:
-        return struct.pack(">H", len(raw)) + raw
-    except struct.error:
-        raise ValueError(f"a name of {len(raw)} UTF-8 bytes does not fit its 16-bit length field") from None
+    if len(raw) > 0xFFFF:
+        raise ValueError(f"a name of {len(raw)} UTF-8 bytes does not fit its 16-bit length field")
+    return _NAME_LENGTH.pack(len(raw)) + raw
 
 
 class BlockRef(NamedTuple):
@@ -113,7 +114,7 @@ class BlockRef(NamedTuple):
 
 @dataclass(frozen=True)
 class AssetUpdate:
-    """One asset transfer carried in a block payload."""
+    """One asset transfer in a block payload; made, it checks each field fits its packed one."""
 
     owner_from: str
     owner_to: str
@@ -125,6 +126,9 @@ class AssetUpdate:
             raise ValueError("update amount must be positive")
         if self.amount > 2**64 - 1:
             raise ValueError(f"update amount {self.amount} does not fit its 64-bit field")
+        for name in (self.owner_from, self.owner_to, self.asset):
+            if len(name) > _SHORT_NAME:  # else its length alone rules out a 16-bit overflow
+                _pack_str(name)
 
     def inverse(self) -> "AssetUpdate":
         return AssetUpdate(self.owner_to, self.owner_from, self.asset, self.amount)
@@ -143,12 +147,14 @@ class AssetUpdate:
 class Forward:
     """Marker that opens a forward update block: names its transaction,
     so rollback can tell its own block from an equal update that another
-    transaction wrote into the same planned slot."""
+    transaction wrote into the same planned slot.  Packed as it is made."""
 
     txn_id: int
 
     def to_bytes(self) -> bytes:
         return b"F" + struct.pack(">Q", self.txn_id)
+
+    __post_init__ = to_bytes  # refuses a field past its struct field as the record is made
 
 
 @dataclass(frozen=True)
@@ -157,15 +163,16 @@ class Compensation:
 
     Makes rollback idempotent: a recovery pass can see that a forward
     block was already compensated and must not be reversed again.
+    Packed as it is made, like ``Forward``.
     """
 
     undone: BlockRef
     txn_id: int
 
     def to_bytes(self) -> bytes:
-        return b"C" + struct.pack(
-            ">IIIQ", self.undone.chain, self.undone.height, self.undone.branch, self.txn_id
-        )
+        return b"C" + struct.pack(">IIIQ", *self.undone, self.txn_id)
+
+    __post_init__ = to_bytes
 
 
 _REF = struct.Struct(">III")
@@ -206,23 +213,6 @@ class _Unsealed(NamedTuple):
     ref: BlockRef
     parent_ref: BlockRef
     payload: tuple
-
-
-_SHORT_NAME = 2**14 - 1  # characters of at most 4 UTF-8 bytes each: never past the 16-bit length
-
-
-def _check_packs(payload: tuple) -> None:
-    """Raise what sealing ``payload`` would raise: a name past its 16-bit
-    length field, or a number past its field.  An update's names are
-    encoded only when their length alone cannot rule that out; every
-    other record is packed."""
-    for record in payload:
-        if isinstance(record, AssetUpdate):
-            for name in (record.owner_from, record.owner_to, record.asset):
-                if len(name) > _SHORT_NAME:
-                    _pack_str(name)
-        else:
-            record.to_bytes()
 
 
 @dataclass
@@ -494,16 +484,15 @@ class Chain:
         return self.append_block(self._canonical, payload)
 
     def append_block(self, branch: int, payload: Iterable = ()) -> BlockRef:
-        """Store one block on top of ``branch``, unsealed, and index it.
-        Its records are checked to pack first, so a refused block is not
-        stored; it is sealed when first read."""
+        """Store one block on top of ``branch``, unsealed, and index it;
+        it is sealed when first read.  Nothing is packed: each record
+        checked its fields as it was made."""
         info = self.branches.get(branch)
         if info is None:
             raise ChainError(f"unknown branch {branch} on chain {self.id}")
         if not info.live:
             raise ChainError(f"branch {branch} on chain {self.id} is dead")
         payload = tuple(payload)
-        _check_packs(payload)
         parent_ref, height = self._slot(branch, info)
         ref = BlockRef(self.id, height, branch)
         self._blocks[ref] = _Unsealed(ref, parent_ref, payload)

@@ -310,14 +310,15 @@ def _sub(value: str, line: int, key: str) -> SubTransaction:
     clauses = updates_part.split(",")
     if len(clauses) > SUB_UPDATES:
         raise ScenarioError(f"a sub takes at most {SUB_UPDATES} updates, got {len(clauses)}", line, key)
-    updates = []
+    fields = []  # each update's names and amount, checked before an update is made of them
     for clause in clauses:
         toks = clause.split()
         if len(toks) != 4:
             raise ScenarioError(f"update must be 'from to asset amount', got {clause.strip()!r}", line, key)
-        updates.append(AssetUpdate(toks[0], toks[1], toks[2], _parse_int(toks[3], line, key, AMOUNT)))
-    _check_names(updates_part, (name for u in updates for name in (u.owner_from, u.owner_to, u.asset)), line, key)
-    _check_parties((name for u in updates for name in (u.owner_from, u.owner_to)), line, key)
+        fields.append((*toks[:3], _parse_int(toks[3], line, key, AMOUNT)))
+    _check_names(updates_part, (name for update in fields for name in update[:3]), line, key)
+    _check_parties((name for update in fields for name in update[:2]), line, key)
+    updates = [AssetUpdate(*update) for update in fields]
     if not blocks:
         raise ScenarioError("sub needs at least one block", line, key)
     return SubTransaction(blocks=blocks, updates=tuple(updates))

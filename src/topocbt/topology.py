@@ -6,12 +6,12 @@ numbered up each chain's live heights; a vertex is only its number.
 Only the rows at a chain's forked heights and the row just above each
 take a step per block; every other height holds the trunk block
 alone, over the trunk block or, at the lowest height built, over
-nothing.  The build records each run of such heights, a chain with no
-fork in its window as one run, and counts its vertex ids past; it
-lays a run's cells (``_lay_trunk_run``, from iterators, no step per
-block) only when the complex's ``cells`` are first read.  A
-transaction's top, the one thing ``transaction_simplex`` reads,
-numbers each trunk block from the run that holds it, so it costs per
+nothing.  The build walks the chains once, in id order, records each
+run of such heights, a chain with no fork in its window as its one
+run with no row planned, and counts its vertex ids past; it lays a
+run's cells (``_lay_trunk_run``) only when ``cells`` are first read.
+A top, the one thing ``transaction_simplex`` reads, numbers each
+trunk block from its run, a one-run chain's only one, so it costs per
 chain, per fork and per reference, not per height or declared block.
 Chain adjacency, fork stitching, and replica groups produce the other
 structural cells, kept as plain ascending vertex tuples; each in-flight
@@ -83,8 +83,10 @@ class CrossChainTransaction:
     sub_transactions: tuple[SubTransaction, ...] = ()
 
     def validate(self, federation: Federation) -> None:
-        """Check the deal's shape; whether its blocks are live is
-        ``expand_refs``'s check."""
+        """Check the deal's shape and that its id fits the log's 64-bit
+        field; whether its blocks are live is ``expand_refs``'s check."""
+        if not 0 <= self.id <= 2**64 - 1:
+            raise ValueError(f"txn {self.id}: id does not fit the log's 64-bit field")
         if len(self.parties) < 2:
             raise ValueError(f"txn {self.id}: needs at least two parties")
         if not self.blocks:
@@ -195,12 +197,12 @@ class TaggedComplex:
 
     A build keeps the cells of the rows it walked, the forked heights
     and the one above each, and records every other run of heights,
-    which holds the trunk block alone at each height.  ``cells`` lays the
-    runs in on first read, so a caller that reads only ``txn_tops``
-    (``transaction_simplex``) pays per walked row and per run, not per
-    block.  The face closure ``complex`` is built on first read, and
-    refused past ``simplicial.MAX_CELLS`` cells; Betti numbers do not
-    need it."""
+    each the trunk block alone, a chain with no forked row as one run.
+    ``cells`` lays the runs in on first read, so a caller that reads
+    only ``txn_tops`` (``transaction_simplex``) pays per walked row and
+    per run, not per block.  The face closure ``complex`` is built on
+    first read, and refused past ``simplicial.MAX_CELLS`` cells; Betti
+    numbers do not need it."""
 
     vertex_count: int
     _row_cells: frozenset[Cell]
@@ -479,8 +481,8 @@ def _spans(federation: Federation, transactions: list[CrossChainTransaction],
         for ref in txn.blocks:
             named.setdefault(ref.chain, []).append(ref.height)
     spans = {}
-    for cid in federation.chain_ids():
-        chain, heights = federation.chain(cid), named.get(cid)
+    for cid, chain in federation.chains.items():
+        heights = named.get(cid)
         top = chain.branches[chain.canonical_branch()].tip
         spans[cid] = (max(min(heights) - window, 0), min(max(heights) + window, top)) if heights else (0, top)
     return spans
@@ -506,12 +508,13 @@ def build_federation_complex(
     run of heights, the lowest one built included, is only recorded as
     a ``_Run``, its vertex ids counted past, and laid by
     ``_lay_trunk_run`` when ``cells`` is first read, with the cells a
-    walk would give.  A chain with no forked height in its window is one
-    run.  Every block a top names lies in its chain's span, so in a
-    walked row or, as the trunk block alone at its height, in a run,
-    whose first id and the block's height number it.  A walked row's
-    blocks are stitched to the live tips of the row below by
-    ``_stitches``, the rule ``structural_betti`` counts.
+    walk would give.  A chain with no forked height in its window is
+    recorded as its one run, with no row planned.  A top's block lies in
+    its chain's span, so in a walked row or, as the trunk block alone at
+    its height, in a run (a one-run chain's only one), whose first id and
+    the block's height number it.  A walked row's blocks are stitched to
+    the live tips of the row below by ``_stitches``, the rule
+    ``structural_betti`` counts.
     """
     transactions = list(transactions)
     spans = _spans(federation, transactions, window)
@@ -520,11 +523,15 @@ def build_federation_complex(
     cells: set[Cell] = set()
     runs_of: dict[int, list[_Run]] = {}  # chain -> its recorded runs, ascending
     v = 0  # the next vertex id
-    for cid in federation.chain_ids():
-        chain = federation.chain(cid)
+    for cid, chain in sorted(federation.chains.items()):
         lo, hi = spans[cid]
         forked = chain.forked_heights(lo, hi)
         trunk = _copies(chain, 0, mode)
+        if not forked:  # the trunk block alone at every height: one run, no row walked
+            # (lo > hi only if every top naming the chain names a dead block: expand_refs refuses each)
+            runs_of[cid] = [_Run(lo, hi + 1, v, trunk, False)]
+            v += (hi + 1 - lo) * trunk
+            continue
         rows = sorted({*forked, *(h + 1 for h in forked if h < hi)})
         branches = chain.branches
         chain_runs = runs_of[cid] = []
@@ -566,11 +573,11 @@ def build_federation_complex(
         verts: list[int] = []
         for ref in expand_refs(federation, txn):  # canonical order: ids ascend
             first = first_of.get(ref)
-            if first is None:  # the trunk block alone at its height, in a recorded run
+            if first is None:  # the trunk block alone at its height, in a recorded run: a one-run chain's only one
                 runs = runs_of[ref.chain]
-                run = runs[bisect_right(runs, ref.height, key=attrgetter("start")) - 1]
+                run = runs[0] if len(runs) == 1 else runs[bisect_right(runs, ref.height, key=attrgetter("start")) - 1]
                 first = run.first + (ref.height - run.start) * run.copies
-            verts.extend(range(first, first + _copies(federation.chain(ref.chain), ref.branch, mode)))
+            verts.extend(range(first, first + _copies(federation.chains[ref.chain], ref.branch, mode)))
         txn_tops[txn.id] = Simplex(tuple(verts))
 
     runs = tuple(itertools.chain.from_iterable(runs_of.values()))

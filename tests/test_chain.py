@@ -1,4 +1,5 @@
 import re
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -499,13 +500,19 @@ def test_no_run_or_comparison_seals_a_block(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("record", [
-    AssetUpdate("a", "b", "\u00e9" * 2**15, 1),
-    Forward(2**64),
-    Compensation(BlockRef(1, 1, 0), 2**64),
-    Decision("GlobalCommit", 2**64),
+NAME_PAST_H = (ValueError, "a name of 65536 UTF-8 bytes does not fit its 16-bit length field")
+PAST_Q = (struct.error, "int too large to convert")  # what struct.pack('>Q', n) says
+
+
+@pytest.mark.parametrize("make, refusal", [
+    (lambda: AssetUpdate("a", "b", "\u00e9" * 2**15, 1), NAME_PAST_H),
+    (lambda: Forward(2**64), PAST_Q),
+    (lambda: Compensation(BlockRef(1, 1, 0), 2**64), PAST_Q),
+    (lambda: Decision("GlobalCommit", 2**64), PAST_Q),
 ], ids=["name past >H", "forward txn past >Q", "compensation txn past >Q", "decision txn past >Q"])
-def test_a_refused_run_leaves_the_chain_as_it_was(record):
+def test_a_refused_run_leaves_the_chain_as_it_was(make, refusal):
+    """A record that would not pack is refused as it is made, so a run
+    that would carry it stores nothing."""
     chain = Chain(1, assets=("X",), length=2)
     chain.append_block(chain.spawn_fork(2), (AssetUpdate("a", "b", "X", 1),))
 
@@ -514,12 +521,30 @@ def test_a_refused_run_leaves_the_chain_as_it_was(record):
         return chain.all_refs(), chain.live_refs(), tips, ledger(chain), compensated_refs(chain)
 
     before = state()
-    with pytest.raises(Exception) as sealing:
-        record.to_bytes()
-    with pytest.raises(type(sealing.value), match=f"^{re.escape(str(sealing.value))}$"):
-        chain.append_block(0, (AssetUpdate("a", "b", "X", 2), record))
+    error, message = refusal
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        chain.append_block(0, (AssetUpdate("a", "b", "X", 2), make()))
     assert state() == before
     assert chain.hash_violations() == []
+
+
+@pytest.mark.parametrize("make, pack", [
+    (lambda: AssetUpdate("\u00e9" * 2**15, "b", "X", 1), lambda: chain_module._pack_str("\u00e9" * 2**15)),
+    (lambda: AssetUpdate("a", "\U0001f600" * 2**14, "X", 1), lambda: chain_module._pack_str("\U0001f600" * 2**14)),
+    (lambda: Forward(-1), lambda: struct.pack(">Q", -1)),
+    (lambda: Compensation(BlockRef(1, 2**32, 0), 1), lambda: struct.pack(">IIIQ", 1, 2**32, 0, 1)),
+    (lambda: Compensation(BlockRef(1, 1, 0), -1), lambda: struct.pack(">IIIQ", 1, 1, 0, -1)),
+    (lambda: Decision("x" * 2**16, 1), lambda: chain_module._pack_str("x" * 2**16)),
+    (lambda: Decision("GlobalAbort", -1), lambda: struct.pack(">Q", -1)),
+], ids=["sender name", "receiver name", "forward txn below 0", "compensation height past >I",
+        "compensation txn below 0", "decision kind", "decision txn below 0"])
+def test_a_record_refuses_a_field_that_would_not_pack_when_made(make, pack):
+    """Each record checks its fields as it is made, with the error that
+    packing the field gives."""
+    with pytest.raises(Exception) as packing:
+        pack()
+    with pytest.raises(type(packing.value), match=f"^{re.escape(str(packing.value))}$"):
+        make()
 
 
 PAYLOADS = st.lists(st.lists(RECORDS, max_size=2).map(tuple), max_size=3)

@@ -347,6 +347,21 @@ def test_every_protocol_refuses_a_dead_declared_block_with_one_message(run, dead
     assert fed.locks == {}
 
 
+@pytest.mark.parametrize("protocol", PROTOCOL_RUNNERS)
+@pytest.mark.parametrize("txn_id", [2**64, -1])
+def test_every_protocol_refuses_a_txn_id_past_the_log_field_before_locking(protocol, txn_id):
+    scenario = car_trading()
+    fed = scenario.build_federation()
+    deal = replace(scenario.transactions()[0], id=txn_id)
+    engine = TopoCbtEngine(fed)
+    blocks = {cid: chain.all_refs() for cid, chain in fed.chains.items()}
+    message = f"txn {txn_id}: id does not fit the log's 64-bit field"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PROTOCOL_RUNNERS[protocol](engine, deal, NO_FAILURES)
+    assert fed.locks == {} and engine.wal.records == []
+    assert {cid: chain.all_refs() for cid, chain in fed.chains.items()} == blocks
+
+
 def test_building_a_wide_deal_enumerates_no_faces(monkeypatch):
     """A 19-simplex has 2^20 - 1 faces; the build keeps generators only."""
     def no_closure(generators):
@@ -594,12 +609,18 @@ def test_build_equals_reference_build_on_random_histories(data):
     assert_build_matches_reference(fed, txns, mode, window)
 
 
+def forked_trunk_base(data, cid):
+    """A chain of a declared trunk of up to 300 blocks and 1 to 3 replicas."""
+    length = data.draw(st.integers(0, 300), label="length")
+    return Chain(cid, replicas=data.draw(st.integers(1, 3), label="replicas"), length=length)
+
+
 def forked_trunk(data, cid):
     """A declared trunk of up to 300 blocks with forks drawn at height 1,
     mid-trunk, at the tip and above it, now and then one grown past the
     trunk and resolved, which retires branch 0 above the fork."""
-    length = data.draw(st.integers(0, 300), label="length")
-    chain = Chain(cid, replicas=data.draw(st.integers(1, 3), label="replicas"), length=length)
+    chain = forked_trunk_base(data, cid)
+    length = chain.branches[0].tip
     heights = {"one": 1, "mid": max(1, length // 2), "tip": max(1, length), "above": length + 1}
     for where in data.draw(st.lists(st.sampled_from(sorted(heights)), max_size=3), label="forks"):
         label = chain.spawn_fork(heights[where])
@@ -703,6 +724,47 @@ def test_each_first_read_lays_the_reference_build(read, data):
         txns.append(CrossChainTransaction(tid, ("a", "b"), tuple(refs), ()))
     expected = reference_build(fed, txns, mode, window)
     assert_laid_as_reference(build_federation_complex(fed, txns, mode, window), expected, read)
+
+
+def unforked_trunk(data, cid):
+    """A declared trunk of up to 300 blocks grown on branch 0, with forks
+    now and then spawned and left empty, or grown no higher than the
+    trunk and retired by a resolution: no live block off branch 0."""
+    chain = forked_trunk_base(data, cid)
+    append_run(chain, 0, [()] * data.draw(st.integers(0, 3), label="appended"))
+    tip = chain.branches[0].tip
+    for _ in range(data.draw(st.integers(0, 2), label="forks")):
+        height = data.draw(st.integers(1, tip + 1), label="fork height")
+        append_run(chain, chain.spawn_fork(height), [()] * data.draw(st.integers(0, tip + 1 - height)))
+    if any(info.tip >= 0 for info in list(chain.branches.values())[1:]):
+        assert chain.resolve_forks() == 0
+    append_run(chain, 0, [()] * data.draw(st.integers(0, 2), label="appended after"))
+    return chain
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_build_over_unforked_chains_walks_no_row(data):
+    """Each chain is recorded as its one run; nothing is stitched, and the
+    build is the reference's."""
+    fed = Federation()
+    for cid in range(1, data.draw(st.integers(1, 3), label="chains") + 1):
+        fed.add_chain(unforked_trunk(data, cid))
+    mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
+    window = data.draw(st.sampled_from([None, 0, 2]), label="window")
+    txns = []
+    for tid in range(1, data.draw(st.integers(0, 2), label="txns") + 1):
+        refs = [BlockRef(cid, data.draw(st.integers(0, fed.chain(cid).branches[0].tip), label="height"), 0)
+                for cid in fed.chain_ids()]
+        txns.append(CrossChainTransaction(tid, ("a", "b"), tuple(refs), ()))
+    assert all(chain.forked_heights(0, chain.branches[0].tip) == [] for chain in fed.chains.values())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "_stitches", None)  # a walked row would call it
+        tagged = build_federation_complex(fed, txns, mode, window)
+    assert tagged._row_cells == frozenset()
+    spans = topology._spans(fed, txns, window)
+    assert [run.start for run in tagged._runs] == [spans[cid][0] for cid in fed.chain_ids()]  # one run per chain
+    assert_laid_as_reference(tagged, reference_build(fed, txns, mode, window), "cells")
 
 
 def long_trunk_scenario(mode):
