@@ -56,10 +56,6 @@ COMPARE_CSV_COLUMNS = (
 FIT_TOLERANCE = 0.15
 
 
-def _normalize(balances: dict) -> dict:
-    return {k: v for k, v in balances.items() if v != 0}
-
-
 def apply_updates_pure(balances: dict, txn: CrossChainTransaction) -> dict:
     """What the balance sheet looks like if every declared update lands.
 
@@ -73,12 +69,17 @@ def apply_updates_pure(balances: dict, txn: CrossChainTransaction) -> dict:
     return out
 
 
+def _same_sheet(a: dict, b: dict) -> bool:
+    """Whether two balance sheets hold the same nonzero entries: every
+    entry one holds and the other does not is a zero."""
+    return not any(v for _, v in a.items() ^ b.items())
+
+
 def audit_atomicity(pre_balances: dict, txn: CrossChainTransaction, post_balances: dict) -> str:
     """Classify the observed state: all updates in, none in, or neither."""
-    post = _normalize(post_balances)
-    if post == _normalize(pre_balances):
+    if _same_sheet(post_balances, pre_balances):
         return AUDIT_NONE
-    if post == _normalize(apply_updates_pure(pre_balances, txn)):
+    if _same_sheet(post_balances, apply_updates_pure(pre_balances, txn)):
         return AUDIT_ALL
     return AUDIT_PARTIAL
 

@@ -1,27 +1,26 @@
 """Builds the simplicial complex of a federation and its transactions.
 
 Every live block contributes one vertex, or in replicated mode one per
-replica if it is a trunk block (``_copies``, the only such rule),
-numbered up each chain's live heights; a vertex is only its number.
-Only the rows at a chain's forked heights and the row just above each
-take a step per block; every other height holds the trunk block
-alone, over the trunk block or, at the lowest height built, over
-nothing.  The build walks the chains once, in id order, records each
-run of such heights, a chain with no fork in its window as its one
-run with no row planned, and counts its vertex ids past; it lays a
-run's cells (``_lay_trunk_run``) only when ``cells`` are first read.
-A top, the one thing ``transaction_simplex`` reads, numbers each
-trunk block from its run, a one-run chain's only one, so it costs per
-chain, per fork and per reference, not per height or declared block.
-Chain adjacency, fork stitching, and replica groups produce the other
-structural cells, kept as plain ascending vertex tuples; each in-flight
-transaction adds one top simplex spanning all of its blocks, fork
-duplicates included.  A tagged complex keeps only these generators: a
-vertex count, the cells and the tops.  A top is the only ``Simplex`` a
-build makes, and the face closure is built, as vertex tuples, only
-where members or text are read, within the face budget.  Tearing a
-transaction down drops its top and keeps the rest, so chain structure
-can never be deleted.
+replica if it is a trunk block (``_copies``, whose trunk count a plan
+keeps), numbered up each chain's live heights; a vertex is only its
+number.
+Every height but a forked one holds the trunk block alone, so a build
+numbers the vertices from one ``_Plan`` per chain, made in id order
+from its span, its forked rows in the span and their widths, and lays
+no cell: a top, the one thing ``transaction_simplex`` reads, numbers a
+block from its chain's plan by its height and its place in its row, so
+it costs per chain, per forked row and per reference, not per height
+or declared block.  ``cells`` lays every plan on first read: a step per
+block at each forked row and the row above it, every other run of
+heights in bulk (``_lay_trunk_run``).  Chain adjacency, fork
+stitching, and replica groups produce the other structural cells, kept
+as plain ascending vertex tuples; each in-flight transaction adds one
+top simplex spanning all of its blocks, fork duplicates included.  A
+tagged complex keeps only these generators: a vertex count, the cells
+and the tops.  A top is the only ``Simplex`` a build makes, and the
+face closure is built, as vertex tuples, only where members or text
+are read, within the face budget.  Tearing a transaction down drops its
+top and keeps the rest, so chain structure can never be deleted.
 
 A report's Betti numbers (``federation_betti``) need no build: the
 complex is the chains' structural complex, each cut to its window,
@@ -48,12 +47,11 @@ much as its intersections with the rest, not 2^|top| faces.
 from __future__ import annotations
 
 import enum
-import itertools
 import logging
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from .chain import AssetUpdate, BlockRef, BranchInfo, Chain, ChainError, Federation
@@ -175,17 +173,28 @@ def expected_transaction_dimension(
     return _width(federation, expand_refs(federation, txn), mode) - 1
 
 
-class _Run(NamedTuple):
-    """A trunk run the build records instead of laying: one chain's
-    trunk blocks at heights ``start`` to ``stop - 1``, numbered from
-    ``first`` up with ``copies`` vertices each (the arguments of
-    ``_lay_trunk_run``)."""
+class _Plan(NamedTuple):
+    """One chain's part of a build, all ``cells`` needs to lay it: its
+    span ``lo`` to ``hi``, numbered from ``first`` up, ``trunk`` vertices
+    per trunk block; its forked ``heights`` in the span and their
+    ``rows`` as ``Chain.live_block_at`` handed them out; ``extra[i]``,
+    the vertices the forked rows below ``heights[i]`` add past the
+    trunk block's; the chain's ``branches``, read only for spawn heights
+    and parents, which never change; and ``tips``, the tip of each
+    branch the rows hold, or the trunk, that was live at the build, the
+    part of a ``BranchInfo`` that changes."""
 
-    start: int
-    stop: int
+    chain: int
+    lo: int
+    hi: int
     first: int
-    copies: int
-    linked: bool  # whether the row below is built and each copy links to its own
+    trunk: int
+    replicated: bool
+    heights: list[int]
+    rows: list[tuple[BlockRef, ...]]
+    extra: list[int]
+    branches: dict[int, BranchInfo]
+    tips: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -195,28 +204,23 @@ class TaggedComplex:
     ascending vertex tuples, and one top per in-flight transaction,
     sorted by id.
 
-    A build keeps the cells of the rows it walked, the forked heights
-    and the one above each, and records every other run of heights,
-    each the trunk block alone, a chain with no forked row as one run.
-    ``cells`` lays the runs in on first read, so a caller that reads
-    only ``txn_tops`` (``transaction_simplex``) pays per walked row and
-    per run, not per block.  The face closure ``complex`` is built on
-    first read, and refused past ``simplicial.MAX_CELLS`` cells; Betti
-    numbers do not need it."""
+    A build numbers the vertices and keeps one ``_Plan`` per chain, in
+    id order; ``cells`` lays every plan on first read, so a caller that
+    reads only ``txn_tops`` (``transaction_simplex``) pays per chain and
+    per forked row, not per block.  The face closure ``complex`` is
+    built on first read, and refused past ``simplicial.MAX_CELLS``
+    cells; Betti numbers do not need it."""
 
     vertex_count: int
-    _row_cells: frozenset[Cell]
-    _runs: tuple[_Run, ...]
+    _plans: tuple[_Plan, ...]
     txn_tops: dict[int, Simplex]
 
     @cached_property
     def cells(self) -> frozenset[Cell]:
-        """The rows' cells with every recorded run's cells laid in."""
-        if not self._runs:
-            return self._row_cells
-        cells = set(self._row_cells)
-        for run in self._runs:
-            _lay_trunk_run(cells, *run)
+        """Every plan's cells, laid by ``_lay_plan``."""
+        cells: set[Cell] = set()
+        for plan in self._plans:
+            _lay_plan(cells, plan)
         return frozenset(cells)
 
     def structural(self) -> list[Cell]:
@@ -239,6 +243,55 @@ class TaggedComplex:
         """Betti numbers of the closure of the generators, taken from the
         generators; no face closure is built, ``complex`` included."""
         return betti_from_generators(self._generators())
+
+
+def _lay_plan(cells: set[Cell], plan: _Plan) -> None:
+    """Lay one chain's cells, as its plan records the chain, up its span.
+
+    Each forked row and the row just above it, which holds the trunk
+    block alone if it is not forked itself, take a step per block: each
+    block's link to its parent one height down, copy by copy for a trunk
+    block over a trunk block, the stitch edges ``_stitches`` gives from
+    the row below, and in replicated mode the height's replica group if
+    it has two or more vertices.  Every other run of heights holds the
+    trunk block alone, over the trunk block or, at ``lo``, over nothing,
+    and ``_lay_trunk_run`` lays it.
+    """
+    lo, hi, v, trunk, tips = plan.lo, plan.hi, plan.first, plan.trunk, plan.tips
+    rows = dict(zip(plan.heights, plan.rows))
+    infos = plan.branches
+    # each branch the rows hold, and the trunk, as it stood at the build
+    branches = {label: BranchInfo(infos[label].spawn_height, infos[label].parent, label in tips, tips.get(label, -1))
+                for label in {0, *(ref.branch for row in plan.rows for ref in row)}}
+    below: dict[int, int] = {}  # branch -> first vertex id, one height down
+    run_start = lo  # the lowest height not laid yet
+    for height in [*sorted({*rows, *(h + 1 for h in rows if h < hi)}), hi + 1]:
+        if run_start < height:  # linked to the row below unless it starts the span
+            _lay_trunk_run(cells, run_start, height, v, trunk, run_start > lo)
+            v += (height - run_start) * trunk
+            below = {0: v - trunk}
+        if height > hi:
+            break
+        run_start = height + 1
+        start = v
+        here: dict[int, int] = {}
+        row = rows.get(height) or (BlockRef(plan.chain, height, 0),)
+        for ref in row:
+            branch = ref.branch
+            here[branch] = v
+            copies = trunk if branch == 0 else 1  # ``_copies``
+            if below:  # else the lowest height laid: no parent in the span
+                # the parent link (covers fork spawn: the parent joins
+                # both children); a trunk block's parent is on the
+                # trunk, so their copies link replica by replica
+                p = below[_parent_branch(branches, ref)]
+                cells.update((p + r, v + r) for r in range(copies))
+            v += copies
+        for tip, ref in _stitches(branches, height - 1, below, row):
+            cells.add((below[tip], here[ref.branch]))
+        if v - start >= 2 and plan.replicated:  # all copies at one height form a single cell
+            cells.add(tuple(range(start, v)))
+        below = here
 
 
 def _lay_trunk_run(cells: set[Cell], start: int, stop: int, v: int, copies: int, linked: bool) -> None:
@@ -501,87 +554,51 @@ def build_federation_complex(
     blocks within that height radius of the referenced heights
     (``_spans``); None keeps whole chains.  The vertices are numbered
     chain by chain, up each chain's live heights, along each height in
-    branch order, a block's copies in replica order.  Only the rows that
-    may hold more than the trunk block or hang off more than it, each
-    forked height and the one above it, take the per-block steps, and
-    only their blocks' first ids are kept, for the tops.  Every other
-    run of heights, the lowest one built included, is only recorded as
-    a ``_Run``, its vertex ids counted past, and laid by
-    ``_lay_trunk_run`` when ``cells`` is first read, with the cells a
-    walk would give.  A chain with no forked height in its window is
-    recorded as its one run, with no row planned.  A top's block lies in
-    its chain's span, so in a walked row or, as the trunk block alone at
-    its height, in a run (a one-run chain's only one), whose first id and
-    the block's height number it.  A walked row's blocks are stitched to
-    the live tips of the row below by ``_stitches``, the rule
-    ``structural_betti`` counts.
+    branch order, a block's copies in replica order.  The build reads
+    each chain once, in id order, and keeps its ``_Plan``: it reads only
+    the chain's forked rows in its span, one ``live_block_at`` each, and
+    counts the vertex ids past.  Every other height holds the trunk
+    block alone, so a chain adds ``(hi + 1 - lo) * trunk`` vertices plus
+    its forked rows' extra ones, and a top's block at height h is
+    numbered ``first + (h - lo) * trunk`` plus the extra vertices of the
+    forked rows below h, plus its place in its row if h is forked.  No
+    cell is laid until ``cells`` is first read.
     """
     transactions = list(transactions)
     spans = _spans(federation, transactions, window)
     replicated = mode is TopologyMode.REPLICATED
-    first_of: dict[BlockRef, int] = {}  # each walked block -> its first vertex id
-    cells: set[Cell] = set()
-    runs_of: dict[int, list[_Run]] = {}  # chain -> its recorded runs, ascending
+    plans: dict[int, _Plan] = {}
     v = 0  # the next vertex id
     for cid, chain in sorted(federation.chains.items()):
+        # (lo > hi only if every top naming the chain names a dead block: expand_refs refuses each)
         lo, hi = spans[cid]
-        forked = chain.forked_heights(lo, hi)
         trunk = _copies(chain, 0, mode)
-        if not forked:  # the trunk block alone at every height: one run, no row walked
-            # (lo > hi only if every top naming the chain names a dead block: expand_refs refuses each)
-            runs_of[cid] = [_Run(lo, hi + 1, v, trunk, False)]
-            v += (hi + 1 - lo) * trunk
-            continue
-        rows = sorted({*forked, *(h + 1 for h in forked if h < hi)})
-        branches = chain.branches
-        chain_runs = runs_of[cid] = []
-        below: dict[int, int] = {}  # branch -> first vertex id, one height down
-        run_start = lo  # the lowest height not built yet
-        for height in [*rows, hi + 1]:
-            if run_start < height:  # the trunk block alone, over the trunk block alone,
-                # linked to the row below unless it starts the window
-                chain_runs.append(_Run(run_start, height, v, trunk, run_start > lo))
-                v += (height - run_start) * trunk
-                below = {0: v - trunk}
-            if height > hi:
-                break
-            run_start = height + 1
-            start = v
-            here: dict[int, int] = {}
-            row = chain.live_block_at(height)
-            for ref in row:
-                branch = ref.branch
-                here[branch] = first_of[ref] = v
-                copies = _copies(chain, branch, mode)
-                if below:  # else the lowest height built: no parent in the window
-                    # the parent link (covers fork spawn: the parent joins
-                    # both children); a trunk block's parent is on the
-                    # trunk, so their copies link replica by replica
-                    p = below[_parent_branch(branches, ref)]
-                    for r in range(copies):
-                        cells.add((p + r, v + r))
-                v += copies
-            for tip, ref in _stitches(branches, height - 1, below, row):
-                cells.add((below[tip], here[ref.branch]))
-            # replica groups: all copies at one height form a single cell
-            if v - start >= 2 and replicated:
-                cells.add(tuple(range(start, v)))
-            below = here
+        heights = chain.forked_heights(lo, hi)
+        rows, extra, tips = [], [0], {}
+        if heights:
+            rows = [chain.live_block_at(height) for height in heights]
+            # a forked row's vertices less the trunk block's: one per fork block, trunk per trunk block (``_copies``)
+            extra = [0, *accumulate(len(row) - (trunk if row[0].branch else 1) for row in rows)]
+            branches = chain.branches
+            tips = {label: branches[label].tip for label in {0, *(ref.branch for row in rows for ref in row)}
+                    if branches[label].live}
+        plans[cid] = _Plan(cid, lo, hi, v, trunk, replicated, heights, rows, extra, chain.branches, tips)
+        v += (hi + 1 - lo) * trunk + extra[-1]
 
     txn_tops: dict[int, Simplex] = {}
     for txn in transactions:
         verts: list[int] = []
         for ref in expand_refs(federation, txn):  # canonical order: ids ascend
-            first = first_of.get(ref)
-            if first is None:  # the trunk block alone at its height, in a recorded run: a one-run chain's only one
-                runs = runs_of[ref.chain]
-                run = runs[0] if len(runs) == 1 else runs[bisect_right(runs, ref.height, key=attrgetter("start")) - 1]
-                first = run.first + (ref.height - run.start) * run.copies
+            plan, height = plans[ref.chain], ref.height
+            i = bisect_left(plan.heights, height)
+            first = plan.first + (height - plan.lo) * plan.trunk + plan.extra[i]
+            if i < len(plan.heights) and plan.heights[i] == height:  # a forked row: the copies before the block
+                row = plan.rows[i]
+                k = row.index(ref)
+                first += k + (plan.trunk - 1 if k and row[0].branch == 0 else 0)
             verts.extend(range(first, first + _copies(federation.chains[ref.chain], ref.branch, mode)))
         txn_tops[txn.id] = Simplex(tuple(verts))
-
-    runs = tuple(itertools.chain.from_iterable(runs_of.values()))
-    return TaggedComplex(v, frozenset(cells), runs, dict(sorted(txn_tops.items())))
+    return TaggedComplex(v, tuple(plans.values()), dict(sorted(txn_tops.items())))
 
 
 def transaction_simplex(

@@ -5,6 +5,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topocbt import harness, topology
 from topocbt.chain import ChainError
@@ -65,6 +66,39 @@ def test_auditor_ignores_zero_entries():
     noisy_none = dict(pre)
     noisy_none[("bob", "ETH")] = 0
     assert audit_atomicity(pre, txn, noisy_none) == AUDIT_NONE
+
+
+def normalized_audit(pre, txn, post):
+    """The audit read by dropping each sheet's zero entries and comparing
+    the dicts left."""
+    def normalize(sheet):
+        return {key: value for key, value in sheet.items() if value != 0}
+
+    if normalize(post) == normalize(pre):
+        return AUDIT_NONE
+    if normalize(post) == normalize(harness.apply_updates_pure(pre, txn)):
+        return AUDIT_ALL
+    return AUDIT_PARTIAL
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_auditor_agrees_with_comparing_normalized_sheets(data):
+    txn = car_trading().transactions()[0]
+    keys = [("alice", "ETH"), ("bob", "BTC"), ("cindy", "CAR"), ("alice", "CAR"), ("bob", "ETH"),
+            ("cindy", "BTC"), ("dave", "ETH")]
+    sheets = st.dictionaries(st.sampled_from(keys), st.integers(-2, 11))
+    pre = data.draw(sheets, label="pre")
+    landed = harness.apply_updates_pure(pre, txn)
+    # the sheet as it was, as if every update landed, or redrawn, each with zero entries added or dropped
+    post = dict(data.draw(st.sampled_from([pre, landed, data.draw(sheets, label="other")]), label="post"))
+    for key in data.draw(st.lists(st.sampled_from(keys)), label="zeroed"):
+        if not post.get(key):
+            post[key] = 0
+    for key in data.draw(st.lists(st.sampled_from(keys)), label="dropped"):
+        if post.get(key) == 0:
+            del post[key]
+    assert audit_atomicity(pre, txn, post) == normalized_audit(pre, txn, post)
 
 
 # -- run_scenario ----------------------------------------------------------------

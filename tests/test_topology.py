@@ -657,7 +657,7 @@ def test_bulk_trunk_runs_equal_reference_build(data):
     assert_build_matches_reference(fed, [CrossChainTransaction(1, ("a", "b"), tuple(refs), ())], mode, window)
 
 
-# -- trunk runs recorded by the build, laid on first read ---------------------------
+# -- cells planned by the build, laid on first read ---------------------------------
 
 def data_scenarios():
     return [load_scenario(str(path))[0] for path in sorted((Path(__file__).parent / "data").glob("*.scenario"))]
@@ -726,6 +726,39 @@ def test_each_first_read_lays_the_reference_build(read, data):
     assert_laid_as_reference(build_federation_complex(fed, txns, mode, window), expected, read)
 
 
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_build_read_after_its_chains_move_lays_the_moment_it_was_built(data):
+    """Appends, new forks and resolutions after a build leave its cells
+    and tops as they were when it was built."""
+    fed = Federation()
+    for cid in range(1, data.draw(st.integers(1, 2), label="chains") + 1):
+        fed.add_chain(forked_trunk(data, cid))
+    mode = data.draw(st.sampled_from(list(TopologyMode)), label="mode")
+    window = data.draw(st.sampled_from([None, 0, 2]), label="window")
+    refs = []
+    for cid in fed.chain_ids():
+        chain = fed.chain(cid)
+        height = data.draw(st.integers(0, chain.branches[chain.canonical_branch()].tip), label="height")
+        refs.append(data.draw(st.sampled_from(chain.live_block_at(height)), label="ref"))
+    txns = [CrossChainTransaction(1, ("a", "b"), tuple(refs), ())]
+    expected = reference_build(fed, txns, mode, window)
+    tagged = build_federation_complex(fed, txns, mode, window)
+    for _ in range(data.draw(st.integers(1, 4), label="moves")):
+        chain = fed.chain(data.draw(st.sampled_from(fed.chain_ids()), label="chain"))
+        move = data.draw(st.sampled_from(["append", "fork", "resolve"]), label="move")
+        if move == "append":
+            label = data.draw(st.sampled_from(live_branch_labels(chain)), label="branch")
+        elif move == "fork":
+            top = chain.branches[chain.canonical_branch()].tip
+            label = chain.spawn_fork(data.draw(st.integers(1, top + 1), label="fork height"))
+        else:
+            chain.resolve_forks()
+            continue
+        append_run(chain, label, [()] * data.draw(st.integers(0, 3), label="appended"))
+    assert_laid_as_reference(tagged, expected, data.draw(st.sampled_from(sorted(READS)), label="read"))
+
+
 def unforked_trunk(data, cid):
     """A declared trunk of up to 300 blocks grown on branch 0, with forks
     now and then spawned and left empty, or grown no higher than the
@@ -745,8 +778,8 @@ def unforked_trunk(data, cid):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_a_build_over_unforked_chains_walks_no_row(data):
-    """Each chain is recorded as its one run; nothing is stitched, and the
-    build is the reference's."""
+    """Each chain's plan holds no forked height; nothing is stitched,
+    in the build or in the lay, and the laid build is the reference's."""
     fed = Federation()
     for cid in range(1, data.draw(st.integers(1, 3), label="chains") + 1):
         fed.add_chain(unforked_trunk(data, cid))
@@ -759,12 +792,10 @@ def test_a_build_over_unforked_chains_walks_no_row(data):
         txns.append(CrossChainTransaction(tid, ("a", "b"), tuple(refs), ()))
     assert all(chain.forked_heights(0, chain.branches[0].tip) == [] for chain in fed.chains.values())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(topology, "_stitches", None)  # a walked row would call it
+        patch.setattr(topology, "_stitches", None)  # a forked row would call it
         tagged = build_federation_complex(fed, txns, mode, window)
-    assert tagged._row_cells == frozenset()
-    spans = topology._spans(fed, txns, window)
-    assert [run.start for run in tagged._runs] == [spans[cid][0] for cid in fed.chain_ids()]  # one run per chain
-    assert_laid_as_reference(tagged, reference_build(fed, txns, mode, window), "cells")
+        assert [(plan.chain, plan.heights) for plan in tagged._plans] == [(cid, []) for cid in fed.chain_ids()]
+        assert_laid_as_reference(tagged, reference_build(fed, txns, mode, window), "cells")
 
 
 def long_trunk_scenario(mode):
@@ -812,7 +843,7 @@ def test_betti_reports_lay_the_reference_build_at_every_event(read, mode):
     for k in range(len(transactions) + 1):
         expected = reference_build(federation, transactions[k:], mode)
         betti, tagged = betti_report(scenario, k)
-        assert tagged._runs  # the build recorded trunk runs
+        assert [plan.chain for plan in tagged._plans] == federation.chain_ids()  # one plan per chain
         assert_laid_as_reference(tagged, expected, read)
         assert betti == closure_betti(tagged)
         next(rows, None)
@@ -895,16 +926,34 @@ def test_a_simplex_walks_each_forked_height_and_the_one_above(monkeypatch, mode)
     for height in (7, 8, 30, 31, 59):
         append_run(chain, chain.spawn_fork(height), [()] * (2 if height == 30 else 1))
     fed.add_chain(Chain(2, length=5))
-    assert chain.forked_heights(0, 60) == [7, 8, 30, 31, 59]
-    walked = [7, 8, 9, 30, 31, 32, 59, 60]  # each forked height and the one above
+    forked = [7, 8, 30, 31, 59]
+    assert chain.forked_heights(0, 60) == forked
     deals = [txn(1, [(1, height, 0), (2, 2, 0)]) for height in (0, 20, 31, 60)]
     expected = [reference_build(fed, [deal], mode)[1][1] for deal in deals]
     reads = count_chain_reads(monkeypatch)
-    for deal, top in zip(deals, expected):
-        reads.clear()
-        assert transaction_simplex(fed, deal, mode) == top
-        # the walk, then expand_refs' one read per declared block for the top
-        assert reads == [(1, h) for h in walked] + [(ref.chain, ref.height) for ref in deal.blocks]
+    with pytest.MonkeyPatch.context() as patch:
+        # a simplex stitches nothing and lays no cell
+        patch.setattr(topology, "_stitches", None)
+        patch.setattr(topology, "_lay_plan", None)
+        for deal, top in zip(deals, expected):
+            reads.clear()
+            assert transaction_simplex(fed, deal, mode) == top
+            # each forked height once, then expand_refs' one read per declared block for the top
+            assert reads == [(1, h) for h in forked] + [(ref.chain, ref.height) for ref in deal.blocks]
+    tagged = build_federation_complex(fed, deals[:1], mode)
+    structural = reference_build(fed, deals[:1], mode)[0]
+    walked = []
+    stitches = topology._stitches
+
+    def counted(branches, height, labels, above):
+        walked.append(height + 1)
+        return stitches(branches, height, labels, above)
+
+    monkeypatch.setattr(topology, "_stitches", counted)
+    reads.clear()
+    assert frozenset(map(Simplex, tagged.structural())) == structural
+    # the lay walks each forked height and the one above, from the rows the build read
+    assert walked == [7, 8, 9, 30, 31, 32, 59, 60] and reads == []
 
 
 # -- Betti numbers against the dense oracle ---------------------------------------------
