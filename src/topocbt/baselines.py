@@ -16,11 +16,10 @@ horizon is a number of ticks after prepare.
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .chain import AssetUpdate, Chain, Federation, _pack_str
+from .chain import AssetUpdate, Chain, Federation, _U64, _pack_str
 from .engine import FailurePlan, NO_FAILURES, Outcome, Status, UPDATE_FAILURE, CRASH_BEFORE_COMMIT, pair_count
 from .topology import CrossChainTransaction, expand_refs
 
@@ -39,7 +38,7 @@ class Decision:
     txn_id: int
 
     def to_bytes(self) -> bytes:
-        return b"D" + _pack_str(self.kind) + struct.pack(">Q", self.txn_id)
+        return b"D" + _pack_str(self.kind) + _U64.pack(self.txn_id)
 
     __post_init__ = to_bytes
 

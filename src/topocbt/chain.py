@@ -86,15 +86,29 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 GENESIS_PARENT = b"\x00" * 32
-_NAME_LENGTH = struct.Struct(">H")
-_SHORT_NAME = 2**14 - 1  # characters of at most 4 UTF-8 bytes each: never past the 16-bit length
+NAME_BYTES = 2**16 - 1  # UTF-8 bytes of a party or asset name: '>H'-prefixed in blocks, the WAL and the digest
+_SHORT_NAME = NAME_BYTES // 4  # characters of at most 4 UTF-8 bytes each: never past the 16-bit length
+# every packed field of a record, a block hash and the state digest, big-endian
+_U16 = struct.Struct(">H")     # a name's length; the WAL's update count
+_U64 = struct.Struct(">Q")     # an amount, a transaction id
+_REF = struct.Struct(">III")   # a block ref
+_COUNT = struct.Struct(">I")   # a block's record count
+_AMOUNT = struct.Struct(">q")  # a balance in the state digest
 
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
+    if len(raw) > NAME_BYTES:
         raise ValueError(f"a name of {len(raw)} UTF-8 bytes does not fit its 16-bit length field")
-    return _NAME_LENGTH.pack(len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
+
+
+def _unpack_str(buf: bytes, off: int) -> tuple[str, int]:
+    (n,) = _U16.unpack_from(buf, off)
+    off += _U16.size
+    if off + n > len(buf):
+        raise ValueError("string runs past the end of the snapshot")
+    return buf[off : off + n].decode("utf-8"), off + n
 
 
 class BlockRef(NamedTuple):
@@ -133,14 +147,21 @@ class AssetUpdate:
     def inverse(self) -> "AssetUpdate":
         return AssetUpdate(self.owner_to, self.owner_from, self.asset, self.amount)
 
+    def fields(self) -> bytes:
+        """The three names, each '>H'-prefixed, then the '>Q' amount."""
+        return _pack_str(self.owner_from) + _pack_str(self.owner_to) + _pack_str(self.asset) + _U64.pack(self.amount)
+
     def to_bytes(self) -> bytes:
-        return (
-            b"U"
-            + _pack_str(self.owner_from)
-            + _pack_str(self.owner_to)
-            + _pack_str(self.asset)
-            + struct.pack(">Q", self.amount)
-        )
+        return b"U" + self.fields()
+
+    @classmethod
+    def unpack_from(cls, buf: bytes, off: int) -> tuple["AssetUpdate", int]:
+        """The update whose ``fields`` start at ``off``, and the offset after them."""
+        owner_from, off = _unpack_str(buf, off)
+        owner_to, off = _unpack_str(buf, off)
+        asset, off = _unpack_str(buf, off)
+        (amount,) = _U64.unpack_from(buf, off)
+        return cls(owner_from, owner_to, asset, amount), off + _U64.size
 
 
 @dataclass(frozen=True)
@@ -152,7 +173,7 @@ class Forward:
     txn_id: int
 
     def to_bytes(self) -> bytes:
-        return b"F" + struct.pack(">Q", self.txn_id)
+        return b"F" + _U64.pack(self.txn_id)
 
     __post_init__ = to_bytes  # refuses a field past its struct field as the record is made
 
@@ -170,14 +191,9 @@ class Compensation:
     txn_id: int
 
     def to_bytes(self) -> bytes:
-        return b"C" + struct.pack(">IIIQ", *self.undone, self.txn_id)
+        return b"C" + _REF.pack(*self.undone) + _U64.pack(self.txn_id)
 
     __post_init__ = to_bytes
-
-
-_REF = struct.Struct(">III")
-_AMOUNT = struct.Struct(">q")
-_COUNT = struct.Struct(">I")
 
 
 def compute_block_hash(ref: tuple[int, int, int], parent_hash: bytes, payload: tuple) -> bytes:
@@ -373,21 +389,14 @@ class Chain:
         last one derived when that lies at or below it, else from
         genesis; it is then the last one derived.  ``hash_violations``
         seals in height order, so only a read out of that order derives
-        from genesis again.
-
-        Each step is ``compute_block_hash((id, h, 0), parent, ())`` written
-        out: an empty payload adds a zero record count and no record bytes.
+        from genesis again.  Each step seals an empty block on its parent.
         """
         at, digest = self._trunk_last
         if at > height:
             at, digest = -1, GENESIS_PARENT
-        sha256, pack_ref, chain_id = hashlib.sha256, _REF.pack_into, self.id
-        # ref, parent hash, a zero record count: rewritten in place per step
-        step = bytearray(_REF.size + 32 + _COUNT.size)
+        chain_id = self.id
         for h in range(at + 1, height + 1):
-            pack_ref(step, 0, chain_id, h, 0)
-            step[12:44] = digest
-            digest = sha256(step).digest()
+            digest = compute_block_hash((chain_id, h, 0), digest, ())
         self._trunk_last = (height, digest)
         return digest
 

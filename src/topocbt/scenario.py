@@ -45,7 +45,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .chain import AssetUpdate, BlockRef, Chain, Federation
+from .chain import NAME_BYTES, AssetUpdate, BlockRef, Chain, Federation
 from .engine import FACE_FAILURE_KINDS, NO_FAILURES, FailurePlan
 from .simplicial import MAX_CELLS, MEMORY_BUDGET
 from .topology import CrossChainTransaction, SubTransaction, TopologyMode
@@ -107,7 +107,6 @@ AMOUNT = (1, 2**63 - 1)        # '>Q' in blocks and the WAL, and a balance chang
 BALANCE = (-(2**63), 2**63 - 1)  # '>q' in the state digest
 POINT = (1, None)              # 1-based face, swap, record and append counts
 NATURAL = (0, None)            # epoch and window, where 0 means never and whole chains
-NAME_BYTES = 2**16 - 1         # UTF-8 bytes of a party or asset name: '>H'-prefixed in blocks, the WAL and the digest
 SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one WAL undo record's '>H' count
 
 # The work budget.  A run holds its scenario's whole declared history in
@@ -123,13 +122,14 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 #   640 B, the row included).  No run
 #   reads a block, so none is sealed: a read seals a fork's block (~180 B
 #   more) and hands out a trunk block (~390 B and its ~75 B derived hash).
-#   A complex build walks only the forked rows and the row above each and
-#   keeps their cells, and while it builds one first vertex id per block
-#   there; the other trunk heights are recorded as runs.  Per declared block, the chains and one
-#   build came to ~0.1 B on a bare 150,000-block trunk and ~390-830 B with
-#   2,000 forks (on one height, or one on each of 2,000 heights), and a
-#   whole run peaked at the same.  betti --out lays its build's runs (~180-
-#   500 B per declared block) and its face closure: the two came to
+#   A complex build lays no cell: it numbers each chain's vertices from
+#   one plan, which holds the chain's forked rows in its span, as
+#   live_block_at hands them out, and one vertex count per row.  The
+#   chains and one build came to ~0.1 B per declared block on a bare
+#   150,000-block trunk and ~390-830 B per fork block with 2,000 forks
+#   (on one height, or one on each of 2,000 heights), and a whole run
+#   peaked at the same.  betti --out lays each plan's cells (~180-500 B
+#   per declared block) and its face closure: the two came to
 #   ~400-530 B in abstract mode and ~980-1,100 B with 2 replicas, and
 #   writing its text peaked at ~2,330-2,340 B with 2 replicas, past
 #   BLOCK_BYTES.  So betti --out's memory per declared block is held by

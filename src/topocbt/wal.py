@@ -9,7 +9,8 @@ Record layout (all integers big-endian):
     Undo only:
       u32 x 3  planned update-block ref (chain, height, branch)
       u32      snapshot length
-      bytes    snapshot: u16 update count, then per update
+      bytes    snapshot: u16 update count, then per update the
+               block record's ``AssetUpdate`` without its ``U`` tag:
                u16-prefixed owner_from / owner_to / asset strings
                and u64 amount
 
@@ -26,7 +27,11 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .chain import AssetUpdate, BlockRef, _pack_str
+from .chain import AssetUpdate, BlockRef, _U16
+
+_LENGTH = struct.Struct(">I")    # record length
+_HEADER = struct.Struct(">QQB")  # sequence, transaction id, kind
+_UNDO = struct.Struct(">IIII")   # planned ref, snapshot length
 
 
 class WalKind(enum.IntEnum):
@@ -39,38 +44,21 @@ class WalFormatError(Exception):
     pass
 
 
-def _unpack_str(buf: bytes, off: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from(">H", buf, off)
-    off += 2
-    if off + n > len(buf):
-        raise ValueError("string runs past the end of the snapshot")
-    return buf[off : off + n].decode("utf-8"), off + n
-
-
 def _pack_updates(updates: tuple[AssetUpdate, ...]) -> bytes:
     try:
-        out = [struct.pack(">H", len(updates))]
+        count = _U16.pack(len(updates))
     except struct.error:
         raise ValueError(f"{len(updates)} updates do not fit an undo record's 16-bit count") from None
-    for u in updates:
-        out.append(_pack_str(u.owner_from))
-        out.append(_pack_str(u.owner_to))
-        out.append(_pack_str(u.asset))
-        out.append(struct.pack(">Q", u.amount))
-    return b"".join(out)
+    return count + b"".join([u.fields() for u in updates])
 
 
 def _unpack_updates(buf: bytes) -> tuple[AssetUpdate, ...]:
-    (count,) = struct.unpack_from(">H", buf, 0)
-    off = 2
+    (count,) = _U16.unpack_from(buf, 0)
+    off = _U16.size
     updates = []
     for _ in range(count):
-        owner_from, off = _unpack_str(buf, off)
-        owner_to, off = _unpack_str(buf, off)
-        asset, off = _unpack_str(buf, off)
-        (amount,) = struct.unpack_from(">Q", buf, off)
-        off += 8
-        updates.append(AssetUpdate(owner_from, owner_to, asset, amount))
+        update, off = AssetUpdate.unpack_from(buf, off)
+        updates.append(update)
     if off != len(buf):
         raise ValueError(f"{len(buf) - off} bytes after the last update")
     return tuple(updates)
@@ -85,15 +73,12 @@ class WalRecord:
     updates: tuple[AssetUpdate, ...] = ()      # Undo: updates that block will carry
 
     def to_bytes(self) -> bytes:
-        body = struct.pack(">QQB", self.sequence, self.txn_id, int(self.kind))
+        body = _HEADER.pack(self.sequence, self.txn_id, int(self.kind))
         if self.kind is WalKind.UNDO:
             assert self.block_ref is not None
             snapshot = _pack_updates(self.updates)
-            body += struct.pack(
-                ">IIII", self.block_ref.chain, self.block_ref.height, self.block_ref.branch, len(snapshot)
-            )
-            body += snapshot
-        return struct.pack(">I", len(body)) + body
+            body += _UNDO.pack(*self.block_ref, len(snapshot)) + snapshot
+        return _LENGTH.pack(len(body)) + body
 
 
 def _check_end(body: bytes, end: int, index: int) -> None:
@@ -103,23 +88,25 @@ def _check_end(body: bytes, end: int, index: int) -> None:
 
 
 def record_from_bytes(body: bytes, index: int) -> WalRecord:
-    if len(body) < 17:
+    head = _HEADER.size
+    if len(body) < head:
         raise WalFormatError(f"record {index}: truncated header")
-    sequence, txn_id, kind_raw = struct.unpack_from(">QQB", body, 0)
+    sequence, txn_id, kind_raw = _HEADER.unpack_from(body, 0)
     try:
         kind = WalKind(kind_raw)
     except ValueError:
         raise WalFormatError(f"record {index}: unknown kind {kind_raw}") from None
     if kind is not WalKind.UNDO:
-        _check_end(body, 17, index)
+        _check_end(body, head, index)
         return WalRecord(sequence, txn_id, kind)
-    if len(body) < 33:
+    start = head + _UNDO.size
+    if len(body) < start:
         raise WalFormatError(f"record {index}: truncated undo header")
-    chain, height, branch, snap_len = struct.unpack_from(">IIII", body, 17)
-    snapshot = body[33 : 33 + snap_len]
+    chain, height, branch, snap_len = _UNDO.unpack_from(body, head)
+    snapshot = body[start : start + snap_len]
     if len(snapshot) != snap_len:
         raise WalFormatError(f"record {index}: truncated snapshot")
-    _check_end(body, 33 + snap_len, index)
+    _check_end(body, start + snap_len, index)
     try:
         updates = _unpack_updates(snapshot)
     except struct.error:
@@ -168,10 +155,10 @@ class WriteAheadLog:
         off = 0
         while off < len(data):
             index = len(records)
-            if off + 4 > len(data):
+            if off + _LENGTH.size > len(data):
                 raise WalFormatError(f"record {index}: truncated length prefix")
-            (length,) = struct.unpack_from(">I", data, off)
-            off += 4
+            (length,) = _LENGTH.unpack_from(data, off)
+            off += _LENGTH.size
             body = data[off : off + length]
             if len(body) != length:
                 raise WalFormatError(f"record {index}: truncated body")

@@ -18,6 +18,7 @@ from topocbt.chain import (
     Conflict,
     Federation,
     Forward,
+    GENESIS_PARENT,
     compute_block_hash,
 )
 from topocbt.harness import compare_protocols, run_scenario
@@ -287,6 +288,15 @@ def test_tampered_parent_hash_detected():
     assert ch.hash_violations() == [BlockRef(1, 1, 0)]
 
 
+def test_a_parentless_block_above_genesis_is_detected():
+    ch = Chain(1, length=2)
+    block = ch.block(BlockRef(1, 1, 0))
+    object.__setattr__(block, "parent_ref", None)
+    object.__setattr__(block, "parent_hash", GENESIS_PARENT)
+    object.__setattr__(block, "hash", compute_block_hash(block.ref, GENESIS_PARENT, block.payload))
+    assert ch.hash_violations() == [BlockRef(1, 1, 0)]
+
+
 def test_tampered_block_of_a_one_pass_run_is_detected():
     ch = Chain(1)
     append_run(ch, 0, [()] * 5)
@@ -485,7 +495,8 @@ def test_appending_above_a_declared_trunk_hashes_nothing_until_read(monkeypatch)
     assert ledger(chain) == {("a", "X"): -1, ("b", "X"): 1} and compensated_refs(chain) == {top}
     assert chain.holds_forward(BlockRef(1, 5001, 0), 1) and calls == []
     assert chain.block(top).parent_ref == BlockRef(1, 5001, 0)
-    assert calls == [5000, BlockRef(1, 5001, 0), top]  # the trunk's tip, then the run below the read
+    # the trunk's tip, derived up from genesis one empty block at a time, then the run below the read
+    assert calls == [5000, *(BlockRef(1, h, 0) for h in range(5001)), BlockRef(1, 5001, 0), top]
     calls.clear()
     assert chain.hash_violations() == []
     assert BlockRef(1, 2500, 1) in calls

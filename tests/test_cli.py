@@ -540,6 +540,18 @@ def test_recover_rejects_a_log_with_a_changed_amount(tmp_path, capsys):
     assert "digest" not in captured.out
 
 
+def test_recover_rejects_a_log_with_a_changed_kind(tmp_path, capsys):
+    wal_file = committed_car_trading_log(tmp_path)
+    wal = WriteAheadLog.read(wal_file)
+    wal.records[3] = replace(wal.records[3], kind=WalKind.ABORT)
+    wal.write(wal_file)
+    capsys.readouterr()
+    assert main(["recover", "--wal", wal_file, "--scenario", "car-trading"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: record 3: logged kind abort, the run writes commit"]
+    assert "digest" not in captured.out
+
+
 def test_recover_rejects_a_log_longer_than_the_run(tmp_path, capsys):
     wal_file = committed_car_trading_log(tmp_path)
     wal = WriteAheadLog.read(wal_file)

@@ -181,6 +181,16 @@ def test_status_disagreeing_with_auditor_is_an_invariant_failure():
     assert report.invariant_failures() == ["txn 1: status Aborted but audit all"]
 
 
+@pytest.mark.parametrize("change, problem", [
+    ({"audit": AUDIT_PARTIAL}, "atomicity violated under topocbt"),
+    ({"status": Status.BLOCKED}, "non-terminal status Blocked"),
+], ids=["partial-audit", "blocked"])
+def test_a_partial_audit_or_a_blocked_status_is_an_invariant_failure(change, problem):
+    report = run_scenario(car_trading(), 1)
+    report.rows[0] = dataclasses.replace(report.rows[0], **change)
+    assert report.invariant_failures() == [f"txn 1: {problem}"]
+
+
 CANCELLING_DEAL_TEXT = """\
 [chain]
 id = 1
@@ -632,6 +642,12 @@ def test_fit_requires_enough_points():
 def test_fit_rejects_points_that_cannot_separate_the_basis(points, basis, names):
     with pytest.raises(ValueError, match=re.escape(f"cannot separate the basis {names}")):
         fit_ops(points, basis)
+
+
+def test_fit_refuses_an_unknown_basis():
+    with pytest.raises(ValueError) as info:
+        fit_ops([(2, 1, 10)] * 6, "cubic")
+    assert str(info.value) == "unknown basis 'cubic'"
 
 
 def test_fit_is_exact_on_points_of_the_model():

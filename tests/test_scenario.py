@@ -172,8 +172,15 @@ def test_grid_scenario_counts():
 
 
 def test_grid_rejects_tiny_n():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError) as info:
         grid_scenario(1, 1)
+    assert str(info.value) == "grid needs at least 2 chains"
+
+
+def test_grid_rejects_negative_m():
+    with pytest.raises(ScenarioError) as info:
+        grid_scenario(3, -1)
+    assert str(info.value) == "grid needs m >= 0"
 
 
 def test_random_scenario_is_seed_deterministic():
@@ -303,7 +310,10 @@ def test_rejected_input_names_line_and_field(case):
     (_appended("[chain]\nid = 4\nfork = 3\n"), "line 36: field fork: fork needs 'height branches'"),
     (_edited("sub = 1:2 ; alice bob ETH 10", "sub = ; alice bob ETH 1"),
      "line 31: field sub: sub needs at least one block"),
-], ids=["fork-without-branches", "sub-without-blocks"])
+    (_edited("sub = 1:2 ; alice bob ETH 10", "sub = 1:1"), "line 31: field sub: sub needs 'blocks ; updates'"),
+    (_edited("sub = 1:2 ; alice bob ETH 10", "sub = 1:2 ; alice bob 10"),
+     "line 31: field sub: update must be 'from to asset amount', got 'alice bob 10'"),
+], ids=["fork-without-branches", "sub-without-blocks", "sub-without-semicolon", "three-token-update"])
 def test_refused_input_reads_its_message(text, message):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text)

@@ -45,6 +45,14 @@ def test_undo_snapshot_survives_round_trip():
     assert rec.updates == (AssetUpdate("alice", "bob", "ETH", 10),)
 
 
+def test_an_undo_snapshot_is_its_updates_as_block_records_without_their_tag():
+    updates = (AssetUpdate("alice", "bob", "ETH", 10), AssetUpdate("b\u00e9", "cindy", "BTC", 2**64 - 1))
+    record = WalRecord(1, 7, WalKind.UNDO, BlockRef(2, 3, 1), updates).to_bytes()
+    snapshot = struct.pack(">H", len(updates)) + b"".join(u.to_bytes()[1:] for u in updates)
+    # u32 length, u64 sequence, u64 txn id, u8 kind, u32 x 3 planned ref, u32 snapshot length
+    assert struct.unpack_from(">I", record, 33) == (len(snapshot),) and record[37:] == snapshot
+
+
 def test_out_of_order_sequence_rejected():
     good = sample_log().to_bytes()
     # swap the first two records on the wire
