@@ -29,7 +29,7 @@ DEFAULT_TIMELOCK = 10        # simulation ticks granted to claim a swap leg
 BLOCKING_HORIZON_FACTOR = 10  # locks held past factor * timelock => blocked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """2PC decision record carried on the witness chain.  Packed as it
     is made, like ``chain.Forward``."""

@@ -126,7 +126,7 @@ class BlockRef(NamedTuple):
         return f"{self.chain}:{self.height}:{self.branch}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssetUpdate:
     """One asset transfer in a block payload; made, it checks each field fits its packed one."""
 
@@ -164,7 +164,7 @@ class AssetUpdate:
         return cls(owner_from, owner_to, asset, amount), off + _U64.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forward:
     """Marker that opens a forward update block: names its transaction,
     so rollback can tell its own block from an equal update that another
@@ -178,7 +178,7 @@ class Forward:
     __post_init__ = to_bytes  # refuses a field past its struct field as the record is made
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compensation:
     """Marker carried by a rollback block: names the block it reverses.
 
@@ -204,7 +204,7 @@ def compute_block_hash(ref: tuple[int, int, int], parent_hash: bytes, payload: t
     ).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A sealed block.  Its hash is fixed when the block is first read
     (``Chain.block`` or ``Chain.hash_violations``), not at append time,
@@ -231,7 +231,7 @@ class _Unsealed(NamedTuple):
     payload: tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class BranchInfo:
     spawn_height: int
     parent: Optional[BlockRef]  # fork parent on the trunk; None for branch 0
@@ -570,7 +570,7 @@ class Chain:
         return bad
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conflict:
     ref: BlockRef
     holder: int

@@ -59,7 +59,7 @@ class Status(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """What one run of one transaction reports, whichever protocol ran it."""
 
@@ -84,7 +84,7 @@ class SimulatedCrash(RuntimeError):
         self.point = point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailurePlan:
     """Deterministic fault injections for one transaction run.
 
@@ -112,7 +112,7 @@ class FailurePlan:
 NO_FAILURES = FailurePlan()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoveryReport:
     rolled_back: tuple[int, ...]       # no terminal record: rolled back + abort appended
     committed_untouched: tuple[int, ...]

@@ -84,7 +84,7 @@ def audit_atomicity(pre_balances: dict, txn: CrossChainTransaction, post_balance
     return AUDIT_PARTIAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxnRow:
     scenario: str
     seed: int
@@ -118,7 +118,7 @@ class TxnRow:
         ]
 
 
-@dataclass
+@dataclass(slots=True)
 class RunReport:
     rows: list[TxnRow]
     final_digest: str
@@ -299,7 +299,7 @@ def replay_to(scenario: Scenario, at_event: int) -> tuple[Federation, list[Cross
 # -- protocol comparison -----------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ComparisonTable:
     rows: list[TxnRow]
 
@@ -342,7 +342,7 @@ def compare_protocols(scenarios: Iterable[Scenario], seeds: Sequence[int]) -> Co
 # -- complexity fit -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     coefficients: tuple[float, ...]
     residual_ratio: float
@@ -407,7 +407,7 @@ def measure_grid(
     return points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitVerdict:
     main_fit: FitResult
     passed: bool

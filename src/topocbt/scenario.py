@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
+from sys import intern
 from typing import Callable, Iterable, Optional
 
 from .chain import NAME_BYTES, AssetUpdate, BlockRef, Chain, Federation
@@ -64,7 +65,7 @@ class ScenarioError(Exception):
         self.field = fld
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainSpec:
     id: int
     replicas: int = 1
@@ -74,7 +75,7 @@ class ChainSpec:
     balances: tuple[tuple[str, str, int], ...] = ()  # (party, asset, amount)
 
 
-@dataclass
+@dataclass(slots=True)
 class FailureSpec:
     txn: int
     kind: str
@@ -118,17 +119,19 @@ SUB_UPDATES = 2**16 - 1        # updates on one sub line: a chain's share is one
 #   chain nothing of its own, and an appended one holds no height-index
 #   row either (live_block_at builds a trunk row each time it is read); a
 #   fork's block is stored unsealed with its branch and its height-index
-#   row, and forks spawned at one height share their parent's ref (~360-
-#   640 B, the row included).  No run
-#   reads a block, so none is sealed: a read seals a fork's block (~180 B
-#   more) and hands out a trunk block (~390 B and its ~75 B derived hash).
+#   row, and forks spawned at one height share their parent's ref (~310-
+#   580 B, the row included; BranchInfo and every payload record are
+#   slotted, so none holds a __dict__).  No run
+#   reads a block, so none is sealed: a read seals a fork's block (~150-
+#   210 B more) and hands out a trunk block (~360 B, its hash included).
 #   A complex build lays no cell: it numbers each chain's vertices from
 #   one plan, which holds the chain's forked rows in its span, as
 #   live_block_at hands them out, and one vertex count per row.  The
-#   chains and one build came to ~0.1 B per declared block on a bare
-#   150,000-block trunk and ~390-830 B per fork block with 2,000 forks
-#   (on one height, or one on each of 2,000 heights), and a whole run
-#   peaked at the same.  betti --out lays each plan's cells (~180-500 B
+#   chains and one build held ~0.02 B per declared block on a bare
+#   150,000-block trunk with 2 replicas and ~350-670 B per fork block
+#   with 2,000 forks (on one height, or one on each of 2,000 heights),
+#   and peaked at ~440-750 B (a whole run with one deal near the tip:
+#   ~500-750 B).  betti --out lays each plan's cells (~180-500 B
 #   per declared block) and its face closure: the two came to
 #   ~400-530 B in abstract mode and ~980-1,100 B with 2 replicas, and
 #   writing its text peaked at ~2,330-2,340 B with 2 replicas, past
@@ -146,7 +149,7 @@ MAX_BLOCKS = MEMORY_BUDGET // BLOCK_BYTES  # trunks and forks of all chains toge
 REPLICAS = (1, MAX_CELLS.bit_length() - 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Scenario:
     name: str = "unnamed"
     mode: TopologyMode = TopologyMode.ABSTRACT
@@ -198,7 +201,7 @@ def integer(token: str) -> int:
     """A base-10 integer in ASCII, '-?[0-9]+', the one integer rule of
     scenario files and the command line: int() alone would also take
     '+', '_', surrounding spaces and the digits of other scripts."""
-    if not (token.isascii() and token.lstrip("-").isdigit()):
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise ValueError(f"expected integer, got {token!r}")
     return int(token)
 
@@ -256,7 +259,10 @@ def _check_parties(names: Iterable[str], line: int, fld: str) -> None:
 
 
 def _names(value: str, line: int, key: str) -> tuple[str, ...]:
-    names = tuple(value.split())
+    """The value's names.  Every parser that stores a party or asset name
+    interns it: a scenario repeats its names thousands of times, and
+    each is then one string per process."""
+    names = tuple(map(intern, value.split()))
     _check_names(value, names, line, key)
     return names
 
@@ -271,7 +277,7 @@ def _party(value: str, line: int, key: str) -> str:
     """One party name: the whole value, spaces and all."""
     _check_names(value, (value,), line, key)
     _check_parties((value,), line, key)
-    return value
+    return intern(value)
 
 
 def _blocks(value: str, line: int, key: str) -> tuple[BlockRef, ...]:
@@ -299,7 +305,7 @@ def _balance(value: str, line: int, key: str) -> tuple[str, str, int]:
         raise ScenarioError("balance needs 'party asset amount'", line, key)
     _check_names(value, toks[:2], line, key)
     _check_parties(toks[:1], line, key)
-    return toks[0], toks[1], _parse_int(toks[2], line, key, BALANCE)
+    return intern(toks[0]), intern(toks[1]), _parse_int(toks[2], line, key, BALANCE)
 
 
 def _sub(value: str, line: int, key: str) -> SubTransaction:
@@ -315,7 +321,8 @@ def _sub(value: str, line: int, key: str) -> SubTransaction:
         toks = clause.split()
         if len(toks) != 4:
             raise ScenarioError(f"update must be 'from to asset amount', got {clause.strip()!r}", line, key)
-        fields.append((*toks[:3], _parse_int(toks[3], line, key, AMOUNT)))
+        owner_from, owner_to, asset, amount = toks
+        fields.append((intern(owner_from), intern(owner_to), intern(asset), _parse_int(amount, line, key, AMOUNT)))
     _check_names(updates_part, (name for update in fields for name in update[:3]), line, key)
     _check_parties((name for update in fields for name in update[:2]), line, key)
     updates = [AssetUpdate(*update) for update in fields]

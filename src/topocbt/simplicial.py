@@ -50,7 +50,7 @@ CELL_BYTES = 256
 MAX_CELLS = MEMORY_BUDGET // CELL_BYTES
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Simplex:
     """A k-simplex stored as its k+1 vertices in strictly ascending order."""
 
@@ -81,7 +81,7 @@ class Simplex:
             yield Simplex(combo)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryMatrix:
     """GF(2) boundary map from k-simplices (columns) to (k-1)-simplices (rows)."""
 

@@ -65,7 +65,7 @@ class TopologyMode(enum.Enum):
     REPLICATED = "replicated"  # trunk blocks fan out into one vertex per replica
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubTransaction:
     """One face of a transaction: member blocks plus the updates it applies."""
 
@@ -73,7 +73,7 @@ class SubTransaction:
     updates: tuple[AssetUpdate, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossChainTransaction:
     id: int
     parties: tuple[str, ...]

@@ -64,7 +64,7 @@ def _unpack_updates(buf: bytes) -> tuple[AssetUpdate, ...]:
     return tuple(updates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalRecord:
     sequence: int
     txn_id: int

@@ -14,6 +14,7 @@ from topocbt.scenario import (
     ScenarioError,
     car_trading,
     grid_scenario,
+    integer,
     load_scenario,
     parse_scenario,
 )
@@ -318,6 +319,17 @@ def test_refused_input_reads_its_message(text, message):
     with pytest.raises(ScenarioError) as info:
         parse_scenario(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("token", ["--5", "-", "", "+5", "5-", "1_0", " 5", "\u0663"])
+def test_integer_refuses_what_is_not_one_minus_and_ascii_digits_with_its_own_message(token):
+    with pytest.raises(ValueError) as info:
+        integer(token)
+    assert str(info.value) == f"expected integer, got {token!r}"
+
+
+def test_integer_takes_one_minus_sign():
+    assert [integer(token) for token in ("0", "-0", "-5", "007")] == [0, 0, -5, 7]
 
 
 def test_numbers_at_the_range_edges_parse():
