@@ -55,7 +55,7 @@ def main():
     print("=" * 64)
     print("Cindy walks away after the first exchange")
     print("=" * 64)
-    walk = FailurePlan(walk_away="cindy")
+    walk = FailurePlan((("walk_away", "cindy"),))
 
     scen, fed, txn = fresh()
     out = ac2s_execute(fed, txn, walk)
@@ -66,9 +66,7 @@ def main():
 
     scen, fed, txn = fresh()
     pre = fed.state_digest()
-    out = TopoCbtEngine(fed).execute(
-        txn, FailurePlan(face_failures=((3, "update_failure"),))
-    )
+    out = TopoCbtEngine(fed).execute(txn, FailurePlan((("update_failure", 3),)))
     print(f"\nmain engine, same misbehavior as an update failure: {out.status}")
     print(f"  state digest restored: {fed.state_digest() == pre}")
     show_balances(fed, "rolled back")
@@ -78,7 +76,7 @@ def main():
     print("Coordinator dies after the prepare phase")
     print("=" * 64)
     scen, fed, txn = fresh()
-    out = ac3wn_execute(fed, txn, FailurePlan(witness_crash=True))
+    out = ac3wn_execute(fed, txn, FailurePlan((("witness_crash", None),)))
     print(f"\nwitness 2PC: {out.status}, locks still held: {len(fed.locks)}")
     print("  participants voted yes and now wait for a decision that")
     print("  will never arrive: the protocol blocks")
@@ -86,7 +84,7 @@ def main():
     scen, fed, txn = fresh()
     engine = TopoCbtEngine(fed)
     try:
-        engine.execute(txn, FailurePlan(face_failures=((3, "crash_before_commit"),)))
+        engine.execute(txn, FailurePlan((("crash_before_commit", 3),)))
     except Exception as crash:
         print(f"\nmain engine, crash injected mid-transaction: {crash}")
         report = engine.recover()

@@ -34,7 +34,7 @@ def main():
             fed, txn, engine = fresh()
             pre = fed.state_digest()
             try:
-                engine.execute(txn, FailurePlan(**{kind: point}))
+                engine.execute(txn, FailurePlan(((kind, point),)))
             except SimulatedCrash as crash:
                 report = engine.recover()
                 restored = fed.state_digest() == pre
@@ -46,7 +46,7 @@ def main():
     print("already durable, so recovery must keep it.")
     fed, txn, engine = fresh()
     try:
-        engine.execute(txn, FailurePlan(crash_after_record=4))
+        engine.execute(txn, FailurePlan((("crash_after_record", 4),)))
     except SimulatedCrash:
         report = engine.recover()
         print(f"  committed untouched: {list(report.committed_untouched)}, "
@@ -55,7 +55,7 @@ def main():
     print("\nRecovery is idempotent: a second pass is a no-op.")
     fed, txn, engine = fresh()
     try:
-        engine.execute(txn, FailurePlan(crash_after_record=2))
+        engine.execute(txn, FailurePlan((("crash_after_record", 2),)))
     except SimulatedCrash:
         engine.recover()
         digest = fed.state_digest()

@@ -107,10 +107,9 @@ def ac2s_execute(
     applied_swaps = 0
     worse_off: set[str] = set()
 
-    walk_away = plan.walk_away
     for number, (legs, face_index) in enumerate(swaps, start=1):
         participants = {u.owner_from for u in legs} | {u.owner_to for u in legs}
-        if walk_away is not None and walk_away in participants:
+        if any(plan.strikes("walk_away", party) for party in participants):
             if applied_swaps and initiator is not None:
                 # stuck with whatever the last completed swap handed over
                 worse_off.add(initiator)
@@ -123,10 +122,7 @@ def ac2s_execute(
             # deal's blocks pairwise before it settles
             meter_ops += pair_count(n_blocks)
             messages += 2  # offer + claim
-            late = leg_no == len(legs) and (
-                plan.timeout_swap == number
-                or plan.face_failure(face_index) == UPDATE_FAILURE
-            )
+            late = leg_no == len(legs) and (plan.strikes("timeout", number) or plan.strikes(UPDATE_FAILURE, face_index))
             ticks += DEFAULT_TIMELOCK + 1 if late else 1
             if ticks > DEFAULT_TIMELOCK:
                 expired = True
@@ -179,6 +175,9 @@ def ac3wn_execute(
     if conflict is not None:
         return Outcome(Status.ABORTED, 0, messages, meter_ops, 0)
 
+    # the coordinator's crash window: prepare done, decision not yet
+    # durable; a crash after a face applied falls in it too
+    crashed = plan.strikes("witness_crash")
     # phase 1: one prepare round-trip per participating chain, one
     # witness block per sub-transaction
     votes_ok = True
@@ -188,14 +187,12 @@ def ac3wn_execute(
     for index, sub in enumerate(txn.sub_transactions, start=1):
         decide("Prepared")
         meter_ops += 1
-        vote_abort = plan.vote_abort_face == index or plan.face_failure(index) == UPDATE_FAILURE
-        if vote_abort:
+        if plan.strikes("vote_abort", index) or plan.strikes(UPDATE_FAILURE, index):
             votes_ok = False
+        crashed = crashed or plan.strikes(CRASH_BEFORE_COMMIT, index)
     if votes_ok:
         votes_ok = federation.can_fund(u for sub in txn.sub_transactions for u in sub.updates)
 
-    # coordinator crash window: prepare done, decision not yet durable
-    crashed = plan.witness_crash or any(k == CRASH_BEFORE_COMMIT for _, k in plan.face_failures)
     if crashed:
         log.info("txn %s: no decision %d ticks after prepare, %d locks still held",
                  txn.id, BLOCKING_HORIZON_FACTOR * DEFAULT_TIMELOCK, len(refs))

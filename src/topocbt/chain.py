@@ -488,14 +488,15 @@ class Chain:
             return info.parent, info.spawn_height
         return BlockRef(self.id, info.tip, branch), info.tip + 1
 
-    def append(self, payload: Iterable = ()) -> BlockRef:
+    def append(self, payload: Iterable = (), at: Optional[BlockRef] = None) -> Optional[BlockRef]:
         """Store one block on the canonical branch."""
-        return self.append_block(self._canonical, payload)
+        return self.append_block(self._canonical, payload, at)
 
-    def append_block(self, branch: int, payload: Iterable = ()) -> BlockRef:
+    def append_block(self, branch: int, payload: Iterable = (), at: Optional[BlockRef] = None) -> Optional[BlockRef]:
         """Store one block on top of ``branch``, unsealed, and index it;
         it is sealed when first read.  Nothing is packed: each record
-        checked its fields as it was made."""
+        checked its fields as it was made.  Given ``at``, store nothing
+        and return None unless ``at`` is the slot the block would fill."""
         info = self.branches.get(branch)
         if info is None:
             raise ChainError(f"unknown branch {branch} on chain {self.id}")
@@ -504,6 +505,8 @@ class Chain:
         payload = tuple(payload)
         parent_ref, height = self._slot(branch, info)
         ref = BlockRef(self.id, height, branch)
+        if at is not None and at != ref:
+            return None
         self._blocks[ref] = _Unsealed(ref, parent_ref, payload)
         info.tip = height
         # tips only rise, so the branch that rose is the only new contender

@@ -11,11 +11,17 @@ recovery has one path: roll back each transaction that has none.  The
 outcome is always terminal: committed or aborted, never pending.
 
 Updates are never erased: both application and rollback append blocks,
-and the balance digest is what makes compensation exact.  Every block
-goes where its chain's ``append`` puts it, and an undo record names the
-slot that ``Chain.next_ref`` reports before the append.  A forward
-update block opens with a ``Forward`` marker naming its transaction, so
-rollback reverses only the crashed transaction's own blocks.
+and the balance digest is what makes compensation exact.  An undo record
+names the slot that ``Chain.next_ref`` reports, and the forward block
+goes there: if another deal filled that slot in between, the append
+refuses and the face fails.  A forward update block opens with a
+``Forward`` marker naming its transaction, so rollback reverses only
+the crashed transaction's own blocks.
+
+Each failure a plan injects here strikes "after the k-th step" of its
+kind: the k-th log record or append, or face k's undo records, funding
+check or appends.  One hook counts every such step and asks the plan
+whether it strikes there, so the first failure the run reaches strikes.
 
 Primitive-operation metering (used by the complexity fit):
     1 per block locked or released
@@ -32,12 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chain import AssetUpdate, BlockRef, Compensation, Federation, Forward
-from .topology import (
-    CrossChainTransaction,
-    TopologyMode,
-    expand_refs,
-    transaction_simplex,
-)
+from .topology import CrossChainTransaction, TopologyMode, expand_refs, transaction_simplex
 from .wal import WalKind, WalRecord, WriteAheadLog
 
 log = logging.getLogger(__name__)
@@ -47,6 +48,18 @@ CRASH_AFTER_UNDO = "crash_after_undo"
 CRASH_BEFORE_COMMIT = "crash_before_commit"
 
 FACE_FAILURE_KINDS = (UPDATE_FAILURE, CRASH_AFTER_UNDO, CRASH_BEFORE_COMMIT)
+
+# Each failure kind and the scenario key whose value says where it
+# strikes: a 1-based face, party name, swap, record or append count
+# (None: the kind takes no place).
+FAILURE_KEYS: dict[str, Optional[str]] = dict.fromkeys(FACE_FAILURE_KINDS, "face") | {
+    "walk_away": "party", "timeout": "swap", "witness_crash": None, "vote_abort": "face",
+    "crash_after_record": "record", "crash_after_append": "append",
+}
+
+# What a crash the engine injects reports, after the k-th step of its kind.
+CRASH_POINTS = {"crash_after_record": "after record {}", "crash_after_append": "after append {}",
+                CRASH_AFTER_UNDO: "after undo records of face {}", CRASH_BEFORE_COMMIT: "after face {} applied"}
 
 
 class Status(enum.Enum):
@@ -77,36 +90,33 @@ def pair_count(n: int) -> int:
 
 
 class SimulatedCrash(RuntimeError):
-    """Raised when a failure plan kills the process mid-transaction."""
-
-    def __init__(self, point: str) -> None:
-        super().__init__(point)
-        self.point = point
+    """Raised when a failure plan kills the process mid-transaction; its
+    message is the crash point, such as ``after record 3``."""
 
 
 @dataclass(frozen=True, slots=True)
 class FailurePlan:
     """Deterministic fault injections for one transaction run.
 
-    face_failures pairs a 1-based sub-transaction index with one of
-    update_failure, crash_after_undo, or crash_before_commit (the last
-    crashes after that face has applied, before the next record).
-    The baseline-only fields are ignored by this engine.
+    ``failures`` holds each failure as its kind and where it strikes:
+    the value of the kind's key in ``FAILURE_KEYS``, or None for a
+    kind with no key.  Each protocol asks ``strikes`` at the steps it
+    reaches and ignores the kinds it has no step for.
     """
 
-    face_failures: tuple[tuple[int, str], ...] = ()
-    crash_after_record: Optional[int] = None
-    crash_after_append: Optional[int] = None
-    witness_crash: bool = False
-    vote_abort_face: Optional[int] = None
-    walk_away: Optional[str] = None
-    timeout_swap: Optional[int] = None
+    failures: tuple[tuple[str, Optional[int | str]], ...] = ()
 
-    def face_failure(self, index: int) -> Optional[str]:
-        for idx, kind in self.face_failures:
-            if idx == index:
-                return kind
-        return None
+    def __post_init__(self) -> None:
+        for kind, where in self.failures:
+            if kind not in FAILURE_KEYS:
+                raise ValueError(f"unknown failure kind {kind!r}")
+            if (key := FAILURE_KEYS[kind]) is not None and where is None:
+                raise ValueError(f"failure kind {kind} needs a {key}")
+            if key is None and where is not None:
+                raise ValueError(f"failure kind {kind} takes no locating key, got {where!r}")
+
+    def strikes(self, kind: str, where: Optional[int | str] = None) -> bool:
+        return (kind, where) in self.failures
 
 
 NO_FAILURES = FailurePlan()
@@ -123,13 +133,12 @@ class RecoveryReport:
 
 
 class _Meter:
-    __slots__ = ("ops", "messages", "appends", "records")
+    __slots__ = ("ops", "messages", "steps")
 
     def __init__(self) -> None:
         self.ops = 0
         self.messages = 0
-        self.appends = 0
-        self.records = 0
+        self.steps: dict[str, int] = {}  # failure kind -> steps of it done
 
 
 class TopoCbtEngine:
@@ -143,24 +152,35 @@ class TopoCbtEngine:
 
     # -- helpers --------------------------------------------------------
 
+    def _reach(self, meter: _Meter, plan: FailurePlan, kind: str) -> bool:
+        """Count one more step of the kind ``kind`` strikes after, and raise
+        the crash the plan injects there, or answer if it fails the step."""
+        if not plan.failures:
+            return False
+        k = meter.steps[kind] = meter.steps.get(kind, 0) + 1
+        if not plan.strikes(kind, k):
+            return False
+        if kind == UPDATE_FAILURE:
+            return True
+        raise SimulatedCrash(CRASH_POINTS[kind].format(k))
+
     def _write_record(self, meter: _Meter, plan: FailurePlan, txn_id: int, kind: WalKind,
-                      block_ref: Optional[BlockRef] = None,
-                      updates: tuple[AssetUpdate, ...] = ()) -> WalRecord:
+                      block_ref: Optional[BlockRef] = None, updates: tuple[AssetUpdate, ...] = ()) -> WalRecord:
         rec = self.wal.append(txn_id, kind, block_ref, updates)
         meter.ops += 1
-        meter.records += 1
-        if plan.crash_after_record is not None and meter.records == plan.crash_after_record:
-            raise SimulatedCrash(f"after record {meter.records}")
+        self._reach(meter, plan, "crash_after_record")
         return rec
 
-    def _append_updates(self, meter: _Meter, plan: FailurePlan, marker: Forward, chain_id: int,
-                        updates: tuple[AssetUpdate, ...]) -> None:
-        self.federation.chain(chain_id).append((marker,) + updates)
-        meter.ops += 1 + len(updates)
-        meter.messages += 1
-        meter.appends += 1
-        if plan.crash_after_append is not None and meter.appends == plan.crash_after_append:
-            raise SimulatedCrash(f"after append {meter.appends}")
+    def _append_face(self, meter: _Meter, plan: FailurePlan, marker: Forward, face: list[WalRecord]) -> bool:
+        """Append the forward block of each undo record's updates at the
+        slot it names; refuse at the first slot another deal has filled."""
+        for undo in face:
+            if self.federation.chain(undo.block_ref.chain).append((marker,) + undo.updates, undo.block_ref) is None:
+                return False
+            meter.ops += 1 + len(undo.updates)
+            meter.messages += 1
+            self._reach(meter, plan, "crash_after_append")
+        return True
 
     def _rollback(self, meter: _Meter, undo_records: list[WalRecord]) -> None:
         """Append compensation blocks for logged updates, newest first.
@@ -169,8 +189,8 @@ class TopoCbtEngine:
         skipped if its block is absent (the crash came first), is not
         this transaction's own (it lacks the ``Forward`` marker), or is
         already compensated, which makes rollback idempotent and
-        restartable.  Plan hooks never fire here: the named crash
-        points all sit in the forward phase.
+        restartable.  The failure hook never fires here: every
+        failure point sits in the forward phase.
         """
         for rec in reversed(undo_records):
             assert rec.block_ref is not None
@@ -208,26 +228,20 @@ class TopoCbtEngine:
         undo_records: list[WalRecord] = []
         applied = 0
         failed = False
-        for index, sub in enumerate(txn.sub_transactions, start=1):
-            injected = plan.face_failure(index)
-            per_chain = self.federation.updates_by_chain(sub.updates)
-
-            for chain_id, updates in per_chain:
-                rec = self._write_record(meter, plan, txn.id, WalKind.UNDO,
-                                         self.federation.chain(chain_id).next_ref(), updates)
-                undo_records.append(rec)
-            if injected == CRASH_AFTER_UNDO:
-                raise SimulatedCrash(f"after undo records of face {index}")
-
-            if injected == UPDATE_FAILURE or not self.federation.can_fund(sub.updates):
+        for sub in txn.sub_transactions:
+            face: list[WalRecord] = []
+            for chain_id, updates in self.federation.updates_by_chain(sub.updates):
+                face.append(self._write_record(meter, plan, txn.id, WalKind.UNDO,
+                                               self.federation.chain(chain_id).next_ref(), updates))
+            undo_records += face
+            self._reach(meter, plan, CRASH_AFTER_UNDO)
+            # an injected failure, an overdraft or a slot another deal filled fails the face
+            if (self._reach(meter, plan, UPDATE_FAILURE) or not self.federation.can_fund(sub.updates)
+                    or not self._append_face(meter, plan, marker, face)):
                 failed = True
                 break
-
-            for chain_id, updates in per_chain:
-                self._append_updates(meter, plan, marker, chain_id, updates)
-                applied += len(updates)
-            if injected == CRASH_BEFORE_COMMIT:
-                raise SimulatedCrash(f"after face {index} applied")
+            applied += len(sub.updates)
+            self._reach(meter, plan, CRASH_BEFORE_COMMIT)
 
         if failed:
             self._rollback(meter, undo_records)

@@ -174,7 +174,7 @@ def _run_topocbt(engine: TopoCbtEngine, txn: CrossChainTransaction, plan: Failur
     try:
         return engine.execute(txn, plan), False
     except SimulatedCrash as crash:
-        log.info("txn %s crashed (%s); running recovery", txn.id, crash.point)
+        log.info("txn %s crashed (%s); running recovery", txn.id, crash)
         engine.recover()
         # no terminal record: the crash came before the txn logged anything
         terminal = engine.wal.terminal_for(txn.id)
@@ -328,12 +328,12 @@ def compare_protocols(scenarios: Iterable[Scenario], seeds: Sequence[int]) -> Co
 
     Seeds are labels: a run is the same under every seed, so each
     (scenario, protocol) runs once, under the first seed, and its rows
-    repeat under each later one.
+    repeat under each later one.  No run's final digest is taken.
     """
     rows: list[TxnRow] = []
     for scenario in scenarios:
         first = [row for seed in seeds[:1] for protocol in PROTOCOL_RUNNERS
-                 for row in run_scenario(scenario, seed, protocol_override=protocol, compute_betti=False).rows]
+                 for row in _replay(scenario, scenario.build_federation(), WriteAheadLog(), seed, protocol)]
         rows += first
         rows += [replace(row, seed=seed) for seed in seeds[1:] for row in first]
     return ComparisonTable(rows)
@@ -399,8 +399,7 @@ def measure_grid(
     for n in ns:
         for m in ms:
             scenario = grid_scenario(n, m, protocol=protocol)
-            report = run_scenario(scenario, 1, compute_betti=False)
-            row = report.rows[0]
+            [row] = _replay(scenario, scenario.build_federation(), WriteAheadLog(), 1)
             if row.status is not Status.COMMITTED:
                 raise RuntimeError(f"grid point n={n} m={m} did not commit: {row.status}")
             points.append((n, m, row.primitive_ops))

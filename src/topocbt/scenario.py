@@ -29,9 +29,9 @@ txn a failure strikes) once the file ends.
 A parsed :class:`Scenario` holds the chains to build, each transaction
 as the :class:`CrossChainTransaction` it runs (in declaration order)
 with its protocol by id, and each failure as its txn, its kind and the
-value of the one key that locates it.  ``FAILURE_KEYS`` maps a kind to
-that key and to the :class:`FailurePlan` field it sets, so a txn's plan
-is its failures folded into an empty plan.
+value of the one key that locates it.  ``FAILURE_KEYS`` (from the
+engine) maps a kind to that key, and a txn's :class:`FailurePlan` is its
+failures' (kind, value) pairs in listing order.
 
 A scenario file alone fully determines a run; the built-in
 ``car-trading`` scenario is shipped as a fixed text constant so it
@@ -40,14 +40,14 @@ replays byte-identically too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from sys import intern
 from typing import Callable, Iterable, Optional
 
 from .chain import NAME_BYTES, AssetUpdate, BlockRef, Chain, Federation
-from .engine import FACE_FAILURE_KINDS, NO_FAILURES, FailurePlan
+from .engine import FAILURE_KEYS, NO_FAILURES, FailurePlan
 from .simplicial import MAX_CELLS, MEMORY_BUDGET
 from .topology import CrossChainTransaction, SubTransaction, TopologyMode
 
@@ -82,21 +82,8 @@ class FailureSpec:
     at: Optional[int | str] = None  # the value of the kind's key; None for a kind with no key
 
 
-# Each failure kind, the one key that says where it strikes (None: no
-# key), and the FailurePlan field it sets: face failures add a
-# (face, kind) pair, a kind with no key sets True, any other sets its key's value.
-FAILURE_KEYS: dict[str, tuple[Optional[str], str]] = {
-    kind: ("face", "face_failures") for kind in FACE_FAILURE_KINDS
-} | {
-    "walk_away": ("party", "walk_away"),
-    "timeout": ("swap", "timeout_swap"),
-    "witness_crash": (None, "witness_crash"),
-    "vote_abort": ("face", "vote_abort_face"),
-    "crash_after_record": ("record", "crash_after_record"),
-    "crash_after_append": ("append", "crash_after_append"),
-}
 FAILURE_KINDS = tuple(FAILURE_KEYS)
-LOCATING_KEYS = tuple(dict.fromkeys(key for key, _ in FAILURE_KEYS.values() if key))
+LOCATING_KEYS = tuple(dict.fromkeys(key for key in FAILURE_KEYS.values() if key))
 
 PROTOCOLS = ("topocbt", "ac2s", "ac3wn")
 
@@ -177,17 +164,12 @@ class Scenario:
         return sorted(self.txns, key=lambda t: t.id)
 
     def plan_for(self, txn_id: int) -> FailurePlan:
-        plan = NO_FAILURES
-        for f in self.failures:
-            if f.txn == txn_id:
-                key, attr = FAILURE_KEYS[f.kind]
-                if key is not None and f.at is None:
-                    raise ScenarioError(f"failure kind {f.kind} needs a {key}", fld=key)
-                value = True if key is None else f.at
-                if attr == "face_failures":
-                    value = plan.face_failures + ((f.at, f.kind),)
-                plan = replace(plan, **{attr: value})
-        return plan
+        """The txn's failures as (kind, where) pairs, in listing order."""
+        failures = tuple((f.kind, f.at) for f in self.failures if f.txn == txn_id)
+        try:
+            return FailurePlan(failures) if failures else NO_FAILURES
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
 
 
 # -- parsing -------------------------------------------------------------
@@ -355,7 +337,7 @@ def _check_failure(current: dict, lines: dict[str, int], txns: dict[int, CrossCh
     if txn is None:
         raise ScenarioError(f"no txn {current['txn']} is declared", lines["txn"], "txn")
     kind = current["kind"]
-    wanted = FAILURE_KEYS[kind][0]
+    wanted = FAILURE_KEYS[kind]
     for key in LOCATING_KEYS:
         if key == wanted and key not in current:
             raise ScenarioError(f"failure kind {kind} needs a {key}", lines[""], key)
@@ -459,7 +441,7 @@ def parse_scenario(text: str) -> Scenario:
             needs("kind", "a kind")
             kind = current["kind"]
             # the value of the kind's locating key: None for a kind with no key
-            scenario.failures.append(FailureSpec(current["txn"], kind, current.get(FAILURE_KEYS[kind][0])))
+            scenario.failures.append(FailureSpec(current["txn"], kind, current.get(FAILURE_KEYS[kind])))
             failure_sections.append((current, lines))
         current, lines = {}, {}
 

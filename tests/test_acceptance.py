@@ -213,7 +213,7 @@ def test_criterion_7_recovery_at_every_crash_point():
             pre = fed.state_digest()
             engine = TopoCbtEngine(fed)
             with pytest.raises(SimulatedCrash):
-                engine.execute(scen.transactions()[0], FailurePlan(**{kind: point}))
+                engine.execute(scen.transactions()[0], FailurePlan(((kind, point),)))
             engine.recover()
             assert fed.state_digest() == pre, f"{kind}={point}"
             digest = fed.state_digest()
@@ -227,7 +227,7 @@ def test_criterion_7_recovery_at_every_crash_point():
     fed = scen.build_federation()
     engine = TopoCbtEngine(fed)
     with pytest.raises(SimulatedCrash):
-        engine.execute(scen.transactions()[0], FailurePlan(crash_after_record=4))
+        engine.execute(scen.transactions()[0], FailurePlan((("crash_after_record", 4),)))
     engine.recover()
     assert fed.balance("alice", "CAR") == 1
     elapsed = time.monotonic() - t0

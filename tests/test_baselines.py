@@ -41,7 +41,7 @@ def test_clean_run_commits_same_final_balances_as_main_engine():
 
 def test_walk_away_leaves_initiator_holding_middle_asset():
     fed, txn = car_setup()
-    out = ac2s_execute(fed, txn, FailurePlan(walk_away="cindy"))
+    out = ac2s_execute(fed, txn, FailurePlan((("walk_away", "cindy"),)))
     assert out.status is Status.PARTIAL_COMMIT
     assert out.worse_off_parties == ("alice",)
     # the first exchange went through, so alice is stuck with coins
@@ -52,7 +52,7 @@ def test_walk_away_leaves_initiator_holding_middle_asset():
 
 def test_walk_away_before_anything_applied_aborts_clean():
     fed, txn = car_setup()
-    out = ac2s_execute(fed, txn, FailurePlan(walk_away="bob"))
+    out = ac2s_execute(fed, txn, FailurePlan((("walk_away", "bob"),)))
     assert out.status is Status.ABORTED
     assert out.worse_off_parties == ()
     assert holdings(fed, "alice") == {"ETH": 10}
@@ -60,7 +60,7 @@ def test_walk_away_before_anything_applied_aborts_clean():
 
 def test_missed_timelock_keeps_earlier_leg():
     fed, txn = car_setup()
-    out = ac2s_execute(fed, txn, FailurePlan(timeout_swap=2))
+    out = ac2s_execute(fed, txn, FailurePlan((("timeout", 2),)))
     assert out.status is Status.PARTIAL_COMMIT
     # swap 2's first leg (alice pays coins forward) stands, the
     # counter-leg expired: alice paid and cannot be repaid
@@ -70,16 +70,16 @@ def test_missed_timelock_keeps_earlier_leg():
 
 def test_update_failure_maps_to_late_claim():
     fed, txn = car_setup()
-    out = ac2s_execute(fed, txn, FailurePlan(face_failures=((3, UPDATE_FAILURE),)))
+    out = ac2s_execute(fed, txn, FailurePlan(((UPDATE_FAILURE, 3),)))
     assert out.status is Status.PARTIAL_COMMIT
 
 
 def test_never_blocks():
     # every plan ends in a decided status, never BLOCKED
     for plan, expected in ((FailurePlan(), Status.COMMITTED),
-                           (FailurePlan(walk_away="cindy"), Status.PARTIAL_COMMIT),
-                           (FailurePlan(timeout_swap=1), Status.PARTIAL_COMMIT),
-                           (FailurePlan(witness_crash=True), Status.COMMITTED)):
+                           (FailurePlan((("walk_away", "cindy"),)), Status.PARTIAL_COMMIT),
+                           (FailurePlan((("timeout", 1),)), Status.PARTIAL_COMMIT),
+                           (FailurePlan((("witness_crash", None),)), Status.COMMITTED)):
         fed, txn = car_setup()
         assert ac2s_execute(fed, txn, plan).status is expected
 
@@ -134,8 +134,8 @@ def legs_on(fed, cid):
 
 @pytest.mark.parametrize("plan, status, applied, worse_off", [
     (FailurePlan(), Status.COMMITTED, 4, ()),
-    (FailurePlan(timeout_swap=2), Status.PARTIAL_COMMIT, 3, ("bob",)),
-    (FailurePlan(walk_away="carol"), Status.PARTIAL_COMMIT, 2, ()),
+    (FailurePlan((("timeout", 2),)), Status.PARTIAL_COMMIT, 3, ("bob",)),
+    (FailurePlan((("walk_away", "carol"),)), Status.PARTIAL_COMMIT, 2, ()),
 ], ids=["clean", "second-pair-late", "second-pair-walks-away"])
 def test_a_wider_face_splits_into_one_swap_per_party_pair(plan, status, applied, worse_off):
     scen = parse_scenario(THREE_PARTY_FACE_TEXT)
@@ -174,7 +174,7 @@ def test_witness_chain_is_hash_verifiable():
 def test_witness_crash_blocks_with_locks_held():
     fed, txn = car_setup()
     witness = Chain(WITNESS_CHAIN_ID)
-    out = ac3wn_execute(fed, txn, FailurePlan(witness_crash=True), witness=witness)
+    out = ac3wn_execute(fed, txn, FailurePlan((("witness_crash", None),)), witness=witness)
     assert out.status is Status.BLOCKED
     assert len(fed.locks) == 3  # participants still waiting on a decision
     kinds = [rec.kind for ref in witness.all_refs() for rec in witness.block(ref).payload]
@@ -193,7 +193,7 @@ def test_a_locked_block_aborts_before_any_decision():
 
 def test_coordinator_crash_plan_also_blocks():
     fed, txn = car_setup()
-    out = ac3wn_execute(fed, txn, FailurePlan(face_failures=((2, CRASH_BEFORE_COMMIT),)))
+    out = ac3wn_execute(fed, txn, FailurePlan(((CRASH_BEFORE_COMMIT, 2),)))
     assert out.status is Status.BLOCKED
 
 
@@ -201,7 +201,7 @@ def test_vote_abort_records_global_abort():
     fed, txn = car_setup()
     pre = fed.state_digest()
     witness = Chain(WITNESS_CHAIN_ID)
-    out = ac3wn_execute(fed, txn, FailurePlan(vote_abort_face=2), witness=witness)
+    out = ac3wn_execute(fed, txn, FailurePlan((("vote_abort", 2),)), witness=witness)
     assert out.status is Status.ABORTED
     assert out.applied_updates == 0
     assert fed.state_digest() == pre
@@ -212,7 +212,7 @@ def test_vote_abort_records_global_abort():
 
 def test_updates_only_after_global_commit():
     # audit: every applied update is covered by a GlobalCommit record
-    for plan in (FailurePlan(), FailurePlan(vote_abort_face=1), FailurePlan(witness_crash=True)):
+    for plan in (FailurePlan(), FailurePlan((("vote_abort", 1),)), FailurePlan((("witness_crash", None),))):
         fed, txn = car_setup()
         pre = fed.state_digest()
         witness = Chain(WITNESS_CHAIN_ID)

@@ -72,6 +72,15 @@ def test_append_to_dead_branch_fails():
         ch.append_block(label, ())
 
 
+def test_an_append_at_a_slot_it_would_not_fill_stores_nothing():
+    ch = Chain(1, assets=("X",), length=3)
+    update = AssetUpdate("a", "b", "X", 1)
+    assert ch.append((update,), at=BlockRef(1, 5)) is None
+    assert ch.all_refs() == [BlockRef(1, h) for h in range(4)]
+    assert ch.next_ref() == BlockRef(1, 4) and ch.reshapes == 0
+    assert ch.append((update,), at=BlockRef(1, 4)) == BlockRef(1, 4)
+
+
 def test_append_to_unknown_branch_fails():
     with pytest.raises(ChainError, match="unknown branch"):
         Chain(1).append_block(7, ())

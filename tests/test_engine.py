@@ -10,8 +10,8 @@ from topocbt.engine import (
     Status,
     TopoCbtEngine,
 )
-from topocbt.harness import AUDIT_PARTIAL, audit_atomicity
-from topocbt.scenario import car_trading
+from topocbt.harness import AUDIT_PARTIAL, apply_updates_pure, audit_atomicity
+from topocbt.scenario import car_trading, parse_scenario
 from topocbt.topology import CrossChainTransaction, SubTransaction
 from topocbt.wal import WalKind
 from oracles import asset_totals, compensated_refs, random_scenario
@@ -42,7 +42,7 @@ def test_car_trade_commits_and_delivers():
 
 
 def test_asset_totals_conserved_either_way():
-    for plan in (FailurePlan(), FailurePlan(face_failures=((2, UPDATE_FAILURE),))):
+    for plan in (FailurePlan(), FailurePlan(((UPDATE_FAILURE, 2),))):
         fed, txn, engine = car_setup()
         before = asset_totals(fed)
         engine.execute(txn, plan)
@@ -70,7 +70,7 @@ def test_undo_records_precede_terminal():
 def test_injected_failure_rolls_back_everything():
     fed, txn, engine = car_setup()
     pre = fed.state_digest()
-    out = engine.execute(txn, FailurePlan(face_failures=((3, UPDATE_FAILURE),)))
+    out = engine.execute(txn, FailurePlan(((UPDATE_FAILURE, 3),)))
     assert out.status is Status.ABORTED
     assert out.applied_updates == 0
     assert fed.state_digest() == pre
@@ -89,7 +89,7 @@ def test_insufficient_balance_aborts():
 
 def test_failure_stops_remaining_faces():
     fed, txn, engine = car_setup()
-    engine.execute(txn, FailurePlan(face_failures=((2, UPDATE_FAILURE),)))
+    engine.execute(txn, FailurePlan(((UPDATE_FAILURE, 2),)))
     # undo records only for faces 1 and 2; face 3 never starts
     undos = [r for r in engine.wal.records if r.kind is WalKind.UNDO]
     assert [r.block_ref.chain for r in undos] == [1, 2]
@@ -123,7 +123,7 @@ def test_crash_after_undo_recovers_to_pre_state():
     fed, txn, engine = car_setup()
     pre = fed.state_digest()
     with pytest.raises(SimulatedCrash):
-        engine.execute(txn, FailurePlan(face_failures=((2, CRASH_AFTER_UNDO),)))
+        engine.execute(txn, FailurePlan(((CRASH_AFTER_UNDO, 2),)))
     assert fed.locks != {}  # crash leaves locks behind
     report = engine.recover()
     assert report.rolled_back == (1,)
@@ -135,7 +135,7 @@ def test_crash_after_last_face_recovers_to_pre_state():
     fed, txn, engine = car_setup()
     pre = fed.state_digest()
     with pytest.raises(SimulatedCrash):
-        engine.execute(txn, FailurePlan(face_failures=((3, CRASH_BEFORE_COMMIT),)))
+        engine.execute(txn, FailurePlan(((CRASH_BEFORE_COMMIT, 3),)))
     engine.recover()
     assert fed.state_digest() == pre
 
@@ -144,7 +144,7 @@ def test_crash_after_commit_record_preserves_commit():
     fed, txn, engine = car_setup()
     with pytest.raises(SimulatedCrash):
         # commit is the 4th record of this txn
-        engine.execute(txn, FailurePlan(crash_after_record=4))
+        engine.execute(txn, FailurePlan((("crash_after_record", 4),)))
     report = engine.recover()
     assert report.committed_untouched == (1,)
     assert balances_of(fed, "alice") == {"CAR": 1}
@@ -161,7 +161,7 @@ def test_crash_after_abort_record_leaves_nothing_to_recover():
     engine = TopoCbtEngine(fed)
     pre = fed.state_digest()
     with pytest.raises(SimulatedCrash):
-        engine.execute(txn, FailurePlan(crash_after_record=4))
+        engine.execute(txn, FailurePlan((("crash_after_record", 4),)))
     assert engine.wal.terminal_for(1).kind is WalKind.ABORT
     assert fed.state_digest() == pre
     report = engine.recover()
@@ -182,7 +182,7 @@ def test_recovery_reverses_only_the_crashed_transactions_blocks():
 
     engine = TopoCbtEngine(fed)
     with pytest.raises(SimulatedCrash):
-        engine.execute(deal(1), FailurePlan(crash_after_record=1))
+        engine.execute(deal(1), FailurePlan((("crash_after_record", 1),)))
     assert engine.wal.records[0].block_ref == BlockRef(1, 2)
     fed.locks.clear()
     assert engine.execute(deal(2)).status is Status.COMMITTED
@@ -196,7 +196,7 @@ def test_recovery_reverses_only_the_crashed_transactions_blocks():
 def test_recover_twice_is_noop():
     fed, txn, engine = car_setup()
     with pytest.raises(SimulatedCrash):
-        engine.execute(txn, FailurePlan(face_failures=((1, CRASH_AFTER_UNDO),)))
+        engine.execute(txn, FailurePlan(((CRASH_AFTER_UNDO, 1),)))
     engine.recover()
     digest = fed.state_digest()
     wal_bytes = engine.wal.to_bytes()
@@ -220,7 +220,7 @@ def test_every_crash_point_restores_pre_state():
         pre = fed.state_digest()
         engine = TopoCbtEngine(fed)
         with pytest.raises(SimulatedCrash):
-            engine.execute(fed_s.transactions()[0], FailurePlan(crash_after_record=record_point))
+            engine.execute(fed_s.transactions()[0], FailurePlan((("crash_after_record", record_point),)))
         engine.recover()
         assert fed.state_digest() == pre, f"crash after record {record_point}"
     for append_point in (1, 2, 3):
@@ -229,9 +229,82 @@ def test_every_crash_point_restores_pre_state():
         pre = fed.state_digest()
         engine = TopoCbtEngine(fed)
         with pytest.raises(SimulatedCrash):
-            engine.execute(fed_s.transactions()[0], FailurePlan(crash_after_append=append_point))
+            engine.execute(fed_s.transactions()[0], FailurePlan((("crash_after_append", append_point),)))
         engine.recover()
         assert fed.state_digest() == pre, f"crash after append {append_point}"
+
+
+# -- of two failures that cannot both strike, the first reached does -------------------
+
+@pytest.mark.parametrize("points", [(3, 5), (5, 3)])
+def test_the_first_record_crash_reached_strikes(points):
+    fed, txn, engine = car_setup()
+    with pytest.raises(SimulatedCrash, match="^after record 3$"):
+        engine.execute(txn, FailurePlan(tuple(("crash_after_record", k) for k in points)))
+    assert len(engine.wal.records) == 3
+
+
+def test_a_face_crashes_after_its_undo_records_before_its_update_failure():
+    fed, txn, engine = car_setup()
+    with pytest.raises(SimulatedCrash, match="^after undo records of face 2$"):
+        engine.execute(txn, FailurePlan(((UPDATE_FAILURE, 2), (CRASH_AFTER_UNDO, 2))))
+    assert engine.wal.terminal_for(1) is None
+
+
+# -- two deals in flight ---------------------------------------------------------------
+
+def _two_deals_text():
+    chains = "".join(f"[chain]\nid = {i}\nlength = 3\nassets = A{i}\n"
+                     + "".join(f"balance = p{p} A{i} 10\n" for p in (1, 2, 3)) for i in (1, 2, 3))
+    return chains + """
+[txn]
+id = 1
+parties = p1 p2
+blocks = 1:1 2:1
+sub = 1:1 ; p1 p2 A1 1
+sub = 2:1 ; p2 p1 A2 1
+
+[failure]
+txn = 1
+kind = update_failure
+face = 2
+
+[txn]
+id = 2
+parties = p1 p3
+blocks = 1:2 3:2
+sub = 1:2 3:2 ; p1 p3 A1 1, p3 p1 A3 1
+"""
+
+
+def test_a_deal_whose_undo_slot_another_deal_fills_stays_all_or_nothing(monkeypatch):
+    # deal 2 runs to its end after deal 1 has logged its undo record for
+    # 1:4 and before deal 1 appends there: deal 2 commits into 1:4, and
+    # deal 1's append refuses the slot above it, so its face fails and
+    # deal 1 aborts with nothing of it left on the chains
+    scen = parse_scenario(_two_deals_text())
+    fed = scen.build_federation()
+    engine = TopoCbtEngine(fed)
+    first, second = scen.transactions()
+    append = TopoCbtEngine._append_face
+    inner = []
+
+    def interleaved(self, meter, plan, marker, face):
+        if marker.txn_id == first.id and not inner:
+            assert [undo.block_ref for undo in face] == [BlockRef(1, 4)]
+            inner.append(self.execute(second))
+        return append(self, meter, plan, marker, face)
+
+    monkeypatch.setattr(TopoCbtEngine, "_append_face", interleaved)
+    pre = fed.balances()
+    out = engine.execute(first, scen.plan_for(first.id))
+    assert [o.status for o in inner] == [Status.COMMITTED]
+    assert fed.chain(1).holds_forward(BlockRef(1, 4), second.id)
+    assert out.status is Status.ABORTED
+    assert fed.balance("p2", "A1") == 10
+    assert audit_atomicity(apply_updates_pure(pre, second), first, fed.balances()) == "none"
+    assert fed.chain(1).next_ref() == BlockRef(1, 5)
+    assert fed.locks == {} and engine.recover().is_noop()
 
 
 # -- the big randomized property -----------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topocbt import harness, topology
-from topocbt.chain import ChainError
+from topocbt.chain import ChainError, Federation
 from topocbt.engine import NO_FAILURES, Status, TopoCbtEngine
 from topocbt.harness import (
     AUDIT_ALL,
@@ -594,15 +594,23 @@ def test_comparison_runs_each_scenario_and_protocol_once_for_every_seed(monkeypa
     scenarios = failure_suite()
     naive = [row for scenario in scenarios for seed in (1, 2, 3) for protocol in PROTOCOL_RUNNERS
              for row in run_scenario(scenario, seed, protocol_override=protocol, compute_betti=False).rows]
-    calls = []
+    calls, digests = [], []
+    replay, digest = harness._replay, Federation.state_digest
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].name)
-        return run_scenario(*args, **kwargs)
+    def counted(scenario, *args, **kwargs):
+        calls.append(scenario.name)
+        return replay(scenario, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "run_scenario", counted)
+    def counted_digest(federation):
+        digests.append(federation)
+        return digest(federation)
+
+    monkeypatch.setattr(harness, "_replay", counted)
+    monkeypatch.setattr(Federation, "state_digest", counted_digest)
     table = compare_protocols(scenarios, seeds=[1, 2, 3])
+    # one replay per scenario and protocol, and no final digest it would drop
     assert len(calls) == 3 * len(scenarios) == len(PROTOCOL_RUNNERS) * len(scenarios)
+    assert digests == []
     assert table.to_csv() == ComparisonTable(naive).to_csv()
 
 

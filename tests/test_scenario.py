@@ -83,8 +83,7 @@ face = 1
     assert scen.epoch == 2 and scen.window == 1
     assert scen.chains[0].forks == ((2, 1),)
     assert scen.txns[0].sub_transactions[0].updates[1].asset == "Y"
-    plan = scen.plan_for(1)
-    assert plan.face_failures == ((1, "crash_after_undo"),)
+    assert scen.plan_for(1).failures == (("crash_after_undo", 1),)
     fed = scen.build_federation()
     assert fed.chain(1).live_block_at(2) == (BlockRef(1, 2, 0), BlockRef(1, 2, 1))
 
@@ -123,25 +122,25 @@ def test_plan_for_txn_without_failures_is_empty():
     assert car_trading().plan_for(1) == FailurePlan()
 
 
-# Each failure kind, the key line that locates it, and the plan it parses to.
+# Each failure kind, the key line that locates it, and where it strikes.
 PLANNED = {
-    "update_failure": ("face = 2", FailurePlan(face_failures=((2, "update_failure"),))),
-    "crash_after_undo": ("face = 2", FailurePlan(face_failures=((2, "crash_after_undo"),))),
-    "crash_before_commit": ("face = 2", FailurePlan(face_failures=((2, "crash_before_commit"),))),
-    "walk_away": ("party = cindy", FailurePlan(walk_away="cindy")),
-    "timeout": ("swap = 2", FailurePlan(timeout_swap=2)),
-    "witness_crash": ("", FailurePlan(witness_crash=True)),
-    "vote_abort": ("face = 2", FailurePlan(vote_abort_face=2)),
-    "crash_after_record": ("record = 3", FailurePlan(crash_after_record=3)),
-    "crash_after_append": ("append = 2", FailurePlan(crash_after_append=2)),
+    "update_failure": ("face = 2", 2),
+    "crash_after_undo": ("face = 2", 2),
+    "crash_before_commit": ("face = 2", 2),
+    "walk_away": ("party = cindy", "cindy"),
+    "timeout": ("swap = 2", 2),
+    "witness_crash": ("", None),
+    "vote_abort": ("face = 2", 2),
+    "crash_after_record": ("record = 3", 3),
+    "crash_after_append": ("append = 2", 2),
 }
 
 
 @pytest.mark.parametrize("kind", FAILURE_KINDS)
 def test_each_failure_kind_parses_to_its_plan(kind):
-    key, plan = PLANNED[kind]
+    key, where = PLANNED[kind]
     scen = parse_scenario(CAR_TRADING_TEXT + f"\n[failure]\ntxn = 1\nkind = {kind}\n{key}\n")
-    assert scen.plan_for(1) == plan
+    assert scen.plan_for(1) == FailurePlan(((kind, where),))
 
 
 def test_plan_for_rejects_a_built_failure_without_its_key():
@@ -159,8 +158,27 @@ def test_failures_on_one_txn_merge_into_one_plan():
         + "\n[failure]\ntxn = 1\nkind = update_failure\nface = 1\n"
     )
     assert scen.plan_for(1) == FailurePlan(
-        face_failures=((3, "crash_before_commit"), (1, "update_failure")), witness_crash=True
+        (("witness_crash", None), ("crash_before_commit", 3), ("update_failure", 1))
     )
+
+
+@pytest.mark.parametrize("failure, message", [
+    (("gremlins", 1), "unknown failure kind 'gremlins'"),
+    (("crash_after_undo", None), "failure kind crash_after_undo needs a face"),
+    (("walk_away", None), "failure kind walk_away needs a party"),
+    (("witness_crash", 1), "failure kind witness_crash takes no locating key, got 1"),
+], ids=["unknown kind", "face kind without a face", "walk_away without a party", "witness_crash with a place"])
+def test_a_plan_refuses_a_failure_it_cannot_place(failure, message):
+    with pytest.raises(ValueError) as info:
+        FailurePlan((("timeout", 1), failure))
+    assert str(info.value) == message
+
+
+def test_plan_for_refuses_a_built_failure_of_no_kind():
+    scen = car_trading()
+    scen.failures.append(FailureSpec(txn=1, kind="gremlins", at=1))
+    with pytest.raises(ScenarioError, match="unknown failure kind 'gremlins'"):
+        scen.plan_for(1)
 
 
 def test_grid_scenario_counts():
@@ -342,7 +360,7 @@ def test_numbers_at_the_range_edges_parse():
     assert scen.txns[0].id == 2**64 - 1
     assert scen.chains[0].balances == (("alice", "ETH", 2**63 - 1), ("bob", "ETH", -(2**63)))
     assert scen.txns[0].sub_transactions[0].updates[0].amount == 2**63 - 1
-    assert scen.plan_for(2**64 - 1).crash_after_append == 1
+    assert scen.plan_for(2**64 - 1).strikes("crash_after_append", 1)
 
 
 @pytest.mark.parametrize("case", ["name past >H in parties", "updates past >H in a sub", "comma in the scenario name",
@@ -361,7 +379,7 @@ def test_names_and_update_lists_at_their_bounds_parse():
     scen = parse_scenario(text + f"[failure]\ntxn = 1\nkind = walk_away\nparty = {longest}\n")
     assert scen.txns[0].parties[0] == longest
     assert len(scen.txns[0].sub_transactions[0].updates) == SUB_UPDATES
-    assert scen.plan_for(1).walk_away == longest
+    assert scen.plan_for(1).strikes("walk_away", longest)
 
 
 # -- the work budget: checked at parse level only, no case starts a run ----------
@@ -440,4 +458,4 @@ def test_fork_may_start_one_above_an_earlier_fork():
 def test_failure_may_precede_its_txn():
     failure = "[failure]\ntxn = 1\nkind = walk_away\nparty = cindy\n\n"
     scen = parse_scenario(_edited("[txn]\n", failure + "[txn]\n"))
-    assert scen.plan_for(1).walk_away == "cindy"
+    assert scen.plan_for(1).failures == (("walk_away", "cindy"),)
